@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Sequence
 
-from .bracket import StateTables, gray_order
+from .bracket import StateTables, d_power, gray_order
 from .diagram import VirtualLinkDiagram, format_gauss_code
-from .laurent import LOOP_VALUE, LaurentPoly
+from .laurent import LaurentPoly
 from .surface import (
     HomologyClass,
     SurfaceRep,
@@ -61,48 +61,88 @@ class SurfaceState:
         return self.disk_bounding_count + len(self.classes) + self.null_essential_count
 
 
-def _state_loops_refined(rep: SurfaceRep, tables: StateTables, state: int) -> list[tuple[int, ...]]:
-    """Refined-map dart cycles of one state's curves."""
-    refined = rep.refined
-    out = []
-    for loop in tables.trace(state):
+_DISK = -1
+_NULL_ESSENTIAL = -2
+
+
+class _CurveMemo:
+    """Every distinct state curve met in one walk over states, classified once.
+
+    Curves are keyed by the tracer's join key.  A curve's kind is _DISK,
+    _NULL_ESSENTIAL, or the number of its nonzero class in `classes`
+    (numbered by first appearance), so a state's curve-class key is built
+    from small ints.  A memo serves one walk and is dropped with it.
+    """
+
+    def __init__(self, rep: SurfaceRep):
+        self.rep = rep
+        self.curves: dict[int, tuple[tuple[int, ...], int]] = {}  # join key -> (darts, kind)
+        self.classes: list[HomologyClass] = []
+        self._numbers: dict[HomologyClass, int] = {}
+
+    def classify(self, key: int, ends: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """Refined-map dart cycle and kind of a traced loop, stored under `key`."""
+        refined = self.rep.refined
         darts: list[int] = []
-        k = len(loop)
-        for i, (arc, forward) in enumerate(loop):
-            darts.append(2 * arc if forward else 2 * arc + 1)
-            arrive = 2 * arc + 1 if forward else 2 * arc
-            next_arc, next_fwd = loop[(i + 1) % k]
-            depart = 2 * next_arc if next_fwd else 2 * next_arc + 1
-            ci, k_arr = refined.position_of[arrive]
-            cj, k_dep = refined.position_of[depart]
+        k = len(ends)
+        for i, end in enumerate(ends):
+            # the arc's own dart is the end it leaves from; then the quad side
+            # from the end it arrives at to the end the next arc leaves from
+            darts.append(end)
+            ci, k_arr = refined.position_of[end ^ 1]
+            cj, k_dep = refined.position_of[ends[(i + 1) % k]]
             if ci != cj:
                 raise AssertionError("state loop jumps between crossings")
             darts.append(refined.side_dart(ci, k_arr, k_dep))
-        out.append(tuple(darts))
-    return out
-
-
-def _classify_state(rep: SurfaceRep, tables: StateTables, state: int) -> SurfaceState:
-    loops = _state_loops_refined(rep, tables, state)
-    disks = rep.free_loops
-    classes = []
-    null_essential = 0
-    for loop in loops:
-        if is_disk_bounding(rep, loop):
-            disks += 1
-            continue
-        cls = loop_homology(rep, loop)
-        if cls.is_zero():
-            null_essential += 1
+        loop = tuple(darts)
+        cls = loop_homology(self.rep, loop)
+        if not cls.is_zero():
+            kind = self._numbers.setdefault(cls, len(self.classes))
+            if kind == len(self.classes):
+                self.classes.append(cls)
+        # only a null-homologous curve can bound a disk
+        elif is_disk_bounding(self.rep, loop):
+            kind = _DISK
         else:
-            classes.append(cls)
-    beta = state.bit_count()
+            kind = _NULL_ESSENTIAL
+        entry = self.curves[key] = (loop, kind)
+        return entry
+
+    def class_tuple(self, numbers: Sequence[int]) -> tuple[HomologyClass, ...]:
+        """Canonical sorted multiset of the classes with these numbers."""
+        return tuple(sorted(self.classes[i] for i in numbers))
+
+
+def _trace_state(
+    memo: _CurveMemo, tables: StateTables, state: int
+) -> tuple[list[tuple[int, ...]], int, int, tuple[int, ...]]:
+    """(refined loops, disk count, null-essential count, sorted class numbers) of one state."""
+    loops = []
+    disks = null_essential = 0
+    numbers = []
+    curves = memo.curves
+    for key, ends in tables.trace(state):
+        entry = curves.get(key) or memo.classify(key, ends)
+        loops.append(entry[0])
+        kind = entry[1]
+        if kind >= 0:
+            numbers.append(kind)
+        elif kind == _DISK:
+            disks += 1
+        else:
+            null_essential += 1
+    numbers.sort()
+    return loops, disks, null_essential, tuple(numbers)
+
+
+def _classify_state(memo: _CurveMemo, tables: StateTables, state: int) -> SurfaceState:
+    loops, disks, null_essential, numbers = _trace_state(memo, tables, state)
     return SurfaceState(
         index=state,
-        monomial_exp=tables.n - 2 * beta,
+        monomial_exp=tables.n - 2 * state.bit_count(),
         loops=tuple(loops),
-        disk_bounding_count=disks,
-        classes=tuple(sorted(classes)),
+        disk_bounding_count=disks + memo.rep.free_loops,
+        classes=memo.class_tuple(numbers),
         null_essential_count=null_essential,
     )
 
@@ -111,7 +151,8 @@ def enumerate_surface_states(rep: SurfaceRep, order: str = "index") -> list[Surf
     """All 2^n surface states; `order` is "index" or "gray" (same set)."""
     tables = StateTables(rep.diagram)
     indices = gray_order(tables.n) if order == "gray" else range(1 << tables.n)
-    return [_classify_state(rep, tables, s) for s in indices]
+    memo = _CurveMemo(rep)
+    return [_classify_state(memo, tables, s) for s in indices]
 
 
 @dataclass(frozen=True)
@@ -129,7 +170,7 @@ class SurfaceBracket:
         """
         total = LaurentPoly.zero()
         for (classes, essential), coeff in self.entries.items():
-            total = total + coeff * LOOP_VALUE ** (len(classes) + essential)
+            total = total + coeff * d_power(len(classes) + essential)
         return total
 
     def nonzero_classes(self) -> list[HomologyClass]:
@@ -162,13 +203,20 @@ def _bracket_chunk(payload, start: int, stop: int) -> dict:
     d = payload
     rep = build_carter_surface(d)
     tables = StateTables(d)
-    acc: dict[CurveClassKey, dict[int, int]] = {}
+    memo = _CurveMemo(rep)
+    # states with equal class numbers, null-essential count, c(s) and disk
+    # count add the same term
+    tally: dict[tuple[tuple[int, ...], int, int, int], int] = {}
+    n = tables.n
     for state in range(start, stop):
-        s = _classify_state(rep, tables, state)
-        coeff = LaurentPoly.monomial(s.monomial_exp) * LOOP_VALUE**s.disk_bounding_count
-        slot = acc.setdefault(s.key, {})
-        for e, c in coeff.terms:
-            slot[e] = slot.get(e, 0) + c
+        _, disks, null_essential, numbers = _trace_state(memo, tables, state)
+        t = (numbers, null_essential, n - 2 * state.bit_count(), disks)
+        tally[t] = tally.get(t, 0) + 1
+    acc: dict[CurveClassKey, dict[int, int]] = {}
+    for (numbers, null_essential, c, disks), count in tally.items():
+        slot = acc.setdefault((memo.class_tuple(numbers), null_essential), {})
+        for e, coeff in d_power(disks + rep.free_loops).terms:
+            slot[e + c] = slot.get(e + c, 0) + count * coeff
     return acc
 
 

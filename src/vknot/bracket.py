@@ -58,6 +58,11 @@ class StateTables:
                 self.joins.append((oriented, disoriented))
             else:
                 self.joins.append((disoriented, oriented))
+        # join_bits[c][b]: one bit per join of smoothing b, 4 per crossing
+        # (the four joins of a crossing are distinct unordered pairs)
+        self.join_bits = [
+            ((1 << 4 * k, 1 << 4 * k + 1), (1 << 4 * k + 2, 1 << 4 * k + 3)) for k in range(self.n)
+        ]
 
     def smoothing_of_state(self, state: int) -> dict[int, SmoothingType]:
         return {
@@ -65,30 +70,41 @@ class StateTables:
             for k, cid in enumerate(self.crossings)
         }
 
-    def trace(self, state: int) -> list[list[tuple[int, bool]]]:
-        """Loops of one state as lists of (arc, forward) traversals.
+    def trace(self, state: int) -> list[tuple[int, list[int]]]:
+        """Loops of one state as (join key, arc ends) pairs.
 
-        Bit k of `state` selects the B-smoothing of the k-th crossing.
+        Bit k of `state` selects the B-smoothing of the k-th crossing.  Each
+        loop lists the arc ends it leaves from, in order: end 2a runs arc a
+        forward, end 2a + 1 backward.  The join key has one bit per join the
+        loop passes through, so it names the curve independently of the
+        state and of the direction of travel.
         """
         partner = [0] * (2 * self.n_arcs)
+        bit = [0] * (2 * self.n_arcs)
         for k in range(self.n):
-            p, q, r, s = self.joins[k][(state >> k) & 1]
+            b = (state >> k) & 1
+            p, q, r, s = self.joins[k][b]
             partner[p], partner[q] = q, p
             partner[r], partner[s] = s, r
+            u, v = self.join_bits[k][b]
+            bit[p] = bit[q] = u
+            bit[r] = bit[s] = v
         seen = [False] * (2 * self.n_arcs)
-        loops: list[list[tuple[int, bool]]] = []
+        loops: list[tuple[int, list[int]]] = []
         for start in range(0, 2 * self.n_arcs, 2):
             if seen[start]:
                 continue
-            loop: list[tuple[int, bool]] = []
+            loop: list[int] = []
+            key = 0
             end = start
             while not seen[end]:
                 seen[end] = True
                 seen[end ^ 1] = True
-                # traverse the arc from this end to its other end
-                loop.append((end >> 1, not end & 1))
+                # traverse the arc from this end to its other end, then the join there
+                loop.append(end)
+                key |= bit[end ^ 1]
                 end = partner[end ^ 1]
-            loops.append(loop)
+            loops.append((key, loop))
         return loops
 
     def loop_count(self, state: int) -> int:
@@ -117,11 +133,16 @@ def gray_order(n: int):
         yield i ^ (i >> 1)
 
 
-def _d_power(k: int, cache: dict[int, LaurentPoly] = {0: LaurentPoly.one()}) -> LaurentPoly:
-    while k not in cache:
-        m = max(cache)
-        cache[m + 1] = cache[m] * LOOP_VALUE
-    return cache[k]
+#: d^k at index k, grown on demand; the values never change, so every
+#: caller in the process can share them.
+_D_POWERS: list[LaurentPoly] = [LaurentPoly.one()]
+
+
+def d_power(k: int) -> LaurentPoly:
+    """The loop value d = -A^2 - A^-2 raised to k >= 0."""
+    while len(_D_POWERS) <= k:
+        _D_POWERS.append(_D_POWERS[-1] * LOOP_VALUE)
+    return _D_POWERS[k]
 
 
 def bracket_partial(d: VirtualLinkDiagram, start: int, stop: int) -> LaurentPoly:
@@ -134,7 +155,7 @@ def bracket_partial(d: VirtualLinkDiagram, start: int, stop: int) -> LaurentPoly
         beta = state.bit_count()
         c = n - 2 * beta
         loops = tables.loop_count(state) + free
-        for e, coef in _d_power(max(loops - 1, 0)).terms:
+        for e, coef in d_power(max(loops - 1, 0)).terms:
             k = e + c
             acc[k] = acc.get(k, 0) + coef
     return LaurentPoly(acc)
@@ -208,7 +229,7 @@ def bracket_by_recursion(d: VirtualLinkDiagram, _memo: dict | None = None) -> La
     if key is not None and key in memo:
         return memo[key]
     if d.n_crossings == 0:
-        result = _d_power(max(d.n_components - 1, 0)) if d.n_components else LaurentPoly.one()
+        result = d_power(max(d.n_components - 1, 0)) if d.n_components else LaurentPoly.one()
     else:
         cid = d.crossing_ids[0]
         a_part = bracket_by_recursion(smooth_crossing(d, cid, SmoothingType.ALPHA), memo)

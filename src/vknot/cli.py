@@ -188,9 +188,20 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """--parallel value: an integer >= 1 (the library clamps it to the usable CPUs)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, diagram_input: bool = True) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=_worker_count, default=1)
     p.add_argument("--convention", choices=("reduced", "unreduced"), default="reduced")
     if diagram_input:
         p.add_argument("code", nargs="?", help="inline signed Gauss code")

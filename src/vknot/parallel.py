@@ -7,6 +7,7 @@ never change an answer, only the wall time.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Sequence
 
 
@@ -29,17 +30,28 @@ def _call(args):
     return fn(payload, start, stop)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def map_state_ranges(fn: Callable, payload, total: int, parallel: int) -> Sequence:
     """Evaluate fn(payload, start, stop) over a partition of [0, total).
 
-    With parallel > 1 the chunks run in a process pool; results come back
-    in range order either way.
+    The worker count is `parallel` clamped to 1..usable_cpus(); with more
+    than one worker the ranges run in a process pool, one range per worker,
+    so per-range setup (tables, the surface bracket's curve memo) is paid
+    once per worker.  Results come back in range order either way.
     """
-    ranges = split_ranges(total, max(1, parallel) * 4)
+    workers = max(1, min(parallel, usable_cpus()))
+    ranges = split_ranges(total, workers)
     jobs = [(fn, payload, a, b) for a, b in ranges]
-    if parallel <= 1 or len(ranges) == 1:
+    if len(jobs) <= 1:
         return [_call(j) for j in jobs]
     import multiprocessing
 
-    with multiprocessing.Pool(parallel) as pool:
+    with multiprocessing.Pool(len(jobs)) as pool:
         return pool.map(_call, jobs)

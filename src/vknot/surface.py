@@ -692,9 +692,4 @@ def _cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
 
 def is_disk_bounding(rep: SurfaceRep, loop: Sequence[int]) -> bool:
     """True iff cutting along the loop splits off a disk (chi = 1, one boundary)."""
-    m = rep.refined.map
-    key = frozenset(m.edge_of[d] for d in loop)
-    cache = rep.__dict__.setdefault("_disk_cache", {})
-    if key not in cache:
-        cache[key] = any(chi == 1 and b == 1 for chi, b in _cut_map(m, loop))
-    return cache[key]
+    return any(chi == 1 and b == 1 for chi, b in _cut_map(rep.refined.map, loop))

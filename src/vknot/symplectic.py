@@ -41,7 +41,8 @@ def det_int(m: Sequence[Sequence[int]]) -> int:
                 f = a[r][col] / inv
                 for c in range(col, n):
                     a[r][c] -= f * a[col][c]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise ArithmeticError("integer matrix gave a fractional determinant")
     return int(det)
 
 
@@ -166,7 +167,8 @@ def symplectic_reduce(form: SkewForm) -> SymplecticBasis:
                 v = q_work[i][j]
                 if v and (best is None or abs(v) < abs(q_work[best[0]][best[1]])):
                     best = (i, j)
-        assert best is not None, "unimodular form cannot have a zero trailing block"
+        if best is None:
+            raise NotUnimodularError("zero trailing block; form is not unimodular")
         bi, bj = best
         if bi != base:
             _transform(q_work, change, inverse, "swap", base, bi)
@@ -206,7 +208,8 @@ def symplectic_reduce(form: SkewForm) -> SymplecticBasis:
         inverse=tuple(tuple(row) for row in inverse),
         pairs=pairs,
     )
-    assert _check_standard(form, basis), "symplectic reduction postcondition failed"
+    if not _check_standard(form, basis):
+        raise ArithmeticError("symplectic reduction postcondition failed: change^T . form . change != J")
     return basis
 
 

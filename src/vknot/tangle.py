@@ -423,6 +423,14 @@ def alpha_beta_at_crossing(K: VirtualLinkDiagram, v: int) -> tuple[LaurentPoly, 
     then checked against the identities <K> = -A^-3 alpha - A^3 beta and
     <K_s> = -A^3 alpha - A^-3 beta.
     """
+    alpha, beta, _, _ = _alpha_beta_brackets(K, v)
+    return alpha, beta
+
+
+def _alpha_beta_brackets(
+    K: VirtualLinkDiagram, v: int
+) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
+    """(alpha, beta, <K>, <K_s>) of alpha_beta_at_crossing, with both brackets it checked."""
     one = LaurentPoly.one()
     bA = kauffman_bracket(smooth_crossing(K, v, SmoothingType.ALPHA))
     bB = kauffman_bracket(smooth_crossing(K, v, SmoothingType.BETA))
@@ -432,7 +440,7 @@ def alpha_beta_at_crossing(K: VirtualLinkDiagram, v: int) -> tuple[LaurentPoly, 
     m3, p3 = LaurentPoly.monomial(-3, -1), LaurentPoly.monomial(3, -1)
     if bK != m3 * alpha + p3 * beta or bKs != p3 * alpha + m3 * beta:
         raise AssertionError("alpha/beta identities failed (convention bug)")
-    return alpha, beta
+    return alpha, beta, bK, bKs
 
 
 def zerocor_check(bK: LaurentPoly, bKs: LaurentPoly) -> str:
@@ -484,9 +492,7 @@ class VirtualizationReport:
 
 def virtualization_report(K: VirtualLinkDiagram, v: int, run_certify: bool = True) -> VirtualizationReport:
     """Single-virtualization analysis of crossing v."""
-    alpha, beta = alpha_beta_at_crossing(K, v)
-    bK = kauffman_bracket(K)
-    bKs = kauffman_bracket(switch_crossing(K, v))
+    alpha, beta, bK, bKs = _alpha_beta_brackets(K, v)
     Kv = virtualize_crossing(K, v)
     bKv = kauffman_bracket(Kv)
     if bKv != bKs:

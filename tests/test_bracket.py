@@ -5,6 +5,7 @@ import pytest
 from vknot.bracket import (
     StateTables,
     bracket_by_recursion,
+    d_power,
     f_polynomial,
     gray_order,
     jones,
@@ -82,6 +83,12 @@ def test_skein_identity_at_every_crossing():
 def test_recursion_matches_state_sum():
     for d in (TREFOIL, FIGURE_EIGHT, VIRTUAL_TREFOIL, KISHINO):
         assert bracket_by_recursion(d) == kauffman_bracket(d)
+
+
+def test_d_power_table():
+    for k in range(6):
+        assert d_power(k) == LOOP_VALUE**k
+    assert d_power(5) is d_power(5)
 
 
 def test_parallel_identical():

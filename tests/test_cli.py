@@ -143,3 +143,11 @@ def test_requires_exactly_one_input(capsys):
     assert code == 2
     code, _, err = run(capsys, "bracket", "U", "--catalog", "trefoil")
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_parallel_below_one_exits_2(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--catalog", "kishino", "--parallel", value])
+    assert exc.value.code == 2
+    assert "--parallel" in capsys.readouterr().err

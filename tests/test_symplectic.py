@@ -115,3 +115,12 @@ def test_mod2_rank_basics():
     assert mod2_rank([]) == 0
     assert mod2_rank([[2, 4], [6, 8]]) == 0
     assert mod2_rank([[1, 0], [0, 1], [1, 1]]) == 2
+
+
+def test_failed_postcondition_raises_without_assert(monkeypatch):
+    import vknot.symplectic as symplectic
+
+    monkeypatch.setattr(symplectic, "_check_standard", lambda form, basis: False)
+    with pytest.raises(ArithmeticError) as err:
+        symplectic_reduce(standard_form(2))
+    assert not isinstance(err.value, AssertionError)

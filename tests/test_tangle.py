@@ -134,3 +134,19 @@ def test_double_virtualization_report_section5():
 def test_double_virtualization_requires_distinct():
     with pytest.raises(ValueError):
         double_virtualization_report(catalog("trefoil"), 1, 1)
+
+
+def test_virtualization_report_computes_each_bracket_once(monkeypatch):
+    import vknot.tangle as tangle
+
+    calls = []
+
+    def counted(d, parallel=1):
+        calls.append(d)
+        return kauffman_bracket(d, parallel=parallel)
+
+    monkeypatch.setattr(tangle, "kauffman_bracket", counted)
+    rep = virtualization_report(catalog("trefoil"), 1, run_certify=False)
+    # <K_A>, <K_B>, <K>, <K_s>, <K_v>
+    assert len(calls) == 5
+    assert rep.to_json() == virtualization_report(catalog("trefoil"), 1, run_certify=False).to_json()
