@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Sequence
 
-from .bracket import StateTables, d_power, gray_order
+from .bracket import StateTables, d_power
 from .diagram import VirtualLinkDiagram, format_gauss_code
 from .laurent import LaurentPoly
 from .surface import (
@@ -147,12 +147,11 @@ def _classify_state(memo: _CurveMemo, tables: StateTables, state: int) -> Surfac
     )
 
 
-def enumerate_surface_states(rep: SurfaceRep, order: str = "index") -> list[SurfaceState]:
-    """All 2^n surface states; `order` is "index" or "gray" (same set)."""
+def enumerate_surface_states(rep: SurfaceRep) -> list[SurfaceState]:
+    """All 2^n surface states, in state-index order."""
     tables = StateTables(rep.diagram)
-    indices = gray_order(tables.n) if order == "gray" else range(1 << tables.n)
     memo = _CurveMemo(rep)
-    return [_classify_state(memo, tables, s) for s in indices]
+    return [_classify_state(memo, tables, s) for s in range(1 << tables.n)]
 
 
 @dataclass(frozen=True)

@@ -8,67 +8,46 @@ surface-level (un-reduced) convention lives in `vknot.analysis`.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .diagram import (
-    OVER,
     SmoothingType,
     VirtualLinkDiagram,
+    arc_ends,
     canonical_code,
     smooth_crossing,
     writhe,
 )
-from .laurent import LOOP_VALUE, LaurentPoly, laurent_divide_exact, try_divide_exact
+from .laurent import LOOP_VALUE, LaurentPoly, try_divide_exact
+
+if TYPE_CHECKING:
+    from .tangle import Tangle
 
 
 class StateTables:
-    """Flat arrays for fast state-by-state loop tracing.
+    """Flat arrays for fast state-by-state loop tracing of a diagram or tangle.
 
-    Arc ends are numbered 2*arc (tail, leaving a pass) and 2*arc + 1
-    (head, arriving at the next pass).  For each crossing the A- and
-    B-smoothings are stored as two pairs of arc-end joins.
+    Arc ends are numbered by `diagram.arc_ends`: 2*arc (tail, leaving a
+    pass) and 2*arc + 1 (head, arriving at the next pass).  In a crossing's
+    counterclockwise rotation (r0, r1, r2, r3) the A-smoothing joins r0-r3
+    and r1-r2 and the B-smoothing joins r0-r1 and r2-r3, for either sign.
+    A tangle's boundary ends are joined to nothing.
     """
 
-    def __init__(self, d: VirtualLinkDiagram):
-        self.diagram = d
+    def __init__(self, d: VirtualLinkDiagram | Tangle):
         self.crossings = list(d.crossing_ids)
         self.n = len(self.crossings)
-        arc_of: dict[tuple[int, int], int] = {}
-        n_arcs = 0
-        for ci, comp in enumerate(d.components):
-            for k in range(len(comp)):
-                arc_of[(ci, k)] = n_arcs
-                n_arcs += 1
-        self.n_arcs = n_arcs
-
-        def ends(ci: int, pi: int) -> tuple[int, int]:
-            # (incoming head end, outgoing tail end) of the pass at (ci, pi)
-            length = len(d.components[ci])
-            a_in = arc_of[(ci, (pi - 1) % length)]
-            a_out = arc_of[(ci, pi)]
-            return 2 * a_in + 1, 2 * a_out
-
+        self.n_arcs, rotation, self.boundary = arc_ends(d.arc_strands, d.signs)
         # joins[c] = (A-joins, B-joins), each a 4-tuple (p, q, r, s) meaning p<->q, r<->s
-        self.joins: list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]] = []
-        for cid in self.crossings:
-            (oc, oi), (uc, ui) = d.positions(cid)
-            o_in, o_out = ends(oc, oi)
-            u_in, u_out = ends(uc, ui)
-            oriented = (o_in, u_out, u_in, o_out)
-            disoriented = (o_in, u_in, o_out, u_out)
-            if d.signs[cid] > 0:
-                self.joins.append((oriented, disoriented))
-            else:
-                self.joins.append((disoriented, oriented))
+        self.joins = [((r0, r3, r1, r2), (r0, r1, r2, r3)) for r0, r1, r2, r3 in rotation.values()]
         # join_bits[c][b]: one bit per join of smoothing b, 4 per crossing
         # (the four joins of a crossing are distinct unordered pairs)
         self.join_bits = [
             ((1 << 4 * k, 1 << 4 * k + 1), (1 << 4 * k + 2, 1 << 4 * k + 3)) for k in range(self.n)
         ]
-
-    def smoothing_of_state(self, state: int) -> dict[int, SmoothingType]:
-        return {
-            cid: SmoothingType.BETA if (state >> k) & 1 else SmoothingType.ALPHA
-            for k, cid in enumerate(self.crossings)
-        }
+        # walks start at the boundary ends, so an open strand is walked from
+        # one end to the other, then at the tail ends
+        self.starts = self.boundary + list(range(0, 2 * self.n_arcs, 2))
 
     def trace(self, state: int) -> list[tuple[int, list[int]]]:
         """Loops of one state as (join key, arc ends) pairs.
@@ -77,10 +56,15 @@ class StateTables:
         loop lists the arc ends it leaves from, in order: end 2a runs arc a
         forward, end 2a + 1 backward.  The join key has one bit per join the
         loop passes through, so it names the curve independently of the
-        state and of the direction of travel.
+        state and of the direction of travel.  A boundary end is its own
+        partner, so a walk along an open strand stops at its far end.  The
+        open strands come first: each starts at a boundary end, and the arc
+        of its last end e arrives at the other boundary end, e ^ 1.
         """
         partner = [0] * (2 * self.n_arcs)
         bit = [0] * (2 * self.n_arcs)
+        for b in self.boundary:
+            partner[b] = b
         for k in range(self.n):
             b = (state >> k) & 1
             p, q, r, s = self.joins[k][b]
@@ -91,7 +75,7 @@ class StateTables:
             bit[r] = bit[s] = v
         seen = [False] * (2 * self.n_arcs)
         loops: list[tuple[int, list[int]]] = []
-        for start in range(0, 2 * self.n_arcs, 2):
+        for start in self.starts:
             if seen[start]:
                 continue
             loop: list[int] = []
@@ -108,14 +92,17 @@ class StateTables:
         return loops
 
     def loop_count(self, state: int) -> int:
+        """len(trace(state)), without building the loops."""
         partner = [0] * (2 * self.n_arcs)
+        for b in self.boundary:
+            partner[b] = b
         for k in range(self.n):
             p, q, r, s = self.joins[k][(state >> k) & 1]
             partner[p], partner[q] = q, p
             partner[r], partner[s] = s, r
         seen = bytearray(2 * self.n_arcs)
         count = 0
-        for start in range(0, 2 * self.n_arcs, 2):
+        for start in self.starts:
             if seen[start]:
                 continue
             count += 1
@@ -125,12 +112,6 @@ class StateTables:
                 seen[end ^ 1] = True
                 end = partner[end ^ 1]
         return count
-
-
-def gray_order(n: int):
-    """State indices in binary-reflected Gray-code order."""
-    for i in range(1 << n):
-        yield i ^ (i >> 1)
 
 
 #: d^k at index k, grown on demand; the values never change, so every
@@ -238,13 +219,3 @@ def bracket_by_recursion(d: VirtualLinkDiagram, _memo: dict | None = None) -> La
     if key is not None:
         memo[key] = result
     return result
-
-
-def state_monomial_multiset(d: VirtualLinkDiagram) -> dict[int, int]:
-    """Multiset {exponent c(s): multiplicity} over all 2^n states."""
-    n = d.n_crossings
-    out: dict[int, int] = {}
-    for state in range(1 << n):
-        c = n - 2 * state.bit_count()
-        out[c] = out.get(c, 0) + 1
-    return out

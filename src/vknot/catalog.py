@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Pass, VirtualLinkDiagram, parse_gauss_code
+from .diagram import VirtualLinkDiagram, parse_gauss_code
 
 
 @dataclass(frozen=True)

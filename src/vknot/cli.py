@@ -51,11 +51,14 @@ def _resolve_diagram(args) -> VirtualLinkDiagram:
             d = parse_gauss_code(args.code)
         except (ParseError, ValidationError) as e:
             raise CliError(f"bad Gauss code: {e}")
-    if d.n_crossings > _max_crossings():
-        raise CliError(
-            f"{d.n_crossings} crossings exceeds VKNOT_MAX_CROSSINGS={_max_crossings()}"
-        )
+    _check_crossing_cap(d.n_crossings)
     return d
+
+
+def _check_crossing_cap(n_crossings: int) -> None:
+    """Refuse inputs whose 2^n state sum exceeds VKNOT_MAX_CROSSINGS."""
+    if n_crossings > _max_crossings():
+        raise CliError(f"{n_crossings} crossings exceeds VKNOT_MAX_CROSSINGS={_max_crossings()}")
 
 
 def _emit_poly(p: LaurentPoly, args) -> None:
@@ -100,8 +103,6 @@ def cmd_surface_bracket(args) -> int:
     d = _resolve_diagram(args)
     rep = surface.build_carter_surface(d)
     sb = analysis.surface_bracket(rep, parallel=args.parallel)
-    # the surface bracket is defined un-reduced; the flag only affects
-    # the planar `bracket` command
     _emit_json(sb.to_json(), args)
     return 0
 
@@ -118,10 +119,10 @@ def cmd_certify(args) -> int:
 def cmd_tangle_expand(args) -> int:
     try:
         t = tangle.parse_tangle(args.tangle)
-        exp = tangle.expand_tangle(t)
     except (ParseError, ValidationError, tangle.NonClassicalTangle) as e:
         raise CliError(f"bad tangle: {e}")
-    _emit_json(exp.to_json(), args)
+    _check_crossing_cap(t.n_crossings)
+    _emit_json(tangle.expand_tangle(t).to_json(), args)
     return 0
 
 
@@ -201,8 +202,6 @@ def _worker_count(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser, diagram_input: bool = True) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--parallel", type=_worker_count, default=1)
-    p.add_argument("--convention", choices=("reduced", "unreduced"), default="reduced")
     if diagram_input:
         p.add_argument("code", nargs="?", help="inline signed Gauss code")
         p.add_argument("--catalog", help="catalog entry name (or p_family with --n)")
@@ -213,16 +212,23 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="vknot", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, fn in (
-        ("bracket", cmd_bracket),
-        ("fpoly", cmd_fpoly),
-        ("jones", cmd_jones),
-        ("genus", cmd_genus),
-        ("surface-bracket", cmd_surface_bracket),
-        ("certify", cmd_certify),
+    # (name, handler, takes --parallel): only state sums split over processes
+    for name, fn, parallel in (
+        ("bracket", cmd_bracket, True),
+        ("fpoly", cmd_fpoly, True),
+        ("jones", cmd_jones, True),
+        ("genus", cmd_genus, False),
+        ("surface-bracket", cmd_surface_bracket, True),
+        ("certify", cmd_certify, True),
     ):
         p = sub.add_parser(name)
         _add_common(p)
+        if parallel:
+            p.add_argument("--parallel", type=_worker_count, default=1)
+        if name == "bracket":
+            # the surface bracket is defined un-reduced, so only the planar
+            # bracket has a choice of convention
+            p.add_argument("--convention", choices=("reduced", "unreduced"), default="reduced")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("tangle-expand")

@@ -9,7 +9,8 @@ genus of the associated surface representation.
 Grammar (bit-exact):  diagram := component (";" component)*;
 component := pass+ | "U";  pass := ("O"|"U") integer ("+"|"-");
 whitespace is ignored.  The sign is written on both passes of a crossing
-and must agree.
+and must agree.  The tangle grammar (`vknot.tangle`) adds boundary tokens
+"B<n>"; `tokenize` reads both.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
+from typing import Sequence
 
 OVER = "O"
 UNDER = "U"
@@ -51,6 +53,75 @@ class Pass:
 
     def __str__(self) -> str:
         return f"{self.role}{self.crossing}"
+
+
+_TOKEN = re.compile(r"([OU])(\d+)([+-])|B(\d+)|(U)|(;)")
+
+
+def tokenize(text: str):
+    """Yield the tokens of the Gauss and tangle grammars in `text`.
+
+    A token is (Pass, sign) for a pass, the int n for a boundary point
+    "B<n>", "U" for the unknot marker, or ";".  Whitespace is skipped.
+    Raises ParseError on input that is no token, and ValidationError when
+    the two passes of a crossing carry different signs.
+    """
+    sign_of: dict[int, int] = {}
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected input at {text[pos:].strip()[:10]!r}")
+        pos = m.end()
+        role, cid_s, sign_s, boundary, marker, sep = m.groups()
+        if role:
+            cid = int(cid_s)
+            sign = 1 if sign_s == "+" else -1
+            if sign_of.setdefault(cid, sign) != sign:
+                raise ValidationError(f"crossing {cid}: sign mismatch between its two passes")
+            yield Pass(cid, role), sign
+        elif boundary:
+            yield int(boundary)
+        else:
+            yield marker or sep
+
+
+def arc_ends(
+    strands: Sequence[tuple[Sequence[Pass], bool]], signs: dict[int, int]
+) -> tuple[int, dict[int, tuple[int, int, int, int]], list[int]]:
+    """Arc-end numbering of a diagram or tangle: (n_arcs, rotation, boundary).
+
+    `strands` holds (passes, is_open) pairs.  A closed strand (a diagram
+    component) has one arc per pass, leaving that pass for the next one.  An
+    open strand (a tangle strand) has one more: its first arc leaves its
+    start boundary point and its last arc arrives at its end point.  Arc a
+    has the ends 2a (tail) and 2a + 1 (head).
+
+    `rotation` maps each crossing id, in sorted order, to its four ends in
+    counterclockwise order: (o_in, u_in, o_out, u_out) for a positive
+    crossing, (o_in, u_out, o_out, u_in) for a negative one.  `boundary`
+    lists the start and end of each open strand, strand by strand.
+    """
+    ends: dict[tuple[int, str], tuple[int, int]] = {}  # (crossing, role) -> (in end, out end)
+    boundary: list[int] = []
+    n_arcs = 0
+    for passes, is_open in strands:
+        base, m = n_arcs, len(passes) + is_open
+        n_arcs += m
+        if is_open:
+            boundary += [2 * base, 2 * (base + m) - 1]
+        # pass i arrives on arc i - 1 and leaves on arc i, counted from the
+        # strand's first arc (an open strand's arc 0 runs from its boundary)
+        for i, p in enumerate(passes, int(is_open)):
+            ends[p.crossing, p.role] = (2 * (base + (i - 1) % m) + 1, 2 * (base + i % m))
+    rotation = {}
+    for cid in sorted(signs):
+        (o_in, o_out), (u_in, u_out) = ends[cid, OVER], ends[cid, UNDER]
+        rotation[cid] = (o_in, u_in, o_out, u_out) if signs[cid] > 0 else (o_in, u_out, o_out, u_in)
+    return n_arcs, rotation, boundary
 
 
 class VirtualLinkDiagram:
@@ -115,6 +186,11 @@ class VirtualLinkDiagram:
     def n_components(self) -> int:
         return len(self.components) + self.free_loops
 
+    @property
+    def arc_strands(self) -> tuple[tuple[tuple[Pass, ...], bool], ...]:
+        """The components as closed strands, the input of `arc_ends`."""
+        return tuple((comp, False) for comp in self.components)
+
     def positions(self, crossing: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """The (component index, position) of the Over pass and the Under pass."""
         over = under = None
@@ -144,42 +220,29 @@ class VirtualLinkDiagram:
         return f"VirtualLinkDiagram({format_gauss_code(self)!r})"
 
 
-_TOKEN = re.compile(r"\s*(?:([OU])(\d+)([+-])|(U)|(;))")
-
-
 def parse_gauss_code(text: str) -> VirtualLinkDiagram:
     """Parse and validate a signed Gauss code."""
-    pos = 0
     components: list[list[Pass]] = [[]]
     free = 0
     marker_in_current = False
     sign_of: dict[int, int] = {}
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected input at {text[pos:].strip()[:10]!r}")
-        pos = m.end()
-        if m.group(5):  # ';'
+    for tok in tokenize(text):
+        if tok == ";":
             components.append([])
             marker_in_current = False
-        elif m.group(4):  # bare 'U' unknot marker
+        elif tok == "U":  # unknot marker
             if components[-1] or marker_in_current:
                 raise ParseError("unknot marker 'U' must be a whole component")
             marker_in_current = True
             free += 1
+        elif isinstance(tok, int):
+            raise ParseError(f"boundary token 'B{tok}' is tangle input, not a Gauss code")
         else:
             if marker_in_current:
                 raise ParseError("unknot marker 'U' must be a whole component")
-            role, cid_s, sign_s = m.group(1), m.group(2), m.group(3)
-            cid = int(cid_s)
-            sign = 1 if sign_s == "+" else -1
-            if cid in sign_of and sign_of[cid] != sign:
-                raise ValidationError(f"crossing {cid}: sign mismatch between its two passes")
-            sign_of[cid] = sign
-            components[-1].append(Pass(cid, role))
+            p, sign = tok
+            sign_of[p.crossing] = sign
+            components[-1].append(p)
     if not components[-1] and not marker_in_current:
         if len(components) == 1 and free == 0:
             raise ParseError("empty diagram")

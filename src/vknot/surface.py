@@ -7,10 +7,11 @@ a combinatorial map (dart permutations), computes its genus, a homology
 basis with the integer intersection form, homology classes of embedded
 loops, and disk-bounding tests by cutting the surface open.
 
-Conventions fixed here (validated by the classical => genus 0 tests):
-counterclockwise dart order at a positive crossing is
-(over-in, under-in, over-out, under-out); a negative crossing uses the
-mirrored order (over-in, under-out, over-out, under-in).
+The darts are the arc ends of `diagram.arc_ends`, and its crossing
+rotation is the counterclockwise dart order at each crossing (validated by
+the classical => genus 0 tests): (over-in, under-in, over-out, under-out)
+at a positive crossing, the mirrored (over-in, under-out, over-out,
+under-in) at a negative one.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .diagram import VirtualLinkDiagram
-from .symplectic import SkewForm, SymplecticBasis, mod2_rank, symplectic_reduce
+from .diagram import VirtualLinkDiagram, arc_ends
+from .symplectic import SkewForm, SymplecticBasis, symplectic_reduce
 
 
 class LoopNotOnSurface(ValueError):
@@ -169,48 +170,8 @@ class CombinatorialMap:
             total += (2 - chi) // 2
         return total
 
-    def to_debug_json(self) -> dict:
-        return {
-            "darts": self.n_darts,
-            "sigma": [list(v) for v in self.vertices],
-            "alpha": [list(e) for e in self.edges],
-            "faces": [list(f) for f in self.faces],
-        }
-
 
 # -- Carter surface of a diagram -----------------------------------------
-
-
-def _arc_tables(d: VirtualLinkDiagram):
-    """Arc indexing shared with the bracket state tables.
-
-    Arc a of component ci leaves the pass at position a_local and arrives
-    at position a_local+1; dart 2a sits at the departure crossing, dart
-    2a+1 at the arrival crossing.
-    """
-    arc_of: dict[tuple[int, int], int] = {}
-    n = 0
-    for ci, comp in enumerate(d.components):
-        for k in range(len(comp)):
-            arc_of[(ci, k)] = n
-            n += 1
-    return arc_of, n
-
-
-def _crossing_rotations(d: VirtualLinkDiagram, arc_of) -> dict[int, tuple[int, int, int, int]]:
-    """Counterclockwise dart 4-tuples per crossing id."""
-    rotations = {}
-    for cid in d.crossing_ids:
-        (oc, oi), (uc, ui) = d.positions(cid)
-        o_in = 2 * arc_of[(oc, (oi - 1) % len(d.components[oc]))] + 1
-        o_out = 2 * arc_of[(oc, oi)]
-        u_in = 2 * arc_of[(uc, (ui - 1) % len(d.components[uc]))] + 1
-        u_out = 2 * arc_of[(uc, ui)]
-        if d.signs[cid] > 0:
-            rotations[cid] = (o_in, u_in, o_out, u_out)
-        else:
-            rotations[cid] = (o_in, u_out, o_out, u_in)
-    return rotations
 
 
 class SurfaceRep:
@@ -222,15 +183,12 @@ class SurfaceRep:
 
     def __init__(self, diagram: VirtualLinkDiagram):
         self.diagram = diagram
-        arc_of, n_arcs = _arc_tables(diagram)
-        self.arc_of = arc_of
-        self.n_arcs = n_arcs
-        self.crossing_rotation = _crossing_rotations(diagram, arc_of)
-        sigma = list(range(2 * n_arcs))
+        self.n_arcs, self.crossing_rotation, _ = arc_ends(diagram.arc_strands, diagram.signs)
+        sigma = list(range(2 * self.n_arcs))
         for cyc in self.crossing_rotation.values():
             for k in range(4):
                 sigma[cyc[k]] = cyc[(k + 1) % 4]
-        alpha = [d ^ 1 for d in range(2 * n_arcs)]
+        alpha = [d ^ 1 for d in range(2 * self.n_arcs)]
         self.map = CombinatorialMap(sigma, alpha)
         self.free_loops = diagram.free_loops
         self.genus = self.map.genus()
@@ -330,9 +288,11 @@ class MapHomology:
 
     def __init__(self, m: CombinatorialMap):
         self.map = m
-        self.loop_edges: list[int] = []          # global generator order
-        self._edge_kind: dict[int, str] = {}     # "tree" | "loop" | index into _expr
-        self._expr: dict[int, dict[int, int]] = {}  # cotree edge -> coords over loop indices
+        self.loop_edges: list[int] = []  # global generator order
+        # edge -> its coordinates over loop-edge indices: none for a tree
+        # edge, itself for a loop edge, a face relation for a cotree edge
+        self._edge_coords: dict[int, dict[int, int]] = {}
+        self._tree_parent_dart: dict[int, int] = {}  # vertex -> tree dart from its parent
         blocks: list[list[list[int]]] = []
         for comp in m.components:
             blocks.append(self._process_component(set(comp)))
@@ -348,7 +308,6 @@ class MapHomology:
         self.form = SkewForm.from_rows(rows)
         self.basis: SymplecticBasis | None = symplectic_reduce(self.form) if dim else None
         self.genus = dim // 2
-        self._tree_parent_dart: dict[int, int] = getattr(self, "_tree_parent_dart", {})
 
     # -- construction ----------------------------------------------------
 
@@ -357,8 +316,6 @@ class MapHomology:
         comp_edges = [ei for ei, (d, _) in enumerate(m.edges) if m.vertex_of[d] in vs]
 
         # spanning tree by BFS over vertices
-        if not hasattr(self, "_tree_parent_dart"):
-            self._tree_parent_dart = {}
         root = min(vs)
         parent_dart: dict[int, int] = {}  # vertex -> dart pointing from parent to it
         tree: set[int] = set()
@@ -406,15 +363,11 @@ class MapHomology:
                     forder.append(g)
 
         loops = [ei for ei in comp_edges if ei not in tree and ei not in cotree]
-        local_index = {}
         for ei in loops:
-            local_index[ei] = len(self.loop_edges)
+            self._edge_coords[ei] = {len(self.loop_edges): 1}
             self.loop_edges.append(ei)
-            self._edge_kind[ei] = "loop"
         for ei in tree:
-            self._edge_kind[ei] = "tree"
-        for ei in cotree:
-            self._edge_kind[ei] = "cotree"
+            self._edge_coords[ei] = {}
 
         # eliminate cotree edges via face-boundary relations, deepest faces first
         for f in sorted(face_depth, key=lambda x: -face_depth[x]):
@@ -424,7 +377,7 @@ class MapHomology:
             boundary: dict[int, int] = {}
             for dart in m.faces[f]:
                 ei = m.edge_of[dart]
-                s = 1 if dart == min(m.edges[ei]) else -1
+                s = 1 if dart < m.alpha[dart] else -1
                 boundary[ei] = boundary.get(ei, 0) + s
             c = boundary.pop(e_f, 0)
             if abs(c) != 1:
@@ -433,9 +386,9 @@ class MapHomology:
             for ei, coeff in boundary.items():
                 if not coeff:
                     continue
-                for k, v in self._edge_coords(ei).items():
+                for k, v in self._edge_coords[ei].items():
                     coords[k] = coords.get(k, 0) + coeff * v
-            self._expr[e_f] = {k: -v // c for k, v in coords.items() if v}
+            self._edge_coords[e_f] = {k: -v // c for k, v in coords.items() if v}
 
         # one-vertex map: contract tree edges, delete cotree edges
         rot = {v: list(m.vertices[v]) for v in vs}
@@ -464,8 +417,8 @@ class MapHomology:
             for b in range(len(loops)):
                 if a == b:
                     continue
-                pi, qi_ = min(m.edges[loops[a]]), max(m.edges[loops[a]])
-                pj, qj = min(m.edges[loops[b]]), max(m.edges[loops[b]])
+                pi, qi_ = m.edges[loops[a]]
+                pj, qj = m.edges[loops[b]]
                 span = (pos[pi] - pos[qi_]) % n
                 rj_q = (pos[qj] - pos[qi_]) % n
                 rj_p = (pos[pj] - pos[qi_]) % n
@@ -476,14 +429,6 @@ class MapHomology:
                 elif p_in and not q_in:
                     block[a][b] = -1
         return block
-
-    def _edge_coords(self, ei: int) -> dict[int, int]:
-        kind = self._edge_kind[ei]
-        if kind == "tree":
-            return {}
-        if kind == "loop":
-            return {self.loop_edges.index(ei): 1}
-        return self._expr[ei]
 
     # -- queries ---------------------------------------------------------
 
@@ -499,9 +444,8 @@ class MapHomology:
             if prev is not None and m.vertex_of[d] != m.vertex_of[m.alpha[prev]]:
                 raise LoopNotOnSurface("dart sequence is not a closed walk")
             prev = d
-            ei = m.edge_of[d]
-            s = 1 if d == min(m.edges[ei]) else -1
-            for k, v in self._edge_coords(ei).items():
+            s = 1 if d < m.alpha[d] else -1
+            for k, v in self._edge_coords[m.edge_of[d]].items():
                 coords[k] += s * v
         return tuple(coords)
 
@@ -510,7 +454,7 @@ class MapHomology:
         m = self.map
         out = []
         for ei in self.loop_edges:
-            p, q = min(m.edges[ei]), max(m.edges[ei])
+            p, q = m.edges[ei]
             u, v = m.vertex_of[p], m.vertex_of[q]
             out.append(tuple(self._tree_path(u) + [p] + [m.alpha[d] for d in reversed(self._tree_path(v))]))
         return out

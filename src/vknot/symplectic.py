@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 Matrix = list[list[int]]
@@ -239,17 +238,3 @@ def mod2_rank(vectors: Sequence[Sequence[int]]) -> int:
             basis.append(x)
             basis.sort(reverse=True)
     return len(basis)
-
-
-def random_unimodular(dim: int, rng, steps: int = 20) -> Matrix:
-    """Random unimodular integer matrix built from shears and swaps (test helper)."""
-    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    for _ in range(steps):
-        i, j = rng.sample(range(dim), 2)
-        q = rng.randint(-3, 3)
-        for row in m:
-            row[j] += q * row[i]
-        if rng.random() < 0.3:
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-    return m

@@ -17,11 +17,10 @@ unreachable from text input; it guards programmatic constructors.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bracket import kauffman_bracket
+from .bracket import StateTables, d_power, kauffman_bracket
 from .diagram import (
     OVER,
     UNDER,
@@ -33,8 +32,8 @@ from .diagram import (
     format_gauss_code,
     smooth_crossing,
     switch_crossing,
+    tokenize,
     virtualize_crossing,
-    writhe,
 )
 from .laurent import LOOP_VALUE, LaurentPoly, solve_2x2_laurent
 
@@ -133,37 +132,30 @@ class Tangle:
     def crossing_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.signs))
 
+    @property
+    def arc_strands(self) -> tuple[tuple[tuple[Pass, ...], bool], ...]:
+        """(passes, is_open) per strand, the input of `arc_ends`."""
+        return tuple((s.passes, s.start is not None) for s in self.strands)
+
     def __repr__(self) -> str:
         return f"Tangle({format_tangle(self)!r})"
 
 
-_TOKEN = re.compile(r"\s*(?:([OU])(\d+)([+-])|B(\d+)|(;))")
-
-
 def parse_tangle(text: str) -> Tangle:
     """Parse the extended Gauss grammar with B1..B2n boundary tokens."""
-    pos = 0
     raw: list[list] = [[]]
     sign_of: dict[int, int] = {}
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected input at {text[pos:].strip()[:10]!r}")
-        pos = m.end()
-        if m.group(5):
+    for tok in tokenize(text):
+        if tok == ";":
             raw.append([])
-        elif m.group(4):
-            raw[-1].append(int(m.group(4)))
+        elif tok == "U":
+            raise ParseError("unknot marker 'U' is Gauss-code input, not a tangle strand")
+        elif isinstance(tok, int):
+            raw[-1].append(tok)
         else:
-            cid = int(m.group(2))
-            sign = 1 if m.group(3) == "+" else -1
-            if cid in sign_of and sign_of[cid] != sign:
-                raise ValidationError(f"crossing {cid}: sign mismatch between its two passes")
-            sign_of[cid] = sign
-            raw[-1].append(Pass(cid, m.group(1)))
+            p, sign = tok
+            sign_of[p.crossing] = sign
+            raw[-1].append(p)
     strands = []
     for items in raw:
         if not items:
@@ -196,90 +188,6 @@ def format_tangle(t: Tangle) -> str:
 # -- expansion ------------------------------------------------------------
 
 
-class _TangleTables:
-    """Arc-end join tables for tangle state tracing (see bracket.StateTables)."""
-
-    def __init__(self, t: Tangle):
-        self.tangle = t
-        self.crossings = list(t.crossing_ids)
-        arc_ends_in: dict[tuple[int, int], int] = {}
-        arc_ends_out: dict[tuple[int, int], int] = {}
-        self.boundary_end: dict[int, int] = {}  # boundary point -> its arc end
-        n = 0
-        for si, s in enumerate(t.strands):
-            closed = s.start is None
-            n_arcs = len(s.passes) if closed else len(s.passes) + 1
-            base = n
-            n += n_arcs
-            if not closed:
-                self.boundary_end[s.start] = 2 * base            # tail of first arc
-                self.boundary_end[s.end] = 2 * (base + n_arcs - 1) + 1  # head of last
-            for k in range(len(s.passes)):
-                if closed:
-                    arc_in = base + (k - 1) % n_arcs
-                    arc_out = base + k
-                else:
-                    arc_in = base + k
-                    arc_out = base + k + 1
-                arc_ends_in[(si, k)] = 2 * arc_in + 1
-                arc_ends_out[(si, k)] = 2 * arc_out
-        self.n_arcs = n
-
-        pos: dict[int, dict[str, tuple[int, int]]] = {}
-        for si, s in enumerate(t.strands):
-            for k, p in enumerate(s.passes):
-                pos.setdefault(p.crossing, {})[p.role] = (si, k)
-        self.joins = []
-        for cid in self.crossings:
-            o = pos[cid][OVER]
-            u = pos[cid][UNDER]
-            o_in, o_out = arc_ends_in[o], arc_ends_out[o]
-            u_in, u_out = arc_ends_in[u], arc_ends_out[u]
-            oriented = (o_in, u_out, u_in, o_out)
-            disoriented = (o_in, u_in, o_out, u_out)
-            self.joins.append((oriented, disoriented) if t.signs[cid] > 0 else (disoriented, oriented))
-
-    def trace(self, state: int) -> tuple[Matching, int]:
-        """(boundary matching, closed-loop count) of one smoothing state."""
-        partner = list(range(2 * self.n_arcs))
-        for a in range(self.n_arcs):
-            partner[2 * a], partner[2 * a + 1] = 2 * a + 1, 2 * a
-        join = {}
-        for k in range(len(self.crossings)):
-            p, q, r, s = self.joins[k][(state >> k) & 1]
-            join[p], join[q] = q, p
-            join[r], join[s] = s, r
-        end_of_boundary = self.boundary_end
-        boundary_of_end = {e: b for b, e in end_of_boundary.items()}
-        seen = set()
-        pairs = []
-        for b, e in end_of_boundary.items():
-            if e in seen:
-                continue
-            cur = e
-            seen.add(cur)
-            while True:
-                nxt = partner[cur]  # traverse the arc
-                seen.add(nxt)
-                if nxt in boundary_of_end and boundary_of_end[nxt] != b:
-                    pairs.append((b, boundary_of_end[nxt]))
-                    break
-                cur = join[nxt]
-                seen.add(cur)
-        loops = 0
-        for e in range(2 * self.n_arcs):
-            if e in seen:
-                continue
-            loops += 1
-            cur = e
-            while cur not in seen:
-                seen.add(cur)
-                nxt = partner[cur]
-                seen.add(nxt)
-                cur = join[nxt]
-        return Matching(pairs), loops
-
-
 @dataclass(frozen=True)
 class TangleExpansion:
     """Mapping from boundary matchings to Laurent coefficients."""
@@ -293,21 +201,21 @@ class TangleExpansion:
     def support_is_noncrossing(self) -> bool:
         return all(m.is_noncrossing() for m in self.coefficients)
 
-    def tl_labels(self) -> dict[str, Matching]:
-        """Label the canonical TL basis s_1..s_k and locate the support."""
-        basis = noncrossing_matchings(self.n_boundary)
-        return {f"s_{i+1}": m for i, m in enumerate(basis)}
-
 
 def expand_tangle(t: Tangle) -> TangleExpansion:
     """Sum over all 2^crossings smoothings; closed loops contribute d each."""
-    tables = _TangleTables(t)
-    n = len(tables.crossings)
+    tables = StateTables(t)
+    n = tables.n
+    # tables.boundary holds the start and end of each open strand in turn
+    points = [b for s in t.strands if s.start is not None for b in (s.start, s.end)]
+    label = dict(zip(tables.boundary, points))
+    n_open = len(tables.boundary) // 2
     acc: dict[Matching, LaurentPoly] = {}
     for state in range(1 << n):
-        matching, loops = tables.trace(state)
-        c = n - 2 * state.bit_count()
-        term = LaurentPoly.monomial(c) * LOOP_VALUE**loops
+        loops = tables.trace(state)
+        # the first n_open loops start at boundary ends; the rest are closed
+        matching = Matching((label[ends[0]], label[ends[-1] ^ 1]) for _, ends in loops[:n_open])
+        term = d_power(len(loops) - n_open).shift(n - 2 * state.bit_count())
         acc[matching] = acc.get(matching, LaurentPoly.zero()) + term
     return TangleExpansion(t.n_boundary, {m: c for m, c in acc.items() if not c.is_zero()})
 
@@ -385,7 +293,7 @@ def closure_consistency(t: Tangle, exp: TangleExpansion | None = None) -> bool:
         total = LaurentPoly.zero()
         for matching, coeff in exp.coefficients.items():
             cycles = _union_cycles(cap, matching)
-            total = total + coeff * LOOP_VALUE ** (cycles - 1)
+            total = total + coeff * d_power(cycles - 1)
         if total != kauffman_bracket(close_tangle(t, cap)):
             return False
     return True

@@ -8,6 +8,7 @@ import sys
 import time
 
 import pytest
+from randgen import random_unimodular
 
 from vknot.analysis import (
     certify,
@@ -29,7 +30,6 @@ from vknot.laurent import LOOP_VALUE, LaurentPoly
 from vknot.surface import build_carter_surface, genus
 from vknot.symplectic import (
     mod2_rank,
-    random_unimodular,
     standard_form,
     SkewForm,
     symplectic_reduce,

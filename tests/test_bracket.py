@@ -7,12 +7,10 @@ from vknot.bracket import (
     bracket_by_recursion,
     d_power,
     f_polynomial,
-    gray_order,
     jones,
     jones_divisibility,
     jones_in_t,
     kauffman_bracket,
-    state_monomial_multiset,
 )
 from vknot.diagram import SmoothingType, parse_gauss_code, smooth_crossing
 from vknot.laurent import LOOP_VALUE, LaurentPoly
@@ -96,24 +94,12 @@ def test_parallel_identical():
         assert kauffman_bracket(d, parallel=1) == kauffman_bracket(d, parallel=4)
 
 
-def test_gray_order_is_permutation():
-    for n in range(0, 6):
-        seq = list(gray_order(n))
-        assert sorted(seq) == list(range(1 << n))
-        for x, y in zip(seq, seq[1:]):
-            assert (x ^ y).bit_count() == 1
-
-
 def test_state_tables_loop_counts():
     t = StateTables(TREFOIL)
     assert t.n == 3
     # all-alpha state of the positive trefoil has 2 loops; all-beta has 3
     assert t.loop_count(0) == 2
     assert t.loop_count(0b111) == 3
-
-
-def test_state_monomial_multiset_kink():
-    assert state_monomial_multiset(parse_gauss_code("O1+U1+")) == {1: 1, -1: 1}
 
 
 def test_bracket_invariant_under_r2_insertion():

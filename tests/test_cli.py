@@ -151,3 +151,26 @@ def test_parallel_below_one_exits_2(capsys, value):
         main(["certify", "--catalog", "kishino", "--parallel", value])
     assert exc.value.code == 2
     assert "--parallel" in capsys.readouterr().err
+
+
+def test_tangle_expand_respects_crossing_cap(capsys, monkeypatch):
+    monkeypatch.setenv("VKNOT_MAX_CROSSINGS", "1")
+    code, out, err = run(capsys, "tangle-expand", "B1O1+U2-B3;B2U1+O2-B4")
+    assert code == 2 and out == ""
+    assert "error: 2 crossings exceeds VKNOT_MAX_CROSSINGS=1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genus", "--catalog", "kishino", "--parallel", "2"],
+        ["certify", "--catalog", "kishino", "--convention", "reduced"],
+        ["tangle-expand", "B1O1+B3;B2U1+B4", "--parallel", "2"],
+    ],
+    ids=["genus-parallel", "certify-convention", "tangle-expand-parallel"],
+)
+def test_unhonoured_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -31,21 +31,23 @@ def test_parse_whitespace_insensitive():
     assert parse_gauss_code(" O1+ U1+ ") == parse_gauss_code("O1+U1+")
 
 
+PARSE_ERRORS = [
+    ("", ParseError),
+    ("O1+;", ParseError),
+    ("X1+", ParseError),
+    ("O1+U", ParseError),  # marker inside a component
+    ("O1+U1-", ValidationError),  # sign mismatch
+    ("O1+O1+", ValidationError),  # two over passes
+    ("O1+U1+O2+U2+O1+U1+", ValidationError),  # crossing seen four times
+    ("B1O1+U1+B2", ParseError),  # tangle boundary tokens
+    ("O1+U1+;B1", ParseError),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_gauss_code("")
-    with pytest.raises(ParseError):
-        parse_gauss_code("O1+;")
-    with pytest.raises(ParseError):
-        parse_gauss_code("X1+")
-    with pytest.raises(ParseError):
-        parse_gauss_code("O1+U")  # marker inside a component
-    with pytest.raises(ValidationError):
-        parse_gauss_code("O1+U1-")  # sign mismatch
-    with pytest.raises(ValidationError):
-        parse_gauss_code("O1+O1+")  # two over passes
-    with pytest.raises(ValidationError):
-        parse_gauss_code("O1+U1+O2+U2+O1+U1+")  # crossing seen four times
+    for text, error in PARSE_ERRORS:
+        with pytest.raises(error):
+            parse_gauss_code(text)
 
 
 def test_unknot_markers():

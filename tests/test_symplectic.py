@@ -3,13 +3,13 @@
 import random
 
 import pytest
+from randgen import random_unimodular
 
 from vknot.symplectic import (
     NotUnimodularError,
     SkewForm,
     det_int,
     mod2_rank,
-    random_unimodular,
     standard_form,
     symplectic_reduce,
 )

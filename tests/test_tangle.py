@@ -1,8 +1,11 @@
 """Tangles, TL expansion, closures, and virtualization reports."""
 
-import pytest
+import random
 
-from vknot.bracket import kauffman_bracket
+import pytest
+from randgen import random_tangle
+
+from vknot.bracket import bracket_by_recursion, d_power, kauffman_bracket
 from vknot.catalog import catalog, catalog_entry
 from vknot.diagram import ParseError, ValidationError, parse_gauss_code
 from vknot.laurent import LaurentPoly, format_laurent
@@ -32,13 +35,19 @@ def test_parse_format_round_trip():
     assert t.n_crossings == 1
 
 
+PARSE_ERRORS = [
+    ("O1+B1B2U1+", ParseError),  # boundary tokens not at strand ends
+    ("B1O1+B2;B3U1-B4", ValidationError),  # sign mismatch
+    ("B1O1+B3;B2U1+B5", ValidationError),  # boundary points not 1..2n
+    ("B1O1+B3;B2U1+B4;U", ParseError),  # the Gauss unknot marker
+    ("B1O1+B3;U;B2U1+B4", ParseError),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_tangle("O1+B1B2U1+")  # boundary tokens not at strand ends
-    with pytest.raises(ValidationError):
-        parse_tangle("B1O1+B2;B3U1-B4")  # sign mismatch
-    with pytest.raises(ValidationError):
-        parse_tangle("B1O1+B3;B2U1+B5")  # boundary points not 1..2n
+    for text, error in PARSE_ERRORS:
+        with pytest.raises(error):
+            parse_tangle(text)
 
 
 def test_matching_noncrossing():
@@ -150,3 +159,38 @@ def test_virtualization_report_computes_each_bracket_once(monkeypatch):
     # <K_A>, <K_B>, <K>, <K_s>, <K_v>
     assert len(calls) == 5
     assert rep.to_json() == virtualization_report(catalog("trefoil"), 1, run_certify=False).to_json()
+
+
+def _cycles(m1: Matching, m2: Matching) -> int:
+    """Number of circles in the union of two perfect matchings."""
+    partner1, partner2 = ({a: b for a, b in m} | {b: a for a, b in m} for m in (m1, m2))
+    seen: set[int] = set()
+    cycles = 0
+    for start in partner1:
+        if start in seen:
+            continue
+        cycles += 1
+        p = start
+        while p not in seen:
+            seen.add(p)
+            q = partner1[p]
+            seen.add(q)
+            p = partner2[q]
+    return cycles
+
+
+def _random_tangles(seed: int = 20261018, count: int = 40):
+    rng = random.Random(seed)
+    return [random_tangle(rng, rng.randint(1, 6), rng.choice((4, 6))) for _ in range(count)]
+
+
+def test_expansion_closes_to_skein_bracket():
+    """Every planar closure of the expansion equals the skein recursion of
+    the closed-up tangle, on seeded random classical tangles."""
+    for t in _random_tangles():
+        exp = expand_tangle(t)
+        for cap in noncrossing_matchings(t.n_boundary):
+            total = LaurentPoly.zero()
+            for matching, coeff in exp.coefficients.items():
+                total = total + coeff * d_power(_cycles(cap, matching) - 1)
+            assert total == bracket_by_recursion(close_tangle(t, cap)), (format_tangle(t), cap)
