@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Sequence
 
-from .bracket import StateTables, d_power
+from .bracket import StateTables, Tally, d_power, expand_tallies
 from .diagram import VirtualLinkDiagram, format_gauss_code
 from .laurent import LaurentPoly
+from .parallel import map_state_ranges
 from .surface import (
     HomologyClass,
     SurfaceRep,
@@ -198,42 +198,29 @@ def format_curve_key(key: CurveClassKey) -> str:
     return (parts or "trivial") + f"|essential={essential}"
 
 
-def _bracket_chunk(payload, start: int, stop: int) -> dict:
-    d = payload
+def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
+    """Tally of the surface state sum over [start, stop), labelled by curve-class key."""
     rep = build_carter_surface(d)
     tables = StateTables(d)
     memo = _CurveMemo(rep)
-    # states with equal class numbers, null-essential count, c(s) and disk
-    # count add the same term
+    # class numbers are local to this range's memo, so states are tallied by
+    # them and the tally is relabelled with class tuples before it leaves
     tally: dict[tuple[tuple[int, ...], int, int, int], int] = {}
     n = tables.n
     for state in range(start, stop):
         _, disks, null_essential, numbers = _trace_state(memo, tables, state)
         t = (numbers, null_essential, n - 2 * state.bit_count(), disks)
         tally[t] = tally.get(t, 0) + 1
-    acc: dict[CurveClassKey, dict[int, int]] = {}
-    for (numbers, null_essential, c, disks), count in tally.items():
-        slot = acc.setdefault((memo.class_tuple(numbers), null_essential), {})
-        for e, coeff in d_power(disks + rep.free_loops).terms:
-            slot[e + c] = slot.get(e + c, 0) + count * coeff
-    return acc
+    return {
+        ((memo.class_tuple(numbers), null_essential), c, disks + rep.free_loops): count
+        for (numbers, null_essential, c, disks), count in tally.items()
+    }
 
 
 def surface_bracket(rep: SurfaceRep, parallel: int = 1) -> SurfaceBracket:
     """Group all states by curve-class key and sum coefficients."""
-    n = rep.diagram.n_crossings
-    if parallel > 1 and n >= 6:
-        from .parallel import map_state_ranges
-
-        parts = map_state_ranges(_bracket_chunk, rep.diagram, 1 << n, parallel)
-    else:
-        parts = [_bracket_chunk(rep.diagram, 0, 1 << n)]
-    entries: dict[CurveClassKey, LaurentPoly] = {}
-    for part in parts:
-        for key, terms in part.items():
-            entries[key] = entries.get(key, LaurentPoly.zero()) + LaurentPoly(terms)
-    entries = {k: v for k, v in entries.items() if not v.is_zero()}
-    return SurfaceBracket(entries=entries, genus=rep.genus)
+    tallies = map_state_ranges(_bracket_chunk, rep.diagram, 1 << rep.diagram.n_crossings, parallel)
+    return SurfaceBracket(entries=expand_tallies(tallies), genus=rep.genus)
 
 
 # -- criteria -------------------------------------------------------------
@@ -255,62 +242,39 @@ class CriterionResult:
         }
 
 
-def _basis_transforms(g: int):
-    """Symplectic coordinate relabelings tried by the per-torus criterion.
-
-    Torus permutations combined with per-torus (m,l) -> (l,-m) swaps; the
-    identity comes first so it is reported whenever it suffices.
-    """
-    for perm in permutations(range(g)):
-        for swaps in range(1 << g):
-            yield perm, swaps
-
-
-def _apply_transform(c: HomologyClass, perm, swaps) -> HomologyClass:
-    coords = []
-    for k in perm:
-        a, b = c.coords[2 * k], c.coords[2 * k + 1]
-        if (swaps >> k) & 1:
-            a, b = b, -a
-        coords.extend((a, b))
-    return HomologyClass(tuple(coords))
-
-
 def per_torus_criterion(sb: SurfaceBracket, genus: int) -> CriterionResult:
     """For every torus summand, two curve classes with crossing projections.
 
     Satisfied when each k in 1..g has classes c_i, c_j from nonzero keys
     with |a_i b_j - a_j b_i| != 0 in the k-th coordinate pair; sufficient
-    for the non-existence of a cancellation curve.
+    for the non-existence of a cancellation curve.  Only the standard
+    symplectic basis is tried: a swap (a, b) -> (b, -a) within a torus keeps
+    every a_i b_j - a_j b_i, and a permutation of the tori only reorders the
+    per-torus conditions, so no such relabelling satisfies the criterion
+    when the standard basis does not.
     """
     name = "per_torus"
     if genus < 1:
         raise ValueError("criterion requires genus >= 1")
-    classes = sb.nonzero_classes()
-    for perm, swaps in _basis_transforms(genus):
-        transformed = [_apply_transform(c, perm, swaps) for c in classes]
-        witnesses = []
-        ok = True
-        for k in range(genus):
-            found = None
-            for i in range(len(transformed)):
-                for j in range(i + 1, len(transformed)):
-                    ai, bi = transformed[i].coords[2 * k], transformed[i].coords[2 * k + 1]
-                    aj, bj = transformed[j].coords[2 * k], transformed[j].coords[2 * k + 1]
-                    val = ai * bj - aj * bi
-                    if val:
-                        found = (k + 1, classes[i].coords, classes[j].coords, val)
-                        break
-                if found:
-                    break
-            if found is None:
-                ok = False
-                break
-            witnesses.append(found)
-        if ok:
-            basis = "standard" if (perm, swaps) == (tuple(range(genus)), 0) else f"perm={perm},swaps={swaps:b}"
-            return CriterionResult(name, True, tuple(witnesses), {"basis": basis})
-    return CriterionResult(name, False)
+    classes = [c.coords for c in sb.nonzero_classes()]
+    witnesses = []
+    for k in range(genus):
+        found = _crossing_pair(classes, k)
+        if found is None:
+            return CriterionResult(name, False)
+        witnesses.append(found)
+    return CriterionResult(name, True, tuple(witnesses), {"basis": "standard"})
+
+
+def _crossing_pair(classes: list[tuple[int, ...]], k: int) -> tuple | None:
+    """(k + 1, c_i, c_j, a_i b_j - a_j b_i) for the first pair with a nonzero
+    determinant in the k-th coordinate pair, or None."""
+    for i, ci in enumerate(classes):
+        for cj in classes[i + 1 :]:
+            val = ci[2 * k] * cj[2 * k + 1] - cj[2 * k] * ci[2 * k + 1]
+            if val:
+                return (k + 1, ci, cj, val)
+    return None
 
 
 def mod2_span_criterion(sb: SurfaceBracket, genus: int) -> CriterionResult:

@@ -8,7 +8,7 @@ surface-level (un-reduced) convention lives in `vknot.analysis`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 from .diagram import (
     SmoothingType,
@@ -19,6 +19,7 @@ from .diagram import (
     writhe,
 )
 from .laurent import LOOP_VALUE, LaurentPoly, try_divide_exact
+from .parallel import map_state_ranges
 
 if TYPE_CHECKING:
     from .tangle import Tangle
@@ -126,37 +127,53 @@ def d_power(k: int) -> LaurentPoly:
     return _D_POWERS[k]
 
 
-def bracket_partial(d: VirtualLinkDiagram, start: int, stop: int) -> LaurentPoly:
-    """State-sum contribution of the state range [start, stop)."""
+#: A state sum over a range of states, before expansion: (label, c, k) ->
+#: the number of states that add A^c d^k to the coefficient of `label`.
+Tally = dict[tuple[Hashable, int, int], int]
+
+
+def expand_tallies(tallies: Iterable[Tally]) -> dict[Hashable, LaurentPoly]:
+    """Merge state tallies and expand them into Laurent polynomials.
+
+    Tallies of disjoint state ranges merge by adding counts; each label then
+    gets sum count * A^c * d^k over its keys, and labels whose sum is zero
+    are dropped.  Labels keep the order of their first key.  This is the
+    only place where a state sum builds `LaurentPoly` objects.
+    """
+    merged: dict[Hashable, dict[tuple[int, int], int]] = {}
+    for tally in tallies:
+        for (label, c, k), count in tally.items():
+            slot = merged.setdefault(label, {})
+            slot[c, k] = slot.get((c, k), 0) + count
+    out: dict[Hashable, LaurentPoly] = {}
+    for label, slot in merged.items():
+        terms: dict[int, int] = {}
+        for (c, k), count in slot.items():
+            for e, coeff in d_power(k).terms:
+                terms[e + c] = terms.get(e + c, 0) + count * coeff
+        p = LaurentPoly(terms)
+        if not p.is_zero():
+            out[label] = p
+    return out
+
+
+def bracket_partial(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
+    """Tally of the planar state sum over the state range [start, stop)."""
     tables = StateTables(d)
     n = tables.n
     free = d.free_loops
-    acc: dict[int, int] = {}
+    tally: Tally = {}
     for state in range(start, stop):
-        beta = state.bit_count()
-        c = n - 2 * beta
-        loops = tables.loop_count(state) + free
-        for e, coef in d_power(max(loops - 1, 0)).terms:
-            k = e + c
-            acc[k] = acc.get(k, 0) + coef
-    return LaurentPoly(acc)
+        t = (None, n - 2 * state.bit_count(), max(tables.loop_count(state) + free - 1, 0))
+        tally[t] = tally.get(t, 0) + 1
+    return tally
 
 
 def kauffman_bracket(d: VirtualLinkDiagram, parallel: int = 1) -> LaurentPoly:
     """Reduced Kauffman bracket: sum over all 2^n smoothings of
     A^(#alpha - #beta) * d^(loops - 1)."""
-    n = d.n_crossings
-    if n == 0 and d.n_components == 0:
-        return LaurentPoly.one()
-    if parallel > 1 and n >= 6:
-        from .parallel import map_state_ranges
-
-        parts = map_state_ranges(bracket_partial, d, 1 << n, parallel)
-        total = LaurentPoly.zero()
-        for p in parts:
-            total = total + p
-        return total
-    return bracket_partial(d, 0, 1 << n)
+    tallies = map_state_ranges(bracket_partial, d, 1 << d.n_crossings, parallel)
+    return expand_tallies(tallies).get(None, LaurentPoly.zero())
 
 
 def f_polynomial(d: VirtualLinkDiagram, parallel: int = 1) -> LaurentPoly:

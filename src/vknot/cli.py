@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import analysis, bracket, surface, tangle
-from .catalog import catalog_entry, catalog_names, catalog_p_family, catalog as _catalog
+from .catalog import CatalogEntry, catalog_entry, catalog_names, catalog_p_family, catalog as _catalog
 from .diagram import ParseError, ValidationError, VirtualLinkDiagram, parse_gauss_code
 from .laurent import LOOP_VALUE, LaurentPoly, format_laurent
 
@@ -53,6 +53,13 @@ def _resolve_diagram(args) -> VirtualLinkDiagram:
             raise CliError(f"bad Gauss code: {e}")
     _check_crossing_cap(d.n_crossings)
     return d
+
+
+def _named_entry(args) -> CatalogEntry | None:
+    """The catalog entry of --catalog, or None for an inline code or p_family."""
+    if args.catalog in (None, "p_family"):
+        return None
+    return catalog_entry(args.catalog)
 
 
 def _check_crossing_cap(n_crossings: int) -> None:
@@ -130,7 +137,7 @@ def cmd_virtualize_report(args) -> int:
     d = _resolve_diagram(args)
     v = args.crossing
     if v is None:
-        entry = catalog_entry(args.catalog) if args.catalog else None
+        entry = _named_entry(args)
         if entry is None or entry.crossing is None:
             raise CliError("--crossing is required (no distinguished crossing available)")
         v = entry.crossing
@@ -145,8 +152,8 @@ def cmd_double_virtualize_report(args) -> int:
     d = _resolve_diagram(args)
     t = None
     pair = None
-    if args.catalog:
-        entry = catalog_entry(args.catalog)
+    entry = _named_entry(args)
+    if entry is not None:
         pair = entry.crossings
         if entry.tangle:
             t = tangle.parse_tangle(entry.tangle)

@@ -41,12 +41,14 @@ def usable_cpus() -> int:
 def map_state_ranges(fn: Callable, payload, total: int, parallel: int) -> Sequence:
     """Evaluate fn(payload, start, stop) over a partition of [0, total).
 
-    The worker count is `parallel` clamped to 1..usable_cpus(); with more
-    than one worker the ranges run in a process pool, one range per worker,
-    so per-range setup (tables, the surface bracket's curve memo) is paid
-    once per worker.  Results come back in range order either way.
+    The worker count is `parallel` clamped to 1..usable_cpus(), and 1 for
+    fewer than 64 states, where starting processes costs more than the sum;
+    with more than one worker the ranges run in a process pool, one range
+    per worker, so per-range setup (tables, the surface bracket's curve
+    memo) is paid once per worker.  Results come back in range order either
+    way.
     """
-    workers = max(1, min(parallel, usable_cpus()))
+    workers = max(1, min(parallel, usable_cpus())) if total >= 64 else 1
     ranges = split_ranges(total, workers)
     jobs = [(fn, payload, a, b) for a, b in ranges]
     if len(jobs) <= 1:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bracket import StateTables, d_power, kauffman_bracket
+from .bracket import StateTables, Tally, d_power, expand_tallies, kauffman_bracket
 from .diagram import (
     OVER,
     UNDER,
@@ -35,7 +35,7 @@ from .diagram import (
     tokenize,
     virtualize_crossing,
 )
-from .laurent import LOOP_VALUE, LaurentPoly, solve_2x2_laurent
+from .laurent import LOOP_VALUE, LaurentPoly, NoLaurentSolutionError, solve_2x2_laurent
 
 
 class NonClassicalTangle(ValueError):
@@ -210,14 +210,14 @@ def expand_tangle(t: Tangle) -> TangleExpansion:
     points = [b for s in t.strands if s.start is not None for b in (s.start, s.end)]
     label = dict(zip(tables.boundary, points))
     n_open = len(tables.boundary) // 2
-    acc: dict[Matching, LaurentPoly] = {}
+    tally: Tally = {}
     for state in range(1 << n):
         loops = tables.trace(state)
         # the first n_open loops start at boundary ends; the rest are closed
         matching = Matching((label[ends[0]], label[ends[-1] ^ 1]) for _, ends in loops[:n_open])
-        term = d_power(len(loops) - n_open).shift(n - 2 * state.bit_count())
-        acc[matching] = acc.get(matching, LaurentPoly.zero()) + term
-    return TangleExpansion(t.n_boundary, {m: c for m, c in acc.items() if not c.is_zero()})
+        key = (matching, n - 2 * state.bit_count(), len(loops) - n_open)
+        tally[key] = tally.get(key, 0) + 1
+    return TangleExpansion(t.n_boundary, expand_tallies([tally]))
 
 
 # -- closures -------------------------------------------------------------
@@ -372,8 +372,8 @@ def zerocor_check(bK: LaurentPoly, bKs: LaurentPoly) -> str:
 class VirtualizationReport:
     diagram: str
     crossing: int
-    alpha: LaurentPoly
-    beta: LaurentPoly
+    alpha: LaurentPoly | None  # None when the complementary tangle is virtual
+    beta: LaurentPoly | None
     bracket_K: LaurentPoly
     bracket_Ks: LaurentPoly
     bracket_Kv: LaurentPoly
@@ -385,8 +385,8 @@ class VirtualizationReport:
         out = {
             "diagram": self.diagram,
             "crossing": self.crossing,
-            "alpha": self.alpha.to_json(),
-            "beta": self.beta.to_json(),
+            "alpha": None if self.alpha is None else self.alpha.to_json(),
+            "beta": None if self.beta is None else self.beta.to_json(),
             "bracket_K": self.bracket_K.to_json(),
             "bracket_Ks": self.bracket_Ks.to_json(),
             "bracket_Kv": self.bracket_Kv.to_json(),
@@ -399,13 +399,22 @@ class VirtualizationReport:
 
 
 def virtualization_report(K: VirtualLinkDiagram, v: int, run_certify: bool = True) -> VirtualizationReport:
-    """Single-virtualization analysis of crossing v."""
-    alpha, beta, bK, bKs = _alpha_beta_brackets(K, v)
+    """Single-virtualization analysis of crossing v.
+
+    When the tangle complementary to v is virtual, alpha and beta are not
+    Laurent polynomials: the report gives them as None, the verdict as
+    Undetected, and still checks <K_v> = <K_s>.
+    """
+    try:
+        alpha, beta, bK, bKs = _alpha_beta_brackets(K, v)
+    except NoLaurentSolutionError:
+        alpha = beta = None
+        bK, bKs = kauffman_bracket(K), kauffman_bracket(switch_crossing(K, v))
     Kv = virtualize_crossing(K, v)
     bKv = kauffman_bracket(Kv)
     if bKv != bKs:
         raise AssertionError("bracket(K_v) != bracket(K_s): virtualization convention bug")
-    detected = not alpha.is_zero() and not beta.is_zero()
+    detected = alpha is not None and not alpha.is_zero() and not beta.is_zero()
     verdict = "NonClassical(1)" if detected else "Undetected"
     cert = None
     if run_certify:

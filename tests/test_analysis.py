@@ -1,10 +1,13 @@
 """Surface bracket, criteria, and certificates."""
 
 import json
+import random
+from itertools import permutations
 
 import pytest
 
 from vknot.analysis import (
+    SurfaceBracket,
     certify,
     enumerate_surface_states,
     family_report,
@@ -16,7 +19,7 @@ from vknot.bracket import kauffman_bracket
 from vknot.catalog import catalog, catalog_p_family
 from vknot.diagram import parse_gauss_code
 from vknot.laurent import LOOP_VALUE, LaurentPoly
-from vknot.surface import build_carter_surface
+from vknot.surface import HomologyClass, build_carter_surface
 
 VIRTUAL_TREFOIL = parse_gauss_code("O1+O2+U1+U2+")
 KISHINO = parse_gauss_code("O1+U2-O3+U4-O2-U1+O4-U3+")
@@ -108,3 +111,36 @@ def test_family_report():
 def test_p_family_first_member_is_modified_kishino_size():
     assert catalog_p_family(0).n_crossings == 6
     assert catalog_p_family(2).n_crossings == 10
+
+
+def _relabel(coords, perm, swaps):
+    """Symplectic coordinates with the tori permuted by `perm` and torus k's
+    pair rotated (a, b) -> (b, -a) where bit k of `swaps` is set."""
+    out = []
+    for k in perm:
+        a, b = coords[2 * k], coords[2 * k + 1]
+        out += (b, -a) if (swaps >> k) & 1 else (a, b)
+    return tuple(out)
+
+
+def test_per_torus_criterion_ignores_torus_order_and_pair_rotation():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(60):
+        genus = rng.randint(1, 3)
+        # sparse classes, so that both outcomes occur
+        classes = [
+            tuple(rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(2 * genus)) for _ in range(rng.randint(1, 4))
+        ]
+        classes = [c for c in classes if any(c)]
+
+        def satisfied(cs):
+            key = (tuple(HomologyClass(c) for c in cs), 0)
+            return per_torus_criterion(SurfaceBracket({key: LaurentPoly.one()}, genus), genus).satisfied
+
+        expected = satisfied(classes)
+        outcomes.add(expected)
+        for perm in permutations(range(genus)):
+            for swaps in range(1 << genus):
+                assert satisfied([_relabel(c, perm, swaps) for c in classes]) == expected
+    assert outcomes == {True, False}

@@ -6,13 +6,14 @@ from vknot.bracket import (
     StateTables,
     bracket_by_recursion,
     d_power,
+    expand_tallies,
     f_polynomial,
     jones,
     jones_divisibility,
     jones_in_t,
     kauffman_bracket,
 )
-from vknot.diagram import SmoothingType, parse_gauss_code, smooth_crossing
+from vknot.diagram import SmoothingType, VirtualLinkDiagram, parse_gauss_code, smooth_crossing
 from vknot.laurent import LOOP_VALUE, LaurentPoly
 
 TREFOIL = parse_gauss_code("O1+U2+O3+U1+O2+U3+")
@@ -25,6 +26,8 @@ def test_unknot_and_unlink():
     assert kauffman_bracket(parse_gauss_code("U")) == LaurentPoly.one()
     assert kauffman_bracket(parse_gauss_code("U;U")) == LOOP_VALUE
     assert kauffman_bracket(parse_gauss_code("U;U;U")) == LOOP_VALUE**2
+    # the empty diagram's one state has no loops
+    assert kauffman_bracket(VirtualLinkDiagram((), {})) == LaurentPoly.one()
 
 
 def test_kink_r1_factor():
@@ -87,6 +90,18 @@ def test_d_power_table():
     for k in range(6):
         assert d_power(k) == LOOP_VALUE**k
     assert d_power(5) is d_power(5)
+
+
+def test_expand_tallies_merges_counts_and_drops_zero_sums():
+    parts = [
+        {("x", 1, 2): 1, ("zero", 0, 1): 1, ("zero", 2, 0): 1},
+        {("x", 1, 2): 2, ("zero", -2, 0): 1, ("y", 0, 0): 1},
+    ]
+    # "zero" sums to d + A^2 + A^-2 = 0
+    out = expand_tallies(parts)
+    assert out == {"x": LaurentPoly.monomial(1, 3) * LOOP_VALUE**2, "y": LaurentPoly.one()}
+    assert list(out) == ["x", "y"]
+    assert expand_tallies([]) == {}
 
 
 def test_parallel_identical():

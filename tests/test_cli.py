@@ -174,3 +174,34 @@ def test_unhonoured_flags_exit_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_virtualize_report_virtual_complement(capsys):
+    # the tangle complementary to crossing 1 is virtual: alpha and beta are
+    # not Laurent polynomials, the rest of the report stands
+    code, out, _ = run(capsys, "virtualize-report", "--catalog", "virtual_trefoil", "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["alpha"] is None and rep["beta"] is None
+    assert rep["verdict"] == "Undetected"
+    assert rep["bracket_K"] == {"-4": -1, "0": 1, "2": 1}
+    assert rep["bracket_Ks"] == rep["bracket_Kv"] == {"0": 1}
+    assert rep["zerocor"] == "NeitherZero"
+    assert rep["certificate"]["verdict"] == "Inconclusive"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["virtualize-report", "--crossing", "1"],
+        ["double-virtualize-report", "--crossings", "1,3"],
+    ],
+    ids=["virtualize", "double-virtualize"],
+)
+def test_reports_on_p_family(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--catalog", "p_family", "--n", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["diagram"] == "O1+O5+U6-U2-O3+U4-O2-O6-U5+U1+O4-U3+"
+    code, out, err = run(capsys, argv[0], "--catalog", "p_family", "--n", "0")
+    assert code == 2 and out == ""
+    assert "--crossing" in err

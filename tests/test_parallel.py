@@ -60,3 +60,13 @@ def test_empty_range_needs_no_pool(monkeypatch):
     _RecordingPool.sizes = []
     assert map_state_ranges(_span, "p", 0, 4) == []
     assert _RecordingPool.sizes == []
+
+
+def test_small_sum_runs_in_process(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    _RecordingPool.sizes = []
+    assert map_state_ranges(_span, "p", 63, 4) == [("p", 0, 63)]
+    assert _RecordingPool.sizes == []
+    map_state_ranges(_span, "p", 64, 4)
+    assert _RecordingPool.sizes == [4]

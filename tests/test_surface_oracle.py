@@ -5,13 +5,16 @@ every state with the public `is_disk_bounding` and `loop_homology` (no memo,
 disk test first), and sums `A^c(s) d^k` with `LaurentPoly`.
 """
 
+import multiprocessing
 import random
 
 import pytest
+from test_parallel import _RecordingPool
 
 import vknot.analysis as analysis
-from vknot.analysis import SurfaceBracket, surface_bracket
-from vknot.bracket import StateTables
+import vknot.parallel as parallel
+from vknot.analysis import SurfaceBracket, certify, surface_bracket
+from vknot.bracket import StateTables, bracket_by_recursion, kauffman_bracket
 from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import parse_gauss_code
 from vknot.laurent import LOOP_VALUE, LaurentPoly
@@ -108,10 +111,33 @@ def test_surface_bracket_matches_reference(kind, arg):
     assert got == reference_surface_bracket(d).to_json()
 
 
-def test_parallel_two_matches_serial():
+def _genus_two_codes(seed: int = 7, count: int = 4) -> list[str]:
+    rng = random.Random(seed)
+    codes: list[str] = []
+    while len(codes) < count:
+        code = random_gauss_code(rng, rng.randint(6, 8), rng.randint(1, 2))
+        if build_carter_surface(parse_gauss_code(code)).genus >= 2:
+            codes.append(code)
+    return codes
+
+
+def test_parallel_two_matches_serial(monkeypatch):
     rep = build_carter_surface(catalog_p_family(1))
     assert rep.diagram.n_crossings == 8
     assert surface_bracket(rep, parallel=1).to_json() == surface_bracket(rep, parallel=2).to_json()
+    # ranges merged in process: each range numbers its classes in its own
+    # order, and the merge must not depend on that
+    diagrams = [catalog_p_family(0), catalog_p_family(1)] + [parse_gauss_code(c) for c in _genus_two_codes()]
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    for cpus in (3, 5):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        _RecordingPool.sizes = []
+        for d in diagrams:
+            rep = build_carter_surface(d)
+            assert surface_bracket(rep, parallel=cpus).to_json() == surface_bracket(rep).to_json()
+            assert certify(d, parallel=cpus).to_json() == certify(d).to_json()
+            assert kauffman_bracket(d, parallel=cpus) == bracket_by_recursion(d)
+        assert _RecordingPool.sizes == [cpus] * (3 * len(diagrams))
 
 
 def test_each_distinct_curve_is_classified_once(monkeypatch):
