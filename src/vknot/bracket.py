@@ -3,6 +3,11 @@
 The bracket here is the planar (reduced) one: loops are counted
 abstractly from the Gauss code, a crossingless one-component diagram
 evaluates to 1, and each further loop contributes d = -A^2 - A^-2.  The
+sum over the 2^n smoothings is evaluated by the frontier sweep of
+`vknot.frontier`, which adds one crossing at a time and merges the
+partial states that pair the open arc ends alike, so its cost follows
+the width of the diagram rather than 2^n.  `bracket_partial` keeps the
+state-by-state sum as the reference the sweep is tested against.  The
 surface-level (un-reduced) convention lives in `vknot.analysis`.
 """
 
@@ -18,15 +23,16 @@ from .diagram import (
     smooth_crossing,
     writhe,
 )
+from .frontier import state_sum
 from .laurent import LOOP_VALUE, LaurentPoly, try_divide_exact
-from .parallel import map_state_ranges
 
 if TYPE_CHECKING:
     from .tangle import Tangle
 
 
 class StateTables:
-    """Flat arrays for fast state-by-state loop tracing of a diagram or tangle.
+    """The smoothing joins of a diagram or tangle, as flat arrays: the input
+    of the frontier sweep and of the state-by-state loop tracer.
 
     Arc ends are numbered by `diagram.arc_ends`: 2*arc (tail, leaving a
     pass) and 2*arc + 1 (head, arriving at the next pass).  In a crossing's
@@ -93,7 +99,8 @@ class StateTables:
         return loops
 
     def loop_count(self, state: int) -> int:
-        """len(trace(state)), without building the loops."""
+        """len(trace(state)), without building the loops (the walk of the
+        reference sum `bracket_partial`)."""
         partner = [0] * (2 * self.n_arcs)
         for b in self.boundary:
             partner[b] = b
@@ -158,7 +165,8 @@ def expand_tallies(tallies: Iterable[Tally]) -> dict[Hashable, LaurentPoly]:
 
 
 def bracket_partial(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
-    """Tally of the planar state sum over the state range [start, stop)."""
+    """Tally of the planar state sum over the state range [start, stop),
+    state by state: the reference for `planar_tally`."""
     tables = StateTables(d)
     n = tables.n
     free = d.free_loops
@@ -169,25 +177,35 @@ def bracket_partial(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
     return tally
 
 
-def kauffman_bracket(d: VirtualLinkDiagram, parallel: int = 1) -> LaurentPoly:
-    """Reduced Kauffman bracket: sum over all 2^n smoothings of
-    A^(#alpha - #beta) * d^(loops - 1)."""
-    tallies = map_state_ranges(bracket_partial, d, 1 << d.n_crossings, parallel)
-    return expand_tallies(tallies).get(None, LaurentPoly.zero())
+def planar_tally(d: VirtualLinkDiagram) -> Tally:
+    """Tally of the planar state sum over all 2^n states, by the frontier
+    sweep."""
+    free = d.free_loops
+    tally: Tally = {}
+    for (c, loops), count in state_sum(StateTables(d))[()].items():
+        t = (None, c, max(loops + free - 1, 0))
+        tally[t] = tally.get(t, 0) + count
+    return tally
 
 
-def f_polynomial(d: VirtualLinkDiagram, parallel: int = 1) -> LaurentPoly:
+def kauffman_bracket(d: VirtualLinkDiagram) -> LaurentPoly:
+    """Reduced Kauffman bracket: the sum over all 2^n smoothings of
+    A^(#alpha - #beta) * d^(loops - 1), evaluated by the frontier sweep."""
+    return expand_tallies([planar_tally(d)]).get(None, LaurentPoly.zero())
+
+
+def f_polynomial(d: VirtualLinkDiagram) -> LaurentPoly:
     """Writhe-normalised bracket (-A)^(-3w) * <K>; invariant under all
     generalized Reidemeister moves."""
     w = writhe(d)
     norm = LaurentPoly.monomial(-3 * w, -1 if w % 2 else 1)
-    return norm * kauffman_bracket(d, parallel=parallel)
+    return norm * kauffman_bracket(d)
 
 
-def jones(d: VirtualLinkDiagram, parallel: int = 1) -> LaurentPoly:
+def jones(d: VirtualLinkDiagram) -> LaurentPoly:
     """Jones polynomial in the bracket variable A; V_K(t) is read off by
     the substitution t = A^-4 (see jones_in_t)."""
-    return f_polynomial(d, parallel=parallel)
+    return f_polynomial(d)
 
 
 def jones_in_t(p: LaurentPoly) -> LaurentPoly:

@@ -35,6 +35,7 @@ from .diagram import (
     tokenize,
     virtualize_crossing,
 )
+from .frontier import state_sum
 from .laurent import LOOP_VALUE, LaurentPoly, NoLaurentSolutionError, solve_2x2_laurent
 
 
@@ -202,22 +203,26 @@ class TangleExpansion:
         return all(m.is_noncrossing() for m in self.coefficients)
 
 
-def expand_tangle(t: Tangle) -> TangleExpansion:
-    """Sum over all 2^crossings smoothings; closed loops contribute d each."""
+def expansion_tally(t: Tangle) -> Tally:
+    """Tally of the expansion over all 2^crossings states by the frontier
+    sweep: (boundary matching, c, closed loops) -> number of states."""
     tables = StateTables(t)
-    n = tables.n
     # tables.boundary holds the start and end of each open strand in turn
     points = [b for s in t.strands if s.start is not None for b in (s.start, s.end)]
     label = dict(zip(tables.boundary, points))
-    n_open = len(tables.boundary) // 2
     tally: Tally = {}
-    for state in range(1 << n):
-        loops = tables.trace(state)
-        # the first n_open loops start at boundary ends; the rest are closed
-        matching = Matching((label[ends[0]], label[ends[-1] ^ 1]) for _, ends in loops[:n_open])
-        key = (matching, n - 2 * state.bit_count(), len(loops) - n_open)
-        tally[key] = tally.get(key, 0) + 1
-    return TangleExpansion(t.n_boundary, expand_tallies([tally]))
+    for pairs, counts in state_sum(tables).items():
+        matching = Matching((label[a], label[b]) for a, b in pairs)
+        for (c, closed), count in counts.items():
+            tally[matching, c, closed] = count
+    return tally
+
+
+def expand_tangle(t: Tangle) -> TangleExpansion:
+    """The sum over all 2^crossings smoothings of A^(#alpha - #beta) times
+    d per closed loop times the boundary matching, evaluated by the
+    frontier sweep, whose boundary ends stay open to the end."""
+    return TangleExpansion(t.n_boundary, expand_tallies([expansion_tally(t)]))
 
 
 # -- closures -------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Seeded random inputs shared by the tests: unimodular matrices and tangles."""
+"""Seeded random inputs shared by the tests: unimodular matrices, Gauss codes
+and tangles."""
 
 from vknot.diagram import OVER, UNDER, Pass
 from vknot.tangle import Strand, Tangle
@@ -16,6 +17,17 @@ def random_unimodular(dim: int, rng, steps: int = 20) -> list[list[int]]:
             for row in m:
                 row[i], row[j] = row[j], row[i]
     return m
+
+
+def random_gauss_code(rng, n_crossings: int, n_components: int) -> str:
+    """A valid signed Gauss code: shuffled O/U passes cut into non-empty words
+    (at most 2 * n_crossings of them)."""
+    passes = [f"{role}{c}" for c in range(1, n_crossings + 1) for role in "OU"]
+    rng.shuffle(passes)
+    sign = {c: rng.choice("+-") for c in range(1, n_crossings + 1)}
+    cuts = [0, *sorted(rng.sample(range(1, len(passes)), n_components - 1)), len(passes)]
+    words = [passes[a:b] for a, b in zip(cuts, cuts[1:])]
+    return ";".join("".join(p + sign[int(p[1:])] for p in word) for word in words)
 
 
 def random_tangle(rng, n_crossings: int, n_boundary: int) -> Tangle:

@@ -104,11 +104,6 @@ def test_expand_tallies_merges_counts_and_drops_zero_sums():
     assert expand_tallies([]) == {}
 
 
-def test_parallel_identical():
-    for d in (FIGURE_EIGHT, KISHINO):
-        assert kauffman_bracket(d, parallel=1) == kauffman_bracket(d, parallel=4)
-
-
 def test_state_tables_loop_counts():
     t = StateTables(TREFOIL)
     assert t.n == 3

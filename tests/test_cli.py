@@ -166,8 +166,10 @@ def test_tangle_expand_respects_crossing_cap(capsys, monkeypatch):
         ["genus", "--catalog", "kishino", "--parallel", "2"],
         ["certify", "--catalog", "kishino", "--convention", "reduced"],
         ["tangle-expand", "B1O1+B3;B2U1+B4", "--parallel", "2"],
+        ["jones", "--catalog", "kishino", "--parallel", "2"],
+        ["bracket", "--catalog", "kishino", "--parallel", "2"],
     ],
-    ids=["genus-parallel", "certify-convention", "tangle-expand-parallel"],
+    ids=["genus-parallel", "certify-convention", "tangle-expand-parallel", "jones-parallel", "bracket-parallel"],
 )
 def test_unhonoured_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

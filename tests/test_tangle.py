@@ -150,9 +150,9 @@ def test_virtualization_report_computes_each_bracket_once(monkeypatch):
 
     calls = []
 
-    def counted(d, parallel=1):
+    def counted(d):
         calls.append(d)
-        return kauffman_bracket(d, parallel=parallel)
+        return kauffman_bracket(d)
 
     monkeypatch.setattr(tangle, "kauffman_bracket", counted)
     rep = virtualization_report(catalog("trefoil"), 1, run_certify=False)
