@@ -82,18 +82,15 @@ class _CurveMemo:
 
     def classify(self, key: int, ends: Sequence[int]) -> tuple[tuple[int, ...], int]:
         """Refined-map dart cycle and kind of a traced loop, stored under `key`."""
-        refined = self.rep.refined
+        join_side = self.rep.refined.join_side
         darts: list[int] = []
-        k = len(ends)
-        for i, end in enumerate(ends):
+        for end, dep in zip(ends, ends[1:] + ends[:1]):
             # the arc's own dart is the end it leaves from; then the quad side
             # from the end it arrives at to the end the next arc leaves from
-            darts.append(end)
-            ci, k_arr = refined.position_of[end ^ 1]
-            cj, k_dep = refined.position_of[ends[(i + 1) % k]]
-            if ci != cj:
+            side = join_side.get((end ^ 1, dep))
+            if side is None:
                 raise AssertionError("state loop jumps between crossings")
-            darts.append(refined.side_dart(ci, k_arr, k_dep))
+            darts += (end, side)
         loop = tuple(darts)
         cls = loop_homology(self.rep, loop)
         if not cls.is_zero():

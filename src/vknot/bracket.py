@@ -19,7 +19,6 @@ from .diagram import (
     SmoothingType,
     VirtualLinkDiagram,
     arc_ends,
-    canonical_code,
     smooth_crossing,
     writhe,
 )
@@ -238,12 +237,12 @@ def jones_divisibility(v_in_t: LaurentPoly) -> LaurentPoly | None:
 def bracket_by_recursion(d: VirtualLinkDiagram, _memo: dict | None = None) -> LaurentPoly:
     """Independent bracket evaluation by skein recursion on one crossing.
 
-    Serves as an oracle for the state sum; memoised on canonical codes.
+    Serves as an oracle for the state sum; memoised on the diagrams met
+    in the recursion (a diagram is hashable and compares exactly).
     """
     memo = _memo if _memo is not None else {}
-    key = canonical_code(d)
-    if key is not None and key in memo:
-        return memo[key]
+    if d in memo:
+        return memo[d]
     if d.n_crossings == 0:
         result = d_power(max(d.n_components - 1, 0)) if d.n_components else LaurentPoly.one()
     else:
@@ -251,6 +250,5 @@ def bracket_by_recursion(d: VirtualLinkDiagram, _memo: dict | None = None) -> La
         a_part = bracket_by_recursion(smooth_crossing(d, cid, SmoothingType.ALPHA), memo)
         b_part = bracket_by_recursion(smooth_crossing(d, cid, SmoothingType.BETA), memo)
         result = a_part.shift(1) + b_part.shift(-1)
-    if key is not None:
-        memo[key] = result
+    memo[d] = result
     return result

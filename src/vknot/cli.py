@@ -10,6 +10,7 @@ byte-identical output; --parallel changes wall time only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -221,7 +222,10 @@ def _add_common(p: argparse.ArgumentParser, diagram_input: bool = True) -> None:
         p.add_argument("--n", type=int, help="twist-family index for --catalog p_family")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call (parsing does not change it)."""
     ap = argparse.ArgumentParser(prog="vknot", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .diagram import VirtualLinkDiagram, arc_ends
 from .symplectic import SkewForm, SymplecticBasis, symplectic_reduce
@@ -241,6 +241,9 @@ class RefinedMap:
         alpha = [d ^ 1 if d < base else 0 for d in range(n_darts)]
         # position of each original dart within its crossing rotation
         self.position_of: dict[int, tuple[int, int]] = {}
+        # (arrival end, departure end) of each smoothing join -> the side dart
+        # a state loop takes between them: 8 per crossing
+        self.join_side: dict[tuple[int, int], int] = {}
         for cid in crossings:
             ci = self.crossing_index[cid]
             cyc = rep.crossing_rotation[cid]
@@ -250,6 +253,8 @@ class RefinedMap:
                 u = base + 8 * ci + 2 * k  # at corner k, toward corner k+1
                 w = u + 1                  # at corner k+1, toward corner k
                 alpha[u], alpha[w] = w, u
+                self.join_side[cyc[k], cyc[(k + 1) % 4]] = u
+                self.join_side[cyc[(k + 1) % 4], cyc[k]] = w
             for k in range(4):
                 # ccw rotation at corner k: outward dart, side to k+1, side to k-1
                 d_out = cyc[k]
@@ -282,8 +287,9 @@ class MapHomology:
     dual (the cotree) is deleted, leaving a one-vertex map whose 2g loop
     edges generate H_1.  The cyclic dart order at that single vertex gives
     the intersection form by chord interleaving; capped-face relations
-    express deleted edges in the loop-edge basis, so any edge cycle of the
-    original map gets coordinates.
+    express deleted edges in the loop-edge basis.  Each dart's class is then
+    stored once in symplectic coordinates (`dart_vec`), so the class of any
+    closed walk is the sum over its darts.
     """
 
     def __init__(self, m: CombinatorialMap):
@@ -308,6 +314,20 @@ class MapHomology:
         self.form = SkewForm.from_rows(rows)
         self.basis: SymplecticBasis | None = symplectic_reduce(self.form) if dim else None
         self.genus = dim // 2
+        # dart -> its class in symplectic coordinates, as the nonzero
+        # (coordinate, value) pairs, or None for a null-homologous dart
+        self.dart_vec: list[tuple[tuple[int, int], ...] | None] = [None] * m.n_darts
+        for ei, (d, e) in enumerate(m.edges):
+            coords = self._edge_coords[ei]
+            if not coords:
+                continue
+            raw = [0] * dim
+            for k, v in coords.items():
+                raw[k] = v
+            vec = tuple((k, v) for k, v in enumerate(self.basis.to_symplectic(raw)) if v)
+            # d < alpha(d) runs the edge forward, its partner backward
+            self.dart_vec[d] = vec
+            self.dart_vec[e] = tuple((k, -v) for k, v in vec)
 
     # -- construction ----------------------------------------------------
 
@@ -432,23 +452,6 @@ class MapHomology:
 
     # -- queries ---------------------------------------------------------
 
-    def cycle_coords(self, darts: Iterable[int]) -> tuple[int, ...]:
-        """Coordinates of a closed dart walk in the loop-edge basis."""
-        m = self.map
-        darts = list(darts)
-        coords = [0] * len(self.loop_edges)
-        prev = darts[-1] if darts else None
-        for d in darts:
-            if not 0 <= d < m.n_darts:
-                raise LoopNotOnSurface(f"dart {d} not on the surface")
-            if prev is not None and m.vertex_of[d] != m.vertex_of[m.alpha[prev]]:
-                raise LoopNotOnSurface("dart sequence is not a closed walk")
-            prev = d
-            s = 1 if d < m.alpha[d] else -1
-            for k, v in self._edge_coords[m.edge_of[d]].items():
-                coords[k] += s * v
-        return tuple(coords)
-
     def fundamental_cycles(self) -> list[tuple[int, ...]]:
         """One dart cycle per generator: the loop edge closed through the tree."""
         m = self.map
@@ -503,12 +506,24 @@ def homology_basis(rep: SurfaceRep):
 
 
 def loop_homology(rep: SurfaceRep, loop: Sequence[int]) -> HomologyClass:
-    """Symplectic-coordinate homology class of an embedded loop (refined darts)."""
+    """Symplectic-coordinate homology class of a closed walk of refined darts:
+    the sum of its darts' classes."""
     h = rep.homology
-    raw = h.cycle_coords(loop)
-    if h.basis is None:
-        return HomologyClass(())
-    return HomologyClass.canonical(h.basis.to_symplectic(raw))
+    m = h.map
+    vertex_of, alpha, dart_vec = m.vertex_of, m.alpha, h.dart_vec
+    if loop and not (0 <= min(loop) and max(loop) < m.n_darts):
+        raise LoopNotOnSurface("dart not on the surface")
+    acc = [0] * (2 * h.genus)
+    prev = loop[-1] if loop else None
+    for d in loop:
+        if vertex_of[d] != vertex_of[alpha[prev]]:
+            raise LoopNotOnSurface("dart sequence is not a closed walk")
+        prev = d
+        vec = dart_vec[d]
+        if vec:
+            for k, v in vec:
+                acc[k] += v
+    return HomologyClass.canonical(acc)
 
 
 def intersection_number(c1: HomologyClass, c2: HomologyClass) -> int:

@@ -207,3 +207,19 @@ def test_reports_on_p_family(capsys, argv):
     code, out, err = run(capsys, argv[0], "--catalog", "p_family", "--n", "0")
     assert code == 2 and out == ""
     assert "--crossing" in err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # one parser serves every call in the process; an argparse error or
+    # --help in between leaves later calls unchanged
+    from vknot.cli import build_parser
+
+    assert build_parser() is build_parser()
+    first = run(capsys, "certify", "--catalog", "kishino", "--format", "json", "--parallel", "2")
+    for argv, status in ((["certify", "--parallel", "0"], 2), (["jones", "--help"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == status
+        capsys.readouterr()
+    assert run(capsys, "certify", "--catalog", "kishino", "--format", "json", "--parallel", "2") == first
+    assert run(capsys, "certify", "--catalog", "kishino") == (0, "NonClassical(2)\n", "")

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import vknot
@@ -17,3 +18,26 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements under src/vknot: {found}"
+
+
+def test_perfbench_hooks_resolve():
+    """Every function the benchmark's tracer wraps still exists in vknot, so
+    a change that deletes or renames one shows here, not only in a traced run.
+
+    `HOOKS` is read from perfbench/tracing.py as a literal; the file is
+    neither imported nor run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    (hooks,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["HOOKS"]
+    ]
+    missing = []
+    for _, module, attr_path in hooks:
+        # as the tracer resolves them: a method must be defined on its class
+        target = importlib.import_module(module)
+        for attr in attr_path.split("."):
+            target = target.__dict__.get(attr) if isinstance(target, type) else getattr(target, attr, None)
+        if not callable(target):
+            missing.append(f"{module}.{attr_path}")
+    assert hooks and not missing, f"hook targets absent: {missing}"

@@ -1,6 +1,7 @@
 """Carter surfaces: combinatorial maps, genus, homology, cutting."""
 
 import pytest
+from oracle import cycle_coords
 
 from vknot.analysis import enumerate_surface_states
 from vknot.diagram import parse_gauss_code
@@ -73,9 +74,9 @@ def test_homology_basis_is_symplectic():
         assert form.is_unimodular()
         std = standard_form(g)
         for i, ci in enumerate(cycles):
-            sym = basis.to_symplectic(rep.homology.cycle_coords(ci))
+            sym = basis.to_symplectic(cycle_coords(rep.homology, ci))
             for j, cj in enumerate(cycles):
-                sym_j = basis.to_symplectic(rep.homology.cycle_coords(cj))
+                sym_j = basis.to_symplectic(cycle_coords(rep.homology, cj))
                 assert std.pair(sym, sym_j) == form.entries[i][j]
 
 

@@ -2,24 +2,27 @@
 
 The reference walks every state's curves itself, classifies every curve of
 every state with the public `is_disk_bounding` and `loop_homology` (no memo,
-disk test first), and sums `A^c(s) d^k` with `LaurentPoly`.
+disk test first), and sums `A^c(s) d^k` with `LaurentPoly`.  The
+per-dart symplectic table behind `loop_homology` is checked against the
+edge-by-edge `cycle_coords` of tests/oracle.py.
 """
 
 import multiprocessing
 import random
 
 import pytest
+from oracle import cycle_coords
 from randgen import random_gauss_code
 from test_parallel import _RecordingPool
 
 import vknot.analysis as analysis
 import vknot.parallel as parallel
-from vknot.analysis import SurfaceBracket, certify, surface_bracket
+from vknot.analysis import SurfaceBracket, _CurveMemo, certify, enumerate_surface_states, surface_bracket
 from vknot.bracket import StateTables, bracket_by_recursion, kauffman_bracket
 from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import parse_gauss_code
 from vknot.laurent import LOOP_VALUE, LaurentPoly
-from vknot.surface import build_carter_surface, is_disk_bounding, loop_homology
+from vknot.surface import HomologyClass, LoopNotOnSurface, build_carter_surface, is_disk_bounding, loop_homology
 
 
 def _random_codes(seed: int = 20261018, count: int = 16) -> list[str]:
@@ -102,11 +105,11 @@ def test_surface_bracket_matches_reference(kind, arg):
     assert got == reference_surface_bracket(d).to_json()
 
 
-def _genus_two_codes(seed: int = 7, count: int = 4) -> list[str]:
+def _genus_two_codes(seed: int = 7, count: int = 4, max_crossings: int = 8) -> list[str]:
     rng = random.Random(seed)
     codes: list[str] = []
     while len(codes) < count:
-        code = random_gauss_code(rng, rng.randint(6, 8), rng.randint(1, 2))
+        code = random_gauss_code(rng, rng.randint(6, max_crossings), rng.randint(1, 2))
         if build_carter_surface(parse_gauss_code(code)).genus >= 2:
             codes.append(code)
     return codes
@@ -151,3 +154,92 @@ def test_each_distinct_curve_is_classified_once(monkeypatch):
     surface_bracket(rep)
     assert calls["homology"] == len(curves)
     assert calls["disk"] == len(null_homologous)
+
+
+TABLE_CASES = (
+    [("catalog", name) for name in catalog_names()]
+    + [("p_family", n) for n in range(3)]
+    + [("random", code) for code in _genus_two_codes(seed=11, count=8, max_crossings=9)]
+)
+
+
+def _oracle_class(rep, loop) -> HomologyClass:
+    """The class of a closed walk from its loop-edge coordinates, edge by edge."""
+    h = rep.homology
+    raw = cycle_coords(h, loop)
+    return HomologyClass.canonical(h.basis.to_symplectic(raw) if h.basis else ())
+
+
+@pytest.mark.parametrize("kind,arg", TABLE_CASES, ids=[f"{k}-{a}" for k, a in TABLE_CASES])
+def test_dart_table_class_matches_edge_coordinates(kind, arg):
+    d = _diagram(kind, arg)
+    rep = build_carter_surface(d)
+    tables = StateTables(d)
+    assert len(rep.refined.join_side) == 8 * d.n_crossings
+    curves = set()
+    for s in enumerate_surface_states(rep):
+        walked = _state_curves(rep, tables, s.index)
+        # the memo's side-table walk and the position_of/side_dart walk agree
+        assert {frozenset(c) for c in s.loops} == {frozenset(c) for c in walked}
+        curves.update(walked)
+        curves.update(s.loops)
+    for curve in curves:
+        assert loop_homology(rep, curve) == _oracle_class(rep, curve)
+
+
+def _fundamental_walks(rep):
+    """(generator index, fundamental cycle) grouped by the root they start at."""
+    h = rep.homology
+    roots: dict[int, list] = {}
+    for i, cycle in enumerate(h.fundamental_cycles()):
+        roots.setdefault(h.map.vertex_of[cycle[0]], []).append((i, cycle))
+    return roots.values()
+
+
+@pytest.mark.parametrize("kind,arg", TABLE_CASES, ids=[f"{k}-{a}" for k, a in TABLE_CASES])
+def test_repeated_and_combined_fundamental_cycles(kind, arg):
+    rep = build_carter_surface(_diagram(kind, arg))
+    h = rep.homology
+    m = h.map
+    dim = 2 * h.genus
+    for group in _fundamental_walks(rep):
+        coeffs = [0] * dim
+        combined: list[int] = []
+        for j, (i, cycle) in enumerate(group):
+            unit = [int(k == i) for k in range(dim)]
+            assert cycle_coords(h, cycle) == tuple(unit)
+            reverse = tuple(m.alpha[d] for d in reversed(cycle))
+            thrice = HomologyClass.canonical([3 * x for x in h.basis.to_symplectic(unit)])
+            assert loop_homology(rep, cycle * 3) == thrice
+            assert loop_homology(rep, reverse * 3) == thrice
+            # each cycle starts and ends at the root, so any concatenation of
+            # them is a closed walk: 11 x the first, -3 x the second, ...
+            times = (11, -3, 7, -12)[j % 4]
+            coeffs[i] = times
+            combined += (cycle if times > 0 else reverse) * abs(times)
+        assert cycle_coords(h, combined) == tuple(coeffs)
+        assert loop_homology(rep, combined) == HomologyClass.canonical(h.basis.to_symplectic(coeffs))
+
+
+@pytest.mark.parametrize("name", ["trefoil", "kishino"])
+def test_loop_homology_refuses_walks_off_the_surface(name):
+    d = catalog(name)
+    rep = build_carter_surface(d)
+    n_darts = rep.refined.map.n_darts
+    curve = next(c for c in _state_curves(rep, StateTables(d), 0) if len(c) >= 4)
+    loop_homology(rep, curve)
+    with pytest.raises(LoopNotOnSurface, match="closed walk"):
+        loop_homology(rep, curve[:-1])
+    for bad in (-1, n_darts):
+        with pytest.raises(LoopNotOnSurface, match="not on the surface"):
+            loop_homology(rep, (bad,) + curve[1:])
+        with pytest.raises(LoopNotOnSurface, match="not on the surface"):
+            loop_homology(rep, curve[:-1] + (bad,))
+
+
+def test_join_missing_from_side_table_is_refused():
+    rep = build_carter_surface(catalog("kishino"))
+    ends = [0, 2]
+    assert (1, 2) not in rep.refined.join_side
+    with pytest.raises(AssertionError, match="jumps between crossings"):
+        _CurveMemo(rep).classify(0, ends)
