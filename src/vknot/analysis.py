@@ -11,6 +11,14 @@ of classes of the rest.  This is the un-reduced convention (a crossingless
 unknot contributes d); collapsing every class symbol to d recovers
 d * (reduced planar bracket).
 
+The sum runs over ranges of states (`_bracket_chunk`).  A range is
+walked in Gray-code order within aligned power-of-two blocks, so each step
+flips one crossing and re-walks only the curves through it (`_GrayWalk`);
+every distinct curve is classified once per range (`_CurveMemo`).  Each
+tally key is emitted in the order of the smallest state index that reaches
+it, so the entries keep the order of a state-by-state sum, on which the
+per-torus witnesses depend.
+
 Two sufficient criteria certify that no cancellation curve exists, i.e.
 that the representation genus is the virtual genus and the diagram is
 non-classical and non-trivial: the per-torus intersection criterion and
@@ -20,6 +28,7 @@ the mod-2 span criterion.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -195,22 +204,142 @@ def format_curve_key(key: CurveClassKey) -> str:
     return (parts or "trivial") + f"|essential={essential}"
 
 
+class _GrayWalk:
+    """The curves of one current state, kept up to date one crossing flip at
+    a time.
+
+    `partner` and `bit` hold the current state's joins as in
+    `StateTables.trace`, and `curve_of` maps each arc end to the join key of
+    the curve through it.  The running key is the sorted class numbers, the
+    null-essential count and the disk count of the current curves.  Flipping
+    a crossing drops the one or two curves through it, rewrites its four
+    joins and re-walks from its four arc ends only; every other curve is
+    untouched.  New curves are looked up in the memo and classified on a
+    miss.  A diagram's arcs all end at crossings, so every curve passes a
+    join and its key is never 0, which marks an end not yet walked.
+    """
+
+    def __init__(self, tables: StateTables, memo: _CurveMemo):
+        self.joins, self.join_bits = tables.joins, tables.join_bits
+        self.memo = memo
+        n_ends = 2 * tables.n_arcs
+        self.partner = [0] * n_ends
+        self.bit = [0] * n_ends
+        self.curve_of = [0] * n_ends
+        self.numbers: list[int] = []
+        self.disks = self.null_essential = 0
+
+    def reset(self, state: int) -> None:
+        """Set every join by `state` and walk all of its curves."""
+        for k in range(len(self.joins)):
+            self._join(k, (state >> k) & 1)
+        curve_of = self.curve_of
+        curve_of[:] = [0] * len(curve_of)
+        self.numbers.clear()
+        self.disks = self.null_essential = 0
+        for end in range(len(curve_of)):
+            if not curve_of[end]:
+                self._add(end)
+
+    def flip(self, k: int, b: int) -> None:
+        """Switch crossing k to smoothing b (0 = A, 1 = B)."""
+        ends = self.joins[k][0]  # either smoothing's joins list the crossing's four ends
+        curve_of, curves = self.curve_of, self.memo.curves
+        e0, e1, e2, e3 = ends
+        for key in {curve_of[e0], curve_of[e1], curve_of[e2], curve_of[e3]}:
+            kind = curves[key][1]
+            if kind >= 0:
+                self.numbers.remove(kind)
+            elif kind == _DISK:
+                self.disks -= 1
+            else:
+                self.null_essential -= 1
+        self._join(k, b)
+        for e in ends:
+            curve_of[e] = 0
+        for e in ends:
+            if not curve_of[e]:
+                self._add(e)
+
+    def _join(self, k: int, b: int) -> None:
+        partner, bit = self.partner, self.bit
+        p, q, r, s = self.joins[k][b]
+        partner[p], partner[q] = q, p
+        partner[r], partner[s] = s, r
+        u, v = self.join_bits[k][b]
+        bit[p] = bit[q] = u
+        bit[r] = bit[s] = v
+
+    def _add(self, start: int) -> None:
+        """Walk the curve through arc end `start` and count it in the key."""
+        partner, bit, curve_of = self.partner, self.bit, self.curve_of
+        ends = []
+        key = 0
+        end = start
+        while True:
+            ends.append(end)
+            key |= bit[end ^ 1]
+            end = partner[end ^ 1]
+            if end == start:
+                break
+        for end in ends:
+            curve_of[end] = curve_of[end ^ 1] = key
+        kind = (self.memo.curves.get(key) or self.memo.classify(key, ends))[1]
+        if kind >= 0:
+            insort(self.numbers, kind)
+        elif kind == _DISK:
+            self.disks += 1
+        else:
+            self.null_essential += 1
+
+
 def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
-    """Tally of the surface state sum over [start, stop), labelled by curve-class key."""
+    """Tally of the surface state sum over [start, stop), labelled by curve-class key.
+
+    The range is covered by aligned blocks [lo, lo + 2^m), its binary
+    decomposition.  Each block starts from a full walk of state lo and then
+    visits lo ^ gray(j) for j = 1 .. 2^m - 1, where gray(j) = j ^ (j >> 1):
+    consecutive states differ in the one crossing t = (j & -j).bit_length() - 1,
+    so `_GrayWalk.flip` re-walks only the curves through t.  One memo serves
+    the whole range.  Each tally key keeps the smallest state index that
+    reaches it, and the tally is emitted in that order: the order of first
+    appearance in state-index order, which `expand_tallies` keeps and the
+    per-torus witnesses depend on.
+    """
     rep = build_carter_surface(d)
     tables = StateTables(d)
     memo = _CurveMemo(rep)
-    # class numbers are local to this range's memo, so states are tallied by
-    # them and the tally is relabelled with class tuples before it leaves
-    tally: dict[tuple[tuple[int, ...], int, int, int], int] = {}
+    walk = _GrayWalk(tables, memo)
     n = tables.n
-    for state in range(start, stop):
-        _, disks, null_essential, numbers = _trace_state(memo, tables, state)
-        t = (numbers, null_essential, n - 2 * state.bit_count(), disks)
-        tally[t] = tally.get(t, 0) + 1
+    # class numbers are local to this range's memo, so states are tallied by
+    # them and the tally is relabelled with class tuples before it leaves;
+    # each value is [count, smallest state index]
+    tally: dict[tuple[tuple[int, ...], int, int, int], list[int]] = {}
+    lo = start
+    while lo < stop:
+        size = lo & -lo if lo else 1 << (stop.bit_length() - 1)
+        while lo + size > stop:
+            size >>= 1
+        for j in range(size):
+            state = lo ^ j ^ (j >> 1)
+            if j:
+                k = (j & -j).bit_length() - 1
+                walk.flip(k, (state >> k) & 1)
+            else:
+                walk.reset(state)
+            t = (tuple(walk.numbers), walk.null_essential, n - 2 * state.bit_count(), walk.disks)
+            entry = tally.get(t)
+            if entry is None:
+                tally[t] = [1, state]
+            else:
+                entry[0] += 1
+                if state < entry[1]:
+                    entry[1] = state
+        lo += size
+    ordered = sorted(tally.items(), key=lambda item: item[1][1])
     return {
         ((memo.class_tuple(numbers), null_essential), c, disks + rep.free_loops): count
-        for (numbers, null_essential, c, disks), count in tally.items()
+        for (numbers, null_essential, c, disks), (count, _) in ordered
     }
 
 

@@ -31,7 +31,8 @@ if TYPE_CHECKING:
 
 class StateTables:
     """The smoothing joins of a diagram or tangle, as flat arrays: the input
-    of the frontier sweep and of the state-by-state loop tracer.
+    of the frontier sweep, of the surface bracket's Gray-code walk and of
+    the state-by-state loop tracer.
 
     Arc ends are numbered by `diagram.arc_ends`: 2*arc (tail, leaving a
     pass) and 2*arc + 1 (head, arriving at the next pass).  In a crossing's

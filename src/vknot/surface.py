@@ -483,13 +483,14 @@ class HomologyClass:
 
     @classmethod
     def canonical(cls, coords: Sequence[int]) -> "HomologyClass":
-        coords = tuple(int(c) for c in coords)
+        """The class of integer coordinates, negated if needed so that its
+        first nonzero coordinate is positive."""
         for c in coords:
             if c:
                 if c < 0:
-                    coords = tuple(-x for x in coords)
+                    return cls(tuple(-x for x in coords))
                 break
-        return cls(coords)
+        return cls(tuple(coords))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -560,93 +561,68 @@ def cut_along_loop(rep: SurfaceRep, loop: Sequence[int]) -> list[tuple[int, int]
 
 
 def _cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
+    """(chi, boundary circles) of each piece of `m` cut open along `loop`.
+
+    One flood fill over faces, from the face left of loop[0] (the face of
+    its dart) and then, unless that fill reached it, from the face right of
+    it (the face of the reverse dart), never crossing a cut edge: the fill
+    stays within the loop's component.  Per side it counts the faces it
+    visits, the non-cut edges as their darts over 2, and each vertex off the
+    loop once.  Each cut dart h adds one edge copy on the side of its own
+    face and one corner (a vertex copy at the cut) on the side of
+    face_of[sigma[h]].  When the left fill reaches the right face the loop
+    does not separate, and the one piece has both boundary circles.
+    """
     loop = list(loop)
     if not loop:
         raise LoopNotOnSurface("empty loop")
+    vertex_of, alpha, sigma = m.vertex_of, m.alpha, m.sigma
     prev = loop[-1]
     for d in loop:
-        if m.vertex_of[d] != m.vertex_of[m.alpha[prev]]:
+        if vertex_of[d] != vertex_of[alpha[prev]]:
             raise LoopNotOnSurface("dart sequence is not a closed walk")
         prev = d
-    loop_edges = [m.edge_of[d] for d in loop]
-    cut = set(loop_edges)
-    if len(cut) != len(loop_edges):
+    edge_of, face_of, faces = m.edge_of, m.face_of, m.faces
+    cut = {edge_of[d] for d in loop}
+    if len(cut) != len(loop):
         raise LoopNotEmbedded("loop repeats an edge")
 
-    n_faces = len(m.faces)
-    parent = list(range(n_faces))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ei, (d, e) in enumerate(m.edges):
-        if ei not in cut:
-            a, b = find(m.face_of[d]), find(m.face_of[e])
-            if a != b:
-                parent[a] = b
-
-    # restrict to faces reachable from the loop (other surface components untouched)
-    touched = {find(m.face_of[d]) for d in loop} | {find(m.face_of[m.alpha[d]]) for d in loop}
-    pieces = sorted(touched)
-    piece_index = {p: i for i, p in enumerate(pieces)}
-
-    faces_in = [0] * len(pieces)
-    for fi in range(n_faces):
-        r = find(fi)
-        if r in piece_index:
-            faces_in[piece_index[r]] += 1
-
-    edges_in = [0] * len(pieces)
-    for ei, (d, e) in enumerate(m.edges):
-        if ei in cut:
-            for dart in (d, e):
-                r = find(m.face_of[dart])
-                edges_in[piece_index[r]] += 1
-        else:
-            r = find(m.face_of[d])
-            if r in piece_index:
-                edges_in[piece_index[r]] += 1
-
-    # corners: the sector between dart g and sigma(g) at vertex(g) belongs to
-    # the face of sigma(g); adjacent sectors stay glued across non-cut darts.
-    cparent = list(range(m.n_darts))
-
-    def cfind(x: int) -> int:
-        while cparent[x] != x:
-            cparent[x] = cparent[cparent[x]]
-            x = cparent[x]
-        return x
-
-    for g in range(m.n_darts):
-        nxt = m.sigma[g]
-        if m.edge_of[nxt] not in cut:
-            a, b = cfind(g), cfind(nxt)
-            if a != b:
-                cparent[a] = b
-    corner_class_piece: dict[int, int] = {}
-    for g in range(m.n_darts):
-        r = find(m.face_of[m.sigma[g]])
-        if r in piece_index:
-            corner_class_piece[cfind(g)] = piece_index[r]
-    verts_in = [0] * len(pieces)
-    for pi in corner_class_piece.values():
-        verts_in[pi] += 1
-
-    # the two sides of the loop each contribute one boundary circle
-    boundaries = [0] * len(pieces)
-    left = {find(m.face_of[d]) for d in loop}
-    right = {find(m.face_of[m.alpha[d]]) for d in loop}
-    if len(left) != 1 or len(right) != 1:
-        raise LoopNotEmbedded("loop crosses itself at a vertex")
-    boundaries[piece_index[left.pop()]] += 1
-    boundaries[piece_index[right.pop()]] += 1
-
-    return [
-        (verts_in[i] - edges_in[i] + faces_in[i], boundaries[i]) for i in range(len(pieces))
-    ]
+    on_loop = {vertex_of[d] for d in loop}
+    seen_vertices: set[int] = set()
+    side: dict[int, int] = {}  # face -> 0 (left of the loop) or 1 (right)
+    n_faces, noncut_darts, verts = [0, 0], [0, 0], [0, 0]
+    for s, first in enumerate((face_of[loop[0]], face_of[alpha[loop[0]]])):
+        if first in side:
+            continue
+        side[first] = s
+        stack = [first]
+        while stack:
+            f = stack.pop()
+            n_faces[s] += 1
+            for h in faces[f]:
+                if edge_of[h] in cut:
+                    continue
+                noncut_darts[s] += 1
+                g = face_of[alpha[h]]
+                if g not in side:
+                    side[g] = s
+                    stack.append(g)
+                v = vertex_of[h]
+                if v not in on_loop and v not in seen_vertices:
+                    seen_vertices.add(v)
+                    verts[s] += 1
+    left, right = side[face_of[loop[0]]], side[face_of[alpha[loop[0]]]]
+    edges = [noncut_darts[0] // 2, noncut_darts[1] // 2]
+    for d in loop:
+        if side.get(face_of[d]) != left or side.get(face_of[alpha[d]]) != right:
+            raise LoopNotEmbedded("loop crosses itself at a vertex")
+        for h in (d, alpha[d]):
+            edges[side[face_of[h]]] += 1
+            verts[side[face_of[sigma[h]]]] += 1
+    chi = [verts[s] - edges[s] + n_faces[s] for s in (0, 1)]
+    if left == right:
+        return [(chi[0], 2)]
+    return [(chi[0], 1), (chi[1], 1)]
 
 
 def is_disk_bounding(rep: SurfaceRep, loop: Sequence[int]) -> bool:

@@ -1,9 +1,18 @@
 """Reference computations that production code no longer runs, kept as
 oracles for the fast paths."""
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from vknot.surface import LoopNotOnSurface, MapHomology
+from vknot.analysis import _CurveMemo, _trace_state
+from vknot.bracket import StateTables, Tally
+from vknot.diagram import VirtualLinkDiagram
+from vknot.surface import (
+    CombinatorialMap,
+    LoopNotEmbedded,
+    LoopNotOnSurface,
+    MapHomology,
+    build_carter_surface,
+)
 
 
 def cycle_coords(h: MapHomology, darts: Iterable[int]) -> tuple[int, ...]:
@@ -24,3 +33,118 @@ def cycle_coords(h: MapHomology, darts: Iterable[int]) -> tuple[int, ...]:
         for k, v in h._edge_coords[m.edge_of[d]].items():
             coords[k] += s * v
     return tuple(coords)
+
+
+def cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
+    """(Euler characteristic, boundary circles) per piece of `m` cut along an
+    embedded loop, by union-find over the whole map: faces glued across
+    non-cut edges, corners glued across non-cut darts (the reference for
+    `surface._cut_map`)."""
+    loop = list(loop)
+    if not loop:
+        raise LoopNotOnSurface("empty loop")
+    prev = loop[-1]
+    for d in loop:
+        if m.vertex_of[d] != m.vertex_of[m.alpha[prev]]:
+            raise LoopNotOnSurface("dart sequence is not a closed walk")
+        prev = d
+    loop_edges = [m.edge_of[d] for d in loop]
+    cut = set(loop_edges)
+    if len(cut) != len(loop_edges):
+        raise LoopNotEmbedded("loop repeats an edge")
+
+    n_faces = len(m.faces)
+    parent = list(range(n_faces))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for ei, (d, e) in enumerate(m.edges):
+        if ei not in cut:
+            a, b = find(m.face_of[d]), find(m.face_of[e])
+            if a != b:
+                parent[a] = b
+
+    # restrict to faces reachable from the loop (other surface components untouched)
+    touched = {find(m.face_of[d]) for d in loop} | {find(m.face_of[m.alpha[d]]) for d in loop}
+    pieces = sorted(touched)
+    piece_index = {p: i for i, p in enumerate(pieces)}
+
+    faces_in = [0] * len(pieces)
+    for fi in range(n_faces):
+        r = find(fi)
+        if r in piece_index:
+            faces_in[piece_index[r]] += 1
+
+    edges_in = [0] * len(pieces)
+    for ei, (d, e) in enumerate(m.edges):
+        if ei in cut:
+            for dart in (d, e):
+                r = find(m.face_of[dart])
+                edges_in[piece_index[r]] += 1
+        else:
+            r = find(m.face_of[d])
+            if r in piece_index:
+                edges_in[piece_index[r]] += 1
+
+    # corners: the sector between dart g and sigma(g) at vertex(g) belongs to
+    # the face of sigma(g); adjacent sectors stay glued across non-cut darts.
+    cparent = list(range(m.n_darts))
+
+    def cfind(x: int) -> int:
+        while cparent[x] != x:
+            cparent[x] = cparent[cparent[x]]
+            x = cparent[x]
+        return x
+
+    for g in range(m.n_darts):
+        nxt = m.sigma[g]
+        if m.edge_of[nxt] not in cut:
+            a, b = cfind(g), cfind(nxt)
+            if a != b:
+                cparent[a] = b
+    corner_class_piece: dict[int, int] = {}
+    for g in range(m.n_darts):
+        r = find(m.face_of[m.sigma[g]])
+        if r in piece_index:
+            corner_class_piece[cfind(g)] = piece_index[r]
+    verts_in = [0] * len(pieces)
+    for pi in corner_class_piece.values():
+        verts_in[pi] += 1
+
+    # the two sides of the loop each contribute one boundary circle
+    boundaries = [0] * len(pieces)
+    left = {find(m.face_of[d]) for d in loop}
+    right = {find(m.face_of[m.alpha[d]]) for d in loop}
+    if len(left) != 1 or len(right) != 1:
+        raise LoopNotEmbedded("loop crosses itself at a vertex")
+    boundaries[piece_index[left.pop()]] += 1
+    boundaries[piece_index[right.pop()]] += 1
+
+    return [
+        (verts_in[i] - edges_in[i] + faces_in[i], boundaries[i]) for i in range(len(pieces))
+    ]
+
+
+def bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
+    """Tally of the surface state sum over [start, stop), tracing every state
+    in index order with `StateTables.trace` (the reference for the Gray-code
+    walk of `analysis._bracket_chunk`)."""
+    rep = build_carter_surface(d)
+    tables = StateTables(d)
+    memo = _CurveMemo(rep)
+    # class numbers are local to this range's memo, so states are tallied by
+    # them and the tally is relabelled with class tuples before it leaves
+    tally: dict[tuple[tuple[int, ...], int, int, int], int] = {}
+    n = tables.n
+    for state in range(start, stop):
+        _, disks, null_essential, numbers = _trace_state(memo, tables, state)
+        t = (numbers, null_essential, n - 2 * state.bit_count(), disks)
+        tally[t] = tally.get(t, 0) + 1
+    return {
+        ((memo.class_tuple(numbers), null_essential), c, disks + rep.free_loops): count
+        for (numbers, null_essential, c, disks), count in tally.items()
+    }

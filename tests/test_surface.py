@@ -90,6 +90,21 @@ def test_homology_class_canonical_and_order():
     assert a.genus == 1
 
 
+def test_homology_class_canonical_sign_rule():
+    for coords, want in (
+        ([0, 0, -3, 1], (0, 0, 3, -1)),
+        ([0, 2, -5, 0], (0, 2, -5, 0)),
+        ([-1, 4, 0, -2], (1, -4, 0, 2)),
+        ([0, 0, 0, 0], (0, 0, 0, 0)),
+        ((), ()),
+    ):
+        c = HomologyClass.canonical(coords)
+        assert c.coords == want
+        assert type(c.coords) is tuple and all(type(x) is int for x in c.coords)
+        assert HomologyClass.canonical([-x for x in coords]) == c
+    assert HomologyClass.canonical([0, 0, 0, 0]).is_zero()
+
+
 def test_intersection_number_standard():
     m = HomologyClass((1, 0, 0, 0))
     l = HomologyClass((0, 1, 0, 0))

@@ -1,28 +1,46 @@
 """The memoised surface bracket against a per-loop reference built here.
 
 The reference walks every state's curves itself, classifies every curve of
-every state with the public `is_disk_bounding` and `loop_homology` (no memo,
-disk test first), and sums `A^c(s) d^k` with `LaurentPoly`.  The
-per-dart symplectic table behind `loop_homology` is checked against the
-edge-by-edge `cycle_coords` of tests/oracle.py.
+every state with the union-find cut of tests/oracle.py (disk test first) and
+the public `loop_homology` (no memo), and sums `A^c(s) d^k` with
+`LaurentPoly`.  The per-dart symplectic table behind `loop_homology` is
+checked against the edge-by-edge `cycle_coords`, the one-sweep disk test
+against the union-find cut, and the Gray-code state walk against the
+state-by-state chunk, all of tests/oracle.py.
 """
 
 import multiprocessing
 import random
 
 import pytest
-from oracle import cycle_coords
+from oracle import bracket_chunk, cut_map, cycle_coords
 from randgen import random_gauss_code
 from test_parallel import _RecordingPool
 
 import vknot.analysis as analysis
 import vknot.parallel as parallel
-from vknot.analysis import SurfaceBracket, _CurveMemo, certify, enumerate_surface_states, surface_bracket
+from vknot.analysis import (
+    SurfaceBracket,
+    _bracket_chunk,
+    _CurveMemo,
+    certify,
+    enumerate_surface_states,
+    surface_bracket,
+)
 from vknot.bracket import StateTables, bracket_by_recursion, kauffman_bracket
 from vknot.catalog import catalog, catalog_names, catalog_p_family
-from vknot.diagram import parse_gauss_code
+from vknot.diagram import VirtualLinkDiagram, parse_gauss_code
 from vknot.laurent import LOOP_VALUE, LaurentPoly
-from vknot.surface import HomologyClass, LoopNotOnSurface, build_carter_surface, is_disk_bounding, loop_homology
+from vknot.surface import (
+    HomologyClass,
+    LoopNotEmbedded,
+    LoopNotOnSurface,
+    _cut_map,
+    build_carter_surface,
+    cut_along_loop,
+    is_disk_bounding,
+    loop_homology,
+)
 
 
 def _random_codes(seed: int = 20261018, count: int = 16) -> list[str]:
@@ -56,6 +74,10 @@ def _state_curves(rep, tables: StateTables, state: int) -> list[tuple[int, ...]]
     return curves
 
 
+def _oracle_disk(rep, curve) -> bool:
+    return any(chi == 1 and b == 1 for chi, b in cut_map(rep.refined.map, curve))
+
+
 def reference_surface_bracket(d) -> SurfaceBracket:
     rep = build_carter_surface(d)
     tables = StateTables(d)
@@ -63,7 +85,7 @@ def reference_surface_bracket(d) -> SurfaceBracket:
     for state in range(1 << tables.n):
         disks, classes, null_essential = rep.free_loops, [], 0
         for curve in _state_curves(rep, tables, state):
-            if is_disk_bounding(rep, curve):
+            if _oracle_disk(rep, curve):
                 disks += 1
                 continue
             cls = loop_homology(rep, curve)
@@ -243,3 +265,102 @@ def test_join_missing_from_side_table_is_refused():
     assert (1, 2) not in rep.refined.join_side
     with pytest.raises(AssertionError, match="jumps between crossings"):
         _CurveMemo(rep).classify(0, ends)
+
+
+def _traced_curves(d) -> list[tuple[int, ...]]:
+    rep = build_carter_surface(d)
+    tables = StateTables(d)
+    curves = {frozenset(c): c for s in range(1 << tables.n) for c in _state_curves(rep, tables, s)}
+    return list(curves.values())
+
+
+def _outcome(cut, m, walk):
+    """Sorted pieces of a cut, or the type of the exception it raised."""
+    try:
+        return sorted(cut(m, walk))
+    except (LoopNotOnSurface, LoopNotEmbedded) as exc:
+        return type(exc)
+
+
+CUT_CASES = sorted(set(CASES) | set(TABLE_CASES), key=str)
+
+
+@pytest.mark.parametrize("kind,arg", CUT_CASES, ids=[f"{k}-{a}" for k, a in CUT_CASES])
+def test_disk_test_matches_union_find_cut(kind, arg):
+    d = _diagram(kind, arg)
+    rep = build_carter_surface(d)
+    refined = rep.refined.map
+    for curve in _traced_curves(d):
+        assert sorted(cut_along_loop(rep, curve)) == sorted(cut_map(refined, curve))
+        assert is_disk_bounding(rep, curve) == _oracle_disk(rep, curve)
+    # face boundaries of both maps, either way round: disks, and walks that
+    # repeat an edge or meet a vertex twice
+    for m in (rep.map, refined):
+        for face in m.faces:
+            for walk in (face, tuple(m.alpha[x] for x in reversed(face))):
+                assert _outcome(_cut_map, m, walk) == _outcome(cut_map, m, walk)
+
+
+@pytest.mark.parametrize("name", ["trefoil", "kishino", "section5_knot"])
+def test_disk_test_refusals_match_union_find_cut(name):
+    d = catalog(name)
+    rep = build_carter_surface(d)
+    refined = rep.refined.map
+    curve = max(_traced_curves(d), key=len)
+    refusals = {
+        (): LoopNotOnSurface,
+        curve[:-1]: LoopNotOnSurface,
+        curve * 2: LoopNotEmbedded,
+    }
+    for walk, exc in refusals.items():
+        assert _outcome(_cut_map, refined, walk) is exc
+        assert _outcome(cut_map, refined, walk) is exc
+    # each component runs straight through its crossings on the Carter map:
+    # a closed walk with no repeated edge that crosses itself at a vertex
+    base = 0
+    for comp in d.components:
+        walk = [2 * (base + i) for i in range(len(comp))]
+        base += len(comp)
+        if len({p.crossing for p in comp}) < len(comp):
+            assert _outcome(_cut_map, rep.map, walk) is LoopNotEmbedded
+            assert _outcome(cut_map, rep.map, walk) is LoopNotEmbedded
+
+
+WALK_CASES = (
+    [("catalog", name) for name in catalog_names()]
+    + [("p_family", n) for n in range(5)]
+    + [("random", code) for code in _genus_two_codes(seed=23, count=8, max_crossings=10)]
+)
+
+
+@pytest.mark.parametrize("kind,arg", WALK_CASES, ids=[f"{k}-{a}" for k, a in WALK_CASES])
+def test_gray_walk_tally_matches_state_order_oracle(kind, arg):
+    d = _diagram(kind, arg)
+    total = 1 << d.n_crossings
+    ranges = {r for p in (1, 2, 3, 7) for r in parallel.split_ranges(total, p)}
+    if total > 4:
+        ranges.add((3, total - 1))
+    for start, stop in sorted(ranges):
+        got = list(_bracket_chunk(d, start, stop).items())
+        assert got == list(bracket_chunk(d, start, stop).items()), (start, stop)
+
+
+def test_gray_walk_on_a_crossingless_diagram():
+    d = VirtualLinkDiagram((), {}, free_loops=2)
+    assert d.n_crossings == 0
+    tally = _bracket_chunk(d, 0, 1)
+    assert list(tally.items()) == list(bracket_chunk(d, 0, 1).items()) == [((((), 0), 0, 2), 1)]
+
+
+@pytest.mark.parametrize("kind,arg", CASES, ids=[f"{k}-{a}" for k, a in CASES])
+def test_entries_keep_first_state_order(kind, arg, monkeypatch):
+    # `per_torus` takes its witnesses in this order, so it is part of the
+    # certificate's bytes
+    d = _diagram(kind, arg)
+    rep = build_carter_surface(d)
+    first_seen = list(dict.fromkeys(s.key for s in enumerate_surface_states(rep)))
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    for workers in (1, 3):
+        entries = surface_bracket(rep, parallel=workers).entries
+        assert list(entries) == [key for key in first_seen if key in entries]
