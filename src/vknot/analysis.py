@@ -13,11 +13,14 @@ d * (reduced planar bracket).
 
 The sum runs over ranges of states (`_bracket_chunk`).  A range is
 walked in Gray-code order within aligned power-of-two blocks, so each step
-flips one crossing and re-walks only the curves through it (`_GrayWalk`);
-every distinct curve is classified once per range (`_CurveMemo`).  Each
-tally key is emitted in the order of the smallest state index that reaches
-it, so the entries keep the order of a state-by-state sum, on which the
-per-torus witnesses depend.
+flips one crossing and re-walks only the curves through it (`_GrayWalk`).
+A curve met for the first time in a range is classified by its homology
+class, summed as one packed int over its smoothing joins; darts are built
+and `loop_homology` runs only once per distinct class up to sign, and for
+each null-homologous curve, which alone also needs the disk test
+(`_CurveMemo`).  Each tally key is emitted in the order of the smallest
+state index that reaches it, so the entries keep the order of a
+state-by-state sum, on which the per-torus witnesses depend.
 
 Two sufficient criteria certify that no cancellation curve exists, i.e.
 that the representation genus is the virtual genus and the diagram is
@@ -30,7 +33,7 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bracket import StateTables, Tally, d_power, expand_tallies
 from .diagram import VirtualLinkDiagram, format_gauss_code
@@ -80,12 +83,19 @@ class _CurveMemo:
     Curves are keyed by the tracer's join key.  A curve's kind is _DISK,
     _NULL_ESSENTIAL, or the number of its nonzero class in `classes`
     (numbered by first appearance), so a state's curve-class key is built
-    from small ints.  A memo serves one walk and is dropped with it.
+    from small ints.  `classify` builds a curve's darts and runs
+    `loop_homology` (and, for a zero class, the disk test) on it; the
+    state-by-state tracer calls it for every new curve, the Gray walk only
+    for a null-homologous curve or a class it has not met, and stores the
+    other curves' kinds here itself.  A memo serves one walk and is dropped
+    with it.
     """
 
     def __init__(self, rep: SurfaceRep):
         self.rep = rep
-        self.curves: dict[int, tuple[tuple[int, ...], int]] = {}  # join key -> (darts, kind)
+        # join key -> (darts, kind); no darts for a curve the Gray walk
+        # classified by its packed class sum alone
+        self.curves: dict[int, tuple[tuple[int, ...] | None, int]] = {}
         self.classes: list[HomologyClass] = []
         self._numbers: dict[HomologyClass, int] = {}
 
@@ -214,15 +224,25 @@ class _GrayWalk:
     null-essential count and the disk count of the current curves.  Flipping
     a crossing drops the one or two curves through it, rewrites its four
     joins and re-walks from its four arc ends only; every other curve is
-    untouched.  New curves are looked up in the memo and classified on a
-    miss.  A diagram's arcs all end at crossings, so every curve passes a
-    join and its key is never 0, which marks an end not yet walked.
+    untouched.  A diagram's arcs all end at crossings, so every curve passes
+    a join and its key is never 0, which marks an end not yet walked.
+
+    New curves are looked up in the memo by join key.  On a miss the curve's
+    class is the sum of its joins' packed classes (`_class_steps`, whose
+    joins are checked once, when the walk is built, so no curve is
+    re-checked).  A zero sum goes to the memo's `classify` (darts,
+    `loop_homology` and the disk test).  A nonzero sum is looked up by value
+    in `class_of_sum`, which holds both signs, so `classify` runs once per
+    distinct class up to sign; the class it finds must pack to the sum up to
+    sign, or ArithmeticError is raised.
     """
 
     def __init__(self, tables: StateTables, memo: _CurveMemo):
         self.joins, self.join_bits = tables.joins, tables.join_bits
         self.memo = memo
-        n_ends = 2 * tables.n_arcs
+        n_ends = self.n_ends = 2 * tables.n_arcs
+        self.steps, self.width = _class_steps(memo.rep, tables)
+        self.class_of_sum: dict[int, int] = {}  # packed class sum, either sign -> class number
         self.partner = [0] * n_ends
         self.bit = [0] * n_ends
         self.curve_of = [0] * n_ends
@@ -284,13 +304,85 @@ class _GrayWalk:
                 break
         for end in ends:
             curve_of[end] = curve_of[end ^ 1] = key
-        kind = (self.memo.curves.get(key) or self.memo.classify(key, ends))[1]
+        entry = self.memo.curves.get(key)
+        kind = entry[1] if entry else self._classify(key, ends)
         if kind >= 0:
             insort(self.numbers, kind)
         elif kind == _DISK:
             self.disks += 1
         else:
             self.null_essential += 1
+
+    def class_sum(self, ends: Sequence[int]) -> int:
+        """Packed class of the current state's curve that leaves `ends`."""
+        steps, n_ends, partner = self.steps, self.n_ends, self.partner
+        total = 0
+        for end in ends:
+            arrival = end ^ 1
+            total += steps[arrival * n_ends + partner[arrival]]
+        return total
+
+    def _classify(self, key: int, ends: Sequence[int]) -> int:
+        """Kind of a curve the memo has not met, stored there under `key`."""
+        memo = self.memo
+        total = self.class_sum(ends)
+        if not total:
+            return memo.classify(key, ends)[1]
+        kind = self.class_of_sum.get(total)
+        if kind is None:
+            kind = memo.classify(key, ends)[1]
+            if kind < 0 or _pack(enumerate(memo.classes[kind].coords), self.width) not in (total, -total):
+                raise ArithmeticError("packed class sum disagrees with loop_homology")
+            self.class_of_sum[total] = self.class_of_sum[-total] = kind
+        else:
+            memo.curves[key] = (None, kind)
+        return kind
+
+
+def _pack(pairs: Iterable[tuple[int, int]], width: int) -> int:
+    """One int holding coordinate k, signed, in bits [k * width, (k + 1) * width),
+    from (k, value) pairs."""
+    return sum(v << (k * width) for k, v in pairs)
+
+
+def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[list[int], int]:
+    """(steps, width): the packed class each directed smoothing join adds to
+    a curve through it.
+
+    A curve leaves arc end e along its arc (refined dart e), arrives at end
+    e ^ 1 and takes the quad side `RefinedMap.join_side` gives for the join
+    to the next end f.  steps[(e ^ 1) * n_ends + f] is the sum of both
+    darts' `dart_vec`, packed by `_pack`, so a curve's packed class is the
+    sum of its steps.  A state curve uses each dart at most once, so no
+    coordinate of its class exceeds `bound`, the sum over darts of their
+    largest |coefficient|, and fields of `width` bits hold any such
+    coordinate or difference of two without carrying: the sum is 0 exactly
+    for a null-homologous curve, and two curves have the same sum up to sign
+    exactly when they have the same class up to sign.
+
+    Each directed join (8 per crossing) is checked here once: its side dart
+    exists, starts where the arc arrives and ends where the next arc leaves,
+    so every walk over these joins is a closed walk of refined darts.
+    """
+    m, join_side, dart_vec = rep.refined.map, rep.refined.join_side, rep.homology.dart_vec
+    vertex_of, alpha = m.vertex_of, m.alpha
+    bound = sum(max(abs(v) for _, v in vec) for vec in dart_vec if vec)
+    width = bound.bit_length() + 1
+    packed = [_pack(vec, width) if vec else 0 for vec in dart_vec]
+    n_ends = 2 * tables.n_arcs
+    steps = [0] * (n_ends * n_ends)
+    for joins in tables.joins:
+        for p, q, r, s in joins:
+            for arrival, departure in ((p, q), (q, p), (r, s), (s, r)):
+                side = join_side.get((arrival, departure))
+                if (
+                    side is None
+                    or vertex_of[side] != vertex_of[alpha[arrival ^ 1]]
+                    or vertex_of[departure] != vertex_of[alpha[side]]
+                ):
+                    raise AssertionError("state loop jumps between crossings")
+                steps[arrival * n_ends + departure] = packed[arrival ^ 1] + packed[side]
+    return steps, width
 
 
 def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:

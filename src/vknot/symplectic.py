@@ -213,13 +213,15 @@ def symplectic_reduce(form: SkewForm) -> SymplecticBasis:
 
 
 def _check_standard(form: SkewForm, basis: SymplecticBasis) -> bool:
+    """change^T . form . change == J, as (change^T . form) . change: O(n^3)."""
     n = form.dim
     std = standard_form(n // 2).entries
-    c = basis.change
-    for i in range(n):
-        for j in range(n):
-            val = sum(c[r][i] * form.entries[r][s] * c[s][j] for r in range(n) for s in range(n))
-            if val != std[i][j]:
+    f = form.entries
+    cols = list(zip(*basis.change))  # the new basis vectors
+    for i, ci in enumerate(cols):
+        row = [sum(x * f[r][s] for r, x in enumerate(ci)) for s in range(n)]  # row i of change^T . form
+        for j, cj in enumerate(cols):
+            if sum(x * y for x, y in zip(row, cj)) != std[i][j]:
                 return False
     return True
 

@@ -13,6 +13,7 @@ from vknot.surface import (
     MapHomology,
     build_carter_surface,
 )
+from vknot.symplectic import SkewForm, SymplecticBasis, standard_form
 
 
 def cycle_coords(h: MapHomology, darts: Iterable[int]) -> tuple[int, ...]:
@@ -148,3 +149,33 @@ def bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
         ((memo.class_tuple(numbers), null_essential), c, disks + rep.free_loops): count
         for (numbers, null_essential, c, disks), count in tally.items()
     }
+
+
+def check_standard(form: SkewForm, basis: SymplecticBasis) -> bool:
+    """change^T . form . change == J, entry by entry as a quadruple sum (the
+    reference for `symplectic._check_standard`)."""
+    n = form.dim
+    std = standard_form(n // 2).entries
+    c = basis.change
+    for i in range(n):
+        for j in range(n):
+            val = sum(c[r][i] * form.entries[r][s] * c[s][j] for r in range(n) for s in range(n))
+            if val != std[i][j]:
+                return False
+    return True
+
+
+def unpack(total: int, dim: int, width: int) -> tuple[int, ...]:
+    """The `dim` signed coordinates of a packed class sum with fields of
+    `width` bits, coordinate k in bits [k * width, (k + 1) * width) (the
+    inverse of `analysis._pack`)."""
+    coords = []
+    for _ in range(dim):
+        field = total & ((1 << width) - 1)
+        if field >> (width - 1):
+            field -= 1 << width
+        coords.append(field)
+        total = (total - field) >> width
+    if total:
+        raise ValueError("packed sum has bits beyond its last field")
+    return tuple(coords)

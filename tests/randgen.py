@@ -4,6 +4,10 @@ and tangles."""
 from vknot.diagram import OVER, UNDER, Pass
 from vknot.tangle import Strand, Tangle
 
+#: A 9-crossing knot whose Carter surface has genus 3 (a `random_gauss_code`
+#: draw from seed 3).
+GENUS_THREE_CODE = "O2+U7-U6-O9-U2+O8-U9-O5-O6-O4+U8-U4+O3-O1+O7-U5-U1+U3-"
+
 
 def random_unimodular(dim: int, rng, steps: int = 20) -> list[list[int]]:
     """Random unimodular integer matrix built from shears and swaps."""

@@ -2,8 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from randgen import GENUS_THREE_CODE
 
 from vknot.cli import main
 
@@ -223,3 +227,64 @@ def test_parser_is_built_once_and_reused(capsys):
         capsys.readouterr()
     assert run(capsys, "certify", "--catalog", "kishino", "--format", "json", "--parallel", "2") == first
     assert run(capsys, "certify", "--catalog", "kishino") == (0, "NonClassical(2)\n", "")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(*args):
+    """Run a fresh interpreter on this checkout's sources."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--catalog", "kishino"], ["--catalog", "p_family", "--n", "1"], [GENUS_THREE_CODE]],
+    ids=["kishino", "p_family-1", "genus-3"],
+)
+def test_certify_under_python_O_is_byte_identical(argv):
+    plain = _python("-m", "vknot.cli", "certify", *argv, "--format", "json")
+    optimized = _python("-O", "-m", "vknot.cli", "certify", *argv, "--format", "json")
+    assert plain.returncode == 0 and json.loads(plain.stdout)["verdict"] == "NonClassical"
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+
+WALK_CHECKS = """
+import vknot.analysis as analysis
+from vknot.bracket import StateTables
+from vknot.catalog import catalog
+from vknot.surface import build_carter_surface
+
+assert False, "asserts must be stripped"
+d = catalog("kishino")
+rep = build_carter_surface(d)
+rep.refined.join_side.popitem()
+try:
+    analysis._GrayWalk(StateTables(d), analysis._CurveMemo(rep))
+except AssertionError as exc:
+    print("refused:", exc)
+class_steps = analysis._class_steps
+
+
+def tripled_steps(rep, tables):
+    steps, width = class_steps(rep, tables)
+    return [3 * x for x in steps], width
+
+
+analysis._class_steps = tripled_steps
+try:
+    analysis._bracket_chunk(d, 0, 1 << d.n_crossings)
+except ArithmeticError as exc:
+    print("refused:", exc)
+"""
+
+
+def test_walk_checks_raise_under_python_O():
+    proc = _python("-O", "-c", WALK_CHECKS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "refused: state loop jumps between crossings",
+        "refused: packed class sum disagrees with loop_homology",
+    ]

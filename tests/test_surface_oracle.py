@@ -13,8 +13,9 @@ import multiprocessing
 import random
 
 import pytest
-from oracle import bracket_chunk, cut_map, cycle_coords
-from randgen import random_gauss_code
+import oracle
+from oracle import bracket_chunk, cut_map, cycle_coords, unpack
+from randgen import GENUS_THREE_CODE, random_gauss_code
 from test_parallel import _RecordingPool
 
 import vknot.analysis as analysis
@@ -23,6 +24,7 @@ from vknot.analysis import (
     SurfaceBracket,
     _bracket_chunk,
     _CurveMemo,
+    _GrayWalk,
     certify,
     enumerate_surface_states,
     surface_bracket,
@@ -156,12 +158,18 @@ def test_parallel_two_matches_serial(monkeypatch):
         assert _RecordingPool.sizes == [cpus] * (2 * len(diagrams))
 
 
-def test_each_distinct_curve_is_classified_once(monkeypatch):
+def test_each_distinct_class_and_null_curve_is_classified_once(monkeypatch):
+    # the walk classifies a new curve by its packed class sum, so darts are
+    # built and `loop_homology` runs once per nonzero class up to sign and once
+    # per null-homologous curve, which alone also gets the disk test
     d = catalog_p_family(1)
     rep = build_carter_surface(d)
     tables = StateTables(d)
     curves = {frozenset(c): c for s in range(1 << tables.n) for c in _state_curves(rep, tables, s)}
-    null_homologous = [c for c in curves.values() if loop_homology(rep, c).is_zero()]
+    classes = {_oracle_class(rep, c) for c in curves.values()}
+    zero = HomologyClass.canonical([0] * 2 * rep.genus)
+    null_homologous = [c for c in curves.values() if _oracle_class(rep, c) == zero]
+    assert zero in classes and len(classes) - 1 < len(curves) - len(null_homologous)
     calls = {"homology": 0, "disk": 0}
 
     def counted(name, fn):
@@ -174,7 +182,7 @@ def test_each_distinct_curve_is_classified_once(monkeypatch):
     monkeypatch.setattr(analysis, "loop_homology", counted("homology", loop_homology))
     monkeypatch.setattr(analysis, "is_disk_bounding", counted("disk", is_disk_bounding))
     surface_bracket(rep)
-    assert calls["homology"] == len(curves)
+    assert calls["homology"] == len(classes) - 1 + len(null_homologous)
     assert calls["disk"] == len(null_homologous)
 
 
@@ -207,6 +215,26 @@ def test_dart_table_class_matches_edge_coordinates(kind, arg):
         curves.update(s.loops)
     for curve in curves:
         assert loop_homology(rep, curve) == _oracle_class(rep, curve)
+
+
+PACKED_CASES = sorted(set(CASES) | set(TABLE_CASES), key=str)
+
+
+@pytest.mark.parametrize("kind,arg", PACKED_CASES, ids=[f"{k}-{a}" for k, a in PACKED_CASES])
+def test_packed_class_sum_unpacks_to_edge_coordinates(kind, arg):
+    d = _diagram(kind, arg)
+    rep = build_carter_surface(d)
+    tables = StateTables(d)
+    walk = _GrayWalk(tables, _CurveMemo(rep))
+    dim = 2 * rep.genus
+    classes: dict[int, tuple[int, ...]] = {}
+    for state in range(1 << tables.n):
+        walk.reset(state)
+        for curve, (key, ends) in zip(_state_curves(rep, tables, state), tables.trace(state)):
+            if key not in classes:
+                classes[key] = _oracle_class(rep, curve).coords
+            coords = unpack(walk.class_sum(ends), dim, walk.width)
+            assert coords in (classes[key], tuple(-x for x in classes[key])), (state, ends)
 
 
 def _fundamental_walks(rep):
@@ -265,6 +293,43 @@ def test_join_missing_from_side_table_is_refused():
     assert (1, 2) not in rep.refined.join_side
     with pytest.raises(AssertionError, match="jumps between crossings"):
         _CurveMemo(rep).classify(0, ends)
+
+
+@pytest.mark.parametrize("name", ["kishino", "section5_knot"])
+def test_broken_side_table_is_refused_when_the_walk_is_built(name, monkeypatch):
+    d = catalog(name)
+    tables = StateTables(d)
+    walked = []
+    reset = _GrayWalk.reset
+
+    def recorded_reset(self, state):
+        walked.append(state)
+        reset(self, state)
+
+    monkeypatch.setattr(_GrayWalk, "reset", recorded_reset)
+    # every directed join of every crossing: removed, or pointed at a side
+    # dart that leaves the right corner for the wrong one, one that arrives at
+    # the right corner from the wrong one, or the same side of the next crossing
+    n_joins = len(build_carter_surface(d).refined.join_side)
+    for i in range(n_joins):
+        for change in ("remove", "wrong end", "wrong start", "next crossing"):
+            rep = build_carter_surface(d)
+            refined, join_side = rep.refined, rep.refined.join_side
+            vertex_of, alpha = refined.map.vertex_of, refined.map.alpha
+            join = list(join_side)[i]
+            side = join_side.pop(join)
+            others = [x for x in range(refined.base, refined.map.n_darts) if x != side]
+            if change == "wrong end":
+                join_side[join] = next(x for x in others if vertex_of[x] == vertex_of[side])
+            elif change == "wrong start":
+                join_side[join] = next(x for x in others if vertex_of[alpha[x]] == vertex_of[alpha[side]])
+            elif change == "next crossing":
+                join_side[join] = (side - refined.base + 8) % (8 * d.n_crossings) + refined.base
+            with pytest.raises(AssertionError, match="jumps between crossings"):
+                _GrayWalk(tables, _CurveMemo(rep))
+    assert n_joins == 8 * d.n_crossings and walked == []
+    _bracket_chunk(d, 0, 4)
+    assert walked
 
 
 def _traced_curves(d) -> list[tuple[int, ...]]:
@@ -350,6 +415,42 @@ def test_gray_walk_on_a_crossingless_diagram():
     assert d.n_crossings == 0
     tally = _bracket_chunk(d, 0, 1)
     assert list(tally.items()) == list(bracket_chunk(d, 0, 1).items()) == [((((), 0), 0, 2), 1)]
+
+
+@pytest.mark.parametrize(
+    "d,genus", [(catalog("kishino"), 2), (parse_gauss_code(GENUS_THREE_CODE), 3)], ids=["kishino", "genus-3"]
+)
+def test_packed_field_width_follows_the_coefficients(d, genus, monkeypatch):
+    # every dart's class scaled by 2^40 + 1: the packed sums must still unpack
+    # to the classes, which fields of any fixed width the unscaled classes
+    # fit in would not hold, and the walk must still tally as the
+    # state-by-state oracle does
+    scale = (1 << 40) + 1
+
+    def scaled_surface(d):
+        rep = build_carter_surface(d)
+        h = rep.homology
+        h.dart_vec = [tuple((k, v * scale) for k, v in vec) if vec else vec for vec in h.dart_vec]
+        return rep
+
+    monkeypatch.setattr(analysis, "build_carter_surface", scaled_surface)
+    monkeypatch.setattr(oracle, "build_carter_surface", scaled_surface)
+    rep = scaled_surface(d)
+    tables = StateTables(d)
+    walk = _GrayWalk(tables, _CurveMemo(rep))
+    assert rep.genus == genus and walk.width > 41
+    nonzero = 0
+    for state in range(1 << tables.n):
+        walk.reset(state)
+        for curve, (_, ends) in zip(_state_curves(rep, tables, state), tables.trace(state)):
+            coords = loop_homology(rep, curve).coords
+            assert unpack(walk.class_sum(ends), 2 * rep.genus, walk.width) in (coords, tuple(-x for x in coords))
+            nonzero += any(coords)
+    assert nonzero
+    total = 1 << d.n_crossings
+    for start, stop in sorted({r for p in (1, 2, 3, 7) for r in parallel.split_ranges(total, p)}):
+        got = _bracket_chunk(d, start, stop)
+        assert list(got.items()) == list(bracket_chunk(d, start, stop).items()), (start, stop)
 
 
 @pytest.mark.parametrize("kind,arg", CASES, ids=[f"{k}-{a}" for k, a in CASES])

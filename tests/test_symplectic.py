@@ -1,10 +1,17 @@
 """Integer skew forms, symplectic reduction, and GF(2) rank."""
 
+import importlib.util
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from oracle import check_standard
 from randgen import random_unimodular
 
+from vknot.catalog import catalog, catalog_names, catalog_p_family
+from vknot.diagram import parse_gauss_code
+from vknot.surface import build_carter_surface
 from vknot.symplectic import (
     NotUnimodularError,
     SkewForm,
@@ -124,3 +131,39 @@ def test_failed_postcondition_raises_without_assert(monkeypatch):
     with pytest.raises(ArithmeticError) as err:
         symplectic_reduce(standard_form(2))
     assert not isinstance(err.value, AssertionError)
+
+
+def _random_certify_pool() -> list[str]:
+    """The Gauss codes of the benchmark's random_certify workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv[1] for argv, _ in workloads.all_ops("random_certify")]
+
+
+def test_check_standard_matches_quadruple_sum():
+    import vknot.symplectic as symplectic
+
+    diagrams = [catalog(name) for name in catalog_names()] + [catalog_p_family(n) for n in range(3)]
+    diagrams += [parse_gauss_code(code) for code in _random_certify_pool()]
+    checked = 0
+    for d in diagrams:
+        h = build_carter_surface(d).homology
+        if h.basis is None:
+            continue
+        assert symplectic._check_standard(h.form, h.basis) and check_standard(h.form, h.basis)
+        # change + e_i e_j^T has determinant det(change) + cofactor(i, j), with
+        # cofactor(i, j) = inverse[j][i] * det(change); where that is nonzero
+        # the determinant moves, but every change taking the form to J has
+        # determinant 1 / Pf(form)
+        n = h.form.dim
+        entries = [(i, j) for j in range(n) for i in range(n) if h.basis.inverse[j][i]]
+        for i, j in {entries[0], entries[-1]}:
+            change = [list(row) for row in h.basis.change]
+            change[i][j] += 1
+            broken = replace(h.basis, change=tuple(map(tuple, change)))
+            assert not symplectic._check_standard(h.form, broken)
+            assert not check_standard(h.form, broken)
+        checked += 1
+    assert checked > 90
