@@ -14,13 +14,14 @@ d * (reduced planar bracket).
 The sum runs over ranges of states (`_bracket_chunk`).  A range is
 walked in Gray-code order within aligned power-of-two blocks, so each step
 flips one crossing and re-walks only the curves through it (`_GrayWalk`).
-A curve met for the first time in a range is classified by its homology
-class, summed as one packed int over its smoothing joins; darts are built
-and `loop_homology` runs only once per distinct class up to sign, and for
-each null-homologous curve, which alone also needs the disk test
-(`_CurveMemo`).  Each tally key is emitted in the order of the smallest
-state index that reaches it, so the entries keep the order of a
-state-by-state sum, on which the per-torus witnesses depend.
+A new curve is walked once: one sum of an int per arc end gives both its
+homology class, packed into the high bits, and its join key, in the low
+4n bits.  Darts are built and `loop_homology` runs only once per distinct
+class up to sign, and for each null-homologous curve, which alone also
+needs the disk test (`_CurveMemo`).  Each tally key is emitted in the
+order of the smallest state index that reaches it, so the entries keep
+the order of a state-by-state sum, on which the per-torus witnesses
+depend.
 
 Two sufficient criteria certify that no cancellation curve exists, i.e.
 that the representation genus is the virtual genus and the diagram is
@@ -78,24 +79,23 @@ _NULL_ESSENTIAL = -2
 
 
 class _CurveMemo:
-    """Every distinct state curve met in one walk over states, classified once.
+    """The state curves met in one walk over states, each classified once.
 
-    Curves are keyed by the tracer's join key.  A curve's kind is _DISK,
-    _NULL_ESSENTIAL, or the number of its nonzero class in `classes`
-    (numbered by first appearance), so a state's curve-class key is built
-    from small ints.  `classify` builds a curve's darts and runs
-    `loop_homology` (and, for a zero class, the disk test) on it; the
-    state-by-state tracer calls it for every new curve, the Gray walk only
-    for a null-homologous curve or a class it has not met, and stores the
-    other curves' kinds here itself.  A memo serves one walk and is dropped
-    with it.
+    A curve's kind is _DISK, _NULL_ESSENTIAL, or the number of its nonzero
+    class in `classes` (numbered by first appearance), so a state's
+    curve-class key is built from small ints.  `classify` builds a curve's
+    darts, runs `loop_homology` (and, for a zero class, the disk test) on it
+    and stores it in `curves` under the tracer's join key.  The
+    state-by-state tracer calls it for every curve not in `curves`.  The
+    Gray walk calls it only for a null-homologous curve not in `curves` and
+    for the first curve of each nonzero class up to sign; it keeps the kinds
+    of the other curves itself.  A memo serves one walk and is dropped with
+    it.
     """
 
     def __init__(self, rep: SurfaceRep):
         self.rep = rep
-        # join key -> (darts, kind); no darts for a curve the Gray walk
-        # classified by its packed class sum alone
-        self.curves: dict[int, tuple[tuple[int, ...] | None, int]] = {}
+        self.curves: dict[int, tuple[tuple[int, ...], int]] = {}  # join key -> (darts, kind)
         self.classes: list[HomologyClass] = []
         self._numbers: dict[HomologyClass, int] = {}
 
@@ -127,6 +127,21 @@ class _CurveMemo:
     def class_tuple(self, numbers: Sequence[int]) -> tuple[HomologyClass, ...]:
         """Canonical sorted multiset of the classes with these numbers."""
         return tuple(sorted(self.classes[i] for i in numbers))
+
+    def class_tuples(
+        self, tuples: Iterable[tuple[int, ...]]
+    ) -> dict[tuple[int, ...], tuple[HomologyClass, ...]]:
+        """`class_tuple` of each distinct tuple of class numbers, with the
+        classes ranked by their coordinates once for all of them."""
+        classes = self.classes
+        by_rank = sorted(range(len(classes)), key=lambda i: classes[i].coords)
+        rank = [0] * len(classes)
+        for r, i in enumerate(by_rank):
+            rank[i] = r
+        return {
+            numbers: tuple(classes[by_rank[r]] for r in sorted(rank[i] for i in numbers))
+            for numbers in set(tuples)
+        }
 
 
 def _trace_state(
@@ -218,94 +233,118 @@ class _GrayWalk:
     """The curves of one current state, kept up to date one crossing flip at
     a time.
 
-    `partner` and `bit` hold the current state's joins as in
-    `StateTables.trace`, and `curve_of` maps each arc end to the join key of
-    the curve through it.  The running key is the sorted class numbers, the
-    null-essential count and the disk count of the current curves.  Flipping
-    a crossing drops the one or two curves through it, rewrites its four
-    joins and re-walks from its four arc ends only; every other curve is
-    untouched.  A diagram's arcs all end at crossings, so every curve passes
-    a join and its key is never 0, which marks an end not yet walked.
+    `partner` holds the current state's joins as in `StateTables.trace`.
+    `fused[a]` is one int for the join that an arc arriving at end a takes:
+    the packed class the curve gains there (`_class_steps`), shifted above
+    the 4n join-key bits, plus the join's key bit.  A curve passes each join
+    at most once, so its join key is the sum of its bits and stays below
+    2^(4n), and one sum over a curve's arrival ends gives both its packed
+    class (`total >> shift`) and its join key (`total & key_mask`).
+    `curve_of` maps each arc end to the id of the curve through it, which is
+    the end its walk started at (-1: not walked yet), and `kind_of` maps a
+    curve id to the curve's kind.  The running key is the sorted class
+    numbers, the null-essential count and the disk count of the current
+    curves.  Flipping a crossing drops the one or two curves through it,
+    rewrites its four joins and re-walks from its four arc ends only; every
+    other curve is untouched.
 
-    New curves are looked up in the memo by join key.  On a miss the curve's
-    class is the sum of its joins' packed classes (`_class_steps`, whose
-    joins are checked once, when the walk is built, so no curve is
-    re-checked).  A zero sum goes to the memo's `classify` (darts,
-    `loop_homology` and the disk test).  A nonzero sum is looked up by value
-    in `class_of_sum`, which holds both signs, so `classify` runs once per
-    distinct class up to sign; the class it finds must pack to the sum up to
-    sign, or ArithmeticError is raised.
+    A new curve is walked once.  A nonzero class is looked up by value in
+    `class_of_sum`, which holds both signs.  On a miss the curve is walked
+    again for its ends and the memo's `classify` runs on it (darts,
+    `loop_homology`), so that happens once per distinct class up to sign;
+    the class it finds must pack to the sum up to sign, or ArithmeticError
+    is raised.  A zero class is looked up in the memo by join key, and a
+    miss goes to `classify` as well (darts, `loop_homology` and the disk
+    test).  The joins are checked once, when the walk is built
+    (`_class_steps`), so no curve is re-checked.
     """
 
     def __init__(self, tables: StateTables, memo: _CurveMemo):
-        self.joins, self.join_bits = tables.joins, tables.join_bits
         self.memo = memo
-        n_ends = self.n_ends = 2 * tables.n_arcs
-        self.steps, self.width = _class_steps(memo.rep, tables)
-        self.class_of_sum: dict[int, int] = {}  # packed class sum, either sign -> class number
+        n_ends = 2 * tables.n_arcs
+        steps, self.width = _class_steps(memo.rep, tables)
+        self.shift = shift = 4 * tables.n
+        self.key_mask = (1 << shift) - 1
+        # fused_joins[k][b] = (p, q, r, s, fused[p], fused[q], fused[r], fused[s])
+        # for smoothing b of crossing k, which joins p<->q and r<->s
+        self.fused_joins = [
+            tuple(
+                (p, q, r, s)
+                + tuple(
+                    (steps[a * n_ends + f] << shift) + bit
+                    for a, f, bit in ((p, q, u), (q, p, u), (r, s, v), (s, r, v))
+                )
+                for (p, q, r, s), (u, v) in zip(joins, bits)
+            )
+            for joins, bits in zip(tables.joins, tables.join_bits)
+        ]
+        self.class_of_sum: dict[int, int] = {}  # packed class, either sign -> class number
         self.partner = [0] * n_ends
-        self.bit = [0] * n_ends
-        self.curve_of = [0] * n_ends
+        self.fused = [0] * n_ends
+        self.curve_of = [-1] * n_ends
+        self.kind_of = [0] * n_ends
         self.numbers: list[int] = []
         self.disks = self.null_essential = 0
 
     def reset(self, state: int) -> None:
         """Set every join by `state` and walk all of its curves."""
-        for k in range(len(self.joins)):
-            self._join(k, (state >> k) & 1)
+        partner, fused = self.partner, self.fused
+        for k, smoothings in enumerate(self.fused_joins):
+            p, q, r, s, fp, fq, fr, fs = smoothings[(state >> k) & 1]
+            partner[p], partner[q], partner[r], partner[s] = q, p, s, r
+            fused[p], fused[q], fused[r], fused[s] = fp, fq, fr, fs
         curve_of = self.curve_of
-        curve_of[:] = [0] * len(curve_of)
+        curve_of[:] = [-1] * len(curve_of)
         self.numbers.clear()
         self.disks = self.null_essential = 0
         for end in range(len(curve_of)):
-            if not curve_of[end]:
+            if curve_of[end] < 0:
                 self._add(end)
 
     def flip(self, k: int, b: int) -> None:
         """Switch crossing k to smoothing b (0 = A, 1 = B)."""
-        ends = self.joins[k][0]  # either smoothing's joins list the crossing's four ends
-        curve_of, curves = self.curve_of, self.memo.curves
-        e0, e1, e2, e3 = ends
-        for key in {curve_of[e0], curve_of[e1], curve_of[e2], curve_of[e3]}:
-            kind = curves[key][1]
+        # either smoothing's joins list the crossing's four ends
+        p, q, r, s, fp, fq, fr, fs = self.fused_joins[k][b]
+        curve_of, kind_of = self.curve_of, self.kind_of
+        for curve in {curve_of[p], curve_of[q], curve_of[r], curve_of[s]}:
+            kind = kind_of[curve]
             if kind >= 0:
                 self.numbers.remove(kind)
             elif kind == _DISK:
                 self.disks -= 1
             else:
                 self.null_essential -= 1
-        self._join(k, b)
-        for e in ends:
-            curve_of[e] = 0
-        for e in ends:
-            if not curve_of[e]:
+        partner, fused = self.partner, self.fused
+        partner[p], partner[q], partner[r], partner[s] = q, p, s, r
+        fused[p], fused[q], fused[r], fused[s] = fp, fq, fr, fs
+        curve_of[p] = curve_of[q] = curve_of[r] = curve_of[s] = -1
+        self._add(p)
+        for e in (q, r, s):
+            if curve_of[e] < 0:
                 self._add(e)
-
-    def _join(self, k: int, b: int) -> None:
-        partner, bit = self.partner, self.bit
-        p, q, r, s = self.joins[k][b]
-        partner[p], partner[q] = q, p
-        partner[r], partner[s] = s, r
-        u, v = self.join_bits[k][b]
-        bit[p] = bit[q] = u
-        bit[r] = bit[s] = v
 
     def _add(self, start: int) -> None:
         """Walk the curve through arc end `start` and count it in the key."""
-        partner, bit, curve_of = self.partner, self.bit, self.curve_of
-        ends = []
-        key = 0
+        partner, fused, curve_of = self.partner, self.fused, self.curve_of
+        total = 0
         end = start
         while True:
-            ends.append(end)
-            key |= bit[end ^ 1]
-            end = partner[end ^ 1]
+            curve_of[end] = curve_of[end ^ 1] = start
+            end ^= 1
+            total += fused[end]
+            end = partner[end]
             if end == start:
                 break
-        for end in ends:
-            curve_of[end] = curve_of[end ^ 1] = key
-        entry = self.memo.curves.get(key)
-        kind = entry[1] if entry else self._classify(key, ends)
+        packed = total >> self.shift
+        if packed:
+            kind = self.class_of_sum.get(packed)
+            if kind is None:
+                kind = self._classify(start, total & self.key_mask, packed)
+        else:
+            # a zero class leaves the join key alone in the sum
+            entry = self.memo.curves.get(total)
+            kind = entry[1] if entry else self._classify(start, total, 0)
+        self.kind_of[start] = kind
         if kind >= 0:
             insort(self.numbers, kind)
         elif kind == _DISK:
@@ -313,29 +352,22 @@ class _GrayWalk:
         else:
             self.null_essential += 1
 
-    def class_sum(self, ends: Sequence[int]) -> int:
-        """Packed class of the current state's curve that leaves `ends`."""
-        steps, n_ends, partner = self.steps, self.n_ends, self.partner
-        total = 0
-        for end in ends:
-            arrival = end ^ 1
-            total += steps[arrival * n_ends + partner[arrival]]
-        return total
-
-    def _classify(self, key: int, ends: Sequence[int]) -> int:
-        """Kind of a curve the memo has not met, stored there under `key`."""
+    def _classify(self, start: int, key: int, packed: int) -> int:
+        """Kind of a curve met for the first time, from the memo's `classify`
+        on its ends, walked again from `start`; a nonzero packed class is
+        checked against the class found and stored in `class_of_sum`."""
+        partner = self.partner
+        ends = [start]
+        end = partner[start ^ 1]
+        while end != start:
+            ends.append(end)
+            end = partner[end ^ 1]
         memo = self.memo
-        total = self.class_sum(ends)
-        if not total:
-            return memo.classify(key, ends)[1]
-        kind = self.class_of_sum.get(total)
-        if kind is None:
-            kind = memo.classify(key, ends)[1]
-            if kind < 0 or _pack(enumerate(memo.classes[kind].coords), self.width) not in (total, -total):
+        kind = memo.classify(key, ends)[1]
+        if packed:
+            if kind < 0 or _pack(enumerate(memo.classes[kind].coords), self.width) not in (packed, -packed):
                 raise ArithmeticError("packed class sum disagrees with loop_homology")
-            self.class_of_sum[total] = self.class_of_sum[-total] = kind
-        else:
-            memo.curves[key] = (None, kind)
+            self.class_of_sum[packed] = self.class_of_sum[-packed] = kind
         return kind
 
 
@@ -429,8 +461,9 @@ def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
                     entry[1] = state
         lo += size
     ordered = sorted(tally.items(), key=lambda item: item[1][1])
+    labels = memo.class_tuples(numbers for numbers, _, _, _ in tally)
     return {
-        ((memo.class_tuple(numbers), null_essential), c, disks + rep.free_loops): count
+        ((labels[numbers], null_essential), c, disks + rep.free_loops): count
         for (numbers, null_essential, c, disks), (count, _) in ordered
     }
 

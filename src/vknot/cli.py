@@ -30,17 +30,24 @@ class CliError(Exception):
 def _max_crossings() -> int:
     raw = os.environ.get("VKNOT_MAX_CROSSINGS", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_CROSSINGS
+        value = int(raw) if raw else DEFAULT_MAX_CROSSINGS
     except ValueError:
         raise CliError(f"VKNOT_MAX_CROSSINGS must be an integer, got {raw!r}")
+    if value < 0:
+        raise CliError(f"VKNOT_MAX_CROSSINGS must be at least 0, got {value}")
+    return value
 
 
 def _resolve_diagram(args) -> VirtualLinkDiagram:
     if (args.code is not None) == (args.catalog is not None):
         raise CliError("provide exactly one input: an inline Gauss code or --catalog NAME")
+    if args.n is not None and args.catalog != "p_family":
+        raise CliError("--n applies only to --catalog p_family")
     if args.catalog is not None:
         if args.catalog == "p_family":
             n = args.n if args.n is not None else 0
+            if n < 0:
+                raise CliError(f"--n must be at least 0, got {n}")
             d = catalog_p_family(n)
         else:
             try:

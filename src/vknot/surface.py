@@ -16,9 +16,8 @@ under-in) at a negative one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .diagram import VirtualLinkDiagram, arc_ends
 from .symplectic import SkewForm, SymplecticBasis, symplectic_reduce
@@ -475,9 +474,12 @@ class MapHomology:
 # -- homology classes -----------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class HomologyClass:
-    """An element of H_1 in symplectic coordinates, canonicalized up to sign."""
+class HomologyClass(NamedTuple):
+    """An element of H_1 in symplectic coordinates, canonicalized up to sign.
+
+    A named tuple, so hashing, equality and ordering run in C: classes are
+    dict keys and sorted in the surface bracket's inner loops.
+    """
 
     coords: tuple[int, ...]
 

@@ -165,6 +165,33 @@ def test_tangle_expand_respects_crossing_cap(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["certify", "--catalog", "p_family", "--n", "-1"], "--n must be at least 0, got -1"),
+        (["certify", "--catalog", "kishino", "--n", "2"], "--n applies only to --catalog p_family"),
+        (["bracket", "O1+U1+", "--n", "0"], "--n applies only to --catalog p_family"),
+        (["virtualize-report", "--catalog", "trefoil", "--n", "1"], "--n applies only to --catalog p_family"),
+    ],
+    ids=["negative", "catalog-entry", "inline-code", "report-catalog-entry"],
+)
+def test_family_index_is_refused_unless_it_applies(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["-5", "-1"])
+def test_negative_crossing_cap_is_refused(capsys, monkeypatch, value):
+    monkeypatch.setenv("VKNOT_MAX_CROSSINGS", value)
+    for argv in (["bracket", "--catalog", "unknot"], ["tangle-expand", "B1O1+B3;B2U1+B4"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: VKNOT_MAX_CROSSINGS must be at least 0, got {value}\n")
+    monkeypatch.setenv("VKNOT_MAX_CROSSINGS", "0")
+    assert run(capsys, "bracket", "--catalog", "unknot") == (0, "1\n", "")
+    code, _, err = run(capsys, "bracket", "--catalog", "kink")
+    assert code == 2 and err == "error: 1 crossings exceeds VKNOT_MAX_CROSSINGS=0\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["genus", "--catalog", "kishino", "--parallel", "2"],

@@ -1,0 +1,52 @@
+"""Properties of the surface state sum on generated signed Gauss codes.
+
+The codes are drawn by hypothesis rather than taken from the catalog: 1-7
+crossings, 1-3 components, a random pairing of the passes into crossings,
+random O/U roles and random signs.
+"""
+
+from hypothesis import given, strategies as st
+from oracle import bracket_chunk
+
+from vknot.analysis import _bracket_chunk, surface_bracket
+from vknot.bracket import kauffman_bracket
+from vknot.diagram import parse_gauss_code
+from vknot.laurent import LOOP_VALUE
+from vknot.parallel import split_ranges
+from vknot.surface import build_carter_surface
+
+
+@st.composite
+def gauss_codes(draw) -> str:
+    """A valid signed Gauss code: the 2n shuffled O/U passes cut into 1-3
+    non-empty words."""
+    n = draw(st.integers(1, 7))
+    passes = draw(st.permutations([f"{role}{c}" for c in range(1, n + 1) for role in "OU"]))
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=n, max_size=n))
+    n_words = draw(st.integers(1, min(3, 2 * n)))
+    cuts = draw(st.lists(st.integers(1, 2 * n - 1), min_size=n_words - 1, max_size=n_words - 1, unique=True))
+    bounds = [0, *sorted(cuts), 2 * n]
+    return ";".join(
+        "".join(p + signs[int(p[1:]) - 1] for p in passes[a:b]) for a, b in zip(bounds, bounds[1:])
+    )
+
+
+@given(gauss_codes())
+def test_generated_codes_are_valid(code):
+    d = parse_gauss_code(code)
+    assert 1 <= d.n_crossings <= 7 and 1 <= len(code.split(";")) <= 3
+
+
+@given(gauss_codes())
+def test_gray_walk_tally_matches_state_order_oracle(code):
+    d = parse_gauss_code(code)
+    total = 1 << d.n_crossings
+    for start, stop in sorted({r for p in (1, 2, 3) for r in split_ranges(total, p)}):
+        got = list(_bracket_chunk(d, start, stop).items())
+        assert got == list(bracket_chunk(d, start, stop).items()), (start, stop)
+
+
+@given(gauss_codes())
+def test_collapse_is_d_times_the_planar_bracket(code):
+    d = parse_gauss_code(code)
+    assert surface_bracket(build_carter_surface(d)).collapse() == LOOP_VALUE * kauffman_bracket(d)

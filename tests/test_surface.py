@@ -105,6 +105,16 @@ def test_homology_class_canonical_sign_rule():
     assert HomologyClass.canonical([0, 0, 0, 0]).is_zero()
 
 
+def test_homology_classes_order_and_hash_by_coordinates():
+    coords = [(0, 2, -5, 0), (1, -4, 0, 2), (0, 0, 3, -1), (0, 2, -5, 1), (1, -4, 0, 2)]
+    classes = [HomologyClass(c) for c in coords]
+    assert [c.coords for c in sorted(classes)] == sorted(coords)
+    assert len(set(classes)) == len(set(coords)) == 4
+    assert classes[1] == classes[4] and hash(classes[1]) == hash(classes[4])
+    assert classes[0] != classes[3] and classes[0] < classes[3]
+    assert HomologyClass(coords=(1, 0)) == HomologyClass((1, 0))
+
+
 def test_intersection_number_standard():
     m = HomologyClass((1, 0, 0, 0))
     l = HomologyClass((0, 1, 0, 0))

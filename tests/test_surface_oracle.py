@@ -220,6 +220,24 @@ def test_dart_table_class_matches_edge_coordinates(kind, arg):
 PACKED_CASES = sorted(set(CASES) | set(TABLE_CASES), key=str)
 
 
+def _fused_sum(walk: _GrayWalk, tables: StateTables, ends) -> tuple[int, int]:
+    """(packed class, join key) of the current state's curve that leaves
+    `ends`: the sum of the walk's fused values at the curve's arrival ends,
+    split at bit 4n."""
+    total = sum(walk.fused[end ^ 1] for end in ends)
+    shift = 4 * tables.n
+    return total >> shift, total & ((1 << shift) - 1)
+
+
+def _walked_curve_id(walk: _GrayWalk, ends) -> int:
+    """The one curve id the walk gives every end of a curve, which is one of them."""
+    ids = {walk.curve_of[e] for e in ends} | {walk.curve_of[e ^ 1] for e in ends}
+    assert len(ids) == 1
+    (curve,) = ids
+    assert curve in ends or curve ^ 1 in ends
+    return curve
+
+
 @pytest.mark.parametrize("kind,arg", PACKED_CASES, ids=[f"{k}-{a}" for k, a in PACKED_CASES])
 def test_packed_class_sum_unpacks_to_edge_coordinates(kind, arg):
     d = _diagram(kind, arg)
@@ -230,10 +248,14 @@ def test_packed_class_sum_unpacks_to_edge_coordinates(kind, arg):
     classes: dict[int, tuple[int, ...]] = {}
     for state in range(1 << tables.n):
         walk.reset(state)
-        for curve, (key, ends) in zip(_state_curves(rep, tables, state), tables.trace(state)):
+        traced = tables.trace(state)
+        assert len({_walked_curve_id(walk, ends) for _, ends in traced}) == len(traced)
+        for curve, (key, ends) in zip(_state_curves(rep, tables, state), traced):
             if key not in classes:
                 classes[key] = _oracle_class(rep, curve).coords
-            coords = unpack(walk.class_sum(ends), dim, walk.width)
+            packed, join_key = _fused_sum(walk, tables, ends)
+            assert join_key == key, (state, ends)
+            coords = unpack(packed, dim, walk.width)
             assert coords in (classes[key], tuple(-x for x in classes[key])), (state, ends)
 
 
@@ -442,9 +464,11 @@ def test_packed_field_width_follows_the_coefficients(d, genus, monkeypatch):
     nonzero = 0
     for state in range(1 << tables.n):
         walk.reset(state)
-        for curve, (_, ends) in zip(_state_curves(rep, tables, state), tables.trace(state)):
+        for curve, (key, ends) in zip(_state_curves(rep, tables, state), tables.trace(state)):
             coords = loop_homology(rep, curve).coords
-            assert unpack(walk.class_sum(ends), 2 * rep.genus, walk.width) in (coords, tuple(-x for x in coords))
+            packed, join_key = _fused_sum(walk, tables, ends)
+            assert join_key == key
+            assert unpack(packed, 2 * rep.genus, walk.width) in (coords, tuple(-x for x in coords))
             nonzero += any(coords)
     assert nonzero
     total = 1 << d.n_crossings
