@@ -20,6 +20,18 @@ width 4 and at most 2 keys at every n, and random 1- and 2-component
 Gauss codes of 16, 20, 24 and 28 crossings reach widths of at most 10,
 12, 14 and 16 and at most 75, 428, 2404 and 8087 keys (8 codes each).
 
+A key is the tuple of partner positions of the open ends.  Its counts are
+packed into one int: the number of partial states with b B-smoothings and
+l closed loops sits in field l * (n + 1) + b, W bits wide, with W = n + 1
+rounded up to whole bytes.  A field never holds more than C(n, b) < 2^n
+states, so fields never carry into each other.  A smoothing that closes l
+loops is then one left shift, by (l * (n + 1) + [B]) * W bits, merging two
+keys is one addition, and the fields are read once at the end, from the
+int's bytes (Kronecker substitution).  A step lays the open ends and the
+crossing's four ends out as slots once, so each key only copies its
+partner slots, sets the four joins, closes the arcs and reads the new key
+off the surviving slots.
+
 See Makowsky and Marino, The parametrized complexity of knot polynomials,
 JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
 16 (2007), for the same idea.
@@ -35,31 +47,36 @@ if TYPE_CHECKING:
 #: Pairs of boundary ends -> {(c, closed loops): number of states}.
 FrontierSum = dict[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]
 
+#: Greater than any growth (at most 4), so an added crossing is never the minimum.
+_PLACED = 5
+
 
 def greedy_order(tables: StateTables) -> list[int]:
     """Crossing indices in the order that adds, at each step, the crossing
-    leaving the fewest open arc ends (ties: the lowest index); O(n^2)."""
+    leaving the fewest open arc ends (ties: the lowest index).
+
+    Each remaining crossing's growth, the change in the number of open ends
+    its addition makes, is kept in a list; adding a crossing changes only
+    the growth of the crossings at the far ends of its four arcs.
+    """
     where = {x: k for k, (ends, _) in enumerate(tables.joins) for x in ends}
-    placed = set(tables.boundary)
-
-    def growth(k: int) -> int:
-        # +1 for an end whose arc leads to a crossing not yet added, -1 for
-        # one that closes an arc to an added one, 0 for a kink arc
-        g = 0
-        for x in tables.joins[k][0]:
-            if x ^ 1 in placed:
-                g -= 1
-            elif where.get(x ^ 1) != k:
-                g += 1
-        return g
-
-    left = list(range(tables.n))
+    boundary = set(tables.boundary)
+    # +1 for an end whose arc leads to a crossing not yet added, -1 for one
+    # that closes an arc to an added one (or to a boundary end), 0 for a kink
+    growth = [
+        sum(-1 if x ^ 1 in boundary else int(where[x ^ 1] != k) for x in ends)
+        for k, (ends, _) in enumerate(tables.joins)
+    ]
     order = []
-    while left:
-        k = min(left, key=lambda k: (growth(k), k))
-        left.remove(k)
+    for _ in range(tables.n):
+        k = growth.index(min(growth))
         order.append(k)
-        placed.update(tables.joins[k][0])
+        growth[k] = _PLACED
+        for x in tables.joins[k][0]:
+            j = where.get(x ^ 1)
+            if j is not None and growth[j] != _PLACED:
+                # the far end of x's arc now closes an arc instead of opening one
+                growth[j] -= 2
     return order
 
 
@@ -68,10 +85,18 @@ def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> Fronti
 
     The result maps the pairing of the boundary ends (empty for a diagram)
     to the number of states with each (c, closed loops).  Every order gives
-    the same result.
+    the same result; an `order` that is not a permutation of the crossing
+    indices raises ValueError.
     """
+    n = tables.n
     if order is None:
         order = greedy_order(tables)
+    elif sorted(order) != list(range(n)):
+        raise ValueError(f"crossing order {list(order)} is not a permutation of range({n})")
+    # field l * (n + 1) + b of a packed count, `width` bits wide, holds the
+    # partial states with b B-smoothings and l closed loops
+    width = 8 * ((n + 8) // 8)
+    loop_shift = (n + 1) * width
     boundary = tables.boundary
     placed = set(boundary)
     # each boundary end b starts as a path from its terminal ~b, and a
@@ -85,40 +110,75 @@ def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> Fronti
         else:
             ends.append(b)
             partner[~b], partner[b] = b, ~b
-    frontier = {tuple(ends.index(partner[e]) for e in ends): {(0, 0): 1}}
+    frontier = {tuple(ends.index(partner[e]) for e in ends): 1}
     for k in order:
-        a_joins, b_joins = tables.joins[k]
+        a_joins = tables.joins[k][0]
         placed.update(a_joins)
+        # slots: the open ends in order, then the crossing's ends (r0, r3,
+        # r1, r2); A joins r0-r3 and r1-r2, B joins r0-r1 and r2-r3
+        m = len(ends)
+        slot = {e: i for i, e in enumerate(ends)}
+        slot.update((x, m + i) for i, x in enumerate(a_joins))
         # arcs from this crossing back to an added one, a kink arc once
-        closes = [(x, x ^ 1) for x in a_joins if x ^ 1 in placed and (x ^ 1 not in a_joins or x & 1)]
+        closes = [
+            (m + i, slot[x ^ 1])
+            for i, x in enumerate(a_joins)
+            if x ^ 1 in placed and (x ^ 1 not in a_joins or x & 1)
+        ]
         after = [e for e in ends if e < 0 or e ^ 1 not in placed] + [x for x in a_joins if x ^ 1 not in placed]
-        frontier = _step(frontier, ends, after, ((a_joins, 1), (b_joins, -1)), closes)
+        survivors = [slot[e] for e in after]
+        position = [0] * (m + 4)
+        for j, s in enumerate(survivors):
+            position[s] = j
+        frontier = _step(
+            frontier,
+            (((m + 1, m, m + 3, m + 2), 0), ((m + 2, m + 3, m, m + 1), width)),
+            closes,
+            survivors,
+            position,
+            loop_shift,
+        )
         ends = after
     return {
-        tuple(sorted((~a, ~ends[i]) for a, i in zip(ends, key) if a > ends[i])): tally
-        for key, tally in frontier.items()
+        tuple(sorted((~a, ~ends[i]) for a, i in zip(ends, key) if a > ends[i])): _unpack(packed, n, width)
+        for key, packed in frontier.items()
     }
 
 
-def _step(frontier, before, after, smoothings, closes):
-    """One crossing added to every key, under each of its smoothings."""
-    pos = {e: i for i, e in enumerate(after)}
-    out: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for key, tally in frontier.items():
-        for (p, q, r, s), dc in smoothings:
-            partner = {e: before[i] for e, i in zip(before, key)}
-            partner[p], partner[q], partner[r], partner[s] = q, p, s, r
-            loops = 0
+def _step(frontier, smoothings, closes, survivors, position, loop_shift):
+    """One crossing added to every key, under each of its smoothings.
+
+    `smoothings` holds, per smoothing, the partners of the crossing's four
+    slots and the shift it adds (W for B); `closes` the (crossing slot,
+    other slot) of each arc it closes; `survivors` the slots left open, in
+    their new order, and `position` each slot's new position.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for key, packed in frontier.items():
+        for joined, shift in smoothings:
+            partner = [*key, *joined]
             for x, y in closes:
-                u = partner.pop(x)
-                v = partner.pop(y)
+                u = partner[x]
                 if u == y:
-                    loops += 1
+                    shift += loop_shift
                 else:
+                    v = partner[y]
                     partner[u] = v
                     partner[v] = u
-            slot = out.setdefault(tuple(pos[partner[e]] for e in after), {})
-            for (c, k), count in tally.items():
-                t = (c + dc, k + loops)
-                slot[t] = slot.get(t, 0) + count
+            new = tuple([position[partner[s]] for s in survivors])
+            out[new] = out.get(new, 0) + (packed << shift)
     return out
+
+
+def _unpack(packed: int, n: int, width: int) -> dict[tuple[int, int], int]:
+    """{(c, closed loops): count} from the nonzero `width`-bit fields of a
+    packed count, read in one pass over its bytes."""
+    step = width // 8
+    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    tally = {}
+    for f, i in enumerate(range(0, len(data), step)):
+        count = int.from_bytes(data[i : i + step], "little")
+        if count:
+            loops, b = divmod(f, n + 1)
+            tally[n - 2 * b, loops] = count
+    return tally

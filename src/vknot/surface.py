@@ -238,16 +238,12 @@ class RefinedMap:
         n_darts = base + 8 * len(crossings)
         sigma = list(range(n_darts))
         alpha = [d ^ 1 if d < base else 0 for d in range(n_darts)]
-        # position of each original dart within its crossing rotation
-        self.position_of: dict[int, tuple[int, int]] = {}
         # (arrival end, departure end) of each smoothing join -> the side dart
         # a state loop takes between them: 8 per crossing
         self.join_side: dict[tuple[int, int], int] = {}
         for cid in crossings:
             ci = self.crossing_index[cid]
             cyc = rep.crossing_rotation[cid]
-            for k in range(4):
-                self.position_of[cyc[k]] = (ci, k)
             for k in range(4):
                 u = base + 8 * ci + 2 * k  # at corner k, toward corner k+1
                 w = u + 1                  # at corner k+1, toward corner k
@@ -266,14 +262,6 @@ class RefinedMap:
         self.map = CombinatorialMap(sigma, alpha)
         if self.map.genus() != rep.genus:
             raise AssertionError("refinement changed the surface genus")
-
-    def side_dart(self, ci: int, k_from: int, k_to: int) -> int:
-        """The side-edge dart leaving corner k_from toward adjacent corner k_to."""
-        if k_to == (k_from + 1) % 4:
-            return self.base + 8 * ci + 2 * k_from
-        if k_to == (k_from - 1) % 4:
-            return self.base + 8 * ci + 2 * k_to + 1
-        raise LoopNotOnSurface(f"corners {k_from} and {k_to} are not adjacent")
 
 
 # -- homology of a combinatorial map -------------------------------------

@@ -11,6 +11,8 @@ from vknot.surface import (
     LoopNotEmbedded,
     LoopNotOnSurface,
     MapHomology,
+    RefinedMap,
+    SurfaceRep,
     build_carter_surface,
 )
 from vknot.symplectic import SkewForm, SymplecticBasis, standard_form
@@ -179,3 +181,48 @@ def unpack(total: int, dim: int, width: int) -> tuple[int, ...]:
     if total:
         raise ValueError("packed sum has bits beyond its last field")
     return tuple(coords)
+
+
+def greedy_order(tables: StateTables) -> list[int]:
+    """The crossing that leaves the fewest open arc ends next (ties: the
+    lowest index), every growth recomputed at every step, O(n^2) (the
+    reference for the incremental `frontier.greedy_order`)."""
+    where = {x: k for k, (ends, _) in enumerate(tables.joins) for x in ends}
+    placed = set(tables.boundary)
+
+    def growth(k: int) -> int:
+        # +1 for an end whose arc leads to a crossing not yet added, -1 for
+        # one that closes an arc to an added one, 0 for a kink arc
+        g = 0
+        for x in tables.joins[k][0]:
+            if x ^ 1 in placed:
+                g -= 1
+            elif where.get(x ^ 1) != k:
+                g += 1
+        return g
+
+    left = list(range(tables.n))
+    order = []
+    while left:
+        k = min(left, key=lambda k: (growth(k), k))
+        left.remove(k)
+        order.append(k)
+        placed.update(tables.joins[k][0])
+    return order
+
+
+def position_of(rep: SurfaceRep) -> dict[int, tuple[int, int]]:
+    """(crossing index, corner) of each original dart in its crossing's
+    counterclockwise rotation."""
+    index = rep.refined.crossing_index
+    return {d: (index[cid], k) for cid, cyc in rep.crossing_rotation.items() for k, d in enumerate(cyc)}
+
+
+def side_dart(refined: RefinedMap, ci: int, k_from: int, k_to: int) -> int:
+    """The refined map's side-edge dart leaving corner k_from of crossing ci
+    toward the adjacent corner k_to (the reference for `RefinedMap.join_side`)."""
+    if k_to == (k_from + 1) % 4:
+        return refined.base + 8 * ci + 2 * k_from
+    if k_to == (k_from - 1) % 4:
+        return refined.base + 8 * ci + 2 * k_to + 1
+    raise LoopNotOnSurface(f"corners {k_from} and {k_to} are not adjacent")

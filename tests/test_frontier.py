@@ -8,7 +8,9 @@ must be equal, and they must not depend on the order of the crossings.
 
 import random
 import time
+from math import comb
 
+import oracle
 import pytest
 from randgen import random_gauss_code, random_tangle
 
@@ -62,6 +64,7 @@ def test_frontier_equals_state_sum_and_recursion(d):
 
 def _assert_order_independent(tables: StateTables, seed: int) -> None:
     greedy = greedy_order(tables)
+    assert greedy == oracle.greedy_order(tables)
     assert sorted(greedy) == list(range(tables.n))
     result = state_sum(tables, greedy)
     for name, order in _orders(tables.n, seed).items():
@@ -71,6 +74,30 @@ def _assert_order_independent(tables: StateTables, seed: int) -> None:
 @pytest.mark.parametrize("d", [d for _, d in DIAGRAMS], ids=[name for name, _ in DIAGRAMS])
 def test_tallies_identical_under_every_order(d):
     _assert_order_independent(StateTables(d), d.n_crossings)
+
+
+@pytest.mark.parametrize("order", [[0, 1], [0, 0, 1, 2]])
+def test_an_order_that_is_not_a_permutation_is_refused(order):
+    tables = StateTables(catalog("trefoil"))
+    with pytest.raises(ValueError, match="not a permutation"):
+        state_sum(tables, order)
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_kink_chain_fills_the_widest_fields(sign):
+    """An m-kink unknot has C(m, b) states with b B-smoothings, all with the
+    same loop count, so each packed field holds the most any field can;
+    its bracket is (-A^(+-3))^m."""
+    kink = LaurentPoly.monomial(3 if sign == "+" else -3, -1)
+    for m in range(61):
+        d = parse_gauss_code("".join(f"O{i}{sign}U{i}{sign}" for i in range(1, m + 1)) or "U")
+        # the smoothing that splits off a loop: A at a positive kink, B at a negative one
+        assert planar_tally(d) == {
+            (None, m - 2 * b, m - b if sign == "+" else b): comb(m, b) for b in range(m + 1)
+        }, m
+        assert kauffman_bracket(d) == kink**m, m
+        if m <= 10:
+            assert kauffman_bracket(d) == bracket_by_recursion(d), m
 
 
 def _tally_by_states(t: Tangle) -> Tally:

@@ -1,4 +1,4 @@
-"""Properties of the surface state sum on generated signed Gauss codes.
+"""Properties of the state sums on generated signed Gauss codes.
 
 The codes are drawn by hypothesis rather than taken from the catalog: 1-7
 crossings, 1-3 components, a random pairing of the passes into crossings,
@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 from oracle import bracket_chunk
 
 from vknot.analysis import _bracket_chunk, surface_bracket
-from vknot.bracket import kauffman_bracket
+from vknot.bracket import StateTables, bracket_partial, kauffman_bracket, planar_tally
 from vknot.diagram import parse_gauss_code
+from vknot.frontier import greedy_order, state_sum
 from vknot.laurent import LOOP_VALUE
 from vknot.parallel import split_ranges
 from vknot.surface import build_carter_surface
@@ -50,3 +51,13 @@ def test_gray_walk_tally_matches_state_order_oracle(code):
 def test_collapse_is_d_times_the_planar_bracket(code):
     d = parse_gauss_code(code)
     assert surface_bracket(build_carter_surface(d)).collapse() == LOOP_VALUE * kauffman_bracket(d)
+
+
+@given(gauss_codes(), st.data())
+def test_frontier_sum_is_independent_of_the_crossing_order(code, data):
+    d = parse_gauss_code(code)
+    tables = StateTables(d)
+    result = state_sum(tables, greedy_order(tables))
+    assert state_sum(tables, list(reversed(range(tables.n)))) == result
+    assert state_sum(tables, data.draw(st.permutations(range(tables.n)))) == result
+    assert planar_tally(d) == bracket_partial(d, 0, 1 << d.n_crossings)

@@ -14,7 +14,7 @@ import random
 
 import pytest
 import oracle
-from oracle import bracket_chunk, cut_map, cycle_coords, unpack
+from oracle import bracket_chunk, cut_map, cycle_coords, position_of, side_dart, unpack
 from randgen import GENUS_THREE_CODE, random_gauss_code
 from test_parallel import _RecordingPool
 
@@ -57,6 +57,7 @@ def _state_curves(rep, tables: StateTables, state: int) -> list[tuple[int, ...]]
         p, q, r, s = tables.joins[k][(state >> k) & 1]
         partner.update({p: q, q: p, r: s, s: r})
     refined = rep.refined
+    position = position_of(rep)
     seen: set[int] = set()
     curves = []
     for start in range(0, 2 * tables.n_arcs, 2):
@@ -67,10 +68,10 @@ def _state_curves(rep, tables: StateTables, state: int) -> list[tuple[int, ...]]
         while end not in seen:
             seen.update((end, end ^ 1))
             nxt = partner[end ^ 1]
-            ci, k_in = refined.position_of[end ^ 1]
-            cj, k_out = refined.position_of[nxt]
+            ci, k_in = position[end ^ 1]
+            cj, k_out = position[nxt]
             assert ci == cj
-            darts += [end, refined.side_dart(ci, k_in, k_out)]
+            darts += [end, side_dart(refined, ci, k_in, k_out)]
             end = nxt
         curves.append(tuple(darts))
     return curves
