@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import json
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bracket import StateTables, Tally, d_power, expand_tallies
 from .diagram import VirtualLinkDiagram, format_gauss_code
@@ -54,8 +54,7 @@ from .symplectic import mod2_rank
 CurveClassKey = tuple[tuple[HomologyClass, ...], int]
 
 
-@dataclass(frozen=True)
-class SurfaceState:
+class SurfaceState(NamedTuple):
     """One smoothing of every crossing, traced on the surface."""
 
     index: int
@@ -185,8 +184,7 @@ def enumerate_surface_states(rep: SurfaceRep) -> list[SurfaceState]:
     return [_classify_state(memo, tables, s) for s in range(1 << tables.n)]
 
 
-@dataclass(frozen=True)
-class SurfaceBracket:
+class SurfaceBracket(NamedTuple):
     """Curve-class-keyed coefficients of the un-reduced surface bracket."""
 
     entries: dict[CurveClassKey, LaurentPoly]
@@ -477,12 +475,11 @@ def surface_bracket(rep: SurfaceRep, parallel: int = 1) -> SurfaceBracket:
 # -- criteria -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     satisfied: bool
     witnesses: tuple = ()
-    detail: dict = field(default_factory=dict)
+    detail: Mapping = MappingProxyType({})  # read-only, so the shared default stays empty
 
     def to_json(self) -> dict:
         return {
@@ -540,8 +537,7 @@ def mod2_span_criterion(sb: SurfaceBracket, genus: int) -> CriterionResult:
 # -- certificates ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Verdict that a diagram is non-classical and non-trivial, or Inconclusive.
 
     NonClassical(g) certifies that the genus-g representation admits no

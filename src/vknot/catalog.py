@@ -9,13 +9,12 @@ crossing, a complementary tangle) where an analysis routine consumes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import VirtualLinkDiagram, parse_gauss_code
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     code: str
     description: str

@@ -16,10 +16,9 @@ and must agree.  The tangle grammar (`vknot.tangle`) adds boundary tokens
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 OVER = "O"
 UNDER = "U"
@@ -44,8 +43,7 @@ class UnknownCrossingError(KeyError):
     """Crossing id not present in the diagram."""
 
 
-@dataclass(frozen=True)
-class Pass:
+class Pass(NamedTuple):
     """One visit of a strand to a classical crossing."""
 
     crossing: int

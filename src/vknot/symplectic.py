@@ -8,9 +8,7 @@ class this package publishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Matrix = list[list[int]]
 
@@ -20,33 +18,33 @@ class NotUnimodularError(ArithmeticError):
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free Gaussian elimination)."""
+    """Exact determinant of an integer matrix (fraction-free Gaussian elimination).
+
+    Bareiss elimination: after step k every entry of the trailing block is a
+    (k+1)-minor of m, so each division by the previous pivot is exact and
+    every value stays an int.  A zero pivot is replaced by swapping in a
+    lower row, which negates the determinant.
+    """
     n = len(m)
-    if n == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] / inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    if det.denominator != 1:
-        raise ArithmeticError("integer matrix gave a fractional determinant")
-    return int(det)
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for c in range(k + 1, n):
+                row[c] = (pivot * row[c] - lead * row_k[c]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
 
 
-@dataclass(frozen=True)
-class SkewForm:
+class SkewForm(NamedTuple):
     """A skew-symmetric integer bilinear form of even dimension."""
 
     dim: int
@@ -88,8 +86,7 @@ def standard_form(genus: int) -> SkewForm:
     return SkewForm.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class SymplecticBasis:
+class SymplecticBasis(NamedTuple):
     """A unimodular change of basis bringing a skew form to standard J.
 
     `change` has the new basis vectors as columns: change^T . form . change = J.

@@ -17,8 +17,7 @@ unreachable from text input; it guards programmatic constructors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bracket import StateTables, Tally, d_power, expand_tallies, kauffman_bracket
 from .diagram import (
@@ -83,8 +82,7 @@ def noncrossing_matchings(n_points: int) -> list[Matching]:
     return out
 
 
-@dataclass(frozen=True)
-class Strand:
+class Strand(NamedTuple):
     """Open strand from boundary `start` to boundary `end` (or a closed loop)."""
 
     start: int | None
@@ -189,8 +187,7 @@ def format_tangle(t: Tangle) -> str:
 # -- expansion ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TangleExpansion:
+class TangleExpansion(NamedTuple):
     """Mapping from boundary matchings to Laurent coefficients."""
 
     n_boundary: int
@@ -373,8 +370,7 @@ def zerocor_check(bK: LaurentPoly, bKs: LaurentPoly) -> str:
 # -- virtualization reports ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VirtualizationReport:
+class VirtualizationReport(NamedTuple):
     diagram: str
     crossing: int
     alpha: LaurentPoly | None  # None when the complementary tangle is virtual
@@ -442,8 +438,7 @@ def virtualization_report(K: VirtualLinkDiagram, v: int, run_certify: bool = Tru
     )
 
 
-@dataclass(frozen=True)
-class DoubleVirtualizationReport:
+class DoubleVirtualizationReport(NamedTuple):
     diagram: str
     crossings: tuple[int, int]
     four_states: dict[str, str]          # "AA".."BB" -> Gauss code of the smoothing

@@ -1,6 +1,7 @@
 """Reference computations that production code no longer runs, kept as
 oracles for the fast paths."""
 
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from vknot.analysis import _CurveMemo, _trace_state
@@ -151,6 +152,30 @@ def bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
         ((memo.class_tuple(numbers), null_essential), c, disks + rep.free_loops): count
         for (numbers, null_essential, c, disks), count in tally.items()
     }
+
+
+def det_fraction(m: Sequence[Sequence[int]]) -> int:
+    """Determinant by Gaussian elimination over the rationals (the reference
+    for `symplectic.det_int`)."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] / a[col][col]
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    if det.denominator != 1:
+        raise ArithmeticError("integer matrix gave a fractional determinant")
+    return int(det)
 
 
 def check_standard(form: SkewForm, basis: SymplecticBasis) -> bool:

@@ -8,13 +8,13 @@ random O/U roles and random signs.
 from hypothesis import given, strategies as st
 from oracle import bracket_chunk
 
-from vknot.analysis import _bracket_chunk, surface_bracket
-from vknot.bracket import StateTables, bracket_partial, kauffman_bracket, planar_tally
-from vknot.diagram import parse_gauss_code
+from vknot.analysis import _bracket_chunk, certify, surface_bracket
+from vknot.bracket import StateTables, bracket_partial, f_polynomial, kauffman_bracket, planar_tally
+from vknot.diagram import VirtualLinkDiagram, mirror, parse_gauss_code
 from vknot.frontier import greedy_order, state_sum
 from vknot.laurent import LOOP_VALUE
 from vknot.parallel import split_ranges
-from vknot.surface import build_carter_surface
+from vknot.surface import build_carter_surface, genus
 
 
 @st.composite
@@ -61,3 +61,22 @@ def test_frontier_sum_is_independent_of_the_crossing_order(code, data):
     assert state_sum(tables, list(reversed(range(tables.n)))) == result
     assert state_sum(tables, data.draw(st.permutations(range(tables.n)))) == result
     assert planar_tally(d) == bracket_partial(d, 0, 1 << d.n_crossings)
+
+
+@given(gauss_codes())
+def test_mirror_inverts_the_f_polynomial_and_keeps_the_genus(code):
+    d = parse_gauss_code(code)
+    m = mirror(d)
+    assert f_polynomial(m) == f_polynomial(d).substitute_inverse()
+    assert genus(m) == genus(d)
+
+
+@given(gauss_codes(), st.data())
+def test_relabelling_crossings_keeps_the_verdict_and_genus(code, data):
+    d = parse_gauss_code(code)
+    ids = d.crossing_ids
+    relabel = dict(zip(ids, data.draw(st.permutations(ids))))
+    comps = tuple(tuple(p._replace(crossing=relabel[p.crossing]) for p in comp) for comp in d.components)
+    r = VirtualLinkDiagram(comps, {relabel[c]: s for c, s in d.signs.items()}, d.free_loops)
+    assert genus(r) == genus(d)
+    assert str(certify(r)) == str(certify(d))

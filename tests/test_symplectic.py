@@ -2,11 +2,10 @@
 
 import importlib.util
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from oracle import check_standard
+from oracle import check_standard, det_fraction
 from randgen import random_unimodular
 
 from vknot.catalog import catalog, catalog_names, catalog_p_family
@@ -35,6 +34,34 @@ def test_det_int_matches_permanent_free_identity():
         m = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
         t = [[m[j][i] for j in range(n)] for i in range(n)]
         assert det_int(m) == det_int(t)
+
+
+def test_det_int_matches_fraction_elimination():
+    rng = random.Random(12)
+    checked = {"singular": 0, "zero_lead": 0}
+    for n in range(9):
+        for trial in range(40):
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if n and trial % 4 == 1:  # a row copied onto another, or a zero 1x1: singular
+                if n == 1:
+                    m = [[0]]
+                else:
+                    i, j = rng.sample(range(n), 2)
+                    sign = rng.choice((1, -1))
+                    m[j] = [sign * x for x in m[i]]
+            if n > 1 and trial % 4 == 2:  # the first pivot is zero
+                m[0][0] = 0
+            det = det_fraction(m)
+            assert det_int(m) == det
+            checked["singular"] += det == 0
+            checked["zero_lead"] += bool(n) and m[0][0] == 0
+    assert checked["singular"] >= 50 and checked["zero_lead"] >= 50
+    for name in catalog_names():
+        form = build_carter_surface(catalog(name)).homology.form
+        assert det_int(form.entries) == det_fraction(form.entries)
+    for n in range(4):
+        form = build_carter_surface(catalog_p_family(n)).homology.form
+        assert det_int(form.entries) == det_fraction(form.entries) in (1, -1)
 
 
 def test_standard_form():
@@ -162,7 +189,7 @@ def test_check_standard_matches_quadruple_sum():
         for i, j in {entries[0], entries[-1]}:
             change = [list(row) for row in h.basis.change]
             change[i][j] += 1
-            broken = replace(h.basis, change=tuple(map(tuple, change)))
+            broken = h.basis._replace(change=tuple(map(tuple, change)))
             assert not symplectic._check_standard(h.form, broken)
             assert not check_standard(h.form, broken)
         checked += 1
