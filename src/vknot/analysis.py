@@ -18,10 +18,11 @@ A new curve is walked once: one sum of an int per arc end gives both its
 homology class, packed into the high bits, and its join key, in the low
 4n bits.  Darts are built and `loop_homology` runs only once per distinct
 class up to sign, and for each null-homologous curve, which alone also
-needs the disk test (`_CurveMemo`).  Each tally key is emitted in the
-order of the smallest state index that reaches it, so the entries keep
-the order of a state-by-state sum, on which the per-torus witnesses
-depend.
+needs the disk test (`_CurveMemo`).  A range's counts (a
+`frontier.StateSum` keyed by curve-class key) list each key in the order
+of the smallest state index that reaches it, and `surface_bracket` merges
+the ranges in range order, so the entries keep the order of a
+state-by-state sum, on which the per-torus witnesses depend.
 
 Two sufficient criteria certify that no cancellation curve exists, i.e.
 that the representation genus is the virtual genus and the diagram is
@@ -36,8 +37,9 @@ from bisect import insort
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .bracket import StateTables, Tally, d_power, expand_tallies
+from .bracket import StateTables, d_power, expand
 from .diagram import VirtualLinkDiagram, format_gauss_code
+from .frontier import StateSum
 from .laurent import LaurentPoly
 from .parallel import map_state_ranges
 from .surface import (
@@ -415,28 +417,29 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[list[int], int]:
     return steps, width
 
 
-def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
-    """Tally of the surface state sum over [start, stop), labelled by curve-class key.
+def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> StateSum:
+    """The surface state sum over [start, stop): curve-class key -> {(c,
+    disk count): number of states}.
 
     The range is covered by aligned blocks [lo, lo + 2^m), its binary
     decomposition.  Each block starts from a full walk of state lo and then
     visits lo ^ gray(j) for j = 1 .. 2^m - 1, where gray(j) = j ^ (j >> 1):
     consecutive states differ in the one crossing t = (j & -j).bit_length() - 1,
     so `_GrayWalk.flip` re-walks only the curves through t.  One memo serves
-    the whole range.  Each tally key keeps the smallest state index that
-    reaches it, and the tally is emitted in that order: the order of first
-    appearance in state-index order, which `expand_tallies` keeps and the
-    per-torus witnesses depend on.
+    the whole range.  Each (key, c, disk count) keeps the smallest state
+    index that reaches it, and the counts are emitted in that order: the
+    order of first appearance in state-index order, which `surface_bracket`
+    keeps and the per-torus witnesses depend on.
     """
     rep = build_carter_surface(d)
     tables = StateTables(d)
     memo = _CurveMemo(rep)
     walk = _GrayWalk(tables, memo)
     n = tables.n
-    # class numbers are local to this range's memo, so states are tallied by
-    # them and the tally is relabelled with class tuples before it leaves;
-    # each value is [count, smallest state index]
-    tally: dict[tuple[tuple[int, ...], int, int, int], list[int]] = {}
+    # class numbers are local to this range's memo, so states are counted by
+    # them and relabelled with class tuples before the counts leave; each
+    # value is [count, smallest state index]
+    seen: dict[tuple[tuple[int, ...], int, int, int], list[int]] = {}
     lo = start
     while lo < stop:
         size = lo & -lo if lo else 1 << (stop.bit_length() - 1)
@@ -450,26 +453,34 @@ def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
             else:
                 walk.reset(state)
             t = (tuple(walk.numbers), walk.null_essential, n - 2 * state.bit_count(), walk.disks)
-            entry = tally.get(t)
+            entry = seen.get(t)
             if entry is None:
-                tally[t] = [1, state]
+                seen[t] = [1, state]
             else:
                 entry[0] += 1
                 if state < entry[1]:
                     entry[1] = state
         lo += size
-    ordered = sorted(tally.items(), key=lambda item: item[1][1])
-    labels = memo.class_tuples(numbers for numbers, _, _, _ in tally)
-    return {
-        ((labels[numbers], null_essential), c, disks + rep.free_loops): count
-        for (numbers, null_essential, c, disks), (count, _) in ordered
-    }
+    labels = memo.class_tuples(numbers for numbers, _, _, _ in seen)
+    counts: StateSum = {}
+    for (numbers, null_essential, c, disks), (count, _) in sorted(seen.items(), key=lambda item: item[1][1]):
+        counts.setdefault((labels[numbers], null_essential), {})[c, disks + rep.free_loops] = count
+    return counts
 
 
-def surface_bracket(rep: SurfaceRep, parallel: int = 1) -> SurfaceBracket:
-    """Group all states by curve-class key and sum coefficients."""
-    tallies = map_state_ranges(_bracket_chunk, rep.diagram, 1 << rep.diagram.n_crossings, parallel)
-    return SurfaceBracket(entries=expand_tallies(tallies), genus=rep.genus)
+def surface_bracket(rep: SurfaceRep) -> SurfaceBracket:
+    """Group all states by curve-class key and sum coefficients.
+
+    The later ranges' counts merge into the first label by label, in range
+    order, so each key keeps its first state's place."""
+    merged, *rest = map_state_ranges(_bracket_chunk, rep.diagram, 1 << rep.diagram.n_crossings)
+    for counts in rest:
+        for label, part in counts.items():
+            slot = merged.setdefault(label, {})
+            for key, n in part.items():
+                slot[key] = slot.get(key, 0) + n
+    entries = {label: p for label, counts in merged.items() if not (p := expand(counts)).is_zero()}
+    return SurfaceBracket(entries=entries, genus=rep.genus)
 
 
 # -- criteria -------------------------------------------------------------
@@ -570,13 +581,13 @@ class Certificate(NamedTuple):
         return json.dumps(self.to_json(), sort_keys=False)
 
 
-def certify(d: VirtualLinkDiagram, parallel: int = 1) -> Certificate:
+def certify(d: VirtualLinkDiagram) -> Certificate:
     """Run the full pipeline: surface, surface bracket, both criteria."""
     rep = build_carter_surface(d)
     code = format_gauss_code(d)
     if rep.genus == 0:
         return Certificate("Inconclusive", 0, (), code)
-    sb = surface_bracket(rep, parallel=parallel)
+    sb = surface_bracket(rep)
     results = (per_torus_criterion(sb, rep.genus), mod2_span_criterion(sb, rep.genus))
     verdict = "NonClassical" if any(r.satisfied for r in results) else "Inconclusive"
     return Certificate(verdict, rep.genus, results, code)

@@ -7,13 +7,16 @@ sum over the 2^n smoothings is evaluated by the frontier sweep of
 `vknot.frontier`, which adds one crossing at a time and merges the
 partial states that pair the open arc ends alike, so its cost follows
 the width of the diagram rather than 2^n.  `bracket_partial` keeps the
-state-by-state sum as the reference the sweep is tested against.  The
-surface-level (un-reduced) convention lives in `vknot.analysis`.
+state-by-state sum as the reference the sweep is tested against.  Every
+state sum of the package, planar, surface and tangle, counts its states
+as a `frontier.StateSum` and turns each label's counts into a polynomial
+with `expand`.  The surface-level (un-reduced) convention lives in
+`vknot.analysis`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterable
+from typing import TYPE_CHECKING, Mapping
 
 from .diagram import (
     SmoothingType,
@@ -99,27 +102,9 @@ class StateTables:
         return loops
 
     def loop_count(self, state: int) -> int:
-        """len(trace(state)), without building the loops (the walk of the
-        reference sum `bracket_partial`)."""
-        partner = [0] * (2 * self.n_arcs)
-        for b in self.boundary:
-            partner[b] = b
-        for k in range(self.n):
-            p, q, r, s = self.joins[k][(state >> k) & 1]
-            partner[p], partner[q] = q, p
-            partner[r], partner[s] = s, r
-        seen = bytearray(2 * self.n_arcs)
-        count = 0
-        for start in self.starts:
-            if seen[start]:
-                continue
-            count += 1
-            end = start
-            while not seen[end]:
-                seen[end] = True
-                seen[end ^ 1] = True
-                end = partner[end ^ 1]
-        return count
+        """Number of loops of one state (the walk of the reference sum
+        `bracket_partial`)."""
+        return len(self.trace(state))
 
 
 #: d^k at index k, grown on demand; the values never change, so every
@@ -134,64 +119,52 @@ def d_power(k: int) -> LaurentPoly:
     return _D_POWERS[k]
 
 
-#: A state sum over a range of states, before expansion: (label, c, k) ->
-#: the number of states that add A^c d^k to the coefficient of `label`.
-Tally = dict[tuple[Hashable, int, int], int]
+def expand(counts: Mapping[tuple[int, int], int]) -> LaurentPoly:
+    """sum n * A^c * d^k over the counts {(c, k >= 0): n} of one label.
 
-
-def expand_tallies(tallies: Iterable[Tally]) -> dict[Hashable, LaurentPoly]:
-    """Merge state tallies and expand them into Laurent polynomials.
-
-    Tallies of disjoint state ranges merge by adding counts; each label then
-    gets sum count * A^c * d^k over its keys, and labels whose sum is zero
-    are dropped.  Labels keep the order of their first key.  This is the
-    only place where a state sum builds `LaurentPoly` objects.
+    The counts are grouped by k into rows {c: n} and summed by Horner's rule
+    in d over plain exponent -> coefficient dicts, from the largest k down:
+    acc <- row_k - (acc shifted up by 2) - (acc shifted down by 2), which
+    is row_k + acc * d.  No power of d is built, and the polynomial is
+    built once, at the end.  This is the only place where a state sum
+    builds one.
     """
-    merged: dict[Hashable, dict[tuple[int, int], int]] = {}
-    for tally in tallies:
-        for (label, c, k), count in tally.items():
-            slot = merged.setdefault(label, {})
-            slot[c, k] = slot.get((c, k), 0) + count
-    out: dict[Hashable, LaurentPoly] = {}
-    for label, slot in merged.items():
-        terms: dict[int, int] = {}
-        for (c, k), count in slot.items():
-            for e, coeff in d_power(k).terms:
-                terms[e + c] = terms.get(e + c, 0) + count * coeff
-        p = LaurentPoly(terms)
-        if not p.is_zero():
-            out[label] = p
-    return out
+    rows: dict[int, dict[int, int]] = {}
+    for (c, k), n in counts.items():
+        rows.setdefault(k, {})[c] = n
+    top = max(rows, default=0)
+    acc = rows.get(top, {})
+    for k in range(top - 1, -1, -1):
+        nxt = rows.get(k, {})
+        for e, v in acc.items():
+            nxt[e + 2] = nxt.get(e + 2, 0) - v
+            nxt[e - 2] = nxt.get(e - 2, 0) - v
+        acc = nxt
+    return LaurentPoly(acc)
 
 
-def bracket_partial(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
-    """Tally of the planar state sum over the state range [start, stop),
-    state by state: the reference for `planar_tally`."""
+def bracket_partial(d: VirtualLinkDiagram, start: int, stop: int) -> dict[tuple[int, int], int]:
+    """The planar state sum over the state range [start, stop), state by
+    state: {(c, loops): number of states}, as `frontier.state_sum` counts a
+    diagram (the reference for the sweep)."""
     tables = StateTables(d)
     n = tables.n
-    free = d.free_loops
-    tally: Tally = {}
+    counts: dict[tuple[int, int], int] = {}
     for state in range(start, stop):
-        t = (None, n - 2 * state.bit_count(), max(tables.loop_count(state) + free - 1, 0))
-        tally[t] = tally.get(t, 0) + 1
-    return tally
-
-
-def planar_tally(d: VirtualLinkDiagram) -> Tally:
-    """Tally of the planar state sum over all 2^n states, by the frontier
-    sweep."""
-    free = d.free_loops
-    tally: Tally = {}
-    for (c, loops), count in state_sum(StateTables(d))[()].items():
-        t = (None, c, max(loops + free - 1, 0))
-        tally[t] = tally.get(t, 0) + count
-    return tally
+        key = (n - 2 * state.bit_count(), tables.loop_count(state))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def kauffman_bracket(d: VirtualLinkDiagram) -> LaurentPoly:
     """Reduced Kauffman bracket: the sum over all 2^n smoothings of
     A^(#alpha - #beta) * d^(loops - 1), evaluated by the frontier sweep."""
-    return expand_tallies([planar_tally(d)]).get(None, LaurentPoly.zero())
+    free = d.free_loops
+    # every state of a diagram with crossings has a loop, so only the empty
+    # diagram's one state is clamped to d^0
+    return expand(
+        {(c, max(loops + free - 1, 0)): n for (c, loops), n in state_sum(StateTables(d))[()].items()}
+    )
 
 
 def f_polynomial(d: VirtualLinkDiagram) -> LaurentPoly:

@@ -4,7 +4,9 @@ Subcommands: bracket, fpoly, jones, genus, surface-bracket, certify,
 tangle-expand, virtualize-report, double-virtualize-report, catalog.
 Inconclusive verdicts exit 0 (they are valid answers); only parse and
 validation failures exit 2.  Identical inputs and flags produce
-byte-identical output; --parallel changes wall time only.
+byte-identical output.  The surface bracket behind surface-bracket,
+certify and both reports splits its states over the usable CPUs by
+itself, from 2^16 states on; the split changes wall time only.
 """
 
 from __future__ import annotations
@@ -123,13 +125,13 @@ def cmd_genus(args) -> int:
 def cmd_surface_bracket(args) -> int:
     d = _resolve_diagram(args)
     rep = surface.build_carter_surface(d)
-    sb = analysis.surface_bracket(rep, parallel=args.parallel)
+    sb = analysis.surface_bracket(rep)
     _emit_json(sb.to_json(), args)
     return 0
 
 
 def cmd_certify(args) -> int:
-    cert = analysis.certify(_resolve_diagram(args), parallel=args.parallel)
+    cert = analysis.certify(_resolve_diagram(args))
     if args.format == "json":
         print(cert.to_json_str())
     else:
@@ -164,13 +166,8 @@ def cmd_virtualize_report(args) -> int:
 
 def cmd_double_virtualize_report(args) -> int:
     d = _resolve_diagram(args)
-    t = None
-    pair = None
     entry = _named_entry(args)
-    if entry is not None:
-        pair = entry.crossings
-        if entry.tangle:
-            t = tangle.parse_tangle(entry.tangle)
+    pair = None if entry is None else entry.crossings
     if args.crossings:
         try:
             a, b = (int(x) for x in args.crossings.split(","))
@@ -182,6 +179,10 @@ def cmd_double_virtualize_report(args) -> int:
     for v in pair:
         if v not in d.signs:
             raise CliError(f"crossing {v} not in diagram")
+    # the entry's tangle is the complement of the entry's pair only
+    t = None
+    if entry is not None and entry.tangle and set(pair) == set(entry.crossings):
+        t = tangle.parse_tangle(entry.tangle)
     rep = tangle.double_virtualization_report(d, pair[0], pair[1], tangle=t)
     _emit_json(rep.to_json(), args)
     return 0
@@ -210,17 +211,6 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _worker_count(text: str) -> int:
-    """--parallel value: an integer >= 1 (the library clamps it to the usable CPUs)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _add_common(p: argparse.ArgumentParser, diagram_input: bool = True) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     if diagram_input:
@@ -236,20 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="vknot", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    # (name, handler, takes --parallel): only the surface bracket's
-    # state-by-state sum splits over processes
-    for name, fn, parallel in (
-        ("bracket", cmd_bracket, False),
-        ("fpoly", cmd_fpoly, False),
-        ("jones", cmd_jones, False),
-        ("genus", cmd_genus, False),
-        ("surface-bracket", cmd_surface_bracket, True),
-        ("certify", cmd_certify, True),
+    for name, fn in (
+        ("bracket", cmd_bracket),
+        ("fpoly", cmd_fpoly),
+        ("jones", cmd_jones),
+        ("genus", cmd_genus),
+        ("surface-bracket", cmd_surface_bracket),
+        ("certify", cmd_certify),
     ):
         p = sub.add_parser(name)
         _add_common(p)
-        if parallel:
-            p.add_argument("--parallel", type=_worker_count, default=1)
         if name == "bracket":
             # the surface bracket is defined un-reduced, so only the planar
             # bracket has a choice of convention

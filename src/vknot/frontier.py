@@ -39,13 +39,16 @@ JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 if TYPE_CHECKING:
     from .bracket import StateTables
 
-#: Pairs of boundary ends -> {(c, closed loops): number of states}.
-FrontierSum = dict[tuple[tuple[int, int], ...], dict[tuple[int, int], int]]
+#: The one format of a state sum before expansion: label -> {(c, k): number
+#: of states}, each state adding A^c d^k to its label's coefficient
+#: (`bracket.expand` turns one label's counts into a polynomial).  Here the
+#: label is the pairing of the boundary ends and k the closed-loop count.
+StateSum = dict[Hashable, dict[tuple[int, int], int]]
 
 #: Greater than any growth (at most 4), so an added crossing is never the minimum.
 _PLACED = 5
@@ -80,7 +83,7 @@ def greedy_order(tables: StateTables) -> list[int]:
     return order
 
 
-def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> FrontierSum:
+def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> StateSum:
     """The state sum of `tables` swept in `order` (default `greedy_order`).
 
     The result maps the pairing of the boundary ends (empty for a diagram)
@@ -175,10 +178,10 @@ def _unpack(packed: int, n: int, width: int) -> dict[tuple[int, int], int]:
     packed count, read in one pass over its bytes."""
     step = width // 8
     data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-    tally = {}
+    counts = {}
     for f, i in enumerate(range(0, len(data), step)):
         count = int.from_bytes(data[i : i + step], "little")
         if count:
             loops, b = divmod(f, n + 1)
-            tally[n - 2 * b, loops] = count
-    return tally
+            counts[n - 2 * b, loops] = count
+    return counts

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .bracket import StateTables, Tally, d_power, expand_tallies, kauffman_bracket
+from .bracket import StateTables, d_power, expand, kauffman_bracket
 from .diagram import (
     OVER,
     UNDER,
@@ -200,26 +200,20 @@ class TangleExpansion(NamedTuple):
         return all(m.is_noncrossing() for m in self.coefficients)
 
 
-def expansion_tally(t: Tangle) -> Tally:
-    """Tally of the expansion over all 2^crossings states by the frontier
-    sweep: (boundary matching, c, closed loops) -> number of states."""
-    tables = StateTables(t)
-    # tables.boundary holds the start and end of each open strand in turn
-    points = [b for s in t.strands if s.start is not None for b in (s.start, s.end)]
-    label = dict(zip(tables.boundary, points))
-    tally: Tally = {}
-    for pairs, counts in state_sum(tables).items():
-        matching = Matching((label[a], label[b]) for a, b in pairs)
-        for (c, closed), count in counts.items():
-            tally[matching, c, closed] = count
-    return tally
-
-
 def expand_tangle(t: Tangle) -> TangleExpansion:
     """The sum over all 2^crossings smoothings of A^(#alpha - #beta) times
     d per closed loop times the boundary matching, evaluated by the
     frontier sweep, whose boundary ends stay open to the end."""
-    return TangleExpansion(t.n_boundary, expand_tallies([expansion_tally(t)]))
+    tables = StateTables(t)
+    # tables.boundary holds the start and end of each open strand in turn
+    points = [b for s in t.strands if s.start is not None for b in (s.start, s.end)]
+    label = dict(zip(tables.boundary, points))
+    coefficients = {}
+    for pairs, counts in state_sum(tables).items():
+        p = expand(counts)
+        if not p.is_zero():
+            coefficients[Matching((label[a], label[b]) for a, b in pairs)] = p
+    return TangleExpansion(t.n_boundary, coefficients)
 
 
 # -- closures -------------------------------------------------------------

@@ -5,8 +5,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from vknot.analysis import _CurveMemo, _trace_state
-from vknot.bracket import StateTables, Tally
+from vknot.bracket import StateTables, d_power
 from vknot.diagram import VirtualLinkDiagram
+from vknot.frontier import StateSum
+from vknot.laurent import LaurentPoly
 from vknot.surface import (
     CombinatorialMap,
     LoopNotEmbedded,
@@ -133,25 +135,36 @@ def cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
     ]
 
 
-def bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> Tally:
-    """Tally of the surface state sum over [start, stop), tracing every state
-    in index order with `StateTables.trace` (the reference for the Gray-code
+def expand(counts: dict[tuple[int, int], int]) -> LaurentPoly:
+    """sum n * A^c * d^k over the counts {(c, k): n}, multiplying out the
+    cached d^k term by term for every (c, k) (the reference for the Horner
+    evaluation of `bracket.expand`)."""
+    terms: dict[int, int] = {}
+    for (c, k), count in counts.items():
+        for e, coeff in d_power(k).terms:
+            terms[e + c] = terms.get(e + c, 0) + count * coeff
+    return LaurentPoly(terms)
+
+
+def bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> StateSum:
+    """The surface state sum over [start, stop), tracing every state in
+    index order with `StateTables.trace` (the reference for the Gray-code
     walk of `analysis._bracket_chunk`)."""
     rep = build_carter_surface(d)
     tables = StateTables(d)
     memo = _CurveMemo(rep)
-    # class numbers are local to this range's memo, so states are tallied by
-    # them and the tally is relabelled with class tuples before it leaves
+    # class numbers are local to this range's memo, so states are counted by
+    # them and relabelled with class tuples before the counts leave
     tally: dict[tuple[tuple[int, ...], int, int, int], int] = {}
     n = tables.n
     for state in range(start, stop):
         _, disks, null_essential, numbers = _trace_state(memo, tables, state)
         t = (numbers, null_essential, n - 2 * state.bit_count(), disks)
         tally[t] = tally.get(t, 0) + 1
-    return {
-        ((memo.class_tuple(numbers), null_essential), c, disks + rep.free_loops): count
-        for (numbers, null_essential, c, disks), count in tally.items()
-    }
+    counts: StateSum = {}
+    for (numbers, null_essential, c, disks), count in tally.items():
+        counts.setdefault((memo.class_tuple(numbers), null_essential), {})[c, disks + rep.free_loops] = count
+    return counts
 
 
 def det_fraction(m: Sequence[Sequence[int]]) -> int:

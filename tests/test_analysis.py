@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+import vknot.parallel as parallel
 from vknot.analysis import (
     SurfaceBracket,
     certify,
@@ -98,10 +99,12 @@ def test_certificate_json_schema():
         assert {"name", "satisfied", "witnesses"} <= set(c)
 
 
-def test_certify_deterministic_and_parallel_stable():
-    a = certify(KISHINO, parallel=1).to_json_str()
-    b = certify(KISHINO, parallel=4).to_json_str()
-    assert a == b
+def test_certify_deterministic_and_parallel_stable(monkeypatch):
+    a = certify(KISHINO).to_json_str()
+    assert certify(KISHINO).to_json_str() == a
+    monkeypatch.setattr(parallel, "MIN_SPLIT_STATES", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    assert certify(KISHINO).to_json_str() == a
 
 
 def test_family_report():

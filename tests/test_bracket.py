@@ -6,7 +6,7 @@ from vknot.bracket import (
     StateTables,
     bracket_by_recursion,
     d_power,
-    expand_tallies,
+    expand,
     f_polynomial,
     jones,
     jones_divisibility,
@@ -92,16 +92,13 @@ def test_d_power_table():
     assert d_power(5) is d_power(5)
 
 
-def test_expand_tallies_merges_counts_and_drops_zero_sums():
-    parts = [
-        {("x", 1, 2): 1, ("zero", 0, 1): 1, ("zero", 2, 0): 1},
-        {("x", 1, 2): 2, ("zero", -2, 0): 1, ("y", 0, 0): 1},
-    ]
-    # "zero" sums to d + A^2 + A^-2 = 0
-    out = expand_tallies(parts)
-    assert out == {"x": LaurentPoly.monomial(1, 3) * LOOP_VALUE**2, "y": LaurentPoly.one()}
-    assert list(out) == ["x", "y"]
-    assert expand_tallies([]) == {}
+def test_expand_sums_counts_and_cancels():
+    assert expand({(1, 2): 3}) == LaurentPoly.monomial(1, 3) * LOOP_VALUE**2
+    assert expand({(0, 0): 1}) == LaurentPoly.one()
+    # d + A^2 + A^-2 = 0, also under a factor d^3 and with a gap in k
+    assert expand({(0, 1): 1, (2, 0): 1, (-2, 0): 1}).is_zero()
+    assert expand({(0, 4): 1, (2, 3): 1, (-2, 3): 1, (5, 1): -2}) == LaurentPoly.monomial(5, -2) * LOOP_VALUE
+    assert expand({}).is_zero()
 
 
 def test_state_tables_loop_counts():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from randgen import GENUS_THREE_CODE
 
+import vknot.parallel as parallel
 from vknot.cli import main
 
 
@@ -115,6 +116,20 @@ def test_double_virtualize_report(capsys):
     assert obj["tangle_closure_consistent"] is True
 
 
+@pytest.mark.parametrize("pair,has_tangle", [("1,3", True), ("3,1", True), ("2,4", False), ("1,4", False)])
+def test_catalog_tangle_only_for_its_own_pair(capsys, pair, has_tangle):
+    # section5_knot's tangle is the complement of crossings 1 and 3, in
+    # either order, and of no other pair
+    code, out, _ = run(
+        capsys, "double-virtualize-report", "--catalog", "section5_knot", "--crossings", pair, "--format", "json"
+    )
+    obj = json.loads(out)
+    assert code == 0 and obj["crossings"] == [int(x) for x in pair.split(",")]
+    assert ("tangle_expansion" in obj) == ("tangle_closure_consistent" in obj) == has_tangle
+    if has_tangle:
+        assert obj["tangle_closure_consistent"] is True
+
+
 def test_catalog_list_and_show(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0 and "kishino" in out.split()
@@ -133,13 +148,17 @@ def test_max_crossings_env(capsys, monkeypatch):
     assert code == 2 and "VKNOT_MAX_CROSSINGS" in err
 
 
-def test_byte_identical_json_and_parallel(capsys):
+def test_byte_identical_json_and_parallel(capsys, monkeypatch):
+    # the same bytes in process and with the states split over two workers
     outs = set()
-    for par in ("1", "4"):
-        code, out, _ = run(capsys, "certify", "--catalog", "kishino", "--format", "json", "--parallel", par)
-        assert code == 0
-        outs.add(out)
-    assert len(outs) == 1
+    for cmd in ("certify", "surface-bracket"):
+        for min_states in (parallel.MIN_SPLIT_STATES, 1):
+            monkeypatch.setattr(parallel, "MIN_SPLIT_STATES", min_states)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+            code, out, _ = run(capsys, cmd, "--catalog", "kishino", "--format", "json")
+            assert code == 0
+            outs.add((cmd, out))
+    assert len(outs) == 2
 
 
 def test_requires_exactly_one_input(capsys):
@@ -147,14 +166,6 @@ def test_requires_exactly_one_input(capsys):
     assert code == 2
     code, _, err = run(capsys, "bracket", "U", "--catalog", "trefoil")
     assert code == 2
-
-
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_parallel_below_one_exits_2(capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["certify", "--catalog", "kishino", "--parallel", value])
-    assert exc.value.code == 2
-    assert "--parallel" in capsys.readouterr().err
 
 
 def test_tangle_expand_respects_crossing_cap(capsys, monkeypatch):
@@ -199,8 +210,18 @@ def test_negative_crossing_cap_is_refused(capsys, monkeypatch, value):
         ["tangle-expand", "B1O1+B3;B2U1+B4", "--parallel", "2"],
         ["jones", "--catalog", "kishino", "--parallel", "2"],
         ["bracket", "--catalog", "kishino", "--parallel", "2"],
+        ["certify", "--catalog", "kishino", "--parallel", "2"],
+        ["surface-bracket", "--catalog", "kishino", "--parallel", "2"],
     ],
-    ids=["genus-parallel", "certify-convention", "tangle-expand-parallel", "jones-parallel", "bracket-parallel"],
+    ids=[
+        "genus-parallel",
+        "certify-convention",
+        "tangle-expand-parallel",
+        "jones-parallel",
+        "bracket-parallel",
+        "certify-parallel",
+        "surface-bracket-parallel",
+    ],
 )
 def test_unhonoured_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -246,13 +267,13 @@ def test_parser_is_built_once_and_reused(capsys):
     from vknot.cli import build_parser
 
     assert build_parser() is build_parser()
-    first = run(capsys, "certify", "--catalog", "kishino", "--format", "json", "--parallel", "2")
-    for argv, status in ((["certify", "--parallel", "0"], 2), (["jones", "--help"], 0)):
+    first = run(capsys, "certify", "--catalog", "kishino", "--format", "json")
+    for argv, status in ((["certify", "--format", "xml"], 2), (["jones", "--help"], 0)):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == status
         capsys.readouterr()
-    assert run(capsys, "certify", "--catalog", "kishino", "--format", "json", "--parallel", "2") == first
+    assert run(capsys, "certify", "--catalog", "kishino", "--format", "json") == first
     assert run(capsys, "certify", "--catalog", "kishino") == (0, "NonClassical(2)\n", "")
 
 

@@ -2,8 +2,10 @@
 
 The planar bracket and the tangle expansion are frontier sweeps; here each
 is checked against a sum over all 2^n states, and the planar bracket also
-against `bracket_by_recursion`.  The tallies, not only the polynomials,
-must be equal, and they must not depend on the order of the crossings.
+against `bracket_by_recursion`.  The state counts, not only the
+polynomials, must be equal, and they must not depend on the order of the
+crossings.  `expand` is checked against the term-by-term expansion of
+tests/oracle.py.
 """
 
 import random
@@ -16,19 +18,17 @@ from randgen import random_gauss_code, random_tangle
 
 from vknot.bracket import (
     StateTables,
-    Tally,
     bracket_by_recursion,
     bracket_partial,
-    expand_tallies,
+    expand,
     f_polynomial,
     kauffman_bracket,
-    planar_tally,
 )
-from vknot.catalog import catalog, catalog_names, catalog_p_family
+from vknot.catalog import catalog, catalog_entry, catalog_names, catalog_p_family
 from vknot.diagram import parse_gauss_code
-from vknot.frontier import greedy_order, state_sum
-from vknot.laurent import LaurentPoly
-from vknot.tangle import Matching, Tangle, expand_tangle, expansion_tally, format_tangle, parse_tangle
+from vknot.frontier import StateSum, greedy_order, state_sum
+from vknot.laurent import LOOP_VALUE, LaurentPoly
+from vknot.tangle import Matching, Tangle, expand_tangle, format_tangle, parse_tangle
 
 
 def _random_codes(seed: int = 20261018, count: int = 40) -> list[str]:
@@ -57,8 +57,7 @@ def _orders(n: int, seed: int) -> dict[str, list[int]]:
 
 @pytest.mark.parametrize("d", [d for _, d in DIAGRAMS], ids=[name for name, _ in DIAGRAMS])
 def test_frontier_equals_state_sum_and_recursion(d):
-    tally = planar_tally(d)
-    assert tally == bracket_partial(d, 0, 1 << d.n_crossings)
+    assert state_sum(StateTables(d)) == {(): bracket_partial(d, 0, 1 << d.n_crossings)}
     assert kauffman_bracket(d) == bracket_by_recursion(d)
 
 
@@ -91,31 +90,33 @@ def test_kink_chain_fills_the_widest_fields(sign):
     kink = LaurentPoly.monomial(3 if sign == "+" else -3, -1)
     for m in range(61):
         d = parse_gauss_code("".join(f"O{i}{sign}U{i}{sign}" for i in range(1, m + 1)) or "U")
-        # the smoothing that splits off a loop: A at a positive kink, B at a negative one
-        assert planar_tally(d) == {
-            (None, m - 2 * b, m - b if sign == "+" else b): comb(m, b) for b in range(m + 1)
+        # the smoothing that splits off a loop: A at a positive kink, B at a
+        # negative one; with no kink the one loop is a free loop, not swept
+        base = 1 - d.free_loops
+        assert state_sum(StateTables(d)) == {
+            (): {(m - 2 * b, base + (m - b if sign == "+" else b)): comb(m, b) for b in range(m + 1)}
         }, m
         assert kauffman_bracket(d) == kink**m, m
         if m <= 10:
             assert kauffman_bracket(d) == bracket_by_recursion(d), m
 
 
-def _tally_by_states(t: Tangle) -> Tally:
-    """The expansion tally state by state: every state is traced, its open
-    strands give the boundary matching and the rest are closed loops."""
+def _sum_by_states(t: Tangle) -> StateSum:
+    """The expansion's state counts state by state: every state is traced,
+    its open strands give the pairing of the boundary ends and the rest are
+    closed loops."""
     tables = StateTables(t)
     n = tables.n
-    points = [b for s in t.strands if s.start is not None for b in (s.start, s.end)]
-    label = dict(zip(tables.boundary, points))
     n_open = len(tables.boundary) // 2
-    tally: Tally = {}
+    counts: StateSum = {}
     for state in range(1 << n):
         loops = tables.trace(state)
         # the first n_open loops start at boundary ends; the rest are closed
-        matching = Matching((label[ends[0]], label[ends[-1] ^ 1]) for _, ends in loops[:n_open])
-        key = (matching, n - 2 * state.bit_count(), len(loops) - n_open)
-        tally[key] = tally.get(key, 0) + 1
-    return tally
+        pairs = tuple(sorted(tuple(sorted((ends[0], ends[-1] ^ 1))) for _, ends in loops[:n_open]))
+        slot = counts.setdefault(pairs, {})
+        key = (n - 2 * state.bit_count(), len(loops) - n_open)
+        slot[key] = slot.get(key, 0) + 1
+    return counts
 
 
 def test_tangle_frontier_equals_state_oracle():
@@ -125,19 +126,37 @@ def test_tangle_frontier_equals_state_oracle():
     assert any(s.start is not None and not s.passes for t in tangles for s in t.strands)
     assert any(s.start is None for t in tangles for s in t.strands)
     for i, t in enumerate(tangles):
-        tally = _tally_by_states(t)
-        assert expansion_tally(t) == tally, format_tangle(t)
+        by_states = _sum_by_states(t)
+        assert state_sum(StateTables(t)) == by_states, format_tangle(t)
         _assert_order_independent(StateTables(t), i)
-        assert expand_tangle(t).coefficients == expand_tallies([tally])
+        # StateTables(t).boundary holds the start and end of each open strand in turn
+        points = [b for s in t.strands if s.start is not None for b in (s.start, s.end)]
+        label = dict(zip(StateTables(t).boundary, points))
+        expected = {Matching((label[a], label[b]) for a, b in pairs): oracle.expand(c) for pairs, c in by_states.items()}
+        assert expand_tangle(t).coefficients == {m: p for m, p in expected.items() if not p.is_zero()}
 
 
 def test_crossing_free_strands_pair_at_the_start():
-    assert expansion_tally(parse_tangle("B1B4;B2B3")) == {(Matching([(1, 4), (2, 3)]), 0, 0): 1}
+    assert expand_tangle(parse_tangle("B1B4;B2B3")).coefficients == {Matching([(1, 4), (2, 3)]): LaurentPoly.one()}
     # a closed kink strand next to a crossing-free one: A closes two loops, B one
-    assert expansion_tally(parse_tangle("B1B2;O1+U1+")) == {
-        (Matching([(1, 2)]), 1, 2): 1,
-        (Matching([(1, 2)]), -1, 1): 1,
+    t = parse_tangle("B1B2;O1+U1+")
+    assert list(state_sum(StateTables(t)).values()) == [{(1, 2): 1, (-1, 1): 1}]
+    assert expand_tangle(t).coefficients == {
+        Matching([(1, 2)]): LaurentPoly.monomial(1) * LOOP_VALUE**2 + LaurentPoly.monomial(-1) * LOOP_VALUE
     }
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        StateTables(catalog_p_family(40)),
+        StateTables(parse_tangle(catalog_entry("section5_knot").tangle)),
+    ],
+    ids=["p_family(40)", "section5-tangle"],
+)
+def test_expand_matches_term_by_term_oracle(t):
+    for counts in state_sum(t).values():
+        assert expand(counts) == oracle.expand(counts)
 
 
 def test_f_polynomial_trivial_past_the_state_sum_wall():

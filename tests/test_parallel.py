@@ -1,9 +1,11 @@
-"""Range partitioning and the worker-count clamp of the state-sum pool."""
+"""Range partitioning and the worker count of the state-sum pool."""
 
 import multiprocessing
 
 import vknot.parallel as parallel
-from vknot.parallel import map_state_ranges, split_ranges
+from vknot.analysis import certify
+from vknot.catalog import catalog_p_family
+from vknot.parallel import MIN_SPLIT_STATES, map_state_ranges, split_ranges
 
 
 def _span(payload, start, stop):
@@ -40,25 +42,27 @@ def test_worker_count_clamped_to_usable_cpus(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     _RecordingPool.sizes = []
-    parts = map_state_ranges(_span, "p", 100, 10_000)
+    total = MIN_SPLIT_STATES + 5
+    parts = map_state_ranges(_span, "p", total)
     assert _RecordingPool.sizes == [3]
-    assert [(a, b) for _, a, b in parts] == split_ranges(100, 3)
+    assert [(a, b) for _, a, b in parts] == split_ranges(total, 3)
 
 
 def test_single_worker_runs_in_process(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     _RecordingPool.sizes = []
-    for requested in (0, 1, 64):
-        assert map_state_ranges(_span, "p", 100, requested) == [("p", 0, 100)]
+    for total in (100, MIN_SPLIT_STATES, 4 * MIN_SPLIT_STATES):
+        assert map_state_ranges(_span, "p", total) == [("p", 0, total)]
     assert _RecordingPool.sizes == []
 
 
 def test_empty_range_needs_no_pool(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(parallel, "MIN_SPLIT_STATES", 0)
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     _RecordingPool.sizes = []
-    assert map_state_ranges(_span, "p", 0, 4) == []
+    assert map_state_ranges(_span, "p", 0) == []
     assert _RecordingPool.sizes == []
 
 
@@ -66,7 +70,23 @@ def test_small_sum_runs_in_process(monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     _RecordingPool.sizes = []
-    assert map_state_ranges(_span, "p", 63, 4) == [("p", 0, 63)]
+    below = MIN_SPLIT_STATES - 1
+    assert map_state_ranges(_span, "p", below) == [("p", 0, below)]
     assert _RecordingPool.sizes == []
-    map_state_ranges(_span, "p", 64, 4)
+    map_state_ranges(_span, "p", MIN_SPLIT_STATES)
     assert _RecordingPool.sizes == [4]
+
+
+def _certify_json(n: int) -> str:
+    return certify(catalog_p_family(n)).to_json_str()
+
+
+def test_a_pool_worker_sums_in_process(monkeypatch):
+    # a pool worker is daemonic and may not start a pool of its own, so a
+    # sum big enough to split runs in the worker's own process
+    serial = _certify_json(1)
+    monkeypatch.setattr(parallel, "MIN_SPLIT_STATES", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    # forked, so the worker sees the patched module
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_certify_json, (1,)).get(timeout=120) == serial

@@ -6,10 +6,11 @@ random O/U roles and random signs.
 """
 
 from hypothesis import given, strategies as st
+import oracle
 from oracle import bracket_chunk
 
 from vknot.analysis import _bracket_chunk, certify, surface_bracket
-from vknot.bracket import StateTables, bracket_partial, f_polynomial, kauffman_bracket, planar_tally
+from vknot.bracket import StateTables, bracket_partial, expand, f_polynomial, kauffman_bracket
 from vknot.diagram import VirtualLinkDiagram, mirror, parse_gauss_code
 from vknot.frontier import greedy_order, state_sum
 from vknot.laurent import LOOP_VALUE
@@ -60,7 +61,13 @@ def test_frontier_sum_is_independent_of_the_crossing_order(code, data):
     result = state_sum(tables, greedy_order(tables))
     assert state_sum(tables, list(reversed(range(tables.n)))) == result
     assert state_sum(tables, data.draw(st.permutations(range(tables.n)))) == result
-    assert planar_tally(d) == bracket_partial(d, 0, 1 << d.n_crossings)
+    assert result == {(): bracket_partial(d, 0, 1 << d.n_crossings)}
+
+
+@given(gauss_codes())
+def test_expand_matches_term_by_term_oracle(code):
+    counts = state_sum(StateTables(parse_gauss_code(code)))[()]
+    assert expand(counts) == oracle.expand(counts)
 
 
 @given(gauss_codes())

@@ -29,7 +29,7 @@ from vknot.analysis import (
     enumerate_surface_states,
     surface_bracket,
 )
-from vknot.bracket import StateTables, bracket_by_recursion, kauffman_bracket
+from vknot.bracket import StateTables, bracket_by_recursion, expand, kauffman_bracket
 from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import VirtualLinkDiagram, parse_gauss_code
 from vknot.laurent import LOOP_VALUE, LaurentPoly
@@ -143,20 +143,25 @@ def _genus_two_codes(seed: int = 7, count: int = 4, max_crossings: int = 8) -> l
 def test_parallel_two_matches_serial(monkeypatch):
     rep = build_carter_surface(catalog_p_family(1))
     assert rep.diagram.n_crossings == 8
-    assert surface_bracket(rep, parallel=1).to_json() == surface_bracket(rep, parallel=2).to_json()
+    serial = surface_bracket(rep).to_json()
+    # split over two worker processes
+    monkeypatch.setattr(parallel, "MIN_SPLIT_STATES", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    assert surface_bracket(rep).to_json() == serial
     # ranges merged in process: each range numbers its classes in its own
     # order, and the merge must not depend on that
     diagrams = [catalog_p_family(0), catalog_p_family(1)] + [parse_gauss_code(c) for c in _genus_two_codes()]
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
-    for cpus in (3, 5):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-        _RecordingPool.sizes = []
-        for d in diagrams:
-            rep = build_carter_surface(d)
-            assert surface_bracket(rep, parallel=cpus).to_json() == surface_bracket(rep).to_json()
-            assert certify(d, parallel=cpus).to_json() == certify(d).to_json()
-            assert kauffman_bracket(d) == bracket_by_recursion(d)
-        assert _RecordingPool.sizes == [cpus] * (2 * len(diagrams))
+    for d in diagrams:
+        rep = build_carter_surface(d)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        serial = (surface_bracket(rep).to_json(), certify(d).to_json())
+        for cpus in (3, 5):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+            _RecordingPool.sizes = []
+            assert (surface_bracket(rep).to_json(), certify(d).to_json()) == serial
+            assert _RecordingPool.sizes == [cpus, cpus]
+        assert kauffman_bracket(d) == bracket_by_recursion(d)
 
 
 def test_each_distinct_class_and_null_curve_is_classified_once(monkeypatch):
@@ -436,8 +441,8 @@ def test_gray_walk_tally_matches_state_order_oracle(kind, arg):
 def test_gray_walk_on_a_crossingless_diagram():
     d = VirtualLinkDiagram((), {}, free_loops=2)
     assert d.n_crossings == 0
-    tally = _bracket_chunk(d, 0, 1)
-    assert list(tally.items()) == list(bracket_chunk(d, 0, 1).items()) == [((((), 0), 0, 2), 1)]
+    counts = _bracket_chunk(d, 0, 1)
+    assert list(counts.items()) == list(bracket_chunk(d, 0, 1).items()) == [(((), 0), {(0, 2): 1})]
 
 
 @pytest.mark.parametrize(
@@ -486,7 +491,15 @@ def test_entries_keep_first_state_order(kind, arg, monkeypatch):
     rep = build_carter_surface(d)
     first_seen = list(dict.fromkeys(s.key for s in enumerate_surface_states(rep)))
     monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "MIN_SPLIT_STATES", 1)
     for workers in (1, 3):
-        entries = surface_bracket(rep, parallel=workers).entries
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+        entries = surface_bracket(rep).entries
         assert list(entries) == [key for key in first_seen if key in entries]
+
+
+@pytest.mark.parametrize("kind,arg", CASES, ids=[f"{k}-{a}" for k, a in CASES])
+def test_expand_matches_term_by_term_oracle(kind, arg):
+    d = _diagram(kind, arg)
+    for counts in _bracket_chunk(d, 0, 1 << d.n_crossings).values():
+        assert expand(counts) == oracle.expand(counts)
