@@ -18,11 +18,28 @@ A new curve is walked once: one sum of an int per arc end gives both its
 homology class, packed into the high bits, and its join key, in the low
 4n bits.  Darts are built and `loop_homology` runs only once per distinct
 class up to sign, and for each null-homologous curve, which alone also
-needs the disk test (`_CurveMemo`).  A range's counts (a
-`frontier.StateSum` keyed by curve-class key) list each key in the order
-of the smallest state index that reaches it, and `surface_bracket` merges
-the ranges in range order, so the entries keep the order of a
-state-by-state sum, on which the per-torus witnesses depend.
+needs the disk test (`_CurveMemo`).
+
+Most blocks are replayed rather than walked.  The LOW_BITS crossings of
+lowest index are the Gray code's fastest bits; for each setting of the
+other crossings, the low block of 2^LOW_BITS states is walked from all-A
+and back to all-A.  With the low crossings at A, `ctx`, the union of the
+join keys of the curves through them, names those curves, and since
+flipping low crossings rewires only those curves, the low block's outcome
+is a function of `ctx`.  A block is walked the first time its `ctx` is
+seen, walked and recorded (each low setting's class numbers and counts of
+the curves through the low crossings) the second time, and replayed from
+the record, with no flip, from the third time on: one tally entry per
+block, keyed by the class numbers and counts at all-A and `ctx`, which the
+end of the range turns into its states' keys by merging the untouched and
+the low class numbers into their combined multiset.  On the twist family
+`catalog_p_family(4)`, 932 of the 1024 low blocks are replayed.
+
+A range's counts (a `frontier.StateSum` keyed by curve-class key) list
+each key in the order of the smallest state index that reaches it, and
+`surface_bracket` merges the ranges in range order, so the entries keep
+the order of a state-by-state sum, on which the per-torus witnesses
+depend.
 
 Two sufficient criteria certify that no cancellation curve exists, i.e.
 that the representation genus is the virtual genus and the diagram is
@@ -233,20 +250,23 @@ class _GrayWalk:
     """The curves of one current state, kept up to date one crossing flip at
     a time.
 
-    `partner` holds the current state's joins as in `StateTables.trace`.
-    `fused[a]` is one int for the join that an arc arriving at end a takes:
-    the packed class the curve gains there (`_class_steps`), shifted above
-    the 4n join-key bits, plus the join's key bit.  A curve passes each join
-    at most once, so its join key is the sum of its bits and stays below
-    2^(4n), and one sum over a curve's arrival ends gives both its packed
-    class (`total >> shift`) and its join key (`total & key_mask`).
-    `curve_of` maps each arc end to the id of the curve through it, which is
-    the end its walk started at (-1: not walked yet), and `kind_of` maps a
-    curve id to the curve's kind.  The running key is the sorted class
-    numbers, the null-essential count and the disk count of the current
-    curves.  Flipping a crossing drops the one or two curves through it,
-    rewrites its four joins and re-walks from its four arc ends only; every
-    other curve is untouched.
+    The joins are kept by departure end: a curve that leaves arc end e runs
+    along arc e >> 1 to end e ^ 1 and takes the join there, which leaves
+    from `nxt[e]`.  `step[e]` is one int for that join: the packed class the
+    curve gains there (`_class_steps`), shifted above the 4n join-key bits,
+    plus the join's key bit.  A curve passes each join at most once, so its
+    join key is the sum of its bits and stays below 2^(4n), and one sum of
+    `step` over a curve's departure ends gives both its packed class
+    (`total >> shift`) and its join key (`total & key_mask`).  `curve_of`
+    maps each arc to the id of the curve along it, which is the departure
+    end its walk started at (-1: not walked yet), and `kind_of` and `key_of`
+    map a curve id to the curve's kind and join key.  `numbers` holds the
+    sorted class numbers of the current curves, and `counts` their
+    null-essential and disk counts, packed as (null-essential << 2w) +
+    (disks << w) with w = `count_width`; the B count of a state, in the low
+    w bits, completes a tally's packed counts.  Flipping a crossing drops
+    the one or two curves through it, rewrites its four joins and re-walks
+    from its four arc ends only; every other curve is untouched.
 
     A new curve is walked once.  A nonzero class is looked up by value in
     `class_of_sum`, which holds both signs.  On a miss the curve is walked
@@ -265,11 +285,15 @@ class _GrayWalk:
         steps, self.width = _class_steps(memo.rep, tables)
         self.shift = shift = 4 * tables.n
         self.key_mask = (1 << shift) - 1
-        # fused_joins[k][b] = (p, q, r, s, fused[p], fused[q], fused[r], fused[s])
-        # for smoothing b of crossing k, which joins p<->q and r<->s
-        self.fused_joins = [
+        # a state has at most n_arcs curves and n B-smoothings
+        self.count_width = w = max(tables.n_arcs, tables.n, 1).bit_length()
+        self.disk_unit, self.null_unit = 1 << w, 1 << 2 * w
+        # joins[k][b] = (p, q, r, s, p ^ 1, q ^ 1, r ^ 1, s ^ 1, step[p ^ 1],
+        # step[q ^ 1], step[r ^ 1], step[s ^ 1]) for smoothing b of crossing k,
+        # which joins p<->q and r<->s: a curve arriving at p leaves from q
+        self.joins = [
             tuple(
-                (p, q, r, s)
+                (p, q, r, s, p ^ 1, q ^ 1, r ^ 1, s ^ 1)
                 + tuple(
                     (steps[a * n_ends + f] << shift) + bit
                     for a, f, bit in ((p, q, u), (q, p, u), (r, s, v), (s, r, v))
@@ -278,90 +302,126 @@ class _GrayWalk:
             )
             for joins, bits in zip(tables.joins, tables.join_bits)
         ]
+        # the arcs through each crossing, the same for either smoothing
+        self.arcs = [tuple(e >> 1 for e in joins[0][:4]) for joins in self.joins]
         self.class_of_sum: dict[int, int] = {}  # packed class, either sign -> class number
-        self.partner = [0] * n_ends
-        self.fused = [0] * n_ends
-        self.curve_of = [-1] * n_ends
+        self.nxt = [0] * n_ends
+        self.step = [0] * n_ends
+        self.curve_of = [-1] * tables.n_arcs
         self.kind_of = [0] * n_ends
+        self.key_of = [0] * n_ends
         self.numbers: list[int] = []
-        self.disks = self.null_essential = 0
+        self.counts = 0
 
     def reset(self, state: int) -> None:
         """Set every join by `state` and walk all of its curves."""
-        partner, fused = self.partner, self.fused
-        for k, smoothings in enumerate(self.fused_joins):
-            p, q, r, s, fp, fq, fr, fs = smoothings[(state >> k) & 1]
-            partner[p], partner[q], partner[r], partner[s] = q, p, s, r
-            fused[p], fused[q], fused[r], fused[s] = fp, fq, fr, fs
-        curve_of = self.curve_of
-        curve_of[:] = [-1] * len(curve_of)
-        self.numbers.clear()
-        self.disks = self.null_essential = 0
-        for end in range(len(curve_of)):
-            if curve_of[end] < 0:
-                self._add(end)
+        self.run(_RESET, state)
 
-    def flip(self, k: int, b: int) -> None:
-        """Switch crossing k to smoothing b (0 = A, 1 = B)."""
-        # either smoothing's joins list the crossing's four ends
-        p, q, r, s, fp, fq, fr, fs = self.fused_joins[k][b]
-        curve_of, kind_of = self.curve_of, self.kind_of
-        for curve in {curve_of[p], curve_of[q], curve_of[r], curve_of[s]}:
+    def run(self, moves: Sequence[tuple[int, int]], base: int, seen: dict | None = None) -> None:
+        """Make each move (k, sigma) in turn, to state base | sigma: k >= 0
+        sets crossing k by its bit of that state, k = -1 sets every crossing
+        and walks all curves afresh.  With `seen`, count each state reached
+        in it under (class numbers, packed counts) by `_tally`.
+
+        The moves run inline, with no call per state or per curve but one
+        for a curve whose kind is not known yet."""
+        joins, arcs, nxt, step = self.joins, self.arcs, self.nxt, self.step
+        curve_of, kind_of, key_of = self.curve_of, self.kind_of, self.key_of
+        class_of_sum, curves = self.class_of_sum, self.memo.curves
+        shift, key_mask, disk, null = self.shift, self.key_mask, self.disk_unit, self.null_unit
+        numbers, counts = self.numbers, self.counts
+        for k, sigma in moves:
+            state = base | sigma
+            if k >= 0:
+                changed = (joins[k][(state >> k) & 1],)
+                pa, qa, ra, sa = arcs[k]
+                for curve in {curve_of[pa], curve_of[qa], curve_of[ra], curve_of[sa]}:
+                    kind = kind_of[curve]
+                    if kind >= 0:
+                        numbers.remove(kind)
+                    elif kind == _DISK:
+                        counts -= disk
+                    else:
+                        counts -= null
+            else:
+                changed = tuple(js[(state >> c) & 1] for c, js in enumerate(joins))
+                curve_of[:] = [-1] * len(curve_of)
+                numbers.clear()
+                counts = 0
+            for p, q, r, s, p1, q1, r1, s1, fp, fq, fr, fs in changed:
+                nxt[p1], nxt[q1], nxt[r1], nxt[s1] = q, p, s, r
+                step[p1], step[q1], step[r1], step[s1] = fp, fq, fr, fs
+                curve_of[p >> 1] = curve_of[q >> 1] = curve_of[r >> 1] = curve_of[s >> 1] = -1
+            for join in changed:
+                for start in join[:4]:
+                    if curve_of[start >> 1] >= 0:
+                        continue
+                    # walk the new curve through this end once
+                    total = 0
+                    end = start
+                    while True:
+                        curve_of[end >> 1] = start
+                        total += step[end]
+                        end = nxt[end]
+                        if end == start:
+                            break
+                    key = total & key_mask
+                    packed = total >> shift
+                    if packed:
+                        kind = class_of_sum.get(packed)
+                        if kind is None:
+                            kind = self._classify(start, key, packed)
+                    else:
+                        # a zero class leaves the join key alone in the sum
+                        entry = curves.get(key)
+                        kind = entry[1] if entry else self._classify(start, key, 0)
+                    kind_of[start] = kind
+                    key_of[start] = key
+                    if kind >= 0:
+                        insort(numbers, kind)
+                    elif kind == _DISK:
+                        counts += disk
+                    else:
+                        counts += null
+            if seen is not None:
+                # `_tally(seen, t, 1, state)`, inline
+                t = (tuple(numbers), counts + state.bit_count())
+                entry = seen.get(t)
+                if entry is None:
+                    seen[t] = [1, state]
+                else:
+                    entry[0] += 1
+                    if state < entry[1]:
+                        entry[1] = state
+        self.counts = counts
+
+    def curves_along(self, arcs: Iterable[int]) -> tuple[tuple[int, ...], int]:
+        """(sorted class numbers, packed null-essential and disk counts) of
+        the current curves along these arcs."""
+        kind_of = self.kind_of
+        numbers = []
+        counts = 0
+        for curve in {self.curve_of[a] for a in arcs}:
             kind = kind_of[curve]
             if kind >= 0:
-                self.numbers.remove(kind)
+                numbers.append(kind)
             elif kind == _DISK:
-                self.disks -= 1
+                counts += self.disk_unit
             else:
-                self.null_essential -= 1
-        partner, fused = self.partner, self.fused
-        partner[p], partner[q], partner[r], partner[s] = q, p, s, r
-        fused[p], fused[q], fused[r], fused[s] = fp, fq, fr, fs
-        curve_of[p] = curve_of[q] = curve_of[r] = curve_of[s] = -1
-        self._add(p)
-        for e in (q, r, s):
-            if curve_of[e] < 0:
-                self._add(e)
-
-    def _add(self, start: int) -> None:
-        """Walk the curve through arc end `start` and count it in the key."""
-        partner, fused, curve_of = self.partner, self.fused, self.curve_of
-        total = 0
-        end = start
-        while True:
-            curve_of[end] = curve_of[end ^ 1] = start
-            end ^= 1
-            total += fused[end]
-            end = partner[end]
-            if end == start:
-                break
-        packed = total >> self.shift
-        if packed:
-            kind = self.class_of_sum.get(packed)
-            if kind is None:
-                kind = self._classify(start, total & self.key_mask, packed)
-        else:
-            # a zero class leaves the join key alone in the sum
-            entry = self.memo.curves.get(total)
-            kind = entry[1] if entry else self._classify(start, total, 0)
-        self.kind_of[start] = kind
-        if kind >= 0:
-            insort(self.numbers, kind)
-        elif kind == _DISK:
-            self.disks += 1
-        else:
-            self.null_essential += 1
+                counts += self.null_unit
+        numbers.sort()
+        return tuple(numbers), counts
 
     def _classify(self, start: int, key: int, packed: int) -> int:
         """Kind of a curve met for the first time, from the memo's `classify`
         on its ends, walked again from `start`; a nonzero packed class is
         checked against the class found and stored in `class_of_sum`."""
-        partner = self.partner
+        nxt = self.nxt
         ends = [start]
-        end = partner[start ^ 1]
+        end = nxt[start]
         while end != start:
             ends.append(end)
-            end = partner[end ^ 1]
+            end = nxt[end]
         memo = self.memo
         kind = memo.classify(key, ends)[1]
         if packed:
@@ -417,54 +477,151 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[list[int], int]:
     return steps, width
 
 
+#: Bits of the low block: the crossings 0 .. LOW_BITS - 1, the Gray code's
+#: fastest bits, whose 2^LOW_BITS settings `_bracket_chunk` replays from a
+#: record.  The share of low blocks whose `ctx` was already seen in their
+#: range, over every block of a full serial walk, for 2 / 3 / 4 / 5 / 6 bits:
+#: on the twist family `catalog_p_family(3)` and `(4)` 0.93 / 0.93 / 0.93 /
+#: 0.88 / 0.82; on the 96 random 9-11-crossing codes of genus 1-6 of the
+#: `random_certify` benchmark pool 0.11 / 0.07 / 0.04 / 0.02 / 0.02.  Four
+#: bits is the largest block that keeps the family's share.
+LOW_BITS = 4
+
+_RESET = ((-1, 0),)
+
+
+def _gray_moves(m: int, back: bool = False) -> tuple[tuple[int, int], ...]:
+    """The moves (k, gray(j)) for j = 1 .. 2^m - 1, where gray(j) = j ^ (j >> 1)
+    and k = (j & -j).bit_length() - 1 is the one bit gray(j) and gray(j - 1)
+    differ in; with `back`, one more move returns bit m - 1 to 0, which
+    gray(2^m - 1) = 2^(m - 1) has set."""
+    moves = tuple(((j & -j).bit_length() - 1, j ^ (j >> 1)) for j in range(1, 1 << m))
+    return moves + ((m - 1, 0),) if back else moves
+
+
+#: The moves of a plain walk over an aligned block of 2^m < 2^LOW_BITS
+#: states, from a fresh walk of its first state.
+_PLAIN_MOVES = tuple(_RESET + _gray_moves(m) for m in range(LOW_BITS))
+#: A low block's walk from all-A and back: it ends where it started, on
+#: the state all-A, and so visits every setting once.
+_LOW_MOVES = _gray_moves(LOW_BITS, back=True)
+
+
+def _tally(table: dict, key: tuple, count: int, index: int) -> None:
+    """Add `count` to the [count, smallest index] entry of `key`."""
+    entry = table.get(key)
+    if entry is None:
+        table[key] = [count, index]
+    else:
+        entry[0] += count
+        if index < entry[1]:
+            entry[1] = index
+
+
 def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> StateSum:
     """The surface state sum over [start, stop): curve-class key -> {(c,
     disk count): number of states}.
 
     The range is covered by aligned blocks [lo, lo + 2^m), its binary
-    decomposition.  Each block starts from a full walk of state lo and then
-    visits lo ^ gray(j) for j = 1 .. 2^m - 1, where gray(j) = j ^ (j >> 1):
-    consecutive states differ in the one crossing t = (j & -j).bit_length() - 1,
-    so `_GrayWalk.flip` re-walks only the curves through t.  One memo serves
-    the whole range.  Each (key, c, disk count) keeps the smallest state
-    index that reaches it, and the counts are emitted in that order: the
-    order of first appearance in state-index order, which `surface_bracket`
-    keeps and the per-torus witnesses depend on.
+    decomposition.  A block of fewer than 2^LOW_BITS states is walked
+    plainly: a fresh walk of state lo, then lo ^ gray(j) for j = 1 .. 2^m - 1,
+    where consecutive states differ in one crossing, so `_GrayWalk.run`
+    re-walks only the curves through it.  A walked state is tallied under
+    (sorted class numbers, packed counts): the null-essential count, the
+    disk count and the B count, `_GrayWalk.count_width` bits each.
+
+    A larger block is a Gray walk over its high bits, crossings LOW_BITS and
+    up.  For each high setting hi the low crossings are set to A and `ctx`
+    is read: the union of the join keys of the curves through the low
+    crossings.  The low block, the 2^LOW_BITS states hi | sigma, is walked
+    from all-A and back to all-A the first time a `ctx` is seen; walked and
+    recorded the second time, with each sigma's sorted class numbers of the
+    curves through the low crossings and their packed counts; and replayed
+    from the record, with no flip, from the third time on.
+
+    This is exact.  Flipping low crossings rewires only the arcs of the
+    curves through them, which close up among themselves through the
+    unchanged high joins, and leaves every other curve alone.  The curves
+    are disjoint, so `ctx` names their joins, and the joins with the arcs
+    they connect name the curves; so the low curves of every setting sigma,
+    their kinds and their counts are a function of `ctx`, while the
+    untouched curves are those of the all-A state minus the `ctx` ones.  A
+    replay reuses only class numbers that were classified, and checked,
+    while the block was recorded.
+
+    A replayed block is tallied once, under (class numbers and packed counts
+    at all-A, ctx), keeping the number of such blocks and the smallest hi.
+    At the end of the range each of these keys becomes its 2^LOW_BITS
+    states' keys: the untouched class numbers merged with each sigma's low
+    ones into their combined multiset, the smallest state index being
+    hi | sigma with the smallest hi.  Every key keeps its count and the
+    smallest state index that reaches it, and the counts are emitted in
+    that order: the order of first appearance in state-index order, which
+    `surface_bracket` keeps and the per-torus witnesses depend on.
     """
     rep = build_carter_surface(d)
     tables = StateTables(d)
     memo = _CurveMemo(rep)
     walk = _GrayWalk(tables, memo)
     n = tables.n
+    low_arcs = sorted({a for k in range(min(LOW_BITS, n)) for a in walk.arcs[k]})
+    curve_of, key_of = walk.curve_of, walk.key_of
+    # ctx -> None once seen, then its record: (sigma, low class numbers, low
+    # packed counts with the B count of sigma) per low setting, all-A last
+    blocks: dict[int, list | None] = {}
     # class numbers are local to this range's memo, so states are counted by
     # them and relabelled with class tuples before the counts leave; each
-    # value is [count, smallest state index]
-    seen: dict[tuple[tuple[int, ...], int, int, int], list[int]] = {}
+    # value is [count, smallest state index], and for `replayed` [number of
+    # blocks, smallest hi]
+    seen: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    replayed: dict[tuple[tuple[int, ...], int, int], list[int]] = {}
     lo = start
     while lo < stop:
         size = lo & -lo if lo else 1 << (stop.bit_length() - 1)
         while lo + size > stop:
             size >>= 1
-        for j in range(size):
-            state = lo ^ j ^ (j >> 1)
-            if j:
-                k = (j & -j).bit_length() - 1
-                walk.flip(k, (state >> k) & 1)
+        m = size.bit_length() - 1
+        if m < LOW_BITS:
+            walk.run(_PLAIN_MOVES[m], lo, seen)
+            lo += size
+            continue
+        for h in range(size >> LOW_BITS):
+            hi = lo ^ ((h ^ (h >> 1)) << LOW_BITS)
+            if h:
+                walk.run((((h & -h).bit_length() - 1 + LOW_BITS, 0),), hi)
             else:
-                walk.reset(state)
-            t = (tuple(walk.numbers), walk.null_essential, n - 2 * state.bit_count(), walk.disks)
-            entry = seen.get(t)
-            if entry is None:
-                seen[t] = [1, state]
+                walk.reset(hi)
+            ctx = 0
+            for a in low_arcs:
+                ctx |= key_of[curve_of[a]]
+            if ctx not in blocks:
+                blocks[ctx] = None
+                walk.run(_LOW_MOVES, hi, seen)
+            elif (record := blocks[ctx]) is None:
+                record = blocks[ctx] = []
+                for move in _LOW_MOVES:
+                    walk.run((move,), hi, seen)
+                    low, low_counts = walk.curves_along(low_arcs)
+                    record.append((move[1], low, low_counts + move[1].bit_count()))
             else:
-                entry[0] += 1
-                if state < entry[1]:
-                    entry[1] = state
+                _tally(replayed, (tuple(walk.numbers), walk.counts + hi.bit_count(), ctx), 1, hi)
         lo += size
-    labels = memo.class_tuples(numbers for numbers, _, _, _ in seen)
+    for (numbers, packed, ctx), (count, hi) in replayed.items():
+        record = blocks[ctx]
+        _, low, low_packed = record[-1]
+        untouched = list(numbers)
+        for number in low:
+            untouched.remove(number)
+        base = packed - low_packed
+        for sigma, low, low_packed in record:
+            _tally(seen, (tuple(sorted(untouched + list(low))), base + low_packed), count, hi | sigma)
+    w = walk.count_width
+    mask = (1 << w) - 1
+    labels = memo.class_tuples(numbers for numbers, _ in seen)
     counts: StateSum = {}
-    for (numbers, null_essential, c, disks), (count, _) in sorted(seen.items(), key=lambda item: item[1][1]):
-        counts.setdefault((labels[numbers], null_essential), {})[c, disks + rep.free_loops] = count
+    for (numbers, packed), (count, _) in sorted(seen.items(), key=lambda item: item[1][1]):
+        label = (labels[numbers], packed >> 2 * w)
+        counts.setdefault(label, {})[n - 2 * (packed & mask), ((packed >> w) & mask) + rep.free_loops] = count
     return counts
 
 

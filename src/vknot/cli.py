@@ -6,7 +6,7 @@ Inconclusive verdicts exit 0 (they are valid answers); only parse and
 validation failures exit 2.  Identical inputs and flags produce
 byte-identical output.  The surface bracket behind surface-bracket,
 certify and both reports splits its states over the usable CPUs by
-itself, from 2^16 states on; the split changes wall time only.
+itself, from 2^15 states on; the split changes wall time only.
 """
 
 from __future__ import annotations
@@ -176,6 +176,8 @@ def cmd_double_virtualize_report(args) -> int:
         pair = (a, b)
     if pair is None:
         raise CliError("no crossing pair: use --crossings A,B or a catalog entry that has one")
+    if pair[0] == pair[1]:
+        raise CliError(f"--crossings expects two distinct ids, got {pair[0]} twice")
     for v in pair:
         if v not in d.signs:
             raise CliError(f"crossing {v} not in diagram")

@@ -10,11 +10,25 @@ from __future__ import annotations
 import os
 from typing import Callable, Sequence
 
-#: Fewest states a sum must have to be split over processes.  `certify` on
-#: the twist family, serial against two workers on a 2-vCPU machine: two
-#: workers are slower at 14 crossings, even at 16, faster at 18 and about
-#: twice as fast at 20.
-MIN_SPLIT_STATES = 1 << 16
+#: Fewest states a sum must have to be split over processes.  `certify`,
+#: serial against two workers on a 2-vCPU machine (best of 3, seconds):
+#:
+#:   crossings  input                       serial      two workers
+#:   14         p_family(4)                 0.023       0.046
+#:   14         6 random codes, genus 6-7   0.18-0.36   0.19-0.40 (4 slower)
+#:   15         6 random codes, genus 5-7   0.26-0.51   0.20-0.43 (all faster)
+#:   16         p_family(5)                 0.050       0.071
+#:   16         6 random codes, genus 7-8   0.70-1.25   0.55-1.17 (all faster)
+#:   18         p_family(6)                 0.16        0.21
+#:   20         p_family(7)                 0.48        0.27
+#:
+#: The block memo of `analysis._bracket_chunk` replays most of the twist
+#: family's states, and each worker has to build its own records, so there
+#: two workers win only at 20 crossings; on random codes they win from 15.
+#: A split of a family member costs at most 0.05 s here, while staying
+#: serial on a random code costs up to 0.4 s, so the threshold follows the
+#: random codes.
+MIN_SPLIT_STATES = 1 << 15
 
 
 def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:

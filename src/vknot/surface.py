@@ -155,15 +155,26 @@ class CombinatorialMap:
             self._cache["components"] = tuple(tuple(sorted(g)) for g in groups.values())
         return self._cache["components"]
 
+    @property
+    def chi_of_vertex(self) -> tuple[int, ...]:
+        """Euler characteristic V - E + F of each vertex's component."""
+        if "chi_of_vertex" not in self._cache:
+            vertex_of = self.vertex_of
+            lut = [0] * len(self.vertices)
+            for comp in self.components:
+                vs = set(comp)
+                darts = sum(len(self.vertices[v]) for v in comp)
+                f = sum(1 for orbit in self.faces if vertex_of[orbit[0]] in vs)
+                for v in comp:
+                    lut[v] = len(comp) - darts // 2 + f
+            self._cache["chi_of_vertex"] = tuple(lut)
+        return self._cache["chi_of_vertex"]
+
     def genus(self) -> int:
         """Total genus, summed over connected components."""
         total = 0
         for comp in self.components:
-            vs = set(comp)
-            v = len(vs)
-            e = sum(1 for d, _ in self.edges if self.vertex_of[d] in vs)
-            f = sum(1 for orbit in self.faces if self.vertex_of[orbit[0]] in vs)
-            chi = v - e + f
+            chi = self.chi_of_vertex[comp[0]]
             if chi % 2:
                 raise AssertionError("odd Euler characteristic on an orientable map")
             total += (2 - chi) // 2
@@ -553,31 +564,90 @@ def cut_along_loop(rep: SurfaceRep, loop: Sequence[int]) -> list[tuple[int, int]
 def _cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
     """(chi, boundary circles) of each piece of `m` cut open along `loop`.
 
-    One flood fill over faces, from the face left of loop[0] (the face of
-    its dart) and then, unless that fill reached it, from the face right of
-    it (the face of the reverse dart), never crossing a cut edge: the fill
-    stays within the loop's component.  Per side it counts the faces it
-    visits, the non-cut edges as their darts over 2, and each vertex off the
-    loop once.  Each cut dart h adds one edge copy on the side of its own
-    face and one corner (a vertex copy at the cut) on the side of
-    face_of[sigma[h]].  When the left fill reaches the right face the loop
-    does not separate, and the one piece has both boundary circles.
+    Cutting along a circle keeps chi: the loop's L vertices and L edges are
+    doubled.  A loop that meets each vertex once cannot cross itself, and
+    the faces on either side of it are joined across non-cut edges, so two
+    flood fills over faces, from the face left of loop[0] (the face of its
+    dart) and from the face right of it (the face of the reverse dart),
+    never crossing a cut edge, find its pieces.  They take one face in turn.
+    When they meet, the loop does not separate, and the one piece has the
+    component's chi (`CombinatorialMap.chi_of_vertex`) and both boundary
+    circles.  When one fill closes first, its side is a piece with chi =
+    faces - non-cut edges + vertices off the loop (the side's L corners at
+    the cut and its L edge copies cancel), and the other side has the rest
+    of the component's chi.
+
+    A loop that meets a vertex twice may cross itself there, so it gets
+    both fills in full (`_cut_two_sided`), which check the sides of every
+    loop dart.
     """
     loop = list(loop)
     if not loop:
         raise LoopNotOnSurface("empty loop")
-    vertex_of, alpha, sigma = m.vertex_of, m.alpha, m.sigma
+    vertex_of, alpha = m.vertex_of, m.alpha
     prev = loop[-1]
     for d in loop:
         if vertex_of[d] != vertex_of[alpha[prev]]:
             raise LoopNotOnSurface("dart sequence is not a closed walk")
         prev = d
-    edge_of, face_of, faces = m.edge_of, m.face_of, m.faces
+    edge_of = m.edge_of
     cut = {edge_of[d] for d in loop}
     if len(cut) != len(loop):
         raise LoopNotEmbedded("loop repeats an edge")
-
     on_loop = {vertex_of[d] for d in loop}
+    if len(on_loop) != len(loop):
+        return _cut_two_sided(m, loop, cut, on_loop)
+    face_of, faces = m.face_of, m.faces
+    chi = m.chi_of_vertex[vertex_of[loop[0]]]
+    first = (face_of[loop[0]], face_of[alpha[loop[0]]])
+    if first[0] == first[1]:
+        return [(chi, 2)]
+    side = {first[0]: 0, first[1]: 1}
+    stacks = ([first[0]], [first[1]])
+    seen_vertices: tuple[set[int], set[int]] = (set(), set())
+    # per side: faces + vertices off the loop, and non-cut darts (2 per edge)
+    cells, noncut_darts = [0, 0], [0, 0]
+    while True:
+        for s in (0, 1):
+            stack = stacks[s]
+            if not stack:
+                own = cells[s] - noncut_darts[s] // 2
+                return [(own, 1), (chi - own, 1)] if s == 0 else [(chi - own, 1), (own, 1)]
+            f = stack.pop()
+            cells[s] += 1
+            seen = seen_vertices[s]
+            for h in faces[f]:
+                if edge_of[h] in cut:
+                    continue
+                noncut_darts[s] += 1
+                g = face_of[alpha[h]]
+                other = side.get(g)
+                if other is None:
+                    side[g] = s
+                    stack.append(g)
+                elif other != s:
+                    return [(chi, 2)]
+                v = vertex_of[h]
+                if v not in on_loop and v not in seen:
+                    seen.add(v)
+                    cells[s] += 1
+
+
+def _cut_two_sided(m: CombinatorialMap, loop: list[int], cut: set[int], on_loop: set[int]) -> list[tuple[int, int]]:
+    """`_cut_map` for a loop that meets a vertex twice.
+
+    One flood fill over faces, from the face left of loop[0] and then,
+    unless that fill reached it, from the face right of it, never crossing
+    a cut edge: the fill stays within the loop's component.  Per side it
+    counts the faces it visits, the non-cut edges as their darts over 2, and
+    each vertex off the loop once.  Each cut dart h adds one edge copy on the
+    side of its own face and one corner (a vertex copy at the cut) on the
+    side of face_of[sigma[h]].  A loop dart with a face on the wrong side
+    crosses the loop.  When the left fill reaches the right face the loop
+    does not separate, and the one piece has both boundary circles.
+    """
+    vertex_of, alpha, sigma = m.vertex_of, m.alpha, m.sigma
+    edge_of, face_of, faces = m.edge_of, m.face_of, m.faces
     seen_vertices: set[int] = set()
     side: dict[int, int] = {}  # face -> 0 (left of the loop) or 1 (right)
     n_faces, noncut_darts, verts = [0, 0], [0, 0], [0, 0]

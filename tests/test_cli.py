@@ -130,6 +130,12 @@ def test_catalog_tangle_only_for_its_own_pair(capsys, pair, has_tangle):
         assert obj["tangle_closure_consistent"] is True
 
 
+def test_double_virtualize_report_refuses_an_equal_pair(capsys):
+    code, out, err = run(capsys, "double-virtualize-report", "--catalog", "section5_knot", "--crossings", "1,1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: --crossings expects two distinct ids, got 1 twice"]
+
+
 def test_catalog_list_and_show(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0 and "kishino" in out.split()

@@ -76,3 +76,55 @@ def test_import_loads_no_heavy_stdlib_modules():
     origin, found = json.loads(proc.stdout)
     assert Path(origin).resolve().parent == src / "vknot"
     assert found == [["vknot.cli", []], ["vknot", []]]
+
+
+#: The only environment variable the package reads: the CLI's crossing cap.
+ALLOWED_ENVIRONMENT_READS = {("cli.py", "VKNOT_MAX_CROSSINGS")}
+ENVIRONMENT_NAMES = ("environ", "environb", "getenv", "getenvb")
+
+
+def _environment_reads(tree: ast.AST) -> list[tuple[int, str | None]]:
+    """(line, variable name) of each read of the process environment
+    through `os`; the name is None unless it is a string literal given to
+    `os.getenv`, `os.environ.get` or `os.environ[...]`."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [(node.lineno, None) for alias in node.names if alias.name in ENVIRONMENT_NAMES]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            use = parents.get(node)
+            if isinstance(use, ast.Attribute) and use.attr == "get":
+                use = parents.get(use)
+            arg = None
+            if isinstance(use, ast.Call) and use.args:
+                arg = use.args[0]
+            elif isinstance(use, ast.Subscript):
+                arg = use.slice
+            name = arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else None
+            reads.append((node.lineno, name))
+    return reads
+
+
+def test_no_environment_knobs():
+    """No environment variable steers a computation: a tuning value is a
+    module constant, so the same input always takes the same path.  Only the
+    CLI's crossing cap is read from the environment."""
+    found = {
+        (path.name, lineno, name)
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, name in _environment_reads(ast.parse(path.read_text(), str(path)))
+    }
+    assert {(path, name) for path, _, name in found} >= ALLOWED_ENVIRONMENT_READS
+    extra = sorted(
+        f"{path}:{lineno} {name or '?'}" for path, lineno, name in found if (path, name) not in ALLOWED_ENVIRONMENT_READS
+    )
+    assert not extra, f"environment reads under src/vknot: {extra}"
+    # the scan sees each form of read
+    planted = "import os\nfrom os import getenv\nos.getenv('A')\nos.environ['B']\nos.environ.get('C', '')\nx = os.environ\n"
+    assert sorted(_environment_reads(ast.parse(planted))) == [(2, None), (3, "A"), (4, "B"), (5, "C"), (6, None)]

@@ -9,6 +9,7 @@ against the union-find cut, and the Gray-code state walk against the
 state-by-state chunk, all of tests/oracle.py.
 """
 
+import functools
 import multiprocessing
 import random
 
@@ -21,6 +22,7 @@ from test_parallel import _RecordingPool
 import vknot.analysis as analysis
 import vknot.parallel as parallel
 from vknot.analysis import (
+    LOW_BITS,
     SurfaceBracket,
     _bracket_chunk,
     _CurveMemo,
@@ -228,16 +230,17 @@ PACKED_CASES = sorted(set(CASES) | set(TABLE_CASES), key=str)
 
 def _fused_sum(walk: _GrayWalk, tables: StateTables, ends) -> tuple[int, int]:
     """(packed class, join key) of the current state's curve that leaves
-    `ends`: the sum of the walk's fused values at the curve's arrival ends,
+    `ends`: the sum of the walk's step values at the curve's departure ends,
     split at bit 4n."""
-    total = sum(walk.fused[end ^ 1] for end in ends)
+    total = sum(walk.step[end] for end in ends)
     shift = 4 * tables.n
     return total >> shift, total & ((1 << shift) - 1)
 
 
 def _walked_curve_id(walk: _GrayWalk, ends) -> int:
-    """The one curve id the walk gives every end of a curve, which is one of them."""
-    ids = {walk.curve_of[e] for e in ends} | {walk.curve_of[e ^ 1] for e in ends}
+    """The one curve id the walk gives every arc of a curve, which is one of
+    the curve's ends."""
+    ids = {walk.curve_of[e >> 1] for e in ends}
     assert len(ids) == 1
     (curve,) = ids
     assert curve in ends or curve ^ 1 in ends
@@ -328,13 +331,13 @@ def test_broken_side_table_is_refused_when_the_walk_is_built(name, monkeypatch):
     d = catalog(name)
     tables = StateTables(d)
     walked = []
-    reset = _GrayWalk.reset
+    run = _GrayWalk.run
 
-    def recorded_reset(self, state):
-        walked.append(state)
-        reset(self, state)
+    def recorded_run(self, moves, base, seen=None):
+        walked.append(base)
+        run(self, moves, base, seen)
 
-    monkeypatch.setattr(_GrayWalk, "reset", recorded_reset)
+    monkeypatch.setattr(_GrayWalk, "run", recorded_run)
     # every directed join of every crossing: removed, or pointed at a side
     # dart that leaves the right corner for the wrong one, one that arrives at
     # the right corner from the wrong one, or the same side of the next crossing
@@ -426,16 +429,63 @@ WALK_CASES = (
 )
 
 
-@pytest.mark.parametrize("kind,arg", WALK_CASES, ids=[f"{k}-{a}" for k, a in WALK_CASES])
-def test_gray_walk_tally_matches_state_order_oracle(kind, arg):
-    d = _diagram(kind, arg)
-    total = 1 << d.n_crossings
+def _test_ranges(total: int) -> list[tuple[int, int]]:
+    """The ranges of a split over 1, 2, 3 and 7 workers, and (3, total - 1):
+    aligned blocks of every size, and short unaligned ones at both ends."""
     ranges = {r for p in (1, 2, 3, 7) for r in parallel.split_ranges(total, p)}
     if total > 4:
         ranges.add((3, total - 1))
-    for start, stop in sorted(ranges):
+    return sorted(ranges)
+
+
+@functools.cache
+def _oracle_items(kind, arg, start: int, stop: int) -> list:
+    return list(bracket_chunk(_diagram(kind, arg), start, stop).items())
+
+
+@pytest.mark.parametrize("kind,arg", WALK_CASES, ids=[f"{k}-{a}" for k, a in WALK_CASES])
+def test_gray_walk_tally_matches_state_order_oracle(kind, arg):
+    d = _diagram(kind, arg)
+    for start, stop in _test_ranges(1 << d.n_crossings):
         got = list(_bracket_chunk(d, start, stop).items())
-        assert got == list(bracket_chunk(d, start, stop).items()), (start, stop)
+        assert got == _oracle_items(kind, arg, start, stop), (start, stop)
+
+
+#: (walked, recorded, replayed) low blocks of a full serial walk.
+MEMO_CASES = {("p_family", 3): (37, 21, 198), ("p_family", 4): (56, 36, 932), ("catalog", "trefoil"): (0, 0, 0)}
+
+
+@pytest.mark.parametrize("kind,arg", MEMO_CASES, ids=[f"{k}-{a}" for k, a in MEMO_CASES])
+def test_block_memo_records_and_replays(kind, arg, monkeypatch):
+    # a memo that never engages, or replays a wrong record, fails here; the
+    # trefoil has fewer than LOW_BITS crossings, so it has no low block
+    d = _diagram(kind, arg)
+    total = 1 << d.n_crossings
+    walked_states, record_reads = [0], [0]
+    run, curves_along = _GrayWalk.run, _GrayWalk.curves_along
+
+    def counted_run(self, moves, base, seen=None):
+        if seen is not None:
+            walked_states[0] += len(moves)
+        run(self, moves, base, seen)
+
+    def counted_curves_along(self, arcs):
+        record_reads[0] += 1
+        return curves_along(self, arcs)
+
+    monkeypatch.setattr(_GrayWalk, "run", counted_run)
+    monkeypatch.setattr(_GrayWalk, "curves_along", counted_curves_along)
+    block = 1 << LOW_BITS
+    for start, stop in _test_ranges(total):
+        walked_states[0] = record_reads[0] = 0
+        got = list(_bracket_chunk(d, start, stop).items())
+        assert got == _oracle_items(kind, arg, start, stop), (start, stop)
+        if (start, stop) == (0, total):
+            recorded = record_reads[0] // block
+            walked = walked_states[0] // block - recorded
+            replayed = (total - walked_states[0]) // block
+            assert (walked, recorded, replayed) == MEMO_CASES[kind, arg]
+    assert (d.n_crossings < LOW_BITS) == (MEMO_CASES[kind, arg] == (0, 0, 0))
 
 
 def test_gray_walk_on_a_crossingless_diagram():
