@@ -11,14 +11,13 @@ of classes of the rest.  This is the un-reduced convention (a crossingless
 unknot contributes d); collapsing every class symbol to d recovers
 d * (reduced planar bracket).
 
-The sum runs over ranges of states (`_bracket_chunk`).  A range is
-walked in Gray-code order within aligned power-of-two blocks, so each step
-flips one crossing and re-walks only the curves through it (`_GrayWalk`).
-A new curve is walked once: one sum of an int per arc end gives both its
-homology class, packed into the high bits, and its join key, in the low
-4n bits.  Darts are built and `loop_homology` runs only once per distinct
-class up to sign, and for each null-homologous curve, which alone also
-needs the disk test (`_CurveMemo`).
+The sum (`_bracket_sum`) walks all 2^n states in Gray-code order, so each
+step flips one crossing and re-walks only the curves through it
+(`_GrayWalk`).  A new curve is walked once: one sum of an int per arc end
+gives both its homology class, packed into the high bits, and its join
+key, in the low 4n bits.  Darts are built and `loop_homology` runs only
+once per distinct class up to sign, and for each null-homologous curve,
+which alone also needs the disk test (`_CurveMemo`).
 
 Most blocks are replayed rather than walked.  The LOW_BITS crossings of
 lowest index are the Gray code's fastest bits; for each setting of the
@@ -31,15 +30,13 @@ seen, walked and recorded (each low setting's class numbers and counts of
 the curves through the low crossings) the second time, and replayed from
 the record, with no flip, from the third time on: one tally entry per
 block, keyed by the class numbers and counts at all-A and `ctx`, which the
-end of the range turns into its states' keys by merging the untouched and
+end of the walk turns into its states' keys by merging the untouched and
 the low class numbers into their combined multiset.  On the twist family
 `catalog_p_family(4)`, 932 of the 1024 low blocks are replayed.
 
-A range's counts (a `frontier.StateSum` keyed by curve-class key) list
-each key in the order of the smallest state index that reaches it, and
-`surface_bracket` merges the ranges in range order, so the entries keep
-the order of a state-by-state sum, on which the per-torus witnesses
-depend.
+The counts (a `frontier.StateSum` keyed by curve-class key) list each key
+in the order of the smallest state index that reaches it, the order of a
+state-by-state sum, on which the per-torus witnesses depend.
 
 Two sufficient criteria certify that no cancellation curve exists, i.e.
 that the representation genus is the virtual genus and the diagram is
@@ -58,7 +55,6 @@ from .bracket import StateTables, d_power, expand
 from .diagram import VirtualLinkDiagram, format_gauss_code
 from .frontier import StateSum
 from .laurent import LaurentPoly
-from .parallel import map_state_ranges
 from .surface import (
     HomologyClass,
     SurfaceRep,
@@ -478,9 +474,9 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[list[int], int]:
 
 
 #: Bits of the low block: the crossings 0 .. LOW_BITS - 1, the Gray code's
-#: fastest bits, whose 2^LOW_BITS settings `_bracket_chunk` replays from a
-#: record.  The share of low blocks whose `ctx` was already seen in their
-#: range, over every block of a full serial walk, for 2 / 3 / 4 / 5 / 6 bits:
+#: fastest bits, whose 2^LOW_BITS settings `_bracket_sum` replays from a
+#: record.  The share of low blocks whose `ctx` was already seen, over every
+#: block of the walk, for 2 / 3 / 4 / 5 / 6 bits:
 #: on the twist family `catalog_p_family(3)` and `(4)` 0.93 / 0.93 / 0.93 /
 #: 0.88 / 0.82; on the 96 random 9-11-crossing codes of genus 1-6 of the
 #: `random_certify` benchmark pool 0.11 / 0.07 / 0.04 / 0.02 / 0.02.  Four
@@ -499,9 +495,6 @@ def _gray_moves(m: int, back: bool = False) -> tuple[tuple[int, int], ...]:
     return moves + ((m - 1, 0),) if back else moves
 
 
-#: The moves of a plain walk over an aligned block of 2^m < 2^LOW_BITS
-#: states, from a fresh walk of its first state.
-_PLAIN_MOVES = tuple(_RESET + _gray_moves(m) for m in range(LOW_BITS))
 #: A low block's walk from all-A and back: it ends where it started, on
 #: the state all-A, and so visits every setting once.
 _LOW_MOVES = _gray_moves(LOW_BITS, back=True)
@@ -518,21 +511,20 @@ def _tally(table: dict, key: tuple, count: int, index: int) -> None:
             entry[1] = index
 
 
-def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> StateSum:
-    """The surface state sum over [start, stop): curve-class key -> {(c,
+def _bracket_sum(rep: SurfaceRep) -> StateSum:
+    """The surface state sum over all 2^n states: curve-class key -> {(c,
     disk count): number of states}.
 
-    The range is covered by aligned blocks [lo, lo + 2^m), its binary
-    decomposition.  A block of fewer than 2^LOW_BITS states is walked
-    plainly: a fresh walk of state lo, then lo ^ gray(j) for j = 1 .. 2^m - 1,
-    where consecutive states differ in one crossing, so `_GrayWalk.run`
-    re-walks only the curves through it.  A walked state is tallied under
-    (sorted class numbers, packed counts): the null-essential count, the
-    disk count and the B count, `_GrayWalk.count_width` bits each.
+    With fewer than LOW_BITS crossings the states are walked plainly: a
+    fresh walk of state 0, then gray(j) for j = 1 .. 2^n - 1, where
+    consecutive states differ in one crossing, so `_GrayWalk.run` re-walks
+    only the curves through it.  A walked state is tallied under (sorted
+    class numbers, packed counts): the null-essential count, the disk count
+    and the B count, `_GrayWalk.count_width` bits each.
 
-    A larger block is a Gray walk over its high bits, crossings LOW_BITS and
-    up.  For each high setting hi the low crossings are set to A and `ctx`
-    is read: the union of the join keys of the curves through the low
+    Otherwise the walk is a Gray walk over the high bits, crossings LOW_BITS
+    and up.  For each high setting hi the low crossings are set to A and
+    `ctx` is read: the union of the join keys of the curves through the low
     crossings.  The low block, the 2^LOW_BITS states hi | sigma, is walked
     from all-A and back to all-A the first time a `ctx` is seen; walked and
     recorded the second time, with each sigma's sorted class numbers of the
@@ -551,16 +543,15 @@ def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> StateSum:
 
     A replayed block is tallied once, under (class numbers and packed counts
     at all-A, ctx), keeping the number of such blocks and the smallest hi.
-    At the end of the range each of these keys becomes its 2^LOW_BITS
+    At the end of the walk each of these keys becomes its 2^LOW_BITS
     states' keys: the untouched class numbers merged with each sigma's low
     ones into their combined multiset, the smallest state index being
     hi | sigma with the smallest hi.  Every key keeps its count and the
     smallest state index that reaches it, and the counts are emitted in
-    that order: the order of first appearance in state-index order, which
-    `surface_bracket` keeps and the per-torus witnesses depend on.
+    that order: the order of first appearance in state-index order, on
+    which the per-torus witnesses depend.
     """
-    rep = build_carter_surface(d)
-    tables = StateTables(d)
+    tables = StateTables(rep.diagram)
     memo = _CurveMemo(rep)
     walk = _GrayWalk(tables, memo)
     n = tables.n
@@ -569,24 +560,17 @@ def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> StateSum:
     # ctx -> None once seen, then its record: (sigma, low class numbers, low
     # packed counts with the B count of sigma) per low setting, all-A last
     blocks: dict[int, list | None] = {}
-    # class numbers are local to this range's memo, so states are counted by
+    # class numbers are local to this walk's memo, so states are counted by
     # them and relabelled with class tuples before the counts leave; each
     # value is [count, smallest state index], and for `replayed` [number of
     # blocks, smallest hi]
     seen: dict[tuple[tuple[int, ...], int], list[int]] = {}
     replayed: dict[tuple[tuple[int, ...], int, int], list[int]] = {}
-    lo = start
-    while lo < stop:
-        size = lo & -lo if lo else 1 << (stop.bit_length() - 1)
-        while lo + size > stop:
-            size >>= 1
-        m = size.bit_length() - 1
-        if m < LOW_BITS:
-            walk.run(_PLAIN_MOVES[m], lo, seen)
-            lo += size
-            continue
-        for h in range(size >> LOW_BITS):
-            hi = lo ^ ((h ^ (h >> 1)) << LOW_BITS)
+    if n < LOW_BITS:
+        walk.run(_RESET + _gray_moves(n), 0, seen)
+    else:
+        for h in range(1 << (n - LOW_BITS)):
+            hi = (h ^ (h >> 1)) << LOW_BITS
             if h:
                 walk.run((((h & -h).bit_length() - 1 + LOW_BITS, 0),), hi)
             else:
@@ -605,7 +589,6 @@ def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> StateSum:
                     record.append((move[1], low, low_counts + move[1].bit_count()))
             else:
                 _tally(replayed, (tuple(walk.numbers), walk.counts + hi.bit_count(), ctx), 1, hi)
-        lo += size
     for (numbers, packed, ctx), (count, hi) in replayed.items():
         record = blocks[ctx]
         _, low, low_packed = record[-1]
@@ -626,17 +609,8 @@ def _bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> StateSum:
 
 
 def surface_bracket(rep: SurfaceRep) -> SurfaceBracket:
-    """Group all states by curve-class key and sum coefficients.
-
-    The later ranges' counts merge into the first label by label, in range
-    order, so each key keeps its first state's place."""
-    merged, *rest = map_state_ranges(_bracket_chunk, rep.diagram, 1 << rep.diagram.n_crossings)
-    for counts in rest:
-        for label, part in counts.items():
-            slot = merged.setdefault(label, {})
-            for key, n in part.items():
-                slot[key] = slot.get(key, 0) + n
-    entries = {label: p for label, counts in merged.items() if not (p := expand(counts)).is_zero()}
+    """Group all states by curve-class key and sum coefficients."""
+    entries = {label: p for label, counts in _bracket_sum(rep).items() if not (p := expand(counts)).is_zero()}
     return SurfaceBracket(entries=entries, genus=rep.genus)
 
 

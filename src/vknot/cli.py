@@ -4,9 +4,7 @@ Subcommands: bracket, fpoly, jones, genus, surface-bracket, certify,
 tangle-expand, virtualize-report, double-virtualize-report, catalog.
 Inconclusive verdicts exit 0 (they are valid answers); only parse and
 validation failures exit 2.  Identical inputs and flags produce
-byte-identical output.  The surface bracket behind surface-bracket,
-certify and both reports splits its states over the usable CPUs by
-itself, from 2^15 states on; the split changes wall time only.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -192,12 +190,16 @@ def cmd_double_virtualize_report(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
+        if args.name is not None:
+            raise CliError(f"catalog list takes no entry name, got {args.name!r}")
         if args.format == "json":
             print(json.dumps(catalog_names()))
         else:
             for name in catalog_names():
                 print(name)
         return 0
+    if not args.name:
+        raise CliError("catalog show requires an entry name")
     try:
         e = catalog_entry(args.name)
     except KeyError as err:
@@ -269,15 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "catalog" and args.action == "show" and not args.name:
-        print("catalog show requires an entry name", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ParseError, ValidationError) as e:
+    except (CliError, ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

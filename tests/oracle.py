@@ -149,7 +149,7 @@ def expand(counts: dict[tuple[int, int], int]) -> LaurentPoly:
 def bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> StateSum:
     """The surface state sum over [start, stop), tracing every state in
     index order with `StateTables.trace` (the reference for the Gray-code
-    walk of `analysis._bracket_chunk`)."""
+    walk of `analysis._bracket_sum`)."""
     rep = build_carter_surface(d)
     tables = StateTables(d)
     memo = _CurveMemo(rep)

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from randgen import GENUS_THREE_CODE
 
-import vknot.parallel as parallel
+import vknot.surface as surface
+from vknot.analysis import certify
+from vknot.catalog import catalog
 from vknot.cli import main
 
 
@@ -148,19 +150,52 @@ def test_catalog_show_unknown(capsys):
     assert code == 2 and "unknown catalog entry" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["catalog", "list", "trefoil"], "catalog list takes no entry name, got 'trefoil'"),
+        (["catalog", "show"], "catalog show requires an entry name"),
+        (["catalog", "show", "--format", "json"], "catalog show requires an entry name"),
+    ],
+    ids=["list-with-name", "show-without-name", "show-without-name-json"],
+)
+def test_catalog_refuses_a_misplaced_or_missing_name(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: certify(catalog("kishino")),
+        lambda: main(["surface-bracket", "--catalog", "kishino", "--format", "json"]),
+    ],
+    ids=["certify", "surface-bracket"],
+)
+def test_one_carter_surface_per_call(capsys, monkeypatch, call):
+    # the surface sum runs on the caller's SurfaceRep, so nothing rebuilds it
+    built = []
+    init = surface.SurfaceRep.__init__
+
+    def counted_init(self, diagram):
+        built.append(diagram)
+        init(self, diagram)
+
+    monkeypatch.setattr(surface.SurfaceRep, "__init__", counted_init)
+    call()
+    assert len(built) == 1
+
+
 def test_max_crossings_env(capsys, monkeypatch):
     monkeypatch.setenv("VKNOT_MAX_CROSSINGS", "2")
     code, _, err = run(capsys, "bracket", "--catalog", "trefoil")
     assert code == 2 and "VKNOT_MAX_CROSSINGS" in err
 
 
-def test_byte_identical_json_and_parallel(capsys, monkeypatch):
-    # the same bytes in process and with the states split over two workers
+def test_byte_identical_json_and_parallel(capsys):
+    # the same bytes on every run
     outs = set()
     for cmd in ("certify", "surface-bracket"):
-        for min_states in (parallel.MIN_SPLIT_STATES, 1):
-            monkeypatch.setattr(parallel, "MIN_SPLIT_STATES", min_states)
-            monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        for _ in range(2):
             code, out, _ = run(capsys, cmd, "--catalog", "kishino", "--format", "json")
             assert code == 0
             outs.add((cmd, out))
@@ -329,7 +364,7 @@ def tripled_steps(rep, tables):
 
 analysis._class_steps = tripled_steps
 try:
-    analysis._bracket_chunk(d, 0, 1 << d.n_crossings)
+    analysis._bracket_sum(build_carter_surface(d))
 except ArithmeticError as exc:
     print("refused:", exc)
 """

@@ -55,9 +55,16 @@ def _orders(n: int, seed: int) -> dict[str, list[int]]:
     }
 
 
+#: Most crossings the state-by-state `bracket_partial` is summed over here:
+#: 2^16 states.  Larger inputs (`p_family(6)`, 2^18 states, took seconds)
+#: are checked against the recursion alone.
+MAX_STATE_SUM_CROSSINGS = 16
+
+
 @pytest.mark.parametrize("d", [d for _, d in DIAGRAMS], ids=[name for name, _ in DIAGRAMS])
 def test_frontier_equals_state_sum_and_recursion(d):
-    assert state_sum(StateTables(d)) == {(): bracket_partial(d, 0, 1 << d.n_crossings)}
+    if d.n_crossings <= MAX_STATE_SUM_CROSSINGS:
+        assert state_sum(StateTables(d)) == {(): bracket_partial(d, 0, 1 << d.n_crossings)}
     assert kauffman_bracket(d) == bracket_by_recursion(d)
 
 

@@ -128,3 +128,58 @@ def test_no_environment_knobs():
     # the scan sees each form of read
     planted = "import os\nfrom os import getenv\nos.getenv('A')\nos.environ['B']\nos.environ.get('C', '')\nx = os.environ\n"
     assert sorted(_environment_reads(ast.parse(planted))) == [(2, None), (3, "A"), (4, "B"), (5, "C"), (6, None)]
+
+
+#: Modules that would start threads or processes, and calls that read the
+#: machine's CPU count: a result must not depend on the machine it runs on.
+CONCURRENCY_MODULES = ("multiprocessing", "concurrent", "threading")
+CPU_CALLS = ("cpu_count", "sched_getaffinity")
+
+
+def _machine_dependence(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each import of a CONCURRENCY_MODULES module and each
+    use of `os.cpu_count` or `os.sched_getaffinity`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module == "os":
+                names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+            names = [node.attr]
+        else:
+            continue
+        found += [
+            (node.lineno, name)
+            for name in names
+            if name.split(".")[0] in CONCURRENCY_MODULES or name in CPU_CALLS
+        ]
+    return found
+
+
+def test_no_concurrency_or_cpu_count():
+    """The same input takes the same code path on any machine: no module
+    starts threads or processes or asks how many CPUs there are."""
+    found = sorted(
+        f"{path.name}:{lineno} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for lineno, name in _machine_dependence(ast.parse(path.read_text(), str(path)))
+    )
+    assert not found, f"machine-dependent code under src/vknot: {found}"
+    # the scan sees each form
+    planted = (
+        "import os, multiprocessing\nfrom concurrent.futures import ProcessPoolExecutor\n"
+        "import threading as t\nos.cpu_count()\nlen(os.sched_getaffinity(0))\n"
+        "from os import cpu_count\nimport concurrent.futures\nimport osmium\nos.path.join('a')\n"
+    )
+    assert sorted(_machine_dependence(ast.parse(planted))) == [
+        (1, "multiprocessing"),
+        (2, "concurrent.futures"),
+        (3, "threading"),
+        (4, "cpu_count"),
+        (5, "sched_getaffinity"),
+        (6, "cpu_count"),
+        (7, "concurrent.futures"),
+    ]

@@ -10,28 +10,24 @@ state-by-state chunk, all of tests/oracle.py.
 """
 
 import functools
-import multiprocessing
 import random
 
 import pytest
 import oracle
 from oracle import bracket_chunk, cut_map, cycle_coords, position_of, side_dart, unpack
 from randgen import GENUS_THREE_CODE, random_gauss_code
-from test_parallel import _RecordingPool
 
 import vknot.analysis as analysis
-import vknot.parallel as parallel
 from vknot.analysis import (
     LOW_BITS,
     SurfaceBracket,
-    _bracket_chunk,
+    _bracket_sum,
     _CurveMemo,
     _GrayWalk,
-    certify,
     enumerate_surface_states,
     surface_bracket,
 )
-from vknot.bracket import StateTables, bracket_by_recursion, expand, kauffman_bracket
+from vknot.bracket import StateTables, expand
 from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import VirtualLinkDiagram, parse_gauss_code
 from vknot.laurent import LOOP_VALUE, LaurentPoly
@@ -140,30 +136,6 @@ def _genus_two_codes(seed: int = 7, count: int = 4, max_crossings: int = 8) -> l
         if build_carter_surface(parse_gauss_code(code)).genus >= 2:
             codes.append(code)
     return codes
-
-
-def test_parallel_two_matches_serial(monkeypatch):
-    rep = build_carter_surface(catalog_p_family(1))
-    assert rep.diagram.n_crossings == 8
-    serial = surface_bracket(rep).to_json()
-    # split over two worker processes
-    monkeypatch.setattr(parallel, "MIN_SPLIT_STATES", 1)
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-    assert surface_bracket(rep).to_json() == serial
-    # ranges merged in process: each range numbers its classes in its own
-    # order, and the merge must not depend on that
-    diagrams = [catalog_p_family(0), catalog_p_family(1)] + [parse_gauss_code(c) for c in _genus_two_codes()]
-    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
-    for d in diagrams:
-        rep = build_carter_surface(d)
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
-        serial = (surface_bracket(rep).to_json(), certify(d).to_json())
-        for cpus in (3, 5):
-            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-            _RecordingPool.sizes = []
-            assert (surface_bracket(rep).to_json(), certify(d).to_json()) == serial
-            assert _RecordingPool.sizes == [cpus, cpus]
-        assert kauffman_bracket(d) == bracket_by_recursion(d)
 
 
 def test_each_distinct_class_and_null_curve_is_classified_once(monkeypatch):
@@ -359,7 +331,7 @@ def test_broken_side_table_is_refused_when_the_walk_is_built(name, monkeypatch):
             with pytest.raises(AssertionError, match="jumps between crossings"):
                 _GrayWalk(tables, _CurveMemo(rep))
     assert n_joins == 8 * d.n_crossings and walked == []
-    _bracket_chunk(d, 0, 4)
+    _bracket_sum(build_carter_surface(d))
     assert walked
 
 
@@ -429,29 +401,22 @@ WALK_CASES = (
 )
 
 
-def _test_ranges(total: int) -> list[tuple[int, int]]:
-    """The ranges of a split over 1, 2, 3 and 7 workers, and (3, total - 1):
-    aligned blocks of every size, and short unaligned ones at both ends."""
-    ranges = {r for p in (1, 2, 3, 7) for r in parallel.split_ranges(total, p)}
-    if total > 4:
-        ranges.add((3, total - 1))
-    return sorted(ranges)
-
-
 @functools.cache
-def _oracle_items(kind, arg, start: int, stop: int) -> list:
-    return list(bracket_chunk(_diagram(kind, arg), start, stop).items())
+def _oracle_items(kind, arg) -> list:
+    d = _diagram(kind, arg)
+    return list(bracket_chunk(d, 0, 1 << d.n_crossings).items())
+
+
+def _walk_items(d) -> list:
+    return list(_bracket_sum(build_carter_surface(d)).items())
 
 
 @pytest.mark.parametrize("kind,arg", WALK_CASES, ids=[f"{k}-{a}" for k, a in WALK_CASES])
 def test_gray_walk_tally_matches_state_order_oracle(kind, arg):
-    d = _diagram(kind, arg)
-    for start, stop in _test_ranges(1 << d.n_crossings):
-        got = list(_bracket_chunk(d, start, stop).items())
-        assert got == _oracle_items(kind, arg, start, stop), (start, stop)
+    assert _walk_items(_diagram(kind, arg)) == _oracle_items(kind, arg)
 
 
-#: (walked, recorded, replayed) low blocks of a full serial walk.
+#: (walked, recorded, replayed) low blocks of the walk.
 MEMO_CASES = {("p_family", 3): (37, 21, 198), ("p_family", 4): (56, 36, 932), ("catalog", "trefoil"): (0, 0, 0)}
 
 
@@ -476,23 +441,18 @@ def test_block_memo_records_and_replays(kind, arg, monkeypatch):
     monkeypatch.setattr(_GrayWalk, "run", counted_run)
     monkeypatch.setattr(_GrayWalk, "curves_along", counted_curves_along)
     block = 1 << LOW_BITS
-    for start, stop in _test_ranges(total):
-        walked_states[0] = record_reads[0] = 0
-        got = list(_bracket_chunk(d, start, stop).items())
-        assert got == _oracle_items(kind, arg, start, stop), (start, stop)
-        if (start, stop) == (0, total):
-            recorded = record_reads[0] // block
-            walked = walked_states[0] // block - recorded
-            replayed = (total - walked_states[0]) // block
-            assert (walked, recorded, replayed) == MEMO_CASES[kind, arg]
+    assert _walk_items(d) == _oracle_items(kind, arg)
+    recorded = record_reads[0] // block
+    walked = walked_states[0] // block - recorded
+    replayed = (total - walked_states[0]) // block
+    assert (walked, recorded, replayed) == MEMO_CASES[kind, arg]
     assert (d.n_crossings < LOW_BITS) == (MEMO_CASES[kind, arg] == (0, 0, 0))
 
 
 def test_gray_walk_on_a_crossingless_diagram():
     d = VirtualLinkDiagram((), {}, free_loops=2)
     assert d.n_crossings == 0
-    counts = _bracket_chunk(d, 0, 1)
-    assert list(counts.items()) == list(bracket_chunk(d, 0, 1).items()) == [(((), 0), {(0, 2): 1})]
+    assert _walk_items(d) == list(bracket_chunk(d, 0, 1).items()) == [(((), 0), {(0, 2): 1})]
 
 
 @pytest.mark.parametrize(
@@ -511,7 +471,7 @@ def test_packed_field_width_follows_the_coefficients(d, genus, monkeypatch):
         h.dart_vec = [tuple((k, v * scale) for k, v in vec) if vec else vec for vec in h.dart_vec]
         return rep
 
-    monkeypatch.setattr(analysis, "build_carter_surface", scaled_surface)
+    # the oracle builds its own surface, so it is handed the scaled one
     monkeypatch.setattr(oracle, "build_carter_surface", scaled_surface)
     rep = scaled_surface(d)
     tables = StateTables(d)
@@ -527,29 +487,20 @@ def test_packed_field_width_follows_the_coefficients(d, genus, monkeypatch):
             assert unpack(packed, 2 * rep.genus, walk.width) in (coords, tuple(-x for x in coords))
             nonzero += any(coords)
     assert nonzero
-    total = 1 << d.n_crossings
-    for start, stop in sorted({r for p in (1, 2, 3, 7) for r in parallel.split_ranges(total, p)}):
-        got = _bracket_chunk(d, start, stop)
-        assert list(got.items()) == list(bracket_chunk(d, start, stop).items()), (start, stop)
+    assert list(_bracket_sum(rep).items()) == list(bracket_chunk(d, 0, 1 << d.n_crossings).items())
 
 
 @pytest.mark.parametrize("kind,arg", CASES, ids=[f"{k}-{a}" for k, a in CASES])
-def test_entries_keep_first_state_order(kind, arg, monkeypatch):
+def test_entries_keep_first_state_order(kind, arg):
     # `per_torus` takes its witnesses in this order, so it is part of the
     # certificate's bytes
-    d = _diagram(kind, arg)
-    rep = build_carter_surface(d)
+    rep = build_carter_surface(_diagram(kind, arg))
     first_seen = list(dict.fromkeys(s.key for s in enumerate_surface_states(rep)))
-    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
-    monkeypatch.setattr(parallel, "MIN_SPLIT_STATES", 1)
-    for workers in (1, 3):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
-        entries = surface_bracket(rep).entries
-        assert list(entries) == [key for key in first_seen if key in entries]
+    entries = surface_bracket(rep).entries
+    assert list(entries) == [key for key in first_seen if key in entries]
 
 
 @pytest.mark.parametrize("kind,arg", CASES, ids=[f"{k}-{a}" for k, a in CASES])
 def test_expand_matches_term_by_term_oracle(kind, arg):
-    d = _diagram(kind, arg)
-    for counts in _bracket_chunk(d, 0, 1 << d.n_crossings).values():
+    for counts in _bracket_sum(build_carter_surface(_diagram(kind, arg))).values():
         assert expand(counts) == oracle.expand(counts)
