@@ -20,9 +20,9 @@ once per distinct class up to sign, and for each null-homologous curve,
 which alone also needs the disk test (`_CurveMemo`).
 
 Most blocks are replayed rather than walked.  The LOW_BITS crossings of
-lowest index are the Gray code's fastest bits; for each setting of the
-other crossings, the low block of 2^LOW_BITS states is walked from all-A
-and back to all-A.  With the low crossings at A, `ctx`, the union of the
+lowest index (every crossing, in a smaller diagram) are the Gray code's
+fastest bits; for each setting of the other crossings, the low block of
+2^LOW_BITS states is walked from all-A and back to all-A.  With the low crossings at A, `ctx`, the union of the
 join keys of the curves through them, names those curves, and since
 flipping low crossings rewires only those curves, the low block's outcome
 is a function of `ctx`.  A block is walked the first time its `ctx` is
@@ -138,15 +138,12 @@ class _CurveMemo:
         entry = self.curves[key] = (loop, kind)
         return entry
 
-    def class_tuple(self, numbers: Sequence[int]) -> tuple[HomologyClass, ...]:
-        """Canonical sorted multiset of the classes with these numbers."""
-        return tuple(sorted(self.classes[i] for i in numbers))
-
     def class_tuples(
         self, tuples: Iterable[tuple[int, ...]]
     ) -> dict[tuple[int, ...], tuple[HomologyClass, ...]]:
-        """`class_tuple` of each distinct tuple of class numbers, with the
-        classes ranked by their coordinates once for all of them."""
+        """The canonical sorted multiset of the classes with each distinct
+        tuple of class numbers, with the classes ranked by their coordinates
+        once for all of them."""
         classes = self.classes
         by_rank = sorted(range(len(classes)), key=lambda i: classes[i].coords)
         rank = [0] * len(classes)
@@ -180,23 +177,23 @@ def _trace_state(
     return loops, disks, null_essential, tuple(numbers)
 
 
-def _classify_state(memo: _CurveMemo, tables: StateTables, state: int) -> SurfaceState:
-    loops, disks, null_essential, numbers = _trace_state(memo, tables, state)
-    return SurfaceState(
-        index=state,
-        monomial_exp=tables.n - 2 * state.bit_count(),
-        loops=tuple(loops),
-        disk_bounding_count=disks + memo.rep.free_loops,
-        classes=memo.class_tuple(numbers),
-        null_essential_count=null_essential,
-    )
-
-
 def enumerate_surface_states(rep: SurfaceRep) -> list[SurfaceState]:
     """All 2^n surface states, in state-index order."""
     tables = StateTables(rep.diagram)
     memo = _CurveMemo(rep)
-    return [_classify_state(memo, tables, s) for s in range(1 << tables.n)]
+    traced = [_trace_state(memo, tables, s) for s in range(1 << tables.n)]
+    labels = memo.class_tuples(numbers for *_, numbers in traced)
+    return [
+        SurfaceState(
+            index=state,
+            monomial_exp=tables.n - 2 * state.bit_count(),
+            loops=tuple(loops),
+            disk_bounding_count=disks + rep.free_loops,
+            classes=labels[numbers],
+            null_essential_count=null_essential,
+        )
+        for state, (loops, disks, null_essential, numbers) in enumerate(traced)
+    ]
 
 
 class SurfaceBracket(NamedTuple):
@@ -486,18 +483,14 @@ LOW_BITS = 4
 _RESET = ((-1, 0),)
 
 
-def _gray_moves(m: int, back: bool = False) -> tuple[tuple[int, int], ...]:
+def _gray_moves(m: int) -> tuple[tuple[int, int], ...]:
     """The moves (k, gray(j)) for j = 1 .. 2^m - 1, where gray(j) = j ^ (j >> 1)
     and k = (j & -j).bit_length() - 1 is the one bit gray(j) and gray(j - 1)
-    differ in; with `back`, one more move returns bit m - 1 to 0, which
-    gray(2^m - 1) = 2^(m - 1) has set."""
+    differ in, then one more move that returns bit m - 1 to 0, which
+    gray(2^m - 1) = 2^(m - 1) has set: from setting 0, every setting once,
+    ending back at 0.  With m = 0 that move is the reset (-1, 0)."""
     moves = tuple(((j & -j).bit_length() - 1, j ^ (j >> 1)) for j in range(1, 1 << m))
-    return moves + ((m - 1, 0),) if back else moves
-
-
-#: A low block's walk from all-A and back: it ends where it started, on
-#: the state all-A, and so visits every setting once.
-_LOW_MOVES = _gray_moves(LOW_BITS, back=True)
+    return moves + ((m - 1, 0),)
 
 
 def _tally(table: dict, key: tuple, count: int, index: int) -> None:
@@ -515,21 +508,18 @@ def _bracket_sum(rep: SurfaceRep) -> StateSum:
     """The surface state sum over all 2^n states: curve-class key -> {(c,
     disk count): number of states}.
 
-    With fewer than LOW_BITS crossings the states are walked plainly: a
-    fresh walk of state 0, then gray(j) for j = 1 .. 2^n - 1, where
-    consecutive states differ in one crossing, so `_GrayWalk.run` re-walks
-    only the curves through it.  A walked state is tallied under (sorted
-    class numbers, packed counts): the null-essential count, the disk count
-    and the B count, `_GrayWalk.count_width` bits each.
-
-    Otherwise the walk is a Gray walk over the high bits, crossings LOW_BITS
-    and up.  For each high setting hi the low crossings are set to A and
-    `ctx` is read: the union of the join keys of the curves through the low
-    crossings.  The low block, the 2^LOW_BITS states hi | sigma, is walked
-    from all-A and back to all-A the first time a `ctx` is seen; walked and
-    recorded the second time, with each sigma's sorted class numbers of the
-    curves through the low crossings and their packed counts; and replayed
-    from the record, with no flip, from the third time on.
+    The walk is a Gray walk over the high bits, crossings LOW_BITS and up
+    (none with fewer than LOW_BITS crossings, when every crossing is low).
+    For each high setting hi the low crossings are set to A and `ctx` is
+    read: the union of the join keys of the curves through the low
+    crossings.  The low block, the states hi | sigma, is walked by
+    `_gray_moves` from all-A and back to all-A the first time a `ctx` is
+    seen; walked and recorded the second time, with each sigma's sorted
+    class numbers of the curves through the low crossings and their packed
+    counts; and replayed from the record, with no flip, from the third time
+    on.  A walked state is tallied under (sorted class numbers, packed
+    counts): the null-essential count, the disk count and the B count,
+    `_GrayWalk.count_width` bits each.
 
     This is exact.  Flipping low crossings rewires only the arcs of the
     curves through them, which close up among themselves through the
@@ -555,7 +545,9 @@ def _bracket_sum(rep: SurfaceRep) -> StateSum:
     memo = _CurveMemo(rep)
     walk = _GrayWalk(tables, memo)
     n = tables.n
-    low_arcs = sorted({a for k in range(min(LOW_BITS, n)) for a in walk.arcs[k]})
+    low_bits = min(LOW_BITS, n)
+    low_moves = _gray_moves(low_bits)
+    low_arcs = sorted({a for k in range(low_bits) for a in walk.arcs[k]})
     curve_of, key_of = walk.curve_of, walk.key_of
     # ctx -> None once seen, then its record: (sigma, low class numbers, low
     # packed counts with the B count of sigma) per low setting, all-A last
@@ -566,29 +558,26 @@ def _bracket_sum(rep: SurfaceRep) -> StateSum:
     # blocks, smallest hi]
     seen: dict[tuple[tuple[int, ...], int], list[int]] = {}
     replayed: dict[tuple[tuple[int, ...], int, int], list[int]] = {}
-    if n < LOW_BITS:
-        walk.run(_RESET + _gray_moves(n), 0, seen)
-    else:
-        for h in range(1 << (n - LOW_BITS)):
-            hi = (h ^ (h >> 1)) << LOW_BITS
-            if h:
-                walk.run((((h & -h).bit_length() - 1 + LOW_BITS, 0),), hi)
-            else:
-                walk.reset(hi)
-            ctx = 0
-            for a in low_arcs:
-                ctx |= key_of[curve_of[a]]
-            if ctx not in blocks:
-                blocks[ctx] = None
-                walk.run(_LOW_MOVES, hi, seen)
-            elif (record := blocks[ctx]) is None:
-                record = blocks[ctx] = []
-                for move in _LOW_MOVES:
-                    walk.run((move,), hi, seen)
-                    low, low_counts = walk.curves_along(low_arcs)
-                    record.append((move[1], low, low_counts + move[1].bit_count()))
-            else:
-                _tally(replayed, (tuple(walk.numbers), walk.counts + hi.bit_count(), ctx), 1, hi)
+    for h in range(1 << (n - low_bits)):
+        hi = (h ^ (h >> 1)) << low_bits
+        if h:
+            walk.run((((h & -h).bit_length() - 1 + low_bits, 0),), hi)
+        else:
+            walk.reset(hi)
+        ctx = 0
+        for a in low_arcs:
+            ctx |= key_of[curve_of[a]]
+        if ctx not in blocks:
+            blocks[ctx] = None
+            walk.run(low_moves, hi, seen)
+        elif (record := blocks[ctx]) is None:
+            record = blocks[ctx] = []
+            for move in low_moves:
+                walk.run((move,), hi, seen)
+                low, low_counts = walk.curves_along(low_arcs)
+                record.append((move[1], low, low_counts + move[1].bit_count()))
+        else:
+            _tally(replayed, (tuple(walk.numbers), walk.counts + hi.bit_count(), ctx), 1, hi)
     for (numbers, packed, ctx), (count, hi) in replayed.items():
         record = blocks[ctx]
         _, low, low_packed = record[-1]

@@ -377,8 +377,7 @@ def canonical_code(d: VirtualLinkDiagram, max_components: int = 6) -> str | None
     rotation of components, and component reordering.
 
     Brute-forces component orders and rotations; returns None beyond
-    `max_components` pass-bearing components (callers fall back to not
-    memoising).
+    `max_components` pass-bearing components.
     """
     comps = d.components
     if len(comps) > max_components:

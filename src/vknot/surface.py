@@ -28,7 +28,7 @@ class LoopNotOnSurface(ValueError):
 
 
 class LoopNotEmbedded(ValueError):
-    """Loop repeats an edge or crosses itself; cutting is undefined."""
+    """Loop repeats an edge or meets a vertex twice; it is not cut."""
 
 
 class BasisMismatch(ValueError):
@@ -45,13 +45,20 @@ class CombinatorialMap:
     `sigma` rotates the darts counterclockwise around their vertex,
     `alpha` is the fixed-point-free edge involution.  Vertices, edges and
     faces are the orbits of sigma, alpha and phi = sigma o alpha; each
-    connected component contributes 2 - 2*genus to chi = V - E + F.
+    connected component contributes 2 - 2*genus to chi = V - E + F.  Every
+    table is built once, with the map: the orbits, each dart's vertex, edge
+    and face index (`vertex_of`, `edge_of`, `face_of`), the components as
+    sorted tuples of vertex indices, and the chi of each vertex's component
+    (`chi_of_vertex`).
     """
 
-    __slots__ = ("n_darts", "sigma", "alpha", "_cache")
+    __slots__ = (
+        "n_darts", "sigma", "alpha", "vertices", "edges", "faces",
+        "vertex_of", "edge_of", "face_of", "components", "chi_of_vertex",
+    )
 
     def __init__(self, sigma: Sequence[int], alpha: Sequence[int]):
-        self.n_darts = len(sigma)
+        self.n_darts = n = len(sigma)
         self.sigma = tuple(sigma)
         self.alpha = tuple(alpha)
         if len(self.alpha) != self.n_darts:
@@ -61,114 +68,36 @@ class CombinatorialMap:
                 raise ValueError("alpha must be a fixed-point-free involution")
         if sorted(self.sigma) != list(range(self.n_darts)):
             raise ValueError("sigma must be a permutation of the darts")
-        self._cache: dict = {}
+        self.vertices = _orbits(self.sigma)
+        self.edges = tuple((d, self.alpha[d]) for d in range(n) if d < self.alpha[d])
+        self.faces = _orbits([self.sigma[a] for a in self.alpha])
+        self.vertex_of = _orbit_of(self.vertices, n)
+        self.edge_of = _orbit_of(self.edges, n)
+        self.face_of = _orbit_of(self.faces, n)
+        parent = list(range(len(self.vertices)))
 
-    # -- orbit structure -------------------------------------------------
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-    def _orbits(self, perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * self.n_darts
-        out = []
-        for start in range(self.n_darts):
-            if seen[start]:
-                continue
-            orbit = []
-            d = start
-            while not seen[d]:
-                seen[d] = True
-                orbit.append(d)
-                d = perm[d]
-            out.append(tuple(orbit))
-        return tuple(out)
-
-    @property
-    def vertices(self) -> tuple[tuple[int, ...], ...]:
-        if "vertices" not in self._cache:
-            self._cache["vertices"] = self._orbits(self.sigma)
-        return self._cache["vertices"]
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        if "edges" not in self._cache:
-            self._cache["edges"] = tuple(
-                (d, self.alpha[d]) for d in range(self.n_darts) if d < self.alpha[d]
-            )
-        return self._cache["edges"]
-
-    def phi(self, d: int) -> int:
-        """Face permutation sigma o alpha."""
-        return self.sigma[self.alpha[d]]
-
-    @property
-    def faces(self) -> tuple[tuple[int, ...], ...]:
-        if "faces" not in self._cache:
-            self._cache["faces"] = self._orbits([self.phi(d) for d in range(self.n_darts)])
-        return self._cache["faces"]
-
-    @property
-    def vertex_of(self) -> tuple[int, ...]:
-        if "vertex_of" not in self._cache:
-            lut = [0] * self.n_darts
-            for vi, orbit in enumerate(self.vertices):
-                for d in orbit:
-                    lut[d] = vi
-            self._cache["vertex_of"] = tuple(lut)
-        return self._cache["vertex_of"]
-
-    @property
-    def edge_of(self) -> tuple[int, ...]:
-        if "edge_of" not in self._cache:
-            lut = [0] * self.n_darts
-            for ei, (d, e) in enumerate(self.edges):
-                lut[d] = lut[e] = ei
-            self._cache["edge_of"] = tuple(lut)
-        return self._cache["edge_of"]
-
-    @property
-    def face_of(self) -> tuple[int, ...]:
-        if "face_of" not in self._cache:
-            lut = [0] * self.n_darts
-            for fi, orbit in enumerate(self.faces):
-                for d in orbit:
-                    lut[d] = fi
-            self._cache["face_of"] = tuple(lut)
-        return self._cache["face_of"]
-
-    @property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components as sorted tuples of vertex indices."""
-        if "components" not in self._cache:
-            parent = list(range(len(self.vertices)))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for d, e in self.edges:
-                a, b = find(self.vertex_of[d]), find(self.vertex_of[e])
-                if a != b:
-                    parent[a] = b
-            groups: dict[int, list[int]] = {}
-            for v in range(len(self.vertices)):
-                groups.setdefault(find(v), []).append(v)
-            self._cache["components"] = tuple(tuple(sorted(g)) for g in groups.values())
-        return self._cache["components"]
-
-    @property
-    def chi_of_vertex(self) -> tuple[int, ...]:
-        """Euler characteristic V - E + F of each vertex's component."""
-        if "chi_of_vertex" not in self._cache:
-            vertex_of = self.vertex_of
-            lut = [0] * len(self.vertices)
-            for comp in self.components:
-                vs = set(comp)
-                darts = sum(len(self.vertices[v]) for v in comp)
-                f = sum(1 for orbit in self.faces if vertex_of[orbit[0]] in vs)
-                for v in comp:
-                    lut[v] = len(comp) - darts // 2 + f
-            self._cache["chi_of_vertex"] = tuple(lut)
-        return self._cache["chi_of_vertex"]
+        for d, e in self.edges:
+            a, b = find(self.vertex_of[d]), find(self.vertex_of[e])
+            if a != b:
+                parent[a] = b
+        groups: dict[int, list[int]] = {}
+        for v in range(len(self.vertices)):
+            groups.setdefault(find(v), []).append(v)
+        self.components = tuple(tuple(sorted(g)) for g in groups.values())
+        chi = [0] * len(self.vertices)
+        for comp in self.components:
+            vs = set(comp)
+            darts = sum(len(self.vertices[v]) for v in comp)
+            f = sum(1 for orbit in self.faces if self.vertex_of[orbit[0]] in vs)
+            for v in comp:
+                chi[v] = len(comp) - darts // 2 + f
+        self.chi_of_vertex = tuple(chi)
 
     def genus(self) -> int:
         """Total genus, summed over connected components."""
@@ -179,6 +108,33 @@ class CombinatorialMap:
                 raise AssertionError("odd Euler characteristic on an orientable map")
             total += (2 - chi) // 2
         return total
+
+
+def _orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of a permutation of 0 .. len(perm) - 1, each from its
+    smallest element, in order of that element."""
+    seen = [False] * len(perm)
+    out = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        orbit = []
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            orbit.append(d)
+            d = perm[d]
+        out.append(tuple(orbit))
+    return tuple(out)
+
+
+def _orbit_of(orbits: Sequence[Sequence[int]], n_darts: int) -> tuple[int, ...]:
+    """Dart -> index of the orbit (vertex, edge or face) holding it."""
+    lut = [0] * n_darts
+    for i, orbit in enumerate(orbits):
+        for d in orbit:
+            lut[d] = i
+    return tuple(lut)
 
 
 # -- Carter surface of a diagram -----------------------------------------
@@ -242,7 +198,6 @@ class RefinedMap:
     """
 
     def __init__(self, rep: SurfaceRep):
-        self.rep = rep
         base = 2 * rep.n_arcs
         crossings = list(rep.diagram.crossing_ids)
         self.crossing_index = {cid: i for i, cid in enumerate(crossings)}
@@ -577,9 +532,9 @@ def _cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
     the cut and its L edge copies cancel), and the other side has the rest
     of the component's chi.
 
-    A loop that meets a vertex twice may cross itself there, so it gets
-    both fills in full (`_cut_two_sided`), which check the sides of every
-    loop dart.
+    A loop that meets a vertex twice is refused.  On the refined map, the
+    only map cut here, every corner has one arc dart and two quad sides, so
+    a walk that repeats no edge meets each vertex at most once.
     """
     loop = list(loop)
     if not loop:
@@ -596,7 +551,7 @@ def _cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
         raise LoopNotEmbedded("loop repeats an edge")
     on_loop = {vertex_of[d] for d in loop}
     if len(on_loop) != len(loop):
-        return _cut_two_sided(m, loop, cut, on_loop)
+        raise LoopNotEmbedded("loop meets a vertex twice")
     face_of, faces = m.face_of, m.faces
     chi = m.chi_of_vertex[vertex_of[loop[0]]]
     first = (face_of[loop[0]], face_of[alpha[loop[0]]])
@@ -631,58 +586,6 @@ def _cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
                 if v not in on_loop and v not in seen:
                     seen.add(v)
                     cells[s] += 1
-
-
-def _cut_two_sided(m: CombinatorialMap, loop: list[int], cut: set[int], on_loop: set[int]) -> list[tuple[int, int]]:
-    """`_cut_map` for a loop that meets a vertex twice.
-
-    One flood fill over faces, from the face left of loop[0] and then,
-    unless that fill reached it, from the face right of it, never crossing
-    a cut edge: the fill stays within the loop's component.  Per side it
-    counts the faces it visits, the non-cut edges as their darts over 2, and
-    each vertex off the loop once.  Each cut dart h adds one edge copy on the
-    side of its own face and one corner (a vertex copy at the cut) on the
-    side of face_of[sigma[h]].  A loop dart with a face on the wrong side
-    crosses the loop.  When the left fill reaches the right face the loop
-    does not separate, and the one piece has both boundary circles.
-    """
-    vertex_of, alpha, sigma = m.vertex_of, m.alpha, m.sigma
-    edge_of, face_of, faces = m.edge_of, m.face_of, m.faces
-    seen_vertices: set[int] = set()
-    side: dict[int, int] = {}  # face -> 0 (left of the loop) or 1 (right)
-    n_faces, noncut_darts, verts = [0, 0], [0, 0], [0, 0]
-    for s, first in enumerate((face_of[loop[0]], face_of[alpha[loop[0]]])):
-        if first in side:
-            continue
-        side[first] = s
-        stack = [first]
-        while stack:
-            f = stack.pop()
-            n_faces[s] += 1
-            for h in faces[f]:
-                if edge_of[h] in cut:
-                    continue
-                noncut_darts[s] += 1
-                g = face_of[alpha[h]]
-                if g not in side:
-                    side[g] = s
-                    stack.append(g)
-                v = vertex_of[h]
-                if v not in on_loop and v not in seen_vertices:
-                    seen_vertices.add(v)
-                    verts[s] += 1
-    left, right = side[face_of[loop[0]]], side[face_of[alpha[loop[0]]]]
-    edges = [noncut_darts[0] // 2, noncut_darts[1] // 2]
-    for d in loop:
-        if side.get(face_of[d]) != left or side.get(face_of[alpha[d]]) != right:
-            raise LoopNotEmbedded("loop crosses itself at a vertex")
-        for h in (d, alpha[d]):
-            edges[side[face_of[h]]] += 1
-            verts[side[face_of[sigma[h]]]] += 1
-    chi = [verts[s] - edges[s] + n_faces[s] for s in (0, 1)]
-    if left == right:
-        return [(chi[0], 2)]
-    return [(chi[0], 1), (chi[1], 1)]
 
 
 def is_disk_bounding(rep: SurfaceRep, loop: Sequence[int]) -> bool:

@@ -374,10 +374,10 @@ class VirtualizationReport(NamedTuple):
     bracket_Kv: LaurentPoly
     verdict: str  # "NonClassical(1)" | "Undetected"
     zerocor: str
-    certificate: "object | None" = None
+    certificate: object  # analysis.Certificate of K_v
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "diagram": self.diagram,
             "crossing": self.crossing,
             "alpha": None if self.alpha is None else self.alpha.to_json(),
@@ -387,13 +387,11 @@ class VirtualizationReport(NamedTuple):
             "bracket_Kv": self.bracket_Kv.to_json(),
             "verdict": self.verdict,
             "zerocor": self.zerocor,
+            "certificate": self.certificate.to_json(),
         }
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json()
-        return out
 
 
-def virtualization_report(K: VirtualLinkDiagram, v: int, run_certify: bool = True) -> VirtualizationReport:
+def virtualization_report(K: VirtualLinkDiagram, v: int) -> VirtualizationReport:
     """Single-virtualization analysis of crossing v.
 
     When the tangle complementary to v is virtual, alpha and beta are not
@@ -411,13 +409,11 @@ def virtualization_report(K: VirtualLinkDiagram, v: int, run_certify: bool = Tru
         raise AssertionError("bracket(K_v) != bracket(K_s): virtualization convention bug")
     detected = alpha is not None and not alpha.is_zero() and not beta.is_zero()
     verdict = "NonClassical(1)" if detected else "Undetected"
-    cert = None
-    if run_certify:
-        from .analysis import certify
+    from .analysis import certify
 
-        cert = certify(Kv)
-        if detected and str(cert) != "NonClassical(1)":
-            raise AssertionError("surface pipeline disagrees with tangle criterion")
+    cert = certify(Kv)
+    if detected and str(cert) != "NonClassical(1)":
+        raise AssertionError("surface pipeline disagrees with tangle criterion")
     return VirtualizationReport(
         diagram=format_gauss_code(K),
         crossing=v,
@@ -428,7 +424,7 @@ def virtualization_report(K: VirtualLinkDiagram, v: int, run_certify: bool = Tru
         bracket_Kv=bKv,
         verdict=verdict,
         zerocor=zerocor_check(bK, bKs),
-    certificate=cert,
+        certificate=cert,
     )
 
 

@@ -6,7 +6,6 @@ from typing import Iterable, Sequence
 
 from vknot.analysis import _CurveMemo, _trace_state
 from vknot.bracket import StateTables, d_power
-from vknot.diagram import VirtualLinkDiagram
 from vknot.frontier import StateSum
 from vknot.laurent import LaurentPoly
 from vknot.surface import (
@@ -16,7 +15,6 @@ from vknot.surface import (
     MapHomology,
     RefinedMap,
     SurfaceRep,
-    build_carter_surface,
 )
 from vknot.symplectic import SkewForm, SymplecticBasis, standard_form
 
@@ -146,24 +144,24 @@ def expand(counts: dict[tuple[int, int], int]) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def bracket_chunk(d: VirtualLinkDiagram, start: int, stop: int) -> StateSum:
-    """The surface state sum over [start, stop), tracing every state in
+def bracket_chunk(rep: SurfaceRep) -> StateSum:
+    """The surface state sum over all 2^n states, tracing every state in
     index order with `StateTables.trace` (the reference for the Gray-code
     walk of `analysis._bracket_sum`)."""
-    rep = build_carter_surface(d)
-    tables = StateTables(d)
+    tables = StateTables(rep.diagram)
     memo = _CurveMemo(rep)
-    # class numbers are local to this range's memo, so states are counted by
-    # them and relabelled with class tuples before the counts leave
+    # class numbers are local to this memo, so states are counted by them
+    # and relabelled with class tuples before the counts leave
     tally: dict[tuple[tuple[int, ...], int, int, int], int] = {}
     n = tables.n
-    for state in range(start, stop):
+    for state in range(1 << n):
         _, disks, null_essential, numbers = _trace_state(memo, tables, state)
         t = (numbers, null_essential, n - 2 * state.bit_count(), disks)
         tally[t] = tally.get(t, 0) + 1
+    labels = memo.class_tuples(numbers for numbers, *_ in tally)
     counts: StateSum = {}
     for (numbers, null_essential, c, disks), count in tally.items():
-        counts.setdefault((memo.class_tuple(numbers), null_essential), {})[c, disks + rep.free_loops] = count
+        counts.setdefault((labels[numbers], null_essential), {})[c, disks + rep.free_loops] = count
     return counts
 
 

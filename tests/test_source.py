@@ -183,3 +183,43 @@ def test_no_concurrency_or_cpu_count():
         (6, "cpu_count"),
         (7, "concurrent.futures"),
     ]
+
+
+def _private_definitions(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of each function, method or class whose name starts with
+    one underscore."""
+    return [
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Every name read or assigned and every attribute named in the tree."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_no_unreferenced_private_helpers():
+    """Every private function, method or class under src/vknot is named again
+    somewhere under src/vknot: a helper that only tests or nothing call is
+    dead code, or belongs in tests/oracle.py."""
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(_names_used, trees.values()))
+    defined = [(name, lineno, helper) for name, tree in trees.items() for lineno, helper in _private_definitions(tree)]
+    unused = [f"{name}:{lineno} {helper}" for name, lineno, helper in defined if helper not in used]
+    assert defined and not unused, f"private helpers nothing under src/vknot names: {unused}"
+    # the scan sees each form of definition and use
+    planted = (
+        "class _A:\n    def _m(self): self._n()\n    def _n(self): pass\n"
+        "def _f(): return _A\ndef __init__(): pass\nasync def _g(): pass\n"
+    )
+    tree = ast.parse(planted)
+    assert _private_definitions(tree) == [(1, "_A"), (4, "_f"), (6, "_g"), (2, "_m"), (3, "_n")]
+    assert {name for _, name in _private_definitions(tree)} - _names_used(tree) == {"_m", "_f", "_g"}

@@ -362,11 +362,26 @@ def test_disk_test_matches_union_find_cut(kind, arg):
         assert sorted(cut_along_loop(rep, curve)) == sorted(cut_map(refined, curve))
         assert is_disk_bounding(rep, curve) == _oracle_disk(rep, curve)
     # face boundaries of both maps, either way round: disks, and walks that
-    # repeat an edge or meet a vertex twice
+    # repeat an edge or meet a vertex twice; `_cut_map` refuses a walk that
+    # meets a vertex twice, which only the 4-valent Carter map has
     for m in (rep.map, refined):
         for face in m.faces:
             for walk in (face, tuple(m.alpha[x] for x in reversed(face))):
-                assert _outcome(_cut_map, m, walk) == _outcome(cut_map, m, walk)
+                simple = len({m.edge_of[x] for x in walk}) == len(walk)
+                if simple and len({m.vertex_of[x] for x in walk}) < len(walk):
+                    assert m is rep.map and _outcome(_cut_map, m, walk) is LoopNotEmbedded
+                else:
+                    assert _outcome(_cut_map, m, walk) == _outcome(cut_map, m, walk)
+
+
+@pytest.mark.parametrize("kind,arg", CUT_CASES, ids=[f"{k}-{a}" for k, a in CUT_CASES])
+def test_refined_map_is_three_valent(kind, arg):
+    # every corner has one arc dart and two quad sides, and no edge joins a
+    # corner to itself, so a walk that repeats no edge meets each vertex at
+    # most once: the only walks `_cut_map` cuts
+    m = build_carter_surface(_diagram(kind, arg)).refined.map
+    assert all(len(v) == 3 for v in m.vertices)
+    assert all(m.vertex_of[d] != m.vertex_of[e] for d, e in m.edges)
 
 
 @pytest.mark.parametrize("name", ["trefoil", "kishino", "section5_knot"])
@@ -403,8 +418,7 @@ WALK_CASES = (
 
 @functools.cache
 def _oracle_items(kind, arg) -> list:
-    d = _diagram(kind, arg)
-    return list(bracket_chunk(d, 0, 1 << d.n_crossings).items())
+    return list(bracket_chunk(build_carter_surface(_diagram(kind, arg))).items())
 
 
 def _walk_items(d) -> list:
@@ -423,7 +437,8 @@ MEMO_CASES = {("p_family", 3): (37, 21, 198), ("p_family", 4): (56, 36, 932), ("
 @pytest.mark.parametrize("kind,arg", MEMO_CASES, ids=[f"{k}-{a}" for k, a in MEMO_CASES])
 def test_block_memo_records_and_replays(kind, arg, monkeypatch):
     # a memo that never engages, or replays a wrong record, fails here; the
-    # trefoil has fewer than LOW_BITS crossings, so it has no low block
+    # trefoil's 3 crossings are all low, so its one block of 8 states is
+    # walked, which counts as no block of 2^LOW_BITS
     d = _diagram(kind, arg)
     total = 1 << d.n_crossings
     walked_states, record_reads = [0], [0]
@@ -452,28 +467,21 @@ def test_block_memo_records_and_replays(kind, arg, monkeypatch):
 def test_gray_walk_on_a_crossingless_diagram():
     d = VirtualLinkDiagram((), {}, free_loops=2)
     assert d.n_crossings == 0
-    assert _walk_items(d) == list(bracket_chunk(d, 0, 1).items()) == [(((), 0), {(0, 2): 1})]
+    assert _walk_items(d) == list(bracket_chunk(build_carter_surface(d)).items()) == [(((), 0), {(0, 2): 1})]
 
 
 @pytest.mark.parametrize(
     "d,genus", [(catalog("kishino"), 2), (parse_gauss_code(GENUS_THREE_CODE), 3)], ids=["kishino", "genus-3"]
 )
-def test_packed_field_width_follows_the_coefficients(d, genus, monkeypatch):
+def test_packed_field_width_follows_the_coefficients(d, genus):
     # every dart's class scaled by 2^40 + 1: the packed sums must still unpack
     # to the classes, which fields of any fixed width the unscaled classes
     # fit in would not hold, and the walk must still tally as the
     # state-by-state oracle does
     scale = (1 << 40) + 1
-
-    def scaled_surface(d):
-        rep = build_carter_surface(d)
-        h = rep.homology
-        h.dart_vec = [tuple((k, v * scale) for k, v in vec) if vec else vec for vec in h.dart_vec]
-        return rep
-
-    # the oracle builds its own surface, so it is handed the scaled one
-    monkeypatch.setattr(oracle, "build_carter_surface", scaled_surface)
-    rep = scaled_surface(d)
+    rep = build_carter_surface(d)
+    h = rep.homology
+    h.dart_vec = [tuple((k, v * scale) for k, v in vec) if vec else vec for vec in h.dart_vec]
     tables = StateTables(d)
     walk = _GrayWalk(tables, _CurveMemo(rep))
     assert rep.genus == genus and walk.width > 41
@@ -487,7 +495,7 @@ def test_packed_field_width_follows_the_coefficients(d, genus, monkeypatch):
             assert unpack(packed, 2 * rep.genus, walk.width) in (coords, tuple(-x for x in coords))
             nonzero += any(coords)
     assert nonzero
-    assert list(_bracket_sum(rep).items()) == list(bracket_chunk(d, 0, 1 << d.n_crossings).items())
+    assert list(_bracket_sum(rep).items()) == list(bracket_chunk(rep).items())
 
 
 @pytest.mark.parametrize("kind,arg", CASES, ids=[f"{k}-{a}" for k, a in CASES])

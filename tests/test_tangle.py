@@ -155,10 +155,10 @@ def test_virtualization_report_computes_each_bracket_once(monkeypatch):
         return kauffman_bracket(d)
 
     monkeypatch.setattr(tangle, "kauffman_bracket", counted)
-    rep = virtualization_report(catalog("trefoil"), 1, run_certify=False)
-    # <K_A>, <K_B>, <K>, <K_s>, <K_v>
+    rep = virtualization_report(catalog("trefoil"), 1)
+    # <K_A>, <K_B>, <K>, <K_s>, <K_v>; the certificate of K_v takes none
     assert len(calls) == 5
-    assert rep.to_json() == virtualization_report(catalog("trefoil"), 1, run_certify=False).to_json()
+    assert rep.to_json() == virtualization_report(catalog("trefoil"), 1).to_json()
 
 
 def _cycles(m1: Matching, m2: Matching) -> int:
