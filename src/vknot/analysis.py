@@ -11,7 +11,18 @@ of classes of the rest.  This is the un-reduced convention (a crossingless
 unknot contributes d); collapsing every class symbol to d recovers
 d * (reduced planar bracket).
 
-The sum (`_bracket_sum`) walks all 2^n states in Gray-code order, so each
+`certify` reads its classes from the d-image of the surface bracket
+(`d_image_bracket`), which sends the symbol of each null-homologous
+essential curve to d.  A curve's weight is then local, d for a zero class
+and its symbol otherwise, so the image needs no disk test and is a
+frontier sweep (`frontier.labelled_state_sum`): each open path carries its
+packed class, each key the sorted classes of its closed nonzero loops and
+the smallest state index that reaches it.  Its cost follows the width of
+the diagram, not 2^n.
+
+The full surface bracket (`surface_bracket`, behind `surface-bracket`)
+must tell disk-bounding from null-essential curves, which is not local.
+Its sum (`_bracket_sum`) walks all 2^n states in Gray-code order, so each
 step flips one crossing and re-walks only the curves through it
 (`_GrayWalk`).  A new curve is walked once: one sum of an int per arc end
 gives both its homology class, packed into the high bits, and its join
@@ -22,21 +33,23 @@ which alone also needs the disk test (`_CurveMemo`).
 Most blocks are replayed rather than walked.  The LOW_BITS crossings of
 lowest index (every crossing, in a smaller diagram) are the Gray code's
 fastest bits; for each setting of the other crossings, the low block of
-2^LOW_BITS states is walked from all-A and back to all-A.  With the low crossings at A, `ctx`, the union of the
-join keys of the curves through them, names those curves, and since
-flipping low crossings rewires only those curves, the low block's outcome
-is a function of `ctx`.  A block is walked the first time its `ctx` is
-seen, walked and recorded (each low setting's class numbers and counts of
-the curves through the low crossings) the second time, and replayed from
-the record, with no flip, from the third time on: one tally entry per
-block, keyed by the class numbers and counts at all-A and `ctx`, which the
-end of the walk turns into its states' keys by merging the untouched and
-the low class numbers into their combined multiset.  On the twist family
+2^LOW_BITS states is walked from all-A and back to all-A.  With the low
+crossings at A, `ctx`, the union of the join keys of the curves through
+them, names those curves, and since flipping low crossings rewires only
+those curves, the low block's outcome is a function of `ctx`.  A block
+is walked the first time its `ctx` is seen, walked and recorded (each
+low setting's class numbers and counts of the curves through the low
+crossings) the second time, and replayed from the record, with no flip,
+from the third time on: one tally entry per block, keyed by the class
+numbers and counts at all-A and `ctx`, which the end of the walk turns
+into its states' keys by merging the untouched and the low class numbers
+into their combined multiset.  On the twist family
 `catalog_p_family(4)`, 932 of the 1024 low blocks are replayed.
 
-The counts (a `frontier.StateSum` keyed by curve-class key) list each key
-in the order of the smallest state index that reaches it, the order of a
-state-by-state sum, on which the per-torus witnesses depend.
+Both sums (a `frontier.StateSum` keyed by curve-class key, or by class
+tuple for the image) list each key in the order of the smallest state
+index that reaches it, the order of a state-by-state sum, on which the
+per-torus witnesses depend.
 
 Two sufficient criteria certify that no cancellation curve exists, i.e.
 that the representation genus is the virtual genus and the diagram is
@@ -53,7 +66,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bracket import StateTables, d_power, expand
 from .diagram import VirtualLinkDiagram, format_gauss_code
-from .frontier import StateSum
+from .frontier import StateSum, labelled_state_sum
 from .laurent import LaurentPoly
 from .surface import (
     HomologyClass,
@@ -288,7 +301,7 @@ class _GrayWalk:
             tuple(
                 (p, q, r, s, p ^ 1, q ^ 1, r ^ 1, s ^ 1)
                 + tuple(
-                    (steps[a * n_ends + f] << shift) + bit
+                    (steps[a, f] << shift) + bit
                     for a, f, bit in ((p, q, u), (q, p, u), (r, s, v), (s, r, v))
                 )
                 for (p, q, r, s), (u, v) in zip(joins, bits)
@@ -430,13 +443,13 @@ def _pack(pairs: Iterable[tuple[int, int]], width: int) -> int:
     return sum(v << (k * width) for k, v in pairs)
 
 
-def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[list[int], int]:
+def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[dict[tuple[int, int], int], int]:
     """(steps, width): the packed class each directed smoothing join adds to
     a curve through it.
 
     A curve leaves arc end e along its arc (refined dart e), arrives at end
     e ^ 1 and takes the quad side `RefinedMap.join_side` gives for the join
-    to the next end f.  steps[(e ^ 1) * n_ends + f] is the sum of both
+    to the next end f.  steps[e ^ 1, f] is the sum of both
     darts' `dart_vec`, packed by `_pack`, so a curve's packed class is the
     sum of its steps.  A state curve uses each dart at most once, so no
     coordinate of its class exceeds `bound`, the sum over darts of their
@@ -454,8 +467,7 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[list[int], int]:
     bound = sum(max(abs(v) for _, v in vec) for vec in dart_vec if vec)
     width = bound.bit_length() + 1
     packed = [_pack(vec, width) if vec else 0 for vec in dart_vec]
-    n_ends = 2 * tables.n_arcs
-    steps = [0] * (n_ends * n_ends)
+    steps = {}
     for joins in tables.joins:
         for p, q, r, s in joins:
             for arrival, departure in ((p, q), (q, p), (r, s), (s, r)):
@@ -466,7 +478,7 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[list[int], int]:
                     or vertex_of[departure] != vertex_of[alpha[side]]
                 ):
                     raise AssertionError("state loop jumps between crossings")
-                steps[arrival * n_ends + departure] = packed[arrival ^ 1] + packed[side]
+                steps[arrival, departure] = packed[arrival ^ 1] + packed[side]
     return steps, width
 
 
@@ -603,6 +615,53 @@ def surface_bracket(rep: SurfaceRep) -> SurfaceBracket:
     return SurfaceBracket(entries=entries, genus=rep.genus)
 
 
+def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> StateSum:
+    """The state sum of the d-image of the surface bracket: sorted class
+    tuple -> {(c, zero-class loops and free loops): number of states}, the
+    labels in the order of the smallest state index that reaches them.
+
+    The d-image sends each null-homologous essential symbol to d, so a
+    curve's weight is d for a zero class and its symbol otherwise: local,
+    with no disk test.  `frontier.labelled_state_sum` sweeps it in `order`
+    (default the greedy one) with the packed classes of `_class_steps`;
+    each distinct packed class is unpacked once.
+    """
+    tables = StateTables(rep.diagram)
+    steps, width = _class_steps(rep, tables)
+    dim = 2 * rep.genus
+    classes: dict[int, HomologyClass] = {}
+    counts: StateSum = {}
+    for label, label_counts in labelled_state_sum(tables, steps, order).items():
+        for packed in label:
+            if packed not in classes:
+                classes[packed] = _unpack_class(packed, dim, width)
+        counts[tuple(sorted([classes[packed] for packed in label]))] = {
+            (c, k + rep.free_loops): count for (c, k), count in label_counts.items()
+        }
+    return counts
+
+
+def _unpack_class(packed: int, dim: int, width: int) -> HomologyClass:
+    """The class of `dim` signed coordinates packed by `_pack` with fields
+    of `width` bits."""
+    coords = []
+    mask, sign = (1 << width) - 1, 1 << (width - 1)
+    for _ in range(dim):
+        field = packed & mask
+        if field & sign:
+            field -= 1 << width
+        coords.append(field)
+        packed = (packed - field) >> width
+    return HomologyClass.canonical(coords)
+
+
+def d_image_bracket(rep: SurfaceRep) -> SurfaceBracket:
+    """The surface bracket with every null-homologous essential symbol sent
+    to d: each key's essential count is 0, and `collapse` is unchanged."""
+    entries = {(label, 0): p for label, counts in _image_sum(rep).items() if not (p := expand(counts)).is_zero()}
+    return SurfaceBracket(entries=entries, genus=rep.genus)
+
+
 # -- criteria -------------------------------------------------------------
 
 
@@ -702,12 +761,22 @@ class Certificate(NamedTuple):
 
 
 def certify(d: VirtualLinkDiagram) -> Certificate:
-    """Run the full pipeline: surface, surface bracket, both criteria."""
+    """Run the full pipeline: Carter surface, the d-image of the surface
+    bracket (`d_image_bracket`), both criteria.
+
+    The criteria read the classes that survive in the d-image, ordered by
+    the smallest state index of their keys and by coordinates within a key.
+    Sending the null-homologous essential symbol to d can merge keys and
+    cancel coefficients, never create a class, so these classes are a
+    subset of those that survive in the full surface bracket.  Both
+    criteria are monotone in that set, so a NonClassical verdict from the
+    image holds for the full bracket too.
+    """
     rep = build_carter_surface(d)
     code = format_gauss_code(d)
     if rep.genus == 0:
         return Certificate("Inconclusive", 0, (), code)
-    sb = surface_bracket(rep)
+    sb = d_image_bracket(rep)
     results = (per_torus_criterion(sb, rep.genus), mod2_span_criterion(sb, rep.genus))
     verdict = "NonClassical" if any(r.satisfied for r in results) else "Inconclusive"
     return Certificate(verdict, rep.genus, results, code)

@@ -73,10 +73,11 @@ def _named_entry(args) -> CatalogEntry | None:
 def _check_crossing_cap(n_crossings: int) -> None:
     """Refuse inputs with more than VKNOT_MAX_CROSSINGS crossings.
 
-    The planar bracket and the tangle expansion are frontier sweeps whose
-    cost follows the diagram's width, not 2^n, but the surface bracket
-    behind `surface-bracket`, `certify` and both reports still enumerates
-    all 2^n states, so one crossing cap still holds for every input.
+    The planar bracket, the tangle expansion and the d-image of the
+    surface bracket behind `certify` and both reports are frontier sweeps
+    whose cost follows the diagram's width, not 2^n, but the full surface
+    bracket behind `surface-bracket` still enumerates all 2^n states, so
+    one crossing cap still holds for every input.
     """
     if n_crossings > _max_crossings():
         raise CliError(f"{n_crossings} crossings exceeds VKNOT_MAX_CROSSINGS={_max_crossings()}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import permutations
 from typing import NamedTuple, Sequence
 
 OVER = "O"
@@ -367,47 +366,3 @@ def _pass_counts(passes: list[Pass]) -> dict[int, int]:
     for p in passes:
         counts[p.crossing] = counts.get(p.crossing, 0) + 1
     return counts
-
-
-# -- canonical form ------------------------------------------------------
-
-
-def canonical_code(d: VirtualLinkDiagram, max_components: int = 6) -> str | None:
-    """Canonical Gauss code invariant under crossing relabelling, cyclic
-    rotation of components, and component reordering.
-
-    Brute-forces component orders and rotations; returns None beyond
-    `max_components` pass-bearing components.
-    """
-    comps = d.components
-    if len(comps) > max_components:
-        return None
-    best: str | None = None
-    for order in permutations(range(len(comps))):
-        rotations = [range(len(comps[ci])) for ci in order]
-        best = _scan_orders(d, order, rotations, best)
-    suffix = ";U" * d.free_loops
-    if best is None:
-        return "U" + ";U" * (d.free_loops - 1) if d.free_loops else ""
-    return best + suffix
-
-
-def _scan_orders(d, order, rotations, best):
-    from itertools import product
-
-    for rots in product(*rotations):
-        relabel: dict[int, int] = {}
-        parts = []
-        for ci, rot in zip(order, rots):
-            comp = d.components[ci]
-            seq = comp[rot:] + comp[:rot]
-            toks = []
-            for p in seq:
-                if p.crossing not in relabel:
-                    relabel[p.crossing] = len(relabel) + 1
-                toks.append(f"{p.role}{relabel[p.crossing]}{'+' if d.signs[p.crossing] > 0 else '-'}")
-            parts.append("".join(toks))
-        cand = ";".join(parts)
-        if best is None or cand < best:
-            best = cand
-    return best

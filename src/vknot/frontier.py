@@ -1,4 +1,5 @@
-"""Frontier (transfer-matrix) evaluation of the planar state sum.
+"""Frontier (transfer-matrix) evaluation of the planar state sum, and of
+the state sum whose loops carry packed homology classes.
 
 The crossings of a `bracket.StateTables` are added one at a time.  After
 each step the smoothed crossings form paths whose ends are the open arc
@@ -32,6 +33,12 @@ crossing's four ends out as slots once, so each key only copies its
 partner slots, sets the four joins, closes the arcs and reads the new key
 off the surviving slots.
 
+`labelled_state_sum` runs the same sweep with a second kernel whose keys
+also hold a packed class per open end and the sorted classes of the
+nonzero loops closed so far, and whose values also hold the smallest state
+index that reaches the key; `analysis` sums the d-image of the surface
+bracket with it.
+
 See Makowsky and Marino, The parametrized complexity of knot polynomials,
 JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
 16 (2007), for the same idea.
@@ -39,7 +46,7 @@ JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .bracket import StateTables
@@ -47,7 +54,9 @@ if TYPE_CHECKING:
 #: The one format of a state sum before expansion: label -> {(c, k): number
 #: of states}, each state adding A^c d^k to its label's coefficient
 #: (`bracket.expand` turns one label's counts into a polynomial).  Here the
-#: label is the pairing of the boundary ends and k the closed-loop count.
+#: label is the pairing of the boundary ends and k the closed-loop count,
+#: or, for `labelled_state_sum`, the sorted nonzero loop classes and k the
+#: zero-class loop count.
 StateSum = dict[Hashable, dict[tuple[int, int], int]]
 
 #: Greater than any growth (at most 4), so an added crossing is never the minimum.
@@ -92,14 +101,90 @@ def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> StateS
     indices raises ValueError.
     """
     n = tables.n
-    if order is None:
-        order = greedy_order(tables)
-    elif sorted(order) != list(range(n)):
-        raise ValueError(f"crossing order {list(order)} is not a permutation of range({n})")
     # field l * (n + 1) + b of a packed count, `width` bits wide, holds the
     # partial states with b B-smoothings and l closed loops
     width = 8 * ((n + 8) // 8)
     loop_shift = (n + 1) * width
+
+    def step(frontier, k, m, closes, survivors, position):
+        smoothings = (((m + 1, m, m + 3, m + 2), 0), ((m + 2, m + 3, m, m + 1), width))
+        return _step(frontier, smoothings, closes, survivors, position, loop_shift)
+
+    frontier, ends = _sweep(tables, order, lambda key: {key: 1}, step)
+    return {
+        tuple(sorted((~a, ~ends[i]) for a, i in zip(ends, key) if a > ends[i])): _unpack(packed, n, width)
+        for key, packed in frontier.items()
+    }
+
+
+def labelled_state_sum(
+    tables: StateTables, join_class: Mapping[tuple[int, int], int], order: Sequence[int] | None = None
+) -> StateSum:
+    """The state sum of a diagram's `tables` with each loop labelled by a
+    packed class, swept in `order` (default `greedy_order`).
+
+    `join_class[p, q]` is the packed class (an int, additive) a loop gains
+    when it arrives at arc end p, along p's arc, and leaves from end q by a
+    smoothing join.  The result maps the sorted tuple of the nonzero loop
+    classes of a state, each taken up to sign as abs(packed), to the number
+    of states with each (c, zero-class loops), and lists the labels in the
+    order of the smallest state index that reaches them (bit k of an index
+    is the B-smoothing of crossing k).
+
+    A key adds to the planar one the class of each open path, stored at its
+    open ends: at end u the class of the path entered at u, with u's arc,
+    and left at its other end, without that end's arc; and the sorted
+    classes of the nonzero loops it closed.  A join p-q sets
+    `join_class[p, q]` at p and `join_class[q, p]` at q.  Closing the arc
+    from new end x to old end y = x ^ 1 joins the path (u ... x) to the
+    path (y ... v): the class at u gains the class at y, which holds x's
+    arc, and the class at v gains the class at x.  When u = y the path
+    closes into a loop whose class is the one at y.  Each key also keeps
+    the smallest state index that reaches it: a B-smoothing of crossing k
+    adds 1 << k to the index of every key it continues, so the minimum of
+    the merged keys is the minimum over their states.
+    """
+    if tables.boundary:
+        raise ValueError("a labelled state sum takes a diagram, not a tangle")
+    n = tables.n
+    width = 8 * ((n + 8) // 8)
+    loop_shift = (n + 1) * width
+
+    def step(frontier, k, m, closes, survivors, position):
+        r0, r3, r1, r2 = tables.joins[k][0]
+        jc = join_class
+        # the classes at the slots (r0, r3, r1, r2) under A, then under B
+        smoothings = (
+            ((m + 1, m, m + 3, m + 2), (jc[r0, r3], jc[r3, r0], jc[r1, r2], jc[r2, r1]), 0, 0),
+            ((m + 2, m + 3, m, m + 1), (jc[r0, r1], jc[r3, r2], jc[r1, r0], jc[r2, r3]), width, 1 << k),
+        )
+        return _labelled_step(frontier, smoothings, closes, survivors, position, loop_shift)
+
+    frontier, _ = _sweep(tables, order, lambda key: {(key, (), ()): [1, 0]}, step)
+    return {
+        closed: _unpack(packed, n, width)
+        for (_, _, closed), (packed, _) in sorted(frontier.items(), key=lambda item: item[1][1])
+    }
+
+
+def _sweep(tables, order, start, step):
+    """Add the crossings of `tables` in `order` (default `greedy_order`) to
+    the frontier `start(key)` of the boundary pairing `key`, one
+    `step(frontier, k, m, closes, survivors, position)` per crossing k; the
+    final frontier and its open ends.
+
+    The step's slots are the m open ends in order, then the crossing's ends
+    (r0, r3, r1, r2) at m .. m + 3; A joins r0-r3 and r1-r2, B joins r0-r1
+    and r2-r3.  `closes` holds (crossing slot, other slot) of each arc it
+    closes back to an added crossing, a kink arc once;
+    `survivors` the slots left open, in their new order, and `position`
+    each slot's new position.
+    """
+    n = tables.n
+    if order is None:
+        order = greedy_order(tables)
+    elif sorted(order) != list(range(n)):
+        raise ValueError(f"crossing order {list(order)} is not a permutation of range({n})")
     boundary = tables.boundary
     placed = set(boundary)
     # each boundary end b starts as a path from its terminal ~b, and a
@@ -113,12 +198,10 @@ def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> StateS
         else:
             ends.append(b)
             partner[~b], partner[b] = b, ~b
-    frontier = {tuple(ends.index(partner[e]) for e in ends): 1}
+    frontier = start(tuple(ends.index(partner[e]) for e in ends))
     for k in order:
         a_joins = tables.joins[k][0]
         placed.update(a_joins)
-        # slots: the open ends in order, then the crossing's ends (r0, r3,
-        # r1, r2); A joins r0-r3 and r1-r2, B joins r0-r1 and r2-r3
         m = len(ends)
         slot = {e: i for i, e in enumerate(ends)}
         slot.update((x, m + i) for i, x in enumerate(a_joins))
@@ -133,19 +216,9 @@ def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> StateS
         position = [0] * (m + 4)
         for j, s in enumerate(survivors):
             position[s] = j
-        frontier = _step(
-            frontier,
-            (((m + 1, m, m + 3, m + 2), 0), ((m + 2, m + 3, m, m + 1), width)),
-            closes,
-            survivors,
-            position,
-            loop_shift,
-        )
+        frontier = step(frontier, k, m, closes, survivors, position)
         ends = after
-    return {
-        tuple(sorted((~a, ~ends[i]) for a, i in zip(ends, key) if a > ends[i])): _unpack(packed, n, width)
-        for key, packed in frontier.items()
-    }
+    return frontier, ends
 
 
 def _step(frontier, smoothings, closes, survivors, position, loop_shift):
@@ -170,6 +243,44 @@ def _step(frontier, smoothings, closes, survivors, position, loop_shift):
                     partner[v] = u
             new = tuple([position[partner[s]] for s in survivors])
             out[new] = out.get(new, 0) + (packed << shift)
+    return out
+
+
+def _labelled_step(frontier, smoothings, closes, survivors, position, loop_shift):
+    """`_step` for keys (partner positions, path classes, closed classes)
+    with values [packed count, smallest state index]: each smoothing also
+    holds the classes at the crossing's four slots and the bit it adds to
+    the index (1 << k for B)."""
+    out: dict[tuple, list[int]] = {}
+    for (key, vals, closed), (packed, index) in frontier.items():
+        for joined, joined_vals, shift, bit in smoothings:
+            partner = [*key, *joined]
+            val = [*vals, *joined_vals]
+            loops = closed
+            for x, y in closes:
+                u = partner[x]
+                if u == y:
+                    cls = val[y]
+                    if cls:
+                        loops = (*loops, abs(cls))
+                    else:
+                        shift += loop_shift
+                else:
+                    v = partner[y]
+                    partner[u] = v
+                    partner[v] = u
+                    val[u] += val[y]
+                    val[v] += val[x]
+            if loops is not closed:
+                loops = tuple(sorted(loops))
+            new = (tuple([position[partner[s]] for s in survivors]), tuple([val[s] for s in survivors]), loops)
+            entry = out.get(new)
+            if entry is None:
+                out[new] = [packed << shift, index | bit]
+            else:
+                entry[0] += packed << shift
+                if index | bit < entry[1]:
+                    entry[1] = index | bit
     return out
 
 

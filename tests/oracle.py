@@ -1,11 +1,13 @@
 """Reference computations that production code no longer runs, kept as
-oracles for the fast paths."""
+oracles for the fast paths, and `canonical_code`, which only tests use."""
 
 from fractions import Fraction
+from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from vknot.analysis import _CurveMemo, _trace_state
 from vknot.bracket import StateTables, d_power
+from vknot.diagram import VirtualLinkDiagram
 from vknot.frontier import StateSum
 from vknot.laurent import LaurentPoly
 from vknot.surface import (
@@ -262,3 +264,33 @@ def side_dart(refined: RefinedMap, ci: int, k_from: int, k_to: int) -> int:
     if k_to == (k_from - 1) % 4:
         return refined.base + 8 * ci + 2 * k_to + 1
     raise LoopNotOnSurface(f"corners {k_from} and {k_to} are not adjacent")
+
+
+def canonical_code(d: VirtualLinkDiagram, max_components: int = 6) -> str | None:
+    """Canonical Gauss code invariant under crossing relabelling, cyclic
+    rotation of components, and component reordering.
+
+    Brute-forces component orders and rotations; returns None beyond
+    `max_components` pass-bearing components.
+    """
+    comps = d.components
+    if len(comps) > max_components:
+        return None
+    best: str | None = None
+    for order in permutations(range(len(comps))):
+        for rots in product(*(range(len(comps[ci])) for ci in order)):
+            relabel: dict[int, int] = {}
+            parts = []
+            for ci, rot in zip(order, rots):
+                comp = comps[ci]
+                toks = []
+                for p in comp[rot:] + comp[:rot]:
+                    relabel.setdefault(p.crossing, len(relabel) + 1)
+                    toks.append(f"{p.role}{relabel[p.crossing]}{'+' if d.signs[p.crossing] > 0 else '-'}")
+                parts.append("".join(toks))
+            cand = ";".join(parts)
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        return "U" + ";U" * (d.free_loops - 1) if d.free_loops else ""
+    return best + ";U" * d.free_loops

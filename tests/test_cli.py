@@ -359,7 +359,7 @@ class_steps = analysis._class_steps
 
 def tripled_steps(rep, tables):
     steps, width = class_steps(rep, tables)
-    return [3 * x for x in steps], width
+    return {join: 3 * x for join, x in steps.items()}, width
 
 
 analysis._class_steps = tripled_steps

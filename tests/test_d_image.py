@@ -1,0 +1,208 @@
+"""The frontier sweep of the d-image of the surface bracket, which `certify`
+runs, against the Gray walk over all 2^n states (`analysis._bracket_sum`),
+which `surface_bracket` runs.
+
+The d-image sends each null-homologous essential symbol to d, so its
+state sum is the full one with the null-essential count merged into the
+loop count; both list their labels by smallest state index.
+"""
+
+import importlib.util
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import oracle
+import pytest
+from randgen import GENUS_THREE_CODE, random_gauss_code
+
+from vknot import analysis, surface
+from vknot.analysis import certify, d_image_bracket, family_report, per_torus_criterion, surface_bracket
+from vknot.bracket import StateTables, f_polynomial
+from vknot.catalog import catalog, catalog_names, catalog_p_family
+from vknot.diagram import parse_gauss_code
+from vknot.frontier import greedy_order
+from vknot.laurent import LaurentPoly
+from vknot.surface import HomologyClass, build_carter_surface, intersection_number
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: Genus 2, NonClassical(2) on per-torus alone: every surviving class is
+#: orthogonal to (0, 1, 0, -1).
+PER_TORUS_CODE = "U4+U7+O5+O8-O4+U9-O3-U5+O7+U3-U6+U1+O2+O6+O9-O1+U2+U8-"
+#: Genus 4: the one code of the 618 compared whose per-torus witnesses
+#: differ between the d-image and the full bracket (same classes, same
+#: verdict; see `test_witness_order_may_differ_but_not_the_classes`).
+WITNESS_ORDER_CODE = "U6-O1+O5-U2+O3-O12-O2+U12-O8-U3-U11-O9+U9+O6-;U10-O11-O10-U8-U1+U7-O4+U5-;O7-U4+"
+#: Genus 2: 8 classes survive in the full bracket, 4 of them in the d-image,
+#: and per-torus still holds on those 4.
+CLASS_LOSING_CODE = "U4+;O5+O4+U5+O1-U2-U1-O3+U3+;O2-"
+
+
+def _pool_codes() -> list[str]:
+    """The Gauss codes of the `random_certify` benchmark pool, read from
+    perfbench/workloads.py, which is neither changed nor run as a script."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [argv[1] for argv, _ in module.all_ops("random_certify")]
+
+
+def _random_codes(seed: int = 20261019, count: int = 60) -> list[str]:
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        codes.append(random_gauss_code(rng, n, rng.randint(1, min(3, 2 * n))))
+    return codes
+
+
+#: Every diagram of 12 crossings or fewer that these tests name.
+SMALL = (
+    [(name, catalog(name)) for name in catalog_names()]
+    + [(f"p_family({n})", catalog_p_family(n)) for n in range(4)]
+    + [(code, parse_gauss_code(code)) for code in (GENUS_THREE_CODE, PER_TORUS_CODE, WITNESS_ORDER_CODE, CLASS_LOSING_CODE)]
+    + [(code, parse_gauss_code(code)) for code in _random_codes()]
+)
+POOL = _pool_codes()
+
+
+def test_unpack_class_inverts_pack_up_to_sign():
+    rng = random.Random(20261019)
+    for _ in range(300):
+        width, dim = rng.randint(2, 9), 2 * rng.randint(1, 5)
+        coords = [rng.randint(-(1 << (width - 2)), 1 << (width - 2)) for _ in range(dim)]
+        packed = analysis._pack(enumerate(coords), width)
+        assert oracle.unpack(packed, dim, width) == tuple(coords)
+        for p in (packed, -packed, abs(packed)):
+            assert analysis._unpack_class(p, dim, width) == HomologyClass.canonical(coords)
+
+
+def _merged(counts):
+    """A full surface state sum with each label's null-essential count
+    merged into its loop count, labels in their first order."""
+    out = {}
+    for (classes, essential), label_counts in counts.items():
+        slot = out.setdefault(classes, {})
+        for (c, k), n in label_counts.items():
+            slot[c, k + essential] = slot.get((c, k + essential), 0) + n
+    return out
+
+
+@pytest.mark.parametrize("d", [d for _, d in SMALL], ids=[name for name, _ in SMALL])
+def test_sweep_equals_merged_gray_walk_under_three_orders(d):
+    rep = build_carter_surface(d)
+    expected = _merged(analysis._bracket_sum(rep))
+    n = d.n_crossings
+    greedy = greedy_order(StateTables(d))
+    for name, order in (("greedy", greedy), ("identity", list(range(n))), ("reversed", list(range(n))[::-1])):
+        got = analysis._image_sum(rep, order)
+        assert got == expected, name
+        assert list(got) == list(expected), name
+
+
+def test_sweep_equals_merged_gray_walk_on_the_pool():
+    for code in POOL:
+        rep = build_carter_surface(parse_gauss_code(code))
+        got = analysis._image_sum(rep)
+        expected = _merged(analysis._bracket_sum(rep))
+        assert got == expected and list(got) == list(expected), code
+
+
+def test_class_set_equals_surface_bracket_on_the_pool():
+    assert len(POOL) == 96
+    for code in POOL:
+        rep = build_carter_surface(parse_gauss_code(code))
+        assert set(d_image_bracket(rep).nonzero_classes()) == set(surface_bracket(rep).nonzero_classes()), code
+
+
+@pytest.mark.parametrize("d", [d for _, d in SMALL], ids=[name for name, _ in SMALL])
+def test_d_image_collapses_to_the_planar_bracket(d):
+    rep = build_carter_surface(d)
+    image = d_image_bracket(rep)
+    assert all(essential == 0 for _, essential in image.entries)
+    assert image.collapse() == surface_bracket(rep).collapse()
+
+
+def test_family_report_through_46_crossings():
+    for n in range(21):
+        assert str(family_report(n)) == "NonClassical(2)", n
+        assert f_polynomial(catalog_p_family(n)) == LaurentPoly.one(), n
+
+
+def test_witness_order_may_differ_but_not_the_classes():
+    """Sending the null-essential symbol to d merges keys, so a class can
+    first survive at a different key; the class set and the verdict stay."""
+    rep = build_carter_surface(parse_gauss_code(WITNESS_ORDER_CODE))
+    full, image = surface_bracket(rep), d_image_bracket(rep)
+    assert rep.genus == 4
+    assert set(image.nonzero_classes()) == set(full.nonzero_classes())
+    assert image.nonzero_classes() != full.nonzero_classes()
+    assert per_torus_criterion(image, 4).satisfied == per_torus_criterion(full, 4).satisfied
+
+
+def test_d_image_may_lose_classes():
+    """Keys that differ only in their null-essential count merge in the
+    d-image, and their coefficients can cancel: fewer classes survive, never
+    others, so a NonClassical verdict from the image is sound."""
+    rep = build_carter_surface(parse_gauss_code(CLASS_LOSING_CODE))
+    full, image = set(surface_bracket(rep).nonzero_classes()), set(d_image_bracket(rep).nonzero_classes())
+    assert (rep.genus, len(full), len(image)) == (2, 8, 4)
+    assert image < full
+    assert str(certify(parse_gauss_code(CLASS_LOSING_CODE))) == "NonClassical(2)"
+
+
+def _rational_rank(rows) -> int:
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_per_torus_holds_on_classes_orthogonal_to_one_class():
+    """The surviving classes of this genus-2 code span a rank-3 sublattice,
+    all orthogonal to gamma = (0, 1, 0, -1), and still meet per-torus (a
+    fact the criterion's argument has to cover, not a verdict)."""
+    rep = build_carter_surface(parse_gauss_code(PER_TORUS_CODE))
+    assert rep.genus == 2
+    gamma = HomologyClass((0, 1, 0, -1))
+    for sb in (surface_bracket(rep), d_image_bracket(rep)):
+        classes = sb.nonzero_classes()
+        assert per_torus_criterion(sb, 2).satisfied
+        assert _rational_rank([c.coords for c in classes]) == 3 == 2 * rep.genus - 1
+        assert all(intersection_number(gamma, c) == 0 for c in classes)
+
+
+class _Forbidden(Exception):
+    pass
+
+
+def _forbid(*_args, **_kwargs):
+    raise _Forbidden
+
+
+def test_certify_takes_no_state_walk_and_no_disk_test(monkeypatch):
+    for module, name in (
+        (analysis, "_bracket_sum"),
+        (analysis, "_GrayWalk"),
+        (analysis, "is_disk_bounding"),
+        (analysis, "loop_homology"),
+        (surface, "is_disk_bounding"),
+        (surface, "loop_homology"),
+    ):
+        monkeypatch.setattr(module, name, _forbid)
+    diagrams = [catalog(name) for name in catalog_names()] + [catalog_p_family(n) for n in (2, 3, 4, 9)]
+    for d in diagrams:
+        certify(d)
+    assert str(certify(catalog_p_family(9))) == "NonClassical(2)"
+    with pytest.raises(_Forbidden):
+        surface_bracket(build_carter_surface(catalog("kishino")))

