@@ -30,22 +30,6 @@ key, in the low 4n bits.  Darts are built and `loop_homology` runs only
 once per distinct class up to sign, and for each null-homologous curve,
 which alone also needs the disk test (`_CurveMemo`).
 
-Most blocks are replayed rather than walked.  The LOW_BITS crossings of
-lowest index (every crossing, in a smaller diagram) are the Gray code's
-fastest bits; for each setting of the other crossings, the low block of
-2^LOW_BITS states is walked from all-A and back to all-A.  With the low
-crossings at A, `ctx`, the union of the join keys of the curves through
-them, names those curves, and since flipping low crossings rewires only
-those curves, the low block's outcome is a function of `ctx`.  A block
-is walked the first time its `ctx` is seen, walked and recorded (each
-low setting's class numbers and counts of the curves through the low
-crossings) the second time, and replayed from the record, with no flip,
-from the third time on: one tally entry per block, keyed by the class
-numbers and counts at all-A and `ctx`, which the end of the walk turns
-into its states' keys by merging the untouched and the low class numbers
-into their combined multiset.  On the twist family
-`catalog_p_family(4)`, 932 of the 1024 low blocks are replayed.
-
 Both sums (a `frontier.StateSum` keyed by curve-class key, or by class
 tuple for the image) list each key in the order of the smallest state
 index that reaches it, the order of a state-by-state sum, on which the
@@ -62,7 +46,7 @@ from __future__ import annotations
 import json
 from bisect import insort
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bracket import StateTables, d_power, expand
 from .diagram import VirtualLinkDiagram, format_gauss_code
@@ -265,14 +249,14 @@ class _GrayWalk:
     `step` over a curve's departure ends gives both its packed class
     (`total >> shift`) and its join key (`total & key_mask`).  `curve_of`
     maps each arc to the id of the curve along it, which is the departure
-    end its walk started at (-1: not walked yet), and `kind_of` and `key_of`
-    map a curve id to the curve's kind and join key.  `numbers` holds the
-    sorted class numbers of the current curves, and `counts` their
-    null-essential and disk counts, packed as (null-essential << 2w) +
-    (disks << w) with w = `count_width`; the B count of a state, in the low
-    w bits, completes a tally's packed counts.  Flipping a crossing drops
-    the one or two curves through it, rewrites its four joins and re-walks
-    from its four arc ends only; every other curve is untouched.
+    end its walk started at (-1: not walked yet), and `kind_of` maps a curve
+    id to the curve's kind.  `numbers` holds the sorted class numbers of the
+    current curves, and `counts` their null-essential and disk counts,
+    packed as (null-essential << 2w) + (disks << w) with w = `count_width`;
+    the B count of a state, in the low w bits, completes a tally's packed
+    counts.  Flipping a crossing drops the one or two curves through it,
+    rewrites its four joins and re-walks from its four arc ends only; every
+    other curve is untouched.
 
     A new curve is walked once.  A nonzero class is looked up by value in
     `class_of_sum`, which holds both signs.  On a miss the curve is walked
@@ -315,29 +299,27 @@ class _GrayWalk:
         self.step = [0] * n_ends
         self.curve_of = [-1] * tables.n_arcs
         self.kind_of = [0] * n_ends
-        self.key_of = [0] * n_ends
         self.numbers: list[int] = []
         self.counts = 0
 
     def reset(self, state: int) -> None:
         """Set every join by `state` and walk all of its curves."""
-        self.run(_RESET, state)
+        self.run(((-1, state),))
 
-    def run(self, moves: Sequence[tuple[int, int]], base: int, seen: dict | None = None) -> None:
-        """Make each move (k, sigma) in turn, to state base | sigma: k >= 0
-        sets crossing k by its bit of that state, k = -1 sets every crossing
-        and walks all curves afresh.  With `seen`, count each state reached
-        in it under (class numbers, packed counts) by `_tally`.
+    def run(self, moves: Iterable[tuple[int, int]], seen: dict | None = None) -> None:
+        """Make each move (k, state) in turn: k >= 0 sets crossing k by its
+        bit of `state`, k = -1 sets every crossing and walks all curves
+        afresh.  With `seen`, count each state reached in it under (class
+        numbers, packed counts), with the smallest state index.
 
         The moves run inline, with no call per state or per curve but one
         for a curve whose kind is not known yet."""
         joins, arcs, nxt, step = self.joins, self.arcs, self.nxt, self.step
-        curve_of, kind_of, key_of = self.curve_of, self.kind_of, self.key_of
+        curve_of, kind_of = self.curve_of, self.kind_of
         class_of_sum, curves = self.class_of_sum, self.memo.curves
         shift, key_mask, disk, null = self.shift, self.key_mask, self.disk_unit, self.null_unit
         numbers, counts = self.numbers, self.counts
-        for k, sigma in moves:
-            state = base | sigma
+        for k, state in moves:
             if k >= 0:
                 changed = (joins[k][(state >> k) & 1],)
                 pa, qa, ra, sa = arcs[k]
@@ -382,7 +364,6 @@ class _GrayWalk:
                         entry = curves.get(key)
                         kind = entry[1] if entry else self._classify(start, key, 0)
                     kind_of[start] = kind
-                    key_of[start] = key
                     if kind >= 0:
                         insort(numbers, kind)
                     elif kind == _DISK:
@@ -390,7 +371,6 @@ class _GrayWalk:
                     else:
                         counts += null
             if seen is not None:
-                # `_tally(seen, t, 1, state)`, inline
                 t = (tuple(numbers), counts + state.bit_count())
                 entry = seen.get(t)
                 if entry is None:
@@ -400,23 +380,6 @@ class _GrayWalk:
                     if state < entry[1]:
                         entry[1] = state
         self.counts = counts
-
-    def curves_along(self, arcs: Iterable[int]) -> tuple[tuple[int, ...], int]:
-        """(sorted class numbers, packed null-essential and disk counts) of
-        the current curves along these arcs."""
-        kind_of = self.kind_of
-        numbers = []
-        counts = 0
-        for curve in {self.curve_of[a] for a in arcs}:
-            kind = kind_of[curve]
-            if kind >= 0:
-                numbers.append(kind)
-            elif kind == _DISK:
-                counts += self.disk_unit
-            else:
-                counts += self.null_unit
-        numbers.sort()
-        return tuple(numbers), counts
 
     def _classify(self, start: int, key: int, packed: int) -> int:
         """Kind of a curve met for the first time, from the memo's `classify`
@@ -482,123 +445,39 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[dict[tuple[int, 
     return steps, width
 
 
-#: Bits of the low block: the crossings 0 .. LOW_BITS - 1, the Gray code's
-#: fastest bits, whose 2^LOW_BITS settings `_bracket_sum` replays from a
-#: record.  The share of low blocks whose `ctx` was already seen, over every
-#: block of the walk, for 2 / 3 / 4 / 5 / 6 bits:
-#: on the twist family `catalog_p_family(3)` and `(4)` 0.93 / 0.93 / 0.93 /
-#: 0.88 / 0.82; on the 96 random 9-11-crossing codes of genus 1-6 of the
-#: `random_certify` benchmark pool 0.11 / 0.07 / 0.04 / 0.02 / 0.02.  Four
-#: bits is the largest block that keeps the family's share.
-LOW_BITS = 4
-
-_RESET = ((-1, 0),)
-
-
-def _gray_moves(m: int) -> tuple[tuple[int, int], ...]:
+def _gray_moves(m: int) -> Iterator[tuple[int, int]]:
     """The moves (k, gray(j)) for j = 1 .. 2^m - 1, where gray(j) = j ^ (j >> 1)
     and k = (j & -j).bit_length() - 1 is the one bit gray(j) and gray(j - 1)
     differ in, then one more move that returns bit m - 1 to 0, which
     gray(2^m - 1) = 2^(m - 1) has set: from setting 0, every setting once,
-    ending back at 0.  With m = 0 that move is the reset (-1, 0)."""
-    moves = tuple(((j & -j).bit_length() - 1, j ^ (j >> 1)) for j in range(1, 1 << m))
-    return moves + ((m - 1, 0),)
-
-
-def _tally(table: dict, key: tuple, count: int, index: int) -> None:
-    """Add `count` to the [count, smallest index] entry of `key`."""
-    entry = table.get(key)
-    if entry is None:
-        table[key] = [count, index]
-    else:
-        entry[0] += count
-        if index < entry[1]:
-            entry[1] = index
+    ending back at 0.  With m = 0 that move is the reset (-1, 0).  The moves
+    are generated one at a time, so a walk holds none of its 2^m states."""
+    for j in range(1, 1 << m):
+        yield (j & -j).bit_length() - 1, j ^ (j >> 1)
+    yield m - 1, 0
 
 
 def _bracket_sum(rep: SurfaceRep) -> StateSum:
     """The surface state sum over all 2^n states: curve-class key -> {(c,
     disk count): number of states}.
 
-    The walk is a Gray walk over the high bits, crossings LOW_BITS and up
-    (none with fewer than LOW_BITS crossings, when every crossing is low).
-    For each high setting hi the low crossings are set to A and `ctx` is
-    read: the union of the join keys of the curves through the low
-    crossings.  The low block, the states hi | sigma, is walked by
-    `_gray_moves` from all-A and back to all-A the first time a `ctx` is
-    seen; walked and recorded the second time, with each sigma's sorted
-    class numbers of the curves through the low crossings and their packed
-    counts; and replayed from the record, with no flip, from the third time
-    on.  A walked state is tallied under (sorted class numbers, packed
-    counts): the null-essential count, the disk count and the B count,
-    `_GrayWalk.count_width` bits each.
-
-    This is exact.  Flipping low crossings rewires only the arcs of the
-    curves through them, which close up among themselves through the
-    unchanged high joins, and leaves every other curve alone.  The curves
-    are disjoint, so `ctx` names their joins, and the joins with the arcs
-    they connect name the curves; so the low curves of every setting sigma,
-    their kinds and their counts are a function of `ctx`, while the
-    untouched curves are those of the all-A state minus the `ctx` ones.  A
-    replay reuses only class numbers that were classified, and checked,
-    while the block was recorded.
-
-    A replayed block is tallied once, under (class numbers and packed counts
-    at all-A, ctx), keeping the number of such blocks and the smallest hi.
-    At the end of the walk each of these keys becomes its 2^LOW_BITS
-    states' keys: the untouched class numbers merged with each sigma's low
-    ones into their combined multiset, the smallest state index being
-    hi | sigma with the smallest hi.  Every key keeps its count and the
-    smallest state index that reaches it, and the counts are emitted in
-    that order: the order of first appearance in state-index order, on
-    which the per-torus witnesses depend.
+    One Gray walk (`_gray_moves`) visits every state once, each a single
+    crossing flip from the last, and tallies it under (sorted class numbers,
+    packed counts): the null-essential count, the disk count and the B
+    count, `_GrayWalk.count_width` bits each, with the smallest state index
+    that reaches it.  Class numbers are local to this walk's memo, so the
+    keys are relabelled with class tuples before the counts leave, and
+    emitted in the order of their smallest state index: the order of first
+    appearance in state-index order, on which the per-torus witnesses depend.
     """
     tables = StateTables(rep.diagram)
     memo = _CurveMemo(rep)
     walk = _GrayWalk(tables, memo)
     n = tables.n
-    low_bits = min(LOW_BITS, n)
-    low_moves = _gray_moves(low_bits)
-    low_arcs = sorted({a for k in range(low_bits) for a in walk.arcs[k]})
-    curve_of, key_of = walk.curve_of, walk.key_of
-    # ctx -> None once seen, then its record: (sigma, low class numbers, low
-    # packed counts with the B count of sigma) per low setting, all-A last
-    blocks: dict[int, list | None] = {}
-    # class numbers are local to this walk's memo, so states are counted by
-    # them and relabelled with class tuples before the counts leave; each
-    # value is [count, smallest state index], and for `replayed` [number of
-    # blocks, smallest hi]
+    # (class numbers, packed counts) -> [count, smallest state index]
     seen: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    replayed: dict[tuple[tuple[int, ...], int, int], list[int]] = {}
-    for h in range(1 << (n - low_bits)):
-        hi = (h ^ (h >> 1)) << low_bits
-        if h:
-            walk.run((((h & -h).bit_length() - 1 + low_bits, 0),), hi)
-        else:
-            walk.reset(hi)
-        ctx = 0
-        for a in low_arcs:
-            ctx |= key_of[curve_of[a]]
-        if ctx not in blocks:
-            blocks[ctx] = None
-            walk.run(low_moves, hi, seen)
-        elif (record := blocks[ctx]) is None:
-            record = blocks[ctx] = []
-            for move in low_moves:
-                walk.run((move,), hi, seen)
-                low, low_counts = walk.curves_along(low_arcs)
-                record.append((move[1], low, low_counts + move[1].bit_count()))
-        else:
-            _tally(replayed, (tuple(walk.numbers), walk.counts + hi.bit_count(), ctx), 1, hi)
-    for (numbers, packed, ctx), (count, hi) in replayed.items():
-        record = blocks[ctx]
-        _, low, low_packed = record[-1]
-        untouched = list(numbers)
-        for number in low:
-            untouched.remove(number)
-        base = packed - low_packed
-        for sigma, low, low_packed in record:
-            _tally(seen, (tuple(sorted(untouched + list(low))), base + low_packed), count, hi | sigma)
+    walk.reset(0)
+    walk.run(_gray_moves(n), seen)
     w = walk.count_width
     mask = (1 << w) - 1
     labels = memo.class_tuples(numbers for numbers, _ in seen)

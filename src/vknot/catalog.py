@@ -99,9 +99,10 @@ def catalog_p_family(n: int) -> VirtualLinkDiagram:
         raise ValueError("n must be >= 0")
     toks = _KISHINO_TOKENS
     left = [toks[0]]
-    tail: list[str] = []
+    tail: list[str] = []  # built back to front
     for k in range(n + 1):
         a, b = 5 + 2 * k, 6 + 2 * k
         left += [f"O{a}+", f"U{b}-"]
-        tail = [f"O{b}-", f"U{a}+"] + tail
+        tail += [f"U{a}+", f"O{b}-"]
+    tail.reverse()
     return parse_gauss_code("".join(left + toks[1:5] + tail + toks[5:]))

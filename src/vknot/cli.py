@@ -48,6 +48,7 @@ def _resolve_diagram(args) -> VirtualLinkDiagram:
             n = args.n if args.n is not None else 0
             if n < 0:
                 raise CliError(f"--n must be at least 0, got {n}")
+            _check_crossing_cap(6 + 2 * n)  # before the build, which grows with n
             d = catalog_p_family(n)
         else:
             try:

@@ -434,7 +434,7 @@ class DoubleVirtualizationReport(NamedTuple):
     four_states: dict[str, str]          # "AA".."BB" -> Gauss code of the smoothing
     expansion: TangleExpansion | None    # TL expansion of the complementary tangle
     expansion_consistent: bool | None
-    certificate: object = None
+    certificate: object  # analysis.Certificate of K_v
 
     @property
     def verdict(self) -> str:

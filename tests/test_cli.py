@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 from randgen import GENUS_THREE_CODE
 
+import vknot.cli as cli
 import vknot.surface as surface
 from vknot.analysis import certify
-from vknot.catalog import catalog
+from vknot.catalog import catalog, catalog_p_family
 from vknot.cli import main
+from vknot.diagram import format_gauss_code, parse_gauss_code
 
 
 def run(capsys, *argv):
@@ -189,6 +191,37 @@ def test_max_crossings_env(capsys, monkeypatch):
     monkeypatch.setenv("VKNOT_MAX_CROSSINGS", "2")
     code, _, err = run(capsys, "bracket", "--catalog", "trefoil")
     assert code == 2 and "VKNOT_MAX_CROSSINGS" in err
+
+
+def test_family_cap_is_checked_before_the_build(capsys, monkeypatch):
+    # p_family(n) has 6 + 2n crossings, so a huge --n is refused without
+    # building the diagram
+    monkeypatch.delenv("VKNOT_MAX_CROSSINGS", raising=False)
+
+    def refuse_build(n):
+        raise AssertionError(f"p_family({n}) was built")
+
+    monkeypatch.setattr(cli, "catalog_p_family", refuse_build)
+    code, out, err = run(capsys, "bracket", "--catalog", "p_family", "--n", "1000000000")
+    assert (code, out, err) == (2, "", "error: 2000000006 crossings exceeds VKNOT_MAX_CROSSINGS=20\n")
+
+
+def _prepended_p_family_code(n):
+    """The twist-family code as first built, each clasp's tail prepended."""
+    toks = ["O1+", "U2-", "O3+", "U4-", "O2-", "U1+", "O4-", "U3+"]
+    left, tail = [toks[0]], []
+    for k in range(n + 1):
+        a, b = 5 + 2 * k, 6 + 2 * k
+        left += [f"O{a}+", f"U{b}-"]
+        tail = [f"O{b}-", f"U{a}+"] + tail
+    return "".join(left + toks[1:5] + tail + toks[5:])
+
+
+def test_p_family_codes_are_unchanged():
+    assert format_gauss_code(catalog_p_family(1)) == "O1+O5+U6-O7+U8-U2-O3+U4-O2-O8-U7+O6-U5+U1+O4-U3+"
+    for n in range(21):
+        expected = format_gauss_code(parse_gauss_code(_prepended_p_family_code(n)))
+        assert format_gauss_code(catalog_p_family(n)) == expected, n
 
 
 def test_byte_identical_json_and_parallel(capsys):

@@ -65,6 +65,9 @@ SMALL = (
     + [(code, parse_gauss_code(code)) for code in _random_codes()]
 )
 POOL = _pool_codes()
+#: The twist family at 14 and 16 crossings, where most of the Gray walk's
+#: states repeat the curves of others.
+TWIST = [(f"p_family({n})", catalog_p_family(n)) for n in (4, 5)]
 
 
 def test_unpack_class_inverts_pack_up_to_sign():
@@ -89,7 +92,7 @@ def _merged(counts):
     return out
 
 
-@pytest.mark.parametrize("d", [d for _, d in SMALL], ids=[name for name, _ in SMALL])
+@pytest.mark.parametrize("d", [d for _, d in SMALL + TWIST], ids=[name for name, _ in SMALL + TWIST])
 def test_sweep_equals_merged_gray_walk_under_three_orders(d):
     rep = build_carter_surface(d)
     expected = _merged(analysis._bracket_sum(rep))

@@ -19,7 +19,6 @@ from randgen import GENUS_THREE_CODE, random_gauss_code
 
 import vknot.analysis as analysis
 from vknot.analysis import (
-    LOW_BITS,
     SurfaceBracket,
     _bracket_sum,
     _CurveMemo,
@@ -305,9 +304,9 @@ def test_broken_side_table_is_refused_when_the_walk_is_built(name, monkeypatch):
     walked = []
     run = _GrayWalk.run
 
-    def recorded_run(self, moves, base, seen=None):
-        walked.append(base)
-        run(self, moves, base, seen)
+    def recorded_run(self, moves, seen=None):
+        walked.append(moves)
+        run(self, moves, seen)
 
     monkeypatch.setattr(_GrayWalk, "run", recorded_run)
     # every directed join of every crossing: removed, or pointed at a side
@@ -428,40 +427,6 @@ def _walk_items(d) -> list:
 @pytest.mark.parametrize("kind,arg", WALK_CASES, ids=[f"{k}-{a}" for k, a in WALK_CASES])
 def test_gray_walk_tally_matches_state_order_oracle(kind, arg):
     assert _walk_items(_diagram(kind, arg)) == _oracle_items(kind, arg)
-
-
-#: (walked, recorded, replayed) low blocks of the walk.
-MEMO_CASES = {("p_family", 3): (37, 21, 198), ("p_family", 4): (56, 36, 932), ("catalog", "trefoil"): (0, 0, 0)}
-
-
-@pytest.mark.parametrize("kind,arg", MEMO_CASES, ids=[f"{k}-{a}" for k, a in MEMO_CASES])
-def test_block_memo_records_and_replays(kind, arg, monkeypatch):
-    # a memo that never engages, or replays a wrong record, fails here; the
-    # trefoil's 3 crossings are all low, so its one block of 8 states is
-    # walked, which counts as no block of 2^LOW_BITS
-    d = _diagram(kind, arg)
-    total = 1 << d.n_crossings
-    walked_states, record_reads = [0], [0]
-    run, curves_along = _GrayWalk.run, _GrayWalk.curves_along
-
-    def counted_run(self, moves, base, seen=None):
-        if seen is not None:
-            walked_states[0] += len(moves)
-        run(self, moves, base, seen)
-
-    def counted_curves_along(self, arcs):
-        record_reads[0] += 1
-        return curves_along(self, arcs)
-
-    monkeypatch.setattr(_GrayWalk, "run", counted_run)
-    monkeypatch.setattr(_GrayWalk, "curves_along", counted_curves_along)
-    block = 1 << LOW_BITS
-    assert _walk_items(d) == _oracle_items(kind, arg)
-    recorded = record_reads[0] // block
-    walked = walked_states[0] // block - recorded
-    replayed = (total - walked_states[0]) // block
-    assert (walked, recorded, replayed) == MEMO_CASES[kind, arg]
-    assert (d.n_crossings < LOW_BITS) == (MEMO_CASES[kind, arg] == (0, 0, 0))
 
 
 def test_gray_walk_on_a_crossingless_diagram():

@@ -12,6 +12,7 @@ from vknot.laurent import LaurentPoly, format_laurent
 from vknot.tangle import (
     CUPCAP_2_2,
     IDENTITY_2_2,
+    DoubleVirtualizationReport,
     Matching,
     alpha_beta_at_crossing,
     close_tangle,
@@ -21,6 +22,7 @@ from vknot.tangle import (
     format_tangle,
     noncrossing_matchings,
     parse_tangle,
+    VirtualizationReport,
     virtualization_report,
     zerocor_check,
 )
@@ -138,6 +140,14 @@ def test_double_virtualization_report_section5():
     assert len(rep.four_states) == 4
     obj = rep.to_json()
     assert set(obj) >= {"diagram", "crossings", "four_states", "verdict", "tangle_expansion"}
+
+
+def test_both_reports_require_their_certificate():
+    # `verdict` and `to_json` read the certificate, so neither report has a default
+    for report in (VirtualizationReport, DoubleVirtualizationReport):
+        assert "certificate" in report._fields and "certificate" not in report._field_defaults
+    with pytest.raises(TypeError, match="certificate"):
+        DoubleVirtualizationReport("U", (1, 2), {}, None, None)
 
 
 def test_double_virtualization_requires_distinct():
