@@ -16,9 +16,12 @@ d * (reduced planar bracket).
 essential curve to d.  A curve's weight is then local, d for a zero class
 and its symbol otherwise, so the image needs no disk test and is a
 frontier sweep (`frontier.labelled_state_sum`): each open path carries its
-packed class, each key the sorted classes of its closed nonzero loops and
-the smallest state index that reaches it.  Its cost follows the width of
-the diagram, not 2^n.
+packed class, each key the sorted classes of its closed nonzero loops, the
+smallest state index that reaches it and its polynomial itself, packed in
+one int.  Its cost follows the width of the diagram, not 2^n.  A label's
+polynomial is zero exactly when its int is, so `certify` takes the classes
+of the labels whose int is nonzero and reads no coefficient;
+`d_image_bracket` reads the signed fields of those labels only.
 
 The full surface bracket (`surface_bracket`, behind `surface-bracket`)
 must tell disk-bounding from null-essential curves, which is not local.
@@ -30,10 +33,10 @@ key, in the low 4n bits.  Darts are built and `loop_homology` runs only
 once per distinct class up to sign, and for each null-homologous curve,
 which alone also needs the disk test (`_CurveMemo`).
 
-Both sums (a `frontier.StateSum` keyed by curve-class key, or by class
-tuple for the image) list each key in the order of the smallest state
-index that reaches it, the order of a state-by-state sum, on which the
-per-torus witnesses depend.
+Both sums (a `frontier.StateSum` keyed by curve-class key, or packed
+polynomials keyed by class tuple for the image) list each key in the
+order of the smallest state index that reaches it, the order of a
+state-by-state sum, on which the per-torus witnesses depend.
 
 Two sufficient criteria certify that no cancellation curve exists, i.e.
 that the representation genus is the virtual genus and the diagram is
@@ -46,11 +49,11 @@ from __future__ import annotations
 import json
 from bisect import insort
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bracket import StateTables, d_power, expand
 from .diagram import VirtualLinkDiagram, format_gauss_code
-from .frontier import StateSum, labelled_state_sum
+from .frontier import StateSum, labelled_polynomial, labelled_state_sum, signed_fields
 from .laurent import LaurentPoly
 from .surface import (
     HomologyClass,
@@ -494,50 +497,71 @@ def surface_bracket(rep: SurfaceRep) -> SurfaceBracket:
     return SurfaceBracket(entries=entries, genus=rep.genus)
 
 
-def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> StateSum:
-    """The state sum of the d-image of the surface bracket: sorted class
-    tuple -> {(c, zero-class loops and free loops): number of states}, the
-    labels in the order of the smallest state index that reaches them.
+def _image_labels(
+    rep: SurfaceRep, order: Sequence[int] | None = None
+) -> tuple[dict[tuple[int, ...], int], Callable[[int], HomologyClass]]:
+    """(labels, unpack): the d-image of the surface bracket as
+    `frontier.labelled_state_sum` sums it, each label a sorted tuple of
+    packed classes, and the function that reads one packed class.
 
     The d-image sends each null-homologous essential symbol to d, so a
     curve's weight is d for a zero class and its symbol otherwise: local,
     with no disk test.  `frontier.labelled_state_sum` sweeps it in `order`
-    (default the greedy one) with the packed classes of `_class_steps`;
-    each distinct packed class is unpacked once.
+    (default the greedy one) with the packed classes of `_class_steps`.
     """
     tables = StateTables(rep.diagram)
     steps, width = _class_steps(rep, tables)
     dim = 2 * rep.genus
+    return labelled_state_sum(tables, steps, order), lambda packed: _unpack_class(packed, dim, width)
+
+
+def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[tuple[HomologyClass, ...], int]:
+    """The d-image of the surface bracket before its polynomials are read:
+    sorted class tuple -> the label's packed polynomial (`frontier.labelled_fields`),
+    without the free loops' d^free_loops, the labels in the order of the
+    smallest state index that reaches them, zero-valued ones included."""
+    labels, unpack = _image_labels(rep, order)
     classes: dict[int, HomologyClass] = {}
-    counts: StateSum = {}
-    for label, label_counts in labelled_state_sum(tables, steps, order).items():
+    out = {}
+    for label, value in labels.items():
         for packed in label:
             if packed not in classes:
-                classes[packed] = _unpack_class(packed, dim, width)
-        counts[tuple(sorted([classes[packed] for packed in label]))] = {
-            (c, k + rep.free_loops): count for (c, k), count in label_counts.items()
-        }
-    return counts
+                classes[packed] = unpack(packed)
+        out[tuple(sorted([classes[packed] for packed in label]))] = value
+    return out
+
+
+def _image_classes(rep: SurfaceRep) -> list[HomologyClass]:
+    """The distinct classes of the labels of the d-image whose packed
+    polynomial is nonzero, as `d_image_bracket(rep).nonzero_classes()` lists
+    them: by label, in order, and by coordinates within a label.  Each class
+    is unpacked once; no polynomial is read."""
+    labels, unpack = _image_labels(rep)
+    # packed classes are distinct exactly when their classes are
+    classes: dict[int, HomologyClass] = {}
+    for label, value in labels.items():
+        if value:
+            new = {packed: None for packed in label if packed not in classes}
+            for cls, packed in sorted([(unpack(packed), packed) for packed in new]):
+                classes[packed] = cls
+    return list(classes.values())
 
 
 def _unpack_class(packed: int, dim: int, width: int) -> HomologyClass:
     """The class of `dim` signed coordinates packed by `_pack` with fields
     of `width` bits."""
-    coords = []
-    mask, sign = (1 << width) - 1, 1 << (width - 1)
-    for _ in range(dim):
-        field = packed & mask
-        if field & sign:
-            field -= 1 << width
-        coords.append(field)
-        packed = (packed - field) >> width
-    return HomologyClass.canonical(coords)
+    return HomologyClass.canonical(signed_fields(packed, width, dim))
 
 
 def d_image_bracket(rep: SurfaceRep) -> SurfaceBracket:
     """The surface bracket with every null-homologous essential symbol sent
     to d: each key's essential count is 0, and `collapse` is unchanged."""
-    entries = {(label, 0): p for label, counts in _image_sum(rep).items() if not (p := expand(counts)).is_zero()}
+    n = rep.diagram.n_crossings
+    free = d_power(rep.free_loops)
+    entries = {}
+    for label, value in _image_sum(rep).items():
+        if value:
+            entries[label, 0] = LaurentPoly(labelled_polynomial(value, n)) * free
     return SurfaceBracket(entries=entries, genus=rep.genus)
 
 
@@ -559,24 +583,25 @@ class CriterionResult(NamedTuple):
         }
 
 
-def per_torus_criterion(sb: SurfaceBracket, genus: int) -> CriterionResult:
+def per_torus_criterion(classes: Sequence[HomologyClass], genus: int) -> CriterionResult:
     """For every torus summand, two curve classes with crossing projections.
 
-    Satisfied when each k in 1..g has classes c_i, c_j from nonzero keys
-    with |a_i b_j - a_j b_i| != 0 in the k-th coordinate pair; sufficient
-    for the non-existence of a cancellation curve.  Only the standard
-    symplectic basis is tried: a swap (a, b) -> (b, -a) within a torus keeps
-    every a_i b_j - a_j b_i, and a permutation of the tori only reorders the
-    per-torus conditions, so no such relabelling satisfies the criterion
-    when the standard basis does not.
+    `classes` are the classes of the nonzero keys of a bracket, in order
+    (`SurfaceBracket.nonzero_classes`).  Satisfied when each k in 1..g has
+    classes c_i, c_j with |a_i b_j - a_j b_i| != 0 in the k-th coordinate
+    pair; sufficient for the non-existence of a cancellation curve.  Only
+    the standard symplectic basis is tried: a swap (a, b) -> (b, -a) within
+    a torus keeps every a_i b_j - a_j b_i, and a permutation of the tori
+    only reorders the per-torus conditions, so no such relabelling
+    satisfies the criterion when the standard basis does not.
     """
     name = "per_torus"
     if genus < 1:
         raise ValueError("criterion requires genus >= 1")
-    classes = [c.coords for c in sb.nonzero_classes()]
+    coords = [c.coords for c in classes]
     witnesses = []
     for k in range(genus):
-        found = _crossing_pair(classes, k)
+        found = _crossing_pair(coords, k)
         if found is None:
             return CriterionResult(name, False)
         witnesses.append(found)
@@ -594,11 +619,10 @@ def _crossing_pair(classes: list[tuple[int, ...]], k: int) -> tuple | None:
     return None
 
 
-def mod2_span_criterion(sb: SurfaceBracket, genus: int) -> CriterionResult:
-    """Classes of nonzero keys span H_1(F; Z/2)."""
+def mod2_span_criterion(classes: Sequence[HomologyClass], genus: int) -> CriterionResult:
+    """The `classes` of the nonzero keys of a bracket span H_1(F; Z/2)."""
     if genus < 1:
         raise ValueError("criterion requires genus >= 1")
-    classes = sb.nonzero_classes()
     rank = mod2_rank([c.coords for c in classes])
     return CriterionResult("mod2_span", rank == 2 * genus, detail={"rank": rank, "required": 2 * genus})
 
@@ -641,22 +665,25 @@ class Certificate(NamedTuple):
 
 def certify(d: VirtualLinkDiagram) -> Certificate:
     """Run the full pipeline: Carter surface, the d-image of the surface
-    bracket (`d_image_bracket`), both criteria.
+    bracket (`_image_classes`), both criteria.
 
-    The criteria read the classes that survive in the d-image, ordered by
-    the smallest state index of their keys and by coordinates within a key.
-    Sending the null-homologous essential symbol to d can merge keys and
-    cancel coefficients, never create a class, so these classes are a
-    subset of those that survive in the full surface bracket.  Both
-    criteria are monotone in that set, so a NonClassical verdict from the
-    image holds for the full bracket too.
+    The criteria read the classes that the image keeps: those of the labels
+    whose packed polynomial is nonzero, ordered by the smallest state index
+    of their labels and by coordinates within a label, as
+    `d_image_bracket(rep).nonzero_classes()` lists them.  No coefficient is
+    read: a label's polynomial is zero exactly when its int is.  Sending
+    the null-homologous essential symbol to d can merge keys and cancel
+    coefficients, never create a class, so these classes are a subset of
+    those that survive in the full surface bracket.  Both criteria are
+    monotone in that set, so a NonClassical verdict from the image holds
+    for the full bracket too.
     """
     rep = build_carter_surface(d)
     code = format_gauss_code(d)
     if rep.genus == 0:
         return Certificate("Inconclusive", 0, (), code)
-    sb = d_image_bracket(rep)
-    results = (per_torus_criterion(sb, rep.genus), mod2_span_criterion(sb, rep.genus))
+    classes = _image_classes(rep)
+    results = (per_torus_criterion(classes, rep.genus), mod2_span_criterion(classes, rep.genus))
     verdict = "NonClassical" if any(r.satisfied for r in results) else "Inconclusive"
     return Certificate(verdict, rep.genus, results, code)
 

@@ -7,11 +7,12 @@ sum over the 2^n smoothings is evaluated by the frontier sweep of
 `vknot.frontier`, which adds one crossing at a time and merges the
 partial states that pair the open arc ends alike, so its cost follows
 the width of the diagram rather than 2^n.  `bracket_partial` keeps the
-state-by-state sum as the reference the sweep is tested against.  Every
-state sum of the package, planar, surface and tangle, counts its states
-as a `frontier.StateSum` and turns each label's counts into a polynomial
-with `expand`.  The surface-level (un-reduced) convention lives in
-`vknot.analysis`.
+state-by-state sum as the reference the sweep is tested against.  The
+planar, tangle and full surface state sums count their states as a
+`frontier.StateSum` and turn each label's counts into a polynomial with
+`expand`; the sweep of the d-image behind `certify` carries packed
+polynomials instead (`frontier.labelled_state_sum`).  The surface-level
+(un-reduced) convention lives in `vknot.analysis`.
 """
 
 from __future__ import annotations
@@ -126,8 +127,7 @@ def expand(counts: Mapping[tuple[int, int], int]) -> LaurentPoly:
     in d over plain exponent -> coefficient dicts, from the largest k down:
     acc <- row_k - (acc shifted up by 2) - (acc shifted down by 2), which
     is row_k + acc * d.  No power of d is built, and the polynomial is
-    built once, at the end.  This is the only place where a state sum
-    builds one.
+    built once, at the end.
     """
     rows: dict[int, dict[int, int]] = {}
     for (c, k), n in counts.items():

@@ -35,9 +35,13 @@ off the surviving slots.
 
 `labelled_state_sum` runs the same sweep with a second kernel whose keys
 also hold a packed class per open end and the sorted classes of the
-nonzero loops closed so far, and whose values also hold the smallest state
-index that reaches the key; `analysis` sums the d-image of the surface
-bracket with it.
+nonzero loops closed so far.  Its value per key is not a table of counts
+but the ring element itself: the key's polynomial in s = A^-2, packed into
+one int with signed fields (`labelled_fields`), which a B-smoothing shifts
+up by one field and each zero-class loop multiplies by d = -(s + 1/s) in
+place; with it each key keeps the smallest state index that reaches it.
+`analysis` sums the d-image of the surface bracket with it, and `certify`
+only asks which labels' ints are nonzero.
 
 See Makowsky and Marino, The parametrized complexity of knot polynomials,
 JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
@@ -51,12 +55,12 @@ from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 if TYPE_CHECKING:
     from .bracket import StateTables
 
-#: The one format of a state sum before expansion: label -> {(c, k): number
-#: of states}, each state adding A^c d^k to its label's coefficient
+#: The counted format of a state sum before expansion: label -> {(c, k):
+#: number of states}, each state adding A^c d^k to its label's coefficient
 #: (`bracket.expand` turns one label's counts into a polynomial).  Here the
-#: label is the pairing of the boundary ends and k the closed-loop count,
-#: or, for `labelled_state_sum`, the sorted nonzero loop classes and k the
-#: zero-class loop count.
+#: label is the pairing of the boundary ends and k the closed-loop count;
+#: for `analysis._bracket_sum` it is the curve-class key and k the disk
+#: count.  `labelled_state_sum` returns packed polynomials instead.
 StateSum = dict[Hashable, dict[tuple[int, int], int]]
 
 #: Greater than any growth (at most 4), so an added crossing is never the minimum.
@@ -117,19 +121,42 @@ def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> StateS
     }
 
 
+def labelled_fields(n: int) -> tuple[int, int]:
+    """(W, M): the field width in bits and the exponent offset of the values
+    of `labelled_state_sum` for a diagram of n crossings.
+
+    A value packs a polynomial sum c_j s^j in s = A^-2 as the int
+    sum c_j 2^(W j), with signed c_j.  A state adds s^(M + b) d^k to its
+    label's value, for b B-smoothings and k zero-class loops, with
+    d = -(s + 1/s), so the label's polynomial in A is A^n s^-M times the
+    value.  A state has at most 2n loops, since each passes at least one of
+    its 2n smoothing joins, so a loop closes onto a partial state with at
+    most 2n - 1 loops, whose exponents are at least M - 2n + 1 = 1: the
+    right shift of the multiplication by d drops no term.  The coefficients
+    of d^k sum to 2^k in absolute value and at most 2^n states meet at a
+    key, so |c_j| <= 2^n 2^(2n) < 2^(W - 1): each coefficient fits its
+    signed field, a value is 0 exactly when every coefficient is (the
+    lowest nonzero c_j would leave the int nonzero mod 2^(W (j + 1))), and
+    the fields read back uniquely.
+    """
+    return 3 * n + 2, 2 * n
+
+
 def labelled_state_sum(
     tables: StateTables, join_class: Mapping[tuple[int, int], int], order: Sequence[int] | None = None
-) -> StateSum:
+) -> dict[tuple[int, ...], int]:
     """The state sum of a diagram's `tables` with each loop labelled by a
     packed class, swept in `order` (default `greedy_order`).
 
     `join_class[p, q]` is the packed class (an int, additive) a loop gains
     when it arrives at arc end p, along p's arc, and leaves from end q by a
     smoothing join.  The result maps the sorted tuple of the nonzero loop
-    classes of a state, each taken up to sign as abs(packed), to the number
-    of states with each (c, zero-class loops), and lists the labels in the
+    classes of a state, each taken up to sign as abs(packed), to the sum of
+    A^(n - 2b) d^k over its states, with b B-smoothings and k zero-class
+    loops, packed in s = A^-2 as `labelled_fields` sets out: every label's
+    polynomial is 0 exactly when its int is.  The labels are listed in the
     order of the smallest state index that reaches them (bit k of an index
-    is the B-smoothing of crossing k).
+    is the B-smoothing of crossing k), zero-valued ones included.
 
     A key adds to the planar one the class of each open path, stored at its
     open ends: at end u the class of the path entered at u, with u's arc,
@@ -139,16 +166,17 @@ def labelled_state_sum(
     from new end x to old end y = x ^ 1 joins the path (u ... x) to the
     path (y ... v): the class at u gains the class at y, which holds x's
     arc, and the class at v gains the class at x.  When u = y the path
-    closes into a loop whose class is the one at y.  Each key also keeps
-    the smallest state index that reaches it: a B-smoothing of crossing k
-    adds 1 << k to the index of every key it continues, so the minimum of
-    the merged keys is the minimum over their states.
+    closes into a loop whose class is the one at y.  A key's value is the
+    polynomial of its partial states, starting at s^M: a B-smoothing
+    multiplies it by s, a left shift by W, and a zero-class loop by d, in
+    place, as -((q << W) + (q >> W)); merging keys adds them.  Each key
+    also keeps the smallest state index that reaches it: a B-smoothing of
+    crossing k adds 1 << k to the index of every key it continues, so the
+    minimum of the merged keys is the minimum over their states.
     """
     if tables.boundary:
         raise ValueError("a labelled state sum takes a diagram, not a tangle")
-    n = tables.n
-    width = 8 * ((n + 8) // 8)
-    loop_shift = (n + 1) * width
+    width, offset = labelled_fields(tables.n)
 
     def step(frontier, k, m, closes, survivors, position):
         r0, r3, r1, r2 = tables.joins[k][0]
@@ -158,13 +186,37 @@ def labelled_state_sum(
             ((m + 1, m, m + 3, m + 2), (jc[r0, r3], jc[r3, r0], jc[r1, r2], jc[r2, r1]), 0, 0),
             ((m + 2, m + 3, m, m + 1), (jc[r0, r1], jc[r3, r2], jc[r1, r0], jc[r2, r3]), width, 1 << k),
         )
-        return _labelled_step(frontier, smoothings, closes, survivors, position, loop_shift)
+        return _labelled_step(frontier, smoothings, closes, survivors, position, width)
 
-    frontier, _ = _sweep(tables, order, lambda key: {(key, (), ()): [1, 0]}, step)
-    return {
-        closed: _unpack(packed, n, width)
-        for (_, _, closed), (packed, _) in sorted(frontier.items(), key=lambda item: item[1][1])
-    }
+    frontier, _ = _sweep(tables, order, lambda key: {(key, (), ()): [1 << offset * width, 0]}, step)
+    return {closed: value for (_, _, closed), (value, _) in sorted(frontier.items(), key=lambda item: item[1][1])}
+
+
+def labelled_polynomial(value: int, n: int) -> dict[int, int]:
+    """{exponent of A: coefficient} of a value of `labelled_state_sum` for a
+    diagram of n crossings: field j holds the coefficient of
+    A^n s^(j - M) = A^(n - 2 (j - M)), with (W, M) = `labelled_fields(n)`."""
+    width, offset = labelled_fields(n)
+    # the top nonzero field j leaves |value| >= 2^(W j) / 3, so j <= bit_length // W + 1
+    fields = signed_fields(value, width, value.bit_length() // width + 2)
+    return {n - 2 * (j - offset): c for j, c in enumerate(fields) if c}
+
+
+def signed_fields(packed: int, width: int, count: int) -> list[int]:
+    """The `count` signed `width`-bit fields of `packed`, lowest first: the
+    c_k of packed = sum c_k 2^(k width) with -2^(width - 1) <= c_k < 2^(width - 1).
+    Raises ArithmeticError when `packed` does not fit in them."""
+    fields = []
+    mask, sign = (1 << width) - 1, 1 << (width - 1)
+    for _ in range(count):
+        field = packed & mask
+        if field & sign:
+            field -= 1 << width
+        fields.append(field)
+        packed = (packed - field) >> width
+    if packed:
+        raise ArithmeticError("packed value has bits beyond its last field")
+    return fields
 
 
 def _sweep(tables, order, start, step):
@@ -246,17 +298,19 @@ def _step(frontier, smoothings, closes, survivors, position, loop_shift):
     return out
 
 
-def _labelled_step(frontier, smoothings, closes, survivors, position, loop_shift):
+def _labelled_step(frontier, smoothings, closes, survivors, position, width):
     """`_step` for keys (partner positions, path classes, closed classes)
-    with values [packed count, smallest state index]: each smoothing also
-    holds the classes at the crossing's four slots and the bit it adds to
-    the index (1 << k for B)."""
+    with values [packed polynomial, smallest state index]: each smoothing
+    also holds the classes at the crossing's four slots and the bit it adds
+    to the index (1 << k for B); a zero-class loop multiplies the value by
+    d, with fields `width` bits wide (`labelled_state_sum`)."""
     out: dict[tuple, list[int]] = {}
-    for (key, vals, closed), (packed, index) in frontier.items():
+    for (key, vals, closed), (value, index) in frontier.items():
         for joined, joined_vals, shift, bit in smoothings:
             partner = [*key, *joined]
             val = [*vals, *joined_vals]
             loops = closed
+            q = value << shift
             for x, y in closes:
                 u = partner[x]
                 if u == y:
@@ -264,7 +318,7 @@ def _labelled_step(frontier, smoothings, closes, survivors, position, loop_shift
                     if cls:
                         loops = (*loops, abs(cls))
                     else:
-                        shift += loop_shift
+                        q = -((q << width) + (q >> width))
                 else:
                     v = partner[y]
                     partner[u] = v
@@ -276,9 +330,9 @@ def _labelled_step(frontier, smoothings, closes, survivors, position, loop_shift
             new = (tuple([position[partner[s]] for s in survivors]), tuple([val[s] for s in survivors]), loops)
             entry = out.get(new)
             if entry is None:
-                out[new] = [packed << shift, index | bit]
+                out[new] = [q, index | bit]
             else:
-                entry[0] += packed << shift
+                entry[0] += q
                 if index | bit < entry[1]:
                     entry[1] = index | bit
     return out

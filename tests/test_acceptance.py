@@ -81,7 +81,7 @@ def test_criterion_1_kishino_suite():
         assert multiset == {4: 1, 2: 4, 0: 6, -2: 4, -4: 1}
         sb = surface_bracket(rep)
         assert any(c == LaurentPoly({2: 1, -2: 1}) for c in sb.entries.values())
-        assert mod2_span_criterion(sb, 2).detail["rank"] == 4
+        assert mod2_span_criterion(sb.nonzero_classes(), 2).detail["rank"] == 4
         assert str(certify(d)) == "NonClassical(2)"
         assert g.elapsed < 1.0
 

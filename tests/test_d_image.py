@@ -16,13 +16,13 @@ import oracle
 import pytest
 from randgen import GENUS_THREE_CODE, random_gauss_code
 
-from vknot import analysis, surface
+from vknot import analysis, bracket, frontier, surface
 from vknot.analysis import certify, d_image_bracket, family_report, per_torus_criterion, surface_bracket
-from vknot.bracket import StateTables, f_polynomial
+from vknot.bracket import StateTables, d_power, expand, f_polynomial, kauffman_bracket
 from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import parse_gauss_code
-from vknot.frontier import greedy_order
-from vknot.laurent import LaurentPoly
+from vknot.frontier import greedy_order, labelled_fields, labelled_polynomial, signed_fields, state_sum
+from vknot.laurent import LOOP_VALUE, LaurentPoly
 from vknot.surface import HomologyClass, build_carter_surface, intersection_number
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -81,25 +81,79 @@ def test_unpack_class_inverts_pack_up_to_sign():
             assert analysis._unpack_class(p, dim, width) == HomologyClass.canonical(coords)
 
 
-def _merged(counts):
-    """A full surface state sum with each label's null-essential count
-    merged into its loop count, labels in their first order."""
+def test_signed_fields_round_trip_at_the_widest_coefficients():
+    """A field of `frontier.labelled_fields(n)` holds the coefficient bound
+    2^n 2^(2n) of a labelled value, and every coefficient up to
+    +-(2^(W - 1) - 1), next to any others, reads back unchanged."""
+    rng = random.Random(20261019)
+    for n in range(13):
+        width, offset = labelled_fields(n)
+        top = (1 << (width - 1)) - 1
+        bound = 1 << 3 * n
+        assert bound <= top and offset >= 2 * n
+        for _ in range(30):
+            coeffs = [rng.choice((top, -top, bound, -bound, 0, rng.randint(-top, top))) for _ in range(5 * n + 1)]
+            packed = analysis._pack(enumerate(coeffs), width)
+            assert signed_fields(packed, width, len(coeffs)) == coeffs
+            assert labelled_polynomial(packed, n) == {n - 2 * (j - offset): c for j, c in enumerate(coeffs) if c}
+        with pytest.raises(ArithmeticError, match="beyond its last field"):
+            signed_fields(1 << (width - 1), width, 1)
+
+
+def _kinks(m: int, sign: str, sep: str):
+    """m one-crossing kinks of one sign: one chain with sep "", m split
+    curls with sep ";"."""
+    return parse_gauss_code(sep.join(f"O{i}{sign}U{i}{sign}" for i in range(1, m + 1)))
+
+
+@pytest.mark.parametrize("sep", ["", ";"], ids=["chain", "split"])
+@pytest.mark.parametrize("sign", "+-")
+def test_d_image_collapses_where_the_most_loops_close(sign, sep):
+    """A chain of m kinks has a state with m + 1 loops, and m split curls
+    one with 2m, the most any state of m crossings has; the offset M of
+    `frontier.labelled_fields` keeps every exponent positive through them
+    all.  The planar sweep is the oracle."""
+    for m in range(1, 13):
+        d = _kinks(m, sign, sep)
+        loops = max(k for _, k in state_sum(StateTables(d))[()])
+        assert loops == (2 * m if sep else m + 1)
+        assert d_image_bracket(build_carter_surface(d)).collapse() == LOOP_VALUE * kauffman_bracket(d), m
+
+
+def test_d_image_collapses_to_the_planar_bracket_past_the_gray_walk():
+    for n in range(10, 21):
+        d = catalog_p_family(n)
+        assert d_image_bracket(build_carter_surface(d)).collapse() == LOOP_VALUE * kauffman_bracket(d), n
+
+
+def _merged(rep):
+    """The polynomials of the full surface state sum (`analysis._bracket_sum`)
+    with each label's null-essential count merged into its loop count,
+    labels in their first order, zero-valued ones included."""
     out = {}
-    for (classes, essential), label_counts in counts.items():
+    for (classes, essential), label_counts in analysis._bracket_sum(rep).items():
         slot = out.setdefault(classes, {})
         for (c, k), n in label_counts.items():
             slot[c, k + essential] = slot.get((c, k + essential), 0) + n
-    return out
+    return {classes: expand(counts) for classes, counts in out.items()}
+
+
+def _read(rep, image):
+    """The packed polynomials of `analysis._image_sum`, read, with the free
+    loops' d^free_loops."""
+    free = d_power(rep.free_loops)
+    n = rep.diagram.n_crossings
+    return {label: LaurentPoly(labelled_polynomial(value, n)) * free for label, value in image.items()}
 
 
 @pytest.mark.parametrize("d", [d for _, d in SMALL + TWIST], ids=[name for name, _ in SMALL + TWIST])
 def test_sweep_equals_merged_gray_walk_under_three_orders(d):
     rep = build_carter_surface(d)
-    expected = _merged(analysis._bracket_sum(rep))
+    expected = _merged(rep)
     n = d.n_crossings
     greedy = greedy_order(StateTables(d))
     for name, order in (("greedy", greedy), ("identity", list(range(n))), ("reversed", list(range(n))[::-1])):
-        got = analysis._image_sum(rep, order)
+        got = _read(rep, analysis._image_sum(rep, order))
         assert got == expected, name
         assert list(got) == list(expected), name
 
@@ -107,8 +161,8 @@ def test_sweep_equals_merged_gray_walk_under_three_orders(d):
 def test_sweep_equals_merged_gray_walk_on_the_pool():
     for code in POOL:
         rep = build_carter_surface(parse_gauss_code(code))
-        got = analysis._image_sum(rep)
-        expected = _merged(analysis._bracket_sum(rep))
+        got = _read(rep, analysis._image_sum(rep))
+        expected = _merged(rep)
         assert got == expected and list(got) == list(expected), code
 
 
@@ -125,6 +179,7 @@ def test_d_image_collapses_to_the_planar_bracket(d):
     image = d_image_bracket(rep)
     assert all(essential == 0 for _, essential in image.entries)
     assert image.collapse() == surface_bracket(rep).collapse()
+    assert analysis._image_classes(rep) == image.nonzero_classes()
 
 
 def test_family_report_through_46_crossings():
@@ -141,7 +196,8 @@ def test_witness_order_may_differ_but_not_the_classes():
     assert rep.genus == 4
     assert set(image.nonzero_classes()) == set(full.nonzero_classes())
     assert image.nonzero_classes() != full.nonzero_classes()
-    assert per_torus_criterion(image, 4).satisfied == per_torus_criterion(full, 4).satisfied
+    satisfied = [per_torus_criterion(sb.nonzero_classes(), 4).satisfied for sb in (image, full)]
+    assert satisfied[0] == satisfied[1]
 
 
 def test_d_image_may_lose_classes():
@@ -180,7 +236,7 @@ def test_per_torus_holds_on_classes_orthogonal_to_one_class():
     gamma = HomologyClass((0, 1, 0, -1))
     for sb in (surface_bracket(rep), d_image_bracket(rep)):
         classes = sb.nonzero_classes()
-        assert per_torus_criterion(sb, 2).satisfied
+        assert per_torus_criterion(classes, 2).satisfied
         assert _rational_rank([c.coords for c in classes]) == 3 == 2 * rep.genus - 1
         assert all(intersection_number(gamma, c) == 0 for c in classes)
 
@@ -194,16 +250,23 @@ def _forbid(*_args, **_kwargs):
 
 
 def test_certify_takes_no_state_walk_and_no_disk_test(monkeypatch):
+    """`certify` reads only which labels of the d-image are nonzero: no state
+    walk, no disk test, and no polynomial is expanded, unpacked or built."""
+    diagrams = [catalog(name) for name in catalog_names()] + [catalog_p_family(n) for n in (2, 3, 4, 9)]
     for module, name in (
         (analysis, "_bracket_sum"),
         (analysis, "_GrayWalk"),
         (analysis, "is_disk_bounding"),
         (analysis, "loop_homology"),
+        (analysis, "expand"),
+        (analysis, "labelled_polynomial"),
         (surface, "is_disk_bounding"),
         (surface, "loop_homology"),
+        (bracket, "expand"),
+        (frontier, "_unpack"),
+        (LaurentPoly, "__init__"),
     ):
         monkeypatch.setattr(module, name, _forbid)
-    diagrams = [catalog(name) for name in catalog_names()] + [catalog_p_family(n) for n in (2, 3, 4, 9)]
     for d in diagrams:
         certify(d)
     assert str(certify(catalog_p_family(9))) == "NonClassical(2)"
