@@ -21,7 +21,7 @@ smallest state index that reaches it and its polynomial itself, packed in
 one int.  Its cost follows the width of the diagram, not 2^n.  A label's
 polynomial is zero exactly when its int is, so `certify` takes the classes
 of the labels whose int is nonzero and reads no coefficient;
-`d_image_bracket` reads the signed fields of those labels only.
+`d_image_bracket` reads those labels only.
 
 The full surface bracket (`surface_bracket`, behind `surface-bracket`)
 must tell disk-bounding from null-essential curves, which is not local.
@@ -33,10 +33,12 @@ key, in the low 4n bits.  Darts are built and `loop_homology` runs only
 once per distinct class up to sign, and for each null-homologous curve,
 which alone also needs the disk test (`_CurveMemo`).
 
-Both sums (a `frontier.StateSum` keyed by curve-class key, or packed
-polynomials keyed by class tuple for the image) list each key in the
-order of the smallest state index that reaches it, the order of a
-state-by-state sum, on which the per-torus witnesses depend.
+Both sums give each key one packed polynomial (`frontier.packed_fields`),
+keyed by curve-class key, the walk's tally summed into that format at the
+end, or by class tuple for the image, and list the keys in the order of
+the smallest state index that reaches them, the order of a state-by-state
+sum, on which the per-torus witnesses depend.  `surface_bracket` and
+`d_image_bracket` read them with one helper (`_surface_bracket`).
 
 Two sufficient criteria certify that no cancellation curve exists, i.e.
 that the representation genus is the virtual genus and the diagram is
@@ -51,9 +53,9 @@ from bisect import insort
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .bracket import StateTables, d_power, expand
+from .bracket import StateTables, d_power
 from .diagram import VirtualLinkDiagram, format_gauss_code
-from .frontier import StateSum, labelled_polynomial, labelled_state_sum, signed_fields
+from .frontier import labelled_state_sum, packed_fields, read_packed, signed_fields
 from .laurent import LaurentPoly
 from .surface import (
     HomologyClass,
@@ -460,41 +462,58 @@ def _gray_moves(m: int) -> Iterator[tuple[int, int]]:
     yield m - 1, 0
 
 
-def _bracket_sum(rep: SurfaceRep) -> StateSum:
-    """The surface state sum over all 2^n states: curve-class key -> {(c,
-    disk count): number of states}.
+def _bracket_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
+    """The surface state sum over all 2^n states: curve-class key -> the
+    sum of A^(n - 2b) d^disks over its states, packed as
+    `frontier.packed_fields` sets out, without the free loops' d^free_loops.
 
     One Gray walk (`_gray_moves`) visits every state once, each a single
     crossing flip from the last, and tallies it under (sorted class numbers,
     packed counts): the null-essential count, the disk count and the B
     count, `_GrayWalk.count_width` bits each, with the smallest state index
-    that reaches it.  Class numbers are local to this walk's memo, so the
-    keys are relabelled with class tuples before the counts leave, and
-    emitted in the order of their smallest state index: the order of first
-    appearance in state-index order, on which the per-torus witnesses depend.
+    that reaches it.  Each tally entry then adds count s^(M + b) d^disks to
+    its key; a state has at most 2n = M curves, so s^M d^disks is exact.
+    Class numbers are local to this walk's memo, so the keys are relabelled
+    with class tuples, and emitted in the order of their smallest state
+    index: the order of first appearance in state-index order, on which the
+    per-torus witnesses depend.
     """
     tables = StateTables(rep.diagram)
     memo = _CurveMemo(rep)
     walk = _GrayWalk(tables, memo)
-    n = tables.n
     # (class numbers, packed counts) -> [count, smallest state index]
     seen: dict[tuple[tuple[int, ...], int], list[int]] = {}
     walk.reset(0)
-    walk.run(_gray_moves(n), seen)
+    walk.run(_gray_moves(tables.n), seen)
     w = walk.count_width
     mask = (1 << w) - 1
+    width, offset = packed_fields(tables.n)
+    # s^M d^k, packed, at index k = 0 .. M
+    d_powers = [1 << offset * width]
+    for _ in range(offset):
+        q = d_powers[-1]
+        d_powers.append(-((q << width) + (q >> width)))
     labels = memo.class_tuples(numbers for numbers, _ in seen)
-    counts: StateSum = {}
+    sums: dict[CurveClassKey, int] = {}
     for (numbers, packed), (count, _) in sorted(seen.items(), key=lambda item: item[1][1]):
         label = (labels[numbers], packed >> 2 * w)
-        counts.setdefault(label, {})[n - 2 * (packed & mask), ((packed >> w) & mask) + rep.free_loops] = count
-    return counts
+        value = count * d_powers[(packed >> w) & mask] << (packed & mask) * width
+        sums[label] = sums.get(label, 0) + value
+    return sums
+
+
+def _surface_bracket(rep: SurfaceRep, sums: Iterable[tuple[CurveClassKey, int]]) -> SurfaceBracket:
+    """The bracket of the packed sums (key, value) of `rep`: each nonzero
+    value read by `frontier.read_packed`, times d^free_loops."""
+    n = rep.diagram.n_crossings
+    free = d_power(rep.free_loops)
+    entries = {key: read_packed(value, n) * free for key, value in sums if value}
+    return SurfaceBracket(entries=entries, genus=rep.genus)
 
 
 def surface_bracket(rep: SurfaceRep) -> SurfaceBracket:
     """Group all states by curve-class key and sum coefficients."""
-    entries = {label: p for label, counts in _bracket_sum(rep).items() if not (p := expand(counts)).is_zero()}
-    return SurfaceBracket(entries=entries, genus=rep.genus)
+    return _surface_bracket(rep, _bracket_sum(rep).items())
 
 
 def _image_labels(
@@ -517,7 +536,7 @@ def _image_labels(
 
 def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[tuple[HomologyClass, ...], int]:
     """The d-image of the surface bracket before its polynomials are read:
-    sorted class tuple -> the label's packed polynomial (`frontier.labelled_fields`),
+    sorted class tuple -> the label's packed polynomial (`frontier.packed_fields`),
     without the free loops' d^free_loops, the labels in the order of the
     smallest state index that reaches them, zero-valued ones included."""
     labels, unpack = _image_labels(rep, order)
@@ -556,13 +575,7 @@ def _unpack_class(packed: int, dim: int, width: int) -> HomologyClass:
 def d_image_bracket(rep: SurfaceRep) -> SurfaceBracket:
     """The surface bracket with every null-homologous essential symbol sent
     to d: each key's essential count is 0, and `collapse` is unchanged."""
-    n = rep.diagram.n_crossings
-    free = d_power(rep.free_loops)
-    entries = {}
-    for label, value in _image_sum(rep).items():
-        if value:
-            entries[label, 0] = LaurentPoly(labelled_polynomial(value, n)) * free
-    return SurfaceBracket(entries=entries, genus=rep.genus)
+    return _surface_bracket(rep, (((label, 0), value) for label, value in _image_sum(rep).items()))
 
 
 # -- criteria -------------------------------------------------------------

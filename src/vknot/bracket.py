@@ -8,16 +8,15 @@ sum over the 2^n smoothings is evaluated by the frontier sweep of
 partial states that pair the open arc ends alike, so its cost follows
 the width of the diagram rather than 2^n.  `bracket_partial` keeps the
 state-by-state sum as the reference the sweep is tested against.  The
-planar, tangle and full surface state sums count their states as a
-`frontier.StateSum` and turn each label's counts into a polynomial with
-`expand`; the sweep of the d-image behind `certify` carries packed
-polynomials instead (`frontier.labelled_state_sum`).  The surface-level
-(un-reduced) convention lives in `vknot.analysis`.
+sweep carries the un-reduced sum, with d per loop, as one packed polynomial
+(`frontier.packed_fields`); `kauffman_bracket` divides it by d exactly and
+reads it with `frontier.read_packed`, the reader of every state sum.  The
+surface-level (un-reduced) convention lives in `vknot.analysis`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .diagram import (
     SmoothingType,
@@ -26,7 +25,7 @@ from .diagram import (
     smooth_crossing,
     writhe,
 )
-from .frontier import state_sum
+from .frontier import packed_fields, read_packed, state_sum
 from .laurent import LOOP_VALUE, LaurentPoly, try_divide_exact
 
 if TYPE_CHECKING:
@@ -120,33 +119,11 @@ def d_power(k: int) -> LaurentPoly:
     return _D_POWERS[k]
 
 
-def expand(counts: Mapping[tuple[int, int], int]) -> LaurentPoly:
-    """sum n * A^c * d^k over the counts {(c, k >= 0): n} of one label.
-
-    The counts are grouped by k into rows {c: n} and summed by Horner's rule
-    in d over plain exponent -> coefficient dicts, from the largest k down:
-    acc <- row_k - (acc shifted up by 2) - (acc shifted down by 2), which
-    is row_k + acc * d.  No power of d is built, and the polynomial is
-    built once, at the end.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    for (c, k), n in counts.items():
-        rows.setdefault(k, {})[c] = n
-    top = max(rows, default=0)
-    acc = rows.get(top, {})
-    for k in range(top - 1, -1, -1):
-        nxt = rows.get(k, {})
-        for e, v in acc.items():
-            nxt[e + 2] = nxt.get(e + 2, 0) - v
-            nxt[e - 2] = nxt.get(e - 2, 0) - v
-        acc = nxt
-    return LaurentPoly(acc)
-
-
 def bracket_partial(d: VirtualLinkDiagram, start: int, stop: int) -> dict[tuple[int, int], int]:
     """The planar state sum over the state range [start, stop), state by
-    state: {(c, loops): number of states}, as `frontier.state_sum` counts a
-    diagram (the reference for the sweep)."""
+    state, as counts {(c, loops): number of states}, each state adding
+    A^c d^loops (the reference for the sweep, whose packed value is the
+    same sum)."""
     tables = StateTables(d)
     n = tables.n
     counts: dict[tuple[int, int], int] = {}
@@ -158,13 +135,23 @@ def bracket_partial(d: VirtualLinkDiagram, start: int, stop: int) -> dict[tuple[
 
 def kauffman_bracket(d: VirtualLinkDiagram) -> LaurentPoly:
     """Reduced Kauffman bracket: the sum over all 2^n smoothings of
-    A^(#alpha - #beta) * d^(loops - 1), evaluated by the frontier sweep."""
+    A^(#alpha - #beta) * d^(loops - 1), evaluated by the frontier sweep.
+
+    The sweep's value has d^loops; every state of a diagram with crossings
+    has a loop, so it is divided by d exactly (a remainder raises
+    ArithmeticError), then multiplied by d per free loop.  A diagram
+    without crossings is d^(free loops - 1), and the empty one 1.
+    """
+    tables = StateTables(d)
     free = d.free_loops
-    # every state of a diagram with crossings has a loop, so only the empty
-    # diagram's one state is clamped to d^0
-    return expand(
-        {(c, max(loops + free - 1, 0)): n for (c, loops), n in state_sum(StateTables(d))[()].items()}
-    )
+    if not tables.n:
+        return d_power(max(free - 1, 0))
+    width, _ = packed_fields(tables.n)
+    # value = d * q with d = -(2^W + 2^-W) at s = 2^W, so -2^W value = q (1 + 2^(2W))
+    reduced, rest = divmod(-(state_sum(tables)[()] << width), 1 + (1 << 2 * width))
+    if rest:
+        raise ArithmeticError("planar state sum is not divisible by d")
+    return read_packed(reduced, tables.n) * d_power(free)
 
 
 def f_polynomial(d: VirtualLinkDiagram) -> LaurentPoly:

@@ -6,8 +6,8 @@ each step the smoothed crossings form paths whose ends are the open arc
 ends: ends at an added crossing whose arc runs to a crossing not yet
 added.  A tangle's boundary ends are terminal path ends from the start
 and stay open to the end.  States that pair the open ends the same way
-(the frontier key) continue alike, so the sweep carries, per key, a count
-of partial states by (c, closed loops), with c = #A - #B smoothings.
+(the frontier key) continue alike, so the sweep carries, per key, the
+sum of A^(#A - #B smoothings) d^(closed loops) over its partial states.
 
 Adding a crossing, for each of its two smoothings: join the smoothing's
 two pairs of arc ends, then close every arc whose other end is already
@@ -21,27 +21,28 @@ width 4 and at most 2 keys at every n, and random 1- and 2-component
 Gauss codes of 16, 20, 24 and 28 crossings reach widths of at most 10,
 12, 14 and 16 and at most 75, 428, 2404 and 8087 keys (8 codes each).
 
-A key is the tuple of partner positions of the open ends.  Its counts are
-packed into one int: the number of partial states with b B-smoothings and
-l closed loops sits in field l * (n + 1) + b, W bits wide, with W = n + 1
-rounded up to whole bytes.  A field never holds more than C(n, b) < 2^n
-states, so fields never carry into each other.  A smoothing that closes l
-loops is then one left shift, by (l * (n + 1) + [B]) * W bits, merging two
-keys is one addition, and the fields are read once at the end, from the
-int's bytes (Kronecker substitution).  A step lays the open ends and the
-crossing's four ends out as slots once, so each key only copies its
-partner slots, sets the four joins, closes the arcs and reads the new key
-off the surviving slots.
+A key is the tuple of partner positions of the open ends.  Its value is
+the ring element itself: the polynomial of the key's partial states in
+s = A^-2, packed into one int with signed fields (`packed_fields`, which
+also gives the argument that no field overflows and that a value is 0
+exactly when its polynomial is).  A key starts at s^M, a B-smoothing
+shifts it up by one field, a closed loop multiplies it in place by
+d = -(s + 1/s), and merging two keys is one addition; `read_packed` reads
+a value once, at the end (Kronecker substitution).  A step lays the open
+ends and the crossing's four ends out as slots once, so each key only
+copies its partner slots, sets the four joins, closes the arcs and reads
+the new key off the surviving slots.
 
-`labelled_state_sum` runs the same sweep with a second kernel whose keys
-also hold a packed class per open end and the sorted classes of the
-nonzero loops closed so far.  Its value per key is not a table of counts
-but the ring element itself: the key's polynomial in s = A^-2, packed into
-one int with signed fields (`labelled_fields`), which a B-smoothing shifts
-up by one field and each zero-class loop multiplies by d = -(s + 1/s) in
-place; with it each key keeps the smallest state index that reaches it.
-`analysis` sums the d-image of the surface bracket with it, and `certify`
-only asks which labels' ints are nonzero.
+`state_sum` returns this value per boundary pairing: `bracket` reduces it
+by d for the planar bracket, and `tangle` reads one coefficient per
+boundary matching from it.  `labelled_state_sum` runs the same sweep with
+a second kernel whose keys also hold a packed class per open end and the
+sorted classes of the nonzero loops closed so far; there only a loop of
+zero class multiplies by d, and each key keeps the smallest state index
+that reaches it.  `analysis` sums the d-image of the surface bracket with
+it, and `certify` only asks which labels' ints are nonzero.  The full
+surface bracket (`analysis._bracket_sum`) sums its Gray walk's tally into
+the same format, so every state sum is read by `read_packed`.
 
 See Makowsky and Marino, The parametrized complexity of knot polynomials,
 JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
@@ -50,18 +51,12 @@ JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+from .laurent import LaurentPoly
 
 if TYPE_CHECKING:
     from .bracket import StateTables
-
-#: The counted format of a state sum before expansion: label -> {(c, k):
-#: number of states}, each state adding A^c d^k to its label's coefficient
-#: (`bracket.expand` turns one label's counts into a polynomial).  Here the
-#: label is the pairing of the boundary ends and k the closed-loop count;
-#: for `analysis._bracket_sum` it is the curve-class key and k the disk
-#: count.  `labelled_state_sum` returns packed polynomials instead.
-StateSum = dict[Hashable, dict[tuple[int, int], int]]
 
 #: Greater than any growth (at most 4), so an added crossing is never the minimum.
 _PLACED = 5
@@ -96,48 +91,46 @@ def greedy_order(tables: StateTables) -> list[int]:
     return order
 
 
-def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> StateSum:
+def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> dict[tuple[tuple[int, int], ...], int]:
     """The state sum of `tables` swept in `order` (default `greedy_order`).
 
     The result maps the pairing of the boundary ends (empty for a diagram)
-    to the number of states with each (c, closed loops).  Every order gives
+    to the sum of A^(n - 2b) d^k over its states, with b B-smoothings and k
+    closed loops, packed as `packed_fields` sets out.  Every order gives
     the same result; an `order` that is not a permutation of the crossing
     indices raises ValueError.
     """
-    n = tables.n
-    # field l * (n + 1) + b of a packed count, `width` bits wide, holds the
-    # partial states with b B-smoothings and l closed loops
-    width = 8 * ((n + 8) // 8)
-    loop_shift = (n + 1) * width
+    width, offset = packed_fields(tables.n)
 
     def step(frontier, k, m, closes, survivors, position):
         smoothings = (((m + 1, m, m + 3, m + 2), 0), ((m + 2, m + 3, m, m + 1), width))
-        return _step(frontier, smoothings, closes, survivors, position, loop_shift)
+        return _step(frontier, smoothings, closes, survivors, position, width)
 
-    frontier, ends = _sweep(tables, order, lambda key: {key: 1}, step)
+    frontier, ends = _sweep(tables, order, lambda key: {key: 1 << offset * width}, step)
     return {
-        tuple(sorted((~a, ~ends[i]) for a, i in zip(ends, key) if a > ends[i])): _unpack(packed, n, width)
-        for key, packed in frontier.items()
+        tuple(sorted((~a, ~ends[i]) for a, i in zip(ends, key) if a > ends[i])): value
+        for key, value in frontier.items()
     }
 
 
-def labelled_fields(n: int) -> tuple[int, int]:
+def packed_fields(n: int) -> tuple[int, int]:
     """(W, M): the field width in bits and the exponent offset of the values
-    of `labelled_state_sum` for a diagram of n crossings.
+    of every state sum of n crossings.
 
     A value packs a polynomial sum c_j s^j in s = A^-2 as the int
     sum c_j 2^(W j), with signed c_j.  A state adds s^(M + b) d^k to its
-    label's value, for b B-smoothings and k zero-class loops, with
+    label's value, for b B-smoothings and k loops that weigh d, with
     d = -(s + 1/s), so the label's polynomial in A is A^n s^-M times the
-    value.  A state has at most 2n loops, since each passes at least one of
-    its 2n smoothing joins, so a loop closes onto a partial state with at
-    most 2n - 1 loops, whose exponents are at least M - 2n + 1 = 1: the
-    right shift of the multiplication by d drops no term.  The coefficients
-    of d^k sum to 2^k in absolute value and at most 2^n states meet at a
-    key, so |c_j| <= 2^n 2^(2n) < 2^(W - 1): each coefficient fits its
-    signed field, a value is 0 exactly when every coefficient is (the
-    lowest nonzero c_j would leave the int nonzero mod 2^(W (j + 1))), and
-    the fields read back uniquely.
+    value.  A state has at most 2n closed loops, since each passes at least
+    one of its 2n smoothing joins, so a loop closes onto a partial state
+    with at most 2n - 1 loops, whose exponents are at least M - 2n + 1 = 1:
+    the right shift of the multiplication by d drops no term.  The
+    coefficients of d^k sum to 2^k in absolute value and at most 2^n states
+    meet at a label, so |c_j| <= 2^n 2^(2n) < 2^(W - 1): each coefficient
+    fits its signed field, a value is 0 exactly when every coefficient is
+    (the lowest nonzero c_j would leave the int nonzero mod 2^(W (j + 1))),
+    and the fields read back uniquely.  The same holds for the value
+    divided by d, which has one loop fewer per state.
     """
     return 3 * n + 2, 2 * n
 
@@ -153,7 +146,7 @@ def labelled_state_sum(
     smoothing join.  The result maps the sorted tuple of the nonzero loop
     classes of a state, each taken up to sign as abs(packed), to the sum of
     A^(n - 2b) d^k over its states, with b B-smoothings and k zero-class
-    loops, packed in s = A^-2 as `labelled_fields` sets out: every label's
+    loops, packed in s = A^-2 as `packed_fields` sets out: every label's
     polynomial is 0 exactly when its int is.  The labels are listed in the
     order of the smallest state index that reaches them (bit k of an index
     is the B-smoothing of crossing k), zero-valued ones included.
@@ -176,7 +169,7 @@ def labelled_state_sum(
     """
     if tables.boundary:
         raise ValueError("a labelled state sum takes a diagram, not a tangle")
-    width, offset = labelled_fields(tables.n)
+    width, offset = packed_fields(tables.n)
 
     def step(frontier, k, m, closes, survivors, position):
         r0, r3, r1, r2 = tables.joins[k][0]
@@ -192,14 +185,14 @@ def labelled_state_sum(
     return {closed: value for (_, _, closed), (value, _) in sorted(frontier.items(), key=lambda item: item[1][1])}
 
 
-def labelled_polynomial(value: int, n: int) -> dict[int, int]:
-    """{exponent of A: coefficient} of a value of `labelled_state_sum` for a
-    diagram of n crossings: field j holds the coefficient of
-    A^n s^(j - M) = A^(n - 2 (j - M)), with (W, M) = `labelled_fields(n)`."""
-    width, offset = labelled_fields(n)
+def read_packed(value: int, n: int) -> LaurentPoly:
+    """The polynomial in A of a value of a state sum of n crossings: field
+    j holds the coefficient of A^n s^(j - M) = A^(n - 2 (j - M)), with
+    (W, M) = `packed_fields(n)`."""
+    width, offset = packed_fields(n)
     # the top nonzero field j leaves |value| >= 2^(W j) / 3, so j <= bit_length // W + 1
     fields = signed_fields(value, width, value.bit_length() // width + 2)
-    return {n - 2 * (j - offset): c for j, c in enumerate(fields) if c}
+    return LaurentPoly({n - 2 * (j - offset): c for j, c in enumerate(fields) if c})
 
 
 def signed_fields(packed: int, width: int, count: int) -> list[int]:
@@ -273,28 +266,31 @@ def _sweep(tables, order, start, step):
     return frontier, ends
 
 
-def _step(frontier, smoothings, closes, survivors, position, loop_shift):
+def _step(frontier, smoothings, closes, survivors, position, width):
     """One crossing added to every key, under each of its smoothings.
 
     `smoothings` holds, per smoothing, the partners of the crossing's four
     slots and the shift it adds (W for B); `closes` the (crossing slot,
     other slot) of each arc it closes; `survivors` the slots left open, in
-    their new order, and `position` each slot's new position.
+    their new order, and `position` each slot's new position.  A closed
+    loop multiplies the value by d, with fields `width` bits wide
+    (`packed_fields`).
     """
     out: dict[tuple[int, ...], int] = {}
-    for key, packed in frontier.items():
+    for key, value in frontier.items():
         for joined, shift in smoothings:
             partner = [*key, *joined]
+            q = value << shift
             for x, y in closes:
                 u = partner[x]
                 if u == y:
-                    shift += loop_shift
+                    q = -((q << width) + (q >> width))
                 else:
                     v = partner[y]
                     partner[u] = v
                     partner[v] = u
             new = tuple([position[partner[s]] for s in survivors])
-            out[new] = out.get(new, 0) + (packed << shift)
+            out[new] = out.get(new, 0) + q
     return out
 
 
@@ -302,8 +298,8 @@ def _labelled_step(frontier, smoothings, closes, survivors, position, width):
     """`_step` for keys (partner positions, path classes, closed classes)
     with values [packed polynomial, smallest state index]: each smoothing
     also holds the classes at the crossing's four slots and the bit it adds
-    to the index (1 << k for B); a zero-class loop multiplies the value by
-    d, with fields `width` bits wide (`labelled_state_sum`)."""
+    to the index (1 << k for B); only a zero-class loop multiplies the value
+    by d (`labelled_state_sum`)."""
     out: dict[tuple, list[int]] = {}
     for (key, vals, closed), (value, index) in frontier.items():
         for joined, joined_vals, shift, bit in smoothings:
@@ -337,16 +333,3 @@ def _labelled_step(frontier, smoothings, closes, survivors, position, width):
                     entry[1] = index | bit
     return out
 
-
-def _unpack(packed: int, n: int, width: int) -> dict[tuple[int, int], int]:
-    """{(c, closed loops): count} from the nonzero `width`-bit fields of a
-    packed count, read in one pass over its bytes."""
-    step = width // 8
-    data = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
-    counts = {}
-    for f, i in enumerate(range(0, len(data), step)):
-        count = int.from_bytes(data[i : i + step], "little")
-        if count:
-            loops, b = divmod(f, n + 1)
-            counts[n - 2 * b, loops] = count
-    return counts

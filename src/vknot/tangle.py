@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .bracket import StateTables, d_power, expand, kauffman_bracket
+from .bracket import StateTables, d_power, kauffman_bracket
 from .diagram import (
     OVER,
     UNDER,
@@ -34,7 +34,7 @@ from .diagram import (
     tokenize,
     virtualize_crossing,
 )
-from .frontier import state_sum
+from .frontier import read_packed, state_sum
 from .laurent import LOOP_VALUE, LaurentPoly, NoLaurentSolutionError, solve_2x2_laurent
 
 
@@ -209,10 +209,9 @@ def expand_tangle(t: Tangle) -> TangleExpansion:
     points = [b for s in t.strands if s.start is not None for b in (s.start, s.end)]
     label = dict(zip(tables.boundary, points))
     coefficients = {}
-    for pairs, counts in state_sum(tables).items():
-        p = expand(counts)
-        if not p.is_zero():
-            coefficients[Matching((label[a], label[b]) for a, b in pairs)] = p
+    for pairs, value in state_sum(tables).items():
+        if value:
+            coefficients[Matching((label[a], label[b]) for a, b in pairs)] = read_packed(value, tables.n)
     return TangleExpansion(t.n_boundary, coefficients)
 
 
@@ -397,6 +396,12 @@ def virtualization_report(K: VirtualLinkDiagram, v: int) -> VirtualizationReport
     When the tangle complementary to v is virtual, alpha and beta are not
     Laurent polynomials: the report gives them as None, the verdict as
     Undetected, and still checks <K_v> = <K_s>.
+
+    The theorem behind the verdict (alpha and beta both nonzero makes K_v
+    non-classical) covers classical K only.  When it fires but the surface
+    pipeline does not certify NonClassical(1) for K_v, a classical K (Carter
+    genus 0) raises AssertionError, a convention bug; a virtual K, to which
+    the theorem does not apply, is reported Undetected.
     """
     try:
         alpha, beta, bK, bKs = _alpha_beta_brackets(K, v)
@@ -413,7 +418,11 @@ def virtualization_report(K: VirtualLinkDiagram, v: int) -> VirtualizationReport
 
     cert = certify(Kv)
     if detected and str(cert) != "NonClassical(1)":
-        raise AssertionError("surface pipeline disagrees with tangle criterion")
+        from .surface import genus
+
+        if not genus(K):
+            raise AssertionError("surface pipeline disagrees with tangle criterion")
+        verdict = "Undetected"
     return VirtualizationReport(
         diagram=format_gauss_code(K),
         crossing=v,

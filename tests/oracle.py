@@ -1,14 +1,15 @@
 """Reference computations that production code no longer runs, kept as
-oracles for the fast paths, and `canonical_code`, which only tests use."""
+oracles for the fast paths; `packed`, which puts their counts in the value
+format of the state sums; and `canonical_code`, which only tests use."""
 
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
-from vknot.analysis import _CurveMemo, _trace_state
+from vknot.analysis import CurveClassKey, _CurveMemo, _trace_state
 from vknot.bracket import StateTables, d_power
 from vknot.diagram import VirtualLinkDiagram
-from vknot.frontier import StateSum
+from vknot.frontier import packed_fields
 from vknot.laurent import LaurentPoly
 from vknot.surface import (
     CombinatorialMap,
@@ -137,8 +138,7 @@ def cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
 
 def expand(counts: dict[tuple[int, int], int]) -> LaurentPoly:
     """sum n * A^c * d^k over the counts {(c, k): n}, multiplying out the
-    cached d^k term by term for every (c, k) (the reference for the Horner
-    evaluation of `bracket.expand`)."""
+    cached d^k term by term for every (c, k)."""
     terms: dict[int, int] = {}
     for (c, k), count in counts.items():
         for e, coeff in d_power(k).terms:
@@ -146,10 +146,19 @@ def expand(counts: dict[tuple[int, int], int]) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def bracket_chunk(rep: SurfaceRep) -> StateSum:
+def packed(counts: dict[tuple[int, int], int], n: int) -> int:
+    """The value a state sum of n crossings carries for the counts
+    {(c, k): n}: `expand(counts)` packed term by term, the coefficient of
+    A^e in field M + (n - e) / 2 of `frontier.packed_fields(n)`."""
+    width, offset = packed_fields(n)
+    return sum(c << width * (offset + (n - e) // 2) for e, c in expand(counts).terms)
+
+
+def bracket_chunk(rep: SurfaceRep) -> dict[CurveClassKey, int]:
     """The surface state sum over all 2^n states, tracing every state in
-    index order with `StateTables.trace` (the reference for the Gray-code
-    walk of `analysis._bracket_sum`)."""
+    index order with `StateTables.trace`, counted by (c, disks) per
+    curve-class key and packed with `packed`, without the free loops (the
+    reference for the Gray-code walk of `analysis._bracket_sum`)."""
     tables = StateTables(rep.diagram)
     memo = _CurveMemo(rep)
     # class numbers are local to this memo, so states are counted by them
@@ -161,10 +170,10 @@ def bracket_chunk(rep: SurfaceRep) -> StateSum:
         t = (numbers, null_essential, n - 2 * state.bit_count(), disks)
         tally[t] = tally.get(t, 0) + 1
     labels = memo.class_tuples(numbers for numbers, *_ in tally)
-    counts: StateSum = {}
+    counts: dict[CurveClassKey, dict[tuple[int, int], int]] = {}
     for (numbers, null_essential, c, disks), count in tally.items():
-        counts.setdefault((labels[numbers], null_essential), {})[c, disks + rep.free_loops] = count
-    return counts
+        counts.setdefault((labels[numbers], null_essential), {})[c, disks] = count
+    return {key: packed(label_counts, n) for key, label_counts in counts.items()}
 
 
 def det_fraction(m: Sequence[Sequence[int]]) -> int:

@@ -2,11 +2,11 @@
 
 import pytest
 
+from vknot import bracket, frontier
 from vknot.bracket import (
     StateTables,
     bracket_by_recursion,
     d_power,
-    expand,
     f_polynomial,
     jones,
     jones_divisibility,
@@ -92,13 +92,25 @@ def test_d_power_table():
     assert d_power(5) is d_power(5)
 
 
-def test_expand_sums_counts_and_cancels():
-    assert expand({(1, 2): 3}) == LaurentPoly.monomial(1, 3) * LOOP_VALUE**2
-    assert expand({(0, 0): 1}) == LaurentPoly.one()
-    # d + A^2 + A^-2 = 0, also under a factor d^3 and with a gap in k
-    assert expand({(0, 1): 1, (2, 0): 1, (-2, 0): 1}).is_zero()
-    assert expand({(0, 4): 1, (2, 3): 1, (-2, 3): 1, (5, 1): -2}) == LaurentPoly.monomial(5, -2) * LOOP_VALUE
-    assert expand({}).is_zero()
+@pytest.mark.parametrize(
+    "code",
+    ["O1+U1+;U", "O1-U1-;U;U", "O1+U2+O3+U1+O2+U3+;U;U", "O1+U2+;U1+O2+;U", "O1+O2+U1+U2+;U;U;U"],
+)
+def test_free_loops_next_to_crossings(code):
+    """The sweep's value is divided by d once, then multiplied by d per free
+    loop; the skein recursion counts the free loops as components."""
+    d = parse_gauss_code(code)
+    assert 1 <= d.free_loops <= 3 and d.n_crossings
+    assert kauffman_bracket(d) == bracket_by_recursion(d)
+
+
+def test_a_sum_not_divisible_by_d_is_refused(monkeypatch):
+    """Every state of a diagram with crossings has a loop; a planar value
+    without the factor d (here s^M alone) raises, also under `python -O`."""
+    width, offset = frontier.packed_fields(3)
+    monkeypatch.setattr(bracket, "state_sum", lambda tables: {(): 1 << offset * width})
+    with pytest.raises(ArithmeticError, match="not divisible by d"):
+        kauffman_bracket(TREFOIL)
 
 
 def test_state_tables_loop_counts():

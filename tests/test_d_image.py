@@ -16,12 +16,12 @@ import oracle
 import pytest
 from randgen import GENUS_THREE_CODE, random_gauss_code
 
-from vknot import analysis, bracket, frontier, surface
+from vknot import analysis, frontier, surface
 from vknot.analysis import certify, d_image_bracket, family_report, per_torus_criterion, surface_bracket
-from vknot.bracket import StateTables, d_power, expand, f_polynomial, kauffman_bracket
+from vknot.bracket import StateTables, bracket_partial, d_power, f_polynomial, kauffman_bracket
 from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import parse_gauss_code
-from vknot.frontier import greedy_order, labelled_fields, labelled_polynomial, signed_fields, state_sum
+from vknot.frontier import greedy_order, packed_fields, read_packed, signed_fields
 from vknot.laurent import LOOP_VALUE, LaurentPoly
 from vknot.surface import HomologyClass, build_carter_surface, intersection_number
 
@@ -82,12 +82,12 @@ def test_unpack_class_inverts_pack_up_to_sign():
 
 
 def test_signed_fields_round_trip_at_the_widest_coefficients():
-    """A field of `frontier.labelled_fields(n)` holds the coefficient bound
-    2^n 2^(2n) of a labelled value, and every coefficient up to
+    """A field of `frontier.packed_fields(n)` holds the coefficient bound
+    2^n 2^(2n) of a state sum's value, and every coefficient up to
     +-(2^(W - 1) - 1), next to any others, reads back unchanged."""
     rng = random.Random(20261019)
     for n in range(13):
-        width, offset = labelled_fields(n)
+        width, offset = packed_fields(n)
         top = (1 << (width - 1)) - 1
         bound = 1 << 3 * n
         assert bound <= top and offset >= 2 * n
@@ -95,7 +95,7 @@ def test_signed_fields_round_trip_at_the_widest_coefficients():
             coeffs = [rng.choice((top, -top, bound, -bound, 0, rng.randint(-top, top))) for _ in range(5 * n + 1)]
             packed = analysis._pack(enumerate(coeffs), width)
             assert signed_fields(packed, width, len(coeffs)) == coeffs
-            assert labelled_polynomial(packed, n) == {n - 2 * (j - offset): c for j, c in enumerate(coeffs) if c}
+            assert read_packed(packed, n) == LaurentPoly({n - 2 * (j - offset): c for j, c in enumerate(coeffs)})
         with pytest.raises(ArithmeticError, match="beyond its last field"):
             signed_fields(1 << (width - 1), width, 1)
 
@@ -111,11 +111,11 @@ def _kinks(m: int, sign: str, sep: str):
 def test_d_image_collapses_where_the_most_loops_close(sign, sep):
     """A chain of m kinks has a state with m + 1 loops, and m split curls
     one with 2m, the most any state of m crossings has; the offset M of
-    `frontier.labelled_fields` keeps every exponent positive through them
+    `frontier.packed_fields` keeps every exponent positive through them
     all.  The planar sweep is the oracle."""
     for m in range(1, 13):
         d = _kinks(m, sign, sep)
-        loops = max(k for _, k in state_sum(StateTables(d))[()])
+        loops = max(k for _, k in bracket_partial(d, 0, 1 << m))
         assert loops == (2 * m if sep else m + 1)
         assert d_image_bracket(build_carter_surface(d)).collapse() == LOOP_VALUE * kauffman_bracket(d), m
 
@@ -128,14 +128,13 @@ def test_d_image_collapses_to_the_planar_bracket_past_the_gray_walk():
 
 def _merged(rep):
     """The polynomials of the full surface state sum (`analysis._bracket_sum`)
-    with each label's null-essential count merged into its loop count,
-    labels in their first order, zero-valued ones included."""
+    with each label's null-essential symbols sent to d, and the free loops'
+    d^free_loops, labels in their first order, zero-valued ones included."""
+    n = rep.diagram.n_crossings
     out = {}
-    for (classes, essential), label_counts in analysis._bracket_sum(rep).items():
-        slot = out.setdefault(classes, {})
-        for (c, k), n in label_counts.items():
-            slot[c, k + essential] = slot.get((c, k + essential), 0) + n
-    return {classes: expand(counts) for classes, counts in out.items()}
+    for (classes, essential), value in analysis._bracket_sum(rep).items():
+        out[classes] = out.get(classes, LaurentPoly.zero()) + read_packed(value, n) * d_power(essential)
+    return {classes: p * d_power(rep.free_loops) for classes, p in out.items()}
 
 
 def _read(rep, image):
@@ -143,7 +142,7 @@ def _read(rep, image):
     loops' d^free_loops."""
     free = d_power(rep.free_loops)
     n = rep.diagram.n_crossings
-    return {label: LaurentPoly(labelled_polynomial(value, n)) * free for label, value in image.items()}
+    return {label: read_packed(value, n) * free for label, value in image.items()}
 
 
 @pytest.mark.parametrize("d", [d for _, d in SMALL + TWIST], ids=[name for name, _ in SMALL + TWIST])
@@ -251,19 +250,17 @@ def _forbid(*_args, **_kwargs):
 
 def test_certify_takes_no_state_walk_and_no_disk_test(monkeypatch):
     """`certify` reads only which labels of the d-image are nonzero: no state
-    walk, no disk test, and no polynomial is expanded, unpacked or built."""
+    walk, no disk test, and no polynomial is read or built."""
     diagrams = [catalog(name) for name in catalog_names()] + [catalog_p_family(n) for n in (2, 3, 4, 9)]
     for module, name in (
         (analysis, "_bracket_sum"),
         (analysis, "_GrayWalk"),
         (analysis, "is_disk_bounding"),
         (analysis, "loop_homology"),
-        (analysis, "expand"),
-        (analysis, "labelled_polynomial"),
+        (analysis, "read_packed"),
         (surface, "is_disk_bounding"),
         (surface, "loop_homology"),
-        (bracket, "expand"),
-        (frontier, "_unpack"),
+        (frontier, "read_packed"),
         (LaurentPoly, "__init__"),
     ):
         monkeypatch.setattr(module, name, _forbid)

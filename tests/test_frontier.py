@@ -4,8 +4,8 @@ The planar bracket and the tangle expansion are frontier sweeps; here each
 is checked against a sum over all 2^n states, and the planar bracket also
 against `bracket_by_recursion`.  The state counts, not only the
 polynomials, must be equal, and they must not depend on the order of the
-crossings.  `expand` is checked against the term-by-term expansion of
-tests/oracle.py.
+crossings.  The state-by-state counts are packed term by term by
+tests/oracle.py, so the sweep's packed values are compared as ints.
 """
 
 import random
@@ -20,13 +20,12 @@ from vknot.bracket import (
     StateTables,
     bracket_by_recursion,
     bracket_partial,
-    expand,
     f_polynomial,
     kauffman_bracket,
 )
-from vknot.catalog import catalog, catalog_entry, catalog_names, catalog_p_family
+from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import parse_gauss_code
-from vknot.frontier import StateSum, greedy_order, state_sum
+from vknot.frontier import greedy_order, state_sum
 from vknot.laurent import LOOP_VALUE, LaurentPoly
 from vknot.tangle import Matching, Tangle, expand_tangle, format_tangle, parse_tangle
 
@@ -64,7 +63,8 @@ MAX_STATE_SUM_CROSSINGS = 16
 @pytest.mark.parametrize("d", [d for _, d in DIAGRAMS], ids=[name for name, _ in DIAGRAMS])
 def test_frontier_equals_state_sum_and_recursion(d):
     if d.n_crossings <= MAX_STATE_SUM_CROSSINGS:
-        assert state_sum(StateTables(d)) == {(): bracket_partial(d, 0, 1 << d.n_crossings)}
+        counts = bracket_partial(d, 0, 1 << d.n_crossings)
+        assert state_sum(StateTables(d)) == {(): oracle.packed(counts, d.n_crossings)}
     assert kauffman_bracket(d) == bracket_by_recursion(d)
 
 
@@ -92,30 +92,29 @@ def test_an_order_that_is_not_a_permutation_is_refused(order):
 @pytest.mark.parametrize("sign", "+-")
 def test_kink_chain_fills_the_widest_fields(sign):
     """An m-kink unknot has C(m, b) states with b B-smoothings, all with the
-    same loop count, so each packed field holds the most any field can;
-    its bracket is (-A^(+-3))^m."""
+    same loop count, up to m + 1, so the packed value runs through m + 1
+    multiplications by d; its bracket is (-A^(+-3))^m."""
     kink = LaurentPoly.monomial(3 if sign == "+" else -3, -1)
     for m in range(61):
         d = parse_gauss_code("".join(f"O{i}{sign}U{i}{sign}" for i in range(1, m + 1)) or "U")
         # the smoothing that splits off a loop: A at a positive kink, B at a
         # negative one; with no kink the one loop is a free loop, not swept
         base = 1 - d.free_loops
-        assert state_sum(StateTables(d)) == {
-            (): {(m - 2 * b, base + (m - b if sign == "+" else b)): comb(m, b) for b in range(m + 1)}
-        }, m
+        counts = {(m - 2 * b, base + (m - b if sign == "+" else b)): comb(m, b) for b in range(m + 1)}
+        assert state_sum(StateTables(d)) == {(): oracle.packed(counts, m)}, m
         assert kauffman_bracket(d) == kink**m, m
         if m <= 10:
             assert kauffman_bracket(d) == bracket_by_recursion(d), m
 
 
-def _sum_by_states(t: Tangle) -> StateSum:
+def _sum_by_states(t: Tangle) -> dict[tuple, dict[tuple[int, int], int]]:
     """The expansion's state counts state by state: every state is traced,
     its open strands give the pairing of the boundary ends and the rest are
     closed loops."""
     tables = StateTables(t)
     n = tables.n
     n_open = len(tables.boundary) // 2
-    counts: StateSum = {}
+    counts: dict[tuple, dict[tuple[int, int], int]] = {}
     for state in range(1 << n):
         loops = tables.trace(state)
         # the first n_open loops start at boundary ends; the rest are closed
@@ -134,7 +133,8 @@ def test_tangle_frontier_equals_state_oracle():
     assert any(s.start is None for t in tangles for s in t.strands)
     for i, t in enumerate(tangles):
         by_states = _sum_by_states(t)
-        assert state_sum(StateTables(t)) == by_states, format_tangle(t)
+        packed = {pairs: oracle.packed(c, t.n_crossings) for pairs, c in by_states.items()}
+        assert state_sum(StateTables(t)) == packed, format_tangle(t)
         _assert_order_independent(StateTables(t), i)
         # StateTables(t).boundary holds the start and end of each open strand in turn
         points = [b for s in t.strands if s.start is not None for b in (s.start, s.end)]
@@ -147,23 +147,38 @@ def test_crossing_free_strands_pair_at_the_start():
     assert expand_tangle(parse_tangle("B1B4;B2B3")).coefficients == {Matching([(1, 4), (2, 3)]): LaurentPoly.one()}
     # a closed kink strand next to a crossing-free one: A closes two loops, B one
     t = parse_tangle("B1B2;O1+U1+")
-    assert list(state_sum(StateTables(t)).values()) == [{(1, 2): 1, (-1, 1): 1}]
+    assert list(state_sum(StateTables(t)).values()) == [oracle.packed({(1, 2): 1, (-1, 1): 1}, 1)]
     assert expand_tangle(t).coefficients == {
         Matching([(1, 2)]): LaurentPoly.monomial(1) * LOOP_VALUE**2 + LaurentPoly.monomial(-1) * LOOP_VALUE
     }
 
 
-@pytest.mark.parametrize(
-    "t",
-    [
-        StateTables(catalog_p_family(40)),
-        StateTables(parse_tangle(catalog_entry("section5_knot").tangle)),
-    ],
-    ids=["p_family(40)", "section5-tangle"],
-)
-def test_expand_matches_term_by_term_oracle(t):
-    for counts in state_sum(t).values():
-        assert expand(counts) == oracle.expand(counts)
+@pytest.mark.parametrize("sign", "+-")
+def test_kinks_on_an_open_strand(sign):
+    """An open strand of m kinks expands to (-A^(+-3))^m on its one
+    matching; the fields of `packed_fields` hold the tangle sums of 1-40
+    crossings."""
+    kink = LaurentPoly.monomial(3 if sign == "+" else -3, -1)
+    for m in range(1, 41):
+        t = parse_tangle("B1" + "".join(f"O{i}{sign}U{i}{sign}" for i in range(1, m + 1)) + "B2")
+        assert expand_tangle(t).coefficients == {Matching([(1, 2)]): kink**m}, m
+
+
+@pytest.mark.parametrize("sep", ["", ";"], ids=["chain", "split"])
+@pytest.mark.parametrize("sign", "+-")
+def test_tangle_sums_where_the_most_loops_close(sign, sep):
+    """Next to a crossing-free strand, a closed chain of m kinks has a state
+    with m + 1 loops and m split curls one with 2m, the most any state of m
+    crossings has; the offset M of `packed_fields` keeps every exponent
+    positive through them all."""
+    kink = LaurentPoly.monomial(3 if sign == "+" else -3, -1)
+    for m in range(1, 13):
+        t = parse_tangle("B1B2;" + sep.join(f"O{i}{sign}U{i}{sign}" for i in range(1, m + 1)))
+        by_states = _sum_by_states(t)
+        assert max(k for counts in by_states.values() for _, k in counts) == (2 * m if sep else m + 1)
+        assert state_sum(StateTables(t)) == {pairs: oracle.packed(c, m) for pairs, c in by_states.items()}, m
+        expected = kink**m * LOOP_VALUE ** (m if sep else 1)
+        assert expand_tangle(t).coefficients == {Matching([(1, 2)]): expected}, m
 
 
 def test_f_polynomial_trivial_past_the_state_sum_wall():

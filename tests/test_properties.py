@@ -10,7 +10,7 @@ import oracle
 from oracle import bracket_chunk
 
 from vknot.analysis import _bracket_sum, certify, surface_bracket
-from vknot.bracket import StateTables, bracket_partial, expand, f_polynomial, kauffman_bracket
+from vknot.bracket import StateTables, bracket_partial, f_polynomial, kauffman_bracket
 from vknot.diagram import VirtualLinkDiagram, mirror, parse_gauss_code
 from vknot.frontier import greedy_order, state_sum
 from vknot.laurent import LOOP_VALUE
@@ -57,13 +57,7 @@ def test_frontier_sum_is_independent_of_the_crossing_order(code, data):
     result = state_sum(tables, greedy_order(tables))
     assert state_sum(tables, list(reversed(range(tables.n)))) == result
     assert state_sum(tables, data.draw(st.permutations(range(tables.n)))) == result
-    assert result == {(): bracket_partial(d, 0, 1 << d.n_crossings)}
-
-
-@given(gauss_codes())
-def test_expand_matches_term_by_term_oracle(code):
-    counts = state_sum(StateTables(parse_gauss_code(code)))[()]
-    assert expand(counts) == oracle.expand(counts)
+    assert result == {(): oracle.packed(bracket_partial(d, 0, 1 << d.n_crossings), d.n_crossings)}
 
 
 @given(gauss_codes())

@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,41 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements under src/vknot: {found}"
+
+
+#: The count format of the state sums, its Horner-rule expander and its
+#: field reader: every state sum now carries one packed polynomial per label.
+GONE_NAMES = {"StateSum", "expand", "_unpack"}
+
+
+def _identifiers(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.asname or node.name.rpartition(".")[2]
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.lineno, node.arg
+
+
+def test_no_count_format_names():
+    """Nothing under src/vknot defines, imports, uses or cites, as a
+    `quoted` name in a docstring or comment, the retired count format."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _identifiers(tree) if name in GONE_NAMES]
+        found += [
+            f"{path.name}:{text.count(chr(10), 0, m.start()) + 1} {m.group(0)}"
+            for m in re.finditer(r"`(?:[\w.]+\.)?(\w+)`", text)
+            if m.group(1) in GONE_NAMES
+        ]
+    assert not found, f"count-format names under src/vknot: {found}"
 
 
 def test_perfbench_hooks_resolve():

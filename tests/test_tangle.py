@@ -1,14 +1,17 @@
 """Tangles, TL expansion, closures, and virtualization reports."""
 
+import json
 import random
 
 import pytest
-from randgen import random_tangle
+from randgen import random_gauss_code, random_tangle
 
+from vknot import analysis, cli
 from vknot.bracket import bracket_by_recursion, d_power, kauffman_bracket
 from vknot.catalog import catalog, catalog_entry
 from vknot.diagram import ParseError, ValidationError, parse_gauss_code
 from vknot.laurent import LaurentPoly, format_laurent
+from vknot.surface import genus
 from vknot.tangle import (
     CUPCAP_2_2,
     IDENTITY_2_2,
@@ -128,6 +131,52 @@ def test_virtualization_report_linkL_undetected():
     assert rep.zerocor == "AlphaZero"
     assert rep.verdict == "Undetected"
     assert str(rep.certificate) == "Inconclusive"
+
+
+#: A virtual link (Carter genus 1) whose crossing 1 has alpha and beta
+#: both nonzero, while K_v has genus 0: the tangle criterion fires outside
+#: the classical case it is proved for.
+VIRTUAL_K_CODE = "U1-O2+;O1-U2+"
+
+
+def test_virtualization_report_on_a_virtual_k_is_undetected(capsys):
+    K = parse_gauss_code(VIRTUAL_K_CODE)
+    assert genus(K) == 1
+    rep = virtualization_report(K, 1)
+    assert not rep.alpha.is_zero() and not rep.beta.is_zero()
+    assert str(rep.certificate) == "Inconclusive"
+    assert rep.verdict == "Undetected"
+    assert cli.main(["virtualize-report", VIRTUAL_K_CODE, "--crossing", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Undetected"
+
+
+def test_virtualization_report_raises_on_no_seeded_code():
+    """Seeded random codes of 1-9 crossings, at their first crossing: every
+    report completes, and a NonClassical(1) verdict always agrees with the
+    certificate of K_v."""
+    rng = random.Random(20261019)
+    virtual_undetected = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        K = parse_gauss_code(random_gauss_code(rng, n, rng.randint(1, min(3, 2 * n))))
+        rep = virtualization_report(K, K.crossing_ids[0])
+        if rep.verdict == "NonClassical(1)":
+            assert str(rep.certificate) == "NonClassical(1)"
+        elif rep.alpha is not None and not rep.alpha.is_zero() and not rep.beta.is_zero():
+            assert genus(K) >= 1
+            virtual_undetected += 1
+    # the sample reaches the path that used to raise
+    assert virtual_undetected
+
+
+def test_virtualization_report_on_a_classical_k_still_checks_the_certificate(monkeypatch):
+    class Disagreeing:
+        def __str__(self):
+            return "Inconclusive"
+
+    monkeypatch.setattr(analysis, "certify", lambda d: Disagreeing())
+    with pytest.raises(AssertionError, match="disagrees with tangle criterion"):
+        virtualization_report(catalog("trefoil"), 1)
 
 
 def test_double_virtualization_report_section5():
