@@ -18,7 +18,7 @@ from vknot import (
     kauffman_bracket,
     surface_bracket,
 )
-from vknot.analysis import enumerate_surface_states, format_curve_key
+from vknot.analysis import format_curve_key
 
 
 def main() -> None:
@@ -30,11 +30,11 @@ def main() -> None:
     rep = build_carter_surface(k)
     print("\nCarter surface genus:", rep.genus)
 
-    states = enumerate_surface_states(rep)
-    essential = sum(1 for s in states for _ in s.classes)
-    print(f"{len(states)} smoothing states; {essential} essential state curves in total")
-
     sb = surface_bracket(rep)
+    print(
+        f"{2 ** k.n_crossings} smoothing states; {len(sb.entries)} curve-class keys, "
+        f"{len(sb.nonzero_classes())} distinct nonzero classes"
+    )
     print("\nsurface bracket (homology-class keys):")
     for key, coeff in sorted(sb.entries.items(), key=lambda kv: format_curve_key(kv[0])):
         print(f"  [{format_curve_key(key)}]  {format_laurent(coeff)}")

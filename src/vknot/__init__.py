@@ -3,8 +3,6 @@
 from .analysis import (
     Certificate,
     certify,
-    enumerate_surface_states,
-    family_report,
     mod2_span_criterion,
     per_torus_criterion,
     surface_bracket,
@@ -53,10 +51,8 @@ __all__ = [
     "certify",
     "close_tangle",
     "double_virtualization_report",
-    "enumerate_surface_states",
     "expand_tangle",
     "f_polynomial",
-    "family_report",
     "format_gauss_code",
     "format_laurent",
     "genus",

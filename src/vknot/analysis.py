@@ -25,13 +25,13 @@ of the labels whose int is nonzero and reads no coefficient;
 
 The full surface bracket (`surface_bracket`, behind `surface-bracket`)
 must tell disk-bounding from null-essential curves, which is not local.
-Its sum (`_bracket_sum`) walks all 2^n states in Gray-code order, so each
-step flips one crossing and re-walks only the curves through it
-(`_GrayWalk`).  A new curve is walked once: one sum of an int per arc end
-gives both its homology class, packed into the high bits, and its join
-key, in the low 4n bits.  Darts are built and `loop_homology` runs only
-once per distinct class up to sign, and for each null-homologous curve,
-which alone also needs the disk test (`_CurveMemo`).
+Its sum (`_bracket_sum`) is the one walk over states: it visits all 2^n
+states in Gray-code order, so each step flips one crossing and re-walks
+only the curves through it (`_GrayWalk`).  A new curve is walked once: one
+sum of an int per arc end gives both its homology class, packed into the
+high bits, and its join key, in the low 4n bits.  Darts are built and
+`loop_homology` runs only once per distinct class up to sign, and for each
+null-homologous curve, which alone also needs the disk test.
 
 Both sums give each key one packed polynomial (`frontier.packed_fields`),
 keyed by curve-class key, the walk's tally summed into that format at the
@@ -40,10 +40,12 @@ the smallest state index that reaches them, the order of a state-by-state
 sum, on which the per-torus witnesses depend.  `surface_bracket` and
 `d_image_bracket` read them with one helper (`_surface_bracket`).
 
-Two sufficient criteria certify that no cancellation curve exists, i.e.
-that the representation genus is the virtual genus and the diagram is
-non-classical and non-trivial: the per-torus intersection criterion and
-the mod-2 span criterion.
+Two criteria are checked: the per-torus intersection criterion and the
+mod-2 span criterion.  The mod-2 span certifies that no
+cancellation curve exists, i.e. that the representation genus is the
+virtual genus and the diagram is non-classical and non-trivial.  Per-torus
+alone does not: `U6-U5+O4-U1-O5+O6-O1-U2-O2-O8+U4-U8+O7-O3+U3+U7-` meets
+it at genus 2, yet Reidemeister moves reduce it to a kink of the unknot.
 """
 
 from __future__ import annotations
@@ -71,131 +73,8 @@ from .symplectic import mod2_rank
 CurveClassKey = tuple[tuple[HomologyClass, ...], int]
 
 
-class SurfaceState(NamedTuple):
-    """One smoothing of every crossing, traced on the surface."""
-
-    index: int
-    monomial_exp: int  # c(s) = #alpha - #beta
-    loops: tuple[tuple[int, ...], ...]  # refined-map dart cycles
-    disk_bounding_count: int
-    classes: tuple[HomologyClass, ...]  # canonical sorted multiset, nonzero only
-    null_essential_count: int
-
-    @property
-    def key(self) -> CurveClassKey:
-        return (self.classes, self.null_essential_count)
-
-    @property
-    def loop_count(self) -> int:
-        return self.disk_bounding_count + len(self.classes) + self.null_essential_count
-
-
 _DISK = -1
 _NULL_ESSENTIAL = -2
-
-
-class _CurveMemo:
-    """The state curves met in one walk over states, each classified once.
-
-    A curve's kind is _DISK, _NULL_ESSENTIAL, or the number of its nonzero
-    class in `classes` (numbered by first appearance), so a state's
-    curve-class key is built from small ints.  `classify` builds a curve's
-    darts, runs `loop_homology` (and, for a zero class, the disk test) on it
-    and stores it in `curves` under the tracer's join key.  The
-    state-by-state tracer calls it for every curve not in `curves`.  The
-    Gray walk calls it only for a null-homologous curve not in `curves` and
-    for the first curve of each nonzero class up to sign; it keeps the kinds
-    of the other curves itself.  A memo serves one walk and is dropped with
-    it.
-    """
-
-    def __init__(self, rep: SurfaceRep):
-        self.rep = rep
-        self.curves: dict[int, tuple[tuple[int, ...], int]] = {}  # join key -> (darts, kind)
-        self.classes: list[HomologyClass] = []
-        self._numbers: dict[HomologyClass, int] = {}
-
-    def classify(self, key: int, ends: Sequence[int]) -> tuple[tuple[int, ...], int]:
-        """Refined-map dart cycle and kind of a traced loop, stored under `key`."""
-        join_side = self.rep.refined.join_side
-        darts: list[int] = []
-        for end, dep in zip(ends, ends[1:] + ends[:1]):
-            # the arc's own dart is the end it leaves from; then the quad side
-            # from the end it arrives at to the end the next arc leaves from
-            side = join_side.get((end ^ 1, dep))
-            if side is None:
-                raise AssertionError("state loop jumps between crossings")
-            darts += (end, side)
-        loop = tuple(darts)
-        cls = loop_homology(self.rep, loop)
-        if not cls.is_zero():
-            kind = self._numbers.setdefault(cls, len(self.classes))
-            if kind == len(self.classes):
-                self.classes.append(cls)
-        # only a null-homologous curve can bound a disk
-        elif is_disk_bounding(self.rep, loop):
-            kind = _DISK
-        else:
-            kind = _NULL_ESSENTIAL
-        entry = self.curves[key] = (loop, kind)
-        return entry
-
-    def class_tuples(
-        self, tuples: Iterable[tuple[int, ...]]
-    ) -> dict[tuple[int, ...], tuple[HomologyClass, ...]]:
-        """The canonical sorted multiset of the classes with each distinct
-        tuple of class numbers, with the classes ranked by their coordinates
-        once for all of them."""
-        classes = self.classes
-        by_rank = sorted(range(len(classes)), key=lambda i: classes[i].coords)
-        rank = [0] * len(classes)
-        for r, i in enumerate(by_rank):
-            rank[i] = r
-        return {
-            numbers: tuple(classes[by_rank[r]] for r in sorted(rank[i] for i in numbers))
-            for numbers in set(tuples)
-        }
-
-
-def _trace_state(
-    memo: _CurveMemo, tables: StateTables, state: int
-) -> tuple[list[tuple[int, ...]], int, int, tuple[int, ...]]:
-    """(refined loops, disk count, null-essential count, sorted class numbers) of one state."""
-    loops = []
-    disks = null_essential = 0
-    numbers = []
-    curves = memo.curves
-    for key, ends in tables.trace(state):
-        entry = curves.get(key) or memo.classify(key, ends)
-        loops.append(entry[0])
-        kind = entry[1]
-        if kind >= 0:
-            numbers.append(kind)
-        elif kind == _DISK:
-            disks += 1
-        else:
-            null_essential += 1
-    numbers.sort()
-    return loops, disks, null_essential, tuple(numbers)
-
-
-def enumerate_surface_states(rep: SurfaceRep) -> list[SurfaceState]:
-    """All 2^n surface states, in state-index order."""
-    tables = StateTables(rep.diagram)
-    memo = _CurveMemo(rep)
-    traced = [_trace_state(memo, tables, s) for s in range(1 << tables.n)]
-    labels = memo.class_tuples(numbers for *_, numbers in traced)
-    return [
-        SurfaceState(
-            index=state,
-            monomial_exp=tables.n - 2 * state.bit_count(),
-            loops=tuple(loops),
-            disk_bounding_count=disks + rep.free_loops,
-            classes=labels[numbers],
-            null_essential_count=null_essential,
-        )
-        for state, (loops, disks, null_essential, numbers) in enumerate(traced)
-    ]
 
 
 class SurfaceBracket(NamedTuple):
@@ -243,41 +122,44 @@ def format_curve_key(key: CurveClassKey) -> str:
 
 class _GrayWalk:
     """The curves of one current state, kept up to date one crossing flip at
-    a time.
+    a time, each distinct curve classified once.
 
     The joins are kept by departure end: a curve that leaves arc end e runs
     along arc e >> 1 to end e ^ 1 and takes the join there, which leaves
     from `nxt[e]`.  `step[e]` is one int for that join: the packed class the
     curve gains there (`_class_steps`), shifted above the 4n join-key bits,
-    plus the join's key bit.  A curve passes each join at most once, so its
-    join key is the sum of its bits and stays below 2^(4n), and one sum of
+    plus the join's key bit, bits 4k + 2b and 4k + 2b + 1 for the two joins
+    of smoothing b of crossing k.  A curve passes each join at most once, so
+    its join key is the sum of its bits, names it independently of the
+    state and of the direction of travel, and stays below 2^(4n); one sum of
     `step` over a curve's departure ends gives both its packed class
     (`total >> shift`) and its join key (`total & key_mask`).  `curve_of`
     maps each arc to the id of the curve along it, which is the departure
     end its walk started at (-1: not walked yet), and `kind_of` maps a curve
-    id to the curve's kind.  `numbers` holds the sorted class numbers of the
-    current curves, and `counts` their null-essential and disk counts,
-    packed as (null-essential << 2w) + (disks << w) with w = `count_width`;
-    the B count of a state, in the low w bits, completes a tally's packed
-    counts.  Flipping a crossing drops the one or two curves through it,
-    rewrites its four joins and re-walks from its four arc ends only; every
-    other curve is untouched.
+    id to the curve's kind: _DISK, _NULL_ESSENTIAL, or the number of its
+    nonzero class in `classes`, numbered by first appearance.  `numbers`
+    holds the sorted class numbers of the current curves, and `counts`
+    their null-essential and disk counts, packed as (null-essential << 2w)
+    + (disks << w) with w = `count_width`; the B count of a state, in the
+    low w bits, completes a tally's packed counts.  Flipping a crossing
+    drops the one or two curves through it, rewrites its four joins and
+    re-walks from its four arc ends only; every other curve is untouched.
 
     A new curve is walked once.  A nonzero class is looked up by value in
-    `class_of_sum`, which holds both signs.  On a miss the curve is walked
-    again for its ends and the memo's `classify` runs on it (darts,
-    `loop_homology`), so that happens once per distinct class up to sign;
-    the class it finds must pack to the sum up to sign, or ArithmeticError
-    is raised.  A zero class is looked up in the memo by join key, and a
-    miss goes to `classify` as well (darts, `loop_homology` and the disk
-    test).  The joins are checked once, when the walk is built
-    (`_class_steps`), so no curve is re-checked.
+    `class_of_sum`, which holds both signs, and a zero class by join key in
+    `curves`.  On a miss `_classify` builds the curve's darts and runs
+    `loop_homology` on them, and the disk test for a zero class: once per
+    distinct nonzero class up to sign and once per null-homologous curve.
+    The class found must pack to the sum up to sign, so also be zero
+    exactly when the sum is, or ArithmeticError is raised.  The joins are
+    checked once, when the walk is built (`_class_steps`), so no curve is
+    re-checked.
     """
 
-    def __init__(self, tables: StateTables, memo: _CurveMemo):
-        self.memo = memo
+    def __init__(self, rep: SurfaceRep, tables: StateTables):
+        self.rep = rep
         n_ends = 2 * tables.n_arcs
-        steps, self.width = _class_steps(memo.rep, tables)
+        steps, self.width = _class_steps(rep, tables)
         self.shift = shift = 4 * tables.n
         self.key_mask = (1 << shift) - 1
         # a state has at most n_arcs curves and n B-smoothings
@@ -285,21 +167,24 @@ class _GrayWalk:
         self.disk_unit, self.null_unit = 1 << w, 1 << 2 * w
         # joins[k][b] = (p, q, r, s, p ^ 1, q ^ 1, r ^ 1, s ^ 1, step[p ^ 1],
         # step[q ^ 1], step[r ^ 1], step[s ^ 1]) for smoothing b of crossing k,
-        # which joins p<->q and r<->s: a curve arriving at p leaves from q
+        # which joins p<->q and r<->s: a curve arriving at p leaves from q (the
+        # four joins of a crossing are distinct unordered pairs)
         self.joins = [
             tuple(
                 (p, q, r, s, p ^ 1, q ^ 1, r ^ 1, s ^ 1)
                 + tuple(
-                    (steps[a, f] << shift) + bit
-                    for a, f, bit in ((p, q, u), (q, p, u), (r, s, v), (s, r, v))
+                    (steps[a, f] << shift) + (1 << 4 * k + 2 * b + i)
+                    for a, f, i in ((p, q, 0), (q, p, 0), (r, s, 1), (s, r, 1))
                 )
-                for (p, q, r, s), (u, v) in zip(joins, bits)
+                for b, (p, q, r, s) in enumerate(joins)
             )
-            for joins, bits in zip(tables.joins, tables.join_bits)
+            for k, joins in enumerate(tables.joins)
         ]
         # the arcs through each crossing, the same for either smoothing
         self.arcs = [tuple(e >> 1 for e in joins[0][:4]) for joins in self.joins]
+        self.classes: list[HomologyClass] = []
         self.class_of_sum: dict[int, int] = {}  # packed class, either sign -> class number
+        self.curves: dict[int, int] = {}  # join key of a zero-class curve -> kind
         self.nxt = [0] * n_ends
         self.step = [0] * n_ends
         self.curve_of = [-1] * tables.n_arcs
@@ -321,7 +206,7 @@ class _GrayWalk:
         for a curve whose kind is not known yet."""
         joins, arcs, nxt, step = self.joins, self.arcs, self.nxt, self.step
         curve_of, kind_of = self.curve_of, self.kind_of
-        class_of_sum, curves = self.class_of_sum, self.memo.curves
+        class_of_sum, curves = self.class_of_sum, self.curves
         shift, key_mask, disk, null = self.shift, self.key_mask, self.disk_unit, self.null_unit
         numbers, counts = self.numbers, self.counts
         for k, state in moves:
@@ -366,8 +251,9 @@ class _GrayWalk:
                             kind = self._classify(start, key, packed)
                     else:
                         # a zero class leaves the join key alone in the sum
-                        entry = curves.get(key)
-                        kind = entry[1] if entry else self._classify(start, key, 0)
+                        kind = curves.get(key)
+                        if kind is None:
+                            kind = self._classify(start, key, 0)
                     kind_of[start] = kind
                     if kind >= 0:
                         insort(numbers, kind)
@@ -387,22 +273,49 @@ class _GrayWalk:
         self.counts = counts
 
     def _classify(self, start: int, key: int, packed: int) -> int:
-        """Kind of a curve met for the first time, from the memo's `classify`
-        on its ends, walked again from `start`; a nonzero packed class is
-        checked against the class found and stored in `class_of_sum`."""
-        nxt = self.nxt
-        ends = [start]
-        end = nxt[start]
-        while end != start:
-            ends.append(end)
-            end = nxt[end]
-        memo = self.memo
-        kind = memo.classify(key, ends)[1]
+        """Kind of the curve through departure end `start`, met for the first
+        time with join key `key` and packed class sum `packed`: a nonzero
+        class is numbered and stored in `class_of_sum`, a zero class is
+        disk-tested and stored in `curves`."""
+        darts = self._darts(start)
+        cls = loop_homology(self.rep, darts)
+        if _pack(enumerate(cls.coords), self.width) not in (packed, -packed):
+            raise ArithmeticError("packed class sum disagrees with loop_homology")
         if packed:
-            if kind < 0 or _pack(enumerate(memo.classes[kind].coords), self.width) not in (packed, -packed):
-                raise ArithmeticError("packed class sum disagrees with loop_homology")
-            self.class_of_sum[packed] = self.class_of_sum[-packed] = kind
+            kind = self.class_of_sum[packed] = self.class_of_sum[-packed] = len(self.classes)
+            self.classes.append(cls)
+        else:
+            # only a null-homologous curve can bound a disk
+            kind = self.curves[key] = _DISK if is_disk_bounding(self.rep, darts) else _NULL_ESSENTIAL
         return kind
+
+    def _darts(self, start: int) -> tuple[int, ...]:
+        """The refined-map dart cycle of the current curve through departure
+        end `start`: each arc's own dart, the end it leaves from, then the
+        quad side `RefinedMap.join_side` gives for the join at its far end."""
+        nxt, join_side = self.nxt, self.rep.refined.join_side
+        darts: list[int] = []
+        end = start
+        while True:
+            departure = nxt[end]
+            darts += (end, join_side[end ^ 1, departure])
+            end = departure
+            if end == start:
+                return tuple(darts)
+
+    def class_tuples(self, tuples: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[HomologyClass, ...]]:
+        """The canonical sorted multiset of the classes with each distinct
+        tuple of class numbers, with the classes ranked by their coordinates
+        once for all of them."""
+        classes = self.classes
+        by_rank = sorted(range(len(classes)), key=lambda i: classes[i].coords)
+        rank = [0] * len(classes)
+        for r, i in enumerate(by_rank):
+            rank[i] = r
+        return {
+            numbers: tuple(classes[by_rank[r]] for r in sorted(rank[i] for i in numbers))
+            for numbers in set(tuples)
+        }
 
 
 def _pack(pairs: Iterable[tuple[int, int]], width: int) -> int:
@@ -473,14 +386,13 @@ def _bracket_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
     count, `_GrayWalk.count_width` bits each, with the smallest state index
     that reaches it.  Each tally entry then adds count s^(M + b) d^disks to
     its key; a state has at most 2n = M curves, so s^M d^disks is exact.
-    Class numbers are local to this walk's memo, so the keys are relabelled
+    Class numbers are local to this walk, so the keys are relabelled
     with class tuples, and emitted in the order of their smallest state
     index: the order of first appearance in state-index order, on which the
     per-torus witnesses depend.
     """
     tables = StateTables(rep.diagram)
-    memo = _CurveMemo(rep)
-    walk = _GrayWalk(tables, memo)
+    walk = _GrayWalk(rep, tables)
     # (class numbers, packed counts) -> [count, smallest state index]
     seen: dict[tuple[tuple[int, ...], int], list[int]] = {}
     walk.reset(0)
@@ -493,7 +405,7 @@ def _bracket_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
     for _ in range(offset):
         q = d_powers[-1]
         d_powers.append(-((q << width) + (q >> width)))
-    labels = memo.class_tuples(numbers for numbers, _ in seen)
+    labels = walk.class_tuples(numbers for numbers, _ in seen)
     sums: dict[CurveClassKey, int] = {}
     for (numbers, packed), (count, _) in sorted(seen.items(), key=lambda item: item[1][1]):
         label = (labels[numbers], packed >> 2 * w)
@@ -602,8 +514,12 @@ def per_torus_criterion(classes: Sequence[HomologyClass], genus: int) -> Criteri
     `classes` are the classes of the nonzero keys of a bracket, in order
     (`SurfaceBracket.nonzero_classes`).  Satisfied when each k in 1..g has
     classes c_i, c_j with |a_i b_j - a_j b_i| != 0 in the k-th coordinate
-    pair; sufficient for the non-existence of a cancellation curve.  Only
-    the standard symplectic basis is tried: a swap (a, b) -> (b, -a) within
+    pair.  It is not sufficient for the non-existence of a cancellation
+    curve: `U6-U5+O4-U1-O5+O6-O1-U2-O2-O8+U4-U8+O7-O3+U3+U7-` meets it at
+    genus 2 with f = 1, and R1 {2}, R2 {5, 6}, R1 {1}, R2 {4, 8} and R1 {7}
+    reduce it to the kink `O3+U3+`; its genus is 1 after R2 {5, 6} already.
+    `certify` still issues NonClassical on it (ROADMAP item 1).  Only the
+    standard symplectic basis is tried: a swap (a, b) -> (b, -a) within
     a torus keeps every a_i b_j - a_j b_i, and a permutation of the tori
     only reorders the per-torus conditions, so no such relabelling
     satisfies the criterion when the standard basis does not.
@@ -646,10 +562,13 @@ def mod2_span_criterion(classes: Sequence[HomologyClass], genus: int) -> Criteri
 class Certificate(NamedTuple):
     """Verdict that a diagram is non-classical and non-trivial, or Inconclusive.
 
-    NonClassical(g) certifies that the genus-g representation admits no
+    NonClassical(g) claims that the genus-g representation admits no
     cancellation curve, hence g is the virtual genus and the diagram is
-    neither trivial nor classical.  Inconclusive makes no claim: the
-    criteria are sufficient, not necessary.
+    neither trivial nor classical.  The claim holds when the mod-2 span
+    criterion is satisfied.  It can be false when only per-torus is: see
+    `per_torus_criterion`, whose example is certified NonClassical(2) with
+    f = 1 although it is the unknot.  Inconclusive makes no claim: the
+    criteria are not necessary.
     """
 
     verdict: str  # "NonClassical" | "Inconclusive"
@@ -699,10 +618,3 @@ def certify(d: VirtualLinkDiagram) -> Certificate:
     results = (per_torus_criterion(classes, rep.genus), mod2_span_criterion(classes, rep.genus))
     verdict = "NonClassical" if any(r.satisfied for r in results) else "Inconclusive"
     return Certificate(verdict, rep.genus, results, code)
-
-
-def family_report(n: int) -> Certificate:
-    """Certificate for the n-twist member of the modified-Kishino family."""
-    from .catalog import catalog_p_family
-
-    return certify(catalog_p_family(n))

@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 class StateTables:
     """The smoothing joins of a diagram or tangle, as flat arrays: the input
     of the frontier sweep, of the surface bracket's Gray-code walk and of
-    the state-by-state loop tracer.
+    the state-by-state loop tracer of the reference sum `bracket_partial`.
 
     Arc ends are numbered by `diagram.arc_ends`: 2*arc (tail, leaving a
     pass) and 2*arc + 1 (head, arriving at the next pass).  In a crossing's
@@ -45,60 +45,44 @@ class StateTables:
     """
 
     def __init__(self, d: VirtualLinkDiagram | Tangle):
-        self.crossings = list(d.crossing_ids)
-        self.n = len(self.crossings)
+        self.n = d.n_crossings
         self.n_arcs, rotation, self.boundary = arc_ends(d.arc_strands, d.signs)
         # joins[c] = (A-joins, B-joins), each a 4-tuple (p, q, r, s) meaning p<->q, r<->s
         self.joins = [((r0, r3, r1, r2), (r0, r1, r2, r3)) for r0, r1, r2, r3 in rotation.values()]
-        # join_bits[c][b]: one bit per join of smoothing b, 4 per crossing
-        # (the four joins of a crossing are distinct unordered pairs)
-        self.join_bits = [
-            ((1 << 4 * k, 1 << 4 * k + 1), (1 << 4 * k + 2, 1 << 4 * k + 3)) for k in range(self.n)
-        ]
         # walks start at the boundary ends, so an open strand is walked from
         # one end to the other, then at the tail ends
         self.starts = self.boundary + list(range(0, 2 * self.n_arcs, 2))
 
-    def trace(self, state: int) -> list[tuple[int, list[int]]]:
-        """Loops of one state as (join key, arc ends) pairs.
+    def trace(self, state: int) -> list[list[int]]:
+        """Loops of one state, each as the arc ends it leaves from, in order.
 
-        Bit k of `state` selects the B-smoothing of the k-th crossing.  Each
-        loop lists the arc ends it leaves from, in order: end 2a runs arc a
-        forward, end 2a + 1 backward.  The join key has one bit per join the
-        loop passes through, so it names the curve independently of the
-        state and of the direction of travel.  A boundary end is its own
-        partner, so a walk along an open strand stops at its far end.  The
-        open strands come first: each starts at a boundary end, and the arc
-        of its last end e arrives at the other boundary end, e ^ 1.
+        Bit k of `state` selects the B-smoothing of the k-th crossing.  End
+        2a runs arc a forward, end 2a + 1 backward.  A boundary end is its
+        own partner, so a walk along an open strand stops at its far end.
+        The open strands come first: each starts at a boundary end, and the
+        arc of its last end e arrives at the other boundary end, e ^ 1.
         """
         partner = [0] * (2 * self.n_arcs)
-        bit = [0] * (2 * self.n_arcs)
         for b in self.boundary:
             partner[b] = b
         for k in range(self.n):
-            b = (state >> k) & 1
-            p, q, r, s = self.joins[k][b]
+            p, q, r, s = self.joins[k][(state >> k) & 1]
             partner[p], partner[q] = q, p
             partner[r], partner[s] = s, r
-            u, v = self.join_bits[k][b]
-            bit[p] = bit[q] = u
-            bit[r] = bit[s] = v
         seen = [False] * (2 * self.n_arcs)
-        loops: list[tuple[int, list[int]]] = []
+        loops: list[list[int]] = []
         for start in self.starts:
             if seen[start]:
                 continue
             loop: list[int] = []
-            key = 0
             end = start
             while not seen[end]:
                 seen[end] = True
                 seen[end ^ 1] = True
                 # traverse the arc from this end to its other end, then the join there
                 loop.append(end)
-                key |= bit[end ^ 1]
                 end = partner[end ^ 1]
-            loops.append((key, loop))
+            loops.append(loop)
         return loops
 
     def loop_count(self, state: int) -> int:

@@ -97,7 +97,6 @@ class SymplecticBasis(NamedTuple):
     dim: int
     change: tuple[tuple[int, ...], ...]
     inverse: tuple[tuple[int, ...], ...]
-    pairs: tuple[tuple[int, int], ...]
 
     @property
     def genus(self) -> int:
@@ -197,12 +196,10 @@ def symplectic_reduce(form: SkewForm) -> SymplecticBasis:
                 # base column pairs only with base+1 now; q_work[base+1][base] = -1.
                 _transform(q_work, change, inverse, "add", base, k, q_work[base + 1][k])
 
-    pairs = tuple((2 * k, 2 * k + 1) for k in range(n // 2))
     basis = SymplecticBasis(
         dim=n,
         change=tuple(tuple(row) for row in change),
         inverse=tuple(tuple(row) for row in inverse),
-        pairs=pairs,
     )
     if not _check_standard(form, basis):
         raise ArithmeticError("symplectic reduction postcondition failed: change^T . form . change != J")

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
-from vknot.analysis import CurveClassKey, _CurveMemo, _trace_state
+from vknot.analysis import CurveClassKey
 from vknot.bracket import StateTables, d_power
 from vknot.diagram import VirtualLinkDiagram
 from vknot.frontier import packed_fields
@@ -18,6 +18,8 @@ from vknot.surface import (
     MapHomology,
     RefinedMap,
     SurfaceRep,
+    is_disk_bounding,
+    loop_homology,
 )
 from vknot.symplectic import SkewForm, SymplecticBasis, standard_form
 
@@ -154,26 +156,64 @@ def packed(counts: dict[tuple[int, int], int], n: int) -> int:
     return sum(c << width * (offset + (n - e) // 2) for e, c in expand(counts).terms)
 
 
+def state_curves(rep: SurfaceRep, tables: StateTables, state: int) -> list[tuple[int, ...]]:
+    """Refined-map dart cycles of one state, walked from the smoothing joins
+    with `position_of` and `side_dart`, in the order of their first tail
+    end (the reference for the darts of `analysis._GrayWalk`)."""
+    partner = {}
+    for k in range(tables.n):
+        p, q, r, s = tables.joins[k][(state >> k) & 1]
+        partner.update({p: q, q: p, r: s, s: r})
+    refined = rep.refined
+    position = position_of(rep)
+    seen: set[int] = set()
+    curves = []
+    for start in range(0, 2 * tables.n_arcs, 2):
+        if start in seen:
+            continue
+        darts = []
+        end = start
+        while end not in seen:
+            seen.update((end, end ^ 1))
+            nxt = partner[end ^ 1]
+            ci, k_in = position[end ^ 1]
+            cj, k_out = position[nxt]
+            assert ci == cj
+            darts += [end, side_dart(refined, ci, k_in, k_out)]
+            end = nxt
+        curves.append(tuple(darts))
+    return curves
+
+
 def bracket_chunk(rep: SurfaceRep) -> dict[CurveClassKey, int]:
-    """The surface state sum over all 2^n states, tracing every state in
-    index order with `StateTables.trace`, counted by (c, disks) per
-    curve-class key and packed with `packed`, without the free loops (the
-    reference for the Gray-code walk of `analysis._bracket_sum`)."""
+    """The surface state sum over all 2^n states, walking every state in
+    index order with `state_curves`, counted by (c, disks) per curve-class
+    key and packed with `packed`, without the free loops (the reference for
+    the Gray-code walk of `analysis._bracket_sum`).  Each distinct curve, by
+    its edge set, is classified once with `loop_homology` and the disk test,
+    whatever its class."""
     tables = StateTables(rep.diagram)
-    memo = _CurveMemo(rep)
-    # class numbers are local to this memo, so states are counted by them
-    # and relabelled with class tuples before the counts leave
-    tally: dict[tuple[tuple[int, ...], int, int, int], int] = {}
+    edge_of = rep.refined.map.edge_of
+    kinds: dict[frozenset[int], tuple] = {}  # edge set -> (class, bounds a disk)
+    counts: dict[CurveClassKey, dict[tuple[int, int], int]] = {}
     n = tables.n
     for state in range(1 << n):
-        _, disks, null_essential, numbers = _trace_state(memo, tables, state)
-        t = (numbers, null_essential, n - 2 * state.bit_count(), disks)
-        tally[t] = tally.get(t, 0) + 1
-    labels = memo.class_tuples(numbers for numbers, *_ in tally)
-    counts: dict[CurveClassKey, dict[tuple[int, int], int]] = {}
-    for (numbers, null_essential, c, disks), count in tally.items():
-        counts.setdefault((labels[numbers], null_essential), {})[c, disks] = count
-    return {key: packed(label_counts, n) for key, label_counts in counts.items()}
+        classes, null_essential, disks = [], 0, 0
+        for curve in state_curves(rep, tables, state):
+            edges = frozenset(edge_of[d] for d in curve)
+            if edges not in kinds:
+                kinds[edges] = (loop_homology(rep, curve), is_disk_bounding(rep, curve))
+            cls, disk = kinds[edges]
+            if disk:
+                disks += 1
+            elif cls.is_zero():
+                null_essential += 1
+            else:
+                classes.append(cls)
+        slot = counts.setdefault((tuple(sorted(classes)), null_essential), {})
+        c = n - 2 * state.bit_count()
+        slot[c, disks] = slot.get((c, disks), 0) + 1
+    return {key: packed(key_counts, n) for key, key_counts in counts.items()}
 
 
 def det_fraction(m: Sequence[Sequence[int]]) -> int:

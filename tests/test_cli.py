@@ -224,7 +224,7 @@ def test_p_family_codes_are_unchanged():
         assert format_gauss_code(catalog_p_family(n)) == expected, n
 
 
-def test_byte_identical_json_and_parallel(capsys):
+def test_json_is_byte_identical_across_runs(capsys):
     # the same bytes on every run
     outs = set()
     for cmd in ("certify", "surface-bracket"):
@@ -384,7 +384,7 @@ d = catalog("kishino")
 rep = build_carter_surface(d)
 rep.refined.join_side.popitem()
 try:
-    analysis._GrayWalk(StateTables(d), analysis._CurveMemo(rep))
+    analysis._GrayWalk(rep, StateTables(d))
 except AssertionError as exc:
     print("refused:", exc)
 class_steps = analysis._class_steps
@@ -395,11 +395,18 @@ def tripled_steps(rep, tables):
     return {join: 3 * x for join, x in steps.items()}, width
 
 
-analysis._class_steps = tripled_steps
-try:
-    analysis._bracket_sum(build_carter_surface(d))
-except ArithmeticError as exc:
-    print("refused:", exc)
+def zeroed_steps(rep, tables):
+    steps, width = class_steps(rep, tables)
+    return dict.fromkeys(steps, 0), width
+
+
+# a sum off by a factor, and a zero sum for a curve of nonzero class
+for wrong_steps in (tripled_steps, zeroed_steps):
+    analysis._class_steps = wrong_steps
+    try:
+        analysis._bracket_sum(build_carter_surface(d))
+    except ArithmeticError as exc:
+        print("refused:", exc)
 """
 
 
@@ -408,5 +415,6 @@ def test_walk_checks_raise_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines() == [
         "refused: state loop jumps between crossings",
+        "refused: packed class sum disagrees with loop_homology",
         "refused: packed class sum disagrees with loop_homology",
     ]

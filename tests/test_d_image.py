@@ -17,13 +17,13 @@ import pytest
 from randgen import GENUS_THREE_CODE, random_gauss_code
 
 from vknot import analysis, frontier, surface
-from vknot.analysis import certify, d_image_bracket, family_report, per_torus_criterion, surface_bracket
+from vknot.analysis import certify, d_image_bracket, per_torus_criterion, surface_bracket
 from vknot.bracket import StateTables, bracket_partial, d_power, f_polynomial, kauffman_bracket
 from vknot.catalog import catalog, catalog_names, catalog_p_family
-from vknot.diagram import parse_gauss_code
+from vknot.diagram import OVER, UNDER, VirtualLinkDiagram, format_gauss_code, parse_gauss_code
 from vknot.frontier import greedy_order, packed_fields, read_packed, signed_fields
 from vknot.laurent import LOOP_VALUE, LaurentPoly
-from vknot.surface import HomologyClass, build_carter_surface, intersection_number
+from vknot.surface import HomologyClass, build_carter_surface, genus, intersection_number
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,6 +37,11 @@ WITNESS_ORDER_CODE = "U6-O1+O5-U2+O3-O12-O2+U12-O8-U3-U11-O9+U9+O6-;U10-O11-O10-
 #: Genus 2: 8 classes survive in the full bracket, 4 of them in the d-image,
 #: and per-torus still holds on those 4.
 CLASS_LOSING_CODE = "U4+;O5+O4+U5+O1-U2-U1-O3+U3+;O2-"
+#: Genus 2, f = 1, NonClassical(2) by per-torus alone: a false certificate,
+#: since the removal moves of UNKNOTTING_MOVES reduce it to a kink.
+FALSE_CERTIFICATE_CODE = "U6-U5+O4-U1-O5+O6-O1-U2-O2-O8+U4-U8+O7-O3+U3+U7-"
+#: R1 {2}, R2 {5, 6}, R1 {1}, R2 {4, 8}, R1 {7}.
+UNKNOTTING_MOVES = ({2}, {5, 6}, {1}, {4, 8}, {7})
 
 
 def _pool_codes() -> list[str]:
@@ -183,7 +188,7 @@ def test_d_image_collapses_to_the_planar_bracket(d):
 
 def test_family_report_through_46_crossings():
     for n in range(21):
-        assert str(family_report(n)) == "NonClassical(2)", n
+        assert str(certify(catalog_p_family(n))) == "NonClassical(2)", n
         assert f_polynomial(catalog_p_family(n)) == LaurentPoly.one(), n
 
 
@@ -238,6 +243,56 @@ def test_per_torus_holds_on_classes_orthogonal_to_one_class():
         assert per_torus_criterion(classes, 2).satisfied
         assert _rational_rank([c.coords for c in classes]) == 3 == 2 * rep.genus - 1
         assert all(intersection_number(gamma, c) == 0 for c in classes)
+
+
+def _adjacent(d: VirtualLinkDiagram, x: tuple[int, str], y: tuple[int, str]) -> bool:
+    """Passes x and y, each (crossing, role), are cyclically next to each
+    other in one component."""
+    for comp in d.components:
+        passes = [(p.crossing, p.role) for p in comp]
+        if x in passes and y in passes:
+            return (passes.index(x) - passes.index(y)) % len(passes) in (1, len(passes) - 1)
+    return False
+
+
+def _removal_move(d: VirtualLinkDiagram, crossings: set[int]) -> VirtualLinkDiagram:
+    """`d` without `crossings`, which must be an R1 (one crossing whose two
+    passes are adjacent) or an R2 (two crossings of opposite sign whose overs
+    are adjacent and whose unders are adjacent); a component left empty
+    becomes a free loop."""
+    if len(crossings) == 1:
+        (i,) = crossings
+        assert _adjacent(d, (i, OVER), (i, UNDER))
+    else:
+        i, j = crossings
+        assert d.signs[i] == -d.signs[j]
+        assert _adjacent(d, (i, OVER), (j, OVER)) and _adjacent(d, (i, UNDER), (j, UNDER))
+    comps = [tuple(p for p in comp if p.crossing not in crossings) for comp in d.components]
+    signs = {c: s for c, s in d.signs.items() if c not in crossings}
+    return VirtualLinkDiagram([c for c in comps if c], signs, d.free_loops + comps.count(()))
+
+
+def test_per_torus_certifies_a_diagram_of_the_unknot():
+    """Per-torus alone gives NonClassical(2), yet five Reidemeister moves
+    that keep f reduce the diagram to a kink; the genus is 1 after the
+    second."""
+    d = parse_gauss_code(FALSE_CERTIFICATE_CODE)
+    cert = certify(d)
+    assert str(cert) == "NonClassical(2)"
+    assert [c.satisfied for c in cert.criteria] == [True, False]
+    assert f_polynomial(d) == LaurentPoly.one()
+    genera = []
+    for crossings in UNKNOTTING_MOVES:
+        d = _removal_move(d, crossings)
+        assert f_polynomial(d) == LaurentPoly.one(), crossings
+        genera.append(genus(d))
+    assert format_gauss_code(d) == "O3+U3+"
+    assert genera == [2, 1, 1, 0, 0]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_a_diagram_of_the_unknot_is_not_certified():
+    assert certify(parse_gauss_code(FALSE_CERTIFICATE_CODE)).verdict != "NonClassical"
 
 
 class _Forbidden(Exception):

@@ -118,7 +118,7 @@ def _sum_by_states(t: Tangle) -> dict[tuple, dict[tuple[int, int], int]]:
     for state in range(1 << n):
         loops = tables.trace(state)
         # the first n_open loops start at boundary ends; the rest are closed
-        pairs = tuple(sorted(tuple(sorted((ends[0], ends[-1] ^ 1))) for _, ends in loops[:n_open]))
+        pairs = tuple(sorted(tuple(sorted((ends[0], ends[-1] ^ 1))) for ends in loops[:n_open]))
         slot = counts.setdefault(pairs, {})
         key = (n - 2 * state.bit_count(), len(loops) - n_open)
         slot[key] = slot.get(key, 0) + 1

@@ -1,9 +1,9 @@
 """Carter surfaces: combinatorial maps, genus, homology, cutting."""
 
 import pytest
-from oracle import cycle_coords
+from oracle import cycle_coords, state_curves
 
-from vknot.analysis import enumerate_surface_states
+from vknot.bracket import StateTables
 from vknot.diagram import parse_gauss_code
 from vknot.surface import (
     CombinatorialMap,
@@ -125,16 +125,18 @@ def test_intersection_number_standard():
 
 
 def _loops_of(code: str):
-    rep = build_carter_surface(parse_gauss_code(code))
-    states = enumerate_surface_states(rep)
-    return rep, states
+    """The Carter surface of `code` and the dart cycles of each state."""
+    d = parse_gauss_code(code)
+    rep = build_carter_surface(d)
+    tables = StateTables(d)
+    return rep, [state_curves(rep, tables, state) for state in range(1 << tables.n)]
 
 
 def test_virtual_trefoil_essential_loops():
     rep, states = _loops_of("O1+O2+U1+U2+")
     classes = set()
-    for s in states:
-        for loop in s.loops:
+    for loops in states:
+        for loop in loops:
             if not is_disk_bounding(rep, loop):
                 classes.add(loop_homology(rep, loop))
     assert classes  # the genus-1 representation carries essential state curves
@@ -148,8 +150,8 @@ def test_virtual_trefoil_essential_loops():
 
 def test_cut_along_essential_loop_gives_annulus_pieces():
     rep, states = _loops_of("O1+O2+U1+U2+")
-    for s in states:
-        for loop in s.loops:
+    for loops in states:
+        for loop in loops:
             pieces = cut_along_loop(rep, loop)
             # Euler characteristics of the pieces reassemble the torus
             assert sum(chi for chi, _ in pieces) == 0
@@ -159,14 +161,14 @@ def test_cut_along_essential_loop_gives_annulus_pieces():
 
 def test_disk_bounding_on_sphere():
     rep, states = _loops_of("O1+U1+")
-    for s in states:
-        for loop in s.loops:
+    for loops in states:
+        for loop in loops:
             assert is_disk_bounding(rep, loop)
 
 
 def test_null_homologous_curves_on_kishino():
     rep, states = _loops_of("O1+U2-O3+U4-O2-U1+O4-U3+")
-    for s in states:
-        for loop in s.loops:
+    for loops in states:
+        for loop in loops:
             if is_disk_bounding(rep, loop):
                 assert loop_homology(rep, loop).is_zero()

@@ -1,7 +1,7 @@
 """The memoised surface bracket against a per-loop reference built here.
 
-The reference walks every state's curves itself, classifies every curve of
-every state with the union-find cut of tests/oracle.py (disk test first) and
+The reference walks every state's curves with `state_curves`, classifies
+every curve of every state with the union-find cut (disk test first) and
 the public `loop_homology` (no memo), and sums `A^c(s) d^k` with
 `LaurentPoly`.  The per-dart symplectic table behind `loop_homology` is
 checked against the edge-by-edge `cycle_coords`, the one-sweep disk test
@@ -13,18 +13,11 @@ import functools
 import random
 
 import pytest
-from oracle import bracket_chunk, cut_map, cycle_coords, position_of, side_dart, unpack
+from oracle import bracket_chunk, cut_map, cycle_coords, state_curves, unpack
 from randgen import GENUS_THREE_CODE, random_gauss_code
 
 import vknot.analysis as analysis
-from vknot.analysis import (
-    SurfaceBracket,
-    _bracket_sum,
-    _CurveMemo,
-    _GrayWalk,
-    enumerate_surface_states,
-    surface_bracket,
-)
+from vknot.analysis import SurfaceBracket, _bracket_sum, _GrayWalk, surface_bracket
 from vknot.bracket import StateTables, d_power
 from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import VirtualLinkDiagram, parse_gauss_code
@@ -46,33 +39,6 @@ def _random_codes(seed: int = 20261018, count: int = 16) -> list[str]:
     return [random_gauss_code(rng, rng.randint(1, 8), rng.randint(1, 2)) for _ in range(count)]
 
 
-def _state_curves(rep, tables: StateTables, state: int) -> list[tuple[int, ...]]:
-    """Refined-map dart cycles of one state, walked from the smoothing joins."""
-    partner = {}
-    for k in range(tables.n):
-        p, q, r, s = tables.joins[k][(state >> k) & 1]
-        partner.update({p: q, q: p, r: s, s: r})
-    refined = rep.refined
-    position = position_of(rep)
-    seen: set[int] = set()
-    curves = []
-    for start in range(0, 2 * tables.n_arcs, 2):
-        if start in seen:
-            continue
-        darts = []
-        end = start
-        while end not in seen:
-            seen.update((end, end ^ 1))
-            nxt = partner[end ^ 1]
-            ci, k_in = position[end ^ 1]
-            cj, k_out = position[nxt]
-            assert ci == cj
-            darts += [end, side_dart(refined, ci, k_in, k_out)]
-            end = nxt
-        curves.append(tuple(darts))
-    return curves
-
-
 def _oracle_disk(rep, curve) -> bool:
     return any(chi == 1 and b == 1 for chi, b in cut_map(rep.refined.map, curve))
 
@@ -83,7 +49,7 @@ def reference_surface_bracket(d) -> SurfaceBracket:
     entries: dict = {}
     for state in range(1 << tables.n):
         disks, classes, null_essential = rep.free_loops, [], 0
-        for curve in _state_curves(rep, tables, state):
+        for curve in state_curves(rep, tables, state):
             if _oracle_disk(rep, curve):
                 disks += 1
                 continue
@@ -143,7 +109,7 @@ def test_each_distinct_class_and_null_curve_is_classified_once(monkeypatch):
     d = catalog_p_family(1)
     rep = build_carter_surface(d)
     tables = StateTables(d)
-    curves = {frozenset(c): c for s in range(1 << tables.n) for c in _state_curves(rep, tables, s)}
+    curves = {frozenset(c): c for s in range(1 << tables.n) for c in state_curves(rep, tables, s)}
     classes = {_oracle_class(rep, c) for c in curves.values()}
     zero = HomologyClass.canonical([0] * 2 * rep.genus)
     null_homologous = [c for c in curves.values() if _oracle_class(rep, c) == zero]
@@ -184,13 +150,18 @@ def test_dart_table_class_matches_edge_coordinates(kind, arg):
     rep = build_carter_surface(d)
     tables = StateTables(d)
     assert len(rep.refined.join_side) == 8 * d.n_crossings
+    walk = _GrayWalk(rep, tables)
+    edge_of = rep.refined.map.edge_of
     curves = set()
-    for s in enumerate_surface_states(rep):
-        walked = _state_curves(rep, tables, s.index)
-        # the memo's side-table walk and the position_of/side_dart walk agree
-        assert {frozenset(c) for c in s.loops} == {frozenset(c) for c in walked}
+    for state in range(1 << tables.n):
+        walk.reset(state)
+        walked = state_curves(rep, tables, state)
+        # the walk's darts, from its joins and `join_side`, and the
+        # position_of/side_dart walk give the same curves, either way round
+        darts = [walk._darts(curve) for curve in set(walk.curve_of)]
+        assert {frozenset(edge_of[x] for x in c) for c in darts} == {frozenset(edge_of[x] for x in c) for c in walked}
         curves.update(walked)
-        curves.update(s.loops)
+        curves.update(darts)
     for curve in curves:
         assert loop_homology(rep, curve) == _oracle_class(rep, curve)
 
@@ -198,13 +169,12 @@ def test_dart_table_class_matches_edge_coordinates(kind, arg):
 PACKED_CASES = sorted(set(CASES) | set(TABLE_CASES), key=str)
 
 
-def _fused_sum(walk: _GrayWalk, tables: StateTables, ends) -> tuple[int, int]:
+def _fused_sum(walk: _GrayWalk, ends) -> tuple[int, int]:
     """(packed class, join key) of the current state's curve that leaves
     `ends`: the sum of the walk's step values at the curve's departure ends,
-    split at bit 4n."""
+    split at the walk's key bits."""
     total = sum(walk.step[end] for end in ends)
-    shift = 4 * tables.n
-    return total >> shift, total & ((1 << shift) - 1)
+    return total >> walk.shift, total & walk.key_mask
 
 
 def _walked_curve_id(walk: _GrayWalk, ends) -> int:
@@ -222,20 +192,24 @@ def test_packed_class_sum_unpacks_to_edge_coordinates(kind, arg):
     d = _diagram(kind, arg)
     rep = build_carter_surface(d)
     tables = StateTables(d)
-    walk = _GrayWalk(tables, _CurveMemo(rep))
+    walk = _GrayWalk(rep, tables)
     dim = 2 * rep.genus
-    classes: dict[int, tuple[int, ...]] = {}
+    classes: dict[frozenset, tuple[int, ...]] = {}
+    keys: dict[frozenset, int] = {}
     for state in range(1 << tables.n):
         walk.reset(state)
         traced = tables.trace(state)
-        assert len({_walked_curve_id(walk, ends) for _, ends in traced}) == len(traced)
-        for curve, (key, ends) in zip(_state_curves(rep, tables, state), traced):
-            if key not in classes:
-                classes[key] = _oracle_class(rep, curve).coords
-            packed, join_key = _fused_sum(walk, tables, ends)
-            assert join_key == key, (state, ends)
+        assert len({_walked_curve_id(walk, ends) for ends in traced}) == len(traced)
+        for curve, ends in zip(state_curves(rep, tables, state), traced):
+            cycle = frozenset(curve)
+            if cycle not in classes:
+                classes[cycle] = _oracle_class(rep, curve).coords
+            packed, join_key = _fused_sum(walk, ends)
+            # the join key names the curve, in any state
+            assert keys.setdefault(cycle, join_key) == join_key, (state, ends)
             coords = unpack(packed, dim, walk.width)
-            assert coords in (classes[key], tuple(-x for x in classes[key])), (state, ends)
+            assert coords in (classes[cycle], tuple(-x for x in classes[cycle])), (state, ends)
+    assert len(set(keys.values())) == len(keys)
 
 
 def _fundamental_walks(rep):
@@ -277,7 +251,7 @@ def test_loop_homology_refuses_walks_off_the_surface(name):
     d = catalog(name)
     rep = build_carter_surface(d)
     n_darts = rep.refined.map.n_darts
-    curve = next(c for c in _state_curves(rep, StateTables(d), 0) if len(c) >= 4)
+    curve = next(c for c in state_curves(rep, StateTables(d), 0) if len(c) >= 4)
     loop_homology(rep, curve)
     with pytest.raises(LoopNotOnSurface, match="closed walk"):
         loop_homology(rep, curve[:-1])
@@ -286,14 +260,6 @@ def test_loop_homology_refuses_walks_off_the_surface(name):
             loop_homology(rep, (bad,) + curve[1:])
         with pytest.raises(LoopNotOnSurface, match="not on the surface"):
             loop_homology(rep, curve[:-1] + (bad,))
-
-
-def test_join_missing_from_side_table_is_refused():
-    rep = build_carter_surface(catalog("kishino"))
-    ends = [0, 2]
-    assert (1, 2) not in rep.refined.join_side
-    with pytest.raises(AssertionError, match="jumps between crossings"):
-        _CurveMemo(rep).classify(0, ends)
 
 
 @pytest.mark.parametrize("name", ["kishino", "section5_knot"])
@@ -327,7 +293,7 @@ def test_broken_side_table_is_refused_when_the_walk_is_built(name, monkeypatch):
             elif change == "next crossing":
                 join_side[join] = (side - refined.base + 8) % (8 * d.n_crossings) + refined.base
             with pytest.raises(AssertionError, match="jumps between crossings"):
-                _GrayWalk(tables, _CurveMemo(rep))
+                _GrayWalk(rep, tables)
     assert n_joins == 8 * d.n_crossings and walked == []
     _bracket_sum(build_carter_surface(d))
     assert walked
@@ -336,7 +302,7 @@ def test_broken_side_table_is_refused_when_the_walk_is_built(name, monkeypatch):
 def _traced_curves(d) -> list[tuple[int, ...]]:
     rep = build_carter_surface(d)
     tables = StateTables(d)
-    curves = {frozenset(c): c for s in range(1 << tables.n) for c in _state_curves(rep, tables, s)}
+    curves = {frozenset(c): c for s in range(1 << tables.n) for c in state_curves(rep, tables, s)}
     return list(curves.values())
 
 
@@ -449,17 +415,19 @@ def test_packed_field_width_follows_the_coefficients(d, genus):
     h = rep.homology
     h.dart_vec = [tuple((k, v * scale) for k, v in vec) if vec else vec for vec in h.dart_vec]
     tables = StateTables(d)
-    walk = _GrayWalk(tables, _CurveMemo(rep))
+    walk = _GrayWalk(rep, tables)
     assert rep.genus == genus and walk.width > 41
     nonzero = 0
+    keys: dict[frozenset, int] = {}
     for state in range(1 << tables.n):
         walk.reset(state)
-        for curve, (key, ends) in zip(_state_curves(rep, tables, state), tables.trace(state)):
+        for curve, ends in zip(state_curves(rep, tables, state), tables.trace(state)):
             coords = loop_homology(rep, curve).coords
-            packed, join_key = _fused_sum(walk, tables, ends)
-            assert join_key == key
+            packed, join_key = _fused_sum(walk, ends)
+            assert keys.setdefault(frozenset(curve), join_key) == join_key
             assert unpack(packed, 2 * rep.genus, walk.width) in (coords, tuple(-x for x in coords))
             nonzero += any(coords)
+    assert len(set(keys.values())) == len(keys)
     assert nonzero
     assert list(_bracket_sum(rep).items()) == list(bracket_chunk(rep).items())
 
@@ -468,7 +436,6 @@ def test_packed_field_width_follows_the_coefficients(d, genus):
 def test_entries_keep_first_state_order(kind, arg):
     # `per_torus` takes its witnesses in this order, so it is part of the
     # certificate's bytes
-    rep = build_carter_surface(_diagram(kind, arg))
-    first_seen = list(dict.fromkeys(s.key for s in enumerate_surface_states(rep)))
-    entries = surface_bracket(rep).entries
-    assert list(entries) == [key for key in first_seen if key in entries]
+    d = _diagram(kind, arg)
+    entries = surface_bracket(build_carter_surface(d)).entries
+    assert list(entries) == list(reference_surface_bracket(d).entries)
