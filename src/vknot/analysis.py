@@ -24,21 +24,23 @@ of the labels whose int is nonzero and reads no coefficient;
 `d_image_bracket` reads those labels only.
 
 The full surface bracket (`surface_bracket`, behind `surface-bracket`)
-must tell disk-bounding from null-essential curves, which is not local.
-Its sum (`_bracket_sum`) is the one walk over states: it visits all 2^n
-states in Gray-code order, so each step flips one crossing and re-walks
-only the curves through it (`_GrayWalk`).  A new curve is walked once: one
-sum of an int per arc end gives both its homology class, packed into the
-high bits, and its join key, in the low 4n bits.  Darts are built and
-`loop_homology` runs only once per distinct class up to sign, and for each
-null-homologous curve, which alone also needs the disk test.
+must tell disk-bounding from null-essential curves, which is not local to
+a crossing but depends only on the curve.  Its sum (`_bracket_sum`) is the
+same sweep with a finer int per open path: its packed class shifted above
+4n bits that name the joins it passes (`_CurveLabels`).  A closed curve's
+int then names the curve in any state, so its weight is known when it
+closes and is looked up by that int: its darts are rebuilt from the join
+key, and `loop_homology` runs, once per distinct nonzero class up to sign
+and once per null-homologous curve, which alone also needs the disk test.
+The finer ints split the frontier keys further than the image's, so this
+sweep has more keys, but it never enumerates the 2^n states either.
 
 Both sums give each key one packed polynomial (`frontier.packed_fields`),
-keyed by curve-class key, the walk's tally summed into that format at the
-end, or by class tuple for the image, and list the keys in the order of
-the smallest state index that reaches them, the order of a state-by-state
-sum, on which the per-torus witnesses depend.  `surface_bracket` and
-`d_image_bracket` read them with one helper (`_surface_bracket`).
+relabelled by one helper (`_relabel`) to a curve-class key, and list the
+keys in the order of the smallest state index that reaches them, the
+order of a state-by-state sum, on which the per-torus witnesses depend.
+`surface_bracket` and `d_image_bracket` read them with one helper
+(`_surface_bracket`).
 
 Two criteria are checked: the per-torus intersection criterion and the
 mod-2 span criterion.  The mod-2 span certifies that no
@@ -51,13 +53,12 @@ it at genus 2, yet Reidemeister moves reduce it to a kink of the unknot.
 from __future__ import annotations
 
 import json
-from bisect import insort
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bracket import StateTables, d_power
 from .diagram import VirtualLinkDiagram, format_gauss_code
-from .frontier import labelled_state_sum, packed_fields, read_packed, signed_fields
+from .frontier import DISK, labelled_state_sum, read_packed, signed_fields
 from .laurent import LaurentPoly
 from .surface import (
     HomologyClass,
@@ -71,10 +72,6 @@ from .symplectic import mod2_rank
 #: Grouping key of the surface bracket: canonical multiset of nonzero
 #: homology classes plus the count of null-homologous essential curves.
 CurveClassKey = tuple[tuple[HomologyClass, ...], int]
-
-
-_DISK = -1
-_NULL_ESSENTIAL = -2
 
 
 class SurfaceBracket(NamedTuple):
@@ -118,204 +115,6 @@ def format_curve_key(key: CurveClassKey) -> str:
     classes, essential = key
     parts = "".join("(" + ",".join(str(x) for x in c.coords) + ")" for c in classes)
     return (parts or "trivial") + f"|essential={essential}"
-
-
-class _GrayWalk:
-    """The curves of one current state, kept up to date one crossing flip at
-    a time, each distinct curve classified once.
-
-    The joins are kept by departure end: a curve that leaves arc end e runs
-    along arc e >> 1 to end e ^ 1 and takes the join there, which leaves
-    from `nxt[e]`.  `step[e]` is one int for that join: the packed class the
-    curve gains there (`_class_steps`), shifted above the 4n join-key bits,
-    plus the join's key bit, bits 4k + 2b and 4k + 2b + 1 for the two joins
-    of smoothing b of crossing k.  A curve passes each join at most once, so
-    its join key is the sum of its bits, names it independently of the
-    state and of the direction of travel, and stays below 2^(4n); one sum of
-    `step` over a curve's departure ends gives both its packed class
-    (`total >> shift`) and its join key (`total & key_mask`).  `curve_of`
-    maps each arc to the id of the curve along it, which is the departure
-    end its walk started at (-1: not walked yet), and `kind_of` maps a curve
-    id to the curve's kind: _DISK, _NULL_ESSENTIAL, or the number of its
-    nonzero class in `classes`, numbered by first appearance.  `numbers`
-    holds the sorted class numbers of the current curves, and `counts`
-    their null-essential and disk counts, packed as (null-essential << 2w)
-    + (disks << w) with w = `count_width`; the B count of a state, in the
-    low w bits, completes a tally's packed counts.  Flipping a crossing
-    drops the one or two curves through it, rewrites its four joins and
-    re-walks from its four arc ends only; every other curve is untouched.
-
-    A new curve is walked once.  A nonzero class is looked up by value in
-    `class_of_sum`, which holds both signs, and a zero class by join key in
-    `curves`.  On a miss `_classify` builds the curve's darts and runs
-    `loop_homology` on them, and the disk test for a zero class: once per
-    distinct nonzero class up to sign and once per null-homologous curve.
-    The class found must pack to the sum up to sign, so also be zero
-    exactly when the sum is, or ArithmeticError is raised.  The joins are
-    checked once, when the walk is built (`_class_steps`), so no curve is
-    re-checked.
-    """
-
-    def __init__(self, rep: SurfaceRep, tables: StateTables):
-        self.rep = rep
-        n_ends = 2 * tables.n_arcs
-        steps, self.width = _class_steps(rep, tables)
-        self.shift = shift = 4 * tables.n
-        self.key_mask = (1 << shift) - 1
-        # a state has at most n_arcs curves and n B-smoothings
-        self.count_width = w = max(tables.n_arcs, tables.n, 1).bit_length()
-        self.disk_unit, self.null_unit = 1 << w, 1 << 2 * w
-        # joins[k][b] = (p, q, r, s, p ^ 1, q ^ 1, r ^ 1, s ^ 1, step[p ^ 1],
-        # step[q ^ 1], step[r ^ 1], step[s ^ 1]) for smoothing b of crossing k,
-        # which joins p<->q and r<->s: a curve arriving at p leaves from q (the
-        # four joins of a crossing are distinct unordered pairs)
-        self.joins = [
-            tuple(
-                (p, q, r, s, p ^ 1, q ^ 1, r ^ 1, s ^ 1)
-                + tuple(
-                    (steps[a, f] << shift) + (1 << 4 * k + 2 * b + i)
-                    for a, f, i in ((p, q, 0), (q, p, 0), (r, s, 1), (s, r, 1))
-                )
-                for b, (p, q, r, s) in enumerate(joins)
-            )
-            for k, joins in enumerate(tables.joins)
-        ]
-        # the arcs through each crossing, the same for either smoothing
-        self.arcs = [tuple(e >> 1 for e in joins[0][:4]) for joins in self.joins]
-        self.classes: list[HomologyClass] = []
-        self.class_of_sum: dict[int, int] = {}  # packed class, either sign -> class number
-        self.curves: dict[int, int] = {}  # join key of a zero-class curve -> kind
-        self.nxt = [0] * n_ends
-        self.step = [0] * n_ends
-        self.curve_of = [-1] * tables.n_arcs
-        self.kind_of = [0] * n_ends
-        self.numbers: list[int] = []
-        self.counts = 0
-
-    def reset(self, state: int) -> None:
-        """Set every join by `state` and walk all of its curves."""
-        self.run(((-1, state),))
-
-    def run(self, moves: Iterable[tuple[int, int]], seen: dict | None = None) -> None:
-        """Make each move (k, state) in turn: k >= 0 sets crossing k by its
-        bit of `state`, k = -1 sets every crossing and walks all curves
-        afresh.  With `seen`, count each state reached in it under (class
-        numbers, packed counts), with the smallest state index.
-
-        The moves run inline, with no call per state or per curve but one
-        for a curve whose kind is not known yet."""
-        joins, arcs, nxt, step = self.joins, self.arcs, self.nxt, self.step
-        curve_of, kind_of = self.curve_of, self.kind_of
-        class_of_sum, curves = self.class_of_sum, self.curves
-        shift, key_mask, disk, null = self.shift, self.key_mask, self.disk_unit, self.null_unit
-        numbers, counts = self.numbers, self.counts
-        for k, state in moves:
-            if k >= 0:
-                changed = (joins[k][(state >> k) & 1],)
-                pa, qa, ra, sa = arcs[k]
-                for curve in {curve_of[pa], curve_of[qa], curve_of[ra], curve_of[sa]}:
-                    kind = kind_of[curve]
-                    if kind >= 0:
-                        numbers.remove(kind)
-                    elif kind == _DISK:
-                        counts -= disk
-                    else:
-                        counts -= null
-            else:
-                changed = tuple(js[(state >> c) & 1] for c, js in enumerate(joins))
-                curve_of[:] = [-1] * len(curve_of)
-                numbers.clear()
-                counts = 0
-            for p, q, r, s, p1, q1, r1, s1, fp, fq, fr, fs in changed:
-                nxt[p1], nxt[q1], nxt[r1], nxt[s1] = q, p, s, r
-                step[p1], step[q1], step[r1], step[s1] = fp, fq, fr, fs
-                curve_of[p >> 1] = curve_of[q >> 1] = curve_of[r >> 1] = curve_of[s >> 1] = -1
-            for join in changed:
-                for start in join[:4]:
-                    if curve_of[start >> 1] >= 0:
-                        continue
-                    # walk the new curve through this end once
-                    total = 0
-                    end = start
-                    while True:
-                        curve_of[end >> 1] = start
-                        total += step[end]
-                        end = nxt[end]
-                        if end == start:
-                            break
-                    key = total & key_mask
-                    packed = total >> shift
-                    if packed:
-                        kind = class_of_sum.get(packed)
-                        if kind is None:
-                            kind = self._classify(start, key, packed)
-                    else:
-                        # a zero class leaves the join key alone in the sum
-                        kind = curves.get(key)
-                        if kind is None:
-                            kind = self._classify(start, key, 0)
-                    kind_of[start] = kind
-                    if kind >= 0:
-                        insort(numbers, kind)
-                    elif kind == _DISK:
-                        counts += disk
-                    else:
-                        counts += null
-            if seen is not None:
-                t = (tuple(numbers), counts + state.bit_count())
-                entry = seen.get(t)
-                if entry is None:
-                    seen[t] = [1, state]
-                else:
-                    entry[0] += 1
-                    if state < entry[1]:
-                        entry[1] = state
-        self.counts = counts
-
-    def _classify(self, start: int, key: int, packed: int) -> int:
-        """Kind of the curve through departure end `start`, met for the first
-        time with join key `key` and packed class sum `packed`: a nonzero
-        class is numbered and stored in `class_of_sum`, a zero class is
-        disk-tested and stored in `curves`."""
-        darts = self._darts(start)
-        cls = loop_homology(self.rep, darts)
-        if _pack(enumerate(cls.coords), self.width) not in (packed, -packed):
-            raise ArithmeticError("packed class sum disagrees with loop_homology")
-        if packed:
-            kind = self.class_of_sum[packed] = self.class_of_sum[-packed] = len(self.classes)
-            self.classes.append(cls)
-        else:
-            # only a null-homologous curve can bound a disk
-            kind = self.curves[key] = _DISK if is_disk_bounding(self.rep, darts) else _NULL_ESSENTIAL
-        return kind
-
-    def _darts(self, start: int) -> tuple[int, ...]:
-        """The refined-map dart cycle of the current curve through departure
-        end `start`: each arc's own dart, the end it leaves from, then the
-        quad side `RefinedMap.join_side` gives for the join at its far end."""
-        nxt, join_side = self.nxt, self.rep.refined.join_side
-        darts: list[int] = []
-        end = start
-        while True:
-            departure = nxt[end]
-            darts += (end, join_side[end ^ 1, departure])
-            end = departure
-            if end == start:
-                return tuple(darts)
-
-    def class_tuples(self, tuples: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], tuple[HomologyClass, ...]]:
-        """The canonical sorted multiset of the classes with each distinct
-        tuple of class numbers, with the classes ranked by their coordinates
-        once for all of them."""
-        classes = self.classes
-        by_rank = sorted(range(len(classes)), key=lambda i: classes[i].coords)
-        rank = [0] * len(classes)
-        for r, i in enumerate(by_rank):
-            rank[i] = r
-        return {
-            numbers: tuple(classes[by_rank[r]] for r in sorted(rank[i] for i in numbers))
-            for numbers in set(tuples)
-        }
 
 
 def _pack(pairs: Iterable[tuple[int, int]], width: int) -> int:
@@ -363,55 +162,115 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[dict[tuple[int, 
     return steps, width
 
 
-def _gray_moves(m: int) -> Iterator[tuple[int, int]]:
-    """The moves (k, gray(j)) for j = 1 .. 2^m - 1, where gray(j) = j ^ (j >> 1)
-    and k = (j & -j).bit_length() - 1 is the one bit gray(j) and gray(j - 1)
-    differ in, then one more move that returns bit m - 1 to 0, which
-    gray(2^m - 1) = 2^(m - 1) has set: from setting 0, every setting once,
-    ending back at 0.  With m = 0 that move is the reset (-1, 0).  The moves
-    are generated one at a time, so a walk holds none of its 2^m states."""
-    for j in range(1, 1 << m):
-        yield (j & -j).bit_length() - 1, j ^ (j >> 1)
-    yield m - 1, 0
+class _ImageLabels(dict):
+    """The loop labels of the d-image (`frontier.labelled_state_sum`), keyed
+    by packed class: a zero class weighs d (DISK, set when made), any other
+    class adds itself up to sign, abs(packed)."""
+
+    def __missing__(self, packed: int) -> int:
+        self[packed] = label = abs(packed)
+        return label
 
 
-def _bracket_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
-    """The surface state sum over all 2^n states: curve-class key -> the
-    sum of A^(n - 2b) d^disks over its states, packed as
-    `frontier.packed_fields` sets out, without the free loops' d^free_loops.
+class _CurveLabels(dict):
+    """The loop labels of the full surface bracket, filled one distinct state
+    curve at a time: a curve's int -> DISK for a disk-bounding curve, 0 for a
+    null-homologous essential one, abs(packed class) otherwise.
 
-    One Gray walk (`_gray_moves`) visits every state once, each a single
-    crossing flip from the last, and tallies it under (sorted class numbers,
-    packed counts): the null-essential count, the disk count and the B
-    count, `_GrayWalk.count_width` bits each, with the smallest state index
-    that reaches it.  Each tally entry then adds count s^(M + b) d^disks to
-    its key; a state has at most 2n = M curves, so s^M d^disks is exact.
-    Class numbers are local to this walk, so the keys are relabelled
-    with class tuples, and emitted in the order of their smallest state
-    index: the order of first appearance in state-index order, on which the
-    per-torus witnesses depend.
+    A curve's int is the sum of `join_ints` over its joins: for the join
+    p-q of smoothing b = (p, q, r, s) of crossing k, entered at p,
+    (steps[p, q] << 4n) + 2^(4k + 2b), and 2^(4k + 2b + 1) for r-s (steps
+    from `_class_steps`).  A curve passes each join at most once, so the
+    low 4n bits, its join key, are the sum of its bits: they name it
+    independently of the state and of the direction of travel.  The high
+    bits hold its packed class.  On a miss the curve is rebuilt from its
+    join key (`_darts`), and `loop_homology` runs on it for a zero class
+    and for the first curve of each nonzero class up to sign: the class
+    found must pack to the curve's up to sign, so also be zero exactly when
+    it is, or ArithmeticError is raised.  A zero class then gets the disk
+    test; only a null-homologous curve can bound a disk.
+    """
+
+    def __init__(self, rep: SurfaceRep, tables: StateTables):
+        super().__init__()
+        self.rep = rep
+        steps, self.width = _class_steps(rep, tables)
+        self.shift = shift = 4 * tables.n
+        # join j = 4k + 2b + i: p-q (i = 0) or r-s (i = 1) of smoothing b of crossing k
+        self.join_of = [pair for joins in tables.joins for p, q, r, s in joins for pair in ((p, q), (r, s))]
+        self.join_ints = {}
+        for j, (a, f) in enumerate(self.join_of):
+            self.join_ints[a, f] = (steps[a, f] << shift) + (1 << j)
+            self.join_ints[f, a] = (steps[f, a] << shift) + (1 << j)
+        self.checked: set[int] = set()  # nonzero packed classes up to sign
+
+    def __missing__(self, total: int) -> int:
+        packed = total >> self.shift
+        label = abs(packed)
+        if not packed or label not in self.checked:
+            darts = self._darts(total & ((1 << self.shift) - 1))
+            if _pack(enumerate(loop_homology(self.rep, darts).coords), self.width) not in (packed, -packed):
+                raise ArithmeticError("packed class sum disagrees with loop_homology")
+            if packed:
+                self.checked.add(label)
+            elif is_disk_bounding(self.rep, darts):
+                label = DISK
+        self[total] = label
+        return label
+
+    def _darts(self, key: int) -> tuple[int, ...]:
+        """The refined-map dart cycle of the curve with join key `key`: each
+        arc's own dart, the end it leaves from, then the quad side
+        `RefinedMap.join_side` gives for the join at its far end."""
+        departure_of = {}
+        while key:
+            j = key.bit_length() - 1
+            key ^= 1 << j
+            a, f = self.join_of[j]
+            departure_of[a], departure_of[f] = f, a
+        join_side = self.rep.refined.join_side
+        darts: list[int] = []
+        start = end = f
+        while True:
+            departure = departure_of[end ^ 1]
+            darts += (end, join_side[end ^ 1, departure])
+            end = departure
+            if end == start:
+                return tuple(darts)
+
+
+def _relabel(labels: Mapping[tuple[int, ...], int], unpack: Callable[[int], HomologyClass]) -> dict[CurveClassKey, int]:
+    """The labels of `frontier.labelled_state_sum` as curve-class keys: the
+    sorted classes of each label's nonzero packed classes, each unpacked
+    once, and the count of its 0s (null-essential curves)."""
+    classes: dict[int, HomologyClass] = {}
+    out = {}
+    for label, value in labels.items():
+        zeros = label.count(0)
+        for packed in label[zeros:]:
+            if packed not in classes:
+                classes[packed] = unpack(packed)
+        out[tuple(sorted([classes[packed] for packed in label[zeros:]])), zeros] = value
+    return out
+
+
+def _bracket_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[CurveClassKey, int]:
+    """The surface state sum: curve-class key -> the sum of A^(n - 2b)
+    d^disks over its states, packed as `frontier.packed_fields` sets out,
+    without the free loops' d^free_loops.
+
+    `frontier.labelled_state_sum` sweeps it in `order` (default the greedy
+    one), each open path carrying the packed class and join key of
+    `_CurveLabels`, so a curve's weight is known when it closes.  The keys
+    come in the order of their smallest state index, the order of first
+    appearance in state-index order, on which the per-torus witnesses
+    depend, zero-valued ones included.
     """
     tables = StateTables(rep.diagram)
-    walk = _GrayWalk(rep, tables)
-    # (class numbers, packed counts) -> [count, smallest state index]
-    seen: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    walk.reset(0)
-    walk.run(_gray_moves(tables.n), seen)
-    w = walk.count_width
-    mask = (1 << w) - 1
-    width, offset = packed_fields(tables.n)
-    # s^M d^k, packed, at index k = 0 .. M
-    d_powers = [1 << offset * width]
-    for _ in range(offset):
-        q = d_powers[-1]
-        d_powers.append(-((q << width) + (q >> width)))
-    labels = walk.class_tuples(numbers for numbers, _ in seen)
-    sums: dict[CurveClassKey, int] = {}
-    for (numbers, packed), (count, _) in sorted(seen.items(), key=lambda item: item[1][1]):
-        label = (labels[numbers], packed >> 2 * w)
-        value = count * d_powers[(packed >> w) & mask] << (packed & mask) * width
-        sums[label] = sums.get(label, 0) + value
-    return sums
+    curves = _CurveLabels(rep, tables)
+    dim = 2 * rep.genus
+    labels = labelled_state_sum(tables, curves.join_ints, curves, order)
+    return _relabel(labels, lambda packed: _unpack_class(packed, dim, curves.width))
 
 
 def _surface_bracket(rep: SurfaceRep, sums: Iterable[tuple[CurveClassKey, int]]) -> SurfaceBracket:
@@ -436,30 +295,26 @@ def _image_labels(
     packed classes, and the function that reads one packed class.
 
     The d-image sends each null-homologous essential symbol to d, so a
-    curve's weight is d for a zero class and its symbol otherwise: local,
-    with no disk test.  `frontier.labelled_state_sum` sweeps it in `order`
-    (default the greedy one) with the packed classes of `_class_steps`.
+    curve's weight is d for a zero class and its symbol otherwise: it
+    depends on the class alone and needs no disk test.
+    `frontier.labelled_state_sum` sweeps it in `order` (default the greedy
+    one) with the packed classes of `_class_steps` and the labels of
+    `_ImageLabels`.
     """
     tables = StateTables(rep.diagram)
     steps, width = _class_steps(rep, tables)
     dim = 2 * rep.genus
-    return labelled_state_sum(tables, steps, order), lambda packed: _unpack_class(packed, dim, width)
+    labels = labelled_state_sum(tables, steps, _ImageLabels({0: DISK}), order)
+    return labels, lambda packed: _unpack_class(packed, dim, width)
 
 
-def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[tuple[HomologyClass, ...], int]:
+def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[CurveClassKey, int]:
     """The d-image of the surface bracket before its polynomials are read:
-    sorted class tuple -> the label's packed polynomial (`frontier.packed_fields`),
-    without the free loops' d^free_loops, the labels in the order of the
-    smallest state index that reaches them, zero-valued ones included."""
-    labels, unpack = _image_labels(rep, order)
-    classes: dict[int, HomologyClass] = {}
-    out = {}
-    for label, value in labels.items():
-        for packed in label:
-            if packed not in classes:
-                classes[packed] = unpack(packed)
-        out[tuple(sorted([classes[packed] for packed in label]))] = value
-    return out
+    curve-class key, each with no null-essential curve -> the label's packed
+    polynomial (`frontier.packed_fields`), without the free loops'
+    d^free_loops, the labels in the order of the smallest state index that
+    reaches them, zero-valued ones included."""
+    return _relabel(*_image_labels(rep, order))
 
 
 def _image_classes(rep: SurfaceRep) -> list[HomologyClass]:
@@ -487,7 +342,7 @@ def _unpack_class(packed: int, dim: int, width: int) -> HomologyClass:
 def d_image_bracket(rep: SurfaceRep) -> SurfaceBracket:
     """The surface bracket with every null-homologous essential symbol sent
     to d: each key's essential count is 0, and `collapse` is unchanged."""
-    return _surface_bracket(rep, (((label, 0), value) for label, value in _image_sum(rep).items()))
+    return _surface_bracket(rep, _image_sum(rep).items())
 
 
 # -- criteria -------------------------------------------------------------

@@ -34,8 +34,8 @@ if TYPE_CHECKING:
 
 class StateTables:
     """The smoothing joins of a diagram or tangle, as flat arrays: the input
-    of the frontier sweep, of the surface bracket's Gray-code walk and of
-    the state-by-state loop tracer of the reference sum `bracket_partial`.
+    of the frontier sweeps of every state sum and of the state-by-state loop
+    tracer of the reference sum `bracket_partial`.
 
     Arc ends are numbered by `diagram.arc_ends`: 2*arc (tail, leaving a
     pass) and 2*arc + 1 (head, arriving at the next pass).  In a crossing's

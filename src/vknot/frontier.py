@@ -1,5 +1,5 @@
 """Frontier (transfer-matrix) evaluation of the planar state sum, and of
-the state sum whose loops carry packed homology classes.
+the state sum whose loops carry labels: every state sum of the package.
 
 The crossings of a `bracket.StateTables` are added one at a time.  After
 each step the smoothed crossings form paths whose ends are the open arc
@@ -36,13 +36,15 @@ the new key off the surviving slots.
 `state_sum` returns this value per boundary pairing: `bracket` reduces it
 by d for the planar bracket, and `tangle` reads one coefficient per
 boundary matching from it.  `labelled_state_sum` runs the same sweep with
-a second kernel whose keys also hold a packed class per open end and the
-sorted classes of the nonzero loops closed so far; there only a loop of
-zero class multiplies by d, and each key keeps the smallest state index
-that reaches it.  `analysis` sums the d-image of the surface bracket with
-it, and `certify` only asks which labels' ints are nonzero.  The full
-surface bracket (`analysis._bracket_sum`) sums its Gray walk's tally into
-the same format, so every state sum is read by `read_packed`.
+a second kernel whose keys also hold an int per open end, summed along
+the path, and the sorted label elements of the loops closed so far; a
+closed loop's int is looked up in a mapping that says whether it weighs d
+or which element it adds, and each key keeps the smallest state index that
+reaches it.  `analysis` sums both surface brackets with it: for the
+d-image the int is the loop's packed homology class, and for the full
+bracket the class shifted above bits that name the loop, so that a loop's
+weight, disk or not, is known when it closes.  Every state sum is read by
+`read_packed`.
 
 See Makowsky and Marino, The parametrized complexity of knot polynomials,
 JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
@@ -60,6 +62,10 @@ if TYPE_CHECKING:
 
 #: Greater than any growth (at most 4), so an added crossing is never the minimum.
 _PLACED = 5
+
+#: The `loop_label` of a loop that weighs d in `labelled_state_sum`; every
+#: other label element is a nonnegative int.
+DISK = -1
 
 
 def greedy_order(tables: StateTables) -> list[int]:
@@ -136,36 +142,42 @@ def packed_fields(n: int) -> tuple[int, int]:
 
 
 def labelled_state_sum(
-    tables: StateTables, join_class: Mapping[tuple[int, int], int], order: Sequence[int] | None = None
+    tables: StateTables,
+    join_ints: Mapping[tuple[int, int], int],
+    loop_label: Mapping[int, int],
+    order: Sequence[int] | None = None,
 ) -> dict[tuple[int, ...], int]:
-    """The state sum of a diagram's `tables` with each loop labelled by a
-    packed class, swept in `order` (default `greedy_order`).
+    """The state sum of a diagram's `tables` with each loop labelled by
+    `loop_label`, swept in `order` (default `greedy_order`).
 
-    `join_class[p, q]` is the packed class (an int, additive) a loop gains
-    when it arrives at arc end p, along p's arc, and leaves from end q by a
-    smoothing join.  The result maps the sorted tuple of the nonzero loop
-    classes of a state, each taken up to sign as abs(packed), to the sum of
-    A^(n - 2b) d^k over its states, with b B-smoothings and k zero-class
-    loops, packed in s = A^-2 as `packed_fields` sets out: every label's
-    polynomial is 0 exactly when its int is.  The labels are listed in the
-    order of the smallest state index that reaches them (bit k of an index
-    is the B-smoothing of crossing k), zero-valued ones included.
+    `join_ints[p, q]` is the int (additive) a loop gains when it arrives at
+    arc end p, along p's arc, and leaves from end q by a smoothing join, and
+    a closed loop whose ints sum to v weighs `loop_label[v]`: d for DISK,
+    otherwise the label element it adds.  The result maps the sorted tuple
+    of the label elements of a state's loops to the sum of A^(n - 2b) d^k
+    over its states, with b B-smoothings and k loops of weight d, packed in
+    s = A^-2 as `packed_fields` sets out: every label's polynomial is 0
+    exactly when its int is.  The labels are listed in the order of the
+    smallest state index that reaches them (bit k of an index is the
+    B-smoothing of crossing k), zero-valued ones included.  `loop_label` is
+    read once per closed loop; a mapping that fills itself on a miss
+    (`__missing__`) sees each distinct v there first.
 
-    A key adds to the planar one the class of each open path, stored at its
-    open ends: at end u the class of the path entered at u, with u's arc,
+    A key adds to the planar one the int of each open path, stored at its
+    open ends: at end u the int of the path entered at u, with u's arc,
     and left at its other end, without that end's arc; and the sorted
-    classes of the nonzero loops it closed.  A join p-q sets
-    `join_class[p, q]` at p and `join_class[q, p]` at q.  Closing the arc
+    label elements of the loops it closed.  A join p-q sets
+    `join_ints[p, q]` at p and `join_ints[q, p]` at q.  Closing the arc
     from new end x to old end y = x ^ 1 joins the path (u ... x) to the
-    path (y ... v): the class at u gains the class at y, which holds x's
-    arc, and the class at v gains the class at x.  When u = y the path
-    closes into a loop whose class is the one at y.  A key's value is the
-    polynomial of its partial states, starting at s^M: a B-smoothing
-    multiplies it by s, a left shift by W, and a zero-class loop by d, in
-    place, as -((q << W) + (q >> W)); merging keys adds them.  Each key
-    also keeps the smallest state index that reaches it: a B-smoothing of
-    crossing k adds 1 << k to the index of every key it continues, so the
-    minimum of the merged keys is the minimum over their states.
+    path (y ... v): the int at u gains the int at y, which holds x's arc,
+    and the int at v gains the int at x.  When u = y the path closes into
+    a loop whose int is the one at y.  A key's value is the polynomial of
+    its partial states, starting at s^M: a B-smoothing multiplies it by s,
+    a left shift by W, and a loop of weight d by d, in place, as
+    -((q << W) + (q >> W)); merging keys adds them.  Each key also keeps
+    the smallest state index that reaches it: a B-smoothing of crossing k
+    adds 1 << k to the index of every key it continues, so the minimum of
+    the merged keys is the minimum over their states.
     """
     if tables.boundary:
         raise ValueError("a labelled state sum takes a diagram, not a tangle")
@@ -173,13 +185,13 @@ def labelled_state_sum(
 
     def step(frontier, k, m, closes, survivors, position):
         r0, r3, r1, r2 = tables.joins[k][0]
-        jc = join_class
-        # the classes at the slots (r0, r3, r1, r2) under A, then under B
+        jc = join_ints
+        # the ints at the slots (r0, r3, r1, r2) under A, then under B
         smoothings = (
             ((m + 1, m, m + 3, m + 2), (jc[r0, r3], jc[r3, r0], jc[r1, r2], jc[r2, r1]), 0, 0),
             ((m + 2, m + 3, m, m + 1), (jc[r0, r1], jc[r3, r2], jc[r1, r0], jc[r2, r3]), width, 1 << k),
         )
-        return _labelled_step(frontier, smoothings, closes, survivors, position, width)
+        return _labelled_step(frontier, smoothings, closes, survivors, position, width, loop_label)
 
     frontier, _ = _sweep(tables, order, lambda key: {(key, (), ()): [1 << offset * width, 0]}, step)
     return {closed: value for (_, _, closed), (value, _) in sorted(frontier.items(), key=lambda item: item[1][1])}
@@ -294,14 +306,16 @@ def _step(frontier, smoothings, closes, survivors, position, width):
     return out
 
 
-def _labelled_step(frontier, smoothings, closes, survivors, position, width):
-    """`_step` for keys (partner positions, path classes, closed classes)
-    with values [packed polynomial, smallest state index]: each smoothing
-    also holds the classes at the crossing's four slots and the bit it adds
-    to the index (1 << k for B); only a zero-class loop multiplies the value
-    by d (`labelled_state_sum`)."""
+def _labelled_step(frontier, smoothings, closes, survivors, position, width, loop_label):
+    """`_step` for keys (partner positions, path ints, closed labels) with
+    values [packed polynomial, smallest state index]: each smoothing also
+    holds the ints at the crossing's four slots and the bit it adds to the
+    index (1 << k for B); a closed loop whose int is v multiplies the value
+    by d when `loop_label[v]` is DISK and adds that label element otherwise
+    (`labelled_state_sum`).  The old frontier is emptied as it is read."""
     out: dict[tuple, list[int]] = {}
-    for (key, vals, closed), (value, index) in frontier.items():
+    while frontier:
+        (key, vals, closed), (value, index) = frontier.popitem()
         for joined, joined_vals, shift, bit in smoothings:
             partner = [*key, *joined]
             val = [*vals, *joined_vals]
@@ -310,11 +324,11 @@ def _labelled_step(frontier, smoothings, closes, survivors, position, width):
             for x, y in closes:
                 u = partner[x]
                 if u == y:
-                    cls = val[y]
-                    if cls:
-                        loops = (*loops, abs(cls))
-                    else:
+                    label = loop_label[val[y]]
+                    if label == DISK:
                         q = -((q << width) + (q >> width))
+                    else:
+                        loops = (*loops, label)
                 else:
                     v = partner[y]
                     partner[u] = v
@@ -332,4 +346,3 @@ def _labelled_step(frontier, smoothings, closes, survivors, position, width):
                 if index | bit < entry[1]:
                     entry[1] = index | bit
     return out
-

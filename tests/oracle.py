@@ -159,7 +159,7 @@ def packed(counts: dict[tuple[int, int], int], n: int) -> int:
 def state_curves(rep: SurfaceRep, tables: StateTables, state: int) -> list[tuple[int, ...]]:
     """Refined-map dart cycles of one state, walked from the smoothing joins
     with `position_of` and `side_dart`, in the order of their first tail
-    end (the reference for the darts of `analysis._GrayWalk`)."""
+    end (the reference for the darts of `analysis._CurveLabels`)."""
     partner = {}
     for k in range(tables.n):
         p, q, r, s = tables.joins[k][(state >> k) & 1]
@@ -189,7 +189,7 @@ def bracket_chunk(rep: SurfaceRep) -> dict[CurveClassKey, int]:
     """The surface state sum over all 2^n states, walking every state in
     index order with `state_curves`, counted by (c, disks) per curve-class
     key and packed with `packed`, without the free loops (the reference for
-    the Gray-code walk of `analysis._bracket_sum`).  Each distinct curve, by
+    the frontier sweep of `analysis._bracket_sum`).  Each distinct curve, by
     its edge set, is classified once with `loop_homology` and the disk test,
     whatever its class."""
     tables = StateTables(rep.diagram)

@@ -375,7 +375,6 @@ def test_certify_under_python_O_is_byte_identical(argv):
 
 WALK_CHECKS = """
 import vknot.analysis as analysis
-from vknot.bracket import StateTables
 from vknot.catalog import catalog
 from vknot.surface import build_carter_surface
 
@@ -384,7 +383,7 @@ d = catalog("kishino")
 rep = build_carter_surface(d)
 rep.refined.join_side.popitem()
 try:
-    analysis._GrayWalk(rep, StateTables(d))
+    analysis._bracket_sum(rep)
 except AssertionError as exc:
     print("refused:", exc)
 class_steps = analysis._class_steps

@@ -1,10 +1,13 @@
 """The frontier sweep of the d-image of the surface bracket, which `certify`
-runs, against the Gray walk over all 2^n states (`analysis._bracket_sum`),
-which `surface_bracket` runs.
+runs, against the full surface bracket (`analysis._bracket_sum`), which
+`surface_bracket` runs.
 
 The d-image sends each null-homologous essential symbol to d, so its
 state sum is the full one with the null-essential count merged into the
-loop count; both list their labels by smallest state index.
+loop count; both list their labels by smallest state index.  Both are
+swept by `frontier.labelled_state_sum`, so the full bracket is checked on
+its own against the state-by-state oracle (tests/test_surface_oracle.py),
+and both against the planar bracket by `collapse()`.
 """
 
 import importlib.util
@@ -70,8 +73,8 @@ SMALL = (
     + [(code, parse_gauss_code(code)) for code in _random_codes()]
 )
 POOL = _pool_codes()
-#: The twist family at 14 and 16 crossings, where most of the Gray walk's
-#: states repeat the curves of others.
+#: The twist family at 14 and 16 crossings, where most of the 2^n states
+#: repeat the curves of others.
 TWIST = [(f"p_family({n})", catalog_p_family(n)) for n in (4, 5)]
 
 
@@ -131,6 +134,20 @@ def test_d_image_collapses_to_the_planar_bracket_past_the_gray_walk():
         assert d_image_bracket(build_carter_surface(d)).collapse() == LOOP_VALUE * kauffman_bracket(d), n
 
 
+@pytest.mark.parametrize("n", [5, 6, 7], ids=lambda n: f"p_family({n})")
+def test_full_bracket_collapses_and_merges_to_the_d_image_at_16_to_20_crossings(n):
+    """Past the state-by-state oracle's reach: the full bracket collapses to
+    d times the planar bracket, and sending its null-essential symbols to d
+    gives the d-image."""
+    d = catalog_p_family(n)
+    rep = build_carter_surface(d)
+    assert d.n_crossings == 6 + 2 * n
+    full = surface_bracket(rep)
+    assert full.collapse() == LOOP_VALUE * kauffman_bracket(d)
+    merged = {key: p for key, p in _merged(rep).items() if not p.is_zero()}
+    assert list(merged.items()) == list(d_image_bracket(rep).entries.items())
+
+
 def _merged(rep):
     """The polynomials of the full surface state sum (`analysis._bracket_sum`)
     with each label's null-essential symbols sent to d, and the free loops'
@@ -138,8 +155,9 @@ def _merged(rep):
     n = rep.diagram.n_crossings
     out = {}
     for (classes, essential), value in analysis._bracket_sum(rep).items():
-        out[classes] = out.get(classes, LaurentPoly.zero()) + read_packed(value, n) * d_power(essential)
-    return {classes: p * d_power(rep.free_loops) for classes, p in out.items()}
+        key = (classes, 0)
+        out[key] = out.get(key, LaurentPoly.zero()) + read_packed(value, n) * d_power(essential)
+    return {key: p * d_power(rep.free_loops) for key, p in out.items()}
 
 
 def _read(rep, image):
@@ -309,7 +327,7 @@ def test_certify_takes_no_state_walk_and_no_disk_test(monkeypatch):
     diagrams = [catalog(name) for name in catalog_names()] + [catalog_p_family(n) for n in (2, 3, 4, 9)]
     for module, name in (
         (analysis, "_bracket_sum"),
-        (analysis, "_GrayWalk"),
+        (analysis, "_CurveLabels"),
         (analysis, "is_disk_bounding"),
         (analysis, "loop_homology"),
         (analysis, "read_packed"),

@@ -32,14 +32,19 @@ RETIRED_NAMES = {
     "StateSum": "frontier.packed_fields",
     "expand": "frontier.read_packed",
     "_unpack": "frontier.read_packed",
-    # the state-by-state surface tracer and its curve memo: the Gray walk
-    # of `analysis._bracket_sum` is the one walk over surface states, and
-    # only `_GrayWalk` knows the join-key layout
-    "SurfaceState": "analysis._GrayWalk",
-    "enumerate_surface_states": "analysis._GrayWalk",
-    "_trace_state": "analysis._GrayWalk",
-    "_CurveMemo": "analysis._GrayWalk",
-    "join_bits": "analysis._GrayWalk",
+    # the state-by-state surface tracer, its curve memo and the 2^n Gray walk
+    # with its tally: `analysis._bracket_sum` sweeps the full surface bracket
+    # with the kernel of the d-image, and only `_CurveLabels` knows the
+    # join-key layout
+    "SurfaceState": "analysis._CurveLabels",
+    "enumerate_surface_states": "analysis._CurveLabels",
+    "_trace_state": "analysis._CurveLabels",
+    "_CurveMemo": "analysis._CurveLabels",
+    "join_bits": "analysis._CurveLabels",
+    "_GrayWalk": "frontier.labelled_state_sum",
+    "_gray_moves": "frontier.labelled_state_sum",
+    "class_tuples": "analysis._relabel",
+    "count_width": "frontier.packed_fields",
     "family_report": "certify(catalog_p_family(n))",
 }
 

@@ -5,8 +5,8 @@ every curve of every state with the union-find cut (disk test first) and
 the public `loop_homology` (no memo), and sums `A^c(s) d^k` with
 `LaurentPoly`.  The per-dart symplectic table behind `loop_homology` is
 checked against the edge-by-edge `cycle_coords`, the one-sweep disk test
-against the union-find cut, and the Gray-code state walk against the
-state-by-state chunk, all of tests/oracle.py.
+against the union-find cut, and the frontier sweep of the full bracket
+against the state-by-state chunk, all of tests/oracle.py.
 """
 
 import functools
@@ -17,10 +17,11 @@ from oracle import bracket_chunk, cut_map, cycle_coords, state_curves, unpack
 from randgen import GENUS_THREE_CODE, random_gauss_code
 
 import vknot.analysis as analysis
-from vknot.analysis import SurfaceBracket, _bracket_sum, _GrayWalk, surface_bracket
+from vknot.analysis import SurfaceBracket, _bracket_sum, _CurveLabels, surface_bracket
 from vknot.bracket import StateTables, d_power
 from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import VirtualLinkDiagram, parse_gauss_code
+from vknot.frontier import greedy_order
 from vknot.laurent import LOOP_VALUE, LaurentPoly
 from vknot.surface import (
     HomologyClass,
@@ -103,9 +104,9 @@ def _genus_two_codes(seed: int = 7, count: int = 4, max_crossings: int = 8) -> l
 
 
 def test_each_distinct_class_and_null_curve_is_classified_once(monkeypatch):
-    # the walk classifies a new curve by its packed class sum, so darts are
-    # built and `loop_homology` runs once per nonzero class up to sign and once
-    # per null-homologous curve, which alone also gets the disk test
+    # the sweep classifies a closed curve by its packed class sum, so darts
+    # are built and `loop_homology` runs once per nonzero class up to sign and
+    # once per null-homologous curve, which alone also gets the disk test
     d = catalog_p_family(1)
     rep = build_carter_surface(d)
     tables = StateTables(d)
@@ -144,21 +145,29 @@ def _oracle_class(rep, loop) -> HomologyClass:
     return HomologyClass.canonical(h.basis.to_symplectic(raw) if h.basis else ())
 
 
+def _fused_sum(curves: _CurveLabels, ends) -> tuple[int, int]:
+    """(packed class, join key) of the state curve that leaves `ends`, in
+    order: the sum of the sweep's join ints along the curve, split at its
+    key bits."""
+    total = sum(curves.join_ints[e ^ 1, f] for e, f in zip(ends, ends[1:] + ends[:1]))
+    return total >> curves.shift, total & ((1 << curves.shift) - 1)
+
+
 @pytest.mark.parametrize("kind,arg", TABLE_CASES, ids=[f"{k}-{a}" for k, a in TABLE_CASES])
 def test_dart_table_class_matches_edge_coordinates(kind, arg):
     d = _diagram(kind, arg)
     rep = build_carter_surface(d)
     tables = StateTables(d)
     assert len(rep.refined.join_side) == 8 * d.n_crossings
-    walk = _GrayWalk(rep, tables)
+    labels = _CurveLabels(rep, tables)
     edge_of = rep.refined.map.edge_of
     curves = set()
     for state in range(1 << tables.n):
-        walk.reset(state)
         walked = state_curves(rep, tables, state)
-        # the walk's darts, from its joins and `join_side`, and the
-        # position_of/side_dart walk give the same curves, either way round
-        darts = [walk._darts(curve) for curve in set(walk.curve_of)]
+        # the darts rebuilt from each curve's join key, from the joins and
+        # `join_side`, and the position_of/side_dart walk give the same
+        # curves, either way round
+        darts = [labels._darts(_fused_sum(labels, ends)[1]) for ends in tables.trace(state)]
         assert {frozenset(edge_of[x] for x in c) for c in darts} == {frozenset(edge_of[x] for x in c) for c in walked}
         curves.update(walked)
         curves.update(darts)
@@ -169,46 +178,28 @@ def test_dart_table_class_matches_edge_coordinates(kind, arg):
 PACKED_CASES = sorted(set(CASES) | set(TABLE_CASES), key=str)
 
 
-def _fused_sum(walk: _GrayWalk, ends) -> tuple[int, int]:
-    """(packed class, join key) of the current state's curve that leaves
-    `ends`: the sum of the walk's step values at the curve's departure ends,
-    split at the walk's key bits."""
-    total = sum(walk.step[end] for end in ends)
-    return total >> walk.shift, total & walk.key_mask
-
-
-def _walked_curve_id(walk: _GrayWalk, ends) -> int:
-    """The one curve id the walk gives every arc of a curve, which is one of
-    the curve's ends."""
-    ids = {walk.curve_of[e >> 1] for e in ends}
-    assert len(ids) == 1
-    (curve,) = ids
-    assert curve in ends or curve ^ 1 in ends
-    return curve
-
-
 @pytest.mark.parametrize("kind,arg", PACKED_CASES, ids=[f"{k}-{a}" for k, a in PACKED_CASES])
 def test_packed_class_sum_unpacks_to_edge_coordinates(kind, arg):
     d = _diagram(kind, arg)
     rep = build_carter_surface(d)
     tables = StateTables(d)
-    walk = _GrayWalk(rep, tables)
+    labels = _CurveLabels(rep, tables)
     dim = 2 * rep.genus
     classes: dict[frozenset, tuple[int, ...]] = {}
     keys: dict[frozenset, int] = {}
     for state in range(1 << tables.n):
-        walk.reset(state)
         traced = tables.trace(state)
-        assert len({_walked_curve_id(walk, ends) for ends in traced}) == len(traced)
         for curve, ends in zip(state_curves(rep, tables, state), traced):
             cycle = frozenset(curve)
             if cycle not in classes:
                 classes[cycle] = _oracle_class(rep, curve).coords
-            packed, join_key = _fused_sum(walk, ends)
-            # the join key names the curve, in any state
+            packed, join_key = _fused_sum(labels, ends)
+            # the join key names the curve, in any state and from either end
             assert keys.setdefault(cycle, join_key) == join_key, (state, ends)
-            coords = unpack(packed, dim, walk.width)
+            assert _fused_sum(labels, [e ^ 1 for e in reversed(ends)])[1] == join_key, (state, ends)
+            coords = unpack(packed, dim, labels.width)
             assert coords in (classes[cycle], tuple(-x for x in classes[cycle])), (state, ends)
+    # and one key names one curve
     assert len(set(keys.values())) == len(keys)
 
 
@@ -265,18 +256,18 @@ def test_loop_homology_refuses_walks_off_the_surface(name):
 @pytest.mark.parametrize("name", ["kishino", "section5_knot"])
 def test_broken_side_table_is_refused_when_the_walk_is_built(name, monkeypatch):
     d = catalog(name)
-    tables = StateTables(d)
-    walked = []
-    run = _GrayWalk.run
+    swept = []
+    sweep = analysis.labelled_state_sum
 
-    def recorded_run(self, moves, seen=None):
-        walked.append(moves)
-        run(self, moves, seen)
+    def recorded_sweep(*args):
+        swept.append(args)
+        return sweep(*args)
 
-    monkeypatch.setattr(_GrayWalk, "run", recorded_run)
+    monkeypatch.setattr(analysis, "labelled_state_sum", recorded_sweep)
     # every directed join of every crossing: removed, or pointed at a side
     # dart that leaves the right corner for the wrong one, one that arrives at
-    # the right corner from the wrong one, or the same side of the next crossing
+    # the right corner from the wrong one, or the same side of the next
+    # crossing; refused before any key is swept
     n_joins = len(build_carter_surface(d).refined.join_side)
     for i in range(n_joins):
         for change in ("remove", "wrong end", "wrong start", "next crossing"):
@@ -293,10 +284,10 @@ def test_broken_side_table_is_refused_when_the_walk_is_built(name, monkeypatch):
             elif change == "next crossing":
                 join_side[join] = (side - refined.base + 8) % (8 * d.n_crossings) + refined.base
             with pytest.raises(AssertionError, match="jumps between crossings"):
-                _GrayWalk(rep, tables)
-    assert n_joins == 8 * d.n_crossings and walked == []
+                _bracket_sum(rep)
+    assert n_joins == 8 * d.n_crossings and swept == []
     _bracket_sum(build_carter_surface(d))
-    assert walked
+    assert swept
 
 
 def _traced_curves(d) -> list[tuple[int, ...]]:
@@ -385,20 +376,52 @@ def _oracle_items(kind, arg) -> list:
     return list(bracket_chunk(build_carter_surface(_diagram(kind, arg))).items())
 
 
-def _walk_items(d) -> list:
-    return list(_bracket_sum(build_carter_surface(d)).items())
+def _sweep_items(d, order=None) -> list:
+    return list(_bracket_sum(build_carter_surface(d), order).items())
+
+
+def _three_orders(d) -> dict[str, list[int]]:
+    n = d.n_crossings
+    return {
+        "greedy": greedy_order(StateTables(d)),
+        "identity": list(range(n)),
+        "reversed": list(range(n))[::-1],
+    }
 
 
 @pytest.mark.parametrize("kind,arg", WALK_CASES, ids=[f"{k}-{a}" for k, a in WALK_CASES])
 def test_gray_walk_tally_matches_state_order_oracle(kind, arg):
-    assert _walk_items(_diagram(kind, arg)) == _oracle_items(kind, arg)
+    """The full bracket's sweep against the state-by-state oracle, items and
+    order, under three crossing orders."""
+    d = _diagram(kind, arg)
+    for name, order in _three_orders(d).items():
+        assert _sweep_items(d, order) == _oracle_items(kind, arg), name
+
+
+def _seeded_codes(seed: int = 20261019, count: int = 40, max_crossings: int = 10) -> list[str]:
+    rng = random.Random(seed)
+    codes = []
+    for _ in range(count):
+        n = rng.randint(1, max_crossings)
+        codes.append(random_gauss_code(rng, n, rng.randint(1, min(3, 2 * n))))
+    return codes
+
+
+def test_full_bracket_matches_state_order_oracle_on_seeded_codes():
+    codes = _seeded_codes()
+    assert max(parse_gauss_code(code).n_crossings for code in codes) == 10
+    for code in codes:
+        d = parse_gauss_code(code)
+        expected = list(bracket_chunk(build_carter_surface(d)).items())
+        for name, order in _three_orders(d).items():
+            assert _sweep_items(d, order) == expected, (code, name)
 
 
 def test_gray_walk_on_a_crossingless_diagram():
     d = VirtualLinkDiagram((), {}, free_loops=2)
     assert d.n_crossings == 0
     rep = build_carter_surface(d)
-    assert _walk_items(d) == list(bracket_chunk(rep).items()) == [(((), 0), 1)]
+    assert _sweep_items(d) == list(bracket_chunk(rep).items()) == [(((), 0), 1)]
     assert surface_bracket(rep).entries == {((), 0): d_power(2)}
 
 
@@ -408,24 +431,23 @@ def test_gray_walk_on_a_crossingless_diagram():
 def test_packed_field_width_follows_the_coefficients(d, genus):
     # every dart's class scaled by 2^40 + 1: the packed sums must still unpack
     # to the classes, which fields of any fixed width the unscaled classes
-    # fit in would not hold, and the walk must still tally as the
+    # fit in would not hold, and the sweep must still sum as the
     # state-by-state oracle does
     scale = (1 << 40) + 1
     rep = build_carter_surface(d)
     h = rep.homology
     h.dart_vec = [tuple((k, v * scale) for k, v in vec) if vec else vec for vec in h.dart_vec]
     tables = StateTables(d)
-    walk = _GrayWalk(rep, tables)
-    assert rep.genus == genus and walk.width > 41
+    labels = _CurveLabels(rep, tables)
+    assert rep.genus == genus and labels.width > 41
     nonzero = 0
     keys: dict[frozenset, int] = {}
     for state in range(1 << tables.n):
-        walk.reset(state)
         for curve, ends in zip(state_curves(rep, tables, state), tables.trace(state)):
             coords = loop_homology(rep, curve).coords
-            packed, join_key = _fused_sum(walk, ends)
+            packed, join_key = _fused_sum(labels, ends)
             assert keys.setdefault(frozenset(curve), join_key) == join_key
-            assert unpack(packed, 2 * rep.genus, walk.width) in (coords, tuple(-x for x in coords))
+            assert unpack(packed, 2 * rep.genus, labels.width) in (coords, tuple(-x for x in coords))
             nonzero += any(coords)
     assert len(set(keys.values())) == len(keys)
     assert nonzero
