@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .bracket import StateTables, d_power
 from .diagram import VirtualLinkDiagram, format_gauss_code
-from .frontier import DISK, labelled_state_sum, read_packed, signed_fields
+from .frontier import DISK, field_reader, labelled_state_sum, read_packed
 from .laurent import LaurentPoly
 from .surface import (
     HomologyClass,
@@ -268,9 +268,8 @@ def _bracket_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[Cu
     """
     tables = StateTables(rep.diagram)
     curves = _CurveLabels(rep, tables)
-    dim = 2 * rep.genus
     labels = labelled_state_sum(tables, curves.join_ints, curves, order)
-    return _relabel(labels, lambda packed: _unpack_class(packed, dim, curves.width))
+    return _relabel(labels, _class_reader(2 * rep.genus, curves.width))
 
 
 def _surface_bracket(rep: SurfaceRep, sums: Iterable[tuple[CurveClassKey, int]]) -> SurfaceBracket:
@@ -303,9 +302,8 @@ def _image_labels(
     """
     tables = StateTables(rep.diagram)
     steps, width = _class_steps(rep, tables)
-    dim = 2 * rep.genus
     labels = labelled_state_sum(tables, steps, _ImageLabels({0: DISK}), order)
-    return labels, lambda packed: _unpack_class(packed, dim, width)
+    return labels, _class_reader(2 * rep.genus, width)
 
 
 def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[CurveClassKey, int]:
@@ -327,16 +325,20 @@ def _image_classes(rep: SurfaceRep) -> list[HomologyClass]:
     classes: dict[int, HomologyClass] = {}
     for label, value in labels.items():
         if value:
-            new = {packed: None for packed in label if packed not in classes}
-            for cls, packed in sorted([(unpack(packed), packed) for packed in new]):
-                classes[packed] = cls
+            new = [packed for packed in label if packed not in classes]
+            if len(new) == 1:
+                classes[new[0]] = unpack(new[0])
+            elif new:
+                for cls, packed in sorted([(unpack(packed), packed) for packed in dict.fromkeys(new)]):
+                    classes[packed] = cls
     return list(classes.values())
 
 
-def _unpack_class(packed: int, dim: int, width: int) -> HomologyClass:
-    """The class of `dim` signed coordinates packed by `_pack` with fields
-    of `width` bits."""
-    return HomologyClass.canonical(signed_fields(packed, width, dim))
+def _class_reader(dim: int, width: int) -> Callable[[int], HomologyClass]:
+    """The function that reads the class of `dim` signed coordinates packed
+    by `_pack` with fields of `width` bits (`frontier.field_reader`)."""
+    read = field_reader(width, dim)
+    return lambda packed: HomologyClass.canonical(read(packed))
 
 
 def d_image_bracket(rep: SurfaceRep) -> SurfaceBracket:
@@ -393,13 +395,21 @@ def per_torus_criterion(classes: Sequence[HomologyClass], genus: int) -> Criteri
 
 
 def _crossing_pair(classes: list[tuple[int, ...]], k: int) -> tuple | None:
-    """(k + 1, c_i, c_j, a_i b_j - a_j b_i) for the first pair with a nonzero
-    determinant in the k-th coordinate pair, or None."""
+    """(k + 1, c_i, c_j, a_i b_j - a_j b_i) for the first pair (i < j) with a
+    nonzero determinant in the k-th coordinate pair, or None.
+
+    A class of zero projection (a, b) pairs with none, so c_i is the first
+    class of nonzero projection, and c_j the first later one not parallel
+    to it.  When there is no such c_j, every nonzero projection is parallel
+    to c_i's, so to every other: no pair has a nonzero determinant."""
+    a, b = 2 * k, 2 * k + 1
     for i, ci in enumerate(classes):
-        for cj in classes[i + 1 :]:
-            val = ci[2 * k] * cj[2 * k + 1] - cj[2 * k] * ci[2 * k + 1]
-            if val:
-                return (k + 1, ci, cj, val)
+        if ci[a] or ci[b]:
+            for cj in classes[i + 1 :]:
+                val = ci[a] * cj[b] - cj[a] * ci[b]
+                if val:
+                    return (k + 1, ci, cj, val)
+            return None
     return None
 
 

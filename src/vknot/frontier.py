@@ -40,11 +40,18 @@ a second kernel whose keys also hold an int per open end, summed along
 the path, and the sorted label elements of the loops closed so far; a
 closed loop's int is looked up in a mapping that says whether it weighs d
 or which element it adds, and each key keeps the smallest state index that
-reaches it.  `analysis` sums both surface brackets with it: for the
-d-image the int is the loop's packed homology class, and for the full
-bracket the class shifted above bits that name the loop, so that a loop's
-weight, disk or not, is known when it closes.  Every state sum is read by
-`read_packed`.
+reaches it.  Its frontier is grouped by pairing, {pairing: {(path ints,
+closed labels): [value, smallest index]}}, since many keys share one
+pairing (about 10 on random 9-11-crossing codes): which arcs join two
+paths and which close a loop, and the new pairing, depend on the pairing
+alone, so a step works them out once per pairing and smoothing (the
+per-pairing transition) and replays them on each key's ints.  The old
+frontier, and each pairing's keys, are emptied as they are read, so the
+old and the new frontier are not both held in full.  `analysis` sums both
+surface brackets with it: for the d-image the int is the loop's packed
+homology class, and for the full bracket the class shifted above bits
+that name the loop, so that a loop's weight, disk or not, is known when
+it closes.  Every state sum is read by `read_packed`.
 
 See Makowsky and Marino, The parametrized complexity of knot polynomials,
 JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
@@ -53,7 +60,8 @@ JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .laurent import LaurentPoly
 
@@ -163,10 +171,11 @@ def labelled_state_sum(
     read once per closed loop; a mapping that fills itself on a miss
     (`__missing__`) sees each distinct v there first.
 
-    A key adds to the planar one the int of each open path, stored at its
-    open ends: at end u the int of the path entered at u, with u's arc,
-    and left at its other end, without that end's arc; and the sorted
-    label elements of the loops it closed.  A join p-q sets
+    A key adds to the planar one (its pairing, under which the frontier
+    groups the keys) the int of each open path, stored at its open ends:
+    at end u the int of the path entered at u, with u's arc, and left at
+    its other end, without that end's arc; and the sorted label elements
+    of the loops it closed.  A join p-q sets
     `join_ints[p, q]` at p and `join_ints[q, p]` at q.  Closing the arc
     from new end x to old end y = x ^ 1 joins the path (u ... x) to the
     path (y ... v): the int at u gains the int at y, which holds x's arc,
@@ -193,8 +202,10 @@ def labelled_state_sum(
         )
         return _labelled_step(frontier, smoothings, closes, survivors, position, width, loop_label)
 
-    frontier, _ = _sweep(tables, order, lambda key: {(key, (), ()): [1 << offset * width, 0]}, step)
-    return {closed: value for (_, _, closed), (value, _) in sorted(frontier.items(), key=lambda item: item[1][1])}
+    frontier, _ = _sweep(tables, order, lambda key: {key: {((), ()): [1 << offset * width, 0]}}, step)
+    # every end is closed: one pairing, the empty one, with no path ints
+    (entries,) = frontier.values()
+    return {closed: value for (_, closed), (value, _) in sorted(entries.items(), key=lambda item: item[1][1])}
 
 
 def read_packed(value: int, n: int) -> LaurentPoly:
@@ -211,17 +222,28 @@ def signed_fields(packed: int, width: int, count: int) -> list[int]:
     """The `count` signed `width`-bit fields of `packed`, lowest first: the
     c_k of packed = sum c_k 2^(k width) with -2^(width - 1) <= c_k < 2^(width - 1).
     Raises ArithmeticError when `packed` does not fit in them."""
-    fields = []
-    mask, sign = (1 << width) - 1, 1 << (width - 1)
-    for _ in range(count):
-        field = packed & mask
-        if field & sign:
-            field -= 1 << width
-        fields.append(field)
-        packed = (packed - field) >> width
-    if packed:
-        raise ArithmeticError("packed value has bits beyond its last field")
-    return fields
+    return field_reader(width, count)(packed)
+
+
+def field_reader(width: int, count: int) -> Callable[[int], list[int]]:
+    """The function `signed_fields(packed, width, count)` of `packed`.
+
+    Adding the bias sum 2^(width - 1) 2^(k width), computed here once, turns
+    each c_k into the unsigned field c_k + 2^(width - 1), so each field is
+    read by one shift and mask and none borrows from the next; `packed`
+    fits exactly when the biased value lies in [0, 2^(width count)), so
+    -bias and 2^(width count) - 1 - bias are the ends of the range."""
+    half, total, mask = 1 << (width - 1), width * count, (1 << width) - 1
+    bias = half * (((1 << total) - 1) // mask)
+    shifts = range(0, total, width)
+
+    def read(packed: int) -> list[int]:
+        biased = packed + bias
+        if biased < 0 or biased >> total:
+            raise ArithmeticError("packed value has bits beyond its last field")
+        return [((biased >> shift) & mask) - half for shift in shifts]
+
+    return read
 
 
 def _sweep(tables, order, start, step):
@@ -307,42 +329,75 @@ def _step(frontier, smoothings, closes, survivors, position, width):
 
 
 def _labelled_step(frontier, smoothings, closes, survivors, position, width, loop_label):
-    """`_step` for keys (partner positions, path ints, closed labels) with
-    values [packed polynomial, smallest state index]: each smoothing also
-    holds the ints at the crossing's four slots and the bit it adds to the
-    index (1 << k for B); a closed loop whose int is v multiplies the value
-    by d when `loop_label[v]` is DISK and adds that label element otherwise
-    (`labelled_state_sum`).  The old frontier is emptied as it is read."""
-    out: dict[tuple, list[int]] = {}
+    """`_step` for the grouped frontier {pairing: {(path ints, closed
+    labels): [packed polynomial, smallest state index]}}: each smoothing
+    also holds the ints at the crossing's four slots and the bit it adds to
+    the index (1 << k for B); a closed loop whose int is v multiplies the
+    value by d when `loop_label[v]` is DISK and adds that label element
+    otherwise (`labelled_state_sum`).
+
+    The closes depend on the pairing alone, so per pairing and smoothing
+    they are run once, on the partners, and give the new pairing and a
+    program that replays them on the ints: a merge (u, y, v, x) for each arc
+    joining the paths at u and v, whose ints gain the ints at y and x, and
+    the slot y of each loop closed.  No later merge reads or writes the
+    ints at a closed loop's slots, so its int is read after every merge.  Each entry of the pairing then
+    runs the program only.  The old frontier, and each pairing's entries,
+    are emptied as they are read."""
+    out: dict[tuple[int, ...], dict[tuple, list[int]]] = {}
+    pick = _picker(survivors)
     while frontier:
-        (key, vals, closed), (value, index) = frontier.popitem()
+        key, entries = frontier.popitem()
+        moves = []
         for joined, joined_vals, shift, bit in smoothings:
             partner = [*key, *joined]
-            val = [*vals, *joined_vals]
-            loops = closed
-            q = value << shift
+            merges, loops_at = [], []
             for x, y in closes:
                 u = partner[x]
                 if u == y:
+                    loops_at.append(y)
+                else:
+                    v = partner[y]
+                    partner[u] = v
+                    partner[v] = u
+                    merges.append((u, y, v, x))
+            new = tuple([position[partner[s]] for s in survivors])
+            group = out.get(new)
+            if group is None:
+                out[new] = group = {}
+            moves.append((group, joined_vals, merges, loops_at, shift, bit))
+        while entries:
+            (vals, closed), (value, index) = entries.popitem()
+            for group, joined_vals, merges, loops_at, shift, bit in moves:
+                val = [*vals, *joined_vals]
+                for u, y, v, x in merges:
+                    val[u] += val[y]
+                    val[v] += val[x]
+                loops = closed
+                q = value << shift
+                for y in loops_at:
                     label = loop_label[val[y]]
                     if label == DISK:
                         q = -((q << width) + (q >> width))
                     else:
                         loops = (*loops, label)
+                if loops is not closed:
+                    loops = tuple(sorted(loops))
+                new = (pick(val), loops)
+                entry = group.get(new)
+                if entry is None:
+                    group[new] = [q, index | bit]
                 else:
-                    v = partner[y]
-                    partner[u] = v
-                    partner[v] = u
-                    val[u] += val[y]
-                    val[v] += val[x]
-            if loops is not closed:
-                loops = tuple(sorted(loops))
-            new = (tuple([position[partner[s]] for s in survivors]), tuple([val[s] for s in survivors]), loops)
-            entry = out.get(new)
-            if entry is None:
-                out[new] = [q, index | bit]
-            else:
-                entry[0] += q
-                if index | bit < entry[1]:
-                    entry[1] = index | bit
+                    entry[0] += q
+                    if index | bit < entry[1]:
+                        entry[1] = index | bit
     return out
+
+
+def _picker(slots):
+    """The function that reads the items at `slots` of a list as a tuple:
+    one `itemgetter` call for two or more slots, which for one slot would
+    return the item itself and for none cannot be built."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return lambda items: tuple([items[s] for s in slots])

@@ -444,7 +444,7 @@ class HomologyClass(NamedTuple):
         for c in coords:
             if c:
                 if c < 0:
-                    return cls(tuple(-x for x in coords))
+                    return cls(tuple([-x for x in coords]))
                 break
         return cls(tuple(coords))
 

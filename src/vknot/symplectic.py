@@ -221,13 +221,18 @@ def _check_standard(form: SkewForm, basis: SymplecticBasis) -> bool:
 
 
 def mod2_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(2) of a collection of integer vectors."""
+    """Rank over GF(2) of a collection of integer vectors.  A parity vector
+    already reduced adds nothing, so it is reduced once."""
     basis: list[int] = []
+    seen: set[int] = set()
     for vec in vectors:
         x = 0
         for k, v in enumerate(vec):
             if v & 1:
                 x |= 1 << k
+        if x in seen:
+            continue
+        seen.add(x)
         for b in basis:
             x = min(x, x ^ b)
         if x:

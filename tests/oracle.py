@@ -254,6 +254,18 @@ def check_standard(form: SkewForm, basis: SymplecticBasis) -> bool:
     return True
 
 
+def crossing_pair(classes: Sequence[tuple[int, ...]], k: int) -> tuple | None:
+    """(k + 1, c_i, c_j, a_i b_j - a_j b_i) for the first pair i < j, in
+    lexicographic order, with a nonzero determinant in the k-th coordinate
+    pair, trying every pair (the reference for `analysis._crossing_pair`)."""
+    for i, ci in enumerate(classes):
+        for cj in classes[i + 1 :]:
+            val = ci[2 * k] * cj[2 * k + 1] - cj[2 * k] * ci[2 * k + 1]
+            if val:
+                return (k + 1, ci, cj, val)
+    return None
+
+
 def unpack(total: int, dim: int, width: int) -> tuple[int, ...]:
     """The `dim` signed coordinates of a packed class sum with fields of
     `width` bits, coordinate k in bits [k * width, (k + 1) * width) (the

@@ -5,9 +5,10 @@ import random
 from itertools import permutations
 
 import pytest
-from oracle import state_curves
+from oracle import crossing_pair, state_curves
 
 from vknot.analysis import (
+    _crossing_pair,
     certify,
     mod2_span_criterion,
     per_torus_criterion,
@@ -143,3 +144,50 @@ def test_per_torus_criterion_ignores_torus_order_and_pair_rotation():
             for swaps in range(1 << genus):
                 assert satisfied([_relabel(c, perm, swaps) for c in classes]) == expected
     assert outcomes == {True, False}
+
+
+def _class_lists(rng: random.Random):
+    """Seeded lists of classes for the per-torus pair scan: sparse random
+    ones, lists whose projections on torus 0 are all zero, lists whose
+    projections are all parallel (zero ones mixed in), and lists with a
+    single non-parallel class at the end, after zero and parallel ones."""
+    for _ in range(120):
+        genus = rng.randint(1, 3)
+        dim = 2 * genus
+        size = rng.randint(0, 12)
+        yield [tuple(rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(dim)) for _ in range(size)]
+        yield [(0, 0, *(rng.randint(-2, 2) for _ in range(dim - 2))) for _ in range(size)]
+        a, b = rng.choice(((1, 0), (0, 1), (1, 1), (2, -3), (-1, 2)))
+        parallel = [
+            (m * a, m * b, *(rng.randint(-2, 2) for _ in range(dim - 2))) for m in rng.choices((0, 1, -1, 2, -3), k=size)
+        ]
+        yield parallel
+        yield parallel + [(b, a + b if a == b else -a, *(0 for _ in range(dim - 2)))]
+
+
+def test_crossing_pair_matches_every_pair_oracle():
+    """The one-pass scan finds the pair the scan over every pair finds, the
+    same classes and determinant, on every torus."""
+    rng = random.Random(20261019)
+    outcomes = {"found": 0, "none": 0, "late": 0}
+    for classes in _class_lists(rng):
+        for k in range(len(classes[0]) // 2 if classes else 1):
+            expected = crossing_pair(classes, k)
+            assert _crossing_pair(classes, k) == expected, (classes, k)
+            outcomes["none" if expected is None else "found"] += 1
+            if expected is not None and expected[2] is classes[-1] and len(classes) > 2:
+                outcomes["late"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_crossing_pair_edge_cases():
+    assert _crossing_pair([], 0) is None
+    assert _crossing_pair([(0, 0), (0, 0)], 0) is None
+    # all parallel, zero projections mixed in
+    assert _crossing_pair([(0, 0), (1, 2), (0, 0), (-2, -4), (3, 6)], 0) is None
+    # the witness is the last class, found after parallel and zero ones
+    classes = [(0, 0), (1, 2), (2, 4), (0, 0), (-1, -2), (1, 3)]
+    assert _crossing_pair(classes, 0) == (1, (1, 2), (1, 3), 1) == crossing_pair(classes, 0)
+    # torus 1 of genus-2 classes: the first class has a zero projection there
+    classes = [(1, 0, 0, 0), (0, 1, 2, 0), (5, 5, 0, 1)]
+    assert _crossing_pair(classes, 1) == (2, (0, 1, 2, 0), (5, 5, 0, 1), 2) == crossing_pair(classes, 1)

@@ -11,7 +11,10 @@ and both against the planar bracket by `collapse()`.
 """
 
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,7 +89,7 @@ def test_unpack_class_inverts_pack_up_to_sign():
         packed = analysis._pack(enumerate(coords), width)
         assert oracle.unpack(packed, dim, width) == tuple(coords)
         for p in (packed, -packed, abs(packed)):
-            assert analysis._unpack_class(p, dim, width) == HomologyClass.canonical(coords)
+            assert analysis._class_reader(dim, width)(p) == HomologyClass.canonical(coords)
 
 
 def test_signed_fields_round_trip_at_the_widest_coefficients():
@@ -106,6 +109,55 @@ def test_signed_fields_round_trip_at_the_widest_coefficients():
             assert read_packed(packed, n) == LaurentPoly({n - 2 * (j - offset): c for j, c in enumerate(coeffs)})
         with pytest.raises(ArithmeticError, match="beyond its last field"):
             signed_fields(1 << (width - 1), width, 1)
+
+
+SIGNED_FIELDS_EDGES = """
+from vknot.frontier import signed_fields
+
+assert False, "asserts must be stripped"
+for width, count in ((2, 1), (3, 4), (5, 0), (8, 2), (35, 57)):
+    half = 1 << (width - 1)
+    bias = sum(half << (k * width) for k in range(count))
+    low, high = -bias, (1 << (width * count)) - 1 - bias
+    print(signed_fields(low, width, count) == [-half] * count, signed_fields(high, width, count) == [half - 1] * count)
+    for outside in (low - 1, high + 1):
+        try:
+            signed_fields(outside, width, count)
+        except ArithmeticError as exc:
+            print("refused:", exc)
+"""
+
+
+def test_signed_fields_range_ends_under_python_O():
+    """The two ends of the range, -bias and 2^(W count) - 1 - bias, read
+    back as all-lowest and all-highest fields; one past either end is
+    refused by an if/raise, which `python -O` keeps."""
+    env = dict(os.environ, PYTHONPATH=str(Path(frontier.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", SIGNED_FIELDS_EDGES], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    refused = "refused: packed value has bits beyond its last field"
+    assert proc.stdout.decode().splitlines() == ["True True", refused, refused] * 5
+
+
+def test_signed_fields_match_the_borrowing_reader():
+    """The biased one-pass read against the field-by-field reader with
+    borrows (tests/oracle.py `unpack`), inside and just outside the range."""
+    rng = random.Random(20261019)
+    for _ in range(500):
+        width, count = rng.randint(2, 12), rng.randint(0, 9)
+        half = 1 << (width - 1)
+        bias = sum(half << (k * width) for k in range(count))
+        low, high = -bias, (1 << (width * count)) - 1 - bias
+        for packed in (low, high, rng.randint(low, high), low - 1, high + 1, low - rng.randint(1, 1 << 20)):
+            try:
+                expected = list(oracle.unpack(packed, count, width))
+            except ValueError:
+                expected = None
+            if expected is None:
+                with pytest.raises(ArithmeticError):
+                    signed_fields(packed, width, count)
+            else:
+                assert signed_fields(packed, width, count) == expected
 
 
 def _kinks(m: int, sign: str, sep: str):
@@ -202,6 +254,17 @@ def test_d_image_collapses_to_the_planar_bracket(d):
     assert all(essential == 0 for _, essential in image.entries)
     assert image.collapse() == surface_bracket(rep).collapse()
     assert analysis._image_classes(rep) == image.nonzero_classes()
+
+
+def test_image_classes_keep_the_bracket_order_on_the_pool_and_the_twist_family():
+    """`certify`'s classes, read from the labels whose int is nonzero, are
+    the d-image bracket's nonzero classes in its order (label order, then
+    coordinates within a label), beyond the small cases."""
+    diagrams = [(code, parse_gauss_code(code)) for code in POOL]
+    diagrams += [(f"p_family({n})", catalog_p_family(n)) for n in range(7)]
+    for name, d in diagrams:
+        rep = build_carter_surface(d)
+        assert analysis._image_classes(rep) == d_image_bracket(rep).nonzero_classes(), name
 
 
 def test_family_report_through_46_crossings():

@@ -32,6 +32,8 @@ RETIRED_NAMES = {
     "StateSum": "frontier.packed_fields",
     "expand": "frontier.read_packed",
     "_unpack": "frontier.read_packed",
+    # the per-call class reader: the field bias is computed once per sweep
+    "_unpack_class": "analysis._class_reader",
     # the state-by-state surface tracer, its curve memo and the 2^n Gray walk
     # with its tally: `analysis._bracket_sum` sweeps the full surface bracket
     # with the kernel of the d-image, and only `_CurveLabels` knows the

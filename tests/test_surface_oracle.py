@@ -364,7 +364,7 @@ def test_disk_test_refusals_match_union_find_cut(name):
             assert _outcome(cut_map, rep.map, walk) is LoopNotEmbedded
 
 
-WALK_CASES = (
+SWEEP_CASES = (
     [("catalog", name) for name in catalog_names()]
     + [("p_family", n) for n in range(5)]
     + [("random", code) for code in _genus_two_codes(seed=23, count=8, max_crossings=10)]
@@ -389,7 +389,7 @@ def _three_orders(d) -> dict[str, list[int]]:
     }
 
 
-@pytest.mark.parametrize("kind,arg", WALK_CASES, ids=[f"{k}-{a}" for k, a in WALK_CASES])
+@pytest.mark.parametrize("kind,arg", SWEEP_CASES, ids=[f"{k}-{a}" for k, a in SWEEP_CASES])
 def test_gray_walk_tally_matches_state_order_oracle(kind, arg):
     """The full bracket's sweep against the state-by-state oracle, items and
     order, under three crossing orders."""
@@ -417,7 +417,7 @@ def test_full_bracket_matches_state_order_oracle_on_seeded_codes():
             assert _sweep_items(d, order) == expected, (code, name)
 
 
-def test_gray_walk_on_a_crossingless_diagram():
+def test_full_bracket_sweep_on_a_crossingless_diagram():
     d = VirtualLinkDiagram((), {}, free_loops=2)
     assert d.n_crossings == 0
     rep = build_carter_surface(d)

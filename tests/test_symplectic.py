@@ -143,6 +143,19 @@ def test_mod2_rank_against_oracle():
         n, dim = rng.randrange(0, 6), rng.randrange(1, 7)
         vecs = [[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(n)]
         assert mod2_rank(vecs) == _rank_oracle(vecs)
+    # repeated parity vectors (repeated vectors, and others of the same
+    # parity), and all-even vectors, which reduce to zero
+    for _ in range(100):
+        n, dim = rng.randrange(1, 6), rng.randrange(1, 7)
+        vecs = [[rng.randrange(-3, 4) for _ in range(dim)] for _ in range(n)]
+        repeated = vecs + [rng.choice(vecs) for _ in range(rng.randrange(1, 6))]
+        repeated += [[v + 2 * rng.randrange(-2, 3) for v in rng.choice(vecs)] for _ in range(3)]
+        rng.shuffle(repeated)
+        evens = [[2 * rng.randrange(-3, 4) for _ in range(dim)] for _ in range(rng.randrange(1, 6))]
+        for case in (repeated, evens, evens + vecs, vecs + evens + vecs):
+            assert mod2_rank(case) == _rank_oracle(case), case
+        assert mod2_rank(evens) == 0
+        assert mod2_rank(repeated) == mod2_rank(vecs)
 
 
 def test_mod2_rank_basics():
