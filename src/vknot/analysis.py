@@ -21,7 +21,11 @@ smallest state index that reaches it and its polynomial itself, packed in
 one int.  Its cost follows the width of the diagram, not 2^n.  A label's
 polynomial is zero exactly when its int is, so `certify` takes the classes
 of the labels whose int is nonzero and reads no coefficient;
-`d_image_bracket` reads those labels only.
+`d_image_bracket` reads those labels only.  A class is packed with
+coordinate 0 in the top field (`_pack`), so the int has the sign of the
+first nonzero coordinate and ints compare as classes do: a closed loop
+adds abs(packed), its canonical class, and a label's sorted ints are its
+sorted classes, each read once, in that order, and never sorted again.
 
 The full surface bracket (`surface_bracket`, behind `surface-bracket`)
 must tell disk-bounding from null-essential curves, which is not local to
@@ -117,10 +121,18 @@ def format_curve_key(key: CurveClassKey) -> str:
     return (parts or "trivial") + f"|essential={essential}"
 
 
-def _pack(pairs: Iterable[tuple[int, int]], width: int) -> int:
-    """One int holding coordinate k, signed, in bits [k * width, (k + 1) * width),
-    from (k, value) pairs."""
-    return sum(v << (k * width) for k, v in pairs)
+def _pack(pairs: Iterable[tuple[int, int]], width: int, dim: int) -> int:
+    """One int holding coordinate k of `dim`, signed, in bits
+    [(dim - 1 - k) * width, (dim - k) * width), from (k, value) pairs:
+    coordinate 0 in the top field.
+
+    When a signed field of `width` bits holds every coordinate and 2^width
+    exceeds every difference of two (as `_class_steps` chooses it), the
+    lower fields sum to less than one unit of the top nonzero one, so the
+    int has the sign of the first nonzero coordinate, abs(packed) packs
+    `HomologyClass.canonical`, and packed ints compare as their coordinate
+    tuples do."""
+    return sum(v << ((dim - 1 - k) * width) for k, v in pairs)
 
 
 def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[dict[tuple[int, int], int], int]:
@@ -133,10 +145,11 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[dict[tuple[int, 
     darts' `dart_vec`, packed by `_pack`, so a curve's packed class is the
     sum of its steps.  A state curve uses each dart at most once, so no
     coordinate of its class exceeds `bound`, the sum over darts of their
-    largest |coefficient|, and fields of `width` bits hold any such
-    coordinate or difference of two without carrying: the sum is 0 exactly
-    for a null-homologous curve, and two curves have the same sum up to sign
-    exactly when they have the same class up to sign.
+    largest |coefficient|; a signed field of `width` bits holds any such
+    coordinate, and 2^width exceeds any difference of two: the sum is 0
+    exactly for a null-homologous curve, two curves have the same sum up to
+    sign exactly when they have the same class up to sign, and the order of
+    the packed ints is the order of the classes (`_pack`).
 
     Each directed join (8 per crossing) is checked here once: its side dart
     exists, starts where the arc arrives and ends where the next arc leaves,
@@ -146,7 +159,8 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[dict[tuple[int, 
     vertex_of, alpha = m.vertex_of, m.alpha
     bound = sum(max(abs(v) for _, v in vec) for vec in dart_vec if vec)
     width = bound.bit_length() + 1
-    packed = [_pack(vec, width) if vec else 0 for vec in dart_vec]
+    dim = 2 * rep.genus
+    packed = [_pack(vec, width, dim) if vec else 0 for vec in dart_vec]
     steps = {}
     for joins in tables.joins:
         for p, q, r, s in joins:
@@ -209,7 +223,8 @@ class _CurveLabels(dict):
         label = abs(packed)
         if not packed or label not in self.checked:
             darts = self._darts(total & ((1 << self.shift) - 1))
-            if _pack(enumerate(loop_homology(self.rep, darts).coords), self.width) not in (packed, -packed):
+            coords = loop_homology(self.rep, darts).coords
+            if _pack(enumerate(coords), self.width, len(coords)) not in (packed, -packed):
                 raise ArithmeticError("packed class sum disagrees with loop_homology")
             if packed:
                 self.checked.add(label)
@@ -241,8 +256,9 @@ class _CurveLabels(dict):
 
 def _relabel(labels: Mapping[tuple[int, ...], int], unpack: Callable[[int], HomologyClass]) -> dict[CurveClassKey, int]:
     """The labels of `frontier.labelled_state_sum` as curve-class keys: the
-    sorted classes of each label's nonzero packed classes, each unpacked
-    once, and the count of its 0s (null-essential curves)."""
+    classes of each label's nonzero packed classes, each unpacked once, and
+    the count of its 0s (null-essential curves).  A label is sorted, and int
+    order is class order (`_pack`), so its classes come sorted."""
     classes: dict[int, HomologyClass] = {}
     out = {}
     for label, value in labels.items():
@@ -250,7 +266,7 @@ def _relabel(labels: Mapping[tuple[int, ...], int], unpack: Callable[[int], Homo
         for packed in label[zeros:]:
             if packed not in classes:
                 classes[packed] = unpack(packed)
-        out[tuple(sorted([classes[packed] for packed in label[zeros:]])), zeros] = value
+        out[tuple([classes[packed] for packed in label[zeros:]]), zeros] = value
     return out
 
 
@@ -318,27 +334,22 @@ def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[Curv
 def _image_classes(rep: SurfaceRep) -> list[HomologyClass]:
     """The distinct classes of the labels of the d-image whose packed
     polynomial is nonzero, as `d_image_bracket(rep).nonzero_classes()` lists
-    them: by label, in order, and by coordinates within a label.  Each class
-    is unpacked once; no polynomial is read."""
+    them: by label, in order, and by coordinates within a label, which is
+    the order of the label's sorted packed ints (`_pack`).  Packed classes
+    are distinct exactly when their classes are, so each class is unpacked
+    once; no polynomial is read."""
     labels, unpack = _image_labels(rep)
-    # packed classes are distinct exactly when their classes are
-    classes: dict[int, HomologyClass] = {}
-    for label, value in labels.items():
-        if value:
-            new = [packed for packed in label if packed not in classes]
-            if len(new) == 1:
-                classes[new[0]] = unpack(new[0])
-            elif new:
-                for cls, packed in sorted([(unpack(packed), packed) for packed in dict.fromkeys(new)]):
-                    classes[packed] = cls
-    return list(classes.values())
+    distinct = dict.fromkeys(packed for label, value in labels.items() if value for packed in label)
+    return [unpack(packed) for packed in distinct]
 
 
 def _class_reader(dim: int, width: int) -> Callable[[int], HomologyClass]:
     """The function that reads the class of `dim` signed coordinates packed
-    by `_pack` with fields of `width` bits (`frontier.field_reader`)."""
+    by `_pack` with fields of `width` bits (`frontier.field_reader`), the
+    top field first.  A label holds abs(packed), which packs the canonical
+    class, so the class is read as it is."""
     read = field_reader(width, dim)
-    return lambda packed: HomologyClass.canonical(read(packed))
+    return lambda packed: HomologyClass(tuple(read(packed)[::-1]))
 
 
 def d_image_bracket(rep: SurfaceRep) -> SurfaceBracket:

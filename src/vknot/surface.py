@@ -238,11 +238,14 @@ class MapHomology:
 
     A spanning tree of the graph is contracted and a spanning tree of the
     dual (the cotree) is deleted, leaving a one-vertex map whose 2g loop
-    edges generate H_1.  The cyclic dart order at that single vertex gives
-    the intersection form by chord interleaving; capped-face relations
-    express deleted edges in the loop-edge basis.  Each dart's class is then
-    stored once in symplectic coordinates (`dart_vec`), so the class of any
-    closed walk is the sum over its darts.
+    edges generate H_1 (Eppstein, Dynamic generators of topologically
+    embedded graphs, SODA 2003).  Its cyclic dart order is read off one walk
+    around the tree, which crosses a tree edge where contracting it would
+    splice the rotations of its ends, and gives the intersection form by
+    chord interleaving; capped-face relations express deleted edges in the
+    loop-edge basis.  Each dart's class is then stored once in symplectic
+    coordinates (`dart_vec`), so the class of any closed walk is the sum
+    over its darts.
     """
 
     def __init__(self, m: CombinatorialMap):
@@ -252,19 +255,11 @@ class MapHomology:
         # edge, itself for a loop edge, a face relation for a cotree edge
         self._edge_coords: dict[int, dict[int, int]] = {}
         self._tree_parent_dart: dict[int, int] = {}  # vertex -> tree dart from its parent
-        blocks: list[list[list[int]]] = []
+        form: dict[tuple[int, int], int] = {}  # the nonzero entries
         for comp in m.components:
-            blocks.append(self._process_component(set(comp)))
+            self._process_component(set(comp), form)
         dim = len(self.loop_edges)
-        rows = [[0] * dim for _ in range(dim)]
-        offset = 0
-        for block in blocks:
-            k = len(block)
-            for i in range(k):
-                for j in range(k):
-                    rows[offset + i][offset + j] = block[i][j]
-            offset += k
-        self.form = SkewForm.from_rows(rows)
+        self.form = SkewForm.from_rows([[form.get((a, b), 0) for b in range(dim)] for a in range(dim)])
         self.basis: SymplecticBasis | None = symplectic_reduce(self.form) if dim else None
         self.genus = dim // 2
         # dart -> its class in symplectic coordinates, as the nonzero
@@ -284,38 +279,26 @@ class MapHomology:
 
     # -- construction ----------------------------------------------------
 
-    def _process_component(self, vs: set[int]) -> list[list[int]]:
+    def _process_component(self, vs: set[int], form: dict[tuple[int, int], int]) -> None:
         m = self.map
         comp_edges = [ei for ei, (d, _) in enumerate(m.edges) if m.vertex_of[d] in vs]
 
         # spanning tree by BFS over vertices
         root = min(vs)
-        parent_dart: dict[int, int] = {}  # vertex -> dart pointing from parent to it
         tree: set[int] = set()
         order = [root]
         seen = {root}
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
+        for v in order:
             for d in m.vertices[v]:
                 w = m.vertex_of[m.alpha[d]]
                 if w not in seen:
                     seen.add(w)
                     tree.add(m.edge_of[d])
-                    parent_dart[w] = d
+                    self._tree_parent_dart[w] = d
                     order.append(w)
-        self._tree_parent_dart.update(parent_dart)
 
         # cotree: BFS spanning tree of the dual over faces, using non-tree edges
-        comp_faces = sorted({m.face_of[m.edges[ei][0]] for ei in comp_edges}) or [
-            fi for fi, orbit in enumerate(m.faces) if m.vertex_of[orbit[0]] in vs
-        ]
-        cotree: set[int] = set()
-        face_parent: dict[int, int] = {}  # face -> cotree edge to its parent
-        face_depth = {comp_faces[0]: 0}
-        forder = [comp_faces[0]]
-        qi = 0
+        root_face = min(m.face_of[m.edges[ei][0]] for ei in comp_edges)
         adj: dict[int, list[int]] = {}
         for ei in comp_edges:
             if ei in tree:
@@ -323,18 +306,18 @@ class MapHomology:
             d, e = m.edges[ei]
             adj.setdefault(m.face_of[d], []).append(ei)
             adj.setdefault(m.face_of[e], []).append(ei)
-        while qi < len(forder):
-            f = forder[qi]
-            qi += 1
+        face_parent: dict[int, int] = {}  # face -> cotree edge to its parent
+        forder = [root_face]
+        for f in forder:
             for ei in adj.get(f, ()):
                 d, e = m.edges[ei]
                 g = m.face_of[e] if m.face_of[d] == f else m.face_of[d]
-                if g not in face_depth and ei not in cotree:
-                    cotree.add(ei)
+                if g != root_face and g not in face_parent:
                     face_parent[g] = ei
-                    face_depth[g] = face_depth[f] + 1
                     forder.append(g)
+        cotree = set(face_parent.values())
 
+        first = len(self.loop_edges)
         loops = [ei for ei in comp_edges if ei not in tree and ei not in cotree]
         for ei in loops:
             self._edge_coords[ei] = {len(self.loop_edges): 1}
@@ -342,10 +325,10 @@ class MapHomology:
         for ei in tree:
             self._edge_coords[ei] = {}
 
-        # eliminate cotree edges via face-boundary relations, deepest faces first
-        for f in sorted(face_depth, key=lambda x: -face_depth[x]):
-            if f == comp_faces[0]:
-                continue
+        # eliminate cotree edges via face-boundary relations, deepest faces
+        # first: the other cotree edges on a face's boundary lead to its
+        # children, one BFS level deeper
+        for f in reversed(forder[1:]):
             e_f = face_parent[f]
             boundary: dict[int, int] = {}
             for dart in m.faces[f]:
@@ -363,45 +346,34 @@ class MapHomology:
                     coords[k] = coords.get(k, 0) + coeff * v
             self._edge_coords[e_f] = {k: -v // c for k, v in coords.items() if v}
 
-        # one-vertex map: contract tree edges, delete cotree edges
-        rot = {v: list(m.vertices[v]) for v in vs}
-        vert = {d: m.vertex_of[d] for v in vs for d in m.vertices[v]}
-        for w in order[1:]:
-            d = parent_dart[w]
-            p, q = d, m.alpha[d]
-            u, v = vert[p], vert[q]
-            lu, lv = rot[u], rot[v]
-            j = lv.index(q)
-            lv2 = lv[j + 1 :] + lv[:j]
-            i = lu.index(p)
-            rot[u] = lu[:i] + lv2 + lu[i + 1 :]
-            del rot[v]
-            for dd in rot[u]:
-                vert[dd] = u
-        (only_vertex,) = rot
-        cyc = [d for d in rot[only_vertex] if m.edge_of[d] not in cotree]
+        # the one-vertex map: walk around the tree, keeping the loop darts
+        # in their cyclic order, and read the form off their chords
+        sigma, alpha, edge_of = m.sigma, m.alpha, m.edge_of
+        cyc = []
+        start = d = m.vertices[root][0]
+        while True:
+            ei = edge_of[d]
+            if ei in tree:
+                d = sigma[alpha[d]]
+            else:
+                if ei not in cotree:
+                    cyc.append(d)
+                d = sigma[d]
+            if d == start:
+                break
         if len(cyc) != 2 * len(loops):
             raise AssertionError("one-vertex reduction dart count mismatch")
         pos = {d: i for i, d in enumerate(cyc)}
         n = len(cyc)
-
-        block = [[0] * len(loops) for _ in range(len(loops))]
-        for a in range(len(loops)):
-            for b in range(len(loops)):
-                if a == b:
-                    continue
-                pi, qi_ = m.edges[loops[a]]
-                pj, qj = m.edges[loops[b]]
-                span = (pos[pi] - pos[qi_]) % n
-                rj_q = (pos[qj] - pos[qi_]) % n
-                rj_p = (pos[pj] - pos[qi_]) % n
-                q_in = 0 < rj_q < span
-                p_in = 0 < rj_p < span
-                if q_in and not p_in:
-                    block[a][b] = 1
-                elif p_in and not q_in:
-                    block[a][b] = -1
-        return block
+        for a, loop_a in enumerate(loops, first):
+            pi, qi = m.edges[loop_a]
+            span = (pos[pi] - pos[qi]) % n
+            for b, loop_b in enumerate(loops, first):
+                pj, qj = m.edges[loop_b]
+                q_in = 0 < (pos[qj] - pos[qi]) % n < span
+                p_in = 0 < (pos[pj] - pos[qi]) % n < span
+                if q_in != p_in:
+                    form[a, b] = 1 if q_in else -1
 
     # -- queries ---------------------------------------------------------
 

@@ -266,20 +266,75 @@ def crossing_pair(classes: Sequence[tuple[int, ...]], k: int) -> tuple | None:
     return None
 
 
-def unpack(total: int, dim: int, width: int) -> tuple[int, ...]:
-    """The `dim` signed coordinates of a packed class sum with fields of
-    `width` bits, coordinate k in bits [k * width, (k + 1) * width) (the
-    inverse of `analysis._pack`)."""
-    coords = []
-    for _ in range(dim):
+def borrowed_fields(total: int, count: int, width: int) -> tuple[int, ...]:
+    """The `count` signed fields of `width` bits of `total`, lowest first,
+    each read with a borrow from the rest (the reference for
+    `frontier.signed_fields`)."""
+    fields = []
+    for _ in range(count):
         field = total & ((1 << width) - 1)
         if field >> (width - 1):
             field -= 1 << width
-        coords.append(field)
+        fields.append(field)
         total = (total - field) >> width
     if total:
         raise ValueError("packed sum has bits beyond its last field")
-    return tuple(coords)
+    return tuple(fields)
+
+
+def unpack(total: int, dim: int, width: int) -> tuple[int, ...]:
+    """The `dim` signed coordinates of a packed class sum with fields of
+    `width` bits, coordinate k in bits [(dim - 1 - k) * width, (dim - k) * width)
+    (the inverse of `analysis._pack`)."""
+    return borrowed_fields(total, dim, width)[::-1]
+
+
+def one_vertex_rotations(h: MapHomology) -> list[list[int]]:
+    """Per component of `h.map`, the darts of its loop edges in their cyclic
+    order at the one vertex left when the tree edges of `h` are contracted
+    and the rest, its cotree, deleted (the reference for the tree walk of
+    `surface.MapHomology`).  Each tree edge is contracted by splicing the
+    rotation of its far end into that of its near end in place of the
+    edge's darts.  The edges go in order of their parent darts, not in BFS
+    order: any order contracts to the same cyclic order."""
+    m = h.map
+    rot = {v: list(darts) for v, darts in enumerate(m.vertices)}
+    vert = list(m.vertex_of)
+    for p in sorted(h._tree_parent_dart.values()):
+        q = m.alpha[p]
+        u, v = vert[p], vert[q]
+        lu, lv = rot[u], rot.pop(v)
+        i, j = lu.index(p), lv.index(q)
+        rot[u] = lu[:i] + lv[j + 1 :] + lv[:j] + lu[i + 1 :]
+        for d in rot[u]:
+            vert[d] = u
+    loops = set(h.loop_edges)
+    return [[d for d in darts if m.edge_of[d] in loops] for darts in rot.values()]
+
+
+def rotation_form(h: MapHomology) -> list[list[int]]:
+    """The intersection form over `h.loop_edges` read from
+    `one_vertex_rotations`: entry (a, b) is +1 when, going round the vertex
+    from the backward dart of loop a to its forward dart, the walk meets
+    the backward dart of loop b but not its forward dart, -1 for the
+    reverse, and 0 when it meets both or neither."""
+    m = h.map
+    index = {ei: k for k, ei in enumerate(h.loop_edges)}
+    rows = [[0] * len(index) for _ in index]
+    for darts in one_vertex_rotations(h):
+        for q in darts:
+            p = m.alpha[q]
+            if p > q:
+                continue
+            i = darts.index(q)
+            turn = darts[i + 1 :] + darts[:i]
+            inside = set(turn[: turn.index(p)])
+            for d in darts:
+                b = m.edge_of[d]
+                if d < m.alpha[d] and b != m.edge_of[p]:
+                    q_in, p_in = m.alpha[d] in inside, d in inside
+                    rows[index[m.edge_of[p]]][index[b]] = q_in - p_in
+    return rows
 
 
 def greedy_order(tables: StateTables) -> list[int]:

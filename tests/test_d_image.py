@@ -82,14 +82,45 @@ TWIST = [(f"p_family({n})", catalog_p_family(n)) for n in (4, 5)]
 
 
 def test_unpack_class_inverts_pack_up_to_sign():
+    """`analysis._pack` puts coordinate 0 in the top field, from the nonzero
+    (k, value) pairs in any order.  The class reader reads a packed int as
+    it is: -packed reads as the negated class, and abs(packed), which a
+    label holds, as the canonical class."""
     rng = random.Random(20261019)
     for _ in range(300):
         width, dim = rng.randint(2, 9), 2 * rng.randint(1, 5)
         coords = [rng.randint(-(1 << (width - 2)), 1 << (width - 2)) for _ in range(dim)]
-        packed = analysis._pack(enumerate(coords), width)
+        packed = analysis._pack(enumerate(coords), width, dim)
+        pairs = [(k, v) for k, v in enumerate(coords) if v]
+        rng.shuffle(pairs)
+        assert analysis._pack(pairs, width, dim) == packed
         assert oracle.unpack(packed, dim, width) == tuple(coords)
-        for p in (packed, -packed, abs(packed)):
-            assert analysis._class_reader(dim, width)(p) == HomologyClass.canonical(coords)
+        read = analysis._class_reader(dim, width)
+        assert read(packed) == HomologyClass(tuple(coords))
+        assert read(-packed) == HomologyClass(tuple(-x for x in coords))
+        assert read(abs(packed)) == HomologyClass.canonical(coords)
+
+
+def test_packed_int_order_is_class_order():
+    """In fields of the width `_class_steps` gives a coordinate bound, the
+    top nonzero field, coordinate 0's side, fixes the sign of a packed int:
+    abs() packs the canonical class, the reader returns it from there, and
+    packed ints, signed or canonical, sort as their classes do."""
+    rng = random.Random(20261024)
+    for _ in range(300):
+        bits = rng.randint(1, 40)
+        bound = rng.choice((1, 2, 3, 1 << bits, (1 << bits) - 1, rng.randint(1, 1 << 50)))
+        width, dim = bound.bit_length() + 1, 2 * rng.randint(1, 5)
+        read = analysis._class_reader(dim, width)
+        values = (bound, -bound, 0, 1, -1)
+        vectors = [[rng.choice(values + (rng.randint(-bound, bound),)) for _ in range(dim)] for _ in range(12)]
+        packed = [analysis._pack(enumerate(c), width, dim) for c in vectors]
+        for c, p in zip(vectors, packed):
+            canonical = HomologyClass.canonical(c)
+            assert abs(p) == analysis._pack(enumerate(canonical.coords), width, dim)
+            assert read(abs(p)) == canonical
+        assert [read(p) for p in sorted(packed)] == sorted(HomologyClass(tuple(c)) for c in vectors)
+        assert [read(p) for p in sorted(map(abs, packed))] == sorted(map(HomologyClass.canonical, vectors))
 
 
 def test_signed_fields_round_trip_at_the_widest_coefficients():
@@ -104,7 +135,7 @@ def test_signed_fields_round_trip_at_the_widest_coefficients():
         assert bound <= top and offset >= 2 * n
         for _ in range(30):
             coeffs = [rng.choice((top, -top, bound, -bound, 0, rng.randint(-top, top))) for _ in range(5 * n + 1)]
-            packed = analysis._pack(enumerate(coeffs), width)
+            packed = sum(c << (j * width) for j, c in enumerate(coeffs))
             assert signed_fields(packed, width, len(coeffs)) == coeffs
             assert read_packed(packed, n) == LaurentPoly({n - 2 * (j - offset): c for j, c in enumerate(coeffs)})
         with pytest.raises(ArithmeticError, match="beyond its last field"):
@@ -141,7 +172,7 @@ def test_signed_fields_range_ends_under_python_O():
 
 def test_signed_fields_match_the_borrowing_reader():
     """The biased one-pass read against the field-by-field reader with
-    borrows (tests/oracle.py `unpack`), inside and just outside the range."""
+    borrows (tests/oracle.py `borrowed_fields`), inside and just outside the range."""
     rng = random.Random(20261019)
     for _ in range(500):
         width, count = rng.randint(2, 12), rng.randint(0, 9)
@@ -150,7 +181,7 @@ def test_signed_fields_match_the_borrowing_reader():
         low, high = -bias, (1 << (width * count)) - 1 - bias
         for packed in (low, high, rng.randint(low, high), low - 1, high + 1, low - rng.randint(1, 1 << 20)):
             try:
-                expected = list(oracle.unpack(packed, count, width))
+                expected = list(oracle.borrowed_fields(packed, count, width))
             except ValueError:
                 expected = None
             if expected is None:
@@ -180,7 +211,7 @@ def test_d_image_collapses_where_the_most_loops_close(sign, sep):
         assert d_image_bracket(build_carter_surface(d)).collapse() == LOOP_VALUE * kauffman_bracket(d), m
 
 
-def test_d_image_collapses_to_the_planar_bracket_past_the_gray_walk():
+def test_d_image_collapses_to_the_planar_bracket_at_26_to_46_crossings():
     for n in range(10, 21):
         d = catalog_p_family(n)
         assert d_image_bracket(build_carter_surface(d)).collapse() == LOOP_VALUE * kauffman_bracket(d), n
@@ -232,7 +263,7 @@ def test_sweep_equals_merged_gray_walk_under_three_orders(d):
         assert list(got) == list(expected), name
 
 
-def test_sweep_equals_merged_gray_walk_on_the_pool():
+def test_image_sweep_equals_merged_full_sweep_on_the_pool():
     for code in POOL:
         rep = build_carter_surface(parse_gauss_code(code))
         got = _read(rep, analysis._image_sum(rep))

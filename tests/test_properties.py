@@ -39,7 +39,7 @@ def test_generated_codes_are_valid(code):
 
 
 @given(gauss_codes())
-def test_gray_walk_tally_matches_state_order_oracle(code):
+def test_full_bracket_sweep_matches_state_order_oracle(code):
     rep = build_carter_surface(parse_gauss_code(code))
     assert list(_bracket_sum(rep).items()) == list(bracket_chunk(rep).items())
 

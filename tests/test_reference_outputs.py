@@ -1,9 +1,11 @@
 """Every op of the benchmark's workloads, run through `vknot.cli.main` in
 process, prints exactly what perfbench/reference.json records: its exit
-code and the SHA-256 of its stdout.
+code and the SHA-256 of its stdout.  So do `certify` and `surface-bracket`
+on the seeded random codes of tests/golden_outputs.json.
 
 perfbench/workloads.py and perfbench/reference.json are read, never
-changed or run as scripts.
+changed or run as scripts.  `python tests/test_reference_outputs.py`
+rewrites tests/golden_outputs.json from the code it runs.
 """
 
 import contextlib
@@ -11,13 +13,16 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
+from randgen import random_gauss_code
 
 from vknot.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 
 #: Ops that reference.json records as raised, which now exit 0, with the
 #: digest of their output.  `virtualize-report` on the virtual trefoil
@@ -61,3 +66,28 @@ def test_workload_ops_match_reference(workload):
             assert not reference[key].startswith("raise="), f"unpinned raise record: {key}"
             expected[key] = reference[key]
     assert [key for key, argv in argvs.items() if _digest(argv) != expected[key]] == []
+
+
+def _golden_ops() -> list[list[str]]:
+    """`certify` and `surface-bracket` in JSON on 200 distinct seeded random
+    codes of 1-10 crossings and 1-3 components.  The witnesses of a
+    certificate and the keys of a surface bracket are coordinates in the
+    symplectic basis that `surface.MapHomology` builds, and the benchmark's
+    reference covers only about 110 diagrams for these commands."""
+    rng = random.Random(20261019)
+    codes: dict[str, None] = {}
+    while len(codes) < 200:
+        n = rng.randint(1, 10)
+        codes[random_gauss_code(rng, n, rng.randint(1, min(3, 2 * n)))] = None
+    return [[cmd, code, "--format", "json"] for code in codes for cmd in ("certify", "surface-bracket")]
+
+
+def test_random_codes_match_golden_digests():
+    golden = json.loads(GOLDEN.read_text())
+    argvs = {" ".join(argv): argv for argv in _golden_ops()}
+    assert list(argvs) == list(golden)
+    assert [key for key, argv in argvs.items() if _digest(argv) != golden[key]] == []
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({" ".join(argv): _digest(argv) for argv in _golden_ops()}, indent=1) + "\n")

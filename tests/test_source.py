@@ -48,6 +48,11 @@ RETIRED_NAMES = {
     "class_tuples": "analysis._relabel",
     "count_width": "frontier.packed_fields",
     "family_report": "certify(catalog_p_family(n))",
+    # the depth sort of the cotree faces and the per-component form blocks:
+    # faces are eliminated in reversed BFS order, and the form is written
+    # once, from the walk around the tree
+    "face_depth": "surface.MapHomology._process_component",
+    "comp_faces": "surface.MapHomology._process_component",
 }
 
 

@@ -5,28 +5,31 @@ every curve of every state with the union-find cut (disk test first) and
 the public `loop_homology` (no memo), and sums `A^c(s) d^k` with
 `LaurentPoly`.  The per-dart symplectic table behind `loop_homology` is
 checked against the edge-by-edge `cycle_coords`, the one-sweep disk test
-against the union-find cut, and the frontier sweep of the full bracket
-against the state-by-state chunk, all of tests/oracle.py.
+against the union-find cut, the frontier sweep of the full bracket
+against the state-by-state chunk, and the form read off the walk around
+the homology tree against the one-vertex rotation that splicing leaves,
+all of tests/oracle.py.
 """
 
 import functools
 import random
 
 import pytest
-from oracle import bracket_chunk, cut_map, cycle_coords, state_curves, unpack
+from oracle import bracket_chunk, cut_map, cycle_coords, rotation_form, state_curves, unpack
 from randgen import GENUS_THREE_CODE, random_gauss_code
 
 import vknot.analysis as analysis
 from vknot.analysis import SurfaceBracket, _bracket_sum, _CurveLabels, surface_bracket
 from vknot.bracket import StateTables, d_power
 from vknot.catalog import catalog, catalog_names, catalog_p_family
-from vknot.diagram import VirtualLinkDiagram, parse_gauss_code
+from vknot.diagram import VirtualLinkDiagram, format_gauss_code, parse_gauss_code
 from vknot.frontier import greedy_order
 from vknot.laurent import LOOP_VALUE, LaurentPoly
 from vknot.surface import (
     HomologyClass,
     LoopNotEmbedded,
     LoopNotOnSurface,
+    MapHomology,
     _cut_map,
     build_carter_surface,
     cut_along_loop,
@@ -199,8 +202,45 @@ def test_packed_class_sum_unpacks_to_edge_coordinates(kind, arg):
             assert _fused_sum(labels, [e ^ 1 for e in reversed(ends)])[1] == join_key, (state, ends)
             coords = unpack(packed, dim, labels.width)
             assert coords in (classes[cycle], tuple(-x for x in classes[cycle])), (state, ends)
+            # coordinate 0 packs into the top field: abs() is the canonical class
+            assert unpack(abs(packed), dim, labels.width) == HomologyClass.canonical(coords).coords, (state, ends)
     # and one key names one curve
     assert len(set(keys.values())) == len(keys)
+
+
+#: The split union of two virtual trefoils: its refined map has two
+#: components of genus 1, so the form is one block per component.
+SPLIT_CODE = "O1+O2+U1+U2+;O3+O4+U3+U4+"
+
+
+def _rotation_diagrams(group):
+    if group == "catalog":
+        return [catalog(name) for name in catalog_names()]
+    if group == "p_family":
+        return [catalog_p_family(n) for n in range(7)]
+    if group == "split":
+        return [parse_gauss_code(SPLIT_CODE)]
+    rng = random.Random(20261024)
+    codes = []
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        codes.append(random_gauss_code(rng, n, rng.randint(1, min(3, 2 * n))))
+    return [parse_gauss_code(code) for code in codes]
+
+
+@pytest.mark.parametrize("group", ["catalog", "p_family", "split", "random"])
+def test_tree_walk_form_matches_the_splicing_contraction(group):
+    """The form `MapHomology` reads off its walk around the tree equals the
+    one read from the rotation that contracting the tree edge by edge, by
+    splicing rotation lists, leaves (tests/oracle.py `rotation_form`), on the
+    Carter map and on the refined map."""
+    for d in _rotation_diagrams(group):
+        rep = build_carter_surface(d)
+        for m in (rep.map, rep.refined.map):
+            h = MapHomology(m)
+            assert [list(row) for row in h.form.entries] == rotation_form(h), format_gauss_code(d)
+        if group == "split":
+            assert len(rep.refined.map.components) == 2 and rep.genus == 2
 
 
 def _fundamental_walks(rep):
@@ -448,6 +488,7 @@ def test_packed_field_width_follows_the_coefficients(d, genus):
             packed, join_key = _fused_sum(labels, ends)
             assert keys.setdefault(frozenset(curve), join_key) == join_key
             assert unpack(packed, 2 * rep.genus, labels.width) in (coords, tuple(-x for x in coords))
+            assert unpack(abs(packed), 2 * rep.genus, labels.width) == HomologyClass.canonical(coords).coords
             nonzero += any(coords)
     assert len(set(keys.values())) == len(keys)
     assert nonzero
