@@ -25,7 +25,14 @@ of the labels whose int is nonzero and reads no coefficient;
 coordinate 0 in the top field (`_pack`), so the int has the sign of the
 first nonzero coordinate and ints compare as classes do: a closed loop
 adds abs(packed), its canonical class, and a label's sorted ints are its
-sorted classes, each read once, in that order, and never sorted again.
+sorted classes, in that order, never sorted again.
+
+`certify` keeps the distinct packed ints of those labels (`_ImageClasses`),
+checks that each fits its fields, and unpacks a class only when the
+per-torus scan reads it; the scan stops once every torus has its pair,
+which on most diagrams leaves most classes unread.  The mod-2 span reads
+no class: the parity vector of a class is its biased int masked to the
+low bit of each field (`_ImageClasses.parities`).
 
 The full surface bracket (`surface_bracket`, behind `surface-bracket`)
 must tell disk-bounding from null-essential curves, which is not local to
@@ -57,12 +64,13 @@ it at genus 2, yet Reidemeister moves reduce it to a kink of the unknot.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bracket import StateTables, d_power
 from .diagram import VirtualLinkDiagram, format_gauss_code
-from .frontier import DISK, field_reader, labelled_state_sum, read_packed
+from .frontier import DISK, SignedFields, labelled_state_sum, read_packed
 from .laurent import LaurentPoly
 from .surface import (
     HomologyClass,
@@ -71,7 +79,7 @@ from .surface import (
     is_disk_bounding,
     loop_homology,
 )
-from .symplectic import mod2_rank
+from .symplectic import mod2_rank, parity_rank
 
 #: Grouping key of the surface bracket: canonical multiset of nonzero
 #: homology classes plus the count of null-homologous essential curves.
@@ -157,10 +165,15 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[dict[tuple[int, 
     """
     m, join_side, dart_vec = rep.refined.map, rep.refined.join_side, rep.homology.dart_vec
     vertex_of, alpha = m.vertex_of, m.alpha
-    bound = sum(max(abs(v) for _, v in vec) for vec in dart_vec if vec)
+    # an edge's two darts have opposite classes (`MapHomology.dart_vec`)
+    forward = [(d, e, dart_vec[d]) for d, e in m.edges if dart_vec[d]]
+    bound = 2 * sum(max(abs(v) for _, v in vec) for _, _, vec in forward)
     width = bound.bit_length() + 1
     dim = 2 * rep.genus
-    packed = [_pack(vec, width, dim) if vec else 0 for vec in dart_vec]
+    packed = [0] * m.n_darts
+    for d, e, vec in forward:
+        packed[d] = p = _pack(vec, width, dim)
+        packed[e] = -p
     steps = {}
     for joins in tables.joins:
         for p, q, r, s in joins:
@@ -302,12 +315,10 @@ def surface_bracket(rep: SurfaceRep) -> SurfaceBracket:
     return _surface_bracket(rep, _bracket_sum(rep).items())
 
 
-def _image_labels(
-    rep: SurfaceRep, order: Sequence[int] | None = None
-) -> tuple[dict[tuple[int, ...], int], Callable[[int], HomologyClass]]:
-    """(labels, unpack): the d-image of the surface bracket as
+def _image_labels(rep: SurfaceRep, order: Sequence[int] | None = None) -> tuple[dict[tuple[int, ...], int], int]:
+    """(labels, width): the d-image of the surface bracket as
     `frontier.labelled_state_sum` sums it, each label a sorted tuple of
-    packed classes, and the function that reads one packed class.
+    classes packed by `_pack` with fields of `width` bits.
 
     The d-image sends each null-homologous essential symbol to d, so a
     curve's weight is d for a zero class and its symbol otherwise: it
@@ -318,8 +329,7 @@ def _image_labels(
     """
     tables = StateTables(rep.diagram)
     steps, width = _class_steps(rep, tables)
-    labels = labelled_state_sum(tables, steps, _ImageLabels({0: DISK}), order)
-    return labels, _class_reader(2 * rep.genus, width)
+    return labelled_state_sum(tables, steps, _ImageLabels({0: DISK}), order), width
 
 
 def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[CurveClassKey, int]:
@@ -328,28 +338,65 @@ def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[Curv
     polynomial (`frontier.packed_fields`), without the free loops'
     d^free_loops, the labels in the order of the smallest state index that
     reaches them, zero-valued ones included."""
-    return _relabel(*_image_labels(rep, order))
+    labels, width = _image_labels(rep, order)
+    return _relabel(labels, _class_reader(2 * rep.genus, width))
 
 
-def _image_classes(rep: SurfaceRep) -> list[HomologyClass]:
+def _image_classes(rep: SurfaceRep) -> _ImageClasses:
     """The distinct classes of the labels of the d-image whose packed
     polynomial is nonzero, as `d_image_bracket(rep).nonzero_classes()` lists
     them: by label, in order, and by coordinates within a label, which is
     the order of the label's sorted packed ints (`_pack`).  Packed classes
-    are distinct exactly when their classes are, so each class is unpacked
-    once; no polynomial is read."""
-    labels, unpack = _image_labels(rep)
-    distinct = dict.fromkeys(packed for label, value in labels.items() if value for packed in label)
-    return [unpack(packed) for packed in distinct]
+    are distinct exactly when their classes are, so each class is kept
+    once, as its packed int, and unpacked only when it is read; no
+    polynomial is read."""
+    labels, width = _image_labels(rep)
+    distinct = dict.fromkeys(chain.from_iterable(label for label, value in labels.items() if value))
+    return _ImageClasses(list(distinct), width, 2 * rep.genus)
+
+
+class _ImageClasses(Sequence[HomologyClass]):
+    """Classes packed by `_pack`, each read (`_class_reader`) when it is
+    indexed or iterated over, so a scan that stops early reads a prefix.
+
+    Every int is checked to fit its fields (`frontier.SignedFields.biased`)
+    when the sequence is made.  The GF(2) rank needs no class: the fields
+    are at least 2 bits wide (`_class_steps` makes them one bit wider than
+    a nonzero bound), so bit k width of a biased int is the parity of field
+    k, and `parities` holds each biased int masked to those bits
+    (`SignedFields.lows`), one GF(2) vector per class.
+    """
+
+    def __init__(self, packed: Sequence[int], width: int, dim: int):
+        fields = SignedFields(width, dim)
+        if packed:
+            if width < 2:
+                raise ArithmeticError("parity bits need fields of at least 2 bits")
+            # every int fits exactly when the smallest and the largest do
+            fields.biased(min(packed))
+            fields.biased(max(packed))
+        bias, lows = fields.bias, fields.lows
+        self.parities = [(p + bias) & lows for p in packed]
+        self.packed = packed
+        self._read = _class_reader(dim, width)
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, i: int) -> HomologyClass:
+        return self._read(self.packed[i])
+
+    def __iter__(self) -> Iterator[HomologyClass]:
+        return map(self._read, self.packed)
 
 
 def _class_reader(dim: int, width: int) -> Callable[[int], HomologyClass]:
     """The function that reads the class of `dim` signed coordinates packed
-    by `_pack` with fields of `width` bits (`frontier.field_reader`), the
+    by `_pack` with fields of `width` bits (`frontier.SignedFields`), the
     top field first.  A label holds abs(packed), which packs the canonical
     class, so the class is read as it is."""
-    read = field_reader(width, dim)
-    return lambda packed: HomologyClass(tuple(read(packed)[::-1]))
+    fields = SignedFields(width, dim)
+    return lambda packed: HomologyClass(tuple(fields.read(fields.biased(packed))[::-1]))
 
 
 def d_image_bracket(rep: SurfaceRep) -> SurfaceBracket:
@@ -395,40 +442,55 @@ def per_torus_criterion(classes: Sequence[HomologyClass], genus: int) -> Criteri
     name = "per_torus"
     if genus < 1:
         raise ValueError("criterion requires genus >= 1")
-    coords = [c.coords for c in classes]
-    witnesses = []
-    for k in range(genus):
-        found = _crossing_pair(coords, k)
-        if found is None:
-            return CriterionResult(name, False)
-        witnesses.append(found)
+    witnesses = _crossing_pairs((c.coords for c in classes), genus)
+    if None in witnesses:
+        return CriterionResult(name, False)
     return CriterionResult(name, True, tuple(witnesses), {"basis": "standard"})
 
 
-def _crossing_pair(classes: list[tuple[int, ...]], k: int) -> tuple | None:
-    """(k + 1, c_i, c_j, a_i b_j - a_j b_i) for the first pair (i < j) with a
-    nonzero determinant in the k-th coordinate pair, or None.
+def _crossing_pairs(classes: Iterable[tuple[int, ...]], genus: int) -> list[tuple | None]:
+    """Per torus k < genus, (k + 1, c_i, c_j, a_i b_j - a_j b_i) for the
+    first pair (i < j) with a nonzero determinant in the k-th coordinate
+    pair, or None, in one pass over `classes` that stops once every torus
+    has its pair.
 
     A class of zero projection (a, b) pairs with none, so c_i is the first
     class of nonzero projection, and c_j the first later one not parallel
     to it.  When there is no such c_j, every nonzero projection is parallel
     to c_i's, so to every other: no pair has a nonzero determinant."""
-    a, b = 2 * k, 2 * k + 1
-    for i, ci in enumerate(classes):
-        if ci[a] or ci[b]:
-            for cj in classes[i + 1 :]:
-                val = ci[a] * cj[b] - cj[a] * ci[b]
+    firsts: list[tuple[int, ...] | None] = [None] * genus
+    pairs: list[tuple | None] = [None] * genus
+    tori = range(genus)
+    for c in classes:
+        left = []
+        for k in tori:
+            a, b = c[2 * k], c[2 * k + 1]
+            ci = firsts[k]
+            if ci is None:
+                if a or b:
+                    firsts[k] = c
+            else:
+                val = ci[2 * k] * b - a * ci[2 * k + 1]
                 if val:
-                    return (k + 1, ci, cj, val)
-            return None
-    return None
+                    pairs[k] = (k + 1, ci, c, val)
+                    continue
+            left.append(k)
+        if not left:
+            break
+        tori = left
+    return pairs
 
 
 def mod2_span_criterion(classes: Sequence[HomologyClass], genus: int) -> CriterionResult:
-    """The `classes` of the nonzero keys of a bracket span H_1(F; Z/2)."""
+    """The `classes` of the nonzero keys of a bracket span H_1(F; Z/2).
+    The classes `certify` reads carry their parity vectors
+    (`_ImageClasses.parities`), so none is unpacked for the rank."""
     if genus < 1:
         raise ValueError("criterion requires genus >= 1")
-    rank = mod2_rank([c.coords for c in classes])
+    if isinstance(classes, _ImageClasses):
+        rank = parity_rank(classes.parities)
+    else:
+        rank = mod2_rank([c.coords for c in classes])
     return CriterionResult("mod2_span", rank == 2 * genus, detail={"rank": rank, "required": 2 * genus})
 
 
@@ -478,8 +540,9 @@ def certify(d: VirtualLinkDiagram) -> Certificate:
     The criteria read the classes that the image keeps: those of the labels
     whose packed polynomial is nonzero, ordered by the smallest state index
     of their labels and by coordinates within a label, as
-    `d_image_bracket(rep).nonzero_classes()` lists them.  No coefficient is
-    read: a label's polynomial is zero exactly when its int is.  Sending
+    `d_image_bracket(rep).nonzero_classes()` lists them, each unpacked only
+    if the per-torus scan reaches it.  No coefficient is read: a label's
+    polynomial is zero exactly when its int is.  Sending
     the null-homologous essential symbol to d can merge keys and cancel
     coefficients, never create a class, so these classes are a subset of
     those that survive in the full surface bracket.  Both criteria are

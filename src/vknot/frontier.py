@@ -61,7 +61,7 @@ JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .laurent import LaurentPoly
 
@@ -222,28 +222,42 @@ def signed_fields(packed: int, width: int, count: int) -> list[int]:
     """The `count` signed `width`-bit fields of `packed`, lowest first: the
     c_k of packed = sum c_k 2^(k width) with -2^(width - 1) <= c_k < 2^(width - 1).
     Raises ArithmeticError when `packed` does not fit in them."""
-    return field_reader(width, count)(packed)
+    fields = SignedFields(width, count)
+    return fields.read(fields.biased(packed))
 
 
-def field_reader(width: int, count: int) -> Callable[[int], list[int]]:
-    """The function `signed_fields(packed, width, count)` of `packed`.
+class SignedFields:
+    """`count` signed fields of `width` bits in one int, as `signed_fields`
+    reads them.
 
     Adding the bias sum 2^(width - 1) 2^(k width), computed here once, turns
     each c_k into the unsigned field c_k + 2^(width - 1), so each field is
     read by one shift and mask and none borrows from the next; `packed`
     fits exactly when the biased value lies in [0, 2^(width count)), so
-    -bias and 2^(width count) - 1 - bias are the ends of the range."""
-    half, total, mask = 1 << (width - 1), width * count, (1 << width) - 1
-    bias = half * (((1 << total) - 1) // mask)
-    shifts = range(0, total, width)
+    -bias and 2^(width count) - 1 - bias are the ends of the range.  For
+    width >= 2 each field's bias is even, so bit k width of a biased int is
+    the parity of c_k: `lows`, the sum of 2^(k width), masks those bits.
+    """
 
-    def read(packed: int) -> list[int]:
-        biased = packed + bias
-        if biased < 0 or biased >> total:
+    __slots__ = ("half", "mask", "total", "bias", "lows", "shifts")
+
+    def __init__(self, width: int, count: int):
+        self.half, self.total, self.mask = 1 << (width - 1), width * count, (1 << width) - 1
+        self.lows = ((1 << self.total) - 1) // self.mask
+        self.bias = self.half * self.lows
+        self.shifts = range(0, self.total, width)
+
+    def biased(self, packed: int) -> int:
+        """packed + bias, or ArithmeticError when `packed` does not fit."""
+        biased = packed + self.bias
+        if biased < 0 or biased >> self.total:
             raise ArithmeticError("packed value has bits beyond its last field")
-        return [((biased >> shift) & mask) - half for shift in shifts]
+        return biased
 
-    return read
+    def read(self, biased: int) -> list[int]:
+        """The signed fields, lowest first, of a value `biased` returned."""
+        half, mask = self.half, self.mask
+        return [((biased >> shift) & mask) - half for shift in self.shifts]
 
 
 def _sweep(tables, order, start, step):

@@ -17,6 +17,7 @@ under-in) at a negative one.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import eq
 from typing import NamedTuple, Sequence
 
 from .diagram import VirtualLinkDiagram, arc_ends
@@ -59,45 +60,45 @@ class CombinatorialMap:
 
     def __init__(self, sigma: Sequence[int], alpha: Sequence[int]):
         self.n_darts = n = len(sigma)
-        self.sigma = tuple(sigma)
-        self.alpha = tuple(alpha)
-        if len(self.alpha) != self.n_darts:
+        self.sigma = sigma = tuple(sigma)
+        self.alpha = alpha = tuple(alpha)
+        if len(alpha) != n:
             raise ValueError("sigma and alpha must act on the same darts")
-        for d in range(self.n_darts):
-            if self.alpha[d] == d or self.alpha[self.alpha[d]] != d:
-                raise ValueError("alpha must be a fixed-point-free involution")
-        if sorted(self.sigma) != list(range(self.n_darts)):
+        darts = list(range(n))
+        if any(map(eq, alpha, darts)) or list(map(alpha.__getitem__, alpha)) != darts:
+            raise ValueError("alpha must be a fixed-point-free involution")
+        if sorted(sigma) != darts:
             raise ValueError("sigma must be a permutation of the darts")
-        self.vertices = _orbits(self.sigma)
-        self.edges = tuple((d, self.alpha[d]) for d in range(n) if d < self.alpha[d])
-        self.faces = _orbits([self.sigma[a] for a in self.alpha])
-        self.vertex_of = _orbit_of(self.vertices, n)
+        self.vertices = vertices = _orbits(sigma)
+        self.edges = tuple([(d, e) for d, e in enumerate(alpha) if d < e])
+        self.faces = _orbits([sigma[a] for a in alpha])
+        self.vertex_of = vertex_of = _orbit_of(vertices, n)
         self.edge_of = _orbit_of(self.edges, n)
         self.face_of = _orbit_of(self.faces, n)
-        parent = list(range(len(self.vertices)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for d, e in self.edges:
-            a, b = find(self.vertex_of[d]), find(self.vertex_of[e])
-            if a != b:
-                parent[a] = b
-        groups: dict[int, list[int]] = {}
-        for v in range(len(self.vertices)):
-            groups.setdefault(find(v), []).append(v)
-        self.components = tuple(tuple(sorted(g)) for g in groups.values())
-        chi = [0] * len(self.vertices)
-        for comp in self.components:
-            vs = set(comp)
-            darts = sum(len(self.vertices[v]) for v in comp)
-            f = sum(1 for orbit in self.faces if self.vertex_of[orbit[0]] in vs)
+        # components by search over vertices, each from its smallest vertex
+        comp_of = [-1] * len(vertices)
+        components = []
+        for root in range(len(vertices)):
+            if comp_of[root] >= 0:
+                continue
+            c = comp_of[root] = len(components)
+            comp = [root]
             for v in comp:
-                chi[v] = len(comp) - darts // 2 + f
-        self.chi_of_vertex = tuple(chi)
+                for d in vertices[v]:
+                    w = vertex_of[alpha[d]]
+                    if comp_of[w] < 0:
+                        comp_of[w] = c
+                        comp.append(w)
+            components.append(tuple(sorted(comp)))
+        self.components = tuple(components)
+        # chi = V + F - E per component, E being half its darts
+        chi, comp_darts = [0] * len(components), [0] * len(components)
+        for orbit in self.faces:
+            chi[comp_of[vertex_of[orbit[0]]]] += 1
+        for v, orbit in enumerate(vertices):
+            chi[comp_of[v]] += 1
+            comp_darts[comp_of[v]] += len(orbit)
+        self.chi_of_vertex = tuple([chi[c] - comp_darts[c] // 2 for c in comp_of])
 
     def genus(self) -> int:
         """Total genus, summed over connected components."""
@@ -257,61 +258,68 @@ class MapHomology:
         self._tree_parent_dart: dict[int, int] = {}  # vertex -> tree dart from its parent
         form: dict[tuple[int, int], int] = {}  # the nonzero entries
         for comp in m.components:
-            self._process_component(set(comp), form)
+            self._process_component(comp, form)
         dim = len(self.loop_edges)
         self.form = SkewForm.from_rows([[form.get((a, b), 0) for b in range(dim)] for a in range(dim)])
         self.basis: SymplecticBasis | None = symplectic_reduce(self.form) if dim else None
         self.genus = dim // 2
         # dart -> its class in symplectic coordinates, as the nonzero
-        # (coordinate, value) pairs, or None for a null-homologous dart
+        # (coordinate, value) pairs, or None for a null-homologous dart: the
+        # edge's loop-edge coordinates times the matching columns of
+        # basis.inverse, the loop edges in symplectic coordinates
         self.dart_vec: list[tuple[tuple[int, int], ...] | None] = [None] * m.n_darts
+        columns = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*self.basis.inverse)] if dim else []
         for ei, (d, e) in enumerate(m.edges):
             coords = self._edge_coords[ei]
             if not coords:
                 continue
-            raw = [0] * dim
+            acc = [0] * dim
             for k, v in coords.items():
-                raw[k] = v
-            vec = tuple((k, v) for k, v in enumerate(self.basis.to_symplectic(raw)) if v)
+                for i, x in columns[k]:
+                    acc[i] += v * x
+            vec = tuple((i, a) for i, a in enumerate(acc) if a)
             # d < alpha(d) runs the edge forward, its partner backward
             self.dart_vec[d] = vec
             self.dart_vec[e] = tuple((k, -v) for k, v in vec)
 
     # -- construction ----------------------------------------------------
 
-    def _process_component(self, vs: set[int], form: dict[tuple[int, int], int]) -> None:
+    def _process_component(self, comp: tuple[int, ...], form: dict[tuple[int, int], int]) -> None:
         m = self.map
-        comp_edges = [ei for ei, (d, _) in enumerate(m.edges) if m.vertex_of[d] in vs]
+        vertices, edges, faces = m.vertices, m.edges, m.faces
+        sigma, alpha, vertex_of, edge_of, face_of = m.sigma, m.alpha, m.vertex_of, m.edge_of, m.face_of
+        vs = set(comp)
+        comp_edges = [ei for ei, (d, _) in enumerate(edges) if vertex_of[d] in vs]
 
         # spanning tree by BFS over vertices
-        root = min(vs)
+        root = comp[0]
         tree: set[int] = set()
         order = [root]
         seen = {root}
+        parent_dart = self._tree_parent_dart
         for v in order:
-            for d in m.vertices[v]:
-                w = m.vertex_of[m.alpha[d]]
+            for d in vertices[v]:
+                w = vertex_of[alpha[d]]
                 if w not in seen:
                     seen.add(w)
-                    tree.add(m.edge_of[d])
-                    self._tree_parent_dart[w] = d
+                    tree.add(edge_of[d])
+                    parent_dart[w] = d
                     order.append(w)
 
         # cotree: BFS spanning tree of the dual over faces, using non-tree edges
-        root_face = min(m.face_of[m.edges[ei][0]] for ei in comp_edges)
-        adj: dict[int, list[int]] = {}
+        root_face = min(face_of[edges[ei][0]] for ei in comp_edges)
+        adj: dict[int, list[tuple[int, int]]] = {}  # face -> (edge, face across it)
         for ei in comp_edges:
             if ei in tree:
                 continue
-            d, e = m.edges[ei]
-            adj.setdefault(m.face_of[d], []).append(ei)
-            adj.setdefault(m.face_of[e], []).append(ei)
+            d, e = edges[ei]
+            f, g = face_of[d], face_of[e]
+            adj.setdefault(f, []).append((ei, g))
+            adj.setdefault(g, []).append((ei, f))
         face_parent: dict[int, int] = {}  # face -> cotree edge to its parent
         forder = [root_face]
         for f in forder:
-            for ei in adj.get(f, ()):
-                d, e = m.edges[ei]
-                g = m.face_of[e] if m.face_of[d] == f else m.face_of[d]
+            for ei, g in adj.get(f, ()):
                 if g != root_face and g not in face_parent:
                     face_parent[g] = ei
                     forder.append(g)
@@ -319,11 +327,12 @@ class MapHomology:
 
         first = len(self.loop_edges)
         loops = [ei for ei in comp_edges if ei not in tree and ei not in cotree]
+        edge_coords = self._edge_coords
         for ei in loops:
-            self._edge_coords[ei] = {len(self.loop_edges): 1}
+            edge_coords[ei] = {len(self.loop_edges): 1}
             self.loop_edges.append(ei)
         for ei in tree:
-            self._edge_coords[ei] = {}
+            edge_coords[ei] = {}
 
         # eliminate cotree edges via face-boundary relations, deepest faces
         # first: the other cotree edges on a face's boundary lead to its
@@ -331,26 +340,23 @@ class MapHomology:
         for f in reversed(forder[1:]):
             e_f = face_parent[f]
             boundary: dict[int, int] = {}
-            for dart in m.faces[f]:
-                ei = m.edge_of[dart]
-                s = 1 if dart < m.alpha[dart] else -1
-                boundary[ei] = boundary.get(ei, 0) + s
+            for dart in faces[f]:
+                ei = edge_of[dart]
+                boundary[ei] = boundary.get(ei, 0) + (1 if dart < alpha[dart] else -1)
             c = boundary.pop(e_f, 0)
             if abs(c) != 1:
                 raise AssertionError("cotree edge must appear once in its face boundary")
             coords: dict[int, int] = {}
             for ei, coeff in boundary.items():
-                if not coeff:
-                    continue
-                for k, v in self._edge_coords[ei].items():
-                    coords[k] = coords.get(k, 0) + coeff * v
-            self._edge_coords[e_f] = {k: -v // c for k, v in coords.items() if v}
+                if coeff:
+                    for k, v in edge_coords[ei].items():
+                        coords[k] = coords.get(k, 0) + coeff * v
+            edge_coords[e_f] = {k: -v // c for k, v in coords.items() if v}
 
         # the one-vertex map: walk around the tree, keeping the loop darts
         # in their cyclic order, and read the form off their chords
-        sigma, alpha, edge_of = m.sigma, m.alpha, m.edge_of
         cyc = []
-        start = d = m.vertices[root][0]
+        start = d = vertices[root][0]
         while True:
             ei = edge_of[d]
             if ei in tree:
@@ -365,13 +371,12 @@ class MapHomology:
             raise AssertionError("one-vertex reduction dart count mismatch")
         pos = {d: i for i, d in enumerate(cyc)}
         n = len(cyc)
-        for a, loop_a in enumerate(loops, first):
-            pi, qi = m.edges[loop_a]
-            span = (pos[pi] - pos[qi]) % n
-            for b, loop_b in enumerate(loops, first):
-                pj, qj = m.edges[loop_b]
-                q_in = 0 < (pos[qj] - pos[qi]) % n < span
-                p_in = 0 < (pos[pj] - pos[qi]) % n < span
+        ends = [(pos[edges[ei][0]], pos[edges[ei][1]]) for ei in loops]
+        for a, (pi, qi) in enumerate(ends, first):
+            span = (pi - qi) % n
+            for b, (pj, qj) in enumerate(ends, first):
+                q_in = 0 < (qj - qi) % n < span
+                p_in = 0 < (pj - qi) % n < span
                 if q_in != p_in:
                     form[a, b] = 1 if q_in else -1
 

@@ -8,7 +8,8 @@ class this package publishes.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 Matrix = list[list[int]]
 
@@ -146,22 +147,35 @@ def symplectic_reduce(form: SkewForm) -> SymplecticBasis:
 
     Deterministic gcd pivoting: the pivot is the smallest nonzero entry in
     absolute value, ties broken by lowest (row, column) index.
+
+    No determinant is taken up front: a form that is not unimodular is
+    refused on the way.  Each step is a unimodular congruence, so every
+    pivot, the gcd of a row of the trailing block, divides the determinant
+    of that block; a zero trailing block or a pivot other than +-1 raises
+    NotUnimodularError.  When every pivot is a unit the reduction ends, and
+    the postcondition checks change^T . form . change = J; taking
+    determinants, det(change)^2 det(form) = det(J) = 1 with integer
+    det(change), so det(form) = 1: the form was unimodular.
     """
     n = form.dim
-    if abs(form.determinant()) != 1:
-        raise NotUnimodularError("skew form is not unimodular")
     q_work: Matrix = [list(row) for row in form.entries]
     change: Matrix = [[int(i == j) for j in range(n)] for i in range(n)]
     inverse: Matrix = [[int(i == j) for j in range(n)] for i in range(n)]
 
     for base in range(0, n, 2):
-        # Move the minimal-absolute-value pivot of the trailing block to (base, base+1).
-        best = None
+        # Move the minimal-absolute-value pivot of the trailing block to
+        # (base, base+1); no nonzero entry is smaller than a unit, so the first unit is it.
+        best, least = None, 0
         for i in range(base, n):
+            row = q_work[i]
             for j in range(base, n):
-                v = q_work[i][j]
-                if v and (best is None or abs(v) < abs(q_work[best[0]][best[1]])):
-                    best = (i, j)
+                v = abs(row[j])
+                if v and (not least or v < least):
+                    best, least = (i, j), v
+                    if v == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             raise NotUnimodularError("zero trailing block; form is not unimodular")
         bi, bj = best
@@ -208,34 +222,36 @@ def symplectic_reduce(form: SkewForm) -> SymplecticBasis:
 
 def _check_standard(form: SkewForm, basis: SymplecticBasis) -> bool:
     """change^T . form . change == J, as (change^T . form) . change: O(n^3)."""
-    n = form.dim
-    std = standard_form(n // 2).entries
-    f = form.entries
+    form_cols = list(zip(*form.entries))
     cols = list(zip(*basis.change))  # the new basis vectors
     for i, ci in enumerate(cols):
-        row = [sum(x * f[r][s] for r, x in enumerate(ci)) for s in range(n)]  # row i of change^T . form
-        for j, cj in enumerate(cols):
-            if sum(x * y for x, y in zip(row, cj)) != std[i][j]:
-                return False
+        row = [sum(map(mul, ci, fc)) for fc in form_cols]  # row i of change^T . form
+        std_row = [0] * form.dim  # row i of J: 1 at i + 1 for even i, -1 at i - 1 for odd i
+        std_row[i ^ 1] = -1 if i & 1 else 1
+        if [sum(map(mul, row, cj)) for cj in cols] != std_row:
+            return False
     return True
 
 
 def mod2_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(2) of a collection of integer vectors.  A parity vector
-    already reduced adds nothing, so it is reduced once."""
-    basis: list[int] = []
-    seen: set[int] = set()
-    for vec in vectors:
-        x = 0
-        for k, v in enumerate(vec):
-            if v & 1:
-                x |= 1 << k
-        if x in seen:
-            continue
-        seen.add(x)
-        for b in basis:
-            x = min(x, x ^ b)
-        if x:
-            basis.append(x)
-            basis.sort(reverse=True)
-    return len(basis)
+    """Rank over GF(2) of a collection of integer vectors: the
+    `parity_rank` of their parity vectors, bit k for coordinate k."""
+    return parity_rank(sum(1 << k for k, v in enumerate(vec) if v & 1) for vec in vectors)
+
+
+def parity_rank(vectors: Iterable[int]) -> int:
+    """Rank over GF(2) of vectors given as int bit masks, by elimination
+    on the top bit: `pivots` keeps one reduced vector per top bit, and a
+    vector is reduced by the pivot of its top bit until it is 0 or has a
+    new top bit.  Equal vectors span what one of them does, so each
+    distinct vector is reduced once."""
+    pivots: dict[int, int] = {}
+    for x in set(vectors):
+        while x:
+            top = x.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = x
+                break
+            x ^= pivot
+    return len(pivots)

@@ -216,6 +216,27 @@ def bracket_chunk(rep: SurfaceRep) -> dict[CurveClassKey, int]:
     return {key: packed(key_counts, n) for key, key_counts in counts.items()}
 
 
+def dense_dart_vec(h: MapHomology) -> list[tuple[tuple[int, int], ...] | None]:
+    """Each dart's class in symplectic coordinates, as the nonzero
+    (coordinate, value) pairs: its edge's loop-edge coordinates written out
+    as a dense vector and taken through `SymplecticBasis.to_symplectic`, the
+    partner dart negated (the reference for `MapHomology.dart_vec`)."""
+    m = h.map
+    dim = len(h.loop_edges)
+    out: list[tuple[tuple[int, int], ...] | None] = [None] * m.n_darts
+    for ei, (d, e) in enumerate(m.edges):
+        coords = h._edge_coords[ei]
+        if not coords:
+            continue
+        raw = [0] * dim
+        for k, v in coords.items():
+            raw[k] = v
+        vec = tuple((k, v) for k, v in enumerate(h.basis.to_symplectic(raw)) if v)
+        out[d] = vec
+        out[e] = tuple((k, -v) for k, v in vec)
+    return out
+
+
 def det_fraction(m: Sequence[Sequence[int]]) -> int:
     """Determinant by Gaussian elimination over the rationals (the reference
     for `symplectic.det_int`)."""
@@ -257,7 +278,7 @@ def check_standard(form: SkewForm, basis: SymplecticBasis) -> bool:
 def crossing_pair(classes: Sequence[tuple[int, ...]], k: int) -> tuple | None:
     """(k + 1, c_i, c_j, a_i b_j - a_j b_i) for the first pair i < j, in
     lexicographic order, with a nonzero determinant in the k-th coordinate
-    pair, trying every pair (the reference for `analysis._crossing_pair`)."""
+    pair, trying every pair (the reference for `analysis._crossing_pairs`)."""
     for i, ci in enumerate(classes):
         for cj in classes[i + 1 :]:
             val = ci[2 * k] * cj[2 * k + 1] - cj[2 * k] * ci[2 * k + 1]

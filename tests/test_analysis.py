@@ -8,7 +8,7 @@ import pytest
 from oracle import crossing_pair, state_curves
 
 from vknot.analysis import (
-    _crossing_pair,
+    _crossing_pairs,
     certify,
     mod2_span_criterion,
     per_torus_criterion,
@@ -171,9 +171,11 @@ def test_crossing_pair_matches_every_pair_oracle():
     rng = random.Random(20261019)
     outcomes = {"found": 0, "none": 0, "late": 0}
     for classes in _class_lists(rng):
-        for k in range(len(classes[0]) // 2 if classes else 1):
+        genus = len(classes[0]) // 2 if classes else 1
+        pairs = _crossing_pairs(classes, genus)
+        for k in range(genus):
             expected = crossing_pair(classes, k)
-            assert _crossing_pair(classes, k) == expected, (classes, k)
+            assert pairs[k] == expected, (classes, k)
             outcomes["none" if expected is None else "found"] += 1
             if expected is not None and expected[2] is classes[-1] and len(classes) > 2:
                 outcomes["late"] += 1
@@ -181,13 +183,21 @@ def test_crossing_pair_matches_every_pair_oracle():
 
 
 def test_crossing_pair_edge_cases():
-    assert _crossing_pair([], 0) is None
-    assert _crossing_pair([(0, 0), (0, 0)], 0) is None
+    assert _crossing_pairs([], 1) == [None]
+    assert _crossing_pairs([(0, 0), (0, 0)], 1) == [None]
     # all parallel, zero projections mixed in
-    assert _crossing_pair([(0, 0), (1, 2), (0, 0), (-2, -4), (3, 6)], 0) is None
+    assert _crossing_pairs([(0, 0), (1, 2), (0, 0), (-2, -4), (3, 6)], 1) == [None]
     # the witness is the last class, found after parallel and zero ones
     classes = [(0, 0), (1, 2), (2, 4), (0, 0), (-1, -2), (1, 3)]
-    assert _crossing_pair(classes, 0) == (1, (1, 2), (1, 3), 1) == crossing_pair(classes, 0)
+    assert _crossing_pairs(classes, 1) == [(1, (1, 2), (1, 3), 1)] == [crossing_pair(classes, 0)]
     # torus 1 of genus-2 classes: the first class has a zero projection there
     classes = [(1, 0, 0, 0), (0, 1, 2, 0), (5, 5, 0, 1)]
-    assert _crossing_pair(classes, 1) == (2, (0, 1, 2, 0), (5, 5, 0, 1), 2) == crossing_pair(classes, 1)
+    assert _crossing_pairs(classes, 2)[1] == (2, (0, 1, 2, 0), (5, 5, 0, 1), 2) == crossing_pair(classes, 1)
+    # the scan stops at the class that completes the last pair
+    read = []
+    classes = [(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 1)]
+    assert _crossing_pairs((read.append(c) or c for c in classes), 2) == [
+        (1, (1, 0, 0, 1), (0, 1, 1, 0), 1),
+        (2, (1, 0, 0, 1), (0, 1, 1, 0), -1),
+    ]
+    assert read == classes[:2]

@@ -20,6 +20,8 @@ import pytest
 from randgen import random_gauss_code
 
 from vknot.cli import main
+from vknot.diagram import parse_gauss_code
+from vknot.surface import genus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
@@ -70,16 +72,27 @@ def test_workload_ops_match_reference(workload):
 
 def _golden_ops() -> list[list[str]]:
     """`certify` and `surface-bracket` in JSON on 200 distinct seeded random
-    codes of 1-10 crossings and 1-3 components.  The witnesses of a
+    codes of 1-10 crossings and 1-3 components, then `certify` on 40 of
+    11-13 crossings and Carter genus at least 3.  The witnesses of a
     certificate and the keys of a surface bracket are coordinates in the
     symplectic basis that `surface.MapHomology` builds, and the benchmark's
-    reference covers only about 110 diagrams for these commands."""
+    reference covers only about 110 diagrams for these commands.  On most of
+    the larger codes the per-torus scan is satisfied before it has read
+    every class of the d-image, so they pin the witnesses and ranks that a
+    scan stopping early must still give."""
     rng = random.Random(20261019)
     codes: dict[str, None] = {}
     while len(codes) < 200:
         n = rng.randint(1, 10)
         codes[random_gauss_code(rng, n, rng.randint(1, min(3, 2 * n)))] = None
-    return [[cmd, code, "--format", "json"] for code in codes for cmd in ("certify", "surface-bracket")]
+    ops = [[cmd, code, "--format", "json"] for code in codes for cmd in ("certify", "surface-bracket")]
+    rng = random.Random(20261020)
+    large: dict[str, None] = {}
+    while len(large) < 40:
+        code = random_gauss_code(rng, rng.randint(11, 13), rng.randint(1, 3))
+        if genus(parse_gauss_code(code)) >= 3:
+            large[code] = None
+    return ops + [["certify", code, "--format", "json"] for code in large]
 
 
 def test_random_codes_match_golden_digests():

@@ -34,6 +34,10 @@ RETIRED_NAMES = {
     "_unpack": "frontier.read_packed",
     # the per-call class reader: the field bias is computed once per sweep
     "_unpack_class": "analysis._class_reader",
+    # the field-reading closure and the per-torus scan run once per torus:
+    # fields are biased and read apart, and one scan finds every torus's pair
+    "field_reader": "frontier.SignedFields",
+    "_crossing_pair": "analysis._crossing_pairs",
     # the state-by-state surface tracer, its curve memo and the 2^n Gray walk
     # with its tally: `analysis._bracket_sum` sweeps the full surface bracket
     # with the kernel of the d-image, and only `_CurveLabels` knows the

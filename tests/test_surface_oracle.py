@@ -15,7 +15,7 @@ import functools
 import random
 
 import pytest
-from oracle import bracket_chunk, cut_map, cycle_coords, rotation_form, state_curves, unpack
+from oracle import bracket_chunk, cut_map, cycle_coords, dense_dart_vec, rotation_form, state_curves, unpack
 from randgen import GENUS_THREE_CODE, random_gauss_code
 
 import vknot.analysis as analysis
@@ -241,6 +241,19 @@ def test_tree_walk_form_matches_the_splicing_contraction(group):
             assert [list(row) for row in h.form.entries] == rotation_form(h), format_gauss_code(d)
         if group == "split":
             assert len(rep.refined.map.components) == 2 and rep.genus == 2
+
+
+@pytest.mark.parametrize("group", ["catalog", "p_family", "split", "random"])
+def test_dart_classes_match_the_dense_change_of_basis(group):
+    """Each dart's class, summed from the sparse loop-edge coordinates of its
+    edge over columns of `basis.inverse`, equals the dense
+    `to_symplectic` of those coordinates (tests/oracle.py `dense_dart_vec`),
+    on the Carter map and on the refined map."""
+    for d in _rotation_diagrams(group):
+        rep = build_carter_surface(d)
+        for m in (rep.map, rep.refined.map):
+            h = MapHomology(m)
+            assert h.dart_vec == dense_dart_vec(h), format_gauss_code(d)
 
 
 def _fundamental_walks(rep):

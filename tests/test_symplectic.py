@@ -89,6 +89,36 @@ def test_reduce_rejects_degenerate():
         symplectic_reduce(form)
 
 
+def _congruent(rows, u):
+    """u^T . rows . u."""
+    n = len(rows)
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    return [[sum(u[a][i] * rows[a][b] * u[b][j] for a, b in pairs) for j in range(n)] for i in range(n)]
+
+
+def test_reduce_refuses_forms_that_are_not_unimodular_without_a_determinant(monkeypatch):
+    """A singular 4x4 form and J + 3J (determinant 9), as given and under 30
+    seeded unimodular congruences each, are refused with NotUnimodularError
+    by the pivot checks of the reduction; no determinant is taken."""
+    import vknot.symplectic as symplectic
+
+    def no_determinant(m):
+        raise AssertionError("det_int called")
+
+    monkeypatch.setattr(symplectic, "det_int", no_determinant)
+    singular = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    det_nine = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]]
+    rng = random.Random(20261025)
+    for rows in (singular, det_nine):
+        assert det_fraction(rows) == (0 if rows is singular else 9)
+        for u in [[[int(i == j) for j in range(4)] for i in range(4)]] + [random_unimodular(4, rng) for _ in range(30)]:
+            with pytest.raises(NotUnimodularError):
+                symplectic_reduce(SkewForm.from_rows(_congruent(rows, u)))
+    # a unimodular form still reduces
+    unimodular = _congruent(standard_form(2).entries, random_unimodular(4, rng))
+    assert symplectic_reduce(SkewForm.from_rows(unimodular)).genus == 2
+
+
 def _conjugated_standard(g: int, rng) -> SkewForm:
     dim = 2 * g
     u = random_unimodular(dim, rng)
