@@ -2,10 +2,14 @@
 
 A diagram's 4-valent graph, thickened using the rotation system at each
 crossing and capped along its boundary circles, is a closed orientable
-surface in which the diagram embeds.  This module builds that surface as
-a combinatorial map (dart permutations), computes its genus, a homology
-basis with the integer intersection form, homology classes of embedded
-loops, and disk-bounding tests by cutting the surface open.
+surface in which the diagram embeds.  This module reads that surface's
+faces, components and genus straight off the crossing rotation
+(`SurfaceRep`), writes the tables of its quad refinement directly
+(`RefinedMap`), and computes a homology basis with the integer
+intersection form, homology classes of embedded loops, and disk-bounding
+tests by cutting the surface open.  `CombinatorialMap` holds a map's
+tables; built from arbitrary dart permutations, it validates them and
+lays the tables out itself, and the refinement writes the same layout.
 
 The darts are the arc ends of `diagram.arc_ends`, and its crossing
 rotation is the counterclockwise dart order at each crossing (validated by
@@ -36,10 +40,6 @@ class BasisMismatch(ValueError):
     """Homology classes from different bases were combined."""
 
 
-class IndexOutOfRange(IndexError):
-    """Torus index outside 1..genus."""
-
-
 class CombinatorialMap:
     """An orientable surface as dart permutations.
 
@@ -47,10 +47,11 @@ class CombinatorialMap:
     `alpha` is the fixed-point-free edge involution.  Vertices, edges and
     faces are the orbits of sigma, alpha and phi = sigma o alpha; each
     connected component contributes 2 - 2*genus to chi = V - E + F.  Every
-    table is built once, with the map: the orbits, each dart's vertex, edge
-    and face index (`vertex_of`, `edge_of`, `face_of`), the components as
-    sorted tuples of vertex indices, and the chi of each vertex's component
-    (`chi_of_vertex`).
+    table is built once, with the map: the orbits, each from its smallest
+    dart, in order of that dart, each dart's vertex, edge and face index
+    (`vertex_of`, `edge_of`, `face_of`), the components as sorted tuples of
+    vertex indices, in order of the smallest, and the chi of each vertex's
+    component (`chi_of_vertex`).
     """
 
     __slots__ = (
@@ -100,6 +101,16 @@ class CombinatorialMap:
             comp_darts[comp_of[v]] += len(orbit)
         self.chi_of_vertex = tuple([chi[c] - comp_darts[c] // 2 for c in comp_of])
 
+    @classmethod
+    def _from_tables(cls, **tables) -> "CombinatorialMap":
+        """A map whose tables the caller has laid out as `__init__` would,
+        every slot but `n_darts` by name; nothing is checked."""
+        m = cls.__new__(cls)
+        m.n_darts = len(tables["sigma"])
+        for name in cls.__slots__[1:]:
+            setattr(m, name, tables[name])
+        return m
+
     def genus(self) -> int:
         """Total genus, summed over connected components."""
         total = 0
@@ -142,7 +153,19 @@ def _orbit_of(orbits: Sequence[Sequence[int]], n_darts: int) -> tuple[int, ...]:
 
 
 class SurfaceRep:
-    """A diagram together with its Carter surface.
+    """A diagram together with its Carter surface, read straight off the
+    crossing rotation.
+
+    The darts are the 4n arc ends: sigma turns each counterclockwise around
+    its crossing and alpha(e) = e ^ 1 runs along its arc, so the capped
+    boundary circles (`faces`) are the orbits of phi = sigma o alpha, each
+    from its smallest end, in order of that end.  With n vertices and 2n
+    edges, chi = F - n.  `components` holds the arc ends of each connected
+    component, sorted, in order of the smallest: strands that share a
+    crossing lie on one, and a strand's arcs are numbered consecutively
+    (`arc_ends`).  The genus is C - chi / 2 over the C components.  The
+    generic `CombinatorialMap` of the same darts (`map`) is built only when
+    it is read.
 
     Zero-crossing unknot components live on their own genus-0 spheres and
     are tracked by `free_loops` rather than by map darts.
@@ -151,14 +174,25 @@ class SurfaceRep:
     def __init__(self, diagram: VirtualLinkDiagram):
         self.diagram = diagram
         self.n_arcs, self.crossing_rotation, _ = arc_ends(diagram.arc_strands, diagram.signs)
+        self.free_loops = diagram.free_loops
+        phi = [0] * (2 * self.n_arcs)
+        for a, b, c, d in self.crossing_rotation.values():
+            phi[a ^ 1], phi[b ^ 1], phi[c ^ 1], phi[d ^ 1] = b, c, d, a
+        self.faces = _orbits(phi)
+        self.components = _strand_components(diagram)
+        chi = len(self.faces) - len(self.crossing_rotation)
+        if chi % 2:
+            raise AssertionError("odd Euler characteristic on an orientable map")
+        self.genus = len(self.components) - chi // 2
+
+    @cached_property
+    def map(self) -> CombinatorialMap:
+        """The same surface as a generic, validated `CombinatorialMap`."""
         sigma = list(range(2 * self.n_arcs))
         for cyc in self.crossing_rotation.values():
             for k in range(4):
                 sigma[cyc[k]] = cyc[(k + 1) % 4]
-        alpha = [d ^ 1 for d in range(2 * self.n_arcs)]
-        self.map = CombinatorialMap(sigma, alpha)
-        self.free_loops = diagram.free_loops
-        self.genus = self.map.genus()
+        return CombinatorialMap(sigma, [d ^ 1 for d in range(2 * self.n_arcs)])
 
     @cached_property
     def refined(self) -> "RefinedMap":
@@ -170,6 +204,31 @@ class SurfaceRep:
 
     def __repr__(self) -> str:
         return f"SurfaceRep(genus={self.genus}, crossings={self.diagram.n_crossings})"
+
+
+def _strand_components(d: VirtualLinkDiagram) -> tuple[tuple[int, ...], ...]:
+    """The arc ends of each connected component of the diagram's graph,
+    sorted, in order of the smallest: the strands joined by shared
+    crossings, strand j holding the consecutive arcs `arc_ends` gives it."""
+    root = list(range(len(d.components)))
+
+    def find(j: int) -> int:
+        while root[j] != j:
+            j = root[j]
+        return j
+
+    strand_of: dict[int, int] = {}
+    for j, comp in enumerate(d.components):
+        for p in comp:
+            i = strand_of.setdefault(p.crossing, j)
+            if i != j:
+                root[find(i)] = find(j)
+    ends: dict[int, list[int]] = {}
+    first = 0
+    for j, comp in enumerate(d.components):
+        ends.setdefault(find(j), []).extend(range(2 * first, 2 * (first + len(comp))))
+        first += len(comp)
+    return tuple(map(tuple, ends.values()))
 
 
 def build_carter_surface(d: VirtualLinkDiagram) -> SurfaceRep:
@@ -195,38 +254,69 @@ class RefinedMap:
     crossings rather than passing through graph vertices, become genuine
     edge cycles of this map: each smoothing arc is one of the four sides.
     The refinement keeps chi (per crossing: +3 vertices, +4 edges, +1
-    face), hence represents the same surface.
+    face), hence represents the same surface, which is checked.
+
+    The tables of `map` are written directly, as the generic
+    `CombinatorialMap` of the same sigma and alpha would lay them out.
+    Darts 0 .. base - 1 are the arc ends; crossing i (in id order) owns
+    darts base + 8i .. base + 8i + 7, side base + 8i + 2k running from its
+    corner k to corner k + 1 and side base + 8i + 2k + 1 back.  Vertex e is
+    the corner of arc end e, with the ccw rotation (e, side to the next
+    corner, side from the previous one).  alpha(d) = d ^ 1 on every dart,
+    so edge d >> 1 is (d & ~1, d | 1), run forward by its even dart.  Faces
+    are the orbits of phi = sigma o alpha, each from its smallest dart, in
+    order of that dart; the components are `SurfaceRep.components`, whose
+    arc ends are this map's vertices.
     """
 
     def __init__(self, rep: SurfaceRep):
         base = 2 * rep.n_arcs
-        crossings = list(rep.diagram.crossing_ids)
-        self.crossing_index = {cid: i for i, cid in enumerate(crossings)}
-        n_darts = base + 8 * len(crossings)
-        sigma = list(range(n_darts))
-        alpha = [d ^ 1 if d < base else 0 for d in range(n_darts)]
+        rotation = rep.crossing_rotation
+        self.crossing_index = {cid: i for i, cid in enumerate(rotation)}
+        self.base = base
+        n_darts = base + 8 * len(rotation)
+        sigma = [0] * n_darts
+        vertex_of = list(range(n_darts))
+        vertices: list[tuple[int, ...]] = [()] * base
         # (arrival end, departure end) of each smoothing join -> the side dart
         # a state loop takes between them: 8 per crossing
-        self.join_side: dict[tuple[int, int], int] = {}
-        for cid in crossings:
-            ci = self.crossing_index[cid]
-            cyc = rep.crossing_rotation[cid]
-            for k in range(4):
-                u = base + 8 * ci + 2 * k  # at corner k, toward corner k+1
-                w = u + 1                  # at corner k+1, toward corner k
-                alpha[u], alpha[w] = w, u
-                self.join_side[cyc[k], cyc[(k + 1) % 4]] = u
-                self.join_side[cyc[(k + 1) % 4], cyc[k]] = w
-            for k in range(4):
-                # ccw rotation at corner k: outward dart, side to k+1, side to k-1
-                d_out = cyc[k]
-                to_next = base + 8 * ci + 2 * k
-                to_prev = base + 8 * ci + 2 * ((k - 1) % 4) + 1
-                sigma[d_out] = to_next
-                sigma[to_next] = to_prev
-                sigma[to_prev] = d_out
-        self.base = base
-        self.map = CombinatorialMap(sigma, alpha)
+        self.join_side = join_side = {}
+        b = base
+        for c0, c1, c2, c3 in rotation.values():
+            sigma[c0], sigma[c1], sigma[c2], sigma[c3] = b, b + 2, b + 4, b + 6
+            sigma[b : b + 8] = b + 7, c1, b + 1, c2, b + 3, c3, b + 5, c0
+            vertex_of[b : b + 8] = c0, c1, c1, c2, c2, c3, c3, c0
+            vertices[c0], vertices[c1] = (c0, b, b + 7), (c1, b + 2, b + 1)
+            vertices[c2], vertices[c3] = (c2, b + 4, b + 3), (c3, b + 6, b + 5)
+            join_side.update(
+                {(c0, c1): b, (c1, c0): b + 1, (c1, c2): b + 2, (c2, c1): b + 3,
+                 (c2, c3): b + 4, (c3, c2): b + 5, (c3, c0): b + 6, (c0, c3): b + 7}
+            )
+            b += 8
+        phi = [0] * n_darts
+        phi[::2], phi[1::2] = sigma[1::2], sigma[::2]
+        faces = _orbits(phi)
+        # chi = F + V - E per component: V corners of 3 darts, so E = 3V / 2
+        components = rep.components
+        comp_of = [0] * base
+        for c, comp in enumerate(components):
+            for v in comp:
+                comp_of[v] = c
+        chi = [-(len(comp) // 2) for comp in components]
+        for face in faces:
+            chi[comp_of[vertex_of[face[0]]]] += 1
+        self.map = CombinatorialMap._from_tables(
+            sigma=tuple(sigma),
+            alpha=tuple([d ^ 1 for d in range(n_darts)]),
+            vertices=tuple(vertices),
+            edges=tuple(zip(range(0, n_darts, 2), range(1, n_darts, 2))),
+            faces=faces,
+            vertex_of=tuple(vertex_of),
+            edge_of=tuple([d >> 1 for d in range(n_darts)]),
+            face_of=_orbit_of(faces, n_darts),
+            components=components,
+            chi_of_vertex=tuple([chi[c] for c in comp_of]),
+        )
         if self.map.genus() != rep.genus:
             raise AssertionError("refinement changed the surface genus")
 
@@ -269,18 +359,19 @@ class MapHomology:
         # basis.inverse, the loop edges in symplectic coordinates
         self.dart_vec: list[tuple[tuple[int, int], ...] | None] = [None] * m.n_darts
         columns = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*self.basis.inverse)] if dim else []
-        for ei, (d, e) in enumerate(m.edges):
-            coords = self._edge_coords[ei]
+        edges, dart_vec = m.edges, self.dart_vec
+        for ei, coords in self._edge_coords.items():
             if not coords:
                 continue
             acc = [0] * dim
             for k, v in coords.items():
                 for i, x in columns[k]:
                     acc[i] += v * x
-            vec = tuple((i, a) for i, a in enumerate(acc) if a)
+            vec = tuple([(i, a) for i, a in enumerate(acc) if a])
             # d < alpha(d) runs the edge forward, its partner backward
-            self.dart_vec[d] = vec
-            self.dart_vec[e] = tuple((k, -v) for k, v in vec)
+            d, e = edges[ei]
+            dart_vec[d] = vec
+            dart_vec[e] = tuple([(k, -v) for k, v in vec])
 
     # -- construction ----------------------------------------------------
 
@@ -288,8 +379,6 @@ class MapHomology:
         m = self.map
         vertices, edges, faces = m.vertices, m.edges, m.faces
         sigma, alpha, vertex_of, edge_of, face_of = m.sigma, m.alpha, m.vertex_of, m.edge_of, m.face_of
-        vs = set(comp)
-        comp_edges = [ei for ei, (d, _) in enumerate(edges) if vertex_of[d] in vs]
 
         # spanning tree by BFS over vertices
         root = comp[0]
@@ -305,9 +394,16 @@ class MapHomology:
                     tree.add(edge_of[d])
                     parent_dart[w] = d
                     order.append(w)
+        # the component's edges in index order: every edge of a connected map
+        if len(comp) == len(vertices):
+            comp_edges: Sequence[int] = range(len(edges))
+        else:
+            comp_edges = [ei for ei, (d, _) in enumerate(edges) if vertex_of[d] in seen]
 
-        # cotree: BFS spanning tree of the dual over faces, using non-tree edges
-        root_face = min(face_of[edges[ei][0]] for ei in comp_edges)
+        # cotree: BFS spanning tree of the dual over faces, using non-tree
+        # edges in index order, from the face of the component's smallest
+        # dart (vertices and faces are numbered by their smallest darts)
+        root_face = face_of[vertices[root][0]]
         adj: dict[int, list[tuple[int, int]]] = {}  # face -> (edge, face across it)
         for ei in comp_edges:
             if ei in tree:
@@ -336,21 +432,26 @@ class MapHomology:
 
         # eliminate cotree edges via face-boundary relations, deepest faces
         # first: the other cotree edges on a face's boundary lead to its
-        # children, one BFS level deeper
+        # children, one BFS level deeper.  Tree edges add nothing; every
+        # other dart adds its edge's coordinates, signed by its direction.
         for f in reversed(forder[1:]):
             e_f = face_parent[f]
-            boundary: dict[int, int] = {}
+            c = 0
+            coords: dict[int, int] = {}
             for dart in faces[f]:
                 ei = edge_of[dart]
-                boundary[ei] = boundary.get(ei, 0) + (1 if dart < alpha[dart] else -1)
-            c = boundary.pop(e_f, 0)
+                if ei in tree:
+                    continue
+                if ei == e_f:
+                    c += 1 if dart < alpha[dart] else -1
+                elif dart < alpha[dart]:
+                    for k, v in edge_coords[ei].items():
+                        coords[k] = coords.get(k, 0) + v
+                else:
+                    for k, v in edge_coords[ei].items():
+                        coords[k] = coords.get(k, 0) - v
             if abs(c) != 1:
                 raise AssertionError("cotree edge must appear once in its face boundary")
-            coords: dict[int, int] = {}
-            for ei, coeff in boundary.items():
-                if coeff:
-                    for k, v in edge_coords[ei].items():
-                        coords[k] = coords.get(k, 0) + coeff * v
             edge_coords[e_f] = {k: -v // c for k, v in coords.items() if v}
 
         # the one-vertex map: walk around the tree, keeping the loop darts
@@ -468,13 +569,6 @@ def intersection_number(c1: HomologyClass, c2: HomologyClass) -> int:
     for k in range(0, len(c1.coords), 2):
         total += c1.coords[k] * c2.coords[k + 1] - c1.coords[k + 1] * c2.coords[k]
     return total
-
-
-def project_to_torus(c: HomologyClass, k: int) -> tuple[int, int]:
-    """The k-th (meridian, longitude) coordinate pair, 1-based."""
-    if not 1 <= k <= c.genus:
-        raise IndexOutOfRange(f"torus index {k} outside 1..{c.genus}")
-    return c.coords[2 * k - 2], c.coords[2 * k - 1]
 
 
 # -- cutting --------------------------------------------------------------

@@ -57,6 +57,10 @@ RETIRED_NAMES = {
     # once, from the walk around the tree
     "face_depth": "surface.MapHomology._process_component",
     "comp_faces": "surface.MapHomology._process_component",
+    # the torus projection and its index error, which only a test called:
+    # classes are read whole, or field by field from their packed ints
+    "project_to_torus": "surface.HomologyClass.coords",
+    "IndexOutOfRange": "surface.HomologyClass.coords",
 }
 
 
@@ -289,3 +293,17 @@ def test_no_unreferenced_private_helpers():
     tree = ast.parse(planted)
     assert _private_definitions(tree) == [(1, "_A"), (4, "_f"), (6, "_g"), (2, "_m"), (3, "_n")]
     assert {name for _, name in _private_definitions(tree)} - _names_used(tree) == {"_m", "_f", "_g"}
+
+
+def test_layer_split_script_runs():
+    """tests/layer_split.py, which pytest does not collect, still runs on
+    this checkout: one pass over family_certify prints every layer, and a
+    workload that runs no `certify` is refused."""
+    script = [sys.executable, str(Path(__file__).with_name("layer_split.py"))]
+    proc = subprocess.run([*script, "family_certify", "--repeat", "1"], capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    lines = proc.stdout.decode().splitlines()
+    assert lines[0] == "family_certify: 3 certify ops, best of 1, ms"
+    assert [line.split()[0] for line in lines[1:]] == ["carter", "refined", "homology", "tables", "certify"]
+    proc = subprocess.run([*script, "planar_jones", "--repeat", "1"], capture_output=True, timeout=120)
+    assert proc.returncode == 2 and b"runs no certify op" in proc.stderr

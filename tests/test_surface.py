@@ -15,7 +15,6 @@ from vknot.surface import (
     intersection_number,
     is_disk_bounding,
     loop_homology,
-    project_to_torus,
 )
 from vknot.symplectic import standard_form
 
@@ -121,7 +120,6 @@ def test_intersection_number_standard():
     assert intersection_number(m, l) == 1
     assert intersection_number(l, m) == -1
     assert intersection_number(m, m) == 0
-    assert project_to_torus(HomologyClass((3, -1, 2, 5)), 2) == (2, 5)
 
 
 def _loops_of(code: str):

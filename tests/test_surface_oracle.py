@@ -8,11 +8,16 @@ checked against the edge-by-edge `cycle_coords`, the one-sweep disk test
 against the union-find cut, the frontier sweep of the full bracket
 against the state-by-state chunk, and the form read off the walk around
 the homology tree against the one-vertex rotation that splicing leaves,
-all of tests/oracle.py.
+all of tests/oracle.py; and the surface tables written straight from the
+crossing rotation against the generic `CombinatorialMap` of the same darts.
 """
 
 import functools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from oracle import bracket_chunk, cut_map, cycle_coords, dense_dart_vec, rotation_form, state_curves, unpack
@@ -26,6 +31,7 @@ from vknot.diagram import VirtualLinkDiagram, format_gauss_code, parse_gauss_cod
 from vknot.frontier import greedy_order
 from vknot.laurent import LOOP_VALUE, LaurentPoly
 from vknot.surface import (
+    CombinatorialMap,
     HomologyClass,
     LoopNotEmbedded,
     LoopNotOnSurface,
@@ -213,6 +219,10 @@ def test_packed_class_sum_unpacks_to_edge_coordinates(kind, arg):
 SPLIT_CODE = "O1+O2+U1+U2+;O3+O4+U3+U4+"
 
 
+#: Zero-crossing components, alone and beside a split link.
+FREE_LOOP_CODES = ["U", "U;U", "O1+O2+U1+U2+;U", "U;O1+U2-O3+U4-O2-U1+O4-U3+;O5+O6+U5+U6+"]
+
+
 def _rotation_diagrams(group):
     if group == "catalog":
         return [catalog(name) for name in catalog_names()]
@@ -220,6 +230,8 @@ def _rotation_diagrams(group):
         return [catalog_p_family(n) for n in range(7)]
     if group == "split":
         return [parse_gauss_code(SPLIT_CODE)]
+    if group == "free_loops":
+        return [parse_gauss_code(code) for code in FREE_LOOP_CODES]
     rng = random.Random(20261024)
     codes = []
     for _ in range(300):
@@ -254,6 +266,78 @@ def test_dart_classes_match_the_dense_change_of_basis(group):
         for m in (rep.map, rep.refined.map):
             h = MapHomology(m)
             assert h.dart_vec == dense_dart_vec(h), format_gauss_code(d)
+
+
+@pytest.mark.parametrize("group", ["catalog", "p_family", "split", "free_loops", "random"])
+def test_direct_tables_match_the_generic_map(group):
+    """The Carter surface read off the crossing rotation has the faces,
+    components and genus of the generic `CombinatorialMap` of the same
+    darts; `RefinedMap` writes every table as the generic map of its sigma
+    and alpha builds it, and `MapHomology` reads the same form, basis,
+    loop edges, edge coordinates and dart classes from both.  Every face
+    boundary of the refined map sums to zero in loop-edge coordinates."""
+    for d in _rotation_diagrams(group):
+        code = format_gauss_code(d)
+        rep = build_carter_surface(d)
+        carter = rep.map
+        assert rep.genus == carter.genus(), code
+        assert rep.faces == carter.faces, code
+        assert rep.components == tuple(
+            tuple(sorted(x for v in comp for x in carter.vertices[v])) for comp in carter.components
+        ), code
+        m = rep.refined.map
+        generic = CombinatorialMap(m.sigma, m.alpha)
+        for slot in CombinatorialMap.__slots__:
+            assert getattr(m, slot) == getattr(generic, slot), (code, slot)
+        h, g = rep.homology, MapHomology(generic)
+        for attr in ("form", "basis", "loop_edges", "_edge_coords", "dart_vec"):
+            assert getattr(h, attr) == getattr(g, attr), (code, attr)
+        for face in m.faces:
+            total = [0] * len(h.loop_edges)
+            for dart in face:
+                sign = 1 if dart < m.alpha[dart] else -1
+                for k, v in h._edge_coords[m.edge_of[dart]].items():
+                    total[k] += sign * v
+            assert not any(total), (code, face)
+
+
+TABLE_CHECKS = """
+from vknot.catalog import catalog
+from vknot.surface import CombinatorialMap, MapHomology, build_carter_surface
+
+assert False, "asserts must be stripped"
+# two ends of one crossing swapped in its rotation: the refined tables then
+# describe a surface of another genus
+rep = build_carter_surface(catalog("trefoil"))
+cid = min(rep.crossing_rotation)
+a, b, c, d = rep.crossing_rotation[cid]
+rep.crossing_rotation[cid] = (a, c, b, d)
+try:
+    rep.refined
+except AssertionError as exc:
+    print("refused:", exc)
+# each face boundary followed by its reverse: every cotree edge cancels in
+# the face it is eliminated from
+m = build_carter_surface(catalog("kishino")).refined.map
+tables = {slot: getattr(m, slot) for slot in CombinatorialMap.__slots__[1:]}
+tables["faces"] = tuple(f + tuple(m.alpha[x] for x in reversed(f)) for f in m.faces)
+try:
+    MapHomology(CombinatorialMap._from_tables(**tables))
+except AssertionError as exc:
+    print("refused:", exc)
+"""
+
+
+def test_corrupt_tables_are_refused_under_python_O():
+    """The refinement's genus check and the cotree-face check are if/raise
+    statements, which `python -O` keeps."""
+    env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", TABLE_CHECKS], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "refused: refinement changed the surface genus",
+        "refused: cotree edge must appear once in its face boundary",
+    ]
 
 
 def _fundamental_walks(rep):
