@@ -21,17 +21,21 @@ width 4 and at most 2 keys at every n, and random 1- and 2-component
 Gauss codes of 16, 20, 24 and 28 crossings reach widths of at most 10,
 12, 14 and 16 and at most 75, 428, 2404 and 8087 keys (8 codes each).
 
-A key is the tuple of partner positions of the open ends.  Its value is
-the ring element itself: the polynomial of the key's partial states in
-s = A^-2, packed into one int with signed fields (`packed_fields`, which
-also gives the argument that no field overflows and that a value is 0
-exactly when its polynomial is).  A key starts at s^M, a B-smoothing
-shifts it up by one field, a closed loop multiplies it in place by
-d = -(s + 1/s), and merging two keys is one addition; `read_packed` reads
-a value once, at the end (Kronecker substitution).  A step lays the open
-ends and the crossing's four ends out as slots once, so each key only
-copies its partner slots, sets the four joins, closes the arcs and reads
-the new key off the surviving slots.
+A key is the tuple of the partners of the open ends, in order: for each
+open end, the arc end (or terminal) at the other end of its path.  Its
+value is the ring element itself: the polynomial of the key's partial
+states in s = A^-2, packed into one int with signed fields
+(`packed_fields`, which also gives the argument that no field overflows
+and that a value is 0 exactly when its polynomial is).  A key starts at
+s^M, a B-smoothing shifts it up by one field, a closed loop multiplies it
+in place by d = -(s + 1/s), and merging two keys is one addition;
+`read_packed` reads a value once, at the end (Kronecker substitution).  A
+step lays the open ends and the crossing's four ends out as slots once,
+so each key only copies its partners into the slots, appends the
+crossing's four, closes the arcs, re-pairing the two far ends of each
+path an arc joins by one slot lookup each, and reads the new key off the
+surviving slots with one `itemgetter` call: a far end keeps its id when
+the slots move, so no key is relabelled.
 
 `state_sum` returns this value per boundary pairing: `bracket` reduces it
 by d for the planar bracket, and `tangle` reads one coefficient per
@@ -116,14 +120,14 @@ def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> dict[t
     """
     width, offset = packed_fields(tables.n)
 
-    def step(frontier, k, m, closes, survivors, position):
-        smoothings = (((m + 1, m, m + 3, m + 2), 0), ((m + 2, m + 3, m, m + 1), width))
-        return _step(frontier, smoothings, closes, survivors, position, width)
+    def step(frontier, k, closes, pick, slot):
+        r0, r3, r1, r2 = tables.joins[k][0]
+        smoothings = (((r3, r0, r2, r1), 0), ((r1, r2, r0, r3), width))
+        return _step(frontier, smoothings, closes, pick, slot, width)
 
     frontier, ends = _sweep(tables, order, lambda key: {key: 1 << offset * width}, step)
     return {
-        tuple(sorted((~a, ~ends[i]) for a, i in zip(ends, key) if a > ends[i])): value
-        for key, value in frontier.items()
+        tuple(sorted((~a, ~b) for a, b in zip(ends, key) if a > b)): value for key, value in frontier.items()
     }
 
 
@@ -192,15 +196,15 @@ def labelled_state_sum(
         raise ValueError("a labelled state sum takes a diagram, not a tangle")
     width, offset = packed_fields(tables.n)
 
-    def step(frontier, k, m, closes, survivors, position):
+    def step(frontier, k, closes, pick, slot):
         r0, r3, r1, r2 = tables.joins[k][0]
         jc = join_ints
-        # the ints at the slots (r0, r3, r1, r2) under A, then under B
+        # the partners and the ints of the ends (r0, r3, r1, r2) under A, then under B
         smoothings = (
-            ((m + 1, m, m + 3, m + 2), (jc[r0, r3], jc[r3, r0], jc[r1, r2], jc[r2, r1]), 0, 0),
-            ((m + 2, m + 3, m, m + 1), (jc[r0, r1], jc[r3, r2], jc[r1, r0], jc[r2, r3]), width, 1 << k),
+            ((r3, r0, r2, r1), (jc[r0, r3], jc[r3, r0], jc[r1, r2], jc[r2, r1]), 0, 0),
+            ((r1, r2, r0, r3), (jc[r0, r1], jc[r3, r2], jc[r1, r0], jc[r2, r3]), width, 1 << k),
         )
-        return _labelled_step(frontier, smoothings, closes, survivors, position, width, loop_label)
+        return _labelled_step(frontier, smoothings, closes, pick, slot, width, loop_label)
 
     frontier, _ = _sweep(tables, order, lambda key: {key: {((), ()): [1 << offset * width, 0]}}, step)
     # every end is closed: one pairing, the empty one, with no path ints
@@ -263,15 +267,21 @@ class SignedFields:
 def _sweep(tables, order, start, step):
     """Add the crossings of `tables` in `order` (default `greedy_order`) to
     the frontier `start(key)` of the boundary pairing `key`, one
-    `step(frontier, k, m, closes, survivors, position)` per crossing k; the
-    final frontier and its open ends.
+    `step(frontier, k, closes, pick, slot)` per crossing k; the final
+    frontier and its open ends.
 
-    The step's slots are the m open ends in order, then the crossing's ends
-    (r0, r3, r1, r2) at m .. m + 3; A joins r0-r3 and r1-r2, B joins r0-r1
-    and r2-r3.  `closes` holds (crossing slot, other slot) of each arc it
-    closes back to an added crossing, a kink arc once;
-    `survivors` the slots left open, in their new order, and `position`
-    each slot's new position.
+    A key holds, for each open end in order, the arc end (or terminal ~b)
+    at the other end of its path.  The step's slots are the m open ends in
+    order, then the crossing's ends (r0, r3, r1, r2) at m .. m + 3; A joins
+    r0-r3 and r1-r2, B joins r0-r1 and r2-r3.  `slot[e]` is the slot of
+    each of these ends e, in a list of 4 * n_arcs entries: an arc end
+    (below 2 * n_arcs) indexes it from the start and a terminal ~b = -1 - b
+    from the end, and the entries of ends no longer open are left as they
+    were.  `closes` holds (crossing slot, other end, its slot) of each arc
+    the step closes back to an added crossing, a kink arc once; and `pick`
+    reads the items at the slots left open, in their new order, as a tuple
+    (`_picker`).  A path's far end does not move when the slots do, so the
+    partners the step picks are the new key as they stand.
     """
     n = tables.n
     if order is None:
@@ -291,58 +301,59 @@ def _sweep(tables, order, start, step):
         else:
             ends.append(b)
             partner[~b], partner[b] = b, ~b
-    frontier = start(tuple(ends.index(partner[e]) for e in ends))
+    frontier = start(tuple([partner[e] for e in ends]))
+    slot = [0] * 4 * tables.n_arcs
     for k in order:
         a_joins = tables.joins[k][0]
         placed.update(a_joins)
         m = len(ends)
-        slot = {e: i for i, e in enumerate(ends)}
-        slot.update((x, m + i) for i, x in enumerate(a_joins))
+        for i, e in enumerate(ends):
+            slot[e] = i
+        for i, x in enumerate(a_joins):
+            slot[x] = m + i
         # arcs from this crossing back to an added one, a kink arc once
         closes = [
-            (m + i, slot[x ^ 1])
+            (m + i, x ^ 1, slot[x ^ 1])
             for i, x in enumerate(a_joins)
             if x ^ 1 in placed and (x ^ 1 not in a_joins or x & 1)
         ]
         after = [e for e in ends if e < 0 or e ^ 1 not in placed] + [x for x in a_joins if x ^ 1 not in placed]
-        survivors = [slot[e] for e in after]
-        position = [0] * (m + 4)
-        for j, s in enumerate(survivors):
-            position[s] = j
-        frontier = step(frontier, k, m, closes, survivors, position)
+        frontier = step(frontier, k, closes, _picker([slot[e] for e in after]), slot)
         ends = after
     return frontier, ends
 
 
-def _step(frontier, smoothings, closes, survivors, position, width):
+def _step(frontier, smoothings, closes, pick, slot, width):
     """One crossing added to every key, under each of its smoothings.
 
     `smoothings` holds, per smoothing, the partners of the crossing's four
-    slots and the shift it adds (W for B); `closes` the (crossing slot,
-    other slot) of each arc it closes; `survivors` the slots left open, in
-    their new order, and `position` each slot's new position.  A closed
-    loop multiplies the value by d, with fields `width` bits wide
-    (`packed_fields`).
+    ends and the shift it adds (W for B); `closes`, `pick` and `slot` are
+    `_sweep`'s.  The partners are laid out by slot, the key's then the
+    crossing's; closing an arc from crossing slot x to the end y at slot
+    ys joins the path (u ... x) to the path (y ... v), so the slots of u
+    and v take v and u as partners, or, when u is y, closes a loop, which
+    multiplies the value by d, with fields `width` bits wide
+    (`packed_fields`).  The new key is `pick` of the partners.
     """
     out: dict[tuple[int, ...], int] = {}
     for key, value in frontier.items():
         for joined, shift in smoothings:
             partner = [*key, *joined]
             q = value << shift
-            for x, y in closes:
+            for x, y, ys in closes:
                 u = partner[x]
                 if u == y:
                     q = -((q << width) + (q >> width))
                 else:
-                    v = partner[y]
-                    partner[u] = v
-                    partner[v] = u
-            new = tuple([position[partner[s]] for s in survivors])
+                    v = partner[ys]
+                    partner[slot[u]] = v
+                    partner[slot[v]] = u
+            new = pick(partner)
             out[new] = out.get(new, 0) + q
     return out
 
 
-def _labelled_step(frontier, smoothings, closes, survivors, position, width, loop_label):
+def _labelled_step(frontier, smoothings, closes, pick, slot, width, loop_label):
     """`_step` for the grouped frontier {pairing: {(path ints, closed
     labels): [packed polynomial, smallest state index]}}: each smoothing
     also holds the ints at the crossing's four slots and the bit it adds to
@@ -352,30 +363,32 @@ def _labelled_step(frontier, smoothings, closes, survivors, position, width, loo
 
     The closes depend on the pairing alone, so per pairing and smoothing
     they are run once, on the partners, and give the new pairing and a
-    program that replays them on the ints: a merge (u, y, v, x) for each arc
-    joining the paths at u and v, whose ints gain the ints at y and x, and
-    the slot y of each loop closed.  No later merge reads or writes the
-    ints at a closed loop's slots, so its int is read after every merge.  Each entry of the pairing then
-    runs the program only.  The old frontier, and each pairing's entries,
-    are emptied as they are read."""
+    program that replays them on the ints, which are laid out by slot like
+    the partners: a merge (us, ys, vs, x) for each arc joining the paths at
+    the slots us and vs, whose ints gain the ints at ys and x, and the slot
+    ys of each loop closed.  No later merge reads or writes the ints at a
+    closed loop's slots, so its int is read after every merge.  Each entry
+    of the pairing then runs the program only, and `pick` reads its new
+    path ints as it read the new pairing.  The old frontier, and each
+    pairing's entries, are emptied as they are read."""
     out: dict[tuple[int, ...], dict[tuple, list[int]]] = {}
-    pick = _picker(survivors)
     while frontier:
         key, entries = frontier.popitem()
         moves = []
         for joined, joined_vals, shift, bit in smoothings:
             partner = [*key, *joined]
             merges, loops_at = [], []
-            for x, y in closes:
+            for x, y, ys in closes:
                 u = partner[x]
                 if u == y:
-                    loops_at.append(y)
+                    loops_at.append(ys)
                 else:
-                    v = partner[y]
-                    partner[u] = v
-                    partner[v] = u
-                    merges.append((u, y, v, x))
-            new = tuple([position[partner[s]] for s in survivors])
+                    v = partner[ys]
+                    us, vs = slot[u], slot[v]
+                    partner[us] = v
+                    partner[vs] = u
+                    merges.append((us, ys, vs, x))
+            new = pick(partner)
             group = out.get(new)
             if group is None:
                 out[new] = group = {}
@@ -384,13 +397,13 @@ def _labelled_step(frontier, smoothings, closes, survivors, position, width, loo
             (vals, closed), (value, index) = entries.popitem()
             for group, joined_vals, merges, loops_at, shift, bit in moves:
                 val = [*vals, *joined_vals]
-                for u, y, v, x in merges:
-                    val[u] += val[y]
-                    val[v] += val[x]
+                for us, ys, vs, x in merges:
+                    val[us] += val[ys]
+                    val[vs] += val[x]
                 loops = closed
                 q = value << shift
-                for y in loops_at:
-                    label = loop_label[val[y]]
+                for ys in loops_at:
+                    label = loop_label[val[ys]]
                     if label == DISK:
                         q = -((q << width) + (q >> width))
                     else:
@@ -410,8 +423,12 @@ def _labelled_step(frontier, smoothings, closes, survivors, position, width, loo
 
 def _picker(slots):
     """The function that reads the items at `slots` of a list as a tuple:
-    one `itemgetter` call for two or more slots, which for one slot would
-    return the item itself and for none cannot be built."""
-    if len(slots) > 1:
+    one `itemgetter` call, or () for no slot.  Open ends pair up, so a
+    frontier has an even number of slots; an odd count is refused (by an
+    if/raise, which `python -O` keeps), as itemgetter of one slot would
+    return the item itself."""
+    if len(slots) % 2:
+        raise ValueError(f"{len(slots)} open slots: a frontier's open ends pair up")
+    if slots:
         return itemgetter(*slots)
-    return lambda items: tuple([items[s] for s in slots])
+    return lambda items: ()

@@ -1,17 +1,25 @@
-"""Where `certify` spends its time, layer by layer, in process.
+"""Where `certify` or `jones` spends its time, layer by layer, in process.
 
     PYTHONPATH=src python tests/layer_split.py WORKLOAD [--repeat N]
 
-WORKLOAD names a benchmark workload of perfbench/workloads.py whose ops
-run `certify` (family_certify, random_certify).  Every certify op of its
-pools is timed through cumulative stages, each stage redoing the ones
-before it on a fresh diagram:
+WORKLOAD names a benchmark workload of perfbench/workloads.py.  The split
+times its `certify` ops if it runs any (family_certify, random_certify),
+else its `jones` ops (planar_jones), through cumulative stages, each stage
+redoing the ones before it.  A `certify` op starts from its diagram:
 
-    carter    build_carter_surface
-    refined   + the quad refinement (rep.refined)
-    homology  + the tree-cotree homology (rep.homology)
-    tables    + StateTables and analysis._class_steps
-    certify   the whole of analysis.certify (setup, sweep and criteria)
+    carter     build_carter_surface
+    refined    + the quad refinement (rep.refined)
+    homology   + the tree-cotree homology (rep.homology)
+    tables     + StateTables and analysis._class_steps
+    certify    the whole of analysis.certify (setup, sweep and criteria)
+
+and a `jones` op from its argv:
+
+    parse      the argv and its Gauss code (or catalog entry) to a diagram
+    tables     + StateTables
+    order      + frontier.greedy_order
+    state_sum  + the frontier sweep, frontier.state_sum
+    jones      the whole op, vknot.cli.main with stdout captured
 
 Each stage's total over the ops is the best of N runs, the stages taking
 turns within a run; a layer's own time is its stage minus the stage
@@ -21,6 +29,8 @@ before it.  Not collected by pytest.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -32,7 +42,8 @@ from perfbench.workloads import POOLS, all_ops  # noqa: E402
 
 from vknot.analysis import _class_steps, certify  # noqa: E402
 from vknot.bracket import StateTables  # noqa: E402
-from vknot.cli import _resolve_diagram, build_parser  # noqa: E402
+from vknot.cli import _resolve_diagram, build_parser, main as cli_main  # noqa: E402
+from vknot.frontier import greedy_order, state_sum  # noqa: E402
 from vknot.surface import build_carter_surface  # noqa: E402
 
 
@@ -56,25 +67,62 @@ def _tables(d):
     return _class_steps(rep, StateTables(d))
 
 
-STAGES = [("carter", _carter), ("refined", _refined), ("homology", _homology), ("tables", _tables), ("certify", certify)]
+def _parse(argv):
+    return _resolve_diagram(build_parser().parse_args(argv))
 
 
-def certify_diagrams(workload: str) -> list:
-    """The diagram of every `certify` op any seed of the workload can run."""
-    parser = build_parser()
-    return [_resolve_diagram(parser.parse_args(argv)) for argv, _ in all_ops(workload) if argv[0] == "certify"]
+def _planar_tables(argv):
+    return StateTables(_parse(argv))
 
 
-def split(diagrams: list, repeat: int) -> dict[str, float]:
-    """Stage -> best total seconds over `repeat` runs of every diagram.
+def _order(argv):
+    tables = _planar_tables(argv)
+    return tables, greedy_order(tables)
+
+
+def _state_sum(argv):
+    return state_sum(*_order(argv))
+
+
+def _jones(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(argv)
+
+
+#: command -> (its stages, the input of every stage from the op's argv)
+SPLITS = {
+    "certify": (
+        [("carter", _carter), ("refined", _refined), ("homology", _homology), ("tables", _tables), ("certify", certify)],
+        _parse,
+    ),
+    "jones": (
+        [("parse", _parse), ("tables", _planar_tables), ("order", _order), ("state_sum", _state_sum), ("jones", _jones)],
+        list,
+    ),
+}
+
+
+def split_inputs(workload: str) -> tuple[str, list]:
+    """The first command of SPLITS that the workload runs, and the stage
+    input of every op of it that any seed of the workload can run."""
+    ops = [argv for argv, _ in all_ops(workload)]
+    for command, (_, prepare) in SPLITS.items():
+        inputs = [prepare(argv) for argv in ops if argv[0] == command]
+        if inputs:
+            return command, inputs
+    return "", []
+
+
+def split(stages: list, inputs: list, repeat: int) -> dict[str, float]:
+    """Stage -> best total seconds over `repeat` runs of every input.
     Each run times every stage in turn, so a machine that changes speed
     during the split slows all stages alike."""
-    best = dict.fromkeys([name for name, _ in STAGES], float("inf"))
+    best = dict.fromkeys([name for name, _ in stages], float("inf"))
     for _ in range(repeat):
-        for name, stage in STAGES:
+        for name, stage in stages:
             start = perf_counter()
-            for d in diagrams:
-                stage(d)
+            for x in inputs:
+                stage(x)
             best[name] = min(best[name], perf_counter() - start)
     return best
 
@@ -84,14 +132,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("workload", choices=sorted(POOLS))
     parser.add_argument("--repeat", type=int, default=9)
     args = parser.parse_args(argv)
-    diagrams = certify_diagrams(args.workload)
-    if not diagrams:
-        parser.error(f"{args.workload} runs no certify op")
-    best = split(diagrams, args.repeat)
-    print(f"{args.workload}: {len(diagrams)} certify ops, best of {args.repeat}, ms")
+    command, inputs = split_inputs(args.workload)
+    if not inputs:
+        parser.error(f"{args.workload} runs no {' or '.join(SPLITS)} op")
+    stages, _ = SPLITS[command]
+    best = split(stages, inputs, args.repeat)
+    print(f"{args.workload}: {len(inputs)} {command} ops, best of {args.repeat}, ms")
     before = 0.0
-    for name, _ in STAGES:
-        print(f"  {name:9s} {1e3 * (best[name] - before):8.2f}   cumulative {1e3 * best[name]:8.2f}")
+    for name, _ in stages:
+        print(f"  {name:10s} {1e3 * (best[name] - before):8.2f}   cumulative {1e3 * best[name]:8.2f}")
         before = best[name]
     return 0
 

@@ -8,14 +8,19 @@ crossings.  The state-by-state counts are packed term by term by
 tests/oracle.py, so the sweep's packed values are compared as ints.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from math import comb
+from pathlib import Path
 
 import oracle
 import pytest
 from randgen import random_gauss_code, random_tangle
 
+from vknot import frontier
 from vknot.bracket import (
     StateTables,
     bracket_by_recursion,
@@ -87,6 +92,32 @@ def test_an_order_that_is_not_a_permutation_is_refused(order):
     tables = StateTables(catalog("trefoil"))
     with pytest.raises(ValueError, match="not a permutation"):
         state_sum(tables, order)
+
+
+PICKER_SLOTS = """
+from vknot.frontier import _picker
+items = [7, 8, 9]
+print(_picker([])(items), _picker([2, 0])(items), _picker([1, 2, 0, 1])(items))
+for slots in ([0], [0, 1, 2]):
+    try:
+        _picker(slots)
+    except ValueError as exc:
+        print("refused:", exc)
+"""
+
+
+def test_picker_refuses_an_odd_slot_count_under_python_O():
+    """A frontier's open ends pair up, so `_picker` reads an even number of
+    slots as a tuple, () for none, and refuses an odd count by an if/raise,
+    which `python -O` keeps."""
+    env = dict(os.environ, PYTHONPATH=str(Path(frontier.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", PICKER_SLOTS], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "() (9, 7) (8, 9, 7, 8)",
+        "refused: 1 open slots: a frontier's open ends pair up",
+        "refused: 3 open slots: a frontier's open ends pair up",
+    ]
 
 
 @pytest.mark.parametrize("sign", "+-")

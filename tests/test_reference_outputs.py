@@ -1,7 +1,8 @@
 """Every op of the benchmark's workloads, run through `vknot.cli.main` in
 process, prints exactly what perfbench/reference.json records: its exit
-code and the SHA-256 of its stdout.  So do `certify` and `surface-bracket`
-on the seeded random codes of tests/golden_outputs.json.
+code and the SHA-256 of its stdout.  So do `certify`, `surface-bracket`,
+`jones`, `bracket` and `tangle-expand` on the seeded random codes and
+tangles of tests/golden_outputs.json.
 
 perfbench/workloads.py and perfbench/reference.json are read, never
 changed or run as scripts.  `python tests/test_reference_outputs.py`
@@ -17,11 +18,12 @@ import random
 from pathlib import Path
 
 import pytest
-from randgen import random_gauss_code
+from randgen import random_gauss_code, random_tangle
 
 from vknot.cli import main
 from vknot.diagram import parse_gauss_code
 from vknot.surface import genus
+from vknot.tangle import format_tangle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
@@ -79,7 +81,13 @@ def _golden_ops() -> list[list[str]]:
     reference covers only about 110 diagrams for these commands.  On most of
     the larger codes the per-torus scan is satisfied before it has read
     every class of the d-image, so they pin the witnesses and ranks that a
-    scan stopping early must still give."""
+    scan stopping early must still give.
+
+    Then `jones` and `bracket` on 60 codes of 12-18 crossings and 1-3
+    components, and `tangle-expand` on 40 seeded random tangles of 0-9
+    crossings and 2-8 boundary points: the planar sweep and the sweep whose
+    terminal ends (the ~b of boundary end b) stay open to the end, on
+    diagrams wider than the benchmark's."""
     rng = random.Random(20261019)
     codes: dict[str, None] = {}
     while len(codes) < 200:
@@ -92,7 +100,17 @@ def _golden_ops() -> list[list[str]]:
         code = random_gauss_code(rng, rng.randint(11, 13), rng.randint(1, 3))
         if genus(parse_gauss_code(code)) >= 3:
             large[code] = None
-    return ops + [["certify", code, "--format", "json"] for code in large]
+    ops += [["certify", code, "--format", "json"] for code in large]
+    rng = random.Random(20261021)
+    planar: dict[str, None] = {}
+    while len(planar) < 60:
+        planar[random_gauss_code(rng, rng.randint(12, 18), rng.randint(1, 3))] = None
+    ops += [[cmd, code, "--format", "json"] for code in planar for cmd in ("jones", "bracket")]
+    rng = random.Random(20261022)
+    tangles: dict[str, None] = {}
+    while len(tangles) < 40:
+        tangles[format_tangle(random_tangle(rng, rng.randint(0, 9), rng.choice((2, 4, 6, 8))))] = None
+    return ops + [["tangle-expand", code, "--format", "json"] for code in tangles]
 
 
 def test_random_codes_match_golden_digests():

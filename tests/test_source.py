@@ -297,13 +297,15 @@ def test_no_unreferenced_private_helpers():
 
 def test_layer_split_script_runs():
     """tests/layer_split.py, which pytest does not collect, still runs on
-    this checkout: one pass over family_certify prints every layer, and a
-    workload that runs no `certify` is refused."""
+    this checkout: one pass over family_certify prints every `certify`
+    layer, and one over planar_jones every `jones` layer."""
     script = [sys.executable, str(Path(__file__).with_name("layer_split.py"))]
-    proc = subprocess.run([*script, "family_certify", "--repeat", "1"], capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    lines = proc.stdout.decode().splitlines()
-    assert lines[0] == "family_certify: 3 certify ops, best of 1, ms"
-    assert [line.split()[0] for line in lines[1:]] == ["carter", "refined", "homology", "tables", "certify"]
-    proc = subprocess.run([*script, "planar_jones", "--repeat", "1"], capture_output=True, timeout=120)
-    assert proc.returncode == 2 and b"runs no certify op" in proc.stderr
+    for workload, header, layers in (
+        ("family_certify", "3 certify ops", ["carter", "refined", "homology", "tables", "certify"]),
+        ("planar_jones", "97 jones ops", ["parse", "tables", "order", "state_sum", "jones"]),
+    ):
+        proc = subprocess.run([*script, workload, "--repeat", "1"], capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        lines = proc.stdout.decode().splitlines()
+        assert lines[0] == f"{workload}: {header}, best of 1, ms"
+        assert [line.split()[0] for line in lines[1:]] == layers
