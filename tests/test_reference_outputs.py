@@ -85,9 +85,9 @@ def _golden_ops() -> list[list[str]]:
 
     Then `jones` and `bracket` on 60 codes of 12-18 crossings and 1-3
     components, and `tangle-expand` on 40 seeded random tangles of 0-9
-    crossings and 2-8 boundary points: the planar sweep and the sweep whose
-    terminal ends (the ~b of boundary end b) stay open to the end, on
-    diagrams wider than the benchmark's."""
+    crossings and 2-8 boundary points: the planar sweep on codes beyond the
+    benchmark's pools, and the sweep whose terminal ends (the ~b of
+    boundary end b) stay open to the end."""
     rng = random.Random(20261019)
     codes: dict[str, None] = {}
     while len(codes) < 200:
