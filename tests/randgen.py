@@ -1,5 +1,7 @@
-"""Seeded random inputs shared by the tests: unimodular matrices, Gauss codes
-and tangles."""
+"""Seeded random inputs shared by the tests: unimodular matrices, Gauss codes,
+braid closures and tangles."""
+
+from typing import Sequence
 
 from vknot.diagram import OVER, UNDER, Pass
 from vknot.tangle import Strand, Tangle
@@ -32,6 +34,57 @@ def random_gauss_code(rng, n_crossings: int, n_components: int) -> str:
     cuts = [0, *sorted(rng.sample(range(1, len(passes)), n_components - 1)), len(passes)]
     words = [passes[a:b] for a, b in zip(cuts, cuts[1:])]
     return ";".join("".join(p + sign[int(p[1:])] for p in word) for word in words)
+
+
+def braid_closure(word: Sequence[int], strands: int) -> str:
+    """The signed Gauss code of the closure of a braid on `strands` strands.
+
+    Letter k (from 1) of `word` is sigma_i (i > 0) or its inverse (-i), with
+    1 <= i < strands: the strands at positions i and i + 1 (from 1) swap,
+    and letter k is crossing k.  Under sigma_i the strand at position i
+    passes over, and the crossing is positive; under its inverse that strand
+    passes under, and the crossing is negative.  Each cycle of the braid's
+    permutation is one component, read from its smallest starting position,
+    so the closure is a classical (planar) diagram.  A strand that meets no
+    letter would be a component with no pass, so every strand must meet one.
+    """
+    passes: list[list[str]] = [[] for _ in range(strands)]
+    at = list(range(strands))  # at[p]: the strand at position p
+    for k, g in enumerate(word, 1):
+        i = abs(g) - 1
+        left, right = at[i], at[i + 1]
+        over, under = (left, right) if g > 0 else (right, left)
+        sign = "+" if g > 0 else "-"
+        passes[over].append(f"O{k}{sign}")
+        passes[under].append(f"U{k}{sign}")
+        at[i], at[i + 1] = right, left
+    # the strand that ends at position p continues as the one that starts there
+    next_strand = {s: p for p, s in enumerate(at)}
+    if not all(passes):
+        raise ValueError("every strand of the braid must meet a letter")
+    words, seen = [], set()
+    for start in range(strands):
+        if start in seen:
+            continue
+        component, s = [], start
+        while s not in seen:
+            seen.add(s)
+            component += passes[s]
+            s = next_strand[s]
+        words.append("".join(component))
+    return ";".join(words)
+
+
+def random_braid_word(rng, strands: int, length: int) -> list[int]:
+    """A random braid word of `length` letters on `strands` strands in which
+    every generator sigma_1 .. sigma_(strands - 1) appears (so every strand
+    meets a letter); `length` must be at least strands - 1."""
+    if length < strands - 1:
+        raise ValueError(f"{length} letters cannot hold all {strands - 1} generators")
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+        if len({abs(g) for g in word}) == strands - 1:
+            return word
 
 
 def random_tangle(rng, n_crossings: int, n_boundary: int) -> Tangle:

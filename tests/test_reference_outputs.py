@@ -18,10 +18,10 @@ import random
 from pathlib import Path
 
 import pytest
-from randgen import random_gauss_code, random_tangle
+from randgen import braid_closure, random_braid_word, random_gauss_code, random_tangle
 
 from vknot.cli import main
-from vknot.diagram import parse_gauss_code
+from vknot.diagram import format_gauss_code, parse_gauss_code, virtualize_crossing
 from vknot.surface import genus
 from vknot.tangle import format_tangle
 
@@ -110,7 +110,15 @@ def _golden_ops() -> list[list[str]]:
     tangles: dict[str, None] = {}
     while len(tangles) < 40:
         tangles[format_tangle(random_tangle(rng, rng.randint(0, 9), rng.choice((2, 4, 6, 8))))] = None
-    return ops + [["tangle-expand", code, "--format", "json"] for code in tangles]
+    ops += [["tangle-expand", code, "--format", "json"] for code in tangles]
+    rng = random.Random(20261023)
+    braids: dict[str, None] = {}
+    while len(braids) < 20:
+        strands = rng.randint(2, 5)
+        d = parse_gauss_code(braid_closure(random_braid_word(rng, strands, rng.randint(10, 14)), strands))
+        virtual = virtualize_crossing(d, rng.choice(d.crossing_ids))
+        braids.update(dict.fromkeys([format_gauss_code(d), format_gauss_code(virtual)]))
+    return ops + [["surface-bracket", code, "--format", "json"] for code in braids]
 
 
 def test_random_codes_match_golden_digests():
