@@ -35,16 +35,30 @@ no class: the parity vector of a class is its biased int masked to the
 low bit of each field (`_ImageClasses.parities`).
 
 The full surface bracket (`surface_bracket`, behind `surface-bracket`)
-must tell disk-bounding from null-essential curves, which is not local to
-a crossing but depends only on the curve.  Its sum (`_bracket_sum`) is the
-same sweep with a finer int per open path: its packed class shifted above
-4n bits that name the joins it passes (`_CurveLabels`).  A closed curve's
-int then names the curve in any state, so its weight is known when it
-closes and is looked up by that int: its darts are rebuilt from the join
-key, and `loop_homology` runs, once per distinct nonzero class up to sign
-and once per null-homologous curve, which alone also needs the disk test.
-The finer ints split the frontier keys further than the image's, so this
-sweep has more keys, but it never enumerates the 2^n states either.
+must tell disk-bounding from null-essential curves.  On a sphere or a
+torus there is nothing to tell: every null-homologous simple closed curve
+there bounds a disk.  `rep.genus` is the total over the surface's
+components, so at genus <= 1 every component is a sphere or a torus, and
+the full bracket is the d-image, keys, values and order.  The paper's
+surfaces are of this kind: a classical diagram's Carter surface is a
+sphere, and its single virtualizations gave genus <= 1 in every case
+tried.  So `surface_bracket` sweeps the d-image at genus <= 1
+(`_surface_sum`), and checks it as the full sweep checks itself: on the
+all-A state and on the first state of each class it keeps, each curve's
+packed class must match `loop_homology` (`_check_witness_states`).
+
+At genus >= 2 the disk test is not local to a crossing but depends only
+on the curve.  The sum there (`_bracket_sum`) is the same sweep with a
+finer int per open path: its packed class shifted above 4n bits that name
+the joins it passes (`_CurveLabels`).  A closed curve's int then names the
+curve in any state, so its weight is known when it closes and is looked
+up by that int: its darts are rebuilt from the join key, and
+`loop_homology` runs, once per distinct nonzero class up to sign and once
+per null-homologous curve, which alone also needs the disk test.  The
+finer ints split the frontier keys further than the image's, so this
+sweep has more keys, and they grow fast with the crossings (the
+18-crossing braid closure timed in README takes seconds this way and
+milliseconds as a d-image), but it never enumerates the 2^n states either.
 
 Both sums give each key one packed polynomial (`frontier.packed_fields`),
 relabelled by one helper (`_relabel`) to a curve-class key, and list the
@@ -236,9 +250,7 @@ class _CurveLabels(dict):
         label = abs(packed)
         if not packed or label not in self.checked:
             darts = self._darts(total & ((1 << self.shift) - 1))
-            coords = loop_homology(self.rep, darts).coords
-            if _pack(enumerate(coords), self.width, len(coords)) not in (packed, -packed):
-                raise ArithmeticError("packed class sum disagrees with loop_homology")
+            _check_class(self.rep, darts, packed, self.width)
             if packed:
                 self.checked.add(label)
             elif is_disk_bounding(self.rep, darts):
@@ -247,34 +259,50 @@ class _CurveLabels(dict):
         return label
 
     def _darts(self, key: int) -> tuple[int, ...]:
-        """The refined-map dart cycle of the curve with join key `key`: each
-        arc's own dart, the end it leaves from, then the quad side
-        `RefinedMap.join_side` gives for the join at its far end."""
+        """The refined-map dart cycle (`_curve_darts`) of the curve with join
+        key `key`, from the arc ends it leaves from, in order."""
         departure_of = {}
         while key:
             j = key.bit_length() - 1
             key ^= 1 << j
             a, f = self.join_of[j]
             departure_of[a], departure_of[f] = f, a
-        join_side = self.rep.refined.join_side
-        darts: list[int] = []
-        start = end = f
-        while True:
-            departure = departure_of[end ^ 1]
-            darts += (end, join_side[end ^ 1, departure])
-            end = departure
-            if end == start:
-                return tuple(darts)
+        ends = [f]
+        while (end := departure_of[ends[-1] ^ 1]) != f:
+            ends.append(end)
+        return _curve_darts(self.rep, ends)
 
 
-def _relabel(labels: Mapping[tuple[int, ...], int], unpack: Callable[[int], HomologyClass]) -> dict[CurveClassKey, int]:
-    """The labels of `frontier.labelled_state_sum` as curve-class keys: the
-    classes of each label's nonzero packed classes, each unpacked once, and
-    the count of its 0s (null-essential curves).  A label is sorted, and int
-    order is class order (`_pack`), so its classes come sorted."""
+def _curve_darts(rep: SurfaceRep, ends: Sequence[int]) -> tuple[int, ...]:
+    """The refined-map dart cycle of the state curve that leaves from the arc
+    ends `ends`, in order: each arc's own dart, the end it leaves from, then
+    the quad side `RefinedMap.join_side` gives for the join at its far end
+    to the next end."""
+    join_side = rep.refined.join_side
+    return tuple(d for e, f in zip(ends, [*ends[1:], ends[0]]) for d in (e, join_side[e ^ 1, f]))
+
+
+def _check_class(rep: SurfaceRep, darts: Sequence[int], packed: int, width: int) -> None:
+    """Raise ArithmeticError unless the class `loop_homology` finds for the
+    curve `darts` packs (`_pack`, fields of `width` bits) to `packed`, the
+    sum of its `_class_steps`, up to sign: so also zero exactly when the
+    sum is.  An if/raise, which `python -O` keeps."""
+    coords = loop_homology(rep, darts).coords
+    if _pack(enumerate(coords), width, len(coords)) not in (packed, -packed):
+        raise ArithmeticError("packed class sum disagrees with loop_homology")
+
+
+def _relabel(
+    labels: Mapping[tuple[int, ...], Sequence[int]], unpack: Callable[[int], HomologyClass]
+) -> dict[CurveClassKey, int]:
+    """The labels of `frontier.labelled_state_sum` as curve-class keys, each
+    with its value: the classes of each label's nonzero packed classes, each
+    unpacked once, and the count of its 0s (null-essential curves).  A
+    label is sorted, and int order is class order (`_pack`), so its classes
+    come sorted."""
     classes: dict[int, HomologyClass] = {}
     out = {}
-    for label, value in labels.items():
+    for label, (value, _) in labels.items():
         zeros = label.count(0)
         for packed in label[zeros:]:
             if packed not in classes:
@@ -311,25 +339,46 @@ def _surface_bracket(rep: SurfaceRep, sums: Iterable[tuple[CurveClassKey, int]])
 
 
 def surface_bracket(rep: SurfaceRep) -> SurfaceBracket:
-    """Group all states by curve-class key and sum coefficients."""
-    return _surface_bracket(rep, _bracket_sum(rep).items())
+    """Group all states by curve-class key and sum coefficients.
+
+    `rep.genus` is the total over the surface's components, so at genus
+    <= 1 each component is a sphere or a torus.  There every
+    null-homologous simple closed curve bounds a disk, so no symbol is
+    null-essential and the d-image is the full bracket: the same keys,
+    values and order of first states, so this equals `d_image_bracket(rep)`
+    and is swept as such.  Only at genus >= 2 must a null-homologous curve
+    be told from a disk-bounding one, which needs the curve, not its class
+    (`_surface_sum`)."""
+    return _surface_bracket(rep, _surface_sum(rep).items())
 
 
-def _image_labels(rep: SurfaceRep, order: Sequence[int] | None = None) -> tuple[dict[tuple[int, ...], int], int]:
-    """(labels, width): the d-image of the surface bracket as
-    `frontier.labelled_state_sum` sums it, each label a sorted tuple of
-    classes packed by `_pack` with fields of `width` bits.
+def _surface_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
+    """The packed sums of the surface bracket: the d-image's (`_image_sum`)
+    at genus <= 1, the curve-named sweep's (`_bracket_sum`) at genus >= 2.
+    Either sweep checks its classes against `loop_homology`."""
+    if rep.genus <= 1:
+        return _image_sum(rep)
+    return _bracket_sum(rep)
+
+
+def _image_sweep(
+    rep: SurfaceRep, order: Sequence[int] | None = None
+) -> tuple[dict[tuple[int, ...], list[int]], int, StateTables, dict[tuple[int, int], int]]:
+    """(labels, width, tables, steps): the d-image of the surface bracket
+    swept in `order` (default the greedy one) as `frontier.labelled_state_sum`
+    sums it, each label a sorted tuple of classes packed by `_pack` with
+    fields of `width` bits, with the state tables and the class steps of
+    `_class_steps` it was swept with.
 
     The d-image sends each null-homologous essential symbol to d, so a
     curve's weight is d for a zero class and its symbol otherwise: it
     depends on the class alone and needs no disk test.
-    `frontier.labelled_state_sum` sweeps it in `order` (default the greedy
-    one) with the packed classes of `_class_steps` and the labels of
-    `_ImageLabels`.
+    `frontier.labelled_state_sum` sweeps it with the packed classes of
+    `_class_steps` and the labels of `_ImageLabels`.
     """
     tables = StateTables(rep.diagram)
     steps, width = _class_steps(rep, tables)
-    return labelled_state_sum(tables, steps, _ImageLabels({0: DISK}), order), width
+    return labelled_state_sum(tables, steps, _ImageLabels({0: DISK}), order), width, tables, steps
 
 
 def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[CurveClassKey, int]:
@@ -337,9 +386,46 @@ def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[Curv
     curve-class key, each with no null-essential curve -> the label's packed
     polynomial (`frontier.packed_fields`), without the free loops'
     d^free_loops, the labels in the order of the smallest state index that
-    reaches them, zero-valued ones included."""
-    labels, width = _image_labels(rep, order)
+    reaches them, zero-valued ones included.  Its classes are checked
+    against `loop_homology` first (`_check_witness_states`)."""
+    labels, width, tables, steps = _image_sweep(rep, order)
+    _check_witness_states(rep, labels, width, tables, steps)
     return _relabel(labels, _class_reader(2 * rep.genus, width))
+
+
+def _check_witness_states(
+    rep: SurfaceRep,
+    labels: Mapping[tuple[int, ...], Sequence[int]],
+    width: int,
+    tables: StateTables,
+    steps: Mapping[tuple[int, int], int],
+) -> None:
+    """Check the packed classes of a d-image sweep (`_image_sweep`) against
+    `loop_homology` on a few states, as `_CurveLabels` checks the full
+    sweep's.
+
+    The states are the all-A state (index 0, the first label's) and, per
+    distinct class of the labels whose polynomial is nonzero, the state at
+    the smallest index of a label that holds it, which the sweep keeps
+    anyway: a curve of that state carries the class.  Each curve of these
+    states is traced (`StateTables.trace`), and the class `loop_homology`
+    finds must pack to the sum of its steps up to sign (`_check_class`),
+    or ArithmeticError is raised.  So every class the bracket keeps is
+    checked on a curve that carries it, and a step table that sends every
+    class to 0, which would leave no class to check, fails on any curve of
+    the all-A state that is not null-homologous.  At genus 0 every class
+    has no coordinate, so there is nothing to check."""
+    if not rep.genus:
+        return
+    first = {}
+    for label, (value, index) in labels.items():
+        if value:
+            for packed in label:
+                first.setdefault(packed, index)
+    for index in sorted({0, *first.values()}):
+        for ends in tables.trace(index):
+            packed = sum(steps[e ^ 1, f] for e, f in zip(ends, [*ends[1:], ends[0]]))
+            _check_class(rep, _curve_darts(rep, ends), packed, width)
 
 
 def _image_classes(rep: SurfaceRep) -> _ImageClasses:
@@ -350,8 +436,8 @@ def _image_classes(rep: SurfaceRep) -> _ImageClasses:
     are distinct exactly when their classes are, so each class is kept
     once, as its packed int, and unpacked only when it is read; no
     polynomial is read."""
-    labels, width = _image_labels(rep)
-    distinct = dict.fromkeys(chain.from_iterable(label for label, value in labels.items() if value))
+    labels, width, _, _ = _image_sweep(rep)
+    distinct = dict.fromkeys(chain.from_iterable(label for label, (value, _) in labels.items() if value))
     return _ImageClasses(list(distinct), width, 2 * rep.genus)
 
 
@@ -401,7 +487,8 @@ def _class_reader(dim: int, width: int) -> Callable[[int], HomologyClass]:
 
 def d_image_bracket(rep: SurfaceRep) -> SurfaceBracket:
     """The surface bracket with every null-homologous essential symbol sent
-    to d: each key's essential count is 0, and `collapse` is unchanged."""
+    to d: each key's essential count is 0, and `collapse` is unchanged.
+    At genus <= 1 it is the surface bracket itself (`_surface_sum`)."""
     return _surface_bracket(rep, _image_sum(rep).items())
 
 

@@ -76,12 +76,14 @@ def _check_crossing_cap(n_crossings: int) -> None:
 
     No command enumerates the 2^n states: every state sum is a frontier
     sweep whose cost follows its keys.  The planar bracket, the tangle
-    expansion and the d-image behind `certify` and both reports stay small
-    far past the cap, but the full surface bracket behind `surface-bracket`
-    names each open path by the joins it passes, so its keys grow fast on
-    random codes: at 20 crossings, seeded random codes of genus 8-9 took
-    16-27 s and 0.45-0.56 GB each on a shared 2-vCPU machine.  So one
-    crossing cap still holds for every input.
+    expansion and the d-image behind `certify`, both reports and
+    `surface-bracket` at Carter genus <= 1 stay small far past the cap.  At
+    genus >= 2 only, the full surface bracket behind `surface-bracket` names
+    each open path by the joins it passes, so its keys grow fast on random
+    codes: at 20 crossings, seeded random codes of genus 8-9 took 16-27 s
+    and 0.45-0.56 GB each on a shared 2-vCPU machine.  The genus is known
+    only once the surface is built, so one crossing cap still holds for
+    every input.
     """
     if n_crossings > _max_crossings():
         raise CliError(f"{n_crossings} crossings exceeds VKNOT_MAX_CROSSINGS={_max_crossings()}")

@@ -44,12 +44,13 @@ a second kernel whose keys also hold an int per open end, summed along
 the path, and the sorted label elements of the loops closed so far; a
 closed loop's int is looked up in a mapping that says whether it weighs d
 or which element it adds, and each key keeps the smallest state index that
-reaches it.  Its frontier is grouped by pairing, {pairing: {(path ints,
-closed labels): [value, smallest index]}}, since many keys share one
-pairing (about 10 on random 9-11-crossing codes): which arcs join two
-paths and which close a loop, and the new pairing, depend on the pairing
-alone, so a step works them out once per pairing and smoothing (the
-per-pairing transition) and replays them on each key's ints.  The old
+reaches it, which the result hands out with each label's value.  Its
+frontier is grouped by pairing, {pairing: {(path ints, closed labels):
+[value, smallest index]}}, since many keys share one pairing (about 10
+on random 9-11-crossing codes): which arcs join two paths and which
+close a loop, and the new pairing, depend on the pairing alone, so a
+step works them out once per pairing and smoothing (the per-pairing
+transition) and replays them on each key's ints.  The old
 frontier, and each pairing's keys, are emptied as they are read, so the
 old and the new frontier are not both held in full.  `analysis` sums both
 surface brackets with it: for the d-image the int is the loop's packed
@@ -158,7 +159,7 @@ def labelled_state_sum(
     join_ints: Mapping[tuple[int, int], int],
     loop_label: Mapping[int, int],
     order: Sequence[int] | None = None,
-) -> dict[tuple[int, ...], int]:
+) -> dict[tuple[int, ...], list[int]]:
     """The state sum of a diagram's `tables` with each loop labelled by
     `loop_label`, swept in `order` (default `greedy_order`).
 
@@ -166,12 +167,13 @@ def labelled_state_sum(
     arc end p, along p's arc, and leaves from end q by a smoothing join, and
     a closed loop whose ints sum to v weighs `loop_label[v]`: d for DISK,
     otherwise the label element it adds.  The result maps the sorted tuple
-    of the label elements of a state's loops to the sum of A^(n - 2b) d^k
-    over its states, with b B-smoothings and k loops of weight d, packed in
-    s = A^-2 as `packed_fields` sets out: every label's polynomial is 0
-    exactly when its int is.  The labels are listed in the order of the
-    smallest state index that reaches them (bit k of an index is the
-    B-smoothing of crossing k), zero-valued ones included.  `loop_label` is
+    of the label elements of a state's loops to [value, index]: the value is
+    the sum of A^(n - 2b) d^k over its states, with b B-smoothings and k
+    loops of weight d, packed in s = A^-2 as `packed_fields` sets out, so
+    every label's polynomial is 0 exactly when its int is; the index is the
+    smallest state index that reaches the label (bit k of an index is the
+    B-smoothing of crossing k).  The labels are listed in the order of that
+    index, zero-valued ones included.  `loop_label` is
     read once per closed loop; a mapping that fills itself on a miss
     (`__missing__`) sees each distinct v there first.
 
@@ -209,7 +211,7 @@ def labelled_state_sum(
     frontier, _ = _sweep(tables, order, lambda key: {key: {((), ()): [1 << offset * width, 0]}}, step)
     # every end is closed: one pairing, the empty one, with no path ints
     (entries,) = frontier.values()
-    return {closed: value for (_, closed), (value, _) in sorted(entries.items(), key=lambda item: item[1][1])}
+    return {closed: entry for (_, closed), entry in sorted(entries.items(), key=lambda item: item[1][1])}
 
 
 def read_packed(value: int, n: int) -> LaurentPoly:

@@ -1,17 +1,27 @@
-"""Where `certify` or `jones` spends its time, layer by layer, in process.
+"""Where `certify`, `surface-bracket` or `jones` spends its time, layer by
+layer, in process.
 
     PYTHONPATH=src python tests/layer_split.py WORKLOAD [--repeat N]
 
 WORKLOAD names a benchmark workload of perfbench/workloads.py.  The split
-times its `certify` ops if it runs any (family_certify, random_certify),
-else its `jones` ops (planar_jones), through cumulative stages, each stage
-redoing the ones before it.  A `certify` op starts from its diagram:
+times the ops of each of these commands that the workload runs: `certify`
+(family_certify, random_certify, catalog_reports), `surface-bracket`
+(catalog_reports) and `jones` (planar_jones), through cumulative stages,
+each stage redoing the ones before it.  A `certify` op starts from its
+diagram:
 
     carter     build_carter_surface
     refined    + the quad refinement (rep.refined)
     homology   + the tree-cotree homology (rep.homology)
     tables     + StateTables and analysis._class_steps
     certify    the whole of analysis.certify (setup, sweep and criteria)
+
+a `surface-bracket` op from its diagram too:
+
+    carter     build_carter_surface
+    sweep      + the packed sums of the bracket, analysis._surface_sum: the
+               d-image at genus <= 1, the curve-named sweep at genus >= 2
+    readout    the whole of analysis.surface_bracket and its to_json()
 
 and a `jones` op from its argv:
 
@@ -40,7 +50,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from perfbench.workloads import POOLS, all_ops  # noqa: E402
 
-from vknot.analysis import _class_steps, certify  # noqa: E402
+from vknot.analysis import _class_steps, _surface_sum, certify, surface_bracket  # noqa: E402
 from vknot.bracket import StateTables  # noqa: E402
 from vknot.cli import _resolve_diagram, build_parser, main as cli_main  # noqa: E402
 from vknot.frontier import greedy_order, state_sum  # noqa: E402
@@ -65,6 +75,14 @@ def _tables(d):
     rep = build_carter_surface(d)
     rep.homology
     return _class_steps(rep, StateTables(d))
+
+
+def _surface_sweep(d):
+    return _surface_sum(build_carter_surface(d))
+
+
+def _surface_readout(d):
+    return surface_bracket(build_carter_surface(d)).to_json()
 
 
 def _parse(argv):
@@ -95,6 +113,7 @@ SPLITS = {
         [("carter", _carter), ("refined", _refined), ("homology", _homology), ("tables", _tables), ("certify", certify)],
         _parse,
     ),
+    "surface-bracket": ([("carter", _carter), ("sweep", _surface_sweep), ("readout", _surface_readout)], _parse),
     "jones": (
         [("parse", _parse), ("tables", _planar_tables), ("order", _order), ("state_sum", _state_sum), ("jones", _jones)],
         list,
@@ -102,15 +121,12 @@ SPLITS = {
 }
 
 
-def split_inputs(workload: str) -> tuple[str, list]:
-    """The first command of SPLITS that the workload runs, and the stage
-    input of every op of it that any seed of the workload can run."""
+def split_inputs(workload: str) -> dict[str, list]:
+    """Each command of SPLITS that the workload runs -> the stage input of
+    every op of it that any seed of the workload can run."""
     ops = [argv for argv, _ in all_ops(workload)]
-    for command, (_, prepare) in SPLITS.items():
-        inputs = [prepare(argv) for argv in ops if argv[0] == command]
-        if inputs:
-            return command, inputs
-    return "", []
+    inputs = {command: [prepare(argv) for argv in ops if argv[0] == command] for command, (_, prepare) in SPLITS.items()}
+    return {command: xs for command, xs in inputs.items() if xs}
 
 
 def split(stages: list, inputs: list, repeat: int) -> dict[str, float]:
@@ -132,16 +148,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("workload", choices=sorted(POOLS))
     parser.add_argument("--repeat", type=int, default=9)
     args = parser.parse_args(argv)
-    command, inputs = split_inputs(args.workload)
-    if not inputs:
+    commands = split_inputs(args.workload)
+    if not commands:
         parser.error(f"{args.workload} runs no {' or '.join(SPLITS)} op")
-    stages, _ = SPLITS[command]
-    best = split(stages, inputs, args.repeat)
-    print(f"{args.workload}: {len(inputs)} {command} ops, best of {args.repeat}, ms")
-    before = 0.0
-    for name, _ in stages:
-        print(f"  {name:10s} {1e3 * (best[name] - before):8.2f}   cumulative {1e3 * best[name]:8.2f}")
-        before = best[name]
+    for command, inputs in commands.items():
+        stages, _ = SPLITS[command]
+        best = split(stages, inputs, args.repeat)
+        print(f"{args.workload}: {len(inputs)} {command} ops, best of {args.repeat}, ms")
+        before = 0.0
+        for name, _ in stages:
+            print(f"  {name:10s} {1e3 * (best[name] - before):8.2f}   cumulative {1e3 * best[name]:8.2f}")
+            before = best[name]
     return 0
 
 

@@ -373,19 +373,13 @@ def test_certify_under_python_O_is_byte_identical(argv):
     assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
 
 
-WALK_CHECKS = """
+#: Class steps off by a factor, and a zero sum for a curve of nonzero class.
+WRONG_STEPS = """
 import vknot.analysis as analysis
 from vknot.catalog import catalog
 from vknot.surface import build_carter_surface
 
 assert False, "asserts must be stripped"
-d = catalog("kishino")
-rep = build_carter_surface(d)
-rep.refined.join_side.popitem()
-try:
-    analysis._bracket_sum(rep)
-except AssertionError as exc:
-    print("refused:", exc)
 class_steps = analysis._class_steps
 
 
@@ -397,9 +391,17 @@ def tripled_steps(rep, tables):
 def zeroed_steps(rep, tables):
     steps, width = class_steps(rep, tables)
     return dict.fromkeys(steps, 0), width
+"""
 
+WALK_CHECKS = WRONG_STEPS + """
+d = catalog("kishino")
+rep = build_carter_surface(d)
+rep.refined.join_side.popitem()
+try:
+    analysis._bracket_sum(rep)
+except AssertionError as exc:
+    print("refused:", exc)
 
-# a sum off by a factor, and a zero sum for a curve of nonzero class
 for wrong_steps in (tripled_steps, zeroed_steps):
     analysis._class_steps = wrong_steps
     try:
@@ -417,3 +419,21 @@ def test_walk_checks_raise_under_python_O():
         "refused: packed class sum disagrees with loop_homology",
         "refused: packed class sum disagrees with loop_homology",
     ]
+
+
+#: The same wrong steps under `surface_bracket` at genus 1, where it sweeps
+#: the d-image and checks its classes on traced states.
+IMAGE_CHECKS = WRONG_STEPS + """
+for wrong_steps in (tripled_steps, zeroed_steps):
+    analysis._class_steps = wrong_steps
+    try:
+        analysis.surface_bracket(build_carter_surface(catalog("virtual_trefoil")))
+    except ArithmeticError as exc:
+        print("refused:", exc)
+"""
+
+
+def test_image_class_checks_raise_under_python_O():
+    proc = _python("-O", "-c", IMAGE_CHECKS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == ["refused: packed class sum disagrees with loop_homology"] * 2

@@ -7,7 +7,9 @@ state sum is the full one with the null-essential count merged into the
 loop count; both list their labels by smallest state index.  Both are
 swept by `frontier.labelled_state_sum`, so the full bracket is checked on
 its own against the state-by-state oracle (tests/test_surface_oracle.py),
-and both against the planar bracket by `collapse()`.
+and both against the planar bracket by `collapse()`.  At Carter genus <= 1
+`surface_bracket` is the d-image, checked here against the curve-named
+sweep `_bracket_sum` that it runs at genus >= 2.
 """
 
 import importlib.util
@@ -20,13 +22,13 @@ from pathlib import Path
 
 import oracle
 import pytest
-from randgen import GENUS_THREE_CODE, random_gauss_code
+from randgen import GENUS_THREE_CODE, braid_closure, random_braid_word, random_gauss_code
 
 from vknot import analysis, frontier, surface
 from vknot.analysis import certify, d_image_bracket, per_torus_criterion, surface_bracket
 from vknot.bracket import StateTables, bracket_partial, d_power, f_polynomial, kauffman_bracket
 from vknot.catalog import catalog, catalog_names, catalog_p_family
-from vknot.diagram import OVER, UNDER, VirtualLinkDiagram, format_gauss_code, parse_gauss_code
+from vknot.diagram import OVER, UNDER, VirtualLinkDiagram, format_gauss_code, parse_gauss_code, virtualize_crossing
 from vknot.frontier import greedy_order, packed_fields, read_packed, signed_fields
 from vknot.laurent import LOOP_VALUE, LaurentPoly
 from vknot.surface import HomologyClass, build_carter_surface, genus, intersection_number
@@ -253,6 +255,10 @@ def _read(rep, image):
 
 @pytest.mark.parametrize("d", [d for _, d in SMALL + TWIST], ids=[name for name, _ in SMALL + TWIST])
 def test_sweep_equals_merged_gray_walk_under_three_orders(d):
+    """The d-image swept in three crossing orders equals the full sweep
+    with its null-essential symbols sent to d, labels and order.  (The
+    state-by-state Gray walk of the name is gone; the full sweep took its
+    place as the reference.)"""
     rep = build_carter_surface(d)
     expected = _merged(rep)
     n = d.n_crossings
@@ -407,6 +413,66 @@ def test_a_diagram_of_the_unknot_is_not_certified():
     assert certify(parse_gauss_code(FALSE_CERTIFICATE_CODE)).verdict != "NonClassical"
 
 
+def _genus_at_most_one_codes(seed: int = 20261025, count: int = 60) -> list[str]:
+    """`count` distinct seeded codes of 1-10 crossings and Carter genus <= 1."""
+    rng = random.Random(seed)
+    codes: dict[str, None] = {}
+    while len(codes) < count:
+        n = rng.randint(1, 10)
+        code = random_gauss_code(rng, n, rng.randint(1, min(3, 2 * n)))
+        if genus(parse_gauss_code(code)) <= 1:
+            codes[code] = None
+    return list(codes)
+
+
+#: The catalog's classical entries (Carter genus 0) with a crossing.
+CLASSICAL = [name for name in catalog_names() if catalog(name).n_crossings and genus(catalog(name)) == 0]
+#: Every single virtualization of a classical catalog entry.
+VIRTUALIZATIONS = [
+    (f"{name}-v{c}", virtualize_crossing(catalog(name), c)) for name in CLASSICAL for c in catalog(name).crossing_ids
+]
+ORACLE_CASES = (
+    [(name, catalog(name)) for name in catalog_names()]
+    + [(code, parse_gauss_code(code)) for code in _genus_at_most_one_codes()]
+    + VIRTUALIZATIONS
+)
+
+
+def test_single_virtualizations_of_classical_entries_have_genus_at_most_one():
+    """A torus, but for the kink's one crossing and `linkL`'s crossing 4,
+    where the surface stays a sphere."""
+    assert len(CLASSICAL) == 6 and len(VIRTUALIZATIONS) == 21
+    assert {name: genus(d) for name, d in VIRTUALIZATIONS if genus(d) != 1} == {"kink-v1": 0, "linkL-v4": 0}
+
+
+@pytest.mark.parametrize("d", [d for _, d in ORACLE_CASES], ids=[name for name, _ in ORACLE_CASES])
+def test_surface_bracket_equals_the_curve_named_sweep(d):
+    """`surface_bracket` against the full sweep `_bracket_sum` on every
+    catalog entry, seeded codes of genus <= 1 and the single
+    virtualizations of the classical entries: at genus <= 1 every
+    null-homologous curve bounds a disk, so the d-image it sweeps there is
+    the full bracket, the same JSON and the same entries in the same order."""
+    rep = build_carter_surface(d)
+    got = surface_bracket(rep)
+    expected = analysis._surface_bracket(rep, analysis._bracket_sum(rep).items())
+    assert got.to_json() == expected.to_json()
+    assert list(got.entries.items()) == list(expected.entries.items())
+
+
+def _braid_closures() -> list[VirtualLinkDiagram]:
+    """The 18-crossing closure of `random_braid_word(random.Random(1), 4, 18)`
+    and its virtualization at crossing 1 (timed in README), and seeded
+    closures of 10-16 crossings on 2-5 strands with one virtualization each."""
+    d = parse_gauss_code(braid_closure(random_braid_word(random.Random(1), 4, 18), 4))
+    out = [d, virtualize_crossing(d, 1)]
+    rng = random.Random(20261026)
+    for _ in range(6):
+        strands = rng.randint(2, 5)
+        d = parse_gauss_code(braid_closure(random_braid_word(rng, strands, rng.randint(10, 16)), strands))
+        out += [d, virtualize_crossing(d, rng.choice(d.crossing_ids))]
+    return out
+
+
 class _Forbidden(Exception):
     pass
 
@@ -434,5 +500,26 @@ def test_certify_takes_no_state_walk_and_no_disk_test(monkeypatch):
     for d in diagrams:
         certify(d)
     assert str(certify(catalog_p_family(9))) == "NonClassical(2)"
+    with pytest.raises(_Forbidden):
+        surface_bracket(build_carter_surface(catalog("kishino")))
+
+
+def test_surface_bracket_names_no_curve_and_takes_no_disk_test_at_genus_at_most_one(monkeypatch):
+    """At genus <= 1 `surface_bracket` sweeps the d-image: no curve-named
+    sweep, no curve labels and no disk test, also on the 18-crossing braid
+    closure and its virtualization, where the curve-named sweep takes
+    seconds.  Its bracket still collapses to d times the planar one.  At
+    genus 2 (`kishino`) it still takes the curve-named sweep."""
+    diagrams = [d for d in [d for _, d in ORACLE_CASES] + _braid_closures() if genus(d) <= 1]
+    assert len(diagrams) > 100
+    for module, name in (
+        (analysis, "_bracket_sum"),
+        (analysis, "_CurveLabels"),
+        (analysis, "is_disk_bounding"),
+        (surface, "is_disk_bounding"),
+    ):
+        monkeypatch.setattr(module, name, _forbid)
+    for d in diagrams:
+        assert surface_bracket(build_carter_surface(d)).collapse() == LOOP_VALUE * kauffman_bracket(d)
     with pytest.raises(_Forbidden):
         surface_bracket(build_carter_surface(catalog("kishino")))

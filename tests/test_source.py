@@ -298,14 +298,19 @@ def test_no_unreferenced_private_helpers():
 def test_layer_split_script_runs():
     """tests/layer_split.py, which pytest does not collect, still runs on
     this checkout: one pass over family_certify prints every `certify`
-    layer, and one over planar_jones every `jones` layer."""
+    layer, one over planar_jones every `jones` layer, and one over
+    catalog_reports every `certify` and every `surface-bracket` layer."""
     script = [sys.executable, str(Path(__file__).with_name("layer_split.py"))]
-    for workload, header, layers in (
-        ("family_certify", "3 certify ops", ["carter", "refined", "homology", "tables", "certify"]),
-        ("planar_jones", "97 jones ops", ["parse", "tables", "order", "state_sum", "jones"]),
+    certify_layers = ["carter", "refined", "homology", "tables", "certify"]
+    for workload, blocks in (
+        ("family_certify", [("3 certify ops", certify_layers)]),
+        ("planar_jones", [("97 jones ops", ["parse", "tables", "order", "state_sum", "jones"])]),
+        ("catalog_reports", [("11 certify ops", certify_layers), ("11 surface-bracket ops", ["carter", "sweep", "readout"])]),
     ):
         proc = subprocess.run([*script, workload, "--repeat", "1"], capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr.decode()
-        lines = proc.stdout.decode().splitlines()
-        assert lines[0] == f"{workload}: {header}, best of 1, ms"
-        assert [line.split()[0] for line in lines[1:]] == layers
+        expected = []
+        for header, layers in blocks:
+            expected += [f"{workload}: {header}, best of 1, ms", *layers]
+        got = [line if line.startswith(workload) else line.split()[0] for line in proc.stdout.decode().splitlines()]
+        assert got == expected

@@ -529,7 +529,8 @@ def _three_orders(d) -> dict[str, list[int]]:
 @pytest.mark.parametrize("kind,arg", SWEEP_CASES, ids=[f"{k}-{a}" for k, a in SWEEP_CASES])
 def test_gray_walk_tally_matches_state_order_oracle(kind, arg):
     """The full bracket's sweep against the state-by-state oracle, items and
-    order, under three crossing orders."""
+    order, under three crossing orders.  (The Gray walk of the name is
+    gone; the sweep it tests replaced it.)"""
     d = _diagram(kind, arg)
     for name, order in _three_orders(d).items():
         assert _sweep_items(d, order) == _oracle_items(kind, arg), name
