@@ -8,16 +8,20 @@ genus of the associated surface representation.
 
 Grammar (bit-exact):  diagram := component (";" component)*;
 component := pass+ | "U";  pass := ("O"|"U") integer ("+"|"-");
-whitespace is ignored.  The sign is written on both passes of a crossing
-and must agree.  The tangle grammar (`vknot.tangle`) adds boundary tokens
-"B<n>"; `tokenize` reads both.
+whitespace is ignored, and a component is never empty.  The sign is
+written on both passes of a crossing and must agree.  The tangle grammar
+(`vknot.tangle`) adds boundary tokens "B<n>".  This module owns what the
+two grammars share: `read_strands` reads either text into its components
+and crossing signs, `check_crossings` checks the passes and signs of a
+diagram or tangle, `format_passes` writes passes back, and
+`reverse_signs` applies the sign rule for reversed strands.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 OVER = "O"
 UNDER = "U"
@@ -52,38 +56,90 @@ class Pass(NamedTuple):
         return f"{self.role}{self.crossing}"
 
 
-_TOKEN = re.compile(r"([OU])(\d+)([+-])|B(\d+)|(U)|(;)")
+# one token and the whitespace before it; the text's trailing whitespace is
+# cut before reading
+_TOKEN = re.compile(r"\s*(?:([OU])(\d+)([+-])|B(\d+)|(U)|(;))")
 
 
-def tokenize(text: str):
-    """Yield the tokens of the Gauss and tangle grammars in `text`.
+def read_strands(text: str) -> tuple[list[list], dict[int, int]]:
+    """The ";"-separated components of `text` and the sign of each crossing.
 
-    A token is (Pass, sign) for a pass, the int n for a boundary point
-    "B<n>", "U" for the unknot marker, or ";".  Whitespace is skipped.
-    Raises ParseError on input that is no token, and ValidationError when
-    the two passes of a crossing carry different signs.
+    A component is the list of its tokens: a Pass, the int n of a boundary
+    point "B<n>", or "U" for the unknot marker.  Text with no token has no
+    component; whitespace is skipped.  Raises ParseError on input that is
+    no token and on an empty component, and ValidationError when the two
+    passes of a crossing carry different signs.  Which tokens may stand
+    where is left to `parse_gauss_code` and `tangle.parse_tangle`.
     """
-    sign_of: dict[int, int] = {}
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
+    strand: list = []
+    strands = [strand]
+    signs: dict[int, int] = {}
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN.match(text, pos)
-        if not m:
+        if m is None:
             raise ParseError(f"unexpected input at {text[pos:].strip()[:10]!r}")
         pos = m.end()
-        role, cid_s, sign_s, boundary, marker, sep = m.groups()
+        role, cid_s, sign_s, boundary, marker, _ = m.groups()
         if role:
             cid = int(cid_s)
             sign = 1 if sign_s == "+" else -1
-            if sign_of.setdefault(cid, sign) != sign:
+            if signs.setdefault(cid, sign) != sign:
                 raise ValidationError(f"crossing {cid}: sign mismatch between its two passes")
-            yield Pass(cid, role), sign
+            strand.append(Pass(cid, role))
         elif boundary:
-            yield int(boundary)
+            strand.append(int(boundary))
+        elif marker:
+            strand.append(marker)
         else:
-            yield marker or sep
+            strand = []
+            strands.append(strand)
+    if strands == [[]]:
+        return [], signs
+    if [] in strands:
+        raise ParseError("empty component")
+    return strands, signs
+
+
+def check_crossings(
+    strands: Iterable[Sequence[Pass]], signs: dict[int, int], unpaired: Callable[[int, list[str]], Exception]
+) -> None:
+    """Refuse passes and signs that do not make crossings.
+
+    Raises ValidationError unless the passes of `strands` and `signs` name
+    the same crossings and every sign is +1 or -1, and the exception
+    `unpaired(cid, roles)` unless crossing cid has one Over and one Under
+    pass; `roles` lists the roles of its passes.
+    """
+    seen: dict[int, list[str]] = {}
+    for passes in strands:
+        for p in passes:
+            seen.setdefault(p.crossing, []).append(p.role)
+    if seen.keys() != signs.keys():
+        raise ValidationError("crossing ids of passes and signs disagree")
+    for cid, roles in seen.items():
+        if sorted(roles) != [OVER, UNDER]:
+            raise unpaired(cid, roles)
+        if signs[cid] not in (1, -1):
+            raise ValidationError(f"crossing {cid} has invalid sign")
+
+
+def format_passes(passes: Iterable[Pass], signs: dict[int, int]) -> str:
+    """The text of `passes`, each with its crossing's sign: "O1+U2-"."""
+    return "".join(f"{p.role}{p.crossing}{'+' if signs[p.crossing] > 0 else '-'}" for p in passes)
+
+
+def reverse_signs(signs: dict[int, int], passes: Iterable[Pass]) -> dict[int, int]:
+    """The signs once the strands through `passes` run the other way.
+
+    A crossing's sign is defined relative to the orientations of its two
+    strands, so reversing one of them negates it: each pass negates its
+    crossing's sign, and a crossing met twice keeps it.
+    """
+    out = dict(signs)
+    for p in passes:
+        out[p.crossing] = -out[p.crossing]
+    return out
 
 
 def arc_ends(
@@ -121,6 +177,12 @@ def arc_ends(
     return n_arcs, rotation, boundary
 
 
+def _unpaired(cid: int, roles: list[str]) -> ValidationError:
+    if len(roles) != 2:
+        return ValidationError(f"crossing {cid} appears {len(roles)} times, expected 2")
+    return ValidationError(f"crossing {cid} needs one Over and one Under pass")
+
+
 class VirtualLinkDiagram:
     """Immutable virtual link diagram.
 
@@ -149,23 +211,9 @@ class VirtualLinkDiagram:
         return (VirtualLinkDiagram, (self.components, self.signs, self.free_loops))
 
     def _validate(self) -> None:
-        seen: dict[int, list[str]] = {}
-        for comp in self.components:
-            if not comp:
-                raise ValidationError("empty component; use the 'U' unknot marker")
-            for p in comp:
-                if p.role not in (OVER, UNDER):
-                    raise ValidationError(f"bad role {p.role!r}")
-                seen.setdefault(p.crossing, []).append(p.role)
-        if set(seen) != set(self.signs):
-            raise ValidationError("crossing ids of passes and signs disagree")
-        for cid, roles in seen.items():
-            if len(roles) != 2:
-                raise ValidationError(f"crossing {cid} appears {len(roles)} times, expected 2")
-            if sorted(roles) != [OVER, UNDER]:
-                raise ValidationError(f"crossing {cid} needs one Over and one Under pass")
-            if self.signs[cid] not in (1, -1):
-                raise ValidationError(f"crossing {cid} has invalid sign")
+        if not all(self.components):
+            raise ValidationError("empty component; use the 'U' unknot marker")
+        check_crossings(self.components, self.signs, _unpaired)
         if self.free_loops < 0:
             raise ValidationError("negative free loop count")
 
@@ -219,49 +267,33 @@ class VirtualLinkDiagram:
 
 def parse_gauss_code(text: str) -> VirtualLinkDiagram:
     """Parse and validate a signed Gauss code."""
-    components: list[list[Pass]] = [[]]
+    strands, signs = read_strands(text)
+    if not strands:
+        raise ParseError("empty diagram")
+    components = []
     free = 0
-    marker_in_current = False
-    sign_of: dict[int, int] = {}
-    for tok in tokenize(text):
-        if tok == ";":
-            components.append([])
-            marker_in_current = False
-        elif tok == "U":  # unknot marker
-            if components[-1] or marker_in_current:
-                raise ParseError("unknot marker 'U' must be a whole component")
-            marker_in_current = True
+    for strand in strands:
+        if strand == ["U"]:
             free += 1
-        elif isinstance(tok, int):
-            raise ParseError(f"boundary token 'B{tok}' is tangle input, not a Gauss code")
-        else:
-            if marker_in_current:
-                raise ParseError("unknot marker 'U' must be a whole component")
-            p, sign = tok
-            sign_of[p.crossing] = sign
-            components[-1].append(p)
-    if not components[-1] and not marker_in_current:
-        if len(components) == 1 and free == 0:
-            raise ParseError("empty diagram")
-        raise ParseError("empty component")
-    comps = tuple(tuple(c) for c in components if c)
-    used = {p.crossing for comp in comps for p in comp}
-    return VirtualLinkDiagram(comps, {c: sign_of[c] for c in used}, free)
+            continue
+        for tok in strand:
+            if type(tok) is not Pass:
+                if tok == "U":
+                    raise ParseError("unknot marker 'U' must be a whole component")
+                raise ParseError(f"boundary token 'B{tok}' is tangle input, not a Gauss code")
+        components.append(tuple(strand))
+    return VirtualLinkDiagram(tuple(components), signs, free)
 
 
 def format_gauss_code(d: VirtualLinkDiagram) -> str:
     """Canonical text form; parse(format(d)) == d."""
-    parts = []
-    for comp in d.components:
-        parts.append("".join(f"{p.role}{p.crossing}{'+' if d.signs[p.crossing] > 0 else '-'}" for p in comp))
-    parts.extend("U" for _ in range(d.free_loops))
-    return ";".join(parts)
+    return ";".join([*(format_passes(comp, d.signs) for comp in d.components), *["U"] * d.free_loops])
 
 
 # -- elementary moves ----------------------------------------------------
 
 
-def _replace_crossing(d: VirtualLinkDiagram, cid: int, swap_roles: bool, flip_sign: bool) -> VirtualLinkDiagram:
+def _replace_crossing(d: VirtualLinkDiagram, cid: int, swap_roles: bool) -> VirtualLinkDiagram:
     if cid not in d.signs:
         raise UnknownCrossingError(cid)
     comps = tuple(
@@ -272,14 +304,13 @@ def _replace_crossing(d: VirtualLinkDiagram, cid: int, swap_roles: bool, flip_si
         for comp in d.components
     )
     signs = dict(d.signs)
-    if flip_sign:
-        signs[cid] = -signs[cid]
+    signs[cid] = -signs[cid]
     return VirtualLinkDiagram(comps, signs, d.free_loops)
 
 
 def switch_crossing(d: VirtualLinkDiagram, cid: int) -> VirtualLinkDiagram:
     """Exchange the Over/Under passes of a crossing and negate its sign."""
-    return _replace_crossing(d, cid, swap_roles=True, flip_sign=True)
+    return _replace_crossing(d, cid, swap_roles=True)
 
 
 def virtualize_crossing(d: VirtualLinkDiagram, cid: int) -> VirtualLinkDiagram:
@@ -290,7 +321,7 @@ def virtualize_crossing(d: VirtualLinkDiagram, cid: int) -> VirtualLinkDiagram:
     connectivity while mirroring the local embedding.  This encoding is the
     one satisfying the defining identity bracket(K_v) == bracket(K_s).
     """
-    return _replace_crossing(d, cid, swap_roles=False, flip_sign=True)
+    return _replace_crossing(d, cid, swap_roles=False)
 
 
 def mirror(d: VirtualLinkDiagram) -> VirtualLinkDiagram:
@@ -351,18 +382,7 @@ def smooth_crossing(d: VirtualLinkDiagram, cid: int, smoothing: SmoothingType) -
             comps.append(merged)
         else:
             free += 1
-    signs = {c: s for c, s in d.signs.items() if c != cid}
-    # Reversing a segment reverses the orientation of one strand through
-    # every crossing met exactly once inside it, which negates that
-    # crossing's sign; crossings met twice keep both strands reversed.
-    for c, count in _pass_counts(reversed_part).items():
-        if c != cid and count == 1:
-            signs[c] = -signs[c]
+    # the reversed segment holds no pass of cid, which the smoothing removes
+    signs = reverse_signs(d.signs, reversed_part)
+    del signs[cid]
     return VirtualLinkDiagram(tuple(tuple(c) for c in comps), signs, free)
-
-
-def _pass_counts(passes: list[Pass]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for p in passes:
-        counts[p.crossing] = counts.get(p.crossing, 0) + 1
-    return counts

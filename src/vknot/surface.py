@@ -272,7 +272,6 @@ class RefinedMap:
     def __init__(self, rep: SurfaceRep):
         base = 2 * rep.n_arcs
         rotation = rep.crossing_rotation
-        self.crossing_index = {cid: i for i, cid in enumerate(rotation)}
         self.base = base
         n_darts = base + 8 * len(rotation)
         sigma = [0] * n_darts

@@ -10,9 +10,11 @@ yields a non-classical, non-trivial virtual link.
 
 Input grammar: the diagram Gauss grammar extended with boundary tokens
 "B1".."B2n"; an open strand starts and ends with a boundary token, e.g.
-"B1 O1+ B3 ; B2 U1+ B4" is the single positive crossing.  The grammar
-admits classical crossings only, so NonClassicalTangle is structurally
-unreachable from text input; it guards programmatic constructors.
+"B1 O1+ B3 ; B2 U1+ B4" is the single positive crossing, and a strand is
+never empty.  `diagram.read_strands` reads the text, and
+`diagram.check_crossings` checks the crossings of a tangle as it does
+those of a diagram; a crossing without both of its passes inside the
+tangle is refused with NonClassicalTangle.
 """
 
 from __future__ import annotations
@@ -21,17 +23,18 @@ from typing import NamedTuple, Sequence
 
 from .bracket import StateTables, d_power, kauffman_bracket
 from .diagram import (
-    OVER,
-    UNDER,
     ParseError,
     Pass,
     SmoothingType,
     ValidationError,
     VirtualLinkDiagram,
+    check_crossings,
     format_gauss_code,
+    format_passes,
+    read_strands,
+    reverse_signs,
     smooth_crossing,
     switch_crossing,
-    tokenize,
     virtualize_crossing,
 )
 from .frontier import read_packed, state_sum
@@ -90,6 +93,10 @@ class Strand(NamedTuple):
     end: int | None
 
 
+def _unpaired(cid: int, roles: list[str]) -> NonClassicalTangle:
+    return NonClassicalTangle(f"crossing {cid} lacks a full Over/Under pair inside the tangle")
+
+
 class Tangle:
     """A classical tangle with 2n marked boundary points."""
 
@@ -100,7 +107,6 @@ class Tangle:
 
     def _validate(self) -> None:
         bpts = []
-        seen: dict[int, list[str]] = {}
         for s in self.strands:
             if (s.start is None) != (s.end is None):
                 raise ValidationError("strand must be open at both ends or closed")
@@ -108,19 +114,9 @@ class Tangle:
                 bpts.extend((s.start, s.end))
             elif not s.passes:
                 raise ValidationError("closed strand with no passes")
-            for p in s.passes:
-                seen.setdefault(p.crossing, []).append(p.role)
         if sorted(bpts) != list(range(1, len(bpts) + 1)):
             raise ValidationError("boundary points must be exactly 1..2n, each once")
-        if len(bpts) % 2:
-            raise ValidationError("odd number of boundary points")
-        if set(seen) != set(self.signs):
-            raise ValidationError("crossing ids of passes and signs disagree")
-        for cid, roles in seen.items():
-            if sorted(roles) != [OVER, UNDER]:
-                raise NonClassicalTangle(
-                    f"crossing {cid} lacks a full Over/Under pair inside the tangle"
-                )
+        check_crossings((s.passes for s in self.strands), self.signs, _unpaired)
         self.n_boundary = len(bpts)
 
     @property
@@ -142,45 +138,28 @@ class Tangle:
 
 def parse_tangle(text: str) -> Tangle:
     """Parse the extended Gauss grammar with B1..B2n boundary tokens."""
-    raw: list[list] = [[]]
-    sign_of: dict[int, int] = {}
-    for tok in tokenize(text):
-        if tok == ";":
-            raw.append([])
-        elif tok == "U":
-            raise ParseError("unknot marker 'U' is Gauss-code input, not a tangle strand")
-        elif isinstance(tok, int):
-            raw[-1].append(tok)
-        else:
-            p, sign = tok
-            sign_of[p.crossing] = sign
-            raw[-1].append(p)
+    raw, signs = read_strands(text)
+    if not raw:
+        raise ParseError("empty tangle")
+    if any("U" in items for items in raw):
+        raise ParseError("unknot marker 'U' is Gauss-code input, not a tangle strand")
     strands = []
     for items in raw:
-        if not items:
-            continue
-        bs = [x for x in items if isinstance(x, int)]
-        ps = tuple(x for x in items if isinstance(x, Pass))
-        if not bs:
-            strands.append(Strand(None, ps, None))
-        elif len(bs) == 2 and isinstance(items[0], int) and isinstance(items[-1], int):
-            strands.append(Strand(items[0], ps, items[-1]))
+        ends = [i for i, tok in enumerate(items) if isinstance(tok, int)]
+        if not ends:
+            strands.append(Strand(None, tuple(items), None))
+        elif ends == [0, len(items) - 1]:
+            strands.append(Strand(items[0], tuple(items[1:-1]), items[-1]))
         else:
             raise ParseError("boundary tokens must begin and end an open strand")
-    if not strands:
-        raise ParseError("empty tangle")
-    used = {p.crossing for s in strands for p in s.passes}
-    return Tangle(strands, {c: sign_of[c] for c in used})
+    return Tangle(strands, signs)
 
 
 def format_tangle(t: Tangle) -> str:
     parts = []
     for s in t.strands:
-        toks = [] if s.start is None else [f"B{s.start}"]
-        toks += [f"{p.role}{p.crossing}{'+' if t.signs[p.crossing] > 0 else '-'}" for p in s.passes]
-        if s.end is not None:
-            toks.append(f"B{s.end}")
-        parts.append("".join(toks))
+        passes = format_passes(s.passes, t.signs)
+        parts.append(passes if s.start is None else f"B{s.start}{passes}B{s.end}")
     return ";".join(parts)
 
 
@@ -221,9 +200,8 @@ def expand_tangle(t: Tangle) -> TangleExpansion:
 def close_tangle(t: Tangle, cap: Matching) -> VirtualLinkDiagram:
     """Close a tangle by joining boundary points according to `cap`.
 
-    Traversal directions are propagated through the cap; crossings with
-    exactly one pass on a reversed strand get their sign negated, since
-    the sign is defined relative to strand orientations.
+    Traversal directions are propagated through the cap, and the signs
+    follow the strands that run backward (`diagram.reverse_signs`).
     """
     cap_of = {}
     for a, b in cap:
@@ -249,16 +227,7 @@ def close_tangle(t: Tangle, cap: Matching) -> VirtualLinkDiagram:
                 cur, d = end_of[nxt_pt], -1
         order.append(comp)
 
-    signs = dict(t.signs)
-    flips: dict[int, int] = {}
-    for si, s in enumerate(t.strands):
-        if s.start is not None and direction[si] < 0:
-            for p in s.passes:
-                flips[p.crossing] = flips.get(p.crossing, 0) + 1
-    for cid, count in flips.items():
-        if count == 1:
-            signs[cid] = -signs[cid]
-
+    signs = reverse_signs(t.signs, (p for si, d in direction.items() if d < 0 for p in t.strands[si].passes))
     comps = []
     free = 0
     for comp in order:

@@ -388,8 +388,9 @@ def greedy_order(tables: StateTables) -> list[int]:
 
 def position_of(rep: SurfaceRep) -> dict[int, tuple[int, int]]:
     """(crossing index, corner) of each original dart in its crossing's
-    counterclockwise rotation."""
-    index = rep.refined.crossing_index
+    counterclockwise rotation; crossing i is the i-th in id order, as
+    `RefinedMap` lays out its quads."""
+    index = {cid: i for i, cid in enumerate(rep.crossing_rotation)}
     return {d: (index[cid], k) for cid, cyc in rep.crossing_rotation.items() for k, d in enumerate(cyc)}
 
 

@@ -37,6 +37,8 @@ def test_bracket_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "bracket", "O1+U1-")
     assert code == 2
     assert "sign mismatch" in err
+    code, _, err = run(capsys, "bracket", ";O1+U1+")
+    assert code == 2 and "empty component" in err
 
 
 def test_jones_kishino_json(capsys):
@@ -99,6 +101,8 @@ def test_tangle_expand_single_crossing(capsys):
 def test_tangle_expand_bad_input(capsys):
     code, _, err = run(capsys, "tangle-expand", "B1O1+")
     assert code == 2 and "bad tangle" in err
+    code, _, err = run(capsys, "tangle-expand", "B1O1+B3;B2U1+B4;")
+    assert code == 2 and "bad tangle: empty component" in err
 
 
 def test_virtualize_report(capsys):

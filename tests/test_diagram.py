@@ -1,7 +1,10 @@
 """Gauss-code parsing, moves, and smoothing."""
 
+import random
+
 import pytest
 from oracle import canonical_code
+from randgen import random_gauss_code
 
 from vknot.diagram import (
     ParseError,
@@ -23,8 +26,19 @@ TREFOIL = "O1+U2+O3+U1+O2+U3+"
 
 
 def test_parse_round_trip():
-    for code in (TREFOIL, "O1+O2+U1+U2+", "O1+U2+;U1+O2+", "U", "U;U", "O1-U1-;U"):
-        assert format_gauss_code(parse_gauss_code(code)) == code
+    """Fixed and seeded random codes, some with unknot markers, format back
+    to their own text, and each diagram survives a format-parse round."""
+    codes = [TREFOIL, "O1+O2+U1+U2+", "O1+U2+;U1+O2+", "U", "U;U", "O1-U1-;U"]
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        codes.append(random_gauss_code(rng, n, rng.randint(1, min(3, 2 * n))) + ";U" * rng.randint(0, 2))
+    for code in codes:
+        d = parse_gauss_code(code)
+        text = format_gauss_code(d)
+        assert text == code
+        assert parse_gauss_code(text) == d
+        assert format_gauss_code(parse_gauss_code(text)) == text
 
 
 def test_parse_whitespace_insensitive():
@@ -41,6 +55,10 @@ PARSE_ERRORS = [
     ("O1+U1+O2+U2+O1+U1+", ValidationError),  # crossing seen four times
     ("B1O1+U1+B2", ParseError),  # tangle boundary tokens
     ("O1+U1+;B1", ParseError),
+    # a component is never empty, wherever it stands
+    (";O1+U1+", ParseError),
+    ("O1+U1+;;O2+U2+", ParseError),
+    ("U;;U", ParseError),
 ]
 
 

@@ -61,6 +61,13 @@ RETIRED_NAMES = {
     # classes are read whole, or field by field from their packed ints
     "project_to_torus": "surface.HomologyClass.coords",
     "IndexOutOfRange": "surface.HomologyClass.coords",
+    # the token generator, the pass tally of a reversed segment, the sign
+    # flag every caller set and the crossing numbering only a test read:
+    # one strand reader and one reversal rule serve Gauss codes and tangles
+    "tokenize": "diagram.read_strands",
+    "_pass_counts": "diagram.reverse_signs",
+    "flip_sign": "diagram._replace_crossing",
+    "crossing_index": "SurfaceRep.crossing_rotation",
 }
 
 

@@ -9,7 +9,7 @@ from randgen import random_gauss_code, random_tangle
 from vknot import analysis, cli
 from vknot.bracket import bracket_by_recursion, d_power, kauffman_bracket
 from vknot.catalog import catalog, catalog_entry
-from vknot.diagram import ParseError, ValidationError, parse_gauss_code
+from vknot.diagram import ParseError, Pass, ValidationError, VirtualLinkDiagram, parse_gauss_code
 from vknot.laurent import LaurentPoly, format_laurent
 from vknot.surface import genus
 from vknot.tangle import (
@@ -17,6 +17,8 @@ from vknot.tangle import (
     IDENTITY_2_2,
     DoubleVirtualizationReport,
     Matching,
+    Strand,
+    Tangle,
     alpha_beta_at_crossing,
     close_tangle,
     closure_consistency,
@@ -34,10 +36,21 @@ SINGLE_POSITIVE = "B1O1+B3;B2U1+B4"
 
 
 def test_parse_format_round_trip():
+    """The single crossing and seeded random tangles, among them open strands
+    with no pass and closed strands, survive a format-parse round."""
     t = parse_tangle(SINGLE_POSITIVE)
     assert format_tangle(t) == SINGLE_POSITIVE
     assert t.n_boundary == 4
     assert t.n_crossings == 1
+    rng = random.Random(11)
+    tangles = [random_tangle(rng, rng.randint(0, 9), rng.choice((2, 4, 6, 8))) for _ in range(100)]
+    strands = [s for t in tangles for s in t.strands]
+    assert any(s.start is None for s in strands) and any(s.start is not None and not s.passes for s in strands)
+    for t in tangles:
+        text = format_tangle(t)
+        u = parse_tangle(text)
+        assert (u.strands, u.signs, u.n_boundary) == (t.strands, t.signs, t.n_boundary)
+        assert format_tangle(parse_tangle(text)) == text
 
 
 PARSE_ERRORS = [
@@ -46,6 +59,10 @@ PARSE_ERRORS = [
     ("B1O1+B3;B2U1+B5", ValidationError),  # boundary points not 1..2n
     ("B1O1+B3;B2U1+B4;U", ParseError),  # the Gauss unknot marker
     ("B1O1+B3;U;B2U1+B4", ParseError),
+    # a strand is never empty, wherever it stands
+    (";B1O1+B3;B2U1+B4", ParseError),
+    ("B1O1+B3;;B2U1+B4", ParseError),
+    ("B1O1+B3;B2U1+B4;", ParseError),
 ]
 
 
@@ -53,6 +70,14 @@ def test_parse_errors():
     for text, error in PARSE_ERRORS:
         with pytest.raises(error):
             parse_tangle(text)
+
+
+def test_tangle_refuses_a_sign_other_than_plus_or_minus_one():
+    """A tangle's crossing signs are checked as a diagram's are."""
+    with pytest.raises(ValidationError, match="invalid sign"):
+        Tangle([Strand(1, (Pass(1, "O"),), 3), Strand(2, (Pass(1, "U"),), 4)], {1: 5})
+    with pytest.raises(ValidationError, match="invalid sign"):
+        VirtualLinkDiagram(((Pass(1, "O"), Pass(1, "U")),), {1: 5})
 
 
 def test_matching_noncrossing():
