@@ -78,6 +78,7 @@ it at genus 2, yet Reidemeister moves reduce it to a kink of the unknot.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -105,7 +106,7 @@ class SurfaceBracket(NamedTuple):
 
     entries: dict[CurveClassKey, LaurentPoly]
     genus: int
-    convention: str = "unreduced"
+    convention = "unreduced"  # a class attribute, not a field: no bracket has another
 
     def collapse(self) -> LaurentPoly:
         """Substitute d for every remaining curve symbol (consistency bridge).
@@ -177,8 +178,8 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[dict[tuple[int, 
     exists, starts where the arc arrives and ends where the next arc leaves,
     so every walk over these joins is a closed walk of refined darts.
     """
-    m, join_side, dart_vec = rep.refined.map, rep.refined.join_side, rep.homology.dart_vec
-    vertex_of, alpha = m.vertex_of, m.alpha
+    m, dart_vec = rep.refined, rep.homology.dart_vec
+    join_side, vertex_of, alpha = m.join_side, m.vertex_of, m.alpha
     # an edge's two darts have opposite classes (`MapHomology.dart_vec`)
     forward = [(d, e, dart_vec[d]) for d, e in m.edges if dart_vec[d]]
     bound = 2 * sum(max(abs(v) for _, v in vec) for _, _, vec in forward)
@@ -311,21 +312,20 @@ def _relabel(
     return out
 
 
-def _bracket_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[CurveClassKey, int]:
+def _bracket_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
     """The surface state sum: curve-class key -> the sum of A^(n - 2b)
     d^disks over its states, packed as `frontier.packed_fields` sets out,
     without the free loops' d^free_loops.
 
-    `frontier.labelled_state_sum` sweeps it in `order` (default the greedy
-    one), each open path carrying the packed class and join key of
-    `_CurveLabels`, so a curve's weight is known when it closes.  The keys
-    come in the order of their smallest state index, the order of first
-    appearance in state-index order, on which the per-torus witnesses
-    depend, zero-valued ones included.
+    `frontier.labelled_state_sum` sweeps it, each open path carrying the
+    packed class and join key of `_CurveLabels`, so a curve's weight is
+    known when it closes.  The keys come in the order of their smallest
+    state index, the order of first appearance in state-index order, on
+    which the per-torus witnesses depend, zero-valued ones included.
     """
     tables = StateTables(rep.diagram)
     curves = _CurveLabels(rep, tables)
-    labels = labelled_state_sum(tables, curves.join_ints, curves, order)
+    labels = labelled_state_sum(tables, curves.join_ints, curves)
     return _relabel(labels, _class_reader(2 * rep.genus, curves.width))
 
 
@@ -362,33 +362,34 @@ def _surface_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
 
 
 def _image_sweep(
-    rep: SurfaceRep, order: Sequence[int] | None = None
+    rep: SurfaceRep,
 ) -> tuple[dict[tuple[int, ...], list[int]], int, StateTables, dict[tuple[int, int], int]]:
-    """(labels, width, tables, steps): the d-image of the surface bracket
-    swept in `order` (default the greedy one) as `frontier.labelled_state_sum`
-    sums it, each label a sorted tuple of classes packed by `_pack` with
-    fields of `width` bits, with the state tables and the class steps of
-    `_class_steps` it was swept with.
+    """(labels, width, tables, steps): the d-image of the surface bracket as
+    `frontier.labelled_state_sum` sums it, each label a sorted tuple of
+    classes packed by `_pack` with fields of `width` bits, with the state
+    tables and the class steps of `_class_steps` it was swept with.
 
     The d-image sends each null-homologous essential symbol to d, so a
     curve's weight is d for a zero class and its symbol otherwise: it
     depends on the class alone and needs no disk test.
     `frontier.labelled_state_sum` sweeps it with the packed classes of
-    `_class_steps` and the labels of `_ImageLabels`.
+    `_class_steps` and the labels of `_ImageLabels`.  At genus 0 every class
+    is zero: every step is 0 (a `defaultdict(int)`), in fields 1 bit wide,
+    and neither the refined map nor its homology is built.
     """
     tables = StateTables(rep.diagram)
-    steps, width = _class_steps(rep, tables)
-    return labelled_state_sum(tables, steps, _ImageLabels({0: DISK}), order), width, tables, steps
+    steps, width = _class_steps(rep, tables) if rep.genus else (defaultdict(int), 1)
+    return labelled_state_sum(tables, steps, _ImageLabels({0: DISK})), width, tables, steps
 
 
-def _image_sum(rep: SurfaceRep, order: Sequence[int] | None = None) -> dict[CurveClassKey, int]:
+def _image_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
     """The d-image of the surface bracket before its polynomials are read:
     curve-class key, each with no null-essential curve -> the label's packed
     polynomial (`frontier.packed_fields`), without the free loops'
     d^free_loops, the labels in the order of the smallest state index that
     reaches them, zero-valued ones included.  Its classes are checked
     against `loop_homology` first (`_check_witness_states`)."""
-    labels, width, tables, steps = _image_sweep(rep, order)
+    labels, width, tables, steps = _image_sweep(rep)
     _check_witness_states(rep, labels, width, tables, steps)
     return _relabel(labels, _class_reader(2 * rep.genus, width))
 
@@ -600,7 +601,7 @@ class Certificate(NamedTuple):
     genus: int
     criteria: tuple[CriterionResult, ...]
     diagram: str
-    convention: str = "unreduced"
+    convention = "unreduced"  # a class attribute, not a field: no certificate has another
 
     def __str__(self) -> str:
         if self.verdict == "NonClassical":

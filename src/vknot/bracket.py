@@ -9,8 +9,9 @@ partial states that pair the open arc ends alike, so its cost follows
 the width of the diagram rather than 2^n.  `bracket_partial` keeps the
 state-by-state sum as the reference the sweep is tested against.  The
 sweep carries the un-reduced sum, with d per loop, as one packed polynomial
-(`frontier.packed_fields`); `kauffman_bracket` divides it by d exactly and
-reads it with `frontier.read_packed`, the reader of every state sum.  The
+(`frontier.packed_fields`); `kauffman_bracket` divides it by d exactly
+(`frontier.divide_by_d`) and reads it with `frontier.read_packed`, the
+reader of every state sum.  The
 surface-level (un-reduced) convention lives in `vknot.analysis`.
 """
 
@@ -25,7 +26,7 @@ from .diagram import (
     smooth_crossing,
     writhe,
 )
-from .frontier import packed_fields, read_packed, state_sum
+from .frontier import divide_by_d, read_packed, state_sum
 from .laurent import LOOP_VALUE, LaurentPoly, try_divide_exact
 
 if TYPE_CHECKING:
@@ -130,12 +131,7 @@ def kauffman_bracket(d: VirtualLinkDiagram) -> LaurentPoly:
     free = d.free_loops
     if not tables.n:
         return d_power(max(free - 1, 0))
-    width, _ = packed_fields(tables.n)
-    # value = d * q with d = -(2^W + 2^-W) at s = 2^W, so -2^W value = q (1 + 2^(2W))
-    reduced, rest = divmod(-(state_sum(tables)[()] << width), 1 + (1 << 2 * width))
-    if rest:
-        raise ArithmeticError("planar state sum is not divisible by d")
-    return read_packed(reduced, tables.n) * d_power(free)
+    return read_packed(divide_by_d(state_sum(tables)[()], tables.n), tables.n) * d_power(free)
 
 
 def f_polynomial(d: VirtualLinkDiagram) -> LaurentPoly:

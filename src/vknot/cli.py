@@ -72,18 +72,17 @@ def _named_entry(args) -> CatalogEntry | None:
 
 
 def _check_crossing_cap(n_crossings: int) -> None:
-    """Refuse inputs with more than VKNOT_MAX_CROSSINGS crossings.
-
-    No command enumerates the 2^n states: every state sum is a frontier
-    sweep whose cost follows its keys.  The planar bracket, the tangle
-    expansion and the d-image behind `certify`, both reports and
-    `surface-bracket` at Carter genus <= 1 stay small far past the cap.  At
-    genus >= 2 only, the full surface bracket behind `surface-bracket` names
-    each open path by the joins it passes, so its keys grow fast on random
-    codes: at 20 crossings, seeded random codes of genus 8-9 took 16-27 s
-    and 0.45-0.56 GB each on a shared 2-vCPU machine.  The genus is known
-    only once the surface is built, so one crossing cap still holds for
-    every input.
+    """Refuse inputs with more than VKNOT_MAX_CROSSINGS crossings: a
+    deployment limit on the time and memory of the surface sweeps (the
+    d-image behind `certify` and both reports, and the surface bracket),
+    whose keys grow about as fast as 2^n on random codes of high genus.  On
+    one-component codes of Carter genus >= 3 from tests/randgen.py
+    (`random_gauss_code`, `random.Random(7)`, four per size; shared 2-vCPU
+    machine), `certify` took 1.6-6.2 s at 20 crossings and 17-58 s (2.1 GB
+    peak) at 24, where `jones` took at most 0.024 s; `certify` on the
+    86-crossing `catalog_p_family(40)` took 0.16 s.  The cost follows the
+    shape of the diagram, known only once the surface is built, so one cap
+    holds for every input, tangles included.
     """
     if n_crossings > _max_crossings():
         raise CliError(f"{n_crossings} crossings exceeds VKNOT_MAX_CROSSINGS={_max_crossings()}")

@@ -16,10 +16,11 @@ arc joins the paths at its two ends; when those are the two ends of one
 path, a loop is closed.  The cost is the number of keys times the number
 of crossings, and the number of keys is bounded by the number of pairings
 of the widest frontier, where a state-by-state sum visits all 2^n states.
-With the greedy order below the twist family `catalog_p_family(n)` has
-width 4 and at most 2 keys at every n, and random 1- and 2-component
-Gauss codes of 16, 20, 24 and 28 crossings reach widths of at most 10,
-12, 14 and 16 and at most 75, 428, 2404 and 8087 keys (8 codes each).
+Every sweep adds the crossings in `greedy_order`, in which the twist
+family `catalog_p_family(n)` has width 4 and at most 2 keys at every n,
+and random 1- and 2-component Gauss codes of 16, 20, 24 and 28 crossings
+reach widths of at most 10, 12, 14 and 16 and at most 75, 428, 2404 and
+8087 keys (8 codes each).
 
 A key is the tuple of the partners of the open ends, in order: for each
 open end, the arc end (or terminal) at the other end of its path.  Its
@@ -37,8 +38,8 @@ path an arc joins by one slot lookup each, and reads the new key off the
 surviving slots with one `itemgetter` call: a far end keeps its id when
 the slots move, so no key is relabelled.
 
-`state_sum` returns this value per boundary pairing: `bracket` reduces it
-by d for the planar bracket, and `tangle` reads one coefficient per
+`state_sum` returns this value per boundary pairing: `bracket` divides it
+by d (`divide_by_d`), and `tangle` reads one coefficient per
 boundary matching from it.  `labelled_state_sum` runs the same sweep with
 a second kernel whose keys also hold an int per open end, summed along
 the path, and the sorted label elements of the loops closed so far; a
@@ -66,7 +67,7 @@ JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from .laurent import LaurentPoly
 
@@ -110,14 +111,12 @@ def greedy_order(tables: StateTables) -> list[int]:
     return order
 
 
-def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> dict[tuple[tuple[int, int], ...], int]:
-    """The state sum of `tables` swept in `order` (default `greedy_order`).
+def state_sum(tables: StateTables) -> dict[tuple[tuple[int, int], ...], int]:
+    """The state sum of `tables`, swept in `greedy_order`.
 
     The result maps the pairing of the boundary ends (empty for a diagram)
     to the sum of A^(n - 2b) d^k over its states, with b B-smoothings and k
-    closed loops, packed as `packed_fields` sets out.  Every order gives
-    the same result; an `order` that is not a permutation of the crossing
-    indices raises ValueError.
+    closed loops, packed as `packed_fields` sets out.
     """
     width, offset = packed_fields(tables.n)
 
@@ -126,7 +125,7 @@ def state_sum(tables: StateTables, order: Sequence[int] | None = None) -> dict[t
         smoothings = (((r3, r0, r2, r1), 0), ((r1, r2, r0, r3), width))
         return _step(frontier, smoothings, closes, pick, slot, width)
 
-    frontier, ends = _sweep(tables, order, lambda key: {key: 1 << offset * width}, step)
+    frontier, ends = _sweep(tables, lambda key: {key: 1 << offset * width}, step)
     return {
         tuple(sorted((~a, ~b) for a, b in zip(ends, key) if a > b)): value for key, value in frontier.items()
     }
@@ -158,10 +157,9 @@ def labelled_state_sum(
     tables: StateTables,
     join_ints: Mapping[tuple[int, int], int],
     loop_label: Mapping[int, int],
-    order: Sequence[int] | None = None,
 ) -> dict[tuple[int, ...], list[int]]:
     """The state sum of a diagram's `tables` with each loop labelled by
-    `loop_label`, swept in `order` (default `greedy_order`).
+    `loop_label`, swept in `greedy_order`.
 
     `join_ints[p, q]` is the int (additive) a loop gains when it arrives at
     arc end p, along p's arc, and leaves from end q by a smoothing join, and
@@ -208,10 +206,21 @@ def labelled_state_sum(
         )
         return _labelled_step(frontier, smoothings, closes, pick, slot, width, loop_label)
 
-    frontier, _ = _sweep(tables, order, lambda key: {key: {((), ()): [1 << offset * width, 0]}}, step)
+    frontier, _ = _sweep(tables, lambda key: {key: {((), ()): [1 << offset * width, 0]}}, step)
     # every end is closed: one pairing, the empty one, with no path ints
     (entries,) = frontier.values()
     return {closed: entry for (_, closed), entry in sorted(entries.items(), key=lambda item: item[1][1])}
+
+
+def divide_by_d(value: int, n: int) -> int:
+    """A value of a state sum of n crossings divided by d exactly: at s = 2^W,
+    d = -(2^W + 2^-W), so the quotient q has -2^W value = q (1 + 2^(2W)).
+    A remainder raises ArithmeticError (an if/raise, which `python -O` keeps)."""
+    width, _ = packed_fields(n)
+    quotient, rest = divmod(-(value << width), 1 + (1 << 2 * width))
+    if rest:
+        raise ArithmeticError("state sum is not divisible by d")
+    return quotient
 
 
 def read_packed(value: int, n: int) -> LaurentPoly:
@@ -266,11 +275,11 @@ class SignedFields:
         return [((biased >> shift) & mask) - half for shift in self.shifts]
 
 
-def _sweep(tables, order, start, step):
-    """Add the crossings of `tables` in `order` (default `greedy_order`) to
-    the frontier `start(key)` of the boundary pairing `key`, one
-    `step(frontier, k, closes, pick, slot)` per crossing k; the final
-    frontier and its open ends.
+def _sweep(tables, start, step):
+    """Add the crossings of `tables` in `greedy_order` to the frontier
+    `start(key)` of the boundary pairing `key`, one `step(frontier, k,
+    closes, pick, slot)` per crossing k; the final frontier and its open
+    ends.
 
     A key holds, for each open end in order, the arc end (or terminal ~b)
     at the other end of its path.  The step's slots are the m open ends in
@@ -285,11 +294,6 @@ def _sweep(tables, order, start, step):
     (`_picker`).  A path's far end does not move when the slots do, so the
     partners the step picks are the new key as they stand.
     """
-    n = tables.n
-    if order is None:
-        order = greedy_order(tables)
-    elif sorted(order) != list(range(n)):
-        raise ValueError(f"crossing order {list(order)} is not a permutation of range({n})")
     boundary = tables.boundary
     placed = set(boundary)
     # each boundary end b starts as a path from its terminal ~b, and a
@@ -305,7 +309,7 @@ def _sweep(tables, order, start, step):
             partner[~b], partner[b] = b, ~b
     frontier = start(tuple([partner[e] for e in ends]))
     slot = [0] * 4 * tables.n_arcs
-    for k in order:
+    for k in greedy_order(tables):
         a_joins = tables.joins[k][0]
         placed.update(a_joins)
         m = len(ends)

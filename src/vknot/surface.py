@@ -4,12 +4,13 @@ A diagram's 4-valent graph, thickened using the rotation system at each
 crossing and capped along its boundary circles, is a closed orientable
 surface in which the diagram embeds.  This module reads that surface's
 faces, components and genus straight off the crossing rotation
-(`SurfaceRep`), writes the tables of its quad refinement directly
-(`RefinedMap`), and computes a homology basis with the integer
-intersection form, homology classes of embedded loops, and disk-bounding
-tests by cutting the surface open.  `CombinatorialMap` holds a map's
-tables; built from arbitrary dart permutations, it validates them and
-lays the tables out itself, and the refinement writes the same layout.
+(`SurfaceRep`), builds its quad refinement (`RefinedMap`), and computes a
+homology basis with the integer intersection form, homology classes of
+embedded loops, and disk-bounding tests by cutting the surface open.
+`CombinatorialMap` holds a map's tables; built from arbitrary dart
+permutations, it validates them and lays the tables out itself.  The
+refinement is a `CombinatorialMap` that writes the same layout into
+itself, with no validation beyond its genus check.
 
 The darts are the arc ends of `diagram.arc_ends`, and its crossing
 rotation is the counterclockwise dart order at each crossing (validated by
@@ -101,16 +102,6 @@ class CombinatorialMap:
             comp_darts[comp_of[v]] += len(orbit)
         self.chi_of_vertex = tuple([chi[c] - comp_darts[c] // 2 for c in comp_of])
 
-    @classmethod
-    def _from_tables(cls, **tables) -> "CombinatorialMap":
-        """A map whose tables the caller has laid out as `__init__` would,
-        every slot but `n_darts` by name; nothing is checked."""
-        m = cls.__new__(cls)
-        m.n_darts = len(tables["sigma"])
-        for name in cls.__slots__[1:]:
-            setattr(m, name, tables[name])
-        return m
-
     def genus(self) -> int:
         """Total genus, summed over connected components."""
         total = 0
@@ -200,7 +191,7 @@ class SurfaceRep:
 
     @cached_property
     def homology(self) -> "MapHomology":
-        return MapHomology(self.refined.map)
+        return MapHomology(self.refined)
 
     def __repr__(self) -> str:
         return f"SurfaceRep(genus={self.genus}, crossings={self.diagram.n_crossings})"
@@ -246,7 +237,7 @@ def genus(obj: "SurfaceRep | VirtualLinkDiagram") -> int:
 # -- quadrilateral refinement --------------------------------------------
 
 
-class RefinedMap:
+class RefinedMap(CombinatorialMap):
     """The same surface with each 4-valent vertex opened into a quad cell.
 
     Every crossing vertex becomes four corner vertices joined by four side
@@ -256,8 +247,9 @@ class RefinedMap:
     The refinement keeps chi (per crossing: +3 vertices, +4 edges, +1
     face), hence represents the same surface, which is checked.
 
-    The tables of `map` are written directly, as the generic
-    `CombinatorialMap` of the same sigma and alpha would lay them out.
+    Its tables are written directly, as the generic `CombinatorialMap` of
+    the same sigma and alpha would lay them out; `base` and `join_side` are
+    its own.
     Darts 0 .. base - 1 are the arc ends; crossing i (in id order) owns
     darts base + 8i .. base + 8i + 7, side base + 8i + 2k running from its
     corner k to corner k + 1 and side base + 8i + 2k + 1 back.  Vertex e is
@@ -269,11 +261,13 @@ class RefinedMap:
     arc ends are this map's vertices.
     """
 
+    __slots__ = ("base", "join_side")
+
     def __init__(self, rep: SurfaceRep):
         base = 2 * rep.n_arcs
         rotation = rep.crossing_rotation
         self.base = base
-        n_darts = base + 8 * len(rotation)
+        self.n_darts = n_darts = base + 8 * len(rotation)
         sigma = [0] * n_darts
         vertex_of = list(range(n_darts))
         vertices: list[tuple[int, ...]] = [()] * base
@@ -304,20 +298,24 @@ class RefinedMap:
         chi = [-(len(comp) // 2) for comp in components]
         for face in faces:
             chi[comp_of[vertex_of[face[0]]]] += 1
-        self.map = CombinatorialMap._from_tables(
-            sigma=tuple(sigma),
-            alpha=tuple([d ^ 1 for d in range(n_darts)]),
-            vertices=tuple(vertices),
-            edges=tuple(zip(range(0, n_darts, 2), range(1, n_darts, 2))),
-            faces=faces,
-            vertex_of=tuple(vertex_of),
-            edge_of=tuple([d >> 1 for d in range(n_darts)]),
-            face_of=_orbit_of(faces, n_darts),
-            components=components,
-            chi_of_vertex=tuple([chi[c] for c in comp_of]),
-        )
-        if self.map.genus() != rep.genus:
+        self.sigma = tuple(sigma)
+        self.alpha = tuple([d ^ 1 for d in range(n_darts)])
+        self.vertices = tuple(vertices)
+        self.edges = tuple(zip(range(0, n_darts, 2), range(1, n_darts, 2)))
+        self.faces = faces
+        self.vertex_of = tuple(vertex_of)
+        self.edge_of = tuple([d >> 1 for d in range(n_darts)])
+        self.face_of = _orbit_of(faces, n_darts)
+        self.components = components
+        self.chi_of_vertex = tuple([chi[c] for c in comp_of])
+        if self.genus() != rep.genus:
             raise AssertionError("refinement changed the surface genus")
+
+    @property
+    def map(self) -> "RefinedMap":
+        """This map: an alias read only by the benchmark's tracer, whose
+        perfbench/tracing.py `_key_loop` reads `rep.refined.map.edge_of`."""
+        return self
 
 
 # -- homology of a combinatorial map -------------------------------------
@@ -582,8 +580,7 @@ def cut_along_loop(rep: SurfaceRep, loop: Sequence[int]) -> list[tuple[int, int]
     boundary, and the surface decomposes into the face-connectivity
     components across the remaining edges.
     """
-    m = rep.refined.map
-    return _cut_map(m, loop)
+    return _cut_map(rep.refined, loop)
 
 
 def _cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
@@ -660,4 +657,4 @@ def _cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
 
 def is_disk_bounding(rep: SurfaceRep, loop: Sequence[int]) -> bool:
     """True iff cutting along the loop splits off a disk (chi = 1, one boundary)."""
-    return any(chi == 1 and b == 1 for chi, b in _cut_map(rep.refined.map, loop))
+    return any(chi == 1 and b == 1 for chi, b in _cut_map(rep.refined, loop))

@@ -16,6 +16,10 @@ diagram:
     tables     + StateTables and analysis._class_steps
     certify    the whole of analysis.certify (setup, sweep and criteria)
 
+The refined, homology and tables stages build the refinement and the
+homology on every op, though at genus 0 `certify` stops after the Carter
+surface and `analysis._class_steps` builds neither.
+
 a `surface-bracket` op from its diagram too:
 
     carter     build_carter_surface
@@ -28,7 +32,8 @@ and a `jones` op from its argv:
     parse      the argv and its Gauss code (or catalog entry) to a diagram
     tables     + StateTables
     order      + frontier.greedy_order
-    state_sum  + the frontier sweep, frontier.state_sum
+    state_sum  + the frontier sweep: frontier.state_sum of the tables,
+               which takes the greedy order itself
     jones      the whole op, vknot.cli.main with stdout captured
 
 Each stage's total over the ops is the best of N runs, the stages taking
@@ -99,7 +104,7 @@ def _order(argv):
 
 
 def _state_sum(argv):
-    return state_sum(*_order(argv))
+    return state_sum(_planar_tables(argv))
 
 
 def _jones(argv):

@@ -1,14 +1,18 @@
 """Reference computations that production code no longer runs, kept as
 oracles for the fast paths; `packed`, which puts their counts in the value
-format of the state sums; and `canonical_code`, which only tests use."""
+format of the state sums; `crossing_order`, which sweeps in another order
+than the greedy one; and `canonical_code` and the removal moves, which
+only tests use."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from vknot import frontier
 from vknot.analysis import CurveClassKey
 from vknot.bracket import StateTables, d_power
-from vknot.diagram import VirtualLinkDiagram
+from vknot.diagram import OVER, UNDER, VirtualLinkDiagram
 from vknot.frontier import packed_fields
 from vknot.laurent import LaurentPoly
 from vknot.surface import (
@@ -193,7 +197,7 @@ def bracket_chunk(rep: SurfaceRep) -> dict[CurveClassKey, int]:
     its edge set, is classified once with `loop_homology` and the disk test,
     whatever its class."""
     tables = StateTables(rep.diagram)
-    edge_of = rep.refined.map.edge_of
+    edge_of = rep.refined.edge_of
     kinds: dict[frozenset[int], tuple] = {}  # edge set -> (class, bounds a disk)
     counts: dict[CurveClassKey, dict[tuple[int, int], int]] = {}
     n = tables.n
@@ -386,6 +390,30 @@ def greedy_order(tables: StateTables) -> list[int]:
     return order
 
 
+@contextmanager
+def crossing_order(order: Sequence[int]) -> Iterator[None]:
+    """Every sweep in the block adds the crossings in `order`, which must be
+    a permutation of their indices (ValueError): `frontier.greedy_order`,
+    which every sweep takes its order from, is patched to return it.  A
+    block that sweeps nothing raises AssertionError, so a sweep that stops
+    reading the patched function shows."""
+    calls = []
+
+    def fixed(tables: StateTables) -> list[int]:
+        if sorted(order) != list(range(tables.n)):
+            raise ValueError(f"crossing order {list(order)} is not a permutation of range({tables.n})")
+        calls.append(tables)
+        return list(order)
+
+    greedy, frontier.greedy_order = frontier.greedy_order, fixed
+    try:
+        yield
+    finally:
+        frontier.greedy_order = greedy
+    if not calls:
+        raise AssertionError("no sweep ran in the given crossing order")
+
+
 def position_of(rep: SurfaceRep) -> dict[int, tuple[int, int]]:
     """(crossing index, corner) of each original dart in its crossing's
     counterclockwise rotation; crossing i is the i-th in id order, as
@@ -432,3 +460,32 @@ def canonical_code(d: VirtualLinkDiagram, max_components: int = 6) -> str | None
     if best is None:
         return "U" + ";U" * (d.free_loops - 1) if d.free_loops else ""
     return best + ";U" * d.free_loops
+
+
+def adjacent(d: VirtualLinkDiagram, x: tuple[int, str], y: tuple[int, str]) -> bool:
+    """Passes x and y, each (crossing, role), are cyclically next to each
+    other in one component."""
+    for comp in d.components:
+        passes = [(p.crossing, p.role) for p in comp]
+        if x in passes and y in passes:
+            return (passes.index(x) - passes.index(y)) % len(passes) in (1, len(passes) - 1)
+    return False
+
+
+def removal_move(d: VirtualLinkDiagram, crossings: set[int]) -> VirtualLinkDiagram:
+    """`d` without `crossings`, which must be an R1 (one crossing whose two
+    passes are adjacent) or an R2 (two crossings of opposite sign whose overs
+    are adjacent and whose unders are adjacent), else ValueError; a
+    component left empty becomes a free loop."""
+    if len(crossings) == 1:
+        (i,) = crossings
+        if not adjacent(d, (i, OVER), (i, UNDER)):
+            raise ValueError(f"{crossings} is no R1 removal")
+    else:
+        i, j = crossings
+        overs, unders = adjacent(d, (i, OVER), (j, OVER)), adjacent(d, (i, UNDER), (j, UNDER))
+        if d.signs[i] != -d.signs[j] or not (overs and unders):
+            raise ValueError(f"{crossings} is no R2 removal")
+    comps = [tuple(p for p in comp if p.crossing not in crossings) for comp in d.components]
+    signs = {c: s for c, s in d.signs.items() if c not in crossings}
+    return VirtualLinkDiagram([c for c in comps if c], signs, d.free_loops + comps.count(()))

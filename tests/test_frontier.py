@@ -77,21 +77,15 @@ def _assert_order_independent(tables: StateTables, seed: int) -> None:
     greedy = greedy_order(tables)
     assert greedy == oracle.greedy_order(tables)
     assert sorted(greedy) == list(range(tables.n))
-    result = state_sum(tables, greedy)
+    result = state_sum(tables)
     for name, order in _orders(tables.n, seed).items():
-        assert state_sum(tables, order) == result, name
+        with oracle.crossing_order(order):
+            assert state_sum(tables) == result, name
 
 
 @pytest.mark.parametrize("d", [d for _, d in DIAGRAMS], ids=[name for name, _ in DIAGRAMS])
 def test_tallies_identical_under_every_order(d):
     _assert_order_independent(StateTables(d), d.n_crossings)
-
-
-@pytest.mark.parametrize("order", [[0, 1], [0, 0, 1, 2]])
-def test_an_order_that_is_not_a_permutation_is_refused(order):
-    tables = StateTables(catalog("trefoil"))
-    with pytest.raises(ValueError, match="not a permutation"):
-        state_sum(tables, order)
 
 
 PICKER_SLOTS = """

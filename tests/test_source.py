@@ -68,6 +68,9 @@ RETIRED_NAMES = {
     "_pass_counts": "diagram.reverse_signs",
     "flip_sign": "diagram._replace_crossing",
     "crossing_index": "SurfaceRep.crossing_rotation",
+    # the table-writing constructor of the refined map: `RefinedMap` is a
+    # `CombinatorialMap` and writes its tables into itself
+    "_from_tables": "surface.RefinedMap",
 }
 
 
@@ -99,6 +102,20 @@ def test_no_retired_names():
             if m.group(1) in RETIRED_NAMES
         ]
     assert not found, f"retired names under src/vknot: {found}"
+
+
+def test_refined_map_alias_is_left_to_the_tracer():
+    """`RefinedMap.map`, the map itself, is kept only for perfbench/tracing.py,
+    which reads `rep.refined.map`: no code under src/vknot or tests reads
+    `.map` off a `.refined`."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted([*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")])
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "map"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "refined"
+    ]
+    assert not found, f"reads of the RefinedMap.map alias: {found}"
 
 
 def test_perfbench_hooks_resolve():

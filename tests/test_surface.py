@@ -61,7 +61,7 @@ def test_virtual_genera():
 def test_refined_map_preserves_genus():
     for code in list(VIRTUAL) + CLASSICAL[1:]:
         rep = build_carter_surface(parse_gauss_code(code))
-        assert rep.refined.map.genus() == rep.genus
+        assert rep.refined.genus() == rep.genus
 
 
 def test_homology_basis_is_symplectic():

@@ -20,7 +20,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from oracle import bracket_chunk, cut_map, cycle_coords, dense_dart_vec, rotation_form, state_curves, unpack
+from oracle import (
+    bracket_chunk,
+    crossing_order,
+    cut_map,
+    cycle_coords,
+    dense_dart_vec,
+    rotation_form,
+    state_curves,
+    unpack,
+)
 from randgen import GENUS_THREE_CODE, random_gauss_code
 
 import vknot.analysis as analysis
@@ -50,7 +59,7 @@ def _random_codes(seed: int = 20261018, count: int = 16) -> list[str]:
 
 
 def _oracle_disk(rep, curve) -> bool:
-    return any(chi == 1 and b == 1 for chi, b in cut_map(rep.refined.map, curve))
+    return any(chi == 1 and b == 1 for chi, b in cut_map(rep.refined, curve))
 
 
 def reference_surface_bracket(d) -> SurfaceBracket:
@@ -169,7 +178,7 @@ def test_dart_table_class_matches_edge_coordinates(kind, arg):
     tables = StateTables(d)
     assert len(rep.refined.join_side) == 8 * d.n_crossings
     labels = _CurveLabels(rep, tables)
-    edge_of = rep.refined.map.edge_of
+    edge_of = rep.refined.edge_of
     curves = set()
     for state in range(1 << tables.n):
         walked = state_curves(rep, tables, state)
@@ -248,11 +257,11 @@ def test_tree_walk_form_matches_the_splicing_contraction(group):
     Carter map and on the refined map."""
     for d in _rotation_diagrams(group):
         rep = build_carter_surface(d)
-        for m in (rep.map, rep.refined.map):
+        for m in (rep.map, rep.refined):
             h = MapHomology(m)
             assert [list(row) for row in h.form.entries] == rotation_form(h), format_gauss_code(d)
         if group == "split":
-            assert len(rep.refined.map.components) == 2 and rep.genus == 2
+            assert len(rep.refined.components) == 2 and rep.genus == 2
 
 
 @pytest.mark.parametrize("group", ["catalog", "p_family", "split", "random"])
@@ -263,7 +272,7 @@ def test_dart_classes_match_the_dense_change_of_basis(group):
     on the Carter map and on the refined map."""
     for d in _rotation_diagrams(group):
         rep = build_carter_surface(d)
-        for m in (rep.map, rep.refined.map):
+        for m in (rep.map, rep.refined):
             h = MapHomology(m)
             assert h.dart_vec == dense_dart_vec(h), format_gauss_code(d)
 
@@ -285,7 +294,7 @@ def test_direct_tables_match_the_generic_map(group):
         assert rep.components == tuple(
             tuple(sorted(x for v in comp for x in carter.vertices[v])) for comp in carter.components
         ), code
-        m = rep.refined.map
+        m = rep.refined
         generic = CombinatorialMap(m.sigma, m.alpha)
         for slot in CombinatorialMap.__slots__:
             assert getattr(m, slot) == getattr(generic, slot), (code, slot)
@@ -303,7 +312,7 @@ def test_direct_tables_match_the_generic_map(group):
 
 TABLE_CHECKS = """
 from vknot.catalog import catalog
-from vknot.surface import CombinatorialMap, MapHomology, build_carter_surface
+from vknot.surface import MapHomology, build_carter_surface
 
 assert False, "asserts must be stripped"
 # two ends of one crossing swapped in its rotation: the refined tables then
@@ -318,11 +327,10 @@ except AssertionError as exc:
     print("refused:", exc)
 # each face boundary followed by its reverse: every cotree edge cancels in
 # the face it is eliminated from
-m = build_carter_surface(catalog("kishino")).refined.map
-tables = {slot: getattr(m, slot) for slot in CombinatorialMap.__slots__[1:]}
-tables["faces"] = tuple(f + tuple(m.alpha[x] for x in reversed(f)) for f in m.faces)
+m = build_carter_surface(catalog("kishino")).refined
+m.faces = tuple(f + tuple(m.alpha[x] for x in reversed(f)) for f in m.faces)
 try:
-    MapHomology(CombinatorialMap._from_tables(**tables))
+    MapHomology(m)
 except AssertionError as exc:
     print("refused:", exc)
 """
@@ -378,7 +386,7 @@ def test_repeated_and_combined_fundamental_cycles(kind, arg):
 def test_loop_homology_refuses_walks_off_the_surface(name):
     d = catalog(name)
     rep = build_carter_surface(d)
-    n_darts = rep.refined.map.n_darts
+    n_darts = rep.refined.n_darts
     curve = next(c for c in state_curves(rep, StateTables(d), 0) if len(c) >= 4)
     loop_homology(rep, curve)
     with pytest.raises(LoopNotOnSurface, match="closed walk"):
@@ -410,10 +418,10 @@ def test_broken_side_table_is_refused_when_the_walk_is_built(name, monkeypatch):
         for change in ("remove", "wrong end", "wrong start", "next crossing"):
             rep = build_carter_surface(d)
             refined, join_side = rep.refined, rep.refined.join_side
-            vertex_of, alpha = refined.map.vertex_of, refined.map.alpha
+            vertex_of, alpha = refined.vertex_of, refined.alpha
             join = list(join_side)[i]
             side = join_side.pop(join)
-            others = [x for x in range(refined.base, refined.map.n_darts) if x != side]
+            others = [x for x in range(refined.base, refined.n_darts) if x != side]
             if change == "wrong end":
                 join_side[join] = next(x for x in others if vertex_of[x] == vertex_of[side])
             elif change == "wrong start":
@@ -449,7 +457,7 @@ CUT_CASES = sorted(set(CASES) | set(TABLE_CASES), key=str)
 def test_disk_test_matches_union_find_cut(kind, arg):
     d = _diagram(kind, arg)
     rep = build_carter_surface(d)
-    refined = rep.refined.map
+    refined = rep.refined
     for curve in _traced_curves(d):
         assert sorted(cut_along_loop(rep, curve)) == sorted(cut_map(refined, curve))
         assert is_disk_bounding(rep, curve) == _oracle_disk(rep, curve)
@@ -471,7 +479,7 @@ def test_refined_map_is_three_valent(kind, arg):
     # every corner has one arc dart and two quad sides, and no edge joins a
     # corner to itself, so a walk that repeats no edge meets each vertex at
     # most once: the only walks `_cut_map` cuts
-    m = build_carter_surface(_diagram(kind, arg)).refined.map
+    m = build_carter_surface(_diagram(kind, arg)).refined
     assert all(len(v) == 3 for v in m.vertices)
     assert all(m.vertex_of[d] != m.vertex_of[e] for d, e in m.edges)
 
@@ -480,7 +488,7 @@ def test_refined_map_is_three_valent(kind, arg):
 def test_disk_test_refusals_match_union_find_cut(name):
     d = catalog(name)
     rep = build_carter_surface(d)
-    refined = rep.refined.map
+    refined = rep.refined
     curve = max(_traced_curves(d), key=len)
     refusals = {
         (): LoopNotOnSurface,
@@ -513,8 +521,8 @@ def _oracle_items(kind, arg) -> list:
     return list(bracket_chunk(build_carter_surface(_diagram(kind, arg))).items())
 
 
-def _sweep_items(d, order=None) -> list:
-    return list(_bracket_sum(build_carter_surface(d), order).items())
+def _sweep_items(d) -> list:
+    return list(_bracket_sum(build_carter_surface(d)).items())
 
 
 def _three_orders(d) -> dict[str, list[int]]:
@@ -533,7 +541,8 @@ def test_gray_walk_tally_matches_state_order_oracle(kind, arg):
     gone; the sweep it tests replaced it.)"""
     d = _diagram(kind, arg)
     for name, order in _three_orders(d).items():
-        assert _sweep_items(d, order) == _oracle_items(kind, arg), name
+        with crossing_order(order):
+            assert _sweep_items(d) == _oracle_items(kind, arg), name
 
 
 def _seeded_codes(seed: int = 20261019, count: int = 40, max_crossings: int = 10) -> list[str]:
@@ -552,7 +561,8 @@ def test_full_bracket_matches_state_order_oracle_on_seeded_codes():
         d = parse_gauss_code(code)
         expected = list(bracket_chunk(build_carter_surface(d)).items())
         for name, order in _three_orders(d).items():
-            assert _sweep_items(d, order) == expected, (code, name)
+            with crossing_order(order):
+                assert _sweep_items(d) == expected, (code, name)
 
 
 def test_full_bracket_sweep_on_a_crossingless_diagram():
