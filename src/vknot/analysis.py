@@ -60,12 +60,13 @@ sweep has more keys, and they grow fast with the crossings (the
 18-crossing braid closure timed in README takes seconds this way and
 milliseconds as a d-image), but it never enumerates the 2^n states either.
 
-Both sums give each key one packed polynomial (`frontier.packed_fields`),
-relabelled by one helper (`_relabel`) to a curve-class key, and list the
-keys in the order of the smallest state index that reaches them, the
-order of a state-by-state sum, on which the per-torus witnesses depend.
-`surface_bracket` and `d_image_bracket` read them with one helper
-(`_surface_bracket`).
+Both sums give each key one packed polynomial, laid out as the swept
+`StateTables.fields` says (`frontier.packed_fields`) and returned with
+that layout, relabelled by one helper (`_relabel`) to a curve-class key,
+and list the keys in the order of the smallest state index that reaches
+them, the order of a state-by-state sum, on which the per-torus
+witnesses depend.  `surface_bracket` and `d_image_bracket` read them
+with one helper (`_surface_bracket`).
 
 Two criteria are checked: the per-torus intersection criterion and the
 mod-2 span criterion.  The mod-2 span certifies that no
@@ -85,7 +86,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bracket import StateTables, d_power
 from .diagram import VirtualLinkDiagram, format_gauss_code
-from .frontier import DISK, SignedFields, labelled_state_sum, read_packed
+from .frontier import DISK, PackedFields, SignedFields, labelled_state_sum, read_packed
 from .laurent import LaurentPoly
 from .surface import (
     HomologyClass,
@@ -312,10 +313,11 @@ def _relabel(
     return out
 
 
-def _bracket_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
-    """The surface state sum: curve-class key -> the sum of A^(n - 2b)
-    d^disks over its states, packed as `frontier.packed_fields` sets out,
-    without the free loops' d^free_loops.
+def _bracket_sum(rep: SurfaceRep) -> tuple[dict[CurveClassKey, int], PackedFields]:
+    """The surface state sum and the layout of its values: curve-class key
+    -> the sum of A^(n - 2b) d^disks over its states, packed as the tables
+    swept lay out (`StateTables.fields`), without the free loops'
+    d^free_loops.
 
     `frontier.labelled_state_sum` sweeps it, each open path carrying the
     packed class and join key of `_CurveLabels`, so a curve's weight is
@@ -326,15 +328,15 @@ def _bracket_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
     tables = StateTables(rep.diagram)
     curves = _CurveLabels(rep, tables)
     labels = labelled_state_sum(tables, curves.join_ints, curves)
-    return _relabel(labels, _class_reader(2 * rep.genus, curves.width))
+    return _relabel(labels, _class_reader(2 * rep.genus, curves.width)), tables.fields
 
 
-def _surface_bracket(rep: SurfaceRep, sums: Iterable[tuple[CurveClassKey, int]]) -> SurfaceBracket:
-    """The bracket of the packed sums (key, value) of `rep`: each nonzero
-    value read by `frontier.read_packed`, times d^free_loops."""
-    n = rep.diagram.n_crossings
+def _surface_bracket(rep: SurfaceRep, sums: Mapping[CurveClassKey, int], fields: PackedFields) -> SurfaceBracket:
+    """The bracket of the packed sums {key: value} of `rep`, laid out by
+    `fields`: each nonzero value read by `frontier.read_packed`, times
+    d^free_loops."""
     free = d_power(rep.free_loops)
-    entries = {key: read_packed(value, n) * free for key, value in sums if value}
+    entries = {key: read_packed(value, fields) * free for key, value in sums.items() if value}
     return SurfaceBracket(entries=entries, genus=rep.genus)
 
 
@@ -349,13 +351,14 @@ def surface_bracket(rep: SurfaceRep) -> SurfaceBracket:
     and is swept as such.  Only at genus >= 2 must a null-homologous curve
     be told from a disk-bounding one, which needs the curve, not its class
     (`_surface_sum`)."""
-    return _surface_bracket(rep, _surface_sum(rep).items())
+    return _surface_bracket(rep, *_surface_sum(rep))
 
 
-def _surface_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
-    """The packed sums of the surface bracket: the d-image's (`_image_sum`)
-    at genus <= 1, the curve-named sweep's (`_bracket_sum`) at genus >= 2.
-    Either sweep checks its classes against `loop_homology`."""
+def _surface_sum(rep: SurfaceRep) -> tuple[dict[CurveClassKey, int], PackedFields]:
+    """The packed sums of the surface bracket and their layout: the
+    d-image's (`_image_sum`) at genus <= 1, the curve-named sweep's
+    (`_bracket_sum`) at genus >= 2.  Either sweep checks its classes
+    against `loop_homology`."""
     if rep.genus <= 1:
         return _image_sum(rep)
     return _bracket_sum(rep)
@@ -382,16 +385,17 @@ def _image_sweep(
     return labelled_state_sum(tables, steps, _ImageLabels({0: DISK})), width, tables, steps
 
 
-def _image_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
-    """The d-image of the surface bracket before its polynomials are read:
-    curve-class key, each with no null-essential curve -> the label's packed
-    polynomial (`frontier.packed_fields`), without the free loops'
-    d^free_loops, the labels in the order of the smallest state index that
-    reaches them, zero-valued ones included.  Its classes are checked
-    against `loop_homology` first (`_check_witness_states`)."""
+def _image_sum(rep: SurfaceRep) -> tuple[dict[CurveClassKey, int], PackedFields]:
+    """The d-image of the surface bracket before its polynomials are read,
+    and the layout of its values: curve-class key, each with no
+    null-essential curve -> the label's packed polynomial
+    (`StateTables.fields`), without the free loops' d^free_loops, the
+    labels in the order of the smallest state index that reaches them,
+    zero-valued ones included.  Its classes are checked against
+    `loop_homology` first (`_check_witness_states`)."""
     labels, width, tables, steps = _image_sweep(rep)
     _check_witness_states(rep, labels, width, tables, steps)
-    return _relabel(labels, _class_reader(2 * rep.genus, width))
+    return _relabel(labels, _class_reader(2 * rep.genus, width)), tables.fields
 
 
 def _check_witness_states(
@@ -490,7 +494,7 @@ def d_image_bracket(rep: SurfaceRep) -> SurfaceBracket:
     """The surface bracket with every null-homologous essential symbol sent
     to d: each key's essential count is 0, and `collapse` is unchanged.
     At genus <= 1 it is the surface bracket itself (`_surface_sum`)."""
-    return _surface_bracket(rep, _image_sum(rep).items())
+    return _surface_bracket(rep, *_image_sum(rep))
 
 
 # -- criteria -------------------------------------------------------------

@@ -26,7 +26,7 @@ from .diagram import (
     smooth_crossing,
     writhe,
 )
-from .frontier import divide_by_d, read_packed, state_sum
+from .frontier import divide_by_d, packed_fields, read_packed, state_sum
 from .laurent import LOOP_VALUE, LaurentPoly, try_divide_exact
 
 if TYPE_CHECKING:
@@ -42,12 +42,16 @@ class StateTables:
     pass) and 2*arc + 1 (head, arriving at the next pass).  In a crossing's
     counterclockwise rotation (r0, r1, r2, r3) the A-smoothing joins r0-r3
     and r1-r2 and the B-smoothing joins r0-r1 and r2-r3, for either sign.
-    A tangle's boundary ends are joined to nothing.
+    A tangle's boundary ends are joined to nothing.  `fields` is the
+    layout of the packed values of every sweep of the tables
+    (`frontier.packed_fields`), which every reader of them takes.
     """
 
     def __init__(self, d: VirtualLinkDiagram | Tangle):
         self.n = d.n_crossings
-        self.n_arcs, rotation, self.boundary = arc_ends(d.arc_strands, d.signs)
+        strands = d.arc_strands
+        self.n_arcs, rotation, self.boundary = arc_ends(strands, d.signs)
+        self.fields = packed_fields(self.n, len(strands))
         # joins[c] = (A-joins, B-joins), each a 4-tuple (p, q, r, s) meaning p<->q, r<->s
         self.joins = [((r0, r3, r1, r2), (r0, r1, r2, r3)) for r0, r1, r2, r3 in rotation.values()]
         # walks start at the boundary ends, so an open strand is walked from
@@ -131,7 +135,7 @@ def kauffman_bracket(d: VirtualLinkDiagram) -> LaurentPoly:
     free = d.free_loops
     if not tables.n:
         return d_power(max(free - 1, 0))
-    return read_packed(divide_by_d(state_sum(tables)[()], tables.n), tables.n) * d_power(free)
+    return read_packed(divide_by_d(state_sum(tables)[()], tables.fields), tables.fields) * d_power(free)
 
 
 def f_polynomial(d: VirtualLinkDiagram) -> LaurentPoly:

@@ -79,7 +79,9 @@ def _check_crossing_cap(n_crossings: int) -> None:
     one-component codes of Carter genus >= 3 from tests/randgen.py
     (`random_gauss_code`, `random.Random(7)`, four per size; shared 2-vCPU
     machine), `certify` took 1.6-6.2 s at 20 crossings and 17-58 s (2.1 GB
-    peak) at 24, where `jones` took at most 0.024 s; `certify` on the
+    peak) at 24.  `jones` took at most 0.006-0.011 s (best of 5 per code,
+    three runs) on the first four such codes of 24 crossings, drawn from
+    one `random.Random(7)` after the four of 20.  `certify` on the
     86-crossing `catalog_p_family(40)` took 0.16 s.  The cost follows the
     shape of the diagram, known only once the surface is built, so one cap
     holds for every input, tangles included.

@@ -17,10 +17,14 @@ path, a loop is closed.  The cost is the number of keys times the number
 of crossings, and the number of keys is bounded by the number of pairings
 of the widest frontier, where a state-by-state sum visits all 2^n states.
 Every sweep adds the crossings in `greedy_order`, in which the twist
-family `catalog_p_family(n)` has width 4 and at most 2 keys at every n,
-and random 1- and 2-component Gauss codes of 16, 20, 24 and 28 crossings
-reach widths of at most 10, 12, 14 and 16 and at most 75, 428, 2404 and
-8087 keys (8 codes each).
+family `catalog_p_family(n)` has width 4 and at most 2 keys at every n up
+to 20.  On 8 random Gauss codes of n = 16, 20, 24 and 28 crossings each
+(`rng = random.Random(f"doc/{n}/{i}")` for i < 8, then tests/randgen.py
+`random_gauss_code(rng, n, rng.randint(1, 2))`) it reaches widths of at
+most 10, 10, 12 and 12 and at most 158, 440, 1148 and 2961 keys, and
+steps 2533, 6831, 20240 and 55653 keys in all; without the lookahead that
+breaks its ties, the widths are 10, 10, 14 and 14, the peaks 158, 450,
+2032 and 5134 keys and the totals 2674, 8156, 43251 and 99432.
 
 A key is the tuple of the partners of the open ends, in order: for each
 open end, the arc end (or terminal) at the other end of its path.  Its
@@ -67,14 +71,15 @@ JCSS 67 (2003), and Bar-Natan, Fast Khovanov homology computations, JKTR
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .laurent import LaurentPoly
 
 if TYPE_CHECKING:
     from .bracket import StateTables
 
-#: Greater than any growth (at most 4), so an added crossing is never the minimum.
+#: Greater than any growth (at most 4), so an added crossing is never the
+#: minimum; also the lookahead of a crossing with no far end left to add.
 _PLACED = 5
 
 #: The `loop_label` of a loop that weighs d in `labelled_state_sum`; every
@@ -84,29 +89,58 @@ DISK = -1
 
 def greedy_order(tables: StateTables) -> list[int]:
     """Crossing indices in the order that adds, at each step, the crossing
-    leaving the fewest open arc ends (ties: the lowest index).
+    leaving the fewest open arc ends; ties go to the crossing c whose
+    addition leaves the least growth among the crossings still to add at
+    the far ends of c's arcs (`_PLACED` when there are none), then to the
+    lowest index.
 
-    Each remaining crossing's growth, the change in the number of open ends
-    its addition makes, is kept in a list; adding a crossing changes only
-    the growth of the crossings at the far ends of its four arcs.
+    A crossing's growth is the change in the number of open ends its
+    addition makes: +1 for an end whose arc leads to a crossing not yet
+    added, -1 for one that closes an arc to an added one (or to a boundary
+    end), 0 for a kink arc.  Each crossing k keeps `far[k]`, the crossing
+    at the far end of each of its arcs to another crossing, and the
+    remaining crossings' growths are kept in a list: adding k lowers the
+    growth at each entry of `far[k]` by 2, as that end now closes an arc,
+    and changes no other.  So the lookahead of a tie c reads, at each
+    crossing j of `far[c]` still to add, its growth less 2 per arc it
+    shares with c.
+
+    Ties are frequent (811 of the 1456 steps of the planar_jones
+    workload's sweeps have one), and broken by the lowest index alone they
+    leave about twice the keys on the heaviest inputs (the module
+    docstring's figures).  The order changes the keys, not the values: a
+    state of n crossings on r strands has at most n + r loops, by the
+    state-graph argument of `packed_fields`, whatever the order, so one
+    packed layout serves every order.
     """
     where = {x: k for k, (ends, _) in enumerate(tables.joins) for x in ends}
-    boundary = set(tables.boundary)
-    # +1 for an end whose arc leads to a crossing not yet added, -1 for one
-    # that closes an arc to an added one (or to a boundary end), 0 for a kink
-    growth = [
-        sum(-1 if x ^ 1 in boundary else int(where[x ^ 1] != k) for x in ends)
+    far = [
+        [j for j in [where.get(x ^ 1) for x in ends] if j is not None and j != k]
         for k, (ends, _) in enumerate(tables.joins)
     ]
+    growth = [len(js) for js in far]
+    for b in tables.boundary:
+        j = where.get(b ^ 1)
+        if j is not None:
+            growth[j] -= 1
     order = []
     for _ in range(tables.n):
-        k = growth.index(min(growth))
+        least = min(growth)
+        k = growth.index(least)
+        if growth.count(least) > 1:
+            # the lookahead, inlined: ties in index order, a strictly smaller key wins
+            key = _PLACED
+            for c in [c for c, g in enumerate(growth) if g == least]:
+                js = far[c]
+                for j in js:
+                    if growth[j] != _PLACED:
+                        g = growth[j] - 2 * js.count(j)
+                        if g < key:
+                            key, k = g, c
         order.append(k)
         growth[k] = _PLACED
-        for x in tables.joins[k][0]:
-            j = where.get(x ^ 1)
-            if j is not None and growth[j] != _PLACED:
-                # the far end of x's arc now closes an arc instead of opening one
+        for j in far[k]:
+            if growth[j] != _PLACED:
                 growth[j] -= 2
     return order
 
@@ -118,7 +152,7 @@ def state_sum(tables: StateTables) -> dict[tuple[tuple[int, int], ...], int]:
     to the sum of A^(n - 2b) d^k over its states, with b B-smoothings and k
     closed loops, packed as `packed_fields` sets out.
     """
-    width, offset = packed_fields(tables.n)
+    _, width, offset = tables.fields
 
     def step(frontier, k, closes, pick, slot):
         r0, r3, r1, r2 = tables.joins[k][0]
@@ -131,26 +165,48 @@ def state_sum(tables: StateTables) -> dict[tuple[tuple[int, int], ...], int]:
     }
 
 
-def packed_fields(n: int) -> tuple[int, int]:
-    """(W, M): the field width in bits and the exponent offset of the values
-    of every state sum of n crossings.
+class PackedFields(NamedTuple):
+    """The layout of the values of one sweep (`packed_fields`): its n
+    crossings, the field width W in bits and the exponent offset M."""
+
+    n: int
+    width: int
+    offset: int
+
+
+def packed_fields(n: int, strands: int) -> PackedFields:
+    """The layout of the values of every state sum of n crossings on
+    r = `strands` strands (a `StateTables` holds it as `fields`): fields
+    W = 2n + r + 2 bits wide and the exponent offset M = n + r.
 
     A value packs a polynomial sum c_j s^j in s = A^-2 as the int
     sum c_j 2^(W j), with signed c_j.  A state adds s^(M + b) d^k to its
     label's value, for b B-smoothings and k loops that weigh d, with
     d = -(s + 1/s), so the label's polynomial in A is A^n s^-M times the
-    value.  A state has at most 2n closed loops, since each passes at least
-    one of its 2n smoothing joins, so a loop closes onto a partial state
-    with at most 2n - 1 loops, whose exponents are at least M - 2n + 1 = 1:
-    the right shift of the multiplication by d drops no term.  The
-    coefficients of d^k sum to 2^k in absolute value and at most 2^n states
-    meet at a label, so |c_j| <= 2^n 2^(2n) < 2^(W - 1): each coefficient
-    fits its signed field, a value is 0 exactly when every coefficient is
-    (the lowest nonzero c_j would leave the int nonzero mod 2^(W (j + 1))),
-    and the fields read back uniquely.  The same holds for the value
-    divided by d, which has one loop fewer per state.
+    value.
+
+    A state has at most n + r loops.  Take the state graph: its vertices
+    are the state's loops and, for a tangle, its open paths, and each of
+    the n crossings is an edge between the one or two of them that pass
+    its smoothing.  Each component of the graph lies in one component of
+    the diagram (a set of strands that crossings join, or a strand with no
+    crossing), and it is connected there: the loops through a crossing
+    share its edge, and a loop runs along whole arcs, so through the
+    crossings at both ends of each.  So the graph has c <= r components,
+    and a graph of n edges and c components has at most n + c vertices.
+
+    A loop closes onto a partial state with at most n + r - 1 loops, as
+    they and the new loop are loops of every state that completes it, so
+    its exponents are at least M - (n + r) + 1 = 1: the right shift of the
+    multiplication by d drops no term.  The coefficients of d^k sum to 2^k
+    in absolute value and at most 2^n states meet at a label, so
+    |c_j| <= 2^n 2^(n + r) < 2^(W - 1): each coefficient fits its signed
+    field, a value is 0 exactly when every coefficient is (the lowest
+    nonzero c_j would leave the int nonzero mod 2^(W (j + 1))), and the
+    fields read back uniquely.  The same holds for the value divided by d,
+    which has one loop fewer per state.
     """
-    return 3 * n + 2, 2 * n
+    return PackedFields(n, 2 * n + strands + 2, n + strands)
 
 
 def labelled_state_sum(
@@ -194,7 +250,7 @@ def labelled_state_sum(
     """
     if tables.boundary:
         raise ValueError("a labelled state sum takes a diagram, not a tangle")
-    width, offset = packed_fields(tables.n)
+    _, width, offset = tables.fields
 
     def step(frontier, k, closes, pick, slot):
         r0, r3, r1, r2 = tables.joins[k][0]
@@ -212,25 +268,26 @@ def labelled_state_sum(
     return {closed: entry for (_, closed), entry in sorted(entries.items(), key=lambda item: item[1][1])}
 
 
-def divide_by_d(value: int, n: int) -> int:
-    """A value of a state sum of n crossings divided by d exactly: at s = 2^W,
-    d = -(2^W + 2^-W), so the quotient q has -2^W value = q (1 + 2^(2W)).
-    A remainder raises ArithmeticError (an if/raise, which `python -O` keeps)."""
-    width, _ = packed_fields(n)
+def divide_by_d(value: int, fields: PackedFields) -> int:
+    """A value of a state sum laid out by `fields` divided by d exactly: at
+    s = 2^W, d = -(2^W + 2^-W), so the quotient q has -2^W value =
+    q (1 + 2^(2W)).  A remainder raises ArithmeticError (an if/raise, which
+    `python -O` keeps)."""
+    width = fields.width
     quotient, rest = divmod(-(value << width), 1 + (1 << 2 * width))
     if rest:
         raise ArithmeticError("state sum is not divisible by d")
     return quotient
 
 
-def read_packed(value: int, n: int) -> LaurentPoly:
-    """The polynomial in A of a value of a state sum of n crossings: field
-    j holds the coefficient of A^n s^(j - M) = A^(n - 2 (j - M)), with
-    (W, M) = `packed_fields(n)`."""
-    width, offset = packed_fields(n)
+def read_packed(value: int, fields: PackedFields) -> LaurentPoly:
+    """The polynomial in A of a value of a state sum laid out by `fields`:
+    field j holds the coefficient of A^n s^(j - M) = A^(n - 2 (j - M)),
+    for the n, W and M of `fields`."""
+    n, width, offset = fields
     # the top nonzero field j leaves |value| >= 2^(W j) / 3, so j <= bit_length // W + 1
-    fields = signed_fields(value, width, value.bit_length() // width + 2)
-    return LaurentPoly({n - 2 * (j - offset): c for j, c in enumerate(fields) if c})
+    coeffs = signed_fields(value, width, value.bit_length() // width + 2)
+    return LaurentPoly({n - 2 * (j - offset): c for j, c in enumerate(coeffs) if c})
 
 
 def signed_fields(packed: int, width: int, count: int) -> list[int]:

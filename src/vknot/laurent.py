@@ -7,7 +7,7 @@ used to extract tangle coefficients.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 
 class ZeroDivisorError(ZeroDivisionError):

@@ -190,7 +190,7 @@ def expand_tangle(t: Tangle) -> TangleExpansion:
     coefficients = {}
     for pairs, value in state_sum(tables).items():
         if value:
-            coefficients[Matching((label[a], label[b]) for a, b in pairs)] = read_packed(value, tables.n)
+            coefficients[Matching((label[a], label[b]) for a, b in pairs)] = read_packed(value, tables.fields)
     return TangleExpansion(t.n_boundary, coefficients)
 
 

@@ -36,6 +36,10 @@ and a `jones` op from its argv:
                which takes the greedy order itself
     jones      the whole op, vknot.cli.main with stdout captured
 
+after which a `keys` line gives the summed and the peak frontier keys of
+those sweeps: the keys after each step, counted by wrapping
+`frontier._step` for one extra pass.
+
 Each stage's total over the ops is the best of N runs, the stages taking
 turns within a run; a layer's own time is its stage minus the stage
 before it.  Not collected by pytest.
@@ -55,6 +59,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from perfbench.workloads import POOLS, all_ops  # noqa: E402
 
+from vknot import frontier  # noqa: E402
 from vknot.analysis import _class_steps, _surface_sum, certify, surface_bracket  # noqa: E402
 from vknot.bracket import StateTables  # noqa: E402
 from vknot.cli import _resolve_diagram, build_parser, main as cli_main  # noqa: E402
@@ -126,6 +131,27 @@ SPLITS = {
 }
 
 
+def planar_keys(inputs: list) -> tuple[int, int]:
+    """(summed, peak) frontier keys of the planar sweeps of the `jones` ops
+    `inputs`, over the steps of every sweep: `frontier._step` is wrapped
+    while they run once."""
+    counts = []
+    step = frontier._step
+
+    def counting(*args):
+        out = step(*args)
+        counts.append(len(out))
+        return out
+
+    frontier._step = counting
+    try:
+        for argv in inputs:
+            _state_sum(argv)
+    finally:
+        frontier._step = step
+    return sum(counts), max(counts, default=0)
+
+
 def split_inputs(workload: str) -> dict[str, list]:
     """Each command of SPLITS that the workload runs -> the stage input of
     every op of it that any seed of the workload can run."""
@@ -164,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         for name, _ in stages:
             print(f"  {name:10s} {1e3 * (best[name] - before):8.2f}   cumulative {1e3 * best[name]:8.2f}")
             before = best[name]
+        if command == "jones":
+            summed, peak = planar_keys(inputs)
+            print(f"  {'keys':10s} summed {summed}   peak {peak}")
     return 0
 
 

@@ -1,8 +1,9 @@
 """Reference computations that production code no longer runs, kept as
 oracles for the fast paths; `packed`, which puts their counts in the value
 format of the state sums; `crossing_order`, which sweeps in another order
-than the greedy one; and `canonical_code` and the removal moves, which
-only tests use."""
+than the greedy one; `min_growth_order`, the greedy order without its
+lookahead; and `canonical_code` and the removal moves, which only tests
+use."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -13,7 +14,7 @@ from vknot import frontier
 from vknot.analysis import CurveClassKey
 from vknot.bracket import StateTables, d_power
 from vknot.diagram import OVER, UNDER, VirtualLinkDiagram
-from vknot.frontier import packed_fields
+from vknot.frontier import PackedFields
 from vknot.laurent import LaurentPoly
 from vknot.surface import (
     CombinatorialMap,
@@ -152,11 +153,11 @@ def expand(counts: dict[tuple[int, int], int]) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def packed(counts: dict[tuple[int, int], int], n: int) -> int:
-    """The value a state sum of n crossings carries for the counts
-    {(c, k): n}: `expand(counts)` packed term by term, the coefficient of
-    A^e in field M + (n - e) / 2 of `frontier.packed_fields(n)`."""
-    width, offset = packed_fields(n)
+def packed(counts: dict[tuple[int, int], int], fields: PackedFields) -> int:
+    """The value a state sum laid out by `fields` (`StateTables.fields`)
+    carries for the counts {(c, k): n}: `expand(counts)` packed term by
+    term, the coefficient of A^e in field M + (n - e) / 2."""
+    n, width, offset = fields
     return sum(c << width * (offset + (n - e) // 2) for e, c in expand(counts).terms)
 
 
@@ -217,7 +218,7 @@ def bracket_chunk(rep: SurfaceRep) -> dict[CurveClassKey, int]:
         slot = counts.setdefault((tuple(sorted(classes)), null_essential), {})
         c = n - 2 * state.bit_count()
         slot[c, disks] = slot.get((c, disks), 0) + 1
-    return {key: packed(key_counts, n) for key, key_counts in counts.items()}
+    return {key: packed(key_counts, tables.fields) for key, key_counts in counts.items()}
 
 
 def dense_dart_vec(h: MapHomology) -> list[tuple[tuple[int, int], ...] | None]:
@@ -362,28 +363,57 @@ def rotation_form(h: MapHomology) -> list[list[int]]:
     return rows
 
 
-def greedy_order(tables: StateTables) -> list[int]:
+def _growth(tables: StateTables, k: int, placed: set[int]) -> int:
+    """The change in the number of open arc ends that adding crossing k
+    makes when the ends in `placed` are added: +1 for an end whose arc
+    leads to a crossing not yet added, -1 for one that closes an arc to an
+    added one (or to a boundary end), 0 for a kink arc."""
+    g = 0
+    for x in tables.joins[k][0]:
+        if x ^ 1 in placed:
+            g -= 1
+        elif x ^ 1 not in tables.joins[k][0]:
+            g += 1
+    return g
+
+
+def min_growth_order(tables: StateTables) -> list[int]:
     """The crossing that leaves the fewest open arc ends next (ties: the
-    lowest index), every growth recomputed at every step, O(n^2) (the
-    reference for the incremental `frontier.greedy_order`)."""
+    lowest index), every growth recomputed at every step, O(n^2): the rule
+    `frontier.greedy_order` refines by its lookahead, kept to measure it
+    against."""
+    placed = set(tables.boundary)
+    left = list(range(tables.n))
+    order = []
+    while left:
+        k = min(left, key=lambda k: (_growth(tables, k, placed), k))
+        left.remove(k)
+        order.append(k)
+        placed.update(tables.joins[k][0])
+    return order
+
+
+def greedy_order(tables: StateTables) -> list[int]:
+    """The crossing that leaves the fewest open arc ends next; ties go to
+    the crossing c after whose addition the crossings not yet added at the
+    far ends of c's arcs have the least growth (5 when there are none),
+    then to the lowest index.  Every growth and every lookahead is
+    recomputed from the added ends, O(n^2) (the reference for the
+    incremental `frontier.greedy_order`)."""
     where = {x: k for k, (ends, _) in enumerate(tables.joins) for x in ends}
     placed = set(tables.boundary)
 
-    def growth(k: int) -> int:
-        # +1 for an end whose arc leads to a crossing not yet added, -1 for
-        # one that closes an arc to an added one, 0 for a kink arc
-        g = 0
-        for x in tables.joins[k][0]:
-            if x ^ 1 in placed:
-                g -= 1
-            elif where.get(x ^ 1) != k:
-                g += 1
-        return g
+    def lookahead(c: int) -> int:
+        after = placed | set(tables.joins[c][0])
+        far = {where.get(x ^ 1) for x in tables.joins[c][0]} - {None, c}
+        return min((_growth(tables, j, after) for j in far if j in left), default=5)
 
     left = list(range(tables.n))
     order = []
     while left:
-        k = min(left, key=lambda k: (growth(k), k))
+        least = min(_growth(tables, k, placed) for k in left)
+        ties = [k for k in left if _growth(tables, k, placed) == least]
+        k = min(ties, key=lambda k: (lookahead(k), k))
         left.remove(k)
         order.append(k)
         placed.update(tables.joins[k][0])

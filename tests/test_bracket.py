@@ -2,7 +2,7 @@
 
 import pytest
 
-from vknot import bracket, frontier
+from vknot import bracket
 from vknot.bracket import (
     StateTables,
     bracket_by_recursion,
@@ -107,7 +107,7 @@ def test_free_loops_next_to_crossings(code):
 def test_a_sum_not_divisible_by_d_is_refused(monkeypatch):
     """Every state of a diagram with crossings has a loop; a planar value
     without the factor d (here s^M alone) raises, also under `python -O`."""
-    width, offset = frontier.packed_fields(3)
+    _, width, offset = StateTables(TREFOIL).fields
     monkeypatch.setattr(bracket, "state_sum", lambda tables: {(): 1 << offset * width})
     with pytest.raises(ArithmeticError, match="not divisible by d"):
         kauffman_bracket(TREFOIL)

@@ -127,22 +127,29 @@ def test_packed_int_order_is_class_order():
 
 
 def test_signed_fields_round_trip_at_the_widest_coefficients():
-    """A field of `frontier.packed_fields(n)` holds the coefficient bound
-    2^n 2^(2n) of a state sum's value, and every coefficient up to
-    +-(2^(W - 1) - 1), next to any others, reads back unchanged."""
+    """A field of `frontier.packed_fields(n, s)` holds the coefficient bound
+    2^n 2^(n + s) of the value of a state sum on s strands, and every
+    coefficient up to +-(2^(W - 1) - 1), next to any others, reads back
+    unchanged, in every field up to the top exponent M + n + (n + s)."""
     rng = random.Random(20261019)
     for n in range(13):
-        width, offset = packed_fields(n)
-        top = (1 << (width - 1)) - 1
-        bound = 1 << 3 * n
-        assert bound <= top and offset >= 2 * n
-        for _ in range(30):
-            coeffs = [rng.choice((top, -top, bound, -bound, 0, rng.randint(-top, top))) for _ in range(5 * n + 1)]
-            packed = sum(c << (j * width) for j, c in enumerate(coeffs))
-            assert signed_fields(packed, width, len(coeffs)) == coeffs
-            assert read_packed(packed, n) == LaurentPoly({n - 2 * (j - offset): c for j, c in enumerate(coeffs)})
-        with pytest.raises(ArithmeticError, match="beyond its last field"):
-            signed_fields(1 << (width - 1), width, 1)
+        for strands in range(1, 5):
+            fields = packed_fields(n, strands)
+            _, width, offset = fields
+            top = (1 << (width - 1)) - 1
+            bound = 1 << 2 * n + strands
+            assert bound <= top and offset >= n + strands
+            for _ in range(30):
+                coeffs = [
+                    rng.choice((top, -top, bound, -bound, 0, rng.randint(-top, top)))
+                    for _ in range(3 * n + 2 * strands + 1)
+                ]
+                packed = sum(c << (j * width) for j, c in enumerate(coeffs))
+                assert signed_fields(packed, width, len(coeffs)) == coeffs
+                expected = LaurentPoly({n - 2 * (j - offset): c for j, c in enumerate(coeffs)})
+                assert read_packed(packed, fields) == expected
+            with pytest.raises(ArithmeticError, match="beyond its last field"):
+                signed_fields(1 << (width - 1), width, 1)
 
 
 SIGNED_FIELDS_EDGES = """
@@ -238,20 +245,19 @@ def _merged(rep):
     """The polynomials of the full surface state sum (`analysis._bracket_sum`)
     with each label's null-essential symbols sent to d, and the free loops'
     d^free_loops, labels in their first order, zero-valued ones included."""
-    n = rep.diagram.n_crossings
+    sums, fields = analysis._bracket_sum(rep)
     out = {}
-    for (classes, essential), value in analysis._bracket_sum(rep).items():
+    for (classes, essential), value in sums.items():
         key = (classes, 0)
-        out[key] = out.get(key, LaurentPoly.zero()) + read_packed(value, n) * d_power(essential)
+        out[key] = out.get(key, LaurentPoly.zero()) + read_packed(value, fields) * d_power(essential)
     return {key: p * d_power(rep.free_loops) for key, p in out.items()}
 
 
-def _read(rep, image):
-    """The packed polynomials of `analysis._image_sum`, read, with the free
-    loops' d^free_loops."""
+def _read(rep, image, fields):
+    """The packed polynomials of `analysis._image_sum`, laid out by
+    `fields`, read, with the free loops' d^free_loops."""
     free = d_power(rep.free_loops)
-    n = rep.diagram.n_crossings
-    return {label: read_packed(value, n) * free for label, value in image.items()}
+    return {label: read_packed(value, fields) * free for label, value in image.items()}
 
 
 @pytest.mark.parametrize("d", [d for _, d in SMALL + TWIST], ids=[name for name, _ in SMALL + TWIST])
@@ -266,7 +272,7 @@ def test_sweep_equals_merged_gray_walk_under_three_orders(d):
     greedy = greedy_order(StateTables(d))
     for name, order in (("greedy", greedy), ("identity", list(range(n))), ("reversed", list(range(n))[::-1])):
         with oracle.crossing_order(order):
-            got = _read(rep, analysis._image_sum(rep))
+            got = _read(rep, *analysis._image_sum(rep))
         assert got == expected, name
         assert list(got) == list(expected), name
 
@@ -274,7 +280,7 @@ def test_sweep_equals_merged_gray_walk_under_three_orders(d):
 def test_image_sweep_equals_merged_full_sweep_on_the_pool():
     for code in POOL:
         rep = build_carter_surface(parse_gauss_code(code))
-        got = _read(rep, analysis._image_sum(rep))
+        got = _read(rep, *analysis._image_sum(rep))
         expected = _merged(rep)
         assert got == expected and list(got) == list(expected), code
 
@@ -450,7 +456,7 @@ def test_surface_bracket_equals_the_curve_named_sweep(d):
     the full bracket, the same JSON and the same entries in the same order."""
     rep = build_carter_surface(d)
     got = surface_bracket(rep)
-    expected = analysis._surface_bracket(rep, analysis._bracket_sum(rep).items())
+    expected = analysis._surface_bracket(rep, *analysis._bracket_sum(rep))
     assert got.to_json() == expected.to_json()
     assert list(got.entries.items()) == list(expected.entries.items())
 

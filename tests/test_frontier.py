@@ -69,7 +69,8 @@ MAX_STATE_SUM_CROSSINGS = 16
 def test_frontier_equals_state_sum_and_recursion(d):
     if d.n_crossings <= MAX_STATE_SUM_CROSSINGS:
         counts = bracket_partial(d, 0, 1 << d.n_crossings)
-        assert state_sum(StateTables(d)) == {(): oracle.packed(counts, d.n_crossings)}
+        tables = StateTables(d)
+        assert state_sum(tables) == {(): oracle.packed(counts, tables.fields)}
     assert kauffman_bracket(d) == bracket_by_recursion(d)
 
 
@@ -126,7 +127,8 @@ def test_kink_chain_fills_the_widest_fields(sign):
         # negative one; with no kink the one loop is a free loop, not swept
         base = 1 - d.free_loops
         counts = {(m - 2 * b, base + (m - b if sign == "+" else b)): comb(m, b) for b in range(m + 1)}
-        assert state_sum(StateTables(d)) == {(): oracle.packed(counts, m)}, m
+        tables = StateTables(d)
+        assert state_sum(tables) == {(): oracle.packed(counts, tables.fields)}, m
         assert kauffman_bracket(d) == kink**m, m
         if m <= 10:
             assert kauffman_bracket(d) == bracket_by_recursion(d), m
@@ -158,7 +160,8 @@ def test_tangle_frontier_equals_state_oracle():
     assert any(s.start is None for t in tangles for s in t.strands)
     for i, t in enumerate(tangles):
         by_states = _sum_by_states(t)
-        packed = {pairs: oracle.packed(c, t.n_crossings) for pairs, c in by_states.items()}
+        fields = StateTables(t).fields
+        packed = {pairs: oracle.packed(c, fields) for pairs, c in by_states.items()}
         assert state_sum(StateTables(t)) == packed, format_tangle(t)
         _assert_order_independent(StateTables(t), i)
         # StateTables(t).boundary holds the start and end of each open strand in turn
@@ -172,7 +175,8 @@ def test_crossing_free_strands_pair_at_the_start():
     assert expand_tangle(parse_tangle("B1B4;B2B3")).coefficients == {Matching([(1, 4), (2, 3)]): LaurentPoly.one()}
     # a closed kink strand next to a crossing-free one: A closes two loops, B one
     t = parse_tangle("B1B2;O1+U1+")
-    assert list(state_sum(StateTables(t)).values()) == [oracle.packed({(1, 2): 1, (-1, 1): 1}, 1)]
+    tables = StateTables(t)
+    assert list(state_sum(tables).values()) == [oracle.packed({(1, 2): 1, (-1, 1): 1}, tables.fields)]
     assert expand_tangle(t).coefficients == {
         Matching([(1, 2)]): LaurentPoly.monomial(1) * LOOP_VALUE**2 + LaurentPoly.monomial(-1) * LOOP_VALUE
     }
@@ -201,9 +205,75 @@ def test_tangle_sums_where_the_most_loops_close(sign, sep):
         t = parse_tangle("B1B2;" + sep.join(f"O{i}{sign}U{i}{sign}" for i in range(1, m + 1)))
         by_states = _sum_by_states(t)
         assert max(k for counts in by_states.values() for _, k in counts) == (2 * m if sep else m + 1)
-        assert state_sum(StateTables(t)) == {pairs: oracle.packed(c, m) for pairs, c in by_states.items()}, m
+        tables = StateTables(t)
+        assert state_sum(tables) == {pairs: oracle.packed(c, tables.fields) for pairs, c in by_states.items()}, m
         expected = kink**m * LOOP_VALUE ** (m if sep else 1)
         assert expand_tangle(t).coefficients == {Matching([(1, 2)]): expected}, m
+
+
+def _loop_bound_inputs() -> list:
+    """Seeded codes of 1-10 crossings with 1-4 components and seeded
+    tangles of 0-9 crossings, for `test_no_state_has_more_loops_than_crossings_plus_strands`."""
+    rng = random.Random(20261031)
+    diagrams = []
+    for n in range(1, 11):
+        for components in range(1, 5):
+            diagrams.append(parse_gauss_code(random_gauss_code(rng, n, min(components, 2 * n))))
+    tangles = [random_tangle(rng, rng.randint(0, 9), rng.choice((2, 4, 6, 8))) for _ in range(40)]
+    return diagrams + tangles
+
+
+def test_no_state_has_more_loops_than_crossings_plus_strands():
+    """Every state of n crossings on s strands has at most n + s loops and
+    open paths, the bound `frontier.packed_fields` sizes its offset M by:
+    every state of seeded codes and tangles is traced.  m split curls,
+    alone and next to a crossing-free strand, reach n + c, with c the
+    components of the diagram: 2m loops, and 2m loops and one path."""
+    for d in _loop_bound_inputs():
+        tables = StateTables(d)
+        strands = len(d.arc_strands)
+        most = max(len(tables.trace(state)) for state in range(1 << tables.n))
+        assert most <= tables.n + strands == tables.fields.offset, d
+    for m in range(1, 9):
+        curls = ";".join(f"O{i}+U{i}+" for i in range(1, m + 1))
+        for d, c in ((parse_gauss_code(curls), m), (parse_tangle("B1B2;" + curls), m + 1)):
+            tables = StateTables(d)
+            assert max(len(tables.trace(state)) for state in range(1 << m)) == m + c == tables.fields.offset, m
+
+
+def _doc_codes(n: int) -> list[str]:
+    """The 8 seeded codes of n crossings that the `frontier` module
+    docstring measures."""
+    codes = []
+    for i in range(8):
+        rng = random.Random(f"doc/{n}/{i}")
+        codes.append(random_gauss_code(rng, n, rng.randint(1, 2)))
+    return codes
+
+
+@pytest.mark.parametrize("n", [24, 28])
+def test_lookahead_cuts_the_planar_keys(n, monkeypatch):
+    """On the module docstring's 8 codes of n crossings, `greedy_order`,
+    with its lookahead, sweeps at most 0.75 times the keys (summed over
+    every step of every sweep) that `oracle.min_growth_order`, without it,
+    sweeps, to the same values."""
+    counts = []
+    step = frontier._step
+
+    def counting(*args):
+        out = step(*args)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(frontier, "_step", counting)
+    tables = [StateTables(parse_gauss_code(code)) for code in _doc_codes(n)]
+    greedy = [state_sum(t) for t in tables]
+    greedy_keys = sum(counts)
+    counts.clear()
+    for t, result in zip(tables, greedy):
+        with oracle.crossing_order(oracle.min_growth_order(t)):
+            assert state_sum(t) == result
+    assert greedy_keys <= 0.75 * sum(counts)
 
 
 def test_f_polynomial_trivial_past_the_state_sum_wall():

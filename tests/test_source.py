@@ -322,13 +322,14 @@ def test_no_unreferenced_private_helpers():
 def test_layer_split_script_runs():
     """tests/layer_split.py, which pytest does not collect, still runs on
     this checkout: one pass over family_certify prints every `certify`
-    layer, one over planar_jones every `jones` layer, and one over
-    catalog_reports every `certify` and every `surface-bracket` layer."""
+    layer, one over planar_jones every `jones` layer and the frontier keys
+    of its sweeps, and one over catalog_reports every `certify` and every
+    `surface-bracket` layer."""
     script = [sys.executable, str(Path(__file__).with_name("layer_split.py"))]
     certify_layers = ["carter", "refined", "homology", "tables", "certify"]
     for workload, blocks in (
         ("family_certify", [("3 certify ops", certify_layers)]),
-        ("planar_jones", [("97 jones ops", ["parse", "tables", "order", "state_sum", "jones"])]),
+        ("planar_jones", [("97 jones ops", ["parse", "tables", "order", "state_sum", "jones", "keys"])]),
         ("catalog_reports", [("11 certify ops", certify_layers), ("11 surface-bracket ops", ["carter", "sweep", "readout"])]),
     ):
         proc = subprocess.run([*script, workload, "--repeat", "1"], capture_output=True, timeout=120)
