@@ -20,7 +20,7 @@ from .diagram import (
     writhe,
 )
 from .laurent import LOOP_VALUE, LaurentPoly, format_laurent
-from .surface import HomologyClass, SurfaceRep, build_carter_surface, genus, homology_basis
+from .surface import HomologyClass, SurfaceRep, build_carter_surface, genus
 from .tangle import (
     Tangle,
     alpha_beta_at_crossing,
@@ -56,7 +56,6 @@ __all__ = [
     "format_gauss_code",
     "format_laurent",
     "genus",
-    "homology_basis",
     "jones",
     "jones_in_t",
     "kauffman_bracket",

@@ -57,8 +57,9 @@ up by that int: its darts are rebuilt from the join key, and
 per null-homologous curve, which alone also needs the disk test.  The
 finer ints split the frontier keys further than the image's, so this
 sweep has more keys, and they grow fast with the crossings (the
-18-crossing braid closure timed in README takes seconds this way and
-milliseconds as a d-image), but it never enumerates the 2^n states either.
+18-crossing braid closure of tests/test_d_image.py takes seconds this way
+and milliseconds as a d-image), but it never enumerates the 2^n states
+either.
 
 Both sums give each key one packed polynomial, laid out as the swept
 `StateTables.fields` says (`frontier.packed_fields`) and returned with

@@ -27,7 +27,7 @@ from .diagram import (
     writhe,
 )
 from .frontier import divide_by_d, packed_fields, read_packed, state_sum
-from .laurent import LOOP_VALUE, LaurentPoly, try_divide_exact
+from .laurent import LOOP_VALUE, LaurentPoly
 
 if TYPE_CHECKING:
     from .tangle import Tangle
@@ -164,19 +164,6 @@ def jones_in_t(p: LaurentPoly) -> LaurentPoly:
             raise ValueError(f"exponent {e} not divisible by 4; no integer t-form")
         terms[-e // 4] = c
     return LaurentPoly(terms)
-
-
-def jones_divisibility(v_in_t: LaurentPoly) -> LaurentPoly | None:
-    """The Laurent polynomial W with 1 - V = W (1-t)(1-t^3), or None.
-
-    Classical knots always admit such a W; failure for a virtual diagram
-    is informative output.
-    """
-    one_minus_v = LaurentPoly.one() - v_in_t
-    if one_minus_v.is_zero():
-        return LaurentPoly.zero()
-    factor = LaurentPoly({0: 1, 1: -1}) * LaurentPoly({0: 1, 3: -1})
-    return try_divide_exact(one_minus_v, factor)
 
 
 def bracket_by_recursion(d: VirtualLinkDiagram, _memo: dict | None = None) -> LaurentPoly:

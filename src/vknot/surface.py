@@ -7,10 +7,10 @@ faces, components and genus straight off the crossing rotation
 (`SurfaceRep`), builds its quad refinement (`RefinedMap`), and computes a
 homology basis with the integer intersection form, homology classes of
 embedded loops, and disk-bounding tests by cutting the surface open.
-`CombinatorialMap` holds a map's tables; built from arbitrary dart
-permutations, it validates them and lays the tables out itself.  The
-refinement is a `CombinatorialMap` that writes the same layout into
-itself, with no validation beyond its genus check.
+The refinement is the one map the package builds: it writes its tables
+straight from the rotation, with no validation beyond its genus check.
+The generic map of arbitrary dart permutations, which validates them and
+lays out the same tables, is the reference tests/oracle.py keeps.
 
 The darts are the arc ends of `diagram.arc_ends`, and its crossing
 rotation is the counterclockwise dart order at each crossing (validated by
@@ -22,7 +22,6 @@ under-in) at a negative one.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import eq
 from typing import NamedTuple, Sequence
 
 from .diagram import VirtualLinkDiagram, arc_ends
@@ -35,82 +34,6 @@ class LoopNotOnSurface(ValueError):
 
 class LoopNotEmbedded(ValueError):
     """Loop repeats an edge or meets a vertex twice; it is not cut."""
-
-
-class BasisMismatch(ValueError):
-    """Homology classes from different bases were combined."""
-
-
-class CombinatorialMap:
-    """An orientable surface as dart permutations.
-
-    `sigma` rotates the darts counterclockwise around their vertex,
-    `alpha` is the fixed-point-free edge involution.  Vertices, edges and
-    faces are the orbits of sigma, alpha and phi = sigma o alpha; each
-    connected component contributes 2 - 2*genus to chi = V - E + F.  Every
-    table is built once, with the map: the orbits, each from its smallest
-    dart, in order of that dart, each dart's vertex, edge and face index
-    (`vertex_of`, `edge_of`, `face_of`), the components as sorted tuples of
-    vertex indices, in order of the smallest, and the chi of each vertex's
-    component (`chi_of_vertex`).
-    """
-
-    __slots__ = (
-        "n_darts", "sigma", "alpha", "vertices", "edges", "faces",
-        "vertex_of", "edge_of", "face_of", "components", "chi_of_vertex",
-    )
-
-    def __init__(self, sigma: Sequence[int], alpha: Sequence[int]):
-        self.n_darts = n = len(sigma)
-        self.sigma = sigma = tuple(sigma)
-        self.alpha = alpha = tuple(alpha)
-        if len(alpha) != n:
-            raise ValueError("sigma and alpha must act on the same darts")
-        darts = list(range(n))
-        if any(map(eq, alpha, darts)) or list(map(alpha.__getitem__, alpha)) != darts:
-            raise ValueError("alpha must be a fixed-point-free involution")
-        if sorted(sigma) != darts:
-            raise ValueError("sigma must be a permutation of the darts")
-        self.vertices = vertices = _orbits(sigma)
-        self.edges = tuple([(d, e) for d, e in enumerate(alpha) if d < e])
-        self.faces = _orbits([sigma[a] for a in alpha])
-        self.vertex_of = vertex_of = _orbit_of(vertices, n)
-        self.edge_of = _orbit_of(self.edges, n)
-        self.face_of = _orbit_of(self.faces, n)
-        # components by search over vertices, each from its smallest vertex
-        comp_of = [-1] * len(vertices)
-        components = []
-        for root in range(len(vertices)):
-            if comp_of[root] >= 0:
-                continue
-            c = comp_of[root] = len(components)
-            comp = [root]
-            for v in comp:
-                for d in vertices[v]:
-                    w = vertex_of[alpha[d]]
-                    if comp_of[w] < 0:
-                        comp_of[w] = c
-                        comp.append(w)
-            components.append(tuple(sorted(comp)))
-        self.components = tuple(components)
-        # chi = V + F - E per component, E being half its darts
-        chi, comp_darts = [0] * len(components), [0] * len(components)
-        for orbit in self.faces:
-            chi[comp_of[vertex_of[orbit[0]]]] += 1
-        for v, orbit in enumerate(vertices):
-            chi[comp_of[v]] += 1
-            comp_darts[comp_of[v]] += len(orbit)
-        self.chi_of_vertex = tuple([chi[c] - comp_darts[c] // 2 for c in comp_of])
-
-    def genus(self) -> int:
-        """Total genus, summed over connected components."""
-        total = 0
-        for comp in self.components:
-            chi = self.chi_of_vertex[comp[0]]
-            if chi % 2:
-                raise AssertionError("odd Euler characteristic on an orientable map")
-            total += (2 - chi) // 2
-        return total
 
 
 def _orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -155,8 +78,8 @@ class SurfaceRep:
     component, sorted, in order of the smallest: strands that share a
     crossing lie on one, and a strand's arcs are numbered consecutively
     (`arc_ends`).  The genus is C - chi / 2 over the C components.  The
-    generic `CombinatorialMap` of the same darts (`map`) is built only when
-    it is read.
+    generic map of the same darts is built only by tests, with
+    tests/oracle.py `generic_map`.
 
     Zero-crossing unknot components live on their own genus-0 spheres and
     are tracked by `free_loops` rather than by map darts.
@@ -175,15 +98,6 @@ class SurfaceRep:
         if chi % 2:
             raise AssertionError("odd Euler characteristic on an orientable map")
         self.genus = len(self.components) - chi // 2
-
-    @cached_property
-    def map(self) -> CombinatorialMap:
-        """The same surface as a generic, validated `CombinatorialMap`."""
-        sigma = list(range(2 * self.n_arcs))
-        for cyc in self.crossing_rotation.values():
-            for k in range(4):
-                sigma[cyc[k]] = cyc[(k + 1) % 4]
-        return CombinatorialMap(sigma, [d ^ 1 for d in range(2 * self.n_arcs)])
 
     @cached_property
     def refined(self) -> "RefinedMap":
@@ -237,7 +151,7 @@ def genus(obj: "SurfaceRep | VirtualLinkDiagram") -> int:
 # -- quadrilateral refinement --------------------------------------------
 
 
-class RefinedMap(CombinatorialMap):
+class RefinedMap:
     """The same surface with each 4-valent vertex opened into a quad cell.
 
     Every crossing vertex becomes four corner vertices joined by four side
@@ -247,21 +161,30 @@ class RefinedMap(CombinatorialMap):
     The refinement keeps chi (per crossing: +3 vertices, +4 edges, +1
     face), hence represents the same surface, which is checked.
 
-    Its tables are written directly, as the generic `CombinatorialMap` of
-    the same sigma and alpha would lay them out; `base` and `join_side` are
-    its own.
+    `sigma` rotates the darts counterclockwise around their corner and
+    `alpha` is the edge involution; vertices, edges and faces are the
+    orbits of sigma, alpha and phi = sigma o alpha.  Each dart's vertex,
+    edge and face index is in `vertex_of`, `edge_of` and `face_of`,
+    `components` holds the vertices of each connected component, and
+    `chi_of_vertex` the Euler characteristic of each vertex's component.
+    The tables are written directly, as the generic map of the same sigma
+    and alpha in tests/oracle.py would lay them out; `base` and `join_side`
+    are this map's own.
     Darts 0 .. base - 1 are the arc ends; crossing i (in id order) owns
     darts base + 8i .. base + 8i + 7, side base + 8i + 2k running from its
     corner k to corner k + 1 and side base + 8i + 2k + 1 back.  Vertex e is
     the corner of arc end e, with the ccw rotation (e, side to the next
     corner, side from the previous one).  alpha(d) = d ^ 1 on every dart,
     so edge d >> 1 is (d & ~1, d | 1), run forward by its even dart.  Faces
-    are the orbits of phi = sigma o alpha, each from its smallest dart, in
-    order of that dart; the components are `SurfaceRep.components`, whose
-    arc ends are this map's vertices.
+    are the orbits of phi, each from its smallest dart, in order of that
+    dart; the components are `SurfaceRep.components`, whose arc ends are
+    this map's vertices.
     """
 
-    __slots__ = ("base", "join_side")
+    __slots__ = (
+        "n_darts", "sigma", "alpha", "vertices", "edges", "faces", "vertex_of",
+        "edge_of", "face_of", "components", "chi_of_vertex", "base", "join_side",
+    )
 
     def __init__(self, rep: SurfaceRep):
         base = 2 * rep.n_arcs
@@ -308,7 +231,8 @@ class RefinedMap(CombinatorialMap):
         self.face_of = _orbit_of(faces, n_darts)
         self.components = components
         self.chi_of_vertex = tuple([chi[c] for c in comp_of])
-        if self.genus() != rep.genus:
+        # each component of genus g has chi = 2 - 2g
+        if any(c % 2 for c in chi) or sum(2 - c for c in chi) != 2 * rep.genus:
             raise AssertionError("refinement changed the surface genus")
 
     @property
@@ -333,10 +257,11 @@ class MapHomology:
     chord interleaving; capped-face relations express deleted edges in the
     loop-edge basis.  Each dart's class is then stored once in symplectic
     coordinates (`dart_vec`), so the class of any closed walk is the sum
-    over its darts.
+    over its darts.  The package runs it on the refined map; tests also run
+    it on the generic map of tests/oracle.py, which has the same tables.
     """
 
-    def __init__(self, m: CombinatorialMap):
+    def __init__(self, m: RefinedMap):
         self.map = m
         self.loop_edges: list[int] = []  # global generator order
         # edge -> its coordinates over loop-edge indices: none for a tree
@@ -478,27 +403,6 @@ class MapHomology:
                 if q_in != p_in:
                     form[a, b] = 1 if q_in else -1
 
-    # -- queries ---------------------------------------------------------
-
-    def fundamental_cycles(self) -> list[tuple[int, ...]]:
-        """One dart cycle per generator: the loop edge closed through the tree."""
-        m = self.map
-        out = []
-        for ei in self.loop_edges:
-            p, q = m.edges[ei]
-            u, v = m.vertex_of[p], m.vertex_of[q]
-            out.append(tuple(self._tree_path(u) + [p] + [m.alpha[d] for d in reversed(self._tree_path(v))]))
-        return out
-
-    def _tree_path(self, v: int) -> list[int]:
-        """Darts from the component root down to vertex v along the tree."""
-        path = []
-        while v in self._tree_parent_dart:
-            d = self._tree_parent_dart[v]
-            path.append(d)
-            v = self.map.vertex_of[d]
-        return list(reversed(path))
-
 
 # -- homology classes -----------------------------------------------------
 
@@ -531,12 +435,6 @@ class HomologyClass(NamedTuple):
         return len(self.coords) // 2
 
 
-def homology_basis(rep: SurfaceRep):
-    """(fundamental basis cycles, intersection SkewForm, SymplecticBasis)."""
-    h = rep.homology
-    return h.fundamental_cycles(), h.form, h.basis
-
-
 def loop_homology(rep: SurfaceRep, loop: Sequence[int]) -> HomologyClass:
     """Symplectic-coordinate homology class of a closed walk of refined darts:
     the sum of its darts' classes."""
@@ -558,32 +456,10 @@ def loop_homology(rep: SurfaceRep, loop: Sequence[int]) -> HomologyClass:
     return HomologyClass.canonical(acc)
 
 
-def intersection_number(c1: HomologyClass, c2: HomologyClass) -> int:
-    """Symplectic pairing sum(a_k b'_k - b_k a'_k) in standard coordinates."""
-    if len(c1.coords) != len(c2.coords):
-        raise BasisMismatch("classes come from different bases")
-    total = 0
-    for k in range(0, len(c1.coords), 2):
-        total += c1.coords[k] * c2.coords[k + 1] - c1.coords[k + 1] * c2.coords[k]
-    return total
-
-
 # -- cutting --------------------------------------------------------------
 
 
-def cut_along_loop(rep: SurfaceRep, loop: Sequence[int]) -> list[tuple[int, int]]:
-    """Cut the refined surface along an embedded loop of darts.
-
-    Returns (Euler characteristic, boundary-circle count) per resulting
-    component.  The loop is a closed dart walk using each edge at most
-    once; cutting duplicates its edges, the two copies becoming free
-    boundary, and the surface decomposes into the face-connectivity
-    components across the remaining edges.
-    """
-    return _cut_map(rep.refined, loop)
-
-
-def _cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
+def _cut_map(m: RefinedMap, loop: Sequence[int]) -> list[tuple[int, int]]:
     """(chi, boundary circles) of each piece of `m` cut open along `loop`.
 
     Cutting along a circle keeps chi: the loop's L vertices and L edges are
@@ -593,15 +469,17 @@ def _cut_map(m: CombinatorialMap, loop: Sequence[int]) -> list[tuple[int, int]]:
     dart) and from the face right of it (the face of the reverse dart),
     never crossing a cut edge, find its pieces.  They take one face in turn.
     When they meet, the loop does not separate, and the one piece has the
-    component's chi (`CombinatorialMap.chi_of_vertex`) and both boundary
+    component's chi (`RefinedMap.chi_of_vertex`) and both boundary
     circles.  When one fill closes first, its side is a piece with chi =
     faces - non-cut edges + vertices off the loop (the side's L corners at
     the cut and its L edge copies cancel), and the other side has the rest
     of the component's chi.
 
     A loop that meets a vertex twice is refused.  On the refined map, the
-    only map cut here, every corner has one arc dart and two quad sides, so
-    a walk that repeats no edge meets each vertex at most once.
+    only map the package cuts, every corner has one arc dart and two quad
+    sides, so a walk that repeats no edge meets each vertex at most once.
+    Tests also cut the generic map of tests/oracle.py, with the same
+    tables, where a walk can meet a vertex twice.
     """
     loop = list(loop)
     if not loop:

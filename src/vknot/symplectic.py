@@ -18,33 +18,6 @@ class NotUnimodularError(ArithmeticError):
     """Skew form whose determinant is not +-1 (signals a surface-construction bug)."""
 
 
-def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free Gaussian elimination).
-
-    Bareiss elimination: after step k every entry of the trailing block is a
-    (k+1)-minor of m, so each division by the previous pivot is exact and
-    every value stays an int.  A zero pivot is replaced by swapping in a
-    lower row, which negates the determinant.
-    """
-    n = len(m)
-    a = [list(row) for row in m]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for row in a[k + 1 :]:
-            lead = row[k]
-            for c in range(k + 1, n):
-                row[c] = (pivot * row[c] - lead * row_k[c]) // prev
-        prev = pivot
-    return sign * a[-1][-1] if n else 1
-
-
 class SkewForm(NamedTuple):
     """A skew-symmetric integer bilinear form of even dimension."""
 
@@ -66,25 +39,6 @@ class SkewForm(NamedTuple):
                 if ent[i][j] != -ent[j][i]:
                     raise ValueError("form matrix must be skew-symmetric")
         return cls(dim, ent)
-
-    def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return sum(u[i] * self.entries[i][j] * v[j] for i in range(self.dim) for j in range(self.dim))
-
-    def determinant(self) -> int:
-        return det_int(self.entries)
-
-    def is_unimodular(self) -> bool:
-        return abs(self.determinant()) == 1
-
-
-def standard_form(genus: int) -> SkewForm:
-    """The block-diagonal form J with `genus` hyperbolic blocks."""
-    dim = 2 * genus
-    rows = [[0] * dim for _ in range(dim)]
-    for k in range(genus):
-        rows[2 * k][2 * k + 1] = 1
-        rows[2 * k + 1][2 * k] = -1
-    return SkewForm.from_rows(rows)
 
 
 class SymplecticBasis(NamedTuple):

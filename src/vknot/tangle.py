@@ -55,13 +55,6 @@ class Matching(tuple):
     def __str__(self) -> str:
         return "".join(f"({a}-{b})" for a, b in self)
 
-    def is_noncrossing(self) -> bool:
-        for a, b in self:
-            for c, d in self:
-                if (a, b) < (c, d) and a < c < b < d:
-                    return False
-        return True
-
 
 def noncrossing_matchings(n_points: int) -> list[Matching]:
     """All non-crossing perfect matchings of 1..n_points, in canonical
@@ -174,9 +167,6 @@ class TangleExpansion(NamedTuple):
 
     def to_json(self) -> dict:
         return {str(m): c.to_json() for m, c in sorted(self.coefficients.items())}
-
-    def support_is_noncrossing(self) -> bool:
-        return all(m.is_noncrossing() for m in self.coefficients)
 
 
 def expand_tangle(t: Tangle) -> TangleExpansion:

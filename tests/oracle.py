@@ -1,13 +1,29 @@
-"""Reference computations that production code no longer runs, kept as
-oracles for the fast paths; `packed`, which puts their counts in the value
-format of the state sums; `crossing_order`, which sweeps in another order
-than the greedy one; `min_growth_order`, the greedy order without its
-lookahead; and `canonical_code` and the removal moves, which only tests
-use."""
+"""Reference computations that tests check the package against, and
+helpers that only tests use.
+
+- The surface: `CombinatorialMap`, the generic map of any dart
+  permutations, which validates them and lays out the tables that
+  `surface.RefinedMap` writes directly; `generic_map`, the Carter surface
+  of a diagram as one; the union-find cut `cut_map`; the refined-map
+  walks `state_curves`, `position_of` and `side_dart`; and the
+  state-by-state surface sum `bracket_chunk`.
+- Homology: `cycle_coords`, `fundamental_cycles`, `dense_dart_vec`,
+  `one_vertex_rotations`, `rotation_form` and `intersection_number`.
+- Skew forms: `det_int` and its reference `det_fraction`,
+  `standard_form`, `pair`, `is_unimodular` and `check_standard`.
+- State sums: `expand` and `packed`, which put counts in the value format
+  of the sums; `crossing_pair`, `borrowed_fields` and `unpack`;
+  `crossing_order`, which sweeps in another order than the greedy one;
+  `greedy_order`, its naive reference; and `min_growth_order`, the greedy
+  order without its lookahead.
+- Tangles and Jones: `is_noncrossing` and `jones_divisibility`.
+- Diagrams: `canonical_code` and the removal moves.
+"""
 
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations, product
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from vknot import frontier
@@ -15,18 +31,105 @@ from vknot.analysis import CurveClassKey
 from vknot.bracket import StateTables, d_power
 from vknot.diagram import OVER, UNDER, VirtualLinkDiagram
 from vknot.frontier import PackedFields
-from vknot.laurent import LaurentPoly
+from vknot.laurent import LaurentPoly, try_divide_exact
 from vknot.surface import (
-    CombinatorialMap,
+    HomologyClass,
     LoopNotEmbedded,
     LoopNotOnSurface,
     MapHomology,
     RefinedMap,
     SurfaceRep,
+    _orbit_of,
+    _orbits,
     is_disk_bounding,
     loop_homology,
 )
-from vknot.symplectic import SkewForm, SymplecticBasis, standard_form
+from vknot.symplectic import SkewForm, SymplecticBasis
+from vknot.tangle import Matching
+
+
+class CombinatorialMap:
+    """An orientable surface as dart permutations.
+
+    `sigma` rotates the darts counterclockwise around their vertex,
+    `alpha` is the fixed-point-free edge involution.  Vertices, edges and
+    faces are the orbits of sigma, alpha and phi = sigma o alpha; each
+    connected component contributes 2 - 2*genus to chi = V - E + F.  Every
+    table is built once, with the map: the orbits, each from its smallest
+    dart, in order of that dart, each dart's vertex, edge and face index
+    (`vertex_of`, `edge_of`, `face_of`), the components as sorted tuples of
+    vertex indices, in order of the smallest, and the chi of each vertex's
+    component (`chi_of_vertex`).  The reference for `surface.RefinedMap`,
+    which writes these tables directly.
+    """
+
+    __slots__ = (
+        "n_darts", "sigma", "alpha", "vertices", "edges", "faces",
+        "vertex_of", "edge_of", "face_of", "components", "chi_of_vertex",
+    )
+
+    def __init__(self, sigma: Sequence[int], alpha: Sequence[int]):
+        self.n_darts = n = len(sigma)
+        self.sigma = sigma = tuple(sigma)
+        self.alpha = alpha = tuple(alpha)
+        if len(alpha) != n:
+            raise ValueError("sigma and alpha must act on the same darts")
+        darts = list(range(n))
+        if any(map(eq, alpha, darts)) or list(map(alpha.__getitem__, alpha)) != darts:
+            raise ValueError("alpha must be a fixed-point-free involution")
+        if sorted(sigma) != darts:
+            raise ValueError("sigma must be a permutation of the darts")
+        self.vertices = vertices = _orbits(sigma)
+        self.edges = tuple([(d, e) for d, e in enumerate(alpha) if d < e])
+        self.faces = _orbits([sigma[a] for a in alpha])
+        self.vertex_of = vertex_of = _orbit_of(vertices, n)
+        self.edge_of = _orbit_of(self.edges, n)
+        self.face_of = _orbit_of(self.faces, n)
+        # components by search over vertices, each from its smallest vertex
+        comp_of = [-1] * len(vertices)
+        components = []
+        for root in range(len(vertices)):
+            if comp_of[root] >= 0:
+                continue
+            c = comp_of[root] = len(components)
+            comp = [root]
+            for v in comp:
+                for d in vertices[v]:
+                    w = vertex_of[alpha[d]]
+                    if comp_of[w] < 0:
+                        comp_of[w] = c
+                        comp.append(w)
+            components.append(tuple(sorted(comp)))
+        self.components = tuple(components)
+        # chi = V + F - E per component, E being half its darts
+        chi, comp_darts = [0] * len(components), [0] * len(components)
+        for orbit in self.faces:
+            chi[comp_of[vertex_of[orbit[0]]]] += 1
+        for v, orbit in enumerate(vertices):
+            chi[comp_of[v]] += 1
+            comp_darts[comp_of[v]] += len(orbit)
+        self.chi_of_vertex = tuple([chi[c] - comp_darts[c] // 2 for c in comp_of])
+
+    def genus(self) -> int:
+        """Total genus, summed over connected components."""
+        total = 0
+        for comp in self.components:
+            chi = self.chi_of_vertex[comp[0]]
+            if chi % 2:
+                raise AssertionError("odd Euler characteristic on an orientable map")
+            total += (2 - chi) // 2
+        return total
+
+
+def generic_map(rep: SurfaceRep) -> CombinatorialMap:
+    """The Carter surface of `rep` as a generic, validated `CombinatorialMap`
+    of the same darts: sigma turns each arc end counterclockwise around its
+    crossing and alpha(e) = e ^ 1 runs along its arc."""
+    sigma = list(range(2 * rep.n_arcs))
+    for cyc in rep.crossing_rotation.values():
+        for k in range(4):
+            sigma[cyc[k]] = cyc[(k + 1) % 4]
+    return CombinatorialMap(sigma, [d ^ 1 for d in range(2 * rep.n_arcs)])
 
 
 def cycle_coords(h: MapHomology, darts: Iterable[int]) -> tuple[int, ...]:
@@ -242,9 +345,92 @@ def dense_dart_vec(h: MapHomology) -> list[tuple[tuple[int, int], ...] | None]:
     return out
 
 
+def fundamental_cycles(h: MapHomology) -> list[tuple[int, ...]]:
+    """One dart cycle per generator of `h`: the loop edge closed through the
+    tree, from the component's root and back."""
+    m = h.map
+    out = []
+    for ei in h.loop_edges:
+        p, q = m.edges[ei]
+        u, v = m.vertex_of[p], m.vertex_of[q]
+        out.append(tuple(_tree_path(h, u) + [p] + [m.alpha[d] for d in reversed(_tree_path(h, v))]))
+    return out
+
+
+def _tree_path(h: MapHomology, v: int) -> list[int]:
+    """Darts from the component root down to vertex v along the tree of `h`."""
+    path = []
+    while v in h._tree_parent_dart:
+        d = h._tree_parent_dart[v]
+        path.append(d)
+        v = h.map.vertex_of[d]
+    return list(reversed(path))
+
+
+class BasisMismatch(ValueError):
+    """Homology classes from different bases were combined."""
+
+
+def intersection_number(c1: HomologyClass, c2: HomologyClass) -> int:
+    """Symplectic pairing sum(a_k b'_k - b_k a'_k) in standard coordinates."""
+    if len(c1.coords) != len(c2.coords):
+        raise BasisMismatch("classes come from different bases")
+    total = 0
+    for k in range(0, len(c1.coords), 2):
+        total += c1.coords[k] * c2.coords[k + 1] - c1.coords[k + 1] * c2.coords[k]
+    return total
+
+
+def det_int(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix (fraction-free Gaussian elimination).
+
+    Bareiss elimination: after step k every entry of the trailing block is a
+    (k+1)-minor of m, so each division by the previous pivot is exact and
+    every value stays an int.  A zero pivot is replaced by swapping in a
+    lower row, which negates the determinant.
+    """
+    n = len(m)
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            lead = row[k]
+            for c in range(k + 1, n):
+                row[c] = (pivot * row[c] - lead * row_k[c]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
+
+
+def standard_form(genus: int) -> SkewForm:
+    """The block-diagonal form J with `genus` hyperbolic blocks."""
+    dim = 2 * genus
+    rows = [[0] * dim for _ in range(dim)]
+    for k in range(genus):
+        rows[2 * k][2 * k + 1] = 1
+        rows[2 * k + 1][2 * k] = -1
+    return SkewForm.from_rows(rows)
+
+
+def pair(form: SkewForm, u: Sequence[int], v: Sequence[int]) -> int:
+    """u^T . form . v."""
+    return sum(u[i] * form.entries[i][j] * v[j] for i in range(form.dim) for j in range(form.dim))
+
+
+def is_unimodular(form: SkewForm) -> bool:
+    """The form's determinant is +-1."""
+    return abs(det_int(form.entries)) == 1
+
+
 def det_fraction(m: Sequence[Sequence[int]]) -> int:
     """Determinant by Gaussian elimination over the rationals (the reference
-    for `symplectic.det_int`)."""
+    for `det_int`)."""
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]
     det = Fraction(1)
@@ -460,6 +646,28 @@ def side_dart(refined: RefinedMap, ci: int, k_from: int, k_to: int) -> int:
     if k_to == (k_from - 1) % 4:
         return refined.base + 8 * ci + 2 * k_to + 1
     raise LoopNotOnSurface(f"corners {k_from} and {k_to} are not adjacent")
+
+
+def is_noncrossing(matching: Matching) -> bool:
+    """No two pairs (a, b), (c, d) of the matching interleave as a < c < b < d."""
+    for a, b in matching:
+        for c, d in matching:
+            if (a, b) < (c, d) and a < c < b < d:
+                return False
+    return True
+
+
+def jones_divisibility(v_in_t: LaurentPoly) -> LaurentPoly | None:
+    """The Laurent polynomial W with 1 - V = W (1-t)(1-t^3), or None.
+
+    Classical knots always admit such a W; failure for a virtual diagram
+    is informative output.
+    """
+    one_minus_v = LaurentPoly.one() - v_in_t
+    if one_minus_v.is_zero():
+        return LaurentPoly.zero()
+    factor = LaurentPoly({0: 1, 1: -1}) * LaurentPoly({0: 1, 3: -1})
+    return try_divide_exact(one_minus_v, factor)
 
 
 def canonical_code(d: VirtualLinkDiagram, max_components: int = 6) -> str | None:

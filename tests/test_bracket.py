@@ -1,6 +1,12 @@
 """Bracket polynomial state sum, normalizations, and the skein recursion."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from oracle import jones_divisibility
 
 from vknot import bracket
 from vknot.bracket import (
@@ -9,7 +15,6 @@ from vknot.bracket import (
     d_power,
     f_polynomial,
     jones,
-    jones_divisibility,
     jones_in_t,
     kauffman_bracket,
 )
@@ -104,13 +109,29 @@ def test_free_loops_next_to_crossings(code):
     assert kauffman_bracket(d) == bracket_by_recursion(d)
 
 
+NOT_DIVISIBLE = """
+from vknot.frontier import divide_by_d, packed_fields
+assert False, "asserts must be stripped"
+fields = packed_fields(3, 1)
+try:
+    divide_by_d(1 << fields.offset * fields.width, fields)
+except ArithmeticError as exc:
+    print("refused:", exc)
+"""
+
+
 def test_a_sum_not_divisible_by_d_is_refused(monkeypatch):
     """Every state of a diagram with crossings has a loop; a planar value
-    without the factor d (here s^M alone) raises, also under `python -O`."""
+    without the factor d (here s^M alone) raises, also under `python -O`,
+    which runs the division of the trefoil's layout in a subprocess."""
     _, width, offset = StateTables(TREFOIL).fields
     monkeypatch.setattr(bracket, "state_sum", lambda tables: {(): 1 << offset * width})
     with pytest.raises(ArithmeticError, match="not divisible by d"):
         kauffman_bracket(TREFOIL)
+    env = dict(os.environ, PYTHONPATH=str(Path(bracket.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", NOT_DIVISIBLE], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == ["refused: state sum is not divisible by d"]
 
 
 def test_state_tables_loop_counts():

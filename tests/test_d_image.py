@@ -32,7 +32,7 @@ from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import VirtualLinkDiagram, format_gauss_code, parse_gauss_code, virtualize_crossing
 from vknot.frontier import greedy_order, packed_fields, read_packed, signed_fields
 from vknot.laurent import LOOP_VALUE, LaurentPoly
-from vknot.surface import HomologyClass, build_carter_surface, genus, intersection_number
+from vknot.surface import HomologyClass, build_carter_surface, genus
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -368,7 +368,7 @@ def test_per_torus_holds_on_classes_orthogonal_to_one_class():
         classes = sb.nonzero_classes()
         assert per_torus_criterion(classes, 2).satisfied
         assert _rational_rank([c.coords for c in classes]) == 3 == 2 * rep.genus - 1
-        assert all(intersection_number(gamma, c) == 0 for c in classes)
+        assert all(oracle.intersection_number(gamma, c) == 0 for c in classes)
 
 
 def test_per_torus_certifies_a_diagram_of_the_unknot():
@@ -475,7 +475,7 @@ def test_surface_brackets_build_no_homology_at_genus_zero():
 
 def _braid_closures() -> list[VirtualLinkDiagram]:
     """The 18-crossing closure of `random_braid_word(random.Random(1), 4, 18)`
-    and its virtualization at crossing 1 (timed in README), and seeded
+    and its virtualization at crossing 1 (timed in CHANGES.md), and seeded
     closures of 10-16 crossings on 2-5 strands with one virtualization each."""
     d = parse_gauss_code(braid_closure(random_braid_word(random.Random(1), 4, 18), 4))
     out = [d, virtualize_crossing(d, 1)]

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import vknot
@@ -68,9 +69,29 @@ RETIRED_NAMES = {
     "_pass_counts": "diagram.reverse_signs",
     "flip_sign": "diagram._replace_crossing",
     "crossing_index": "SurfaceRep.crossing_rotation",
-    # the table-writing constructor of the refined map: `RefinedMap` is a
-    # `CombinatorialMap` and writes its tables into itself
+    # the table-writing constructor of the refined map: `RefinedMap` writes
+    # its tables into itself, in its own constructor
     "_from_tables": "surface.RefinedMap",
+    # API only tests called, now in tests/oracle.py: the generic map the
+    # refined map is checked against, the homology cycles, the skew-form and
+    # Jones helpers and the matching test.  `SkewForm.pair` and
+    # `SurfaceRep.map` left as well, but `pair` is a common local name and
+    # `map` a builtin, so neither is listed.
+    "CombinatorialMap": "tests/oracle.py CombinatorialMap",
+    "fundamental_cycles": "tests/oracle.py fundamental_cycles",
+    "_tree_path": "tests/oracle.py _tree_path",
+    "intersection_number": "tests/oracle.py intersection_number",
+    "BasisMismatch": "tests/oracle.py BasisMismatch",
+    "det_int": "tests/oracle.py det_int",
+    "standard_form": "tests/oracle.py standard_form",
+    "determinant": "tests/oracle.py det_int",
+    "is_unimodular": "tests/oracle.py is_unimodular",
+    "jones_divisibility": "tests/oracle.py jones_divisibility",
+    "is_noncrossing": "tests/oracle.py is_noncrossing",
+    "support_is_noncrossing": "tests/oracle.py is_noncrossing",
+    # wrappers whose callers call the code behind them
+    "homology_basis": "SurfaceRep.homology",
+    "cut_along_loop": "surface._cut_map",
 }
 
 
@@ -118,18 +139,26 @@ def test_refined_map_alias_is_left_to_the_tracer():
     assert not found, f"reads of the RefinedMap.map alias: {found}"
 
 
-def test_perfbench_hooks_resolve():
-    """Every function the benchmark's tracer wraps still exists in vknot, so
-    a change that deletes or renames one shows here, not only in a traced run.
+ROOT = Path(__file__).resolve().parents[1]
 
-    `HOOKS` is read from perfbench/tracing.py as a literal; the file is
-    neither imported nor run."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+def _hooks() -> list[tuple[str, str, str]]:
+    """(span, module, attribute path) of each function the benchmark's
+    tracer wraps: `HOOKS`, read from perfbench/tracing.py as a literal; the
+    file is neither imported nor run."""
+    path = ROOT / "perfbench" / "tracing.py"
     (hooks,) = [
         ast.literal_eval(node.value)
         for node in ast.parse(path.read_text(), str(path)).body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["HOOKS"]
     ]
+    return hooks
+
+
+def test_perfbench_hooks_resolve():
+    """Every function the benchmark's tracer wraps still exists in vknot, so
+    a change that deletes or renames one shows here, not only in a traced run."""
+    hooks = _hooks()
     missing = []
     for _, module, attr_path in hooks:
         # as the tracer resolves them: a method must be defined on its class
@@ -139,6 +168,91 @@ def test_perfbench_hooks_resolve():
         if not callable(target):
             missing.append(f"{module}.{attr_path}")
     assert hooks and not missing, f"hook targets absent: {missing}"
+
+
+#: Public names that nothing but tests names, each kept for its reason.
+UNCALLED_PUBLIC_NAMES = {
+    # `certify`'s documented readout: the labels `certify` reads, with their
+    # polynomials; the rational-span and destabilization bounds build on it
+    "d_image_bracket",
+}
+
+
+def _public_definitions(tree: ast.Module, exported: set[str]) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of each public module-level function and class,
+    and of each public method of a module-level class not in `exported`."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef) and node.name not in exported:
+            found += [
+                (f"{node.name}.{item.name}", item)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+            ]
+    return found
+
+
+def _name_counts(tree: ast.AST) -> Counter:
+    """How often each name is read or assigned, or named as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _uncalled_public_names(
+    trees: dict[str, ast.Module], exported: set[str], named_elsewhere: set[str], hooked: set[str]
+) -> list[str]:
+    """`module.qualname` of each of the `_public_definitions` of `trees`,
+    keyed by module, that no Name or Attribute of `trees` names outside the
+    definition itself, that is not in `named_elsewhere` and whose
+    `module.qualname` is not in `hooked`; module-level names in `exported`
+    pass."""
+    counts = sum(map(_name_counts, trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(tree, exported):
+            name = qualname.rpartition(".")[2]
+            if qualname in exported or name in named_elsewhere or f"{module}.{qualname}" in hooked:
+                continue
+            if counts[name] == _name_counts(node)[name]:
+                found.append(f"{module}.{qualname}")
+    return found
+
+
+def test_no_public_names_only_tests_call():
+    """Every public function and class under src/vknot, and every public
+    method of a class `vknot.__all__` does not export, is named by the
+    package outside its own definition, by a demo or the benchmark, or is a
+    hook of the benchmark's tracer: what only tests call belongs in
+    tests/oracle.py.  `vknot.__all__` and UNCALLED_PUBLIC_NAMES pass."""
+    trees = {f"vknot.{path.stem}": ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    elsewhere = set()
+    for path in sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]):
+        elsewhere |= set(_name_counts(ast.parse(path.read_text(), str(path))))
+    hooked = {f"{module}.{attr_path}" for _, module, attr_path in _hooks()}
+    exported = set(vknot.__all__) | UNCALLED_PUBLIC_NAMES
+    uncalled = _uncalled_public_names(trees, exported, elsewhere, hooked)
+    assert elsewhere and hooked and not uncalled, f"public names only tests call: {uncalled}"
+    # the scan sees each form of definition and use
+    planted = {
+        "vknot.a": ast.parse(
+            "class Kept:\n    def m(self): return helper()\n    def unused(self): pass\n    def _p(self): pass\n"
+            "def helper(): return Kept().m\ndef alone(): return alone()\ndef hooked(): pass\n"
+            "class _Private:\n    def run(self): pass\n"
+        ),
+        "vknot.b": ast.parse("def demoed(): pass\ndef public(): pass\nclass Exported:\n    def method(self): pass\n"),
+    }
+    assert _uncalled_public_names(planted, {"public", "Exported"}, {"demoed"}, {"vknot.a.hooked"}) == [
+        "vknot.a.Kept.unused",
+        "vknot.a.alone",
+        "vknot.a._Private.run",
+    ]
 
 
 #: Stdlib modules no answer needs, each of which costs milliseconds of cold
@@ -291,21 +405,12 @@ def _private_definitions(tree: ast.AST) -> list[tuple[int, str]]:
     ]
 
 
-def _names_used(tree: ast.AST) -> set[str]:
-    """Every name read or assigned and every attribute named in the tree."""
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
-
-
 def test_no_unreferenced_private_helpers():
     """Every private function, method or class under src/vknot is named again
     somewhere under src/vknot: a helper that only tests or nothing call is
     dead code, or belongs in tests/oracle.py."""
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
-    used = set().union(*map(_names_used, trees.values()))
+    used = set(sum(map(_name_counts, trees.values()), Counter()))
     defined = [(name, lineno, helper) for name, tree in trees.items() for lineno, helper in _private_definitions(tree)]
     unused = [f"{name}:{lineno} {helper}" for name, lineno, helper in defined if helper not in used]
     assert defined and not unused, f"private helpers nothing under src/vknot names: {unused}"
@@ -316,7 +421,7 @@ def test_no_unreferenced_private_helpers():
     )
     tree = ast.parse(planted)
     assert _private_definitions(tree) == [(1, "_A"), (4, "_f"), (6, "_g"), (2, "_m"), (3, "_n")]
-    assert {name for _, name in _private_definitions(tree)} - _names_used(tree) == {"_m", "_f", "_g"}
+    assert {name for _, name in _private_definitions(tree)} - set(_name_counts(tree)) == {"_m", "_f", "_g"}
 
 
 def test_layer_split_script_runs():

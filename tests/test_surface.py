@@ -1,22 +1,27 @@
 """Carter surfaces: combinatorial maps, genus, homology, cutting."""
 
 import pytest
-from oracle import cycle_coords, state_curves
+from oracle import (
+    CombinatorialMap,
+    cycle_coords,
+    fundamental_cycles,
+    intersection_number,
+    is_unimodular,
+    pair,
+    standard_form,
+    state_curves,
+)
 
 from vknot.bracket import StateTables
 from vknot.diagram import parse_gauss_code
 from vknot.surface import (
-    CombinatorialMap,
     HomologyClass,
+    _cut_map,
     build_carter_surface,
-    cut_along_loop,
     genus,
-    homology_basis,
-    intersection_number,
     is_disk_bounding,
     loop_homology,
 )
-from vknot.symplectic import standard_form
 
 CLASSICAL = [
     "U",
@@ -59,24 +64,28 @@ def test_virtual_genera():
 
 
 def test_refined_map_preserves_genus():
+    """The generic map of the refinement's permutations, which computes its
+    own components and chi, has the genus of the Carter surface."""
     for code in list(VIRTUAL) + CLASSICAL[1:]:
         rep = build_carter_surface(parse_gauss_code(code))
-        assert rep.refined.genus() == rep.genus
+        refined = rep.refined
+        assert CombinatorialMap(refined.sigma, refined.alpha).genus() == rep.genus
 
 
 def test_homology_basis_is_symplectic():
     for code, g in VIRTUAL.items():
         rep = build_carter_surface(parse_gauss_code(code))
-        cycles, form, basis = homology_basis(rep)
+        h = rep.homology
+        cycles, form, basis = fundamental_cycles(h), h.form, h.basis
         assert len(cycles) == 2 * g
         assert basis.genus == g
-        assert form.is_unimodular()
+        assert is_unimodular(form)
         std = standard_form(g)
         for i, ci in enumerate(cycles):
-            sym = basis.to_symplectic(cycle_coords(rep.homology, ci))
+            sym = basis.to_symplectic(cycle_coords(h, ci))
             for j, cj in enumerate(cycles):
-                sym_j = basis.to_symplectic(cycle_coords(rep.homology, cj))
-                assert std.pair(sym, sym_j) == form.entries[i][j]
+                sym_j = basis.to_symplectic(cycle_coords(h, cj))
+                assert pair(std, sym, sym_j) == form.entries[i][j]
 
 
 def test_homology_class_canonical_and_order():
@@ -150,7 +159,7 @@ def test_cut_along_essential_loop_gives_annulus_pieces():
     rep, states = _loops_of("O1+O2+U1+U2+")
     for loops in states:
         for loop in loops:
-            pieces = cut_along_loop(rep, loop)
+            pieces = _cut_map(rep.refined, loop)
             # Euler characteristics of the pieces reassemble the torus
             assert sum(chi for chi, _ in pieces) == 0
             if is_disk_bounding(rep, loop):

@@ -9,7 +9,8 @@ against the union-find cut, the frontier sweep of the full bracket
 against the state-by-state chunk, and the form read off the walk around
 the homology tree against the one-vertex rotation that splicing leaves,
 all of tests/oracle.py; and the surface tables written straight from the
-crossing rotation against the generic `CombinatorialMap` of the same darts.
+crossing rotation against tests/oracle.py's generic `CombinatorialMap` of
+the same darts.
 """
 
 import functools
@@ -21,11 +22,14 @@ from pathlib import Path
 
 import pytest
 from oracle import (
+    CombinatorialMap,
     bracket_chunk,
     crossing_order,
     cut_map,
     cycle_coords,
     dense_dart_vec,
+    fundamental_cycles,
+    generic_map,
     rotation_form,
     state_curves,
     unpack,
@@ -40,14 +44,12 @@ from vknot.diagram import VirtualLinkDiagram, format_gauss_code, parse_gauss_cod
 from vknot.frontier import greedy_order
 from vknot.laurent import LOOP_VALUE, LaurentPoly
 from vknot.surface import (
-    CombinatorialMap,
     HomologyClass,
     LoopNotEmbedded,
     LoopNotOnSurface,
     MapHomology,
     _cut_map,
     build_carter_surface,
-    cut_along_loop,
     is_disk_bounding,
     loop_homology,
 )
@@ -257,7 +259,7 @@ def test_tree_walk_form_matches_the_splicing_contraction(group):
     Carter map and on the refined map."""
     for d in _rotation_diagrams(group):
         rep = build_carter_surface(d)
-        for m in (rep.map, rep.refined):
+        for m in (generic_map(rep), rep.refined):
             h = MapHomology(m)
             assert [list(row) for row in h.form.entries] == rotation_form(h), format_gauss_code(d)
         if group == "split":
@@ -272,7 +274,7 @@ def test_dart_classes_match_the_dense_change_of_basis(group):
     on the Carter map and on the refined map."""
     for d in _rotation_diagrams(group):
         rep = build_carter_surface(d)
-        for m in (rep.map, rep.refined):
+        for m in (generic_map(rep), rep.refined):
             h = MapHomology(m)
             assert h.dart_vec == dense_dart_vec(h), format_gauss_code(d)
 
@@ -288,7 +290,7 @@ def test_direct_tables_match_the_generic_map(group):
     for d in _rotation_diagrams(group):
         code = format_gauss_code(d)
         rep = build_carter_surface(d)
-        carter = rep.map
+        carter = generic_map(rep)
         assert rep.genus == carter.genus(), code
         assert rep.faces == carter.faces, code
         assert rep.components == tuple(
@@ -352,7 +354,7 @@ def _fundamental_walks(rep):
     """(generator index, fundamental cycle) grouped by the root they start at."""
     h = rep.homology
     roots: dict[int, list] = {}
-    for i, cycle in enumerate(h.fundamental_cycles()):
+    for i, cycle in enumerate(fundamental_cycles(h)):
         roots.setdefault(h.map.vertex_of[cycle[0]], []).append((i, cycle))
     return roots.values()
 
@@ -459,17 +461,18 @@ def test_disk_test_matches_union_find_cut(kind, arg):
     rep = build_carter_surface(d)
     refined = rep.refined
     for curve in _traced_curves(d):
-        assert sorted(cut_along_loop(rep, curve)) == sorted(cut_map(refined, curve))
+        assert sorted(_cut_map(refined, curve)) == sorted(cut_map(refined, curve))
         assert is_disk_bounding(rep, curve) == _oracle_disk(rep, curve)
     # face boundaries of both maps, either way round: disks, and walks that
     # repeat an edge or meet a vertex twice; `_cut_map` refuses a walk that
     # meets a vertex twice, which only the 4-valent Carter map has
-    for m in (rep.map, refined):
+    carter = generic_map(rep)
+    for m in (carter, refined):
         for face in m.faces:
             for walk in (face, tuple(m.alpha[x] for x in reversed(face))):
                 simple = len({m.edge_of[x] for x in walk}) == len(walk)
                 if simple and len({m.vertex_of[x] for x in walk}) < len(walk):
-                    assert m is rep.map and _outcome(_cut_map, m, walk) is LoopNotEmbedded
+                    assert m is carter and _outcome(_cut_map, m, walk) is LoopNotEmbedded
                 else:
                     assert _outcome(_cut_map, m, walk) == _outcome(cut_map, m, walk)
 
@@ -500,13 +503,14 @@ def test_disk_test_refusals_match_union_find_cut(name):
         assert _outcome(cut_map, refined, walk) is exc
     # each component runs straight through its crossings on the Carter map:
     # a closed walk with no repeated edge that crosses itself at a vertex
+    carter = generic_map(rep)
     base = 0
     for comp in d.components:
         walk = [2 * (base + i) for i in range(len(comp))]
         base += len(comp)
         if len({p.crossing for p in comp}) < len(comp):
-            assert _outcome(_cut_map, rep.map, walk) is LoopNotEmbedded
-            assert _outcome(cut_map, rep.map, walk) is LoopNotEmbedded
+            assert _outcome(_cut_map, carter, walk) is LoopNotEmbedded
+            assert _outcome(cut_map, carter, walk) is LoopNotEmbedded
 
 
 SWEEP_CASES = (
