@@ -286,21 +286,15 @@ def read_packed(value: int, fields: PackedFields) -> LaurentPoly:
     for the n, W and M of `fields`."""
     n, width, offset = fields
     # the top nonzero field j leaves |value| >= 2^(W j) / 3, so j <= bit_length // W + 1
-    coeffs = signed_fields(value, width, value.bit_length() // width + 2)
+    signed = SignedFields(width, value.bit_length() // width + 2)
+    coeffs = signed.read(signed.biased(value))
     return LaurentPoly({n - 2 * (j - offset): c for j, c in enumerate(coeffs) if c})
 
 
-def signed_fields(packed: int, width: int, count: int) -> list[int]:
-    """The `count` signed `width`-bit fields of `packed`, lowest first: the
-    c_k of packed = sum c_k 2^(k width) with -2^(width - 1) <= c_k < 2^(width - 1).
-    Raises ArithmeticError when `packed` does not fit in them."""
-    fields = SignedFields(width, count)
-    return fields.read(fields.biased(packed))
-
-
 class SignedFields:
-    """`count` signed fields of `width` bits in one int, as `signed_fields`
-    reads them.
+    """`count` signed fields of `width` bits in one int: the c_k of
+    packed = sum c_k 2^(k width) with -2^(width - 1) <= c_k < 2^(width - 1),
+    lowest first.
 
     Adding the bias sum 2^(width - 1) 2^(k width), computed here once, turns
     each c_k into the unsigned field c_k + 2^(width - 1), so each field is

@@ -238,14 +238,6 @@ def laurent_divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(q)
 
 
-def try_divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
-    """laurent_divide_exact, returning None instead of raising on indivisibility."""
-    try:
-        return laurent_divide_exact(num, den)
-    except IndivisibleError:
-        return None
-
-
 def solve_2x2_laurent(
     m11: LaurentPoly,
     m12: LaurentPoly,
@@ -264,8 +256,7 @@ def solve_2x2_laurent(
         raise SingularSystemError("2x2 system has zero determinant")
     x_num = r1 * m22 - r2 * m12
     y_num = m11 * r2 - m21 * r1
-    x = try_divide_exact(x_num, det)
-    y = try_divide_exact(y_num, det)
-    if x is None or y is None:
-        raise NoLaurentSolutionError("solution is not a Laurent polynomial")
-    return x, y
+    try:
+        return laurent_divide_exact(x_num, det), laurent_divide_exact(y_num, det)
+    except IndivisibleError as exc:
+        raise NoLaurentSolutionError("solution is not a Laurent polynomial") from exc

@@ -168,28 +168,26 @@ class RefinedMap:
     `components` holds the vertices of each connected component, and
     `chi_of_vertex` the Euler characteristic of each vertex's component.
     The tables are written directly, as the generic map of the same sigma
-    and alpha in tests/oracle.py would lay them out; `base` and `join_side`
-    are this map's own.
-    Darts 0 .. base - 1 are the arc ends; crossing i (in id order) owns
-    darts base + 8i .. base + 8i + 7, side base + 8i + 2k running from its
-    corner k to corner k + 1 and side base + 8i + 2k + 1 back.  Vertex e is
-    the corner of arc end e, with the ccw rotation (e, side to the next
-    corner, side from the previous one).  alpha(d) = d ^ 1 on every dart,
-    so edge d >> 1 is (d & ~1, d | 1), run forward by its even dart.  Faces
-    are the orbits of phi, each from its smallest dart, in order of that
-    dart; the components are `SurfaceRep.components`, whose arc ends are
-    this map's vertices.
+    and alpha in tests/oracle.py would lay them out; `join_side` is this
+    map's own.  With b = 2 * rep.n_arcs, darts 0 .. b - 1 are the arc
+    ends; crossing i (in id order) owns darts b + 8i .. b + 8i + 7, side
+    b + 8i + 2k running from its corner k to corner k + 1 and side
+    b + 8i + 2k + 1 back.  Vertex e is the corner of arc end e, with the
+    ccw rotation (e, side to the next corner, side from the previous one).
+    alpha(d) = d ^ 1 on every dart, so edge d >> 1 is (d & ~1, d | 1), run
+    forward by its even dart.  Faces are the orbits of phi, each from its
+    smallest dart, in order of that dart; the components are
+    `SurfaceRep.components`, whose arc ends are this map's vertices.
     """
 
     __slots__ = (
         "n_darts", "sigma", "alpha", "vertices", "edges", "faces", "vertex_of",
-        "edge_of", "face_of", "components", "chi_of_vertex", "base", "join_side",
+        "edge_of", "face_of", "components", "chi_of_vertex", "join_side",
     )
 
     def __init__(self, rep: SurfaceRep):
         base = 2 * rep.n_arcs
         rotation = rep.crossing_rotation
-        self.base = base
         self.n_darts = n_darts = base + 8 * len(rotation)
         sigma = [0] * n_darts
         vertex_of = list(range(n_darts))
@@ -248,17 +246,20 @@ class RefinedMap:
 class MapHomology:
     """Tree-cotree homology of a combinatorial map.
 
-    A spanning tree of the graph is contracted and a spanning tree of the
-    dual (the cotree) is deleted, leaving a one-vertex map whose 2g loop
-    edges generate H_1 (Eppstein, Dynamic generators of topologically
-    embedded graphs, SODA 2003).  Its cyclic dart order is read off one walk
-    around the tree, which crosses a tree edge where contracting it would
-    splice the rotations of its ends, and gives the intersection form by
-    chord interleaving; capped-face relations express deleted edges in the
-    loop-edge basis.  Each dart's class is then stored once in symplectic
-    coordinates (`dart_vec`), so the class of any closed walk is the sum
-    over its darts.  The package runs it on the refined map; tests also run
-    it on the generic map of tests/oracle.py, which has the same tables.
+    A spanning tree of the graph (breadth-first from each component's first
+    vertex, each vertex reached by the first dart to it) is contracted and a
+    spanning tree of the dual (the cotree) is deleted, leaving a one-vertex
+    map whose 2g loop edges generate H_1 (Eppstein, Dynamic generators of
+    topologically embedded graphs, SODA 2003).  Its cyclic dart order is
+    read off one walk around the tree, which crosses a tree edge where
+    contracting it would splice the rotations of its ends, and gives the
+    intersection form by chord interleaving; capped-face relations express
+    deleted edges in the loop-edge basis.  Each dart's class is then stored
+    once in symplectic coordinates (`dart_vec`), so the class of any closed
+    walk is the sum over its darts.  Only the tree's edges are kept, none of
+    its parent darts: tests/oracle.py `tree_parents` rebuilds them by the
+    same rule.  The package runs it on the refined map; tests also run it on
+    the generic map of tests/oracle.py, which has the same tables.
     """
 
     def __init__(self, m: RefinedMap):
@@ -267,7 +268,6 @@ class MapHomology:
         # edge -> its coordinates over loop-edge indices: none for a tree
         # edge, itself for a loop edge, a face relation for a cotree edge
         self._edge_coords: dict[int, dict[int, int]] = {}
-        self._tree_parent_dart: dict[int, int] = {}  # vertex -> tree dart from its parent
         form: dict[tuple[int, int], int] = {}  # the nonzero entries
         for comp in m.components:
             self._process_component(comp, form)
@@ -302,19 +302,18 @@ class MapHomology:
         vertices, edges, faces = m.vertices, m.edges, m.faces
         sigma, alpha, vertex_of, edge_of, face_of = m.sigma, m.alpha, m.vertex_of, m.edge_of, m.face_of
 
-        # spanning tree by BFS over vertices
+        # spanning tree by BFS over vertices, each reached by the first dart
+        # to it; only its edges are kept
         root = comp[0]
         tree: set[int] = set()
         order = [root]
         seen = {root}
-        parent_dart = self._tree_parent_dart
         for v in order:
             for d in vertices[v]:
                 w = vertex_of[alpha[d]]
                 if w not in seen:
                     seen.add(w)
                     tree.add(edge_of[d])
-                    parent_dart[w] = d
                     order.append(w)
         # the component's edges in index order: every edge of a connected map
         if len(comp) == len(vertices):

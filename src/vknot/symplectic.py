@@ -45,62 +45,53 @@ class SymplecticBasis(NamedTuple):
     """A unimodular change of basis bringing a skew form to standard J.
 
     `change` has the new basis vectors as columns: change^T . form . change = J.
-    `inverse` is its integer inverse; old-basis coordinates x become
-    symplectic coordinates inverse . x.
+    `inverse` is its integer inverse, read off M = change^T . form once the
+    reduction has checked M . change = J: then (-J . M) . change = -J . J = I,
+    so inverse = -J . M.  Old-basis coordinates x become symplectic
+    coordinates inverse . x.
     """
 
     dim: int
     change: tuple[tuple[int, ...], ...]
     inverse: tuple[tuple[int, ...], ...]
 
-    @property
-    def genus(self) -> int:
-        return self.dim // 2
-
     def to_symplectic(self, coords: Sequence[int]) -> tuple[int, ...]:
         """Express an old-basis coordinate vector in the symplectic basis."""
         return tuple(sum(self.inverse[i][j] * coords[j] for j in range(self.dim)) for i in range(self.dim))
 
 
-def _transform(entries: Matrix, change: Matrix, inverse: Matrix, op: str, i: int, j: int, q: int = 0) -> None:
-    """Apply a congruence generator to the form and track change/inverse.
+# The congruence generators: each changes the basis by one column step,
+# taken by the columns of the form and of `change`, then by the form's rows.
 
-    op "swap": exchange basis vectors i, j; "neg": negate vector i;
-    "add": basis vector j += q * basis vector i.
-    """
-    n = len(entries)
-    if op == "swap":
-        for row in entries:
-            row[i], row[j] = row[j], row[i]
-        entries[i], entries[j] = entries[j], entries[i]
-        for row in change:
-            row[i], row[j] = row[j], row[i]
-        inverse[i], inverse[j] = inverse[j], inverse[i]
-    elif op == "neg":
-        for row in entries:
-            row[i] = -row[i]
-        for c in range(n):
-            entries[i][c] = -entries[i][c]
-        for row in change:
-            row[i] = -row[i]
-        inverse[i] = [-x for x in inverse[i]]
-    elif op == "add":
-        for row in entries:
-            row[j] += q * row[i]
-        for c in range(n):
-            entries[j][c] += q * entries[i][c]
-        for row in change:
-            row[j] += q * row[i]
-        inverse[i] = [a - q * b for a, b in zip(inverse[i], inverse[j])]
-    else:  # pragma: no cover
-        raise AssertionError(op)
+
+def _swap(entries: Matrix, change: Matrix, i: int, j: int) -> None:
+    """Exchange basis vectors i and j."""
+    for row in (*entries, *change):
+        row[i], row[j] = row[j], row[i]
+    entries[i], entries[j] = entries[j], entries[i]
+
+
+def _negate(entries: Matrix, change: Matrix, i: int) -> None:
+    """Negate basis vector i."""
+    for row in (*entries, *change):
+        row[i] = -row[i]
+    entries[i] = [-x for x in entries[i]]
+
+
+def _add(entries: Matrix, change: Matrix, i: int, j: int, q: int) -> None:
+    """Basis vector j += q * basis vector i."""
+    for row in (*entries, *change):
+        row[j] += q * row[i]
+    entries[j] = [a + q * b for a, b in zip(entries[j], entries[i])]
 
 
 def symplectic_reduce(form: SkewForm) -> SymplecticBasis:
     """Reduce a unimodular skew form to standard J by a unimodular basis change.
 
     Deterministic gcd pivoting: the pivot is the smallest nonzero entry in
-    absolute value, ties broken by lowest (row, column) index.
+    absolute value, ties broken by lowest (row, column) index.  Only the
+    working form and `change` are updated on the way; the inverse is read
+    off the postcondition (`_certified_inverse`).
 
     No determinant is taken up front: a form that is not unimodular is
     refused on the way.  Each step is a unimodular congruence, so every
@@ -109,12 +100,13 @@ def symplectic_reduce(form: SkewForm) -> SymplecticBasis:
     NotUnimodularError.  When every pivot is a unit the reduction ends, and
     the postcondition checks change^T . form . change = J; taking
     determinants, det(change)^2 det(form) = det(J) = 1 with integer
-    det(change), so det(form) = 1: the form was unimodular.
+    det(change), so det(form) = 1: the form was unimodular, det(change) is
+    +-1, and the integer matrix -J . change^T . form, which the check shows
+    to be a left inverse of change, is its inverse.
     """
     n = form.dim
     q_work: Matrix = [list(row) for row in form.entries]
     change: Matrix = [[int(i == j) for j in range(n)] for i in range(n)]
-    inverse: Matrix = [[int(i == j) for j in range(n)] for i in range(n)]
 
     for base in range(0, n, 2):
         # Move the minimal-absolute-value pivot of the trailing block to
@@ -134,13 +126,13 @@ def symplectic_reduce(form: SkewForm) -> SymplecticBasis:
             raise NotUnimodularError("zero trailing block; form is not unimodular")
         bi, bj = best
         if bi != base:
-            _transform(q_work, change, inverse, "swap", base, bi)
+            _swap(q_work, change, base, bi)
             if bj == base:
                 bj = bi
         if bj != base + 1:
-            _transform(q_work, change, inverse, "swap", base + 1, bj)
+            _swap(q_work, change, base + 1, bj)
         if q_work[base][base + 1] < 0:
-            _transform(q_work, change, inverse, "neg", base + 1, base + 1)
+            _negate(q_work, change, base + 1)
 
         # Euclidean clearing of the pivot row; skewness mirrors it to the column.
         while True:
@@ -149,42 +141,39 @@ def symplectic_reduce(form: SkewForm) -> SymplecticBasis:
             if k is None:
                 break
             q = q_work[base][k] // p
-            _transform(q_work, change, inverse, "add", base + 1, k, -q)
-            _transform(q_work, change, inverse, "swap", base + 1, k)
+            _add(q_work, change, base + 1, k, -q)
+            _swap(q_work, change, base + 1, k)
             if q_work[base][base + 1] < 0:
-                _transform(q_work, change, inverse, "neg", base + 1, base + 1)
+                _negate(q_work, change, base + 1)
         p = q_work[base][base + 1]
         if abs(p) != 1:
             raise NotUnimodularError("pivot gcd exceeds 1; form is not unimodular")
         for k in range(base + 2, n):
             if q_work[base][k]:
-                _transform(q_work, change, inverse, "add", base + 1, k, -q_work[base][k] // p)
+                _add(q_work, change, base + 1, k, -q_work[base][k] // p)
         for k in range(base + 2, n):
             if q_work[base + 1][k]:
                 # base column pairs only with base+1 now; q_work[base+1][base] = -1.
-                _transform(q_work, change, inverse, "add", base, k, q_work[base + 1][k])
+                _add(q_work, change, base, k, q_work[base + 1][k])
 
-    basis = SymplecticBasis(
-        dim=n,
-        change=tuple(tuple(row) for row in change),
-        inverse=tuple(tuple(row) for row in inverse),
-    )
-    if not _check_standard(form, basis):
-        raise ArithmeticError("symplectic reduction postcondition failed: change^T . form . change != J")
-    return basis
+    return SymplecticBasis(dim=n, change=tuple(map(tuple, change)), inverse=_certified_inverse(form, change))
 
 
-def _check_standard(form: SkewForm, basis: SymplecticBasis) -> bool:
-    """change^T . form . change == J, as (change^T . form) . change: O(n^3)."""
+def _certified_inverse(form: SkewForm, change: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The inverse of `change`, -J . M for M = change^T . form, once the
+    postcondition M . change = J holds; ArithmeticError (an if/raise, which
+    `python -O` keeps) when it does not.  O(n^3): M is computed once and
+    serves the check and the inverse, whose row 2k is -(row 2k + 1 of M)
+    and row 2k + 1 is row 2k of M."""
     form_cols = list(zip(*form.entries))
-    cols = list(zip(*basis.change))  # the new basis vectors
-    for i, ci in enumerate(cols):
-        row = [sum(map(mul, ci, fc)) for fc in form_cols]  # row i of change^T . form
+    cols = list(zip(*change))  # the new basis vectors
+    m = [[sum(map(mul, ci, fc)) for fc in form_cols] for ci in cols]  # change^T . form
+    for i, row in enumerate(m):
         std_row = [0] * form.dim  # row i of J: 1 at i + 1 for even i, -1 at i - 1 for odd i
         std_row[i ^ 1] = -1 if i & 1 else 1
         if [sum(map(mul, row, cj)) for cj in cols] != std_row:
-            return False
-    return True
+            raise ArithmeticError("symplectic reduction postcondition failed: change^T . form . change != J")
+    return tuple(tuple(m[i ^ 1]) if i & 1 else tuple(-x for x in m[i ^ 1]) for i in range(form.dim))
 
 
 def mod2_rank(vectors: Sequence[Sequence[int]]) -> int:

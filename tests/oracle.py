@@ -7,8 +7,11 @@ helpers that only tests use.
   of a diagram as one; the union-find cut `cut_map`; the refined-map
   walks `state_curves`, `position_of` and `side_dart`; and the
   state-by-state surface sum `bracket_chunk`.
-- Homology: `cycle_coords`, `fundamental_cycles`, `dense_dart_vec`,
-  `one_vertex_rotations`, `rotation_form` and `intersection_number`.
+- Homology: `tree_parents`, the parent darts of the spanning tree of
+  `surface.MapHomology`, which the package does not keep and which are
+  rebuilt here by its rule; `fundamental_cycles` and
+  `one_vertex_rotations`, which walk that tree; `cycle_coords`,
+  `dense_dart_vec`, `rotation_form` and `intersection_number`.
 - Skew forms: `det_int` and its reference `det_fraction`,
   `standard_form`, `pair`, `is_unimodular` and `check_standard`.
 - State sums: `expand` and `packed`, which put counts in the value format
@@ -16,7 +19,9 @@ helpers that only tests use.
   `crossing_order`, which sweeps in another order than the greedy one;
   `greedy_order`, its naive reference; and `min_growth_order`, the greedy
   order without its lookahead.
-- Tangles and Jones: `is_noncrossing` and `jones_divisibility`.
+- Tangles and Jones: `is_noncrossing`, `jones_divisibility` and
+  `try_divide_exact`, exact Laurent division that gives None where the
+  package raises.
 - Diagrams: `canonical_code` and the removal moves.
 """
 
@@ -31,13 +36,12 @@ from vknot.analysis import CurveClassKey
 from vknot.bracket import StateTables, d_power
 from vknot.diagram import OVER, UNDER, VirtualLinkDiagram
 from vknot.frontier import PackedFields
-from vknot.laurent import LaurentPoly, try_divide_exact
+from vknot.laurent import IndivisibleError, LaurentPoly, laurent_divide_exact
 from vknot.surface import (
     HomologyClass,
     LoopNotEmbedded,
     LoopNotOnSurface,
     MapHomology,
-    RefinedMap,
     SurfaceRep,
     _orbit_of,
     _orbits,
@@ -272,7 +276,6 @@ def state_curves(rep: SurfaceRep, tables: StateTables, state: int) -> list[tuple
     for k in range(tables.n):
         p, q, r, s = tables.joins[k][(state >> k) & 1]
         partner.update({p: q, q: p, r: s, s: r})
-    refined = rep.refined
     position = position_of(rep)
     seen: set[int] = set()
     curves = []
@@ -287,7 +290,7 @@ def state_curves(rep: SurfaceRep, tables: StateTables, state: int) -> list[tuple
             ci, k_in = position[end ^ 1]
             cj, k_out = position[nxt]
             assert ci == cj
-            darts += [end, side_dart(refined, ci, k_in, k_out)]
+            darts += [end, side_dart(rep, ci, k_in, k_out)]
             end = nxt
         curves.append(tuple(darts))
     return curves
@@ -345,23 +348,47 @@ def dense_dart_vec(h: MapHomology) -> list[tuple[tuple[int, int], ...] | None]:
     return out
 
 
+def tree_parents(h: MapHomology) -> dict[int, int]:
+    """Vertex -> the dart from its parent in the spanning tree of `h`, for
+    every vertex but the roots, rebuilt by the rule of
+    `MapHomology._process_component`: breadth-first from the first vertex
+    of each component over `m.vertices[v]`, each vertex reached by the first
+    dart to it."""
+    m = h.map
+    parents: dict[int, int] = {}
+    for comp in m.components:
+        order = [comp[0]]
+        seen = {comp[0]}
+        for v in order:
+            for d in m.vertices[v]:
+                w = m.vertex_of[m.alpha[d]]
+                if w not in seen:
+                    seen.add(w)
+                    parents[w] = d
+                    order.append(w)
+    return parents
+
+
 def fundamental_cycles(h: MapHomology) -> list[tuple[int, ...]]:
     """One dart cycle per generator of `h`: the loop edge closed through the
     tree, from the component's root and back."""
     m = h.map
+    parents = tree_parents(h)
     out = []
     for ei in h.loop_edges:
         p, q = m.edges[ei]
         u, v = m.vertex_of[p], m.vertex_of[q]
-        out.append(tuple(_tree_path(h, u) + [p] + [m.alpha[d] for d in reversed(_tree_path(h, v))]))
+        back = [m.alpha[d] for d in reversed(_tree_path(h, parents, v))]
+        out.append(tuple(_tree_path(h, parents, u) + [p] + back))
     return out
 
 
-def _tree_path(h: MapHomology, v: int) -> list[int]:
-    """Darts from the component root down to vertex v along the tree of `h`."""
+def _tree_path(h: MapHomology, parents: dict[int, int], v: int) -> list[int]:
+    """Darts from the component root down to vertex v along the tree of `h`,
+    whose `parents` are `tree_parents(h)`."""
     path = []
-    while v in h._tree_parent_dart:
-        d = h._tree_parent_dart[v]
+    while v in parents:
+        d = parents[v]
         path.append(d)
         v = h.map.vertex_of[d]
     return list(reversed(path))
@@ -454,7 +481,7 @@ def det_fraction(m: Sequence[Sequence[int]]) -> int:
 
 def check_standard(form: SkewForm, basis: SymplecticBasis) -> bool:
     """change^T . form . change == J, entry by entry as a quadruple sum (the
-    reference for `symplectic._check_standard`)."""
+    reference for the check of `symplectic._certified_inverse`)."""
     n = form.dim
     std = standard_form(n // 2).entries
     c = basis.change
@@ -481,7 +508,7 @@ def crossing_pair(classes: Sequence[tuple[int, ...]], k: int) -> tuple | None:
 def borrowed_fields(total: int, count: int, width: int) -> tuple[int, ...]:
     """The `count` signed fields of `width` bits of `total`, lowest first,
     each read with a borrow from the rest (the reference for
-    `frontier.signed_fields`)."""
+    `frontier.SignedFields`)."""
     fields = []
     for _ in range(count):
         field = total & ((1 << width) - 1)
@@ -512,7 +539,7 @@ def one_vertex_rotations(h: MapHomology) -> list[list[int]]:
     m = h.map
     rot = {v: list(darts) for v, darts in enumerate(m.vertices)}
     vert = list(m.vertex_of)
-    for p in sorted(h._tree_parent_dart.values()):
+    for p in sorted(tree_parents(h).values()):
         q = m.alpha[p]
         u, v = vert[p], vert[q]
         lu, lv = rot[u], rot.pop(v)
@@ -638,13 +665,14 @@ def position_of(rep: SurfaceRep) -> dict[int, tuple[int, int]]:
     return {d: (index[cid], k) for cid, cyc in rep.crossing_rotation.items() for k, d in enumerate(cyc)}
 
 
-def side_dart(refined: RefinedMap, ci: int, k_from: int, k_to: int) -> int:
+def side_dart(rep: SurfaceRep, ci: int, k_from: int, k_to: int) -> int:
     """The refined map's side-edge dart leaving corner k_from of crossing ci
-    toward the adjacent corner k_to (the reference for `RefinedMap.join_side`)."""
+    toward the adjacent corner k_to (the reference for `RefinedMap.join_side`):
+    the quads' darts follow the 2 * `rep.n_arcs` arc ends."""
     if k_to == (k_from + 1) % 4:
-        return refined.base + 8 * ci + 2 * k_from
+        return 2 * rep.n_arcs + 8 * ci + 2 * k_from
     if k_to == (k_from - 1) % 4:
-        return refined.base + 8 * ci + 2 * k_to + 1
+        return 2 * rep.n_arcs + 8 * ci + 2 * k_to + 1
     raise LoopNotOnSurface(f"corners {k_from} and {k_to} are not adjacent")
 
 
@@ -668,6 +696,14 @@ def jones_divisibility(v_in_t: LaurentPoly) -> LaurentPoly | None:
         return LaurentPoly.zero()
     factor = LaurentPoly({0: 1, 1: -1}) * LaurentPoly({0: 1, 3: -1})
     return try_divide_exact(one_minus_v, factor)
+
+
+def try_divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
+    """`laurent_divide_exact`, returning None instead of raising on indivisibility."""
+    try:
+        return laurent_divide_exact(num, den)
+    except IndivisibleError:
+        return None
 
 
 def canonical_code(d: VirtualLinkDiagram, max_components: int = 6) -> str | None:

@@ -200,7 +200,7 @@ def test_criterion_8_algebra_suite():
                 for i in range(dim)
             ]
             basis = symplectic_reduce(SkewForm.from_rows(m))
-            assert basis.genus == gg
+            assert basis.dim // 2 == gg
         for _ in range(100):
             x = LaurentPoly({rng.randrange(-6, 7): rng.randrange(-5, 6) for _ in range(3)})
             y = LaurentPoly({rng.randrange(-6, 7): rng.randrange(-5, 6) for _ in range(3)})

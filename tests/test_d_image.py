@@ -30,7 +30,7 @@ from vknot.analysis import certify, d_image_bracket, per_torus_criterion, surfac
 from vknot.bracket import StateTables, bracket_partial, d_power, f_polynomial, kauffman_bracket
 from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import VirtualLinkDiagram, format_gauss_code, parse_gauss_code, virtualize_crossing
-from vknot.frontier import greedy_order, packed_fields, read_packed, signed_fields
+from vknot.frontier import SignedFields, greedy_order, packed_fields, read_packed
 from vknot.laurent import LOOP_VALUE, LaurentPoly
 from vknot.surface import HomologyClass, build_carter_surface, genus
 
@@ -139,31 +139,33 @@ def test_signed_fields_round_trip_at_the_widest_coefficients():
             top = (1 << (width - 1)) - 1
             bound = 1 << 2 * n + strands
             assert bound <= top and offset >= n + strands
+            signed = SignedFields(width, 3 * n + 2 * strands + 1)
             for _ in range(30):
                 coeffs = [
                     rng.choice((top, -top, bound, -bound, 0, rng.randint(-top, top)))
                     for _ in range(3 * n + 2 * strands + 1)
                 ]
                 packed = sum(c << (j * width) for j, c in enumerate(coeffs))
-                assert signed_fields(packed, width, len(coeffs)) == coeffs
+                assert signed.read(signed.biased(packed)) == coeffs
                 expected = LaurentPoly({n - 2 * (j - offset): c for j, c in enumerate(coeffs)})
                 assert read_packed(packed, fields) == expected
             with pytest.raises(ArithmeticError, match="beyond its last field"):
-                signed_fields(1 << (width - 1), width, 1)
+                SignedFields(width, 1).biased(1 << (width - 1))
 
 
 SIGNED_FIELDS_EDGES = """
-from vknot.frontier import signed_fields
+from vknot.frontier import SignedFields
 
 assert False, "asserts must be stripped"
 for width, count in ((2, 1), (3, 4), (5, 0), (8, 2), (35, 57)):
     half = 1 << (width - 1)
     bias = sum(half << (k * width) for k in range(count))
     low, high = -bias, (1 << (width * count)) - 1 - bias
-    print(signed_fields(low, width, count) == [-half] * count, signed_fields(high, width, count) == [half - 1] * count)
+    signed = SignedFields(width, count)
+    print(signed.read(signed.biased(low)) == [-half] * count, signed.read(signed.biased(high)) == [half - 1] * count)
     for outside in (low - 1, high + 1):
         try:
-            signed_fields(outside, width, count)
+            signed.biased(outside)
         except ArithmeticError as exc:
             print("refused:", exc)
 """
@@ -189,6 +191,7 @@ def test_signed_fields_match_the_borrowing_reader():
         half = 1 << (width - 1)
         bias = sum(half << (k * width) for k in range(count))
         low, high = -bias, (1 << (width * count)) - 1 - bias
+        signed = SignedFields(width, count)
         for packed in (low, high, rng.randint(low, high), low - 1, high + 1, low - rng.randint(1, 1 << 20)):
             try:
                 expected = list(oracle.borrowed_fields(packed, count, width))
@@ -196,9 +199,9 @@ def test_signed_fields_match_the_borrowing_reader():
                 expected = None
             if expected is None:
                 with pytest.raises(ArithmeticError):
-                    signed_fields(packed, width, count)
+                    signed.biased(packed)
             else:
-                assert signed_fields(packed, width, count) == expected
+                assert signed.read(signed.biased(packed)) == expected
 
 
 def _kinks(m: int, sign: str, sep: str):

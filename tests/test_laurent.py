@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, strategies as st
+from oracle import try_divide_exact
 
 from vknot.laurent import (
     LOOP_VALUE,
@@ -11,7 +12,6 @@ from vknot.laurent import (
     format_laurent,
     laurent_divide_exact,
     solve_2x2_laurent,
-    try_divide_exact,
 )
 
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=6).map(LaurentPoly)

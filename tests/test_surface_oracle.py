@@ -32,6 +32,7 @@ from oracle import (
     generic_map,
     rotation_form,
     state_curves,
+    tree_parents,
     unpack,
 )
 from randgen import GENUS_THREE_CODE, random_gauss_code
@@ -251,6 +252,22 @@ def _rotation_diagrams(group):
     return [parse_gauss_code(code) for code in codes]
 
 
+@pytest.mark.parametrize("group", ["catalog", "p_family", "split", "free_loops", "random"])
+def test_oracle_tree_is_the_homology_tree(group):
+    """The spanning tree that tests/oracle.py `tree_parents` rebuilds has one
+    edge per vertex but the component roots, and each of its edges is one
+    that `MapHomology` treats as a tree edge (no loop-edge coordinates) and
+    none a loop edge, on the Carter map and on the refined map."""
+    for d in _rotation_diagrams(group):
+        rep = build_carter_surface(d)
+        for m in (generic_map(rep), rep.refined):
+            h = MapHomology(m)
+            parents = tree_parents(h)
+            tree = {m.edge_of[dart] for dart in parents.values()}
+            assert len(tree) == len(parents) == len(m.vertices) - len(m.components), format_gauss_code(d)
+            assert not tree & set(h.loop_edges) and all(not h._edge_coords[e] for e in tree), format_gauss_code(d)
+
+
 @pytest.mark.parametrize("group", ["catalog", "p_family", "split", "random"])
 def test_tree_walk_form_matches_the_splicing_contraction(group):
     """The form `MapHomology` reads off its walk around the tree equals the
@@ -423,13 +440,13 @@ def test_broken_side_table_is_refused_when_the_walk_is_built(name, monkeypatch):
             vertex_of, alpha = refined.vertex_of, refined.alpha
             join = list(join_side)[i]
             side = join_side.pop(join)
-            others = [x for x in range(refined.base, refined.n_darts) if x != side]
+            others = [x for x in range(2 * rep.n_arcs, refined.n_darts) if x != side]
             if change == "wrong end":
                 join_side[join] = next(x for x in others if vertex_of[x] == vertex_of[side])
             elif change == "wrong start":
                 join_side[join] = next(x for x in others if vertex_of[alpha[x]] == vertex_of[alpha[side]])
             elif change == "next crossing":
-                join_side[join] = (side - refined.base + 8) % (8 * d.n_crossings) + refined.base
+                join_side[join] = (side - 2 * rep.n_arcs + 8) % (8 * d.n_crossings) + 2 * rep.n_arcs
             with pytest.raises(AssertionError, match="jumps between crossings"):
                 _bracket_sum(rep)
     assert n_joins == 8 * d.n_crossings and swept == []

@@ -1,13 +1,17 @@
 """Integer skew forms, symplectic reduction, and GF(2) rank."""
 
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from oracle import check_standard, det_fraction, det_int, is_unimodular, pair, standard_form
 from randgen import random_unimodular
 
+from vknot import symplectic
 from vknot.catalog import catalog, catalog_names, catalog_p_family
 from vknot.diagram import parse_gauss_code
 from vknot.surface import build_carter_surface
@@ -77,7 +81,7 @@ def test_skew_form_rejects_non_skew():
 
 def test_reduce_standard_is_identity_like():
     basis = symplectic_reduce(standard_form(3))
-    assert basis.genus == 3
+    assert basis.dim // 2 == 3
     assert basis.to_symplectic([1, 0, 0, 0, 0, 0])  # well-defined
 
 
@@ -99,8 +103,6 @@ def test_reduce_refuses_forms_that_are_not_unimodular_without_a_determinant():
     seeded unimodular congruences each, are refused with NotUnimodularError
     by the pivot checks of the reduction; no determinant is taken, as
     `vknot.symplectic` defines no determinant routine."""
-    import vknot.symplectic as symplectic
-
     names = [*vars(symplectic), *vars(symplectic.SkewForm)]
     assert not [name for name in names if name.startswith("det") or "determinant" in name]
     singular = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
@@ -113,7 +115,7 @@ def test_reduce_refuses_forms_that_are_not_unimodular_without_a_determinant():
                 symplectic_reduce(SkewForm.from_rows(_congruent(rows, u)))
     # a unimodular form still reduces
     unimodular = _congruent(standard_form(2).entries, random_unimodular(4, rng))
-    assert symplectic_reduce(SkewForm.from_rows(unimodular)).genus == 2
+    assert symplectic_reduce(SkewForm.from_rows(unimodular)).dim // 2 == 2
 
 
 def _conjugated_standard(g: int, rng) -> SkewForm:
@@ -134,7 +136,7 @@ def test_reduce_postcondition_random_conjugates():
         g = 1 + trial % 3  # dims 2, 4, 6
         form = _conjugated_standard(g, rng)
         basis = symplectic_reduce(form)
-        assert basis.genus == g
+        assert basis.dim // 2 == g
         dim = 2 * g
         vecs = [[1 if i == k else 0 for k in range(dim)] for i in range(dim)]
         std = standard_form(g)
@@ -192,12 +194,57 @@ def test_mod2_rank_basics():
 
 
 def test_failed_postcondition_raises_without_assert(monkeypatch):
-    import vknot.symplectic as symplectic
+    """A corrupted column step, which the form takes once and `change`
+    twice, is caught by the postcondition: ArithmeticError, not
+    AssertionError, and no pivot refusal."""
+    form = build_carter_surface(catalog("kishino")).homology.form
+    add = symplectic._add
 
-    monkeypatch.setattr(symplectic, "_check_standard", lambda form, basis: False)
-    with pytest.raises(ArithmeticError) as err:
-        symplectic_reduce(standard_form(2))
-    assert not isinstance(err.value, AssertionError)
+    def corrupt_add(entries, change, i, j, q):
+        add(entries, change, i, j, q)
+        for row in change:
+            row[j] += q * row[i]
+
+    monkeypatch.setattr(symplectic, "_add", corrupt_add)
+    with pytest.raises(ArithmeticError, match="postcondition failed") as err:
+        symplectic_reduce(form)
+    assert not isinstance(err.value, (AssertionError, NotUnimodularError))
+
+
+#: The corrupted column step of the test above, under `python -O`.
+POSTCONDITION_UNDER_O = """
+import vknot.symplectic as symplectic
+from vknot.catalog import catalog
+from vknot.surface import build_carter_surface
+
+assert False, "asserts must be stripped"
+form = build_carter_surface(catalog("kishino")).homology.form
+add = symplectic._add
+
+
+def corrupt_add(entries, change, i, j, q):
+    add(entries, change, i, j, q)
+    for row in change:
+        row[j] += q * row[i]
+
+
+symplectic._add = corrupt_add
+try:
+    symplectic.symplectic_reduce(form)
+except ArithmeticError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_failed_postcondition_raises_under_python_O():
+    """The postcondition is an if/raise, which `python -O` keeps: a
+    corrupted column step still makes `symplectic_reduce` raise it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(symplectic.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", POSTCONDITION_UNDER_O], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "ArithmeticError symplectic reduction postcondition failed: change^T . form . change != J"
+    ]
 
 
 def _random_certify_pool() -> list[str]:
@@ -209,17 +256,21 @@ def _random_certify_pool() -> list[str]:
     return [argv[1] for argv, _ in workloads.all_ops("random_certify")]
 
 
-def test_check_standard_matches_quadruple_sum():
-    import vknot.symplectic as symplectic
-
-    diagrams = [catalog(name) for name in catalog_names()] + [catalog_p_family(n) for n in range(3)]
+def _pool_forms() -> list:
+    """The nonzero forms of the catalog, `catalog_p_family(0..9)` and the
+    benchmark's random_certify pool."""
+    diagrams = [catalog(name) for name in catalog_names()] + [catalog_p_family(n) for n in range(10)]
     diagrams += [parse_gauss_code(code) for code in _random_certify_pool()]
+    return [h for h in (build_carter_surface(d).homology for d in diagrams) if h.basis is not None]
+
+
+def test_check_standard_matches_quadruple_sum():
+    """The package's postcondition and the quadruple-sum reference accept
+    every basis of the pool and refuse two perturbed changes per form."""
     checked = 0
-    for d in diagrams:
-        h = build_carter_surface(d).homology
-        if h.basis is None:
-            continue
-        assert symplectic._check_standard(h.form, h.basis) and check_standard(h.form, h.basis)
+    for h in _pool_forms():
+        assert symplectic._certified_inverse(h.form, h.basis.change) == h.basis.inverse
+        assert check_standard(h.form, h.basis)
         # change + e_i e_j^T has determinant det(change) + cofactor(i, j), with
         # cofactor(i, j) = inverse[j][i] * det(change); where that is nonzero
         # the determinant moves, but every change taking the form to J has
@@ -230,7 +281,20 @@ def test_check_standard_matches_quadruple_sum():
             change = [list(row) for row in h.basis.change]
             change[i][j] += 1
             broken = h.basis._replace(change=tuple(map(tuple, change)))
-            assert not symplectic._check_standard(h.form, broken)
+            with pytest.raises(ArithmeticError, match="postcondition failed"):
+                symplectic._certified_inverse(h.form, broken.change)
             assert not check_standard(h.form, broken)
+        checked += 1
+    assert checked > 90
+
+
+def test_inverse_times_change_is_identity():
+    """`inverse`, read off the postcondition's product, is the inverse of
+    `change` on every form of the pool."""
+    checked = 0
+    for h in _pool_forms():
+        n, inverse, change = h.basis.dim, h.basis.inverse, h.basis.change
+        product = [[sum(inverse[i][k] * change[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
         checked += 1
     assert checked > 90
