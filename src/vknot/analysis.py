@@ -85,7 +85,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .bracket import StateTables, d_power
+from .bracket import d_power
 from .diagram import VirtualLinkDiagram, format_gauss_code
 from .frontier import DISK, PackedFields, SignedFields, labelled_state_sum, read_packed
 from .laurent import LaurentPoly
@@ -160,9 +160,9 @@ def _pack(pairs: Iterable[tuple[int, int]], width: int, dim: int) -> int:
     return sum(v << ((dim - 1 - k) * width) for k, v in pairs)
 
 
-def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[dict[tuple[int, int], int], int]:
-    """(steps, width): the packed class each directed smoothing join adds to
-    a curve through it.
+def _class_steps(rep: SurfaceRep) -> tuple[dict[tuple[int, int], int], int]:
+    """(steps, width): the packed class each directed smoothing join of the
+    surface's tables (`SurfaceRep.tables`) adds to a curve through it.
 
     A curve leaves arc end e along its arc (refined dart e), arrives at end
     e ^ 1 and takes the quad side `RefinedMap.join_side` gives for the join
@@ -192,7 +192,7 @@ def _class_steps(rep: SurfaceRep, tables: StateTables) -> tuple[dict[tuple[int, 
         packed[d] = p = _pack(vec, width, dim)
         packed[e] = -p
     steps = {}
-    for joins in tables.joins:
+    for joins in rep.tables.joins:
         for p, q, r, s in joins:
             for arrival, departure in ((p, q), (q, p), (r, s), (s, r)):
                 side = join_side.get((arrival, departure))
@@ -222,7 +222,8 @@ class _CurveLabels(dict):
     null-homologous essential one, abs(packed class) otherwise.
 
     A curve's int is the sum of `join_ints` over its joins: for the join
-    p-q of smoothing b = (p, q, r, s) of crossing k, entered at p,
+    p-q of smoothing b = (p, q, r, s) of crossing k of the surface's tables
+    (`SurfaceRep.tables`), entered at p,
     (steps[p, q] << 4n) + 2^(4k + 2b), and 2^(4k + 2b + 1) for r-s (steps
     from `_class_steps`).  A curve passes each join at most once, so the
     low 4n bits, its join key, are the sum of its bits: they name it
@@ -235,13 +236,13 @@ class _CurveLabels(dict):
     test; only a null-homologous curve can bound a disk.
     """
 
-    def __init__(self, rep: SurfaceRep, tables: StateTables):
+    def __init__(self, rep: SurfaceRep):
         super().__init__()
         self.rep = rep
-        steps, self.width = _class_steps(rep, tables)
-        self.shift = shift = 4 * tables.n
+        steps, self.width = _class_steps(rep)
+        self.shift = shift = 4 * rep.tables.n
         # join j = 4k + 2b + i: p-q (i = 0) or r-s (i = 1) of smoothing b of crossing k
-        self.join_of = [pair for joins in tables.joins for p, q, r, s in joins for pair in ((p, q), (r, s))]
+        self.join_of = [pair for joins in rep.tables.joins for p, q, r, s in joins for pair in ((p, q), (r, s))]
         self.join_ints = {}
         for j, (a, f) in enumerate(self.join_of):
             self.join_ints[a, f] = (steps[a, f] << shift) + (1 << j)
@@ -316,20 +317,20 @@ def _relabel(
 
 def _bracket_sum(rep: SurfaceRep) -> tuple[dict[CurveClassKey, int], PackedFields]:
     """The surface state sum and the layout of its values: curve-class key
-    -> the sum of A^(n - 2b) d^disks over its states, packed as the tables
-    swept lay out (`StateTables.fields`), without the free loops'
+    -> the sum of A^(n - 2b) d^disks over its states, packed as the
+    surface's tables lay out (`StateTables.fields`), without the free loops'
     d^free_loops.
 
-    `frontier.labelled_state_sum` sweeps it, each open path carrying the
-    packed class and join key of `_CurveLabels`, so a curve's weight is
-    known when it closes.  The keys come in the order of their smallest
-    state index, the order of first appearance in state-index order, on
-    which the per-torus witnesses depend, zero-valued ones included.
+    `frontier.labelled_state_sum` sweeps the surface's tables, each open
+    path carrying the packed class and join key of `_CurveLabels`, so a
+    curve's weight is known when it closes.  The keys come in the order of
+    their smallest state index, the order of first appearance in
+    state-index order, on which the per-torus witnesses depend, zero-valued
+    ones included.
     """
-    tables = StateTables(rep.diagram)
-    curves = _CurveLabels(rep, tables)
-    labels = labelled_state_sum(tables, curves.join_ints, curves)
-    return _relabel(labels, _class_reader(2 * rep.genus, curves.width)), tables.fields
+    curves = _CurveLabels(rep)
+    labels = labelled_state_sum(rep.tables, curves.join_ints, curves)
+    return _relabel(labels, _class_reader(2 * rep.genus, curves.width)), rep.tables.fields
 
 
 def _surface_bracket(rep: SurfaceRep, sums: Mapping[CurveClassKey, int], fields: PackedFields) -> SurfaceBracket:
@@ -365,13 +366,12 @@ def _surface_sum(rep: SurfaceRep) -> tuple[dict[CurveClassKey, int], PackedField
     return _bracket_sum(rep)
 
 
-def _image_sweep(
-    rep: SurfaceRep,
-) -> tuple[dict[tuple[int, ...], list[int]], int, StateTables, dict[tuple[int, int], int]]:
-    """(labels, width, tables, steps): the d-image of the surface bracket as
-    `frontier.labelled_state_sum` sums it, each label a sorted tuple of
-    classes packed by `_pack` with fields of `width` bits, with the state
-    tables and the class steps of `_class_steps` it was swept with.
+def _image_sweep(rep: SurfaceRep) -> tuple[dict[tuple[int, ...], list[int]], int, dict[tuple[int, int], int]]:
+    """(labels, width, steps): the d-image of the surface bracket as
+    `frontier.labelled_state_sum` sums it over the surface's tables
+    (`SurfaceRep.tables`), each label a sorted tuple of classes packed by
+    `_pack` with fields of `width` bits, with the class steps of
+    `_class_steps` it was swept with.
 
     The d-image sends each null-homologous essential symbol to d, so a
     curve's weight is d for a zero class and its symbol otherwise: it
@@ -381,9 +381,8 @@ def _image_sweep(
     is zero: every step is 0 (a `defaultdict(int)`), in fields 1 bit wide,
     and neither the refined map nor its homology is built.
     """
-    tables = StateTables(rep.diagram)
-    steps, width = _class_steps(rep, tables) if rep.genus else (defaultdict(int), 1)
-    return labelled_state_sum(tables, steps, _ImageLabels({0: DISK})), width, tables, steps
+    steps, width = _class_steps(rep) if rep.genus else (defaultdict(int), 1)
+    return labelled_state_sum(rep.tables, steps, _ImageLabels({0: DISK})), width, steps
 
 
 def _image_sum(rep: SurfaceRep) -> tuple[dict[CurveClassKey, int], PackedFields]:
@@ -394,16 +393,15 @@ def _image_sum(rep: SurfaceRep) -> tuple[dict[CurveClassKey, int], PackedFields]
     labels in the order of the smallest state index that reaches them,
     zero-valued ones included.  Its classes are checked against
     `loop_homology` first (`_check_witness_states`)."""
-    labels, width, tables, steps = _image_sweep(rep)
-    _check_witness_states(rep, labels, width, tables, steps)
-    return _relabel(labels, _class_reader(2 * rep.genus, width)), tables.fields
+    labels, width, steps = _image_sweep(rep)
+    _check_witness_states(rep, labels, width, steps)
+    return _relabel(labels, _class_reader(2 * rep.genus, width)), rep.tables.fields
 
 
 def _check_witness_states(
     rep: SurfaceRep,
     labels: Mapping[tuple[int, ...], Sequence[int]],
     width: int,
-    tables: StateTables,
     steps: Mapping[tuple[int, int], int],
 ) -> None:
     """Check the packed classes of a d-image sweep (`_image_sweep`) against
@@ -414,12 +412,12 @@ def _check_witness_states(
     distinct class of the labels whose polynomial is nonzero, the state at
     the smallest index of a label that holds it, which the sweep keeps
     anyway: a curve of that state carries the class.  Each curve of these
-    states is traced (`StateTables.trace`), and the class `loop_homology`
-    finds must pack to the sum of its steps up to sign (`_check_class`),
-    or ArithmeticError is raised.  So every class the bracket keeps is
-    checked on a curve that carries it, and a step table that sends every
-    class to 0, which would leave no class to check, fails on any curve of
-    the all-A state that is not null-homologous.  At genus 0 every class
+    states is traced on the surface's tables (`StateTables.trace`), and
+    the class `loop_homology` finds must pack to the sum of its steps up to
+    sign (`_check_class`), or ArithmeticError is raised.  So every class
+    the bracket keeps is checked on a curve that carries it, and a step
+    table that sends every class to 0, which would leave no class to check,
+    fails on any curve of the all-A state that is not null-homologous.  At genus 0 every class
     has no coordinate, so there is nothing to check."""
     if not rep.genus:
         return
@@ -429,7 +427,7 @@ def _check_witness_states(
             for packed in label:
                 first.setdefault(packed, index)
     for index in sorted({0, *first.values()}):
-        for ends in tables.trace(index):
+        for ends in rep.tables.trace(index):
             packed = sum(steps[e ^ 1, f] for e, f in zip(ends, [*ends[1:], ends[0]]))
             _check_class(rep, _curve_darts(rep, ends), packed, width)
 
@@ -442,7 +440,7 @@ def _image_classes(rep: SurfaceRep) -> _ImageClasses:
     are distinct exactly when their classes are, so each class is kept
     once, as its packed int, and unpacked only when it is read; no
     polynomial is read."""
-    labels, width, _, _ = _image_sweep(rep)
+    labels, width, _ = _image_sweep(rep)
     distinct = dict.fromkeys(chain.from_iterable(label for label, (value, _) in labels.items() if value))
     return _ImageClasses(list(distinct), width, 2 * rep.genus)
 

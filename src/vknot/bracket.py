@@ -41,7 +41,9 @@ class StateTables:
     Arc ends are numbered by `diagram.arc_ends`: 2*arc (tail, leaving a
     pass) and 2*arc + 1 (head, arriving at the next pass).  In a crossing's
     counterclockwise rotation (r0, r1, r2, r3) the A-smoothing joins r0-r3
-    and r1-r2 and the B-smoothing joins r0-r1 and r2-r3, for either sign.
+    and r1-r2 and the B-smoothing joins r0-r1 and r2-r3, for either sign,
+    so the B-joins `joins[k][1]` of the k-th crossing in id order are its
+    rotation, which the Carter surface reads (`surface.SurfaceRep`).
     A tangle's boundary ends are joined to nothing.  `fields` is the
     layout of the packed values of every sweep of the tables
     (`frontier.packed_fields`), which every reader of them takes.
@@ -53,7 +55,7 @@ class StateTables:
         self.n_arcs, rotation, self.boundary = arc_ends(strands, d.signs)
         self.fields = packed_fields(self.n, len(strands))
         # joins[c] = (A-joins, B-joins), each a 4-tuple (p, q, r, s) meaning p<->q, r<->s
-        self.joins = [((r0, r3, r1, r2), (r0, r1, r2, r3)) for r0, r1, r2, r3 in rotation.values()]
+        self.joins = [((r0, r3, r1, r2), (r0, r1, r2, r3)) for r0, r1, r2, r3 in rotation]
         # walks start at the boundary ends, so an open strand is walked from
         # one end to the other, then at the tail ends
         self.starts = self.boundary + list(range(0, 2 * self.n_arcs, 2))

@@ -144,7 +144,7 @@ def reverse_signs(signs: dict[int, int], passes: Iterable[Pass]) -> dict[int, in
 
 def arc_ends(
     strands: Sequence[tuple[Sequence[Pass], bool]], signs: dict[int, int]
-) -> tuple[int, dict[int, tuple[int, int, int, int]], list[int]]:
+) -> tuple[int, list[tuple[int, int, int, int]], list[int]]:
     """Arc-end numbering of a diagram or tangle: (n_arcs, rotation, boundary).
 
     `strands` holds (passes, is_open) pairs.  A closed strand (a diagram
@@ -153,7 +153,7 @@ def arc_ends(
     start boundary point and its last arc arrives at its end point.  Arc a
     has the ends 2a (tail) and 2a + 1 (head).
 
-    `rotation` maps each crossing id, in sorted order, to its four ends in
+    `rotation` lists, for each crossing in id order, its four ends in
     counterclockwise order: (o_in, u_in, o_out, u_out) for a positive
     crossing, (o_in, u_out, o_out, u_in) for a negative one.  `boundary`
     lists the start and end of each open strand, strand by strand.
@@ -170,10 +170,10 @@ def arc_ends(
         # strand's first arc (an open strand's arc 0 runs from its boundary)
         for i, p in enumerate(passes, int(is_open)):
             ends[p.crossing, p.role] = (2 * (base + (i - 1) % m) + 1, 2 * (base + i % m))
-    rotation = {}
+    rotation = []
     for cid in sorted(signs):
         (o_in, o_out), (u_in, u_out) = ends[cid, OVER], ends[cid, UNDER]
-        rotation[cid] = (o_in, u_in, o_out, u_out) if signs[cid] > 0 else (o_in, u_out, o_out, u_in)
+        rotation.append((o_in, u_in, o_out, u_out) if signs[cid] > 0 else (o_in, u_out, o_out, u_in))
     return n_arcs, rotation, boundary
 
 

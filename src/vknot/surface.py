@@ -12,11 +12,14 @@ straight from the rotation, with no validation beyond its genus check.
 The generic map of arbitrary dart permutations, which validates them and
 lays out the same tables, is the reference tests/oracle.py keeps.
 
-The darts are the arc ends of `diagram.arc_ends`, and its crossing
+The darts are the arc ends of `diagram.arc_ends`, and the crossing
 rotation is the counterclockwise dart order at each crossing (validated by
 the classical => genus 0 tests): (over-in, under-in, over-out, under-out)
 at a positive crossing, the mirrored (over-in, under-out, over-out,
-under-in) at a negative one.
+under-in) at a negative one.  The surface reads it from the diagram's
+`bracket.StateTables`, built once per surface (`SurfaceRep.tables`), whose
+B-joins are that rotation: the faces, the refinement and every surface
+sweep read the one table.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .diagram import VirtualLinkDiagram, arc_ends
+from .bracket import StateTables
+from .diagram import VirtualLinkDiagram
 from .symplectic import SkewForm, SymplecticBasis, symplectic_reduce
 
 
@@ -70,6 +74,11 @@ class SurfaceRep:
     """A diagram together with its Carter surface, read straight off the
     crossing rotation.
 
+    `tables` is the diagram's `bracket.StateTables`, built here once: the
+    B-joins `tables.joins[k][1]` of the k-th crossing in id order are its
+    counterclockwise rotation, which the faces, `RefinedMap` and the
+    surface sweeps of `vknot.analysis` read.
+
     The darts are the 4n arc ends: sigma turns each counterclockwise around
     its crossing and alpha(e) = e ^ 1 runs along its arc, so the capped
     boundary circles (`faces`) are the orbits of phi = sigma o alpha, each
@@ -87,14 +96,14 @@ class SurfaceRep:
 
     def __init__(self, diagram: VirtualLinkDiagram):
         self.diagram = diagram
-        self.n_arcs, self.crossing_rotation, _ = arc_ends(diagram.arc_strands, diagram.signs)
+        self.tables = tables = StateTables(diagram)
         self.free_loops = diagram.free_loops
-        phi = [0] * (2 * self.n_arcs)
-        for a, b, c, d in self.crossing_rotation.values():
+        phi = [0] * (2 * tables.n_arcs)
+        for _, (a, b, c, d) in tables.joins:
             phi[a ^ 1], phi[b ^ 1], phi[c ^ 1], phi[d ^ 1] = b, c, d, a
         self.faces = _orbits(phi)
         self.components = _strand_components(diagram)
-        chi = len(self.faces) - len(self.crossing_rotation)
+        chi = len(self.faces) - tables.n
         if chi % 2:
             raise AssertionError("odd Euler characteristic on an orientable map")
         self.genus = len(self.components) - chi // 2
@@ -141,11 +150,9 @@ def build_carter_surface(d: VirtualLinkDiagram) -> SurfaceRep:
     return SurfaceRep(d)
 
 
-def genus(obj: "SurfaceRep | VirtualLinkDiagram") -> int:
-    """Genus of a surface representation, or of a diagram's Carter surface."""
-    if isinstance(obj, VirtualLinkDiagram):
-        obj = build_carter_surface(obj)
-    return obj.genus
+def genus(d: VirtualLinkDiagram) -> int:
+    """Genus of a diagram's Carter surface."""
+    return build_carter_surface(d).genus
 
 
 # -- quadrilateral refinement --------------------------------------------
@@ -169,11 +176,13 @@ class RefinedMap:
     `chi_of_vertex` the Euler characteristic of each vertex's component.
     The tables are written directly, as the generic map of the same sigma
     and alpha in tests/oracle.py would lay them out; `join_side` is this
-    map's own.  With b = 2 * rep.n_arcs, darts 0 .. b - 1 are the arc
-    ends; crossing i (in id order) owns darts b + 8i .. b + 8i + 7, side
+    map's own.  With b = 2 * rep.tables.n_arcs, darts 0 .. b - 1 are the
+    arc ends; crossing i (in id order) owns darts b + 8i .. b + 8i + 7, side
     b + 8i + 2k running from its corner k to corner k + 1 and side
-    b + 8i + 2k + 1 back.  Vertex e is the corner of arc end e, with the
-    ccw rotation (e, side to the next corner, side from the previous one).
+    b + 8i + 2k + 1 back, its corners 0 .. 3 being the ends of its rotation,
+    the B-joins `rep.tables.joins[i][1]`.  Vertex e is the corner of arc
+    end e, with the ccw rotation (e, side to the next corner, side from the
+    previous one).
     alpha(d) = d ^ 1 on every dart, so edge d >> 1 is (d & ~1, d | 1), run
     forward by its even dart.  Faces are the orbits of phi, each from its
     smallest dart, in order of that dart; the components are
@@ -186,9 +195,9 @@ class RefinedMap:
     )
 
     def __init__(self, rep: SurfaceRep):
-        base = 2 * rep.n_arcs
-        rotation = rep.crossing_rotation
-        self.n_darts = n_darts = base + 8 * len(rotation)
+        base = 2 * rep.tables.n_arcs
+        joins = rep.tables.joins
+        self.n_darts = n_darts = base + 8 * len(joins)
         sigma = [0] * n_darts
         vertex_of = list(range(n_darts))
         vertices: list[tuple[int, ...]] = [()] * base
@@ -196,7 +205,7 @@ class RefinedMap:
         # a state loop takes between them: 8 per crossing
         self.join_side = join_side = {}
         b = base
-        for c0, c1, c2, c3 in rotation.values():
+        for _, (c0, c1, c2, c3) in joins:
             sigma[c0], sigma[c1], sigma[c2], sigma[c3] = b, b + 2, b + 4, b + 6
             sigma[b : b + 8] = b + 7, c1, b + 1, c2, b + 3, c3, b + 5, c0
             vertex_of[b : b + 8] = c0, c1, c1, c2, c2, c3, c3, c0
@@ -274,7 +283,6 @@ class MapHomology:
         dim = len(self.loop_edges)
         self.form = SkewForm.from_rows([[form.get((a, b), 0) for b in range(dim)] for a in range(dim)])
         self.basis: SymplecticBasis | None = symplectic_reduce(self.form) if dim else None
-        self.genus = dim // 2
         # dart -> its class in symplectic coordinates, as the nonzero
         # (coordinate, value) pairs, or None for a null-homologous dart: the
         # edge's loop-edge coordinates times the matching columns of
@@ -429,10 +437,6 @@ class HomologyClass(NamedTuple):
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    @property
-    def genus(self) -> int:
-        return len(self.coords) // 2
-
 
 def loop_homology(rep: SurfaceRep, loop: Sequence[int]) -> HomologyClass:
     """Symplectic-coordinate homology class of a closed walk of refined darts:
@@ -442,7 +446,7 @@ def loop_homology(rep: SurfaceRep, loop: Sequence[int]) -> HomologyClass:
     vertex_of, alpha, dart_vec = m.vertex_of, m.alpha, h.dart_vec
     if loop and not (0 <= min(loop) and max(loop) < m.n_darts):
         raise LoopNotOnSurface("dart not on the surface")
-    acc = [0] * (2 * h.genus)
+    acc = [0] * (2 * rep.genus)
     prev = loop[-1] if loop else None
     for d in loop:
         if vertex_of[d] != vertex_of[alpha[prev]]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from .analysis import Certificate, certify
 from .bracket import StateTables, d_power, kauffman_bracket
 from .diagram import (
     ParseError,
@@ -39,6 +40,7 @@ from .diagram import (
 )
 from .frontier import read_packed, state_sum
 from .laurent import LOOP_VALUE, LaurentPoly, NoLaurentSolutionError, solve_2x2_laurent
+from .surface import genus
 
 
 class NonClassicalTangle(ValueError):
@@ -117,10 +119,6 @@ class Tangle:
         return len(self.signs)
 
     @property
-    def crossing_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.signs))
-
-    @property
     def arc_strands(self) -> tuple[tuple[tuple[Pass, ...], bool], ...]:
         """(passes, is_open) per strand, the input of `arc_ends`."""
         return tuple((s.passes, s.start is not None) for s in self.strands)
@@ -162,7 +160,6 @@ def format_tangle(t: Tangle) -> str:
 class TangleExpansion(NamedTuple):
     """Mapping from boundary matchings to Laurent coefficients."""
 
-    n_boundary: int
     coefficients: dict[Matching, LaurentPoly]
 
     def to_json(self) -> dict:
@@ -181,7 +178,7 @@ def expand_tangle(t: Tangle) -> TangleExpansion:
     for pairs, value in state_sum(tables).items():
         if value:
             coefficients[Matching((label[a], label[b]) for a, b in pairs)] = read_packed(value, tables.fields)
-    return TangleExpansion(t.n_boundary, coefficients)
+    return TangleExpansion(coefficients)
 
 
 # -- closures -------------------------------------------------------------
@@ -273,9 +270,6 @@ def _union_cycles(m1: Matching, m2: Matching) -> int:
 
 # -- alpha/beta analysis ---------------------------------------------------
 
-IDENTITY_2_2 = Matching([(1, 4), (2, 3)])
-CUPCAP_2_2 = Matching([(1, 2), (3, 4)])
-
 
 def alpha_beta_at_crossing(K: VirtualLinkDiagram, v: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Expansion coefficients of the tangle complementary to crossing v.
@@ -332,7 +326,7 @@ class VirtualizationReport(NamedTuple):
     bracket_Kv: LaurentPoly
     verdict: str  # "NonClassical(1)" | "Undetected"
     zerocor: str
-    certificate: object  # analysis.Certificate of K_v
+    certificate: Certificate  # of K_v
 
     def to_json(self) -> dict:
         return {
@@ -373,12 +367,8 @@ def virtualization_report(K: VirtualLinkDiagram, v: int) -> VirtualizationReport
         raise AssertionError("bracket(K_v) != bracket(K_s): virtualization convention bug")
     detected = alpha is not None and not alpha.is_zero() and not beta.is_zero()
     verdict = "NonClassical(1)" if detected else "Undetected"
-    from .analysis import certify
-
     cert = certify(Kv)
     if detected and str(cert) != "NonClassical(1)":
-        from .surface import genus
-
         if not genus(K):
             raise AssertionError("surface pipeline disagrees with tangle criterion")
         verdict = "Undetected"
@@ -402,7 +392,7 @@ class DoubleVirtualizationReport(NamedTuple):
     four_states: dict[str, str]          # "AA".."BB" -> Gauss code of the smoothing
     expansion: TangleExpansion | None    # TL expansion of the complementary tangle
     expansion_consistent: bool | None
-    certificate: object  # analysis.Certificate of K_v
+    certificate: Certificate  # of K_v
 
     @property
     def verdict(self) -> str:
@@ -435,8 +425,6 @@ def double_virtualization_report(
     verdict to the surface pipeline.  When the complementary 4-4 tangle is
     supplied, its TL expansion and closure-consistency check are included.
     """
-    from .analysis import certify
-
     if v1 == v2:
         raise ValueError("crossings must be distinct")
     Kv = virtualize_crossing(virtualize_crossing(K, v1), v2)

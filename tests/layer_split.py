@@ -10,10 +10,10 @@ times the ops of each of these commands that the workload runs: `certify`
 each stage redoing the ones before it.  A `certify` op starts from its
 diagram:
 
-    carter     build_carter_surface
+    carter     build_carter_surface, which builds the StateTables
     refined    + the quad refinement (rep.refined)
     homology   + the tree-cotree homology (rep.homology)
-    tables     + StateTables and analysis._class_steps
+    tables     + analysis._class_steps
     certify    the whole of analysis.certify (setup, sweep and criteria)
 
 The refined, homology and tables stages build the refinement and the
@@ -84,7 +84,7 @@ def _homology(d):
 def _tables(d):
     rep = build_carter_surface(d)
     rep.homology
-    return _class_steps(rep, StateTables(d))
+    return _class_steps(rep)
 
 
 def _surface_sweep(d):

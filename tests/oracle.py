@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 from vknot import frontier
 from vknot.analysis import CurveClassKey
 from vknot.bracket import StateTables, d_power
-from vknot.diagram import OVER, UNDER, VirtualLinkDiagram
+from vknot.diagram import OVER, UNDER, VirtualLinkDiagram, arc_ends
 from vknot.frontier import PackedFields
 from vknot.laurent import IndivisibleError, LaurentPoly, laurent_divide_exact
 from vknot.surface import (
@@ -125,15 +125,24 @@ class CombinatorialMap:
         return total
 
 
+def rotation_of(rep: SurfaceRep) -> list[tuple[int, int, int, int]]:
+    """The counterclockwise rotation of each crossing of `rep`'s diagram, in
+    id order, from `diagram.arc_ends` itself: the reference for the B-joins
+    of `rep.tables` that the surface reads."""
+    d = rep.diagram
+    return arc_ends(d.arc_strands, d.signs)[1]
+
+
 def generic_map(rep: SurfaceRep) -> CombinatorialMap:
     """The Carter surface of `rep` as a generic, validated `CombinatorialMap`
     of the same darts: sigma turns each arc end counterclockwise around its
-    crossing and alpha(e) = e ^ 1 runs along its arc."""
-    sigma = list(range(2 * rep.n_arcs))
-    for cyc in rep.crossing_rotation.values():
+    crossing (`rotation_of`) and alpha(e) = e ^ 1 runs along its arc."""
+    n_ends = 2 * rep.tables.n_arcs
+    sigma = list(range(n_ends))
+    for cyc in rotation_of(rep):
         for k in range(4):
             sigma[cyc[k]] = cyc[(k + 1) % 4]
-    return CombinatorialMap(sigma, [d ^ 1 for d in range(2 * rep.n_arcs)])
+    return CombinatorialMap(sigma, [d ^ 1 for d in range(n_ends)])
 
 
 def cycle_coords(h: MapHomology, darts: Iterable[int]) -> tuple[int, ...]:
@@ -659,20 +668,19 @@ def crossing_order(order: Sequence[int]) -> Iterator[None]:
 
 def position_of(rep: SurfaceRep) -> dict[int, tuple[int, int]]:
     """(crossing index, corner) of each original dart in its crossing's
-    counterclockwise rotation; crossing i is the i-th in id order, as
-    `RefinedMap` lays out its quads."""
-    index = {cid: i for i, cid in enumerate(rep.crossing_rotation)}
-    return {d: (index[cid], k) for cid, cyc in rep.crossing_rotation.items() for k, d in enumerate(cyc)}
+    counterclockwise rotation (`rotation_of`); crossing i is the i-th in id
+    order, as `RefinedMap` lays out its quads."""
+    return {d: (i, k) for i, cyc in enumerate(rotation_of(rep)) for k, d in enumerate(cyc)}
 
 
 def side_dart(rep: SurfaceRep, ci: int, k_from: int, k_to: int) -> int:
     """The refined map's side-edge dart leaving corner k_from of crossing ci
     toward the adjacent corner k_to (the reference for `RefinedMap.join_side`):
-    the quads' darts follow the 2 * `rep.n_arcs` arc ends."""
+    the quads' darts follow the 2 * `rep.tables.n_arcs` arc ends."""
     if k_to == (k_from + 1) % 4:
-        return 2 * rep.n_arcs + 8 * ci + 2 * k_from
+        return 2 * rep.tables.n_arcs + 8 * ci + 2 * k_from
     if k_to == (k_from - 1) % 4:
-        return 2 * rep.n_arcs + 8 * ci + 2 * k_to + 1
+        return 2 * rep.tables.n_arcs + 8 * ci + 2 * k_to + 1
     raise LoopNotOnSurface(f"corners {k_from} and {k_to} are not adjacent")
 
 

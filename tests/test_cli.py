@@ -10,8 +10,9 @@ import pytest
 from randgen import GENUS_THREE_CODE
 
 import vknot.cli as cli
+import vknot.diagram as diagram
 import vknot.surface as surface
-from vknot.analysis import certify
+from vknot.analysis import certify, surface_bracket
 from vknot.catalog import catalog, catalog_p_family
 from vknot.cli import main
 from vknot.diagram import format_gauss_code, parse_gauss_code
@@ -189,6 +190,37 @@ def test_one_carter_surface_per_call(capsys, monkeypatch, call):
     monkeypatch.setattr(surface.SurfaceRep, "__init__", counted_init)
     call()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: certify(catalog("kishino")),
+        lambda: certify(catalog_p_family(2)),
+        lambda: surface_bracket(surface.build_carter_surface(catalog("kishino"))),
+    ],
+    ids=["certify-kishino", "certify-p_family-2", "surface-bracket-genus-2"],
+)
+def test_one_crossing_rotation_per_call(monkeypatch, call):
+    # the Carter surface, its refinement and the surface sweeps read the
+    # StateTables the surface builds, so the arc ends are numbered once
+    calls = []
+    arc_ends = diagram.arc_ends
+
+    def counted(*args):
+        calls.append(args)
+        return arc_ends(*args)
+
+    binders = [
+        name
+        for name, module in sys.modules.items()
+        if name.split(".")[0] == "vknot" and vars(module).get("arc_ends") is arc_ends
+    ]
+    for name in binders:
+        monkeypatch.setattr(sys.modules[name], "arc_ends", counted)
+    assert {"vknot.diagram", "vknot.bracket"} <= set(binders)
+    call()
+    assert len(calls) == 1
 
 
 def test_max_crossings_env(capsys, monkeypatch):
@@ -387,13 +419,13 @@ assert False, "asserts must be stripped"
 class_steps = analysis._class_steps
 
 
-def tripled_steps(rep, tables):
-    steps, width = class_steps(rep, tables)
+def tripled_steps(rep):
+    steps, width = class_steps(rep)
     return {join: 3 * x for join, x in steps.items()}, width
 
 
-def zeroed_steps(rep, tables):
-    steps, width = class_steps(rep, tables)
+def zeroed_steps(rep):
+    steps, width = class_steps(rep)
     return dict.fromkeys(steps, 0), width
 """
 

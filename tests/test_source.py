@@ -68,7 +68,13 @@ RETIRED_NAMES = {
     "tokenize": "diagram.read_strands",
     "_pass_counts": "diagram.reverse_signs",
     "flip_sign": "diagram._replace_crossing",
-    "crossing_index": "SurfaceRep.crossing_rotation",
+    "crossing_index": "bracket.StateTables.joins",
+    # the surface's own copy of the crossing rotation: `SurfaceRep` keeps the
+    # diagram's StateTables, whose B-joins are the rotation, and the 2-2
+    # matchings only tests named
+    "crossing_rotation": "bracket.StateTables.joins",
+    "IDENTITY_2_2": "tests/test_tangle.py IDENTITY_2_2",
+    "CUPCAP_2_2": "tests/test_tangle.py CUPCAP_2_2",
     # the table-writing constructor of the refined map: `RefinedMap` writes
     # its tables into itself, in its own constructor
     "_from_tables": "surface.RefinedMap",
@@ -191,10 +197,15 @@ UNCALLED_PUBLIC_NAMES = {
 
 
 def _public_definitions(tree: ast.Module, exported: set[str]) -> list[tuple[str, ast.AST]]:
-    """(qualified name, node) of each public module-level function and class,
-    and of each public method of a module-level class not in `exported`."""
+    """(qualified name, node) of each public module-level function, class and
+    assigned name, and of each public method of a module-level class not in
+    `exported`."""
     found = []
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name) and not t.id.startswith("_")]
+            continue
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
@@ -238,11 +249,12 @@ def _uncalled_public_names(
 
 
 def test_no_public_names_only_tests_call():
-    """Every public function and class under src/vknot, and every public
-    method of a class `vknot.__all__` does not export, is named by the
-    package outside its own definition, by a demo or the benchmark, or is a
-    hook of the benchmark's tracer: what only tests call belongs in
-    tests/oracle.py.  `vknot.__all__` and UNCALLED_PUBLIC_NAMES pass."""
+    """Every public function, class and module-level assigned name under
+    src/vknot, and every public method of a class `vknot.__all__` does not
+    export, is named by the package outside its own definition, by a demo
+    or the benchmark, or is a hook of the benchmark's tracer: what only
+    tests name belongs in the tests.  `vknot.__all__` and
+    UNCALLED_PUBLIC_NAMES pass."""
     trees = {f"vknot.{path.stem}": ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
     elsewhere = set()
     for path in sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")]):
@@ -254,13 +266,17 @@ def test_no_public_names_only_tests_call():
     # the scan sees each form of definition and use
     planted = {
         "vknot.a": ast.parse(
+            "LIMIT = 3\nSIZE: int = LIMIT\n_HIDDEN = 4\n"
             "class Kept:\n    def m(self): return helper()\n    def unused(self): pass\n    def _p(self): pass\n"
             "def helper(): return Kept().m\ndef alone(): return alone()\ndef hooked(): pass\n"
             "class _Private:\n    def run(self): pass\n"
         ),
-        "vknot.b": ast.parse("def demoed(): pass\ndef public(): pass\nclass Exported:\n    def method(self): pass\n"),
+        "vknot.b": ast.parse(
+            "def demoed(): pass\ndef public(): pass\nclass Exported:\n    def method(self): pass\nSHOWN = 5\n"
+        ),
     }
-    assert _uncalled_public_names(planted, {"public", "Exported"}, {"demoed"}, {"vknot.a.hooked"}) == [
+    assert _uncalled_public_names(planted, {"public", "Exported"}, {"demoed", "SHOWN"}, {"vknot.a.hooked"}) == [
+        "vknot.a.SIZE",
         "vknot.a.Kept.unused",
         "vknot.a.alone",
         "vknot.a._Private.run",

@@ -180,7 +180,7 @@ def test_dart_table_class_matches_edge_coordinates(kind, arg):
     rep = build_carter_surface(d)
     tables = StateTables(d)
     assert len(rep.refined.join_side) == 8 * d.n_crossings
-    labels = _CurveLabels(rep, tables)
+    labels = _CurveLabels(rep)
     edge_of = rep.refined.edge_of
     curves = set()
     for state in range(1 << tables.n):
@@ -204,7 +204,7 @@ def test_packed_class_sum_unpacks_to_edge_coordinates(kind, arg):
     d = _diagram(kind, arg)
     rep = build_carter_surface(d)
     tables = StateTables(d)
-    labels = _CurveLabels(rep, tables)
+    labels = _CurveLabels(rep)
     dim = 2 * rep.genus
     classes: dict[frozenset, tuple[int, ...]] = {}
     keys: dict[frozenset, int] = {}
@@ -334,12 +334,12 @@ from vknot.catalog import catalog
 from vknot.surface import MapHomology, build_carter_surface
 
 assert False, "asserts must be stripped"
-# two ends of one crossing swapped in its rotation: the refined tables then
-# describe a surface of another genus
+# two ends of one crossing swapped in the rotation the refinement reads, the
+# B-joins of the surface's tables: the refined tables then describe a
+# surface of another genus
 rep = build_carter_surface(catalog("trefoil"))
-cid = min(rep.crossing_rotation)
-a, b, c, d = rep.crossing_rotation[cid]
-rep.crossing_rotation[cid] = (a, c, b, d)
+joins_a, (a, b, c, d) = rep.tables.joins[0]
+rep.tables.joins[0] = (joins_a, (a, c, b, d))
 try:
     rep.refined
 except AssertionError as exc:
@@ -381,7 +381,7 @@ def test_repeated_and_combined_fundamental_cycles(kind, arg):
     rep = build_carter_surface(_diagram(kind, arg))
     h = rep.homology
     m = h.map
-    dim = 2 * h.genus
+    dim = 2 * rep.genus
     for group in _fundamental_walks(rep):
         coeffs = [0] * dim
         combined: list[int] = []
@@ -440,13 +440,14 @@ def test_broken_side_table_is_refused_when_the_walk_is_built(name, monkeypatch):
             vertex_of, alpha = refined.vertex_of, refined.alpha
             join = list(join_side)[i]
             side = join_side.pop(join)
-            others = [x for x in range(2 * rep.n_arcs, refined.n_darts) if x != side]
+            base = 2 * rep.tables.n_arcs
+            others = [x for x in range(base, refined.n_darts) if x != side]
             if change == "wrong end":
                 join_side[join] = next(x for x in others if vertex_of[x] == vertex_of[side])
             elif change == "wrong start":
                 join_side[join] = next(x for x in others if vertex_of[alpha[x]] == vertex_of[alpha[side]])
             elif change == "next crossing":
-                join_side[join] = (side - 2 * rep.n_arcs + 8) % (8 * d.n_crossings) + 2 * rep.n_arcs
+                join_side[join] = (side - base + 8) % (8 * d.n_crossings) + base
             with pytest.raises(AssertionError, match="jumps between crossings"):
                 _bracket_sum(rep)
     assert n_joins == 8 * d.n_crossings and swept == []
@@ -608,7 +609,7 @@ def test_packed_field_width_follows_the_coefficients(d, genus):
     h = rep.homology
     h.dart_vec = [tuple((k, v * scale) for k, v in vec) if vec else vec for vec in h.dart_vec]
     tables = StateTables(d)
-    labels = _CurveLabels(rep, tables)
+    labels = _CurveLabels(rep)
     assert rep.genus == genus and labels.width > 41
     nonzero = 0
     keys: dict[frozenset, int] = {}

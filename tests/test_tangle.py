@@ -7,15 +7,13 @@ import pytest
 from oracle import is_noncrossing
 from randgen import random_gauss_code, random_tangle
 
-from vknot import analysis, cli
+from vknot import cli, tangle
 from vknot.bracket import bracket_by_recursion, d_power, kauffman_bracket
 from vknot.catalog import catalog, catalog_entry
 from vknot.diagram import ParseError, Pass, ValidationError, VirtualLinkDiagram, parse_gauss_code
 from vknot.laurent import LaurentPoly, format_laurent
 from vknot.surface import genus
 from vknot.tangle import (
-    CUPCAP_2_2,
-    IDENTITY_2_2,
     DoubleVirtualizationReport,
     Matching,
     Strand,
@@ -34,6 +32,11 @@ from vknot.tangle import (
 )
 
 SINGLE_POSITIVE = "B1O1+B3;B2U1+B4"
+
+#: The two matchings of a 2-2 tangle's four boundary points: the identity,
+#: whose coefficient is alpha, and the cup-cap, whose coefficient is beta.
+IDENTITY_2_2 = Matching([(1, 4), (2, 3)])
+CUPCAP_2_2 = Matching([(1, 2), (3, 4)])
 
 
 def test_parse_format_round_trip():
@@ -200,7 +203,7 @@ def test_virtualization_report_on_a_classical_k_still_checks_the_certificate(mon
         def __str__(self):
             return "Inconclusive"
 
-    monkeypatch.setattr(analysis, "certify", lambda d: Disagreeing())
+    monkeypatch.setattr(tangle, "certify", lambda d: Disagreeing())
     with pytest.raises(AssertionError, match="disagrees with tangle criterion"):
         virtualization_report(catalog("trefoil"), 1)
 
@@ -231,8 +234,6 @@ def test_double_virtualization_requires_distinct():
 
 
 def test_virtualization_report_computes_each_bracket_once(monkeypatch):
-    import vknot.tangle as tangle
-
     calls = []
 
     def counted(d):
