@@ -43,7 +43,7 @@ the full bracket is the d-image, keys, values and order.  The paper's
 surfaces are of this kind: a classical diagram's Carter surface is a
 sphere, and its single virtualizations gave genus <= 1 in every case
 tried.  So `surface_bracket` sweeps the d-image at genus <= 1
-(`_surface_sum`), and checks it as the full sweep checks itself: on the
+(`_image_sum`), and checks it as the full sweep checks itself: on the
 all-A state and on the first state of each class it keeps, each curve's
 packed class must match `loop_homology` (`_check_witness_states`).
 
@@ -61,13 +61,14 @@ sweep has more keys, and they grow fast with the crossings (the
 and milliseconds as a d-image), but it never enumerates the 2^n states
 either.
 
-Both sums give each key one packed polynomial, laid out as the swept
-`StateTables.fields` says (`frontier.packed_fields`) and returned with
-that layout, relabelled by one helper (`_relabel`) to a curve-class key,
-and list the keys in the order of the smallest state index that reaches
-them, the order of a state-by-state sum, on which the per-torus
-witnesses depend.  `surface_bracket` and `d_image_bracket` read them
-with one helper (`_surface_bracket`).
+Both sums give each key one packed polynomial, relabelled by one helper
+(`_relabel`) to a curve-class key, and list the keys in the order of the
+smallest state index that reaches them, the order of a state-by-state
+sum, on which the per-torus witnesses depend.  `surface_bracket` and
+`d_image_bracket` read them with one helper (`_surface_bracket`), which
+takes the layout of the polynomials from the surface's tables
+(`StateTables.fields`, `frontier.packed_fields`) and the free loops from
+its diagram.
 
 Two criteria are checked: the per-torus intersection criterion and the
 mod-2 span criterion.  The mod-2 span certifies that no
@@ -87,7 +88,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .bracket import d_power
 from .diagram import VirtualLinkDiagram, format_gauss_code
-from .frontier import DISK, PackedFields, SignedFields, labelled_state_sum, read_packed
+from .frontier import DISK, SignedFields, labelled_state_sum, read_packed
 from .laurent import LaurentPoly
 from .surface import (
     HomologyClass,
@@ -315,11 +316,10 @@ def _relabel(
     return out
 
 
-def _bracket_sum(rep: SurfaceRep) -> tuple[dict[CurveClassKey, int], PackedFields]:
-    """The surface state sum and the layout of its values: curve-class key
-    -> the sum of A^(n - 2b) d^disks over its states, packed as the
-    surface's tables lay out (`StateTables.fields`), without the free loops'
-    d^free_loops.
+def _bracket_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
+    """The surface state sum: curve-class key -> the sum of A^(n - 2b)
+    d^disks over its states, packed as the surface's tables lay out
+    (`StateTables.fields`), without the free loops' d^free_loops.
 
     `frontier.labelled_state_sum` sweeps the surface's tables, each open
     path carrying the packed class and join key of `_CurveLabels`, so a
@@ -330,14 +330,14 @@ def _bracket_sum(rep: SurfaceRep) -> tuple[dict[CurveClassKey, int], PackedField
     """
     curves = _CurveLabels(rep)
     labels = labelled_state_sum(rep.tables, curves.join_ints, curves)
-    return _relabel(labels, _class_reader(2 * rep.genus, curves.width)), rep.tables.fields
+    return _relabel(labels, _class_reader(2 * rep.genus, curves.width))
 
 
-def _surface_bracket(rep: SurfaceRep, sums: Mapping[CurveClassKey, int], fields: PackedFields) -> SurfaceBracket:
-    """The bracket of the packed sums {key: value} of `rep`, laid out by
-    `fields`: each nonzero value read by `frontier.read_packed`, times
-    d^free_loops."""
-    free = d_power(rep.free_loops)
+def _surface_bracket(rep: SurfaceRep, sums: Mapping[CurveClassKey, int]) -> SurfaceBracket:
+    """The bracket of the packed sums {key: value} of `rep`: each nonzero
+    value read by `frontier.read_packed` as the surface's tables lay it out
+    (`StateTables.fields`), times d^free_loops of its diagram."""
+    fields, free = rep.tables.fields, d_power(rep.diagram.free_loops)
     entries = {key: read_packed(value, fields) * free for key, value in sums.items() if value}
     return SurfaceBracket(entries=entries, genus=rep.genus)
 
@@ -352,18 +352,9 @@ def surface_bracket(rep: SurfaceRep) -> SurfaceBracket:
     values and order of first states, so this equals `d_image_bracket(rep)`
     and is swept as such.  Only at genus >= 2 must a null-homologous curve
     be told from a disk-bounding one, which needs the curve, not its class
-    (`_surface_sum`)."""
-    return _surface_bracket(rep, *_surface_sum(rep))
-
-
-def _surface_sum(rep: SurfaceRep) -> tuple[dict[CurveClassKey, int], PackedFields]:
-    """The packed sums of the surface bracket and their layout: the
-    d-image's (`_image_sum`) at genus <= 1, the curve-named sweep's
-    (`_bracket_sum`) at genus >= 2.  Either sweep checks its classes
-    against `loop_homology`."""
-    if rep.genus <= 1:
-        return _image_sum(rep)
-    return _bracket_sum(rep)
+    (`_bracket_sum`).  Either sweep checks its classes against
+    `loop_homology`."""
+    return _surface_bracket(rep, (_image_sum if rep.genus <= 1 else _bracket_sum)(rep))
 
 
 def _image_sweep(rep: SurfaceRep) -> tuple[dict[tuple[int, ...], list[int]], int, dict[tuple[int, int], int]]:
@@ -385,17 +376,17 @@ def _image_sweep(rep: SurfaceRep) -> tuple[dict[tuple[int, ...], list[int]], int
     return labelled_state_sum(rep.tables, steps, _ImageLabels({0: DISK})), width, steps
 
 
-def _image_sum(rep: SurfaceRep) -> tuple[dict[CurveClassKey, int], PackedFields]:
-    """The d-image of the surface bracket before its polynomials are read,
-    and the layout of its values: curve-class key, each with no
-    null-essential curve -> the label's packed polynomial
-    (`StateTables.fields`), without the free loops' d^free_loops, the
+def _image_sum(rep: SurfaceRep) -> dict[CurveClassKey, int]:
+    """The d-image of the surface bracket before its polynomials are read:
+    curve-class key, each with no null-essential curve -> the label's
+    packed polynomial (`StateTables.fields`), without the free loops'
+    d^free_loops, the
     labels in the order of the smallest state index that reaches them,
     zero-valued ones included.  Its classes are checked against
     `loop_homology` first (`_check_witness_states`)."""
     labels, width, steps = _image_sweep(rep)
     _check_witness_states(rep, labels, width, steps)
-    return _relabel(labels, _class_reader(2 * rep.genus, width)), rep.tables.fields
+    return _relabel(labels, _class_reader(2 * rep.genus, width))
 
 
 def _check_witness_states(
@@ -492,8 +483,8 @@ def _class_reader(dim: int, width: int) -> Callable[[int], HomologyClass]:
 def d_image_bracket(rep: SurfaceRep) -> SurfaceBracket:
     """The surface bracket with every null-homologous essential symbol sent
     to d: each key's essential count is 0, and `collapse` is unchanged.
-    At genus <= 1 it is the surface bracket itself (`_surface_sum`)."""
-    return _surface_bracket(rep, *_image_sum(rep))
+    At genus <= 1 it is the surface bracket itself (`surface_bracket`)."""
+    return _surface_bracket(rep, _image_sum(rep))
 
 
 # -- criteria -------------------------------------------------------------

@@ -91,13 +91,12 @@ class SurfaceRep:
     tests/oracle.py `generic_map`.
 
     Zero-crossing unknot components live on their own genus-0 spheres and
-    are tracked by `free_loops` rather than by map darts.
+    have no map darts: `diagram.free_loops` counts them.
     """
 
     def __init__(self, diagram: VirtualLinkDiagram):
         self.diagram = diagram
         self.tables = tables = StateTables(diagram)
-        self.free_loops = diagram.free_loops
         phi = [0] * (2 * tables.n_arcs)
         for _, (a, b, c, d) in tables.joins:
             phi[a ^ 1], phi[b ^ 1], phi[c ^ 1], phi[d ^ 1] = b, c, d, a
@@ -323,11 +322,8 @@ class MapHomology:
                     seen.add(w)
                     tree.add(edge_of[d])
                     order.append(w)
-        # the component's edges in index order: every edge of a connected map
-        if len(comp) == len(vertices):
-            comp_edges: Sequence[int] = range(len(edges))
-        else:
-            comp_edges = [ei for ei, (d, _) in enumerate(edges) if vertex_of[d] in seen]
+        # the component's edges in index order
+        comp_edges = [ei for ei, (d, _) in enumerate(edges) if vertex_of[d] in seen]
 
         # cotree: BFS spanning tree of the dual over faces, using non-tree
         # edges in index order, from the face of the component's smallest
@@ -467,16 +463,16 @@ def _cut_map(m: RefinedMap, loop: Sequence[int]) -> list[tuple[int, int]]:
 
     Cutting along a circle keeps chi: the loop's L vertices and L edges are
     doubled.  A loop that meets each vertex once cannot cross itself, and
-    the faces on either side of it are joined across non-cut edges, so two
-    flood fills over faces, from the face left of loop[0] (the face of its
-    dart) and from the face right of it (the face of the reverse dart),
-    never crossing a cut edge, find its pieces.  They take one face in turn.
-    When they meet, the loop does not separate, and the one piece has the
-    component's chi (`RefinedMap.chi_of_vertex`) and both boundary
-    circles.  When one fill closes first, its side is a piece with chi =
-    faces - non-cut edges + vertices off the loop (the side's L corners at
-    the cut and its L edge copies cancel), and the other side has the rest
-    of the component's chi.
+    the faces on either side of it are joined across non-cut edges, so one
+    flood fill over faces, from the face left of loop[0] (the face of its
+    dart), never crossing a cut edge, finds the left piece.  When it reaches
+    the face right of loop[0] (the face of the reverse dart), the loop does
+    not separate, and the one piece has the component's chi
+    (`RefinedMap.chi_of_vertex`) and both boundary circles.  Otherwise the
+    left side is a piece with chi = faces + corners off the loop - non-cut
+    edges (its L corners at the cut and its L edge copies cancel), and the
+    right side has the rest of the component's chi; the pieces are listed
+    left, right.
 
     A loop that meets a vertex twice is refused.  On the refined map, the
     only map the package cuts, every corner has one arc dart and two quad
@@ -502,38 +498,28 @@ def _cut_map(m: RefinedMap, loop: Sequence[int]) -> list[tuple[int, int]]:
         raise LoopNotEmbedded("loop meets a vertex twice")
     face_of, faces = m.face_of, m.faces
     chi = m.chi_of_vertex[vertex_of[loop[0]]]
-    first = (face_of[loop[0]], face_of[alpha[loop[0]]])
-    if first[0] == first[1]:
+    left, right = face_of[loop[0]], face_of[alpha[loop[0]]]
+    if left == right:
         return [(chi, 2)]
-    side = {first[0]: 0, first[1]: 1}
-    stacks = ([first[0]], [first[1]])
-    seen_vertices: tuple[set[int], set[int]] = (set(), set())
-    # per side: faces + vertices off the loop, and non-cut darts (2 per edge)
-    cells, noncut_darts = [0, 0], [0, 0]
-    while True:
-        for s in (0, 1):
-            stack = stacks[s]
-            if not stack:
-                own = cells[s] - noncut_darts[s] // 2
-                return [(own, 1), (chi - own, 1)] if s == 0 else [(chi - own, 1), (own, 1)]
-            f = stack.pop()
-            cells[s] += 1
-            seen = seen_vertices[s]
-            for h in faces[f]:
-                if edge_of[h] in cut:
-                    continue
-                noncut_darts[s] += 1
-                g = face_of[alpha[h]]
-                other = side.get(g)
-                if other is None:
-                    side[g] = s
-                    stack.append(g)
-                elif other != s:
-                    return [(chi, 2)]
-                v = vertex_of[h]
-                if v not in on_loop and v not in seen:
-                    seen.add(v)
-                    cells[s] += 1
+    reached = {left}
+    stack = [left]
+    corners = set()  # vertices off the loop
+    noncut_darts = 0  # 2 per non-cut edge
+    while stack:
+        for h in faces[stack.pop()]:
+            if edge_of[h] in cut:
+                continue
+            noncut_darts += 1
+            g = face_of[alpha[h]]
+            if g == right:
+                return [(chi, 2)]
+            if g not in reached:
+                reached.add(g)
+                stack.append(g)
+            if vertex_of[h] not in on_loop:
+                corners.add(vertex_of[h])
+    own = len(reached) + len(corners) - noncut_darts // 2
+    return [(own, 1), (chi - own, 1)]
 
 
 def is_disk_bounding(rep: SurfaceRep, loop: Sequence[int]) -> bool:

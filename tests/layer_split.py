@@ -23,8 +23,9 @@ surface and `analysis._class_steps` builds neither.
 a `surface-bracket` op from its diagram too:
 
     carter     build_carter_surface
-    sweep      + the packed sums of the bracket, analysis._surface_sum: the
-               d-image at genus <= 1, the curve-named sweep at genus >= 2
+    sweep      + the packed sums of the bracket: analysis._image_sum, the
+               d-image, at genus <= 1, analysis._bracket_sum, the
+               curve-named sweep, at genus >= 2
     readout    the whole of analysis.surface_bracket and its to_json()
 
 and a `jones` op from its argv:
@@ -60,7 +61,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from perfbench.workloads import POOLS, all_ops  # noqa: E402
 
 from vknot import frontier  # noqa: E402
-from vknot.analysis import _class_steps, _surface_sum, certify, surface_bracket  # noqa: E402
+from vknot.analysis import _bracket_sum, _class_steps, _image_sum, certify, surface_bracket  # noqa: E402
 from vknot.bracket import StateTables  # noqa: E402
 from vknot.cli import _resolve_diagram, build_parser, main as cli_main  # noqa: E402
 from vknot.frontier import greedy_order, state_sum  # noqa: E402
@@ -88,7 +89,8 @@ def _tables(d):
 
 
 def _surface_sweep(d):
-    return _surface_sum(build_carter_surface(d))
+    rep = build_carter_surface(d)
+    return (_image_sum if rep.genus <= 1 else _bracket_sum)(rep)
 
 
 def _surface_readout(d):

@@ -51,6 +51,9 @@ CLASS_LOSING_CODE = "U4+;O5+O4+U5+O1-U2-U1-O3+U3+;O2-"
 FALSE_CERTIFICATE_CODE = "U6-U5+O4-U1-O5+O6-O1-U2-O2-O8+U4-U8+O7-O3+U3+U7-"
 #: R1 {2}, R2 {5, 6}, R1 {1}, R2 {4, 8}, R1 {7}.
 UNKNOTTING_MOVES = ({2}, {5, 6}, {1}, {4, 8}, {7})
+#: Genus 2, 4 crossings, f = 1, NonClassical(2): the smallest false
+#: certificate known, a diagram of the unknot by R2 {1, 2} and R2 {3, 4}.
+SMALLEST_FALSE_CERTIFICATE_CODE = "O1+O2-O3+U4-U3+O4-U1+U2-"
 
 
 def _pool_codes() -> list[str]:
@@ -248,18 +251,18 @@ def _merged(rep):
     """The polynomials of the full surface state sum (`analysis._bracket_sum`)
     with each label's null-essential symbols sent to d, and the free loops'
     d^free_loops, labels in their first order, zero-valued ones included."""
-    sums, fields = analysis._bracket_sum(rep)
+    fields = rep.tables.fields
     out = {}
-    for (classes, essential), value in sums.items():
+    for (classes, essential), value in analysis._bracket_sum(rep).items():
         key = (classes, 0)
         out[key] = out.get(key, LaurentPoly.zero()) + read_packed(value, fields) * d_power(essential)
-    return {key: p * d_power(rep.free_loops) for key, p in out.items()}
+    return {key: p * d_power(rep.diagram.free_loops) for key, p in out.items()}
 
 
-def _read(rep, image, fields):
-    """The packed polynomials of `analysis._image_sum`, laid out by
-    `fields`, read, with the free loops' d^free_loops."""
-    free = d_power(rep.free_loops)
+def _read(rep, image):
+    """The packed polynomials of `analysis._image_sum`, laid out by the
+    surface's tables, read, with the free loops' d^free_loops."""
+    fields, free = rep.tables.fields, d_power(rep.diagram.free_loops)
     return {label: read_packed(value, fields) * free for label, value in image.items()}
 
 
@@ -275,7 +278,7 @@ def test_sweep_equals_merged_gray_walk_under_three_orders(d):
     greedy = greedy_order(StateTables(d))
     for name, order in (("greedy", greedy), ("identity", list(range(n))), ("reversed", list(range(n))[::-1])):
         with oracle.crossing_order(order):
-            got = _read(rep, *analysis._image_sum(rep))
+            got = _read(rep, analysis._image_sum(rep))
         assert got == expected, name
         assert list(got) == list(expected), name
 
@@ -283,7 +286,7 @@ def test_sweep_equals_merged_gray_walk_under_three_orders(d):
 def test_image_sweep_equals_merged_full_sweep_on_the_pool():
     for code in POOL:
         rep = build_carter_surface(parse_gauss_code(code))
-        got = _read(rep, *analysis._image_sum(rep))
+        got = _read(rep, analysis._image_sum(rep))
         expected = _merged(rep)
         assert got == expected and list(got) == list(expected), code
 
@@ -413,9 +416,19 @@ def test_removal_moves_keep_the_f_polynomial_on_seeded_codes():
     assert counts == {1: 608, 2: 144}
 
 
+def test_two_r2_moves_reduce_the_smallest_false_certificate_to_the_unknot():
+    d = parse_gauss_code(SMALLEST_FALSE_CERTIFICATE_CODE)
+    assert f_polynomial(d) == LaurentPoly.one()
+    d = oracle.removal_move(d, {1, 2})
+    assert (format_gauss_code(d), genus(d)) == ("O3+U4-U3+O4-", 1)
+    d = oracle.removal_move(d, {3, 4})
+    assert format_gauss_code(d) == "U"
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-def test_a_diagram_of_the_unknot_is_not_certified():
-    assert certify(parse_gauss_code(FALSE_CERTIFICATE_CODE)).verdict != "NonClassical"
+@pytest.mark.parametrize("code", [FALSE_CERTIFICATE_CODE, SMALLEST_FALSE_CERTIFICATE_CODE])
+def test_a_diagram_of_the_unknot_is_not_certified(code):
+    assert certify(parse_gauss_code(code)).verdict != "NonClassical"
 
 
 def _genus_at_most_one_codes(seed: int = 20261025, count: int = 60) -> list[str]:
@@ -459,7 +472,7 @@ def test_surface_bracket_equals_the_curve_named_sweep(d):
     the full bracket, the same JSON and the same entries in the same order."""
     rep = build_carter_surface(d)
     got = surface_bracket(rep)
-    expected = analysis._surface_bracket(rep, *analysis._bracket_sum(rep))
+    expected = analysis._surface_bracket(rep, analysis._bracket_sum(rep))
     assert got.to_json() == expected.to_json()
     assert list(got.entries.items()) == list(expected.entries.items())
 

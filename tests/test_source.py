@@ -110,6 +110,12 @@ RETIRED_NAMES = {
     # only, and reads the inverse off the product its check computes
     "_transform": "symplectic._swap, _negate and _add",
     "_check_standard": "symplectic._certified_inverse",
+    # the genus switch between the two surface sums, which also returned
+    # their layout: `surface_bracket` picks the sum, and `_surface_bracket`
+    # reads the layout off `rep.tables`.  `SurfaceRep.free_loops` left as
+    # well, but `diagram.free_loops` is the same live name, so it is not
+    # listed.
+    "_surface_sum": "analysis.surface_bracket",
 }
 
 

@@ -70,7 +70,7 @@ def reference_surface_bracket(d) -> SurfaceBracket:
     tables = StateTables(d)
     entries: dict = {}
     for state in range(1 << tables.n):
-        disks, classes, null_essential = rep.free_loops, [], 0
+        disks, classes, null_essential = d.free_loops, [], 0
         for curve in state_curves(rep, tables, state):
             if _oracle_disk(rep, curve):
                 disks += 1
@@ -544,8 +544,7 @@ def _oracle_items(kind, arg) -> list:
 
 
 def _sweep_items(d) -> list:
-    sums, _ = _bracket_sum(build_carter_surface(d))
-    return list(sums.items())
+    return list(_bracket_sum(build_carter_surface(d)).items())
 
 
 def _three_orders(d) -> dict[str, list[int]]:
@@ -623,8 +622,7 @@ def test_packed_field_width_follows_the_coefficients(d, genus):
             nonzero += any(coords)
     assert len(set(keys.values())) == len(keys)
     assert nonzero
-    sums, _ = _bracket_sum(rep)
-    assert list(sums.items()) == list(bracket_chunk(rep).items())
+    assert list(_bracket_sum(rep).items()) == list(bracket_chunk(rep).items())
 
 
 @pytest.mark.parametrize("kind,arg", CASES, ids=[f"{k}-{a}" for k, a in CASES])
