@@ -631,8 +631,12 @@ def certify(d: VirtualLinkDiagram) -> Certificate:
     monotone in that set, so a NonClassical verdict from the image holds
     for the full bracket too.
     """
-    rep = build_carter_surface(d)
-    code = format_gauss_code(d)
+    return certify_surface(build_carter_surface(d))
+
+
+def certify_surface(rep: SurfaceRep) -> Certificate:
+    """`certify` of the diagram of `rep`, on that Carter surface."""
+    code = format_gauss_code(rep.diagram)
     if rep.genus == 0:
         return Certificate("Inconclusive", 0, (), code)
     classes = _image_classes(rep)

@@ -133,8 +133,13 @@ def kauffman_bracket(d: VirtualLinkDiagram) -> LaurentPoly:
     ArithmeticError), then multiplied by d per free loop.  A diagram
     without crossings is d^(free loops - 1), and the empty one 1.
     """
-    tables = StateTables(d)
-    free = d.free_loops
+    return tables_bracket(StateTables(d), d.free_loops)
+
+
+def tables_bracket(tables: StateTables, free: int) -> LaurentPoly:
+    """`kauffman_bracket` of the diagram of `tables` with `free` crossingless
+    loops (its `free_loops`), for a caller that holds its tables already,
+    such as its Carter surface (`surface.SurfaceRep.tables`)."""
     if not tables.n:
         return d_power(max(free - 1, 0))
     return read_packed(divide_by_d(state_sum(tables)[()], tables.fields), tables.fields) * d_power(free)

@@ -291,6 +291,21 @@ def read_packed(value: int, fields: PackedFields) -> LaurentPoly:
     return LaurentPoly({n - 2 * (j - offset): c for j, c in enumerate(coeffs) if c})
 
 
+def pack(poly: LaurentPoly, fields: PackedFields) -> int:
+    """The value of `poly` laid out by `fields`, the inverse of
+    `read_packed`: the coefficient of A^e goes to field j = M + (n - e) / 2.
+    ValueError when an exponent e has no field, as n - e is odd or j < 0;
+    `read_packed` gives `poly` back when every coefficient fits its field."""
+    n, width, offset = fields
+    value = 0
+    for e, c in poly.terms:
+        j, odd = divmod(n - e, 2)
+        if odd or j + offset < 0:
+            raise ValueError(f"A^{e} has no field in the layout {fields}")
+        value += c << (j + offset) * width
+    return value
+
+
 class SignedFields:
     """`count` signed fields of `width` bits in one int: the c_k of
     packed = sum c_k 2^(k width) with -2^(width - 1) <= c_k < 2^(width - 1),

@@ -19,10 +19,11 @@ tangle is refused with NonClassicalTangle.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence
 
-from .analysis import Certificate, certify
-from .bracket import StateTables, d_power, kauffman_bracket
+from .analysis import Certificate, certify_surface
+from .bracket import StateTables, kauffman_bracket, tables_bracket
 from .diagram import (
     ParseError,
     Pass,
@@ -38,9 +39,9 @@ from .diagram import (
     switch_crossing,
     virtualize_crossing,
 )
-from .frontier import read_packed, state_sum
+from .frontier import PackedFields, divide_by_d, pack, packed_fields, read_packed, state_sum
 from .laurent import LOOP_VALUE, LaurentPoly, NoLaurentSolutionError, solve_2x2_laurent
-from .surface import genus
+from .surface import build_carter_surface, genus
 
 
 class NonClassicalTangle(ValueError):
@@ -58,9 +59,12 @@ class Matching(tuple):
         return "".join(f"({a}-{b})" for a, b in self)
 
 
-def noncrossing_matchings(n_points: int) -> list[Matching]:
+@functools.cache
+def noncrossing_matchings(n_points: int) -> tuple[Matching, ...]:
     """All non-crossing perfect matchings of 1..n_points, in canonical
-    (lexicographic) order; the TL basis labels s_1, s_2, ... follow it."""
+    (lexicographic) order; the TL basis labels s_1, s_2, ... follow it.
+    Enumerated once per boundary size: the tuple never changes, so every
+    caller in the process shares it."""
     points = list(range(1, n_points + 1))
 
     def rec(pts):
@@ -75,9 +79,7 @@ def noncrossing_matchings(n_points: int) -> list[Matching]:
                 for m2 in rec(outside):
                     yield [(a, b)] + m1 + m2
 
-    out = [Matching(m) for m in rec(points)]
-    out.sort()
-    return out
+    return tuple(sorted(Matching(m) for m in rec(points)))
 
 
 class Strand(NamedTuple):
@@ -236,35 +238,121 @@ def closure_consistency(t: Tangle, exp: TangleExpansion | None = None) -> bool:
     """Closing the expansion by every planar cap reproduces the closed bracket.
 
     For each non-crossing cap M:  sum_N coeff(N) * d^(cycles(M u N) - 1)
-    must equal kauffman_bracket(close_tangle(t, M)).
+    must equal kauffman_bracket(close_tangle(t, M)), which brackets each
+    closure on its own.  The left sides are `_closure_sums`, evaluated in
+    the packed layout of the tangle's own sweep: p multiplications by d per
+    coefficient, then C_p x |expansion| int additions and one `read_packed`
+    per cap, for the C_p non-crossing caps of 2p boundary points.
+
+    An `exp` whose coefficients do not fit that layout fails.  The meander
+    matrix of TL_p, d^cycles(M u N) over the non-crossing M and N, is
+    nonsingular over Q(A) (its determinant is a nonzero polynomial in d), so
+    among expansions on non-crossing matchings only the tangle's own passes,
+    and its coefficients were read from that layout.  The expansion of a
+    tangle that is not planar may hold crossing matchings, which the caps do
+    not determine; there the check asks for the layout too.
     """
     if exp is None:
         exp = expand_tangle(t)
-    for cap in noncrossing_matchings(t.n_boundary):
-        total = LaurentPoly.zero()
-        for matching, coeff in exp.coefficients.items():
-            cycles = _union_cycles(cap, matching)
-            total = total + coeff * d_power(cycles - 1)
-        if total != kauffman_bracket(close_tangle(t, cap)):
-            return False
-    return True
+    sums = _closure_sums(t, exp)
+    caps = noncrossing_matchings(t.n_boundary)
+    return sums is not None and all(
+        total == kauffman_bracket(close_tangle(t, cap)) for cap, total in zip(caps, sums)
+    )
 
 
-def _union_cycles(m1: Matching, m2: Matching) -> int:
-    nxt1 = {a: b for a, b in m1} | {b: a for a, b in m1}
-    nxt2 = {a: b for a, b in m2} | {b: a for a, b in m2}
-    seen = set()
+def _closure_sums(t: Tangle, exp: TangleExpansion) -> list[LaurentPoly] | None:
+    """sum_N coeff(N) * d^(cycles(M u N) - 1) for each cap M of
+    `noncrossing_matchings(t.n_boundary)`, in order, or None when `exp`
+    does not fit the layout `frontier.packed_fields` gives the tangle's
+    sweep, from which `expand_tangle` read the coefficients.
+
+    Each coeff(N) is packed back into that layout (`frontier.pack`), raised
+    by p fields and multiplied by d = -(s + 1/s) in place,
+    -((q << W) + (q >> W)), up to p times for the p open strands; the
+    raise keeps every right shift exact.  A cap's sum of coeff(N) *
+    d^cycles, the closure's state sum with d per loop, is then one int
+    addition per matching; it is divided by d once (`frontier.divide_by_d`)
+    and read once, p fields down.  The tangle's own coefficients fit the
+    layout in two ways, and an `exp` that misses one gives None:
+
+    - every exponent has a field (`pack`);
+    - the coefficients of all N sum, in absolute value, to less than
+      2^(W - 1 - p).  The true ones sum to at most 2^n 2^(n + r - p) =
+      2^(W - 2 - p), the number of states times the largest power of d: a
+      state has at most n + r - p closed loops besides its p open paths
+      (the state-graph bound of `packed_fields`).  Then every coefficient
+      of a cap's sum, below that bound times 2^p, fits its field, as does
+      every coefficient of the closure's bracket times d (`packed_fields`),
+      so the two ints are equal exactly when the polynomials are, and a
+      cap's read equals the closure's bracket exactly when its left side
+      does.
+    """
+    n_points = t.n_boundary
+    p = n_points // 2
+    fields = packed_fields(t.n_crossings, len(t.strands))
+    width = fields.width
+    rows = []  # (partner array of N, [coeff(N) s^p d^c for c = 0..p])
+    norm = 0
+    for matching, coeff in exp.coefficients.items():
+        try:
+            q = pack(coeff, fields) << p * width
+            partner = _partners(matching, n_points)
+        except ValueError:
+            return None
+        norm += sum(abs(c) for _, c in coeff.terms)
+        multiples = [q]
+        for _ in range(p):
+            q = -((q << width) + (q >> width))
+            multiples.append(q)
+        rows.append((partner, multiples))
+    if norm >> (width - 1 - p):
+        return None
+    raised = PackedFields(fields.n, width, fields.offset + p)
+    sums = []
+    for cap in _cap_partners(n_points):
+        total = sum(multiples[_cycle_count(cap, partner)] for partner, multiples in rows)
+        try:
+            sums.append(read_packed(divide_by_d(total, fields), raised))
+        except ArithmeticError:  # a tangle without boundary points, whose exp is no multiple of d
+            return None
+    return sums
+
+
+def _partners(matching: Matching, n_points: int) -> list[int]:
+    """The partner array of a perfect matching of 1..n_points: entry a is the
+    point matched to a, entry 0 is unused.  ValueError when `matching` does
+    not match 1..n_points."""
+    if sorted(a for pair in matching for a in pair) != list(range(1, n_points + 1)):
+        raise ValueError(f"{matching} is not a matching of 1..{n_points}")
+    partner = [0] * (n_points + 1)
+    for a, b in matching:
+        partner[a], partner[b] = b, a
+    return partner
+
+
+@functools.cache
+def _cap_partners(n_points: int) -> tuple[tuple[int, ...], ...]:
+    """The partner arrays of `noncrossing_matchings(n_points)`, in order,
+    built once per boundary size."""
+    return tuple(tuple(_partners(cap, n_points)) for cap in noncrossing_matchings(n_points))
+
+
+def _cycle_count(first: Sequence[int], second: Sequence[int]) -> int:
+    """Number of circles in the union of two perfect matchings given as
+    partner arrays (`_partners`)."""
+    seen = [False] * len(first)
     cycles = 0
-    for p in nxt1:
-        if p in seen:
+    for start in range(1, len(first)):
+        if seen[start]:
             continue
         cycles += 1
-        cur = p
-        while cur not in seen:
-            seen.add(cur)
-            q = nxt1[cur]
-            seen.add(q)
-            cur = nxt2[q]
+        a = start
+        while not seen[a]:
+            seen[a] = True
+            b = first[a]
+            seen[b] = True
+            a = second[b]
     return cycles
 
 
@@ -362,12 +450,14 @@ def virtualization_report(K: VirtualLinkDiagram, v: int) -> VirtualizationReport
         alpha = beta = None
         bK, bKs = kauffman_bracket(K), kauffman_bracket(switch_crossing(K, v))
     Kv = virtualize_crossing(K, v)
-    bKv = kauffman_bracket(Kv)
+    # one Carter surface of K_v: its tables give <K_v> and it is certified
+    surface = build_carter_surface(Kv)
+    bKv = tables_bracket(surface.tables, Kv.free_loops)
     if bKv != bKs:
         raise AssertionError("bracket(K_v) != bracket(K_s): virtualization convention bug")
     detected = alpha is not None and not alpha.is_zero() and not beta.is_zero()
     verdict = "NonClassical(1)" if detected else "Undetected"
-    cert = certify(Kv)
+    cert = certify_surface(surface)
     if detected and str(cert) != "NonClassical(1)":
         if not genus(K):
             raise AssertionError("surface pipeline disagrees with tangle criterion")
@@ -429,7 +519,8 @@ def double_virtualization_report(
         raise ValueError("crossings must be distinct")
     Kv = virtualize_crossing(virtualize_crossing(K, v1), v2)
     Ks = switch_crossing(switch_crossing(K, v1), v2)
-    if kauffman_bracket(Kv) != kauffman_bracket(Ks):
+    surface = build_carter_surface(Kv)
+    if tables_bracket(surface.tables, Kv.free_loops) != kauffman_bracket(Ks):
         raise AssertionError("bracket(K_v) != bracket(K_s) for double virtualization")
     states = {}
     total = LaurentPoly.zero()
@@ -451,5 +542,5 @@ def double_virtualization_report(
         four_states=states,
         expansion=exp,
         expansion_consistent=consistent,
-        certificate=certify(Kv),
+        certificate=certify_surface(surface),
     )

@@ -1,12 +1,13 @@
-"""Where `certify`, `surface-bracket` or `jones` spends its time, layer by
-layer, in process.
+"""Where `certify`, `surface-bracket`, `jones` or
+`double-virtualize-report` spends its time, layer by layer, in process.
 
     PYTHONPATH=src python tests/layer_split.py WORKLOAD [--repeat N]
 
 WORKLOAD names a benchmark workload of perfbench/workloads.py.  The split
 times the ops of each of these commands that the workload runs: `certify`
 (family_certify, random_certify, catalog_reports), `surface-bracket`
-(catalog_reports) and `jones` (planar_jones), through cumulative stages,
+(catalog_reports), `jones` (planar_jones) and `double-virtualize-report`
+(catalog_reports, on the section-5 knot), through cumulative stages,
 each stage redoing the ones before it.  A `certify` op starts from its
 diagram:
 
@@ -41,6 +42,18 @@ after which a `keys` line gives the summed and the peak frontier keys of
 those sweeps: the keys after each step, counted by wrapping
 `frontier._step` for one extra pass.
 
+A `double-virtualize-report` op starts from its catalog entry's diagram,
+crossing pair and complementary tangle:
+
+    brackets   the 21 planar brackets of the report, with the moves that
+               make their diagrams: K_v, K_s, K, the four states at the
+               two crossings and the tangle's closure by each of its caps
+    left       + the tangle's expansion and the closure check's left sides
+               (tangle._closure_sums)
+    certify    + certify(K_v)
+    report     the whole op, vknot.cli.main with stdout captured (the
+               report and its JSON)
+
 Each stage's total over the ops is the best of N runs, the stages taking
 turns within a run; a layer's own time is its stage minus the stage
 before it.  Not collected by pytest.
@@ -62,10 +75,13 @@ from perfbench.workloads import POOLS, all_ops  # noqa: E402
 
 from vknot import frontier  # noqa: E402
 from vknot.analysis import _bracket_sum, _class_steps, _image_sum, certify, surface_bracket  # noqa: E402
-from vknot.bracket import StateTables  # noqa: E402
+from vknot.bracket import StateTables, kauffman_bracket  # noqa: E402
+from vknot.catalog import catalog_entry  # noqa: E402
 from vknot.cli import _resolve_diagram, build_parser, main as cli_main  # noqa: E402
+from vknot.diagram import SmoothingType, smooth_crossing, switch_crossing, virtualize_crossing  # noqa: E402
 from vknot.frontier import greedy_order, state_sum  # noqa: E402
 from vknot.surface import build_carter_surface  # noqa: E402
+from vknot.tangle import _closure_sums, close_tangle, expand_tangle, noncrossing_matchings, parse_tangle  # noqa: E402
 
 
 def _carter(d):
@@ -114,9 +130,38 @@ def _state_sum(argv):
     return state_sum(_planar_tables(argv))
 
 
-def _jones(argv):
+def _cli_op(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return cli_main(argv)
+
+
+def _report_input(argv):
+    """(argv, diagram, crossing pair, tangle) of a catalog entry's op."""
+    entry = catalog_entry(build_parser().parse_args(argv).catalog)
+    return argv, _parse(argv), entry.crossings, parse_tangle(entry.tangle)
+
+
+def _report_brackets(x):
+    _, K, (v1, v2), t = x
+    Kv = virtualize_crossing(virtualize_crossing(K, v1), v2)
+    Ks = switch_crossing(switch_crossing(K, v1), v2)
+    states = [smooth_crossing(smooth_crossing(K, v1, s1), v2, s2) for s1 in SmoothingType for s2 in SmoothingType]
+    closures = [close_tangle(t, cap) for cap in noncrossing_matchings(t.n_boundary)]
+    return Kv, [kauffman_bracket(d) for d in (Kv, Ks, K, *states, *closures)]
+
+
+def _report_left(x):
+    t = x[3]
+    return _report_brackets(x), _closure_sums(t, expand_tangle(t))
+
+
+def _report_certify(x):
+    (Kv, _), _ = _report_left(x)
+    return certify(Kv)
+
+
+def _report(x):
+    return _cli_op(x[0])
 
 
 #: command -> (its stages, the input of every stage from the op's argv)
@@ -127,8 +172,12 @@ SPLITS = {
     ),
     "surface-bracket": ([("carter", _carter), ("sweep", _surface_sweep), ("readout", _surface_readout)], _parse),
     "jones": (
-        [("parse", _parse), ("tables", _planar_tables), ("order", _order), ("state_sum", _state_sum), ("jones", _jones)],
+        [("parse", _parse), ("tables", _planar_tables), ("order", _order), ("state_sum", _state_sum), ("jones", _cli_op)],
         list,
+    ),
+    "double-virtualize-report": (
+        [("brackets", _report_brackets), ("left", _report_left), ("certify", _report_certify), ("report", _report)],
+        _report_input,
     ),
 }
 

@@ -19,8 +19,10 @@ helpers that only tests use.
   `crossing_order`, which sweeps in another order than the greedy one;
   `greedy_order`, its naive reference; and `min_growth_order`, the greedy
   order without its lookahead.
-- Tangles and Jones: `is_noncrossing`, `jones_divisibility` and
-  `try_divide_exact`, exact Laurent division that gives None where the
+- Tangles and Jones: `is_noncrossing`; `union_cycles`,
+  `closure_left_side` and `closure_consistent`, the closure check in
+  LaurentPoly arithmetic on dict-walked cycle counts; `jones_divisibility`
+  and `try_divide_exact`, exact Laurent division that gives None where the
   package raises.
 - Diagrams: `canonical_code` and the removal moves.
 """
@@ -33,10 +35,10 @@ from typing import Iterable, Iterator, Sequence
 
 from vknot import frontier
 from vknot.analysis import CurveClassKey
-from vknot.bracket import StateTables, d_power
+from vknot.bracket import StateTables, d_power, kauffman_bracket
 from vknot.diagram import OVER, UNDER, VirtualLinkDiagram, arc_ends
 from vknot.frontier import PackedFields
-from vknot.laurent import IndivisibleError, LaurentPoly, laurent_divide_exact
+from vknot.laurent import LOOP_VALUE, IndivisibleError, LaurentPoly, laurent_divide_exact
 from vknot.surface import (
     HomologyClass,
     LoopNotEmbedded,
@@ -49,7 +51,7 @@ from vknot.surface import (
     loop_homology,
 )
 from vknot.symplectic import SkewForm, SymplecticBasis
-from vknot.tangle import Matching
+from vknot.tangle import Matching, Tangle, TangleExpansion, close_tangle, noncrossing_matchings
 
 
 class CombinatorialMap:
@@ -691,6 +693,46 @@ def is_noncrossing(matching: Matching) -> bool:
             if (a, b) < (c, d) and a < c < b < d:
                 return False
     return True
+
+
+def union_cycles(m1: Matching, m2: Matching) -> int:
+    """Number of circles in the union of two perfect matchings, walked on
+    dicts: the reference for the partner-array count of
+    `tangle.closure_consistency`."""
+    partner1, partner2 = ({a: b for a, b in m} | {b: a for a, b in m} for m in (m1, m2))
+    seen: set[int] = set()
+    cycles = 0
+    for start in partner1:
+        if start in seen:
+            continue
+        cycles += 1
+        p = start
+        while p not in seen:
+            seen.add(p)
+            q = partner1[p]
+            seen.add(q)
+            p = partner2[q]
+    return cycles
+
+
+def closure_left_side(exp: TangleExpansion, cap: Matching) -> LaurentPoly | None:
+    """sum_N coeff(N) d^(cycles(cap u N) - 1) in LaurentPoly arithmetic, the
+    reference for the packed sums of `tangle.closure_consistency`: the sum
+    with d^cycles, divided by d exactly, or None when it is no multiple of
+    d (possible only without boundary points, where cycles is 0)."""
+    total = LaurentPoly.zero()
+    for matching, coeff in exp.coefficients.items():
+        total = total + coeff * d_power(union_cycles(cap, matching))
+    return try_divide_exact(total, LOOP_VALUE)
+
+
+def closure_consistent(t: Tangle, exp: TangleExpansion) -> bool:
+    """`tangle.closure_consistency` by `closure_left_side`: every planar cap
+    closes `exp` to the bracket of the closed-up tangle."""
+    return all(
+        closure_left_side(exp, cap) == kauffman_bracket(close_tangle(t, cap))
+        for cap in noncrossing_matchings(t.n_boundary)
+    )
 
 
 def jones_divisibility(v_in_t: LaurentPoly) -> LaurentPoly | None:

@@ -13,9 +13,10 @@ import vknot.cli as cli
 import vknot.diagram as diagram
 import vknot.surface as surface
 from vknot.analysis import certify, surface_bracket
-from vknot.catalog import catalog, catalog_p_family
+from vknot.catalog import catalog, catalog_entry, catalog_p_family
 from vknot.cli import main
-from vknot.diagram import format_gauss_code, parse_gauss_code
+from vknot.diagram import format_gauss_code, parse_gauss_code, virtualize_crossing
+from vknot.tangle import double_virtualization_report, parse_tangle, virtualization_report
 
 
 def run(capsys, *argv):
@@ -175,11 +176,14 @@ def test_catalog_refuses_a_misplaced_or_missing_name(capsys, argv, message):
     [
         lambda: certify(catalog("kishino")),
         lambda: main(["surface-bracket", "--catalog", "kishino", "--format", "json"]),
+        lambda: main(["virtualize-report", "--catalog", "trefoil", "--crossing", "1", "--format", "json"]),
+        lambda: main(["double-virtualize-report", "--catalog", "section5_knot", "--format", "json"]),
     ],
-    ids=["certify", "surface-bracket"],
+    ids=["certify", "surface-bracket", "virtualize-report", "double-virtualize-report"],
 )
 def test_one_carter_surface_per_call(capsys, monkeypatch, call):
-    # the surface sum runs on the caller's SurfaceRep, so nothing rebuilds it
+    # the surface sum runs on the caller's SurfaceRep, so nothing rebuilds it;
+    # a report brackets and certifies K_v on one surface
     built = []
     init = surface.SurfaceRep.__init__
 
@@ -192,18 +196,45 @@ def test_one_carter_surface_per_call(capsys, monkeypatch, call):
     assert len(built) == 1
 
 
+def _section5_double_report():
+    entry = catalog_entry("section5_knot")
+    return double_virtualization_report(entry.diagram, *entry.crossings, tangle=parse_tangle(entry.tangle))
+
+
+def _section5_kv():
+    entry = catalog_entry("section5_knot")
+    v1, v2 = entry.crossings
+    return virtualize_crossing(virtualize_crossing(entry.diagram, v1), v2)
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, numberings, kv",
     [
-        lambda: certify(catalog("kishino")),
-        lambda: certify(catalog_p_family(2)),
-        lambda: surface_bracket(surface.build_carter_surface(catalog("kishino"))),
+        (lambda: certify(catalog("kishino")), 1, None),
+        (lambda: certify(catalog_p_family(2)), 1, None),
+        (lambda: surface_bracket(surface.build_carter_surface(catalog("kishino"))), 1, None),
+        # <K_A>, <K_B>, <K>, <K_s> and K_v
+        (lambda: virtualization_report(catalog("trefoil"), 1), 5, lambda: virtualize_crossing(catalog("trefoil"), 1)),
+        # K_v, K_s, K, the four states, the tangle and its 14 closures
+        (_section5_double_report, 22, _section5_kv),
     ],
-    ids=["certify-kishino", "certify-p_family-2", "surface-bracket-genus-2"],
+    ids=[
+        "certify-kishino",
+        "certify-p_family-2",
+        "surface-bracket-genus-2",
+        "virtualize-report-trefoil",
+        "double-virtualize-report-section5",
+    ],
 )
-def test_one_crossing_rotation_per_call(monkeypatch, call):
+def test_one_crossing_rotation_per_call(monkeypatch, call, numberings, kv):
     # the Carter surface, its refinement and the surface sweeps read the
-    # StateTables the surface builds, so the arc ends are numbered once
+    # StateTables the surface builds, so the arc ends are numbered once; a
+    # report reads <K_v> off the tables of the surface it certifies, so it
+    # numbers K_v once too
+    kv_args = None
+    if kv is not None:
+        kv_diagram = kv()
+        kv_args = (kv_diagram.arc_strands, kv_diagram.signs)
     calls = []
     arc_ends = diagram.arc_ends
 
@@ -220,7 +251,9 @@ def test_one_crossing_rotation_per_call(monkeypatch, call):
         monkeypatch.setattr(sys.modules[name], "arc_ends", counted)
     assert {"vknot.diagram", "vknot.bracket"} <= set(binders)
     call()
-    assert len(calls) == 1
+    assert len(calls) == numberings
+    if kv_args is not None:
+        assert calls.count(kv_args) == 1
 
 
 def test_max_crossings_env(capsys, monkeypatch):

@@ -283,3 +283,23 @@ def test_f_polynomial_trivial_past_the_state_sum_wall():
     for n in range(21):
         assert f_polynomial(catalog_p_family(n)) == LaurentPoly.one(), n
     assert time.perf_counter() - start < 5.0
+
+
+def test_pack_is_the_inverse_of_read_packed():
+    """Seeded polynomials on the fields of a layout, each coefficient within
+    its signed field, read back as packed; an exponent of the wrong parity
+    or below field 0 has no field."""
+    rng = random.Random(41)
+    for _ in range(200):
+        fields = frontier.packed_fields(rng.randint(0, 8), rng.randint(1, 4))
+        n, width, offset = fields
+        half = 1 << (width - 1)
+        poly = LaurentPoly(
+            {n - 2 * (j - offset): rng.randint(-half, half - 1) for j in rng.sample(range(3 * offset + 2), 4)}
+        )
+        assert frontier.read_packed(frontier.pack(poly, fields), fields) == poly
+    fields = frontier.packed_fields(3, 2)
+    assert frontier.pack(LaurentPoly.monomial(3 + 2 * fields.offset), fields) == 1
+    for bad in (LaurentPoly.monomial(4), LaurentPoly.monomial(5 + 2 * fields.offset)):
+        with pytest.raises(ValueError, match="no field"):
+            frontier.pack(bad, fields)

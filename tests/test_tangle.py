@@ -4,13 +4,14 @@ import json
 import random
 
 import pytest
-from oracle import is_noncrossing
+from oracle import closure_consistent, closure_left_side, is_noncrossing, union_cycles
 from randgen import random_gauss_code, random_tangle
 
 from vknot import cli, tangle
-from vknot.bracket import bracket_by_recursion, d_power, kauffman_bracket
+from vknot.bracket import bracket_by_recursion, kauffman_bracket, tables_bracket
 from vknot.catalog import catalog, catalog_entry
 from vknot.diagram import ParseError, Pass, ValidationError, VirtualLinkDiagram, parse_gauss_code
+from vknot.frontier import pack, packed_fields
 from vknot.laurent import LaurentPoly, format_laurent
 from vknot.surface import genus
 from vknot.tangle import (
@@ -18,6 +19,11 @@ from vknot.tangle import (
     Matching,
     Strand,
     Tangle,
+    TangleExpansion,
+    _cap_partners,
+    _closure_sums,
+    _cycle_count,
+    _partners,
     alpha_beta_at_crossing,
     close_tangle,
     closure_consistency,
@@ -203,7 +209,7 @@ def test_virtualization_report_on_a_classical_k_still_checks_the_certificate(mon
         def __str__(self):
             return "Inconclusive"
 
-    monkeypatch.setattr(tangle, "certify", lambda d: Disagreeing())
+    monkeypatch.setattr(tangle, "certify_surface", lambda rep: Disagreeing())
     with pytest.raises(AssertionError, match="disagrees with tangle criterion"):
         virtualization_report(catalog("trefoil"), 1)
 
@@ -235,34 +241,23 @@ def test_double_virtualization_requires_distinct():
 
 def test_virtualization_report_computes_each_bracket_once(monkeypatch):
     calls = []
+    surface_calls = []
 
     def counted(d):
         calls.append(d)
         return kauffman_bracket(d)
 
+    def counted_tables(tables, free):
+        surface_calls.append(tables)
+        return tables_bracket(tables, free)
+
     monkeypatch.setattr(tangle, "kauffman_bracket", counted)
+    monkeypatch.setattr(tangle, "tables_bracket", counted_tables)
     rep = virtualization_report(catalog("trefoil"), 1)
-    # <K_A>, <K_B>, <K>, <K_s>, <K_v>; the certificate of K_v takes none
-    assert len(calls) == 5
+    # <K_A>, <K_B>, <K>, <K_s>, and <K_v> off the tables of K_v's Carter
+    # surface; the certificate of K_v takes none
+    assert len(calls) == 4 and len(surface_calls) == 1
     assert rep.to_json() == virtualization_report(catalog("trefoil"), 1).to_json()
-
-
-def _cycles(m1: Matching, m2: Matching) -> int:
-    """Number of circles in the union of two perfect matchings."""
-    partner1, partner2 = ({a: b for a, b in m} | {b: a for a, b in m} for m in (m1, m2))
-    seen: set[int] = set()
-    cycles = 0
-    for start in partner1:
-        if start in seen:
-            continue
-        cycles += 1
-        p = start
-        while p not in seen:
-            seen.add(p)
-            q = partner1[p]
-            seen.add(q)
-            p = partner2[q]
-    return cycles
 
 
 def _random_tangles(seed: int = 20261018, count: int = 40):
@@ -276,7 +271,144 @@ def test_expansion_closes_to_skein_bracket():
     for t in _random_tangles():
         exp = expand_tangle(t)
         for cap in noncrossing_matchings(t.n_boundary):
-            total = LaurentPoly.zero()
-            for matching, coeff in exp.coefficients.items():
-                total = total + coeff * d_power(_cycles(cap, matching) - 1)
+            total = closure_left_side(exp, cap)
             assert total == bracket_by_recursion(close_tangle(t, cap)), (format_tangle(t), cap)
+
+
+def _plus(exp: TangleExpansion, matching: Matching, poly: LaurentPoly) -> TangleExpansion:
+    """`exp` with `poly` added to the coefficient of `matching`."""
+    coefficients = dict(exp.coefficients)
+    coefficients[matching] = coefficients.get(matching, LaurentPoly.zero()) + poly
+    return TangleExpansion(coefficients)
+
+
+def _perfect_matchings(points: list[int]):
+    if not points:
+        yield []
+        return
+    a, rest = points[0], points[1:]
+    for i, b in enumerate(rest):
+        for m in _perfect_matchings(rest[:i] + rest[i + 1 :]):
+            yield [(a, b)] + m
+
+
+def test_cached_caps_are_a_tuple_with_catalan_counts():
+    for n_points, catalan in zip(range(2, 13, 2), (1, 2, 5, 14, 42, 132)):
+        caps = noncrossing_matchings(n_points)
+        assert isinstance(caps, tuple) and len(caps) == catalan
+        assert caps is noncrossing_matchings(n_points)
+        assert list(caps) == sorted(caps) and all(is_noncrossing(m) for m in caps)
+        assert _cap_partners(n_points) == tuple(tuple(_partners(m, n_points)) for m in caps)
+
+
+def test_partner_array_cycle_counts_equal_the_dict_walk():
+    """Every pair of perfect matchings of up to 8 points, and every cap
+    against every perfect matching of 10 points."""
+    for n_points in range(2, 11, 2):
+        matchings = [Matching(m) for m in _perfect_matchings(list(range(1, n_points + 1)))]
+        partners = {m: _partners(m, n_points) for m in matchings}
+        for m1 in matchings if n_points <= 8 else noncrossing_matchings(n_points):
+            for m2 in matchings:
+                assert _cycle_count(partners[m1], partners[m2]) == union_cycles(m1, m2), (m1, m2)
+
+
+def test_partners_refuse_a_matching_of_other_points():
+    for pairs in ([(1, 2)], [(1, 2), (3, 5)], [(1, 1), (2, 3)]):
+        with pytest.raises(ValueError, match="not a matching"):
+            _partners(Matching(pairs), 4)
+
+
+def _agrees_with_the_reference(t: Tangle, exp: TangleExpansion) -> bool:
+    """The check gives the reference's answer, and when `exp` fits the
+    layout the packed left sides equal the LaurentPoly ones cap by cap;
+    returns that answer."""
+    sums = _closure_sums(t, exp)
+    assert sums is None or sums == [closure_left_side(exp, cap) for cap in noncrossing_matchings(t.n_boundary)]
+    answer = closure_consistent(t, exp)
+    assert closure_consistency(t, exp) == answer
+    assert sums is not None or not answer
+    return answer
+
+
+@pytest.mark.parametrize("n_points", [4, 6, 8])
+def test_closure_check_agrees_with_the_laurent_reference(n_points):
+    """Seeded random tangles, with their expansion and with one coefficient
+    off by a monomial of a field of the layout."""
+    rng = random.Random(f"closure/{n_points}")
+    fitting = 0
+    for _ in range(25):
+        t = random_tangle(rng, rng.randint(0, 6), n_points)
+        exp = expand_tangle(t)
+        assert _agrees_with_the_reference(t, exp)
+        off = LaurentPoly.monomial(t.n_crossings - 2 * rng.randint(0, 4), rng.choice((1, -1)))
+        faulty = _plus(exp, rng.choice(noncrossing_matchings(n_points)), off)
+        assert not _agrees_with_the_reference(t, faulty)
+        fitting += _closure_sums(t, faulty) is not None
+    # the packed sums of most faulty expansions are read and compared
+    assert fitting >= 20
+
+
+def test_closure_check_agrees_with_the_laurent_reference_on_the_section5_tangle():
+    t = parse_tangle(catalog_entry("section5_knot").tangle)
+    exp = expand_tangle(t)
+    assert _agrees_with_the_reference(t, exp)
+    for m, coeff in exp.coefficients.items():
+        assert not _agrees_with_the_reference(t, _plus(exp, m, LaurentPoly.monomial(coeff.terms[-1][0] + 4)))
+
+
+def test_planted_faults_fail_the_closure_check():
+    t = parse_tangle(catalog_entry("section5_knot").tangle)
+    exp = expand_tangle(t)
+    fields = packed_fields(t.n_crossings, len(t.strands))
+    m, coeff = sorted(exp.coefficients.items())[0]
+    e = coeff.terms[0][0]
+    # 2^W A^e - A^(e - 2) packs to 0, as s = A^-2 is 2^W: only the size bound sees it
+    aliased = LaurentPoly({e: 1 << fields.width, e - 2: -1})
+    assert pack(aliased, fields) == 0
+    faults = {
+        "off by a monomial": _plus(exp, m, LaurentPoly.monomial(e + 4)),
+        "wrong A-parity": _plus(exp, m, LaurentPoly.monomial(e + 1)),
+        "added crossing matching": _plus(exp, Matching([(1, 3), (2, 4), (5, 7), (6, 8)]), LaurentPoly.monomial(e)),
+        "aliased": _plus(exp, m, aliased),
+    }
+    for name, faulty in faults.items():
+        # a true fault: the LaurentPoly reference refuses it too
+        assert not closure_consistent(t, faulty), name
+        assert not closure_consistency(t, faulty), name
+        # the last two do not fit the layout, so no left side is read
+        fits = name in ("off by a monomial", "added crossing matching")
+        assert (_closure_sums(t, faulty) is not None) == fits, name
+    assert closure_consistency(t, exp)
+
+
+def test_closure_consistency_brackets_each_closure_once(monkeypatch):
+    t = parse_tangle(catalog_entry("section5_knot").tangle)
+    exp = expand_tangle(t)
+    closed, bracketed = [], []
+
+    def counted_close(tangle_, cap):
+        closed.append((cap, close_tangle(tangle_, cap)))
+        return closed[-1][1]
+
+    def counted_bracket(d):
+        bracketed.append(d)
+        return kauffman_bracket(d)
+
+    monkeypatch.setattr(tangle, "close_tangle", counted_close)
+    monkeypatch.setattr(tangle, "kauffman_bracket", counted_bracket)
+    assert closure_consistency(t, exp)
+    assert [cap for cap, _ in closed] == list(noncrossing_matchings(8))
+    assert [id(d) for d in bracketed] == [id(d) for _, d in closed]
+
+
+def test_a_tangle_without_boundary_points_closes_to_itself():
+    """Its one cap is the empty matching, with 0 cycles: the expansion's
+    only coefficient is the unreduced bracket, and the left side divides it
+    by d."""
+    for code in ("O1+U1+", "O1+O2-U1+U2-", "O1+U2-O3+U1+O2-U3+"):
+        t = parse_tangle(code)
+        exp = expand_tangle(t)
+        assert t.n_boundary == 0
+        assert _agrees_with_the_reference(t, exp)
+        # one more A^n is no multiple of d, so the left side does not exist
+        assert not _agrees_with_the_reference(t, _plus(exp, Matching([]), LaurentPoly.monomial(t.n_crossings)))
