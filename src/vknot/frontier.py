@@ -97,51 +97,64 @@ def greedy_order(tables: StateTables) -> list[int]:
     A crossing's growth is the change in the number of open ends its
     addition makes: +1 for an end whose arc leads to a crossing not yet
     added, -1 for one that closes an arc to an added one (or to a boundary
-    end), 0 for a kink arc.  Each crossing k keeps `far[k]`, the crossing
-    at the far end of each of its arcs to another crossing, and the
+    end), 0 for a kink arc.  Each crossing k keeps `far[k]`, the pairs
+    (j, 2 a) of each other crossing j that a of k's arcs lead to, and the
     remaining crossings' growths are kept in a list: adding k lowers the
-    growth at each entry of `far[k]` by 2, as that end now closes an arc,
-    and changes no other.  So the lookahead of a tie c reads, at each
-    crossing j of `far[c]` still to add, its growth less 2 per arc it
-    shares with c.
+    growth of each such j by 2 a, as those ends now close arcs, and
+    changes no other.  So the lookahead of a tie c reads, at each crossing
+    j of `far[c]` still to add, its growth less 2 a.  The ties are walked
+    in index order by chaining `list.index` from the last one, so a step
+    builds no list.
 
-    Ties are frequent (811 of the 1456 steps of the planar_jones
-    workload's sweeps have one), and broken by the lowest index alone they
-    leave about twice the keys on the heaviest inputs (the module
-    docstring's figures).  The order changes the keys, not the values: a
-    state of n crossings on r strands has at most n + r loops, by the
-    state-graph argument of `packed_fields`, whatever the order, so one
-    packed layout serves every order.
+    Ties are frequent (767 of the 1456 steps of the planar_jones
+    workload's 97 sweeps have one; the whole order takes 36-39 us per such
+    14-16-crossing sweep on a 2-vCPU x86-64 box under CPython 3.11), and
+    broken by the lowest index alone they leave about twice the keys on
+    the heaviest inputs (the module docstring's figures).  The order
+    changes the keys, not the values: a state of n crossings on r strands
+    has at most n + r loops, by the state-graph argument of
+    `packed_fields`, whatever the order, so one packed layout serves every
+    order.
     """
-    where = {x: k for k, (ends, _) in enumerate(tables.joins) for x in ends}
-    far = [
-        [j for j in [where.get(x ^ 1) for x in ends] if j is not None and j != k]
-        for k, (ends, _) in enumerate(tables.joins)
-    ]
-    growth = [len(js) for js in far]
+    joins = tables.joins
+    # the crossing of each arc end, -1 for a boundary end
+    where = [-1] * (2 * tables.n_arcs)
+    for k, (ends, _) in enumerate(joins):
+        for x in ends:
+            where[x] = k
+    far, growth = [], []
+    for k, (ends, _) in enumerate(joins):
+        shared, g = {}, 0
+        for x in ends:
+            j = where[x ^ 1]
+            if j != k and j >= 0:
+                shared[j] = shared.get(j, 0) + 2
+                g += 1
+        far.append(list(shared.items()))
+        growth.append(g)
     for b in tables.boundary:
-        j = where.get(b ^ 1)
-        if j is not None:
+        j = where[b ^ 1]
+        if j >= 0:
             growth[j] -= 1
     order = []
     for _ in range(tables.n):
         least = min(growth)
         k = growth.index(least)
-        if growth.count(least) > 1:
+        ties = growth.count(least)
+        if ties > 1:
             # the lookahead, inlined: ties in index order, a strictly smaller key wins
-            key = _PLACED
-            for c in [c for c, g in enumerate(growth) if g == least]:
-                js = far[c]
-                for j in js:
-                    if growth[j] != _PLACED:
-                        g = growth[j] - 2 * js.count(j)
-                        if g < key:
-                            key, k = g, c
+            key, c = _PLACED, k - 1
+            for _ in range(ties):
+                c = growth.index(least, c + 1)
+                for j, m in far[c]:
+                    g = growth[j]
+                    if g != _PLACED and g - m < key:
+                        key, k = g - m, c
         order.append(k)
         growth[k] = _PLACED
-        for j in far[k]:
+        for j, m in far[k]:
             if growth[j] != _PLACED:
-                growth[j] -= 2
+                growth[j] -= m
     return order
 
 
@@ -359,6 +372,17 @@ def _sweep(tables, start, step):
     reads the items at the slots left open, in their new order, as a tuple
     (`_picker`).  A path's far end does not move when the slots do, so the
     partners the step picks are the new key as they stand.
+
+    A step's schedule is built in two loops: one over the open ends sets
+    each one's slot and keeps, with their slots, the terminals and the
+    ends whose arc does not lead to this crossing; one over the crossing's
+    four ends sets their slots and, per end, keeps it open when its arc
+    leads to a crossing not yet added or lists the arc in `closes`.  A kink arc is
+    listed from its head, with its tail's slot counted from the crossing's
+    first slot, as the tail may come later in the loop.  On the
+    planar_jones workload's 97 sweeps the whole schedule, the greedy order
+    included, takes 63-70 us per sweep, about an eighth of a `jones` op
+    (on the machine `greedy_order` cites).
     """
     boundary = tables.boundary
     placed = set(boundary)
@@ -378,19 +402,25 @@ def _sweep(tables, start, step):
     for k in greedy_order(tables):
         a_joins = tables.joins[k][0]
         placed.update(a_joins)
-        m = len(ends)
+        after, picked, closes = [], [], []
         for i, e in enumerate(ends):
             slot[e] = i
-        for i, x in enumerate(a_joins):
-            slot[x] = m + i
-        # arcs from this crossing back to an added one, a kink arc once
-        closes = [
-            (m + i, x ^ 1, slot[x ^ 1])
-            for i, x in enumerate(a_joins)
-            if x ^ 1 in placed and (x ^ 1 not in a_joins or x & 1)
-        ]
-        after = [e for e in ends if e < 0 or e ^ 1 not in placed] + [x for x in a_joins if x ^ 1 not in placed]
-        frontier = step(frontier, k, closes, _picker([slot[e] for e in after]), slot)
+            if e < 0 or e ^ 1 not in placed:
+                after.append(e)
+                picked.append(i)
+        m = len(ends)
+        for i, x in enumerate(a_joins, m):
+            slot[x] = i
+            y = x ^ 1
+            if y not in placed:
+                after.append(x)
+                picked.append(i)
+            elif y not in a_joins:
+                closes.append((i, y, slot[y]))
+            elif x & 1:
+                # a kink arc, closed once, from its head: its tail may come later
+                closes.append((i, y, m + a_joins.index(y)))
+        frontier = step(frontier, k, closes, _picker(picked), slot)
         ends = after
     return frontier, ends
 

@@ -34,6 +34,9 @@ and a `jones` op from its argv:
     parse      the argv and its Gauss code (or catalog entry) to a diagram
     tables     + StateTables
     order      + frontier.greedy_order
+    schedule   + the sweep's schedule: the sweep with steps that return the
+               frontier unchanged, which is the greedy order and the
+               per-step slots, closes and picked slots, without a kernel
     state_sum  + the frontier sweep: frontier.state_sum of the tables,
                which takes the greedy order itself
     jones      the whole op, vknot.cli.main with stdout captured
@@ -45,14 +48,20 @@ those sweeps: the keys after each step, counted by wrapping
 A `double-virtualize-report` op starts from its catalog entry's diagram,
 crossing pair and complementary tangle:
 
-    brackets   the 21 planar brackets of the report, with the moves that
-               make their diagrams: K_v, K_s, K, the four states at the
-               two crossings and the tangle's closure by each of its caps
+    schedule   the moves that make the diagrams of the report's 21 planar
+               brackets (K_v, K_s, K, the four states at the two crossings
+               and the tangle's closure by each of its caps), their
+               StateTables and each one's sweep schedule, as in `jones`
+    brackets   + the 21 brackets themselves: the sweeps' kernels and the
+               readouts
     left       + the tangle's expansion and the closure check's left sides
                (tangle._closure_sums)
     certify    + certify(K_v)
     report     the whole op, vknot.cli.main with stdout captured (the
                report and its JSON)
+
+The schedule of the other two of the op's 23 sweeps, the tangle's and the
+d-image's of certify(K_v), stays in `left` and `certify`.
 
 Each stage's total over the ops is the best of N runs, the stages taking
 turns within a run; a layer's own time is its stage minus the stage
@@ -126,6 +135,16 @@ def _order(argv):
     return tables, greedy_order(tables)
 
 
+def _schedule(tables):
+    """The sweep of `tables` with steps that return the frontier unchanged:
+    its schedule alone."""
+    return frontier._sweep(tables, lambda key: None, lambda front, *schedule: front)
+
+
+def _planar_schedule(argv):
+    return _schedule(_planar_tables(argv))
+
+
 def _state_sum(argv):
     return state_sum(_planar_tables(argv))
 
@@ -141,13 +160,24 @@ def _report_input(argv):
     return argv, _parse(argv), entry.crossings, parse_tangle(entry.tangle)
 
 
-def _report_brackets(x):
+def _report_diagrams(x):
+    """The report's K_v and the diagrams of its 21 planar brackets."""
     _, K, (v1, v2), t = x
     Kv = virtualize_crossing(virtualize_crossing(K, v1), v2)
     Ks = switch_crossing(switch_crossing(K, v1), v2)
     states = [smooth_crossing(smooth_crossing(K, v1, s1), v2, s2) for s1 in SmoothingType for s2 in SmoothingType]
     closures = [close_tangle(t, cap) for cap in noncrossing_matchings(t.n_boundary)]
-    return Kv, [kauffman_bracket(d) for d in (Kv, Ks, K, *states, *closures)]
+    return Kv, [Kv, Ks, K, *states, *closures]
+
+
+def _report_schedule(x):
+    _, diagrams = _report_diagrams(x)
+    return [_schedule(StateTables(d)) for d in diagrams]
+
+
+def _report_brackets(x):
+    Kv, diagrams = _report_diagrams(x)
+    return Kv, [kauffman_bracket(d) for d in diagrams]
 
 
 def _report_left(x):
@@ -172,11 +202,24 @@ SPLITS = {
     ),
     "surface-bracket": ([("carter", _carter), ("sweep", _surface_sweep), ("readout", _surface_readout)], _parse),
     "jones": (
-        [("parse", _parse), ("tables", _planar_tables), ("order", _order), ("state_sum", _state_sum), ("jones", _cli_op)],
+        [
+            ("parse", _parse),
+            ("tables", _planar_tables),
+            ("order", _order),
+            ("schedule", _planar_schedule),
+            ("state_sum", _state_sum),
+            ("jones", _cli_op),
+        ],
         list,
     ),
     "double-virtualize-report": (
-        [("brackets", _report_brackets), ("left", _report_left), ("certify", _report_certify), ("report", _report)],
+        [
+            ("schedule", _report_schedule),
+            ("brackets", _report_brackets),
+            ("left", _report_left),
+            ("certify", _report_certify),
+            ("report", _report),
+        ],
         _report_input,
     ),
 }

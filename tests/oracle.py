@@ -17,8 +17,9 @@ helpers that only tests use.
 - State sums: `expand` and `packed`, which put counts in the value format
   of the sums; `crossing_pair`, `borrowed_fields` and `unpack`;
   `crossing_order`, which sweeps in another order than the greedy one;
-  `greedy_order`, its naive reference; and `min_growth_order`, the greedy
-  order without its lookahead.
+  `greedy_order`, its naive reference; `min_growth_order`, the greedy
+  order without its lookahead; and `sweep_schedule`, the reference for
+  the per-step schedule of the sweep.
 - Tangles and Jones: `is_noncrossing`; `union_cycles`,
   `closure_left_side` and `closure_consistent`, the closure check in
   LaurentPoly arithmetic on dict-walked cycle counts; `jones_divisibility`
@@ -642,6 +643,39 @@ def greedy_order(tables: StateTables) -> list[int]:
         order.append(k)
         placed.update(tables.joins[k][0])
     return order
+
+
+def sweep_schedule(tables: StateTables, order: Sequence[int]) -> list[tuple[int, list, list[int]]]:
+    """Per crossing k of `order`, (k, closes, picked slots): the schedule
+    `frontier._sweep` hands each step, built by list passes over the open
+    ends (the reference for its one-pass loops).  The slots are the open
+    ends in order, then k's A-join ends; `closes` holds (crossing slot,
+    other end, its slot) of each arc back to an added crossing or a
+    boundary end, a kink arc once, in the order of k's ends; and the picked
+    slots are those of the ends left open, in order."""
+    placed = set(tables.boundary)
+    ends: list[int] = []
+    for b in tables.boundary:
+        ends.append(~b)
+        if b ^ 1 not in placed:
+            ends.append(b)
+    slot: dict[int, int] = {}
+    schedule = []
+    for k in order:
+        a_joins = tables.joins[k][0]
+        placed.update(a_joins)
+        m = len(ends)
+        slot.update({e: i for i, e in enumerate(ends)})
+        slot.update({x: m + i for i, x in enumerate(a_joins)})
+        closes = [
+            (m + i, x ^ 1, slot[x ^ 1])
+            for i, x in enumerate(a_joins)
+            if x ^ 1 in placed and (x ^ 1 not in a_joins or x & 1)
+        ]
+        after = [e for e in ends if e < 0 or e ^ 1 not in placed] + [x for x in a_joins if x ^ 1 not in placed]
+        schedule.append((k, closes, [slot[e] for e in after]))
+        ends = after
+    return schedule
 
 
 @contextmanager

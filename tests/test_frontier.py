@@ -89,6 +89,48 @@ def test_tallies_identical_under_every_order(d):
     _assert_order_independent(StateTables(d), d.n_crossings)
 
 
+def _recorded_schedule(tables: StateTables) -> list[tuple[int, list, list[int]]]:
+    """(k, closes, picked slots) of every step of a sweep of `tables`
+    whose steps record their schedule and return the frontier unchanged."""
+    steps = []
+
+    def step(front, k, closes, pick, slot):
+        steps.append((k, closes, list(pick(range(len(slot))))))
+        return front
+
+    frontier._sweep(tables, lambda key: None, step)
+    return steps
+
+
+#: Kink arcs: a closed kink strand, kinks of either sign on one or two
+#: components, and one crossing between two one-pass components, where one
+#: kink's tail comes before its head in the crossing's ends.
+KINK_CODES = ["O1+U1+", "O1-U1-", "O1+U1+O2-U2-", "O1+U1+;O2-U2-", "O1+;U1+", "O1-;U1-"]
+
+
+def test_sweep_schedule_equals_the_list_pass_reference():
+    """`_sweep` hands every step the crossing, the closes and the picked
+    slots that `oracle.sweep_schedule` builds by list passes, and its
+    order is `oracle.greedy_order`, on seeded codes of 1-3 components,
+    seeded tangles, codes with kink arcs and tangles with a crossing-free
+    strand."""
+    rng = random.Random(37)
+    diagrams = [parse_gauss_code(random_gauss_code(rng, rng.randint(1, 14), c)) for c in (1, 2, 3) for _ in range(15)]
+    diagrams += [random_tangle(rng, rng.randint(0, 9), rng.choice((2, 4, 6, 8))) for _ in range(40)]
+    diagrams += [parse_gauss_code(code) for code in KINK_CODES]
+    diagrams += [parse_tangle(text) for text in ("B1B2;O1+U1+", "B1B4;B2B3", "B1O1+U2-B2;B3B4;O2-U1+")]
+    early_tails = 0
+    for d in diagrams:
+        tables = StateTables(d)
+        order = greedy_order(tables)
+        assert order == oracle.greedy_order(tables), d
+        schedule = oracle.sweep_schedule(tables, order)
+        assert _recorded_schedule(tables) == schedule, d
+        early_tails += sum(ys < x for k, closes, _ in schedule for x, y, ys in closes if y in tables.joins[k][0])
+    # the sample covers terminals and a kink whose tail is set before its head
+    assert any(StateTables(d).boundary for d in diagrams) and early_tails
+
+
 PICKER_SLOTS = """
 from vknot.frontier import _picker
 items = [7, 8, 9]

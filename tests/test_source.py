@@ -471,13 +471,13 @@ def test_layer_split_script_runs():
     certify_layers = ["carter", "refined", "homology", "tables", "certify"]
     for workload, blocks in (
         ("family_certify", [("3 certify ops", certify_layers)]),
-        ("planar_jones", [("97 jones ops", ["parse", "tables", "order", "state_sum", "jones", "keys"])]),
+        ("planar_jones", [("97 jones ops", ["parse", "tables", "order", "schedule", "state_sum", "jones", "keys"])]),
         (
             "catalog_reports",
             [
                 ("11 certify ops", certify_layers),
                 ("11 surface-bracket ops", ["carter", "sweep", "readout"]),
-                ("1 double-virtualize-report ops", ["brackets", "left", "certify", "report"]),
+                ("1 double-virtualize-report ops", ["schedule", "brackets", "left", "certify", "report"]),
             ],
         ),
     ):
